@@ -101,9 +101,7 @@ def cmd_solve(args) -> int:
     walls = {}
     t0 = time.time()
     try:
-        result = continuation(
-            spec, schedule, lambda mm: grid, tol=args.tol, max_iter=args.max_iter
-        )
+        result = continuation(spec, schedule, lambda mm: grid, tol=args.tol)
     except ContinuationError as exc:
         walls["solve"] = time.time() - t0
         print(f"continuation aborted: {exc}", file=sys.stderr)
@@ -328,7 +326,6 @@ def build_parser():
     p_solve.add_argument("--schedule", default="0.5,0.5,8", help="eps0,delta0,K")
     p_solve.add_argument("--grid", default="6,601,2500", help="m,nx,nt")
     p_solve.add_argument("--tol", type=float, default=1e-7)
-    p_solve.add_argument("--max-iter", type=int, default=200)
     p_solve.add_argument("--tol-region", type=float, default=None)
     p_solve.add_argument("--out", default="runs")
     p_solve.add_argument("--dump-every", type=int, default=100)

@@ -1,10 +1,14 @@
 """Tensor-product space-time lattices, nodal fields and the shared
 finite-difference discretization of the generator L = 0.5 tr(a D^2) + <b, grad>.
 
-The same stencils (centered second differences, centered first differences
-with one-sided upwinding where the cell Peclet number |b| hx / a exceeds 2)
-back both the penalized solver and the obstacle-problem oracle, so field
-comparisons are free of stencil mismatch.
+build_operator is the only place that knows the stencil (centered second
+differences, centered first differences with one-sided upwinding where the
+cell Peclet number |b| hx / a exceeds 2, the centered cross term, and -r).
+The implicit matrix M0 = I/ht - (L - r), the Newton level systems
+M0 + diag(extra_diag) - sum_i diag(extra_drift_i) D_i (interior rows) and
+the obstacle oracle all derive from its L_matrix, so the penalized solver
+and the oracle are free of stencil mismatch.  centered_gradient is the one
+nodal gradient D_i u.
 """
 from __future__ import annotations
 
@@ -12,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 
 from .model import ProblemSpec
 
-__all__ = ["Grid", "GridField", "Operator", "build_operator"]
+__all__ = ["Grid", "GridField", "Operator", "build_operator", "centered_gradient"]
 
 PECLET_SWITCH = 2.0
 
@@ -113,15 +118,11 @@ class GridField:
 
     def nodal_gradient(self, k: int) -> np.ndarray:
         """Centered-difference spatial gradient of slice k, shape (d, *shape)."""
-        u = self.slice_at(k)
-        grads = np.gradient(u, self.grid.hx)
-        if self.grid.d == 1:
-            return np.asarray(grads)[None, :]
-        return np.stack(grads, axis=0)
+        grad = centered_gradient(self.grid, self.values[k])
+        return grad.reshape((self.grid.d,) + self.grid.shape)
 
     def gradient_norm(self, k: int) -> np.ndarray:
-        g = self.nodal_gradient(k)
-        return np.sqrt(np.sum(g**2, axis=0)).ravel()
+        return np.sqrt(np.sum(centered_gradient(self.grid, self.values[k]) ** 2, axis=0))
 
     def interp_time_index(self, t: float) -> tuple[int, float]:
         tt = np.clip(t, 0.0, self.grid.T)
@@ -164,6 +165,17 @@ class GridField:
         return np.asarray(mine), np.asarray(theirs)
 
 
+def centered_gradient(grid: Grid, flat_values: np.ndarray) -> np.ndarray:
+    """Centered-difference spatial gradient of a nodal slice, shape (d, n_nodes).
+
+    One-sided differences on the box edge, which only Dirichlet nodes occupy.
+    """
+    grads = np.gradient(flat_values.reshape(grid.shape), grid.hx)
+    if grid.d == 1:
+        return grads[None, :]
+    return np.stack(grads, axis=0).reshape(grid.d, -1)
+
+
 def _space_interp(grid: Grid, flat_values: np.ndarray, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     axis = grid.axis
@@ -186,12 +198,17 @@ def _space_interp(grid: Grid, flat_values: np.ndarray, x: np.ndarray) -> np.ndar
 
 @dataclass
 class Operator:
-    """Discrete generator data on a grid for a given problem spec.
+    """Discrete generator on a grid for a given problem spec.
 
-    L_matrix applies (L - r) on interior rows (Dirichlet rows are zero);
-    the implicit factor solves (I/ht - (L - r)) restricted to interior rows
-    with identity on Dirichlet rows.  a_nodal/b_nodal hold the coefficient
-    fields so callers can assemble modified-drift level systems.
+    L_matrix applies (L - r) on interior rows (Dirichlet rows are zero).
+    implicit_matrix is M0 = I/ht - (L - r) on interior rows and the identity
+    on Dirichlet rows; implicit_solve solves with its cached factorization.
+    level_solver derives the Newton level systems
+
+        M0 + I_int (diag(extra_diag) - sum_i diag(extra_drift_i) D_i)
+
+    from M0, where D_i is the centered first difference along axis i and
+    I_int keeps interior rows only.
     """
 
     grid: Grid
@@ -199,9 +216,22 @@ class Operator:
     L_matrix: sp.csr_matrix
     dirichlet: np.ndarray
     upwind_fraction: float
-    a_nodal: np.ndarray = field(default=None, repr=False)  # (d, d, n)
-    b_nodal: np.ndarray = field(default=None, repr=False)  # (d, n)
-    _solver: object = field(default=None, repr=False)
+    implicit_matrix: sp.csc_matrix = field(repr=False)
+
+    def __post_init__(self):
+        self._solver = sp.linalg.splu(self.implicit_matrix).solve
+        if self.grid.d == 1:
+            M0 = self.implicit_matrix
+            self._bands = np.zeros((3, self.grid.n_nodes))
+            self._bands[0, 1:] = M0.diagonal(1)
+            self._bands[1] = M0.diagonal()
+            self._bands[2, :-1] = M0.diagonal(-1)
+        else:
+            nx, hx = self.grid.nx, self.grid.hx
+            d1 = sp.diags([-0.5 / hx, 0.5 / hx], [-1, 1], shape=(nx, nx))
+            eye = sp.identity(nx)
+            rows = sp.diags((~self.dirichlet).astype(float))
+            self._centered = [rows @ sp.kron(d1, eye), rows @ sp.kron(eye, d1)]
 
     def implicit_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._solver(rhs)
@@ -219,107 +249,33 @@ class Operator:
         the linear model is the exact Gateaux derivative of the frozen-source
         residual, whose gradients are also centered.
 
-        d=1 assembles a tridiagonal system solved with solve_banded;
-        d=2 assembles a sparse matrix factorized per call.
+        d=1 adds the extra terms to the cached bands of M0 and solves with
+        solve_banded; d=2 forms the sparse system and factorizes it per call.
         """
-        grid = self.grid
-        hx, ht = grid.hx, grid.ht
-        n = grid.n_nodes
-        diag_extra = np.zeros(n) if extra_diag is None else extra_diag
-        dirichlet = self.dirichlet
-        interior = ~dirichlet
+        interior = ~self.dirichlet
+        diag_extra = None if extra_diag is None else np.where(interior, extra_diag, 0.0)
 
-        if grid.d == 1:
-            a = self.a_nodal[0, 0]
-            b1 = self.b_nodal[0]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                peclet = np.where(a > 0, np.abs(b1) * hx / a, np.inf)
-            centered = peclet <= PECLET_SWITCH
-            diff = 0.5 * a / hx**2
-            e1 = np.zeros(n) if extra_drift is None else extra_drift[0]
-            lower = (
-                -diff
-                + np.where(centered, b1 / (2 * hx), np.where(b1 < 0, b1 / hx, 0.0))
-                + e1 / (2 * hx)
-            )
-            upper = (
-                -diff
-                - np.where(centered, b1 / (2 * hx), np.where(b1 > 0, b1 / hx, 0.0))
-                - e1 / (2 * hx)
-            )
-            diag = (
-                1.0 / ht
-                + self.spec.r
-                + diag_extra
-                + 2.0 * diff
-                + np.where(centered, 0.0, np.abs(b1) / hx)
-            )
-            diag[dirichlet] = 1.0
-            ab = np.zeros((3, n))
-            ab[0, 1:] = np.where(interior[:-1], upper[:-1], 0.0)
-            ab[1] = diag
-            ab[2, :-1] = np.where(interior[1:], lower[1:], 0.0)
-            from scipy.linalg import solve_banded
+        if self.grid.d == 1:
+            ab = self._bands.copy()
+            if diag_extra is not None:
+                ab[1] += diag_extra
+            if extra_drift is not None:
+                half = np.where(interior, extra_drift[0] / (2.0 * self.grid.hx), 0.0)
+                ab[0, 1:] -= half[:-1]
+                ab[2, :-1] += half[1:]
 
             def solve(rhs):
                 return solve_banded((1, 1), ab, rhs)
 
             return solve
 
-        # d == 2: generic sparse assembly with the shared stencil rules
-        idx_all = np.arange(n)
-        interior_idx = idx_all[interior]
-        rows, cols, vals = [], [], []
-
-        def neighbor(idx, axis, step):
-            stride = grid.nx if axis == 0 else 1
-            return idx + step * stride
-
-        for axis in range(2):
-            a_diag = self.a_nodal[axis, axis][interior]
-            b_ax = self.b_nodal[axis][interior]
-            e_ax = (
-                np.zeros(interior_idx.shape)
-                if extra_drift is None
-                else extra_drift[axis][interior]
-            )
-            ip = neighbor(interior_idx, axis, +1)
-            im = neighbor(interior_idx, axis, -1)
-            coef = 0.5 * a_diag / hx**2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                peclet = np.where(a_diag > 0, np.abs(b_ax) * hx / a_diag, np.inf)
-            centered = peclet <= PECLET_SWITCH
-            c_half = np.where(centered, b_ax / (2.0 * hx), 0.0) + e_ax / (2.0 * hx)
-            up_pos = ~centered & (b_ax > 0)
-            up_neg = ~centered & (b_ax < 0)
-            rows.extend([interior_idx] * 3)
-            cols.extend([ip, im, interior_idx])
-            vals.extend([-(coef) - c_half, -(coef) + c_half, 2.0 * coef])
-            rows.extend([interior_idx[up_pos]] * 2)
-            cols.extend([ip[up_pos], interior_idx[up_pos]])
-            vals.extend([-b_ax[up_pos] / hx, b_ax[up_pos] / hx])
-            rows.extend([interior_idx[up_neg]] * 2)
-            cols.extend([im[up_neg], interior_idx[up_neg]])
-            vals.extend([b_ax[up_neg] / hx, -b_ax[up_neg] / hx])
-        a12 = self.a_nodal[0, 1][interior]
-        if np.any(a12 != 0.0):
-            for sx, sy, sign in ((+1, +1, +1), (-1, -1, +1), (+1, -1, -1), (-1, +1, -1)):
-                nb = neighbor(neighbor(interior_idx, 0, sx), 1, sy)
-                rows.append(interior_idx)
-                cols.append(nb)
-                vals.append(np.full(interior_idx.shape, -sign) * a12 / (4.0 * hx**2))
-        rows.append(idx_all)
-        cols.append(idx_all)
-        diag0 = np.where(
-            interior, 1.0 / ht + self.spec.r + diag_extra, 1.0
-        )
-        vals.append(diag0)
-        rows = np.concatenate([np.atleast_1d(r) for r in rows])
-        cols = np.concatenate([np.atleast_1d(c) for c in cols])
-        vals = np.concatenate([np.atleast_1d(v) for v in vals])
-        M = sp.csc_matrix((vals, (rows, cols)), shape=(n, n))
-        lu = sp.linalg.splu(M)
-        return lu.solve
+        M = self.implicit_matrix
+        if diag_extra is not None:
+            M = M + sp.diags(diag_extra)
+        if extra_drift is not None:
+            for e_ax, D in zip(extra_drift, self._centered):
+                M = M - sp.diags(e_ax) @ D
+        return sp.linalg.splu(sp.csc_matrix(M)).solve
 
 
 def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:
@@ -399,24 +355,12 @@ def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:
     vals = np.concatenate([np.atleast_1d(v) for v in vals])
     L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
-    ht = grid.ht
-    M = sp.identity(n, format="csr") / ht - L
-    # Dirichlet rows: identity
-    M = M.tolil()
-    dir_idx = idx_all[dirichlet]
-    M.rows[dir_idx] = [[int(i)] for i in dir_idx]
-    M.data[dir_idx] = [[1.0] for _ in dir_idx]
-    M = M.tocsc()
-    lu = sp.linalg.splu(M)
-
-    op = Operator(
+    M0 = sp.diags(np.where(interior, 1.0 / grid.ht, 1.0)) - L
+    return Operator(
         grid=grid,
         spec=spec,
         L_matrix=L,
         dirichlet=dirichlet,
         upwind_fraction=upwind_nodes / max(1, interior_idx.size * grid.d),
-        a_nodal=avals,
-        b_nodal=bvals,
+        implicit_matrix=sp.csc_matrix(M0),
     )
-    op._solver = lu.solve
-    return op

@@ -226,6 +226,7 @@ def validate_assumptions(spec: ProblemSpec, plan: SamplePlan) -> AssumptionRepor
     k0 = 0.0
     k1 = 0.0
     f_monotone = True
+    f_sq = parse_expression(f"({spec.f}) * ({spec.f})")
 
     for radius, count in zip(plan.radii, plan.counts):
         pts = _sample_points(spec, radius, count, rng)
@@ -264,7 +265,6 @@ def validate_assumptions(spec: ProblemSpec, plan: SamplePlan) -> AssumptionRepor
                 )
                 dt_g = time_derivative(spec.g, (t, x), spec.fd_step)
                 _, grad_h, _ = eval_with_derivatives(spec.h, (t, x), order=1, fd_step=spec.fd_step)
-                f_sq = parse_cache_square(spec)
                 _, grad_f2, hess_f2 = eval_with_derivatives(
                     f_sq, (t, x), order=2, fd_step=spec.fd_step
                 )
@@ -320,17 +320,6 @@ def validate_assumptions(spec: ProblemSpec, plan: SamplePlan) -> AssumptionRepor
         f_time_monotone=f_monotone,
         violations=violations,
     )
-
-
-_F_SQ_CACHE: dict[int, Expression] = {}
-
-
-def parse_cache_square(spec: ProblemSpec) -> Expression:
-    """Expression for f^2 (used by the differentiability probes)."""
-    key = id(spec)
-    if key not in _F_SQ_CACHE:
-        _F_SQ_CACHE[key] = parse_expression(f"({spec.f}) * ({spec.f})")
-    return _F_SQ_CACHE[key]
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,7 @@ def solve_obstacle(
     dirichlet = op.dirichlet
     interior = ~dirichlet
 
-    import scipy.sparse as sp
-
-    M = (sp.identity(n, format="csr") / grid.ht - op.L_matrix).tocsr()
+    M = op.implicit_matrix.tocsr()  # interior rows: I/ht - (L - r)
     M_diag = M.diagonal()
     if np.any(M_diag[interior] <= 0):
         raise OracleError("non-positive diagonal in the implicit operator")

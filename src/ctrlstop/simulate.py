@@ -220,6 +220,19 @@ def _finalize(parts, n_eff, rejected, cfg, extras=None):
     )
 
 
+def _start_point(spec: ProblemSpec, start):
+    """(t0, x0 as a flat array, horizon T - t0) of a (t0, x0) start point."""
+    t0, x0 = start
+    t0 = float(t0)
+    x0 = np.asarray(x0, dtype=float).reshape(-1)
+    if x0.shape[0] != spec.d:
+        raise ValueError("start point dimension mismatch")
+    horizon = spec.T - t0
+    if horizon <= 0:
+        raise ValueError("start time at or beyond the horizon")
+    return t0, x0, horizon
+
+
 def simulate_paths(
     spec: ProblemSpec,
     start,
@@ -233,14 +246,7 @@ def simulate_paths(
     polled at each grid time before the move; stopping (or the horizon) pays
     the discounted g; running h and control costs accumulate along the way.
     """
-    t0, x0 = start
-    t0 = float(t0)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if x0.shape[0] != spec.d:
-        raise ValueError("start point dimension mismatch")
-    horizon = spec.T - t0
-    if horizon <= 0:
-        raise ValueError("start time at or beyond the horizon")
+    t0, x0, horizon = _start_point(spec, start)
     dt = horizon / cfg.n_steps
     n = cfg.n_paths
     x = np.tile(x0[:, None], (1, n))
@@ -365,10 +371,7 @@ def simulate_penalized(
     for a constant intensity.  Paths stop at the exit from the radius-m ball
     or at the horizon, collecting the discounted truncated payoff g_m.
     """
-    t0, x0 = start
-    t0 = float(t0)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    horizon = spec.T - t0
+    t0, x0, horizon = _start_point(spec, start)
     dt = horizon / cfg.n_steps
     n = cfg.n_paths
     x = np.tile(x0[:, None], (1, n))
@@ -483,10 +486,7 @@ def simulate_recursive(
 
     # identical mechanics to the penalized payoff with w = 1/delta, except
     # the running reward uses (1/delta) (g_m v u) instead of w g_m
-    t0, x0 = start
-    t0 = float(t0)
-    x0 = np.asarray(x0, dtype=float).reshape(-1)
-    horizon = spec.T - t0
+    t0, x0, horizon = _start_point(spec, start)
     dt = horizon / cfg.n_steps
     n = cfg.n_paths
     x = np.tile(x0[:, None], (1, n))
@@ -597,9 +597,8 @@ def saddle_probe(
         payoff >= u(start) - margin;
     margin = 3 std errors + a discretization allowance.
     """
-    t0, x0 = start
-    reference = float(field.sample(float(t0), np.asarray(x0, dtype=float).reshape(-1, 1))[0])
-    horizon = spec.T - float(t0)
+    t0, x0, horizon = _start_point(spec, start)
+    reference = float(field.sample(t0, x0.reshape(-1, 1))[0])
 
     def ctrl(mode, **kw):
         return FeedbackStrategy(spec=spec, mode=mode, field=field, pen=pen, data=data, **kw)

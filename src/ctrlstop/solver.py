@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridField, Operator, build_operator
+from .grid import Grid, GridField, Operator, build_operator, centered_gradient
 from .kernel import Penalty, TruncatedData
 
 __all__ = [
@@ -73,12 +73,7 @@ class _DataOnGrid:
 
 
 def _grad_norm_sq(grid: Grid, flat: np.ndarray) -> np.ndarray:
-    u = flat.reshape(grid.shape)
-    grads = np.gradient(u, grid.hx) if grid.d > 1 else [np.gradient(u, grid.hx)]
-    out = np.zeros(grid.shape)
-    for g in grads:
-        out += g**2
-    return out.ravel()
+    return np.sum(centered_gradient(grid, flat) ** 2, axis=0)
 
 
 def gamma_step(
@@ -167,9 +162,7 @@ def _nonlinear_march(
         merit = level_residual(v, knext, g_k, h_k, f2_k)
         converged = False
         for _ in range(max_inner):
-            u2 = v.reshape(grid.shape)
-            grads = np.gradient(u2, grid.hx) if grid.d > 1 else [np.gradient(u2, grid.hx)]
-            grad_v = np.stack([gg.ravel() for gg in grads], axis=0)
+            grad_v = centered_gradient(grid, v)
             gsq = np.sum(grad_v**2, axis=0)
             slope = 2.0 * pen.d1(gsq - f2_k)
             active = (g_k - v > 0.0).astype(float)
@@ -412,7 +405,6 @@ def continuation(
     schedule,
     grid_policy,
     tol: float = 1e-7,
-    max_iter: int = 200,
     truncate=None,
 ) -> ContinuationResult:
     """Solve the schedule of penalty points, warm-starting each from the
@@ -456,7 +448,6 @@ def continuation(
                 Penalty(eps_k),
                 delta_k,
                 tol=tol,
-                max_iter=max_iter,
                 u0=u0,
                 k3_bound=k3_bound,
                 operator=op_cache[m_k],

@@ -139,3 +139,17 @@ h = 0
     assert a[0, 0] == pytest.approx(0.6**2 + 0.8**2)
     rep = validate_assumptions(spec, plan)
     assert rep.valid
+
+
+def test_f_squared_probe_follows_each_spec():
+    # f = 1e200 overflows f^2, so only that spec's derivative probe is non-finite;
+    # freshly parsed specs often reuse a collected spec's id, which an id-keyed
+    # f^2 cache answered with the other spec's expression
+    plan = SamplePlan(radii=(2.0,), counts=(8,), rng_seed=7)
+    for i in range(40):
+        huge = i % 2 == 1
+        spec, _, _ = parse_config_text(CONST1.replace("f = 1", "f = 1e200" if huge else "f = 1"))
+        rep = validate_assumptions(spec, plan)
+        flagged = any(v[0] == "finite derivatives of g, h, f^2" for v in rep.violations)
+        assert flagged == huge, f"spec {i} (f = {spec.f})"
+        del spec, rep

@@ -250,6 +250,24 @@ h = 0
             simulate_recursive(spec, data, pen, 0.25, (0.0, [0.0]), bare, CFG)
 
 
+@pytest.mark.parametrize("simulator", ["paths", "penalized", "recursive"])
+@pytest.mark.parametrize(
+    "start, match", [((0.0, [0.0, 0.0]), "dimension"), ((0.5, [0.0]), "horizon")]
+)
+def test_start_point_checked(const1, simulator, start, match):
+    spec, data, ones = const1
+    pen = Penalty(0.125)
+    make = strategies(spec, ones, pen, data=data)
+    idle = make("controller_idle")
+    run = {
+        "paths": lambda: simulate_paths(spec, start, idle, make("stopper_never"), CFG),
+        "penalized": lambda: simulate_penalized(spec, data, pen, 0.125, start, idle, 0.0, CFG),
+        "recursive": lambda: simulate_recursive(spec, data, pen, 0.125, start, idle, CFG),
+    }[simulator]
+    with pytest.raises(ValueError, match=match):
+        run()
+
+
 class TestFeedbackContract:
     def test_controller_opt_unit_direction_and_nonnegative_rate(self, const1):
         spec, data, ones = const1
