@@ -6,6 +6,7 @@ failure, 3 I/O or parse failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 import time
@@ -150,6 +151,7 @@ def cmd_solve(args) -> int:
             "delta": point.delta,
             "iters": point.iters,
             "residual": point.residual,
+            "march": dataclasses.asdict(point.march),
             "bounds": {
                 name: {"bound": b, "observed": o, "ok": o <= b}
                 for name, (b, o) in point.bound_report.items()

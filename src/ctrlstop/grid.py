@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg import get_lapack_funcs
 
 from .model import ProblemSpec
 
@@ -151,12 +151,15 @@ class GridField:
         return out
 
     def restrict_common(self, other: "GridField") -> tuple[np.ndarray, np.ndarray]:
-        """Values of self and other on their common nodes (other interpolated)."""
+        """Values of self and other on their common nodes (other interpolated,
+        or its stored node values when both fields share the grid)."""
         radius = min(self.grid.m, other.grid.m)
         pts = self.grid.points()
         keep = np.sum(pts**2, axis=0) <= radius**2 * (1.0 + 1e-12)
         if not np.any(keep):
             raise ValueError("grids have no common nodes")
+        if other.grid == self.grid:
+            return self.values[:, keep], other.values[:, keep]
         mine = []
         theirs = []
         for k, t in enumerate(self.grid.times):
@@ -169,11 +172,19 @@ def centered_gradient(grid: Grid, flat_values: np.ndarray) -> np.ndarray:
     """Centered-difference spatial gradient of a nodal slice, shape (d, n_nodes).
 
     One-sided differences on the box edge, which only Dirichlet nodes occupy.
+    The formulas and their order of operations are those of np.gradient with
+    a uniform spacing, so the result matches it bit for bit.
     """
-    grads = np.gradient(flat_values.reshape(grid.shape), grid.hx)
-    if grid.d == 1:
-        return grads[None, :]
-    return np.stack(grads, axis=0).reshape(grid.d, -1)
+    u = flat_values.reshape(grid.shape)
+    hx = grid.hx
+    out = np.empty((grid.d,) + grid.shape)
+    for axis in range(grid.d):
+        v = np.moveaxis(u, axis, 0)
+        dv = np.moveaxis(out[axis], axis, 0)  # a view: writes land in out
+        dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * hx)
+        dv[0] = (v[1] - v[0]) / hx
+        dv[-1] = (v[-1] - v[-2]) / hx
+    return out.reshape(grid.d, -1)
 
 
 def _space_interp(grid: Grid, flat_values: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -222,10 +233,8 @@ class Operator:
         self._solver = sp.linalg.splu(self.implicit_matrix).solve
         if self.grid.d == 1:
             M0 = self.implicit_matrix
-            self._bands = np.zeros((3, self.grid.n_nodes))
-            self._bands[0, 1:] = M0.diagonal(1)
-            self._bands[1] = M0.diagonal()
-            self._bands[2, :-1] = M0.diagonal(-1)
+            self._bands = (M0.diagonal(-1), M0.diagonal(), M0.diagonal(1))
+            (self._gtsv,) = get_lapack_funcs(("gtsv",), (self._bands[1],))
         else:
             nx, hx = self.grid.nx, self.grid.hx
             d1 = sp.diags([-0.5 / hx, 0.5 / hx], [-1, 1], shape=(nx, nx))
@@ -250,22 +259,27 @@ class Operator:
         residual, whose gradients are also centered.
 
         d=1 adds the extra terms to the cached bands of M0 and solves with
-        solve_banded; d=2 forms the sparse system and factorizes it per call.
+        LAPACK gtsv (the routine solve_banded((1, 1), ...) calls, without its
+        input checks; callers check the solution for non-finite values);
+        d=2 forms the sparse system and factorizes it per call.
         """
         interior = ~self.dirichlet
         diag_extra = None if extra_diag is None else np.where(interior, extra_diag, 0.0)
 
         if self.grid.d == 1:
-            ab = self._bands.copy()
+            lower, diag, upper = self._bands
             if diag_extra is not None:
-                ab[1] += diag_extra
+                diag = diag + diag_extra
             if extra_drift is not None:
                 half = np.where(interior, extra_drift[0] / (2.0 * self.grid.hx), 0.0)
-                ab[0, 1:] -= half[:-1]
-                ab[2, :-1] += half[1:]
+                upper = upper - half[:-1]
+                lower = lower + half[1:]
 
             def solve(rhs):
-                return solve_banded((1, 1), ab, rhs)
+                *_, x, info = self._gtsv(lower, diag, upper, rhs)
+                if info != 0:
+                    raise np.linalg.LinAlgError(f"tridiagonal level system: gtsv info {info}")
+                return x
 
             return solve
 

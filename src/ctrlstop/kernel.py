@@ -10,6 +10,7 @@ derivatives of 0 at the left end and of (y-eps)/eps at the right end.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 
@@ -69,10 +70,17 @@ def _xi_profile_d1(z):
 
 @dataclass(frozen=True)
 class Cutoff:
-    """Radial cut-off: 1 on the closed ball of radius m, 0 outside radius m+1."""
+    """Radial cut-off: 1 on the closed ball of radius m, 0 outside radius m+1.
+
+    C0 is the certified constant with |grad xi|^2 <= C0 * xi everywhere.  It
+    does not depend on m; it is certified when first read (see _certified_c0).
+    """
 
     m: float
-    C0: float  # certified constant with |grad xi|^2 <= C0 * xi everywhere
+
+    @property
+    def C0(self) -> float:
+        return _certified_c0()
 
     def value(self, x):
         """xi_m at spatial points x of shape (d,) or (d, n...)."""
@@ -94,20 +102,25 @@ class Cutoff:
         return _xi_profile_d1(np.asarray(r, dtype=float) - self.m) ** 2
 
 
-def build_cutoff(m: float, cert_points: int = 2_000_001) -> Cutoff:
-    """Build xi_m and certify C0 by maximizing xi'(z)^2 / xi(z) on a fine grid.
+@functools.cache
+def _certified_c0() -> float:
+    """Certify C0 by maximizing xi'(z)^2 / xi(z) on 2,000,001 points of (0, 1).
 
     The ratio vanishes at both ends of (0,1), so a dense grid maximum plus a
     small headroom factor dominates the true supremum for test purposes.
     """
-    if m < 1:
-        raise ValueError("cut-off radius must be >= 1")
-    z = np.linspace(1e-9, 1.0 - 1e-9, cert_points)
+    z = np.linspace(1e-9, 1.0 - 1e-9, 2_000_001)
     xi = _xi_profile(z)
     d1 = _xi_profile_d1(z)
     ratio = np.where(xi > 0, d1**2 / np.where(xi > 0, xi, 1.0), 0.0)
-    c0 = float(np.max(ratio)) * (1.0 + 1e-6)
-    return Cutoff(m=float(m), C0=c0)
+    return float(np.max(ratio)) * (1.0 + 1e-6)
+
+
+def build_cutoff(m: float) -> Cutoff:
+    """Build xi_m; its constant C0 is certified on first read (Cutoff.C0)."""
+    if m < 1:
+        raise ValueError("cut-off radius must be >= 1")
+    return Cutoff(m=float(m))
 
 
 # ---------------------------------------------------------------------------
@@ -222,24 +235,33 @@ class Penalty:
         if not (0.0 < self.eps < 1.0):
             raise ValueError("penalty parameter must lie in (0, 1)")
 
-    def value(self, y):
+    def _split(self, y):
+        """y as an array, the mask of the linear branch y >= 2eps, the mask of
+        the bridge (0 < y < 2eps, and NaN, which the bridge propagates) and
+        s = y/2eps on the bridge."""
         y = np.asarray(y, dtype=float)
-        s = np.clip(y / (2.0 * self.eps), 0.0, 1.0)
-        bridge = 2.0 * s**3 - s**4
-        linear = (y - self.eps) / self.eps
-        return np.where(y >= 2.0 * self.eps, linear, np.where(y <= 0.0, 0.0, bridge))
+        two_eps = 2.0 * self.eps
+        linear = y >= two_eps
+        bridge = ~(linear | (y <= 0.0))
+        return y, linear, bridge, y[bridge] / two_eps
+
+    def value(self, y):
+        y, linear, bridge, s = self._split(y)
+        out = np.where(linear, (y - self.eps) / self.eps, 0.0)
+        out[bridge] = 2.0 * s**3 - s**4
+        return out
 
     def d1(self, y):
-        y = np.asarray(y, dtype=float)
-        s = np.clip(y / (2.0 * self.eps), 0.0, 1.0)
-        bridge = (6.0 * s**2 - 4.0 * s**3) / (2.0 * self.eps)
-        return np.where(y >= 2.0 * self.eps, 1.0 / self.eps, np.where(y <= 0.0, 0.0, bridge))
+        y, linear, bridge, s = self._split(y)
+        out = np.where(linear, 1.0 / self.eps, 0.0)
+        out[bridge] = (6.0 * s**2 - 4.0 * s**3) / (2.0 * self.eps)
+        return out
 
     def d2(self, y):
-        y = np.asarray(y, dtype=float)
-        s = np.clip(y / (2.0 * self.eps), 0.0, 1.0)
-        bridge = (12.0 * s - 12.0 * s**2) / (4.0 * self.eps**2)
-        return np.where(y >= 2.0 * self.eps, 0.0, np.where(y <= 0.0, 0.0, bridge))
+        y, linear, bridge, s = self._split(y)
+        out = np.zeros(y.shape)
+        out[bridge] = (12.0 * s - 12.0 * s**2) / (4.0 * self.eps**2)
+        return out
 
 
 def psi(pen: Penalty, y, order: int = 0):

@@ -25,6 +25,7 @@ from .grid import Grid, GridField, Operator, build_operator, centered_gradient
 from .kernel import Penalty, TruncatedData
 
 __all__ = [
+    "MarchCounts",
     "PenaltyPoint",
     "VIReport",
     "ContinuationResult",
@@ -115,12 +116,24 @@ def gamma_step(
     return GridField(grid=grid, values=out)
 
 
+@dataclass
+class MarchCounts:
+    """Work of the per-level Newton march, summed over the marches of a stage:
+    time levels marched, Newton iterations (one linear solve each) and
+    line-search trials (one level-residual evaluation each)."""
+
+    levels: int = 0
+    newton_iters: int = 0
+    line_search_trials: int = 0
+
+
 def _nonlinear_march(
     op: Operator,
     arrays: _DataOnGrid,
     pen: Penalty,
     delta: float,
     inner_tol: float,
+    counts: MarchCounts,
     guess: GridField | None = None,
     max_inner: int = 60,
 ) -> GridField:
@@ -133,6 +146,8 @@ def _nonlinear_march(
     Starting v from the next level's solution keeps steps O(ht), so the
     inner loop converges in a few iterations; the marched field is the
     fixed point of the frozen-source operator up to the inner tolerance.
+    The line search evaluates the level residual at each trial point; the
+    accepted trial's gradient, |grad v|^2 and psi feed the next linearization.
     """
     grid = op.grid
     n, nt = grid.n_nodes, grid.nt
@@ -143,32 +158,36 @@ def _nonlinear_march(
     inv_delta = 1.0 / delta
 
     def level_residual(v, knext, g_k, h_k, f2_k):
-        gsq = _grad_norm_sq(grid, v)
+        """Merit (interior norm of the level residual) at v, with the
+        gradient, |grad v|^2 and psi(|grad v|^2 - f_m^2) it used."""
+        grad = centered_gradient(grid, v)
+        gsq = np.sum(grad**2, axis=0)
+        psi = pen.value(gsq - f2_k)
         res = (
             v / grid.ht
             - op.apply_generator(v)
             - knext / grid.ht
             - h_k
             - inv_delta * np.maximum(g_k - v, 0.0)
-            + pen.value(gsq - f2_k)
+            + psi
         )
-        return float(np.linalg.norm(res[interior]))
+        return float(np.linalg.norm(res[interior])), grad, gsq, psi
 
     for k in range(nt - 1, -1, -1):
         g_k, h_k, f2_k = arrays.level(k)
         knext = out[k + 1]
         v = knext.copy() if guess is None else guess.values[k].copy()
         v[dirichlet] = g_k[dirichlet]
-        merit = level_residual(v, knext, g_k, h_k, f2_k)
+        state = level_residual(v, knext, g_k, h_k, f2_k)
         converged = False
         for _ in range(max_inner):
-            grad_v = centered_gradient(grid, v)
-            gsq = np.sum(grad_v**2, axis=0)
+            merit, grad_v, gsq, psi = state
+            counts.newton_iters += 1
             slope = 2.0 * pen.d1(gsq - f2_k)
             active = (g_k - v > 0.0).astype(float)
             extra_drift = -slope[None, :] * grad_v
             extra_diag = inv_delta * active
-            const_src = h_k + inv_delta * active * g_k - pen.value(gsq - f2_k) + slope * gsq
+            const_src = h_k + inv_delta * active * g_k - psi + slope * gsq
             if not np.all(np.isfinite(const_src)):
                 raise SolverError(f"non-finite source at time level {k}")
             rhs = knext / grid.ht + const_src
@@ -184,25 +203,23 @@ def _nonlinear_march(
                 break
             # backtracking line search on the nonlinear level residual
             theta = 1.0
-            best_theta, best_merit = None, merit
+            accepted, best_merit = None, merit
             for _ in range(9):
                 cand = v + theta * direction
-                cand_merit = level_residual(cand, knext, g_k, h_k, f2_k)
-                if cand_merit < best_merit:
-                    best_theta, best_merit = theta, cand_merit
-                    if cand_merit <= 0.9 * merit:
+                trial = level_residual(cand, knext, g_k, h_k, f2_k)
+                counts.line_search_trials += 1
+                if trial[0] < best_merit:
+                    accepted, best_merit = (cand, trial), trial[0]
+                    if best_merit <= 0.9 * merit:
                         break
                 theta *= 0.5
-            if best_theta is None:
-                # no merit decrease in any direction fraction: accept the
-                # smallest trial step to escape a kink, bounded by max_inner
-                best_theta = theta
-                best_merit = cand_merit
-            v = v + best_theta * direction
-            merit = best_merit
+            # no trial lowered the merit: take the last, smallest trial to
+            # escape a kink, bounded by max_inner
+            v, state = accepted if accepted is not None else (cand, trial)
         if not converged:
-            raise SolverError(f"inner iteration stalled at time level {k} (merit {merit:.3e})")
+            raise SolverError(f"inner iteration stalled at time level {k} (merit {state[0]:.3e})")
         out[k] = v
+        counts.levels += 1
     return GridField(grid=grid, values=out)
 
 
@@ -229,7 +246,12 @@ def _theta_truncated(grid: Grid, data: TruncatedData, op: Operator, arrays: _Dat
 
 @dataclass
 class PenaltyPoint:
-    """One (eps, delta, m) stage of the continuation with its solved field."""
+    """One (eps, delta, m) stage of the continuation with its solved field.
+
+    iters counts certification attempts: marches checked by a frozen-source
+    sweep (1 unless a certification failed), or Picard iterations.  march
+    counts the work of the stage's marches (zero for Picard).
+    """
 
     eps: float
     delta: float
@@ -238,6 +260,7 @@ class PenaltyPoint:
     iters: int
     residual: float
     bound_report: dict[str, tuple[float, float]]
+    march: MarchCounts
 
     def bounds_ok(self) -> bool:
         return all(obs <= bound for bound, obs in self.bound_report.values())
@@ -288,6 +311,7 @@ def solve_penalized(
     else:
         u = GridField(grid=grid, values=u0.values.copy())
 
+    counts = MarchCounts()
     if method == "policy":
         residual = math.inf
         inner_tol = 0.1 * tol
@@ -295,7 +319,7 @@ def solve_penalized(
         guess = u if u0 is not None else None
         for attempt in range(4):
             iters += 1
-            u = _nonlinear_march(op, arrays, pen, delta, inner_tol, guess=guess)
+            u = _nonlinear_march(op, arrays, pen, delta, inner_tol, counts, guess=guess)
             w = gamma_step(grid, data, pen, delta, u, operator=op)
             residual = float(np.max(np.abs(w.values - u.values)))
             if residual <= tol:
@@ -380,6 +404,7 @@ def solve_penalized(
         iters=iters,
         residual=residual,
         bound_report=report,
+        march=counts,
     )
 
 

@@ -98,6 +98,10 @@ class TestSolve:
         assert manifest["status"] == "ok"
         assert manifest["bounds_ok"]
         assert manifest["vi"]["sup_minmax"] == 0.0
+        for point in manifest["points"]:
+            assert point["iters"] == 1
+            assert point["march"]["levels"] == 50
+            assert point["march"]["newton_iters"] >= 50
         names = {o["file"] for o in manifest["outputs"]}
         assert "field_limit.csv" in names and "field_limit.npz" in names
         assert any(n.endswith(".pgm") for n in names)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from ctrlstop.benches import load_bench
 from ctrlstop.grid import Grid, build_operator, centered_gradient
@@ -63,3 +64,43 @@ def test_level_system_is_the_generator_stencil(case):
     implicit = op.implicit_solve(rhs)
     assert np.max(np.abs(plain - implicit)) <= 1e-10 * np.max(np.abs(implicit))
 
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [Grid(d=1, m=6.0, nx=601, nt=1, T=1.0), Grid(d=2, m=3.0, nx=31, nt=1, T=1.0)],
+    ids=["1d", "2d"],
+)
+def test_centered_gradient_is_np_gradient(grid):
+    """The sliced gradient keeps np.gradient's formulas bit for bit."""
+    u = np.random.default_rng(7).normal(size=grid.n_nodes) * 10.0
+    ref = np.gradient(u.reshape(grid.shape), grid.hx)
+    ref = ref[None, :] if grid.d == 1 else np.stack(ref, axis=0).reshape(grid.d, -1)
+    np.testing.assert_array_equal(centered_gradient(grid, u), ref)
+
+
+def test_level_solver_gtsv_is_solve_banded():
+    """The 1-D closure calls gtsv directly; solve_banded((1, 1)) on the same
+    bands is the reference, bit for bit, and the closure keeps its inputs."""
+    op = _operator("bench_ou")
+    n = op.grid.n_nodes
+    interior = ~op.dirichlet
+    M0 = op.implicit_matrix
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        extra_drift = rng.normal(size=(1, n)) * 5.0
+        extra_diag = rng.uniform(0.0, 50.0, size=n)
+        rhs = rng.normal(size=n)
+        ab = np.zeros((3, n))
+        ab[0, 1:] = M0.diagonal(1)
+        ab[1] = M0.diagonal() + np.where(interior, extra_diag, 0.0)
+        ab[2, :-1] = M0.diagonal(-1)
+        half = np.where(interior, extra_drift[0] / (2.0 * op.grid.hx), 0.0)
+        ab[0, 1:] -= half[:-1]
+        ab[2, :-1] += half[1:]
+        ref = solve_banded((1, 1), ab, rhs)
+        kept = rhs.copy()
+        solve = op.level_solver(extra_drift, extra_diag)
+        np.testing.assert_array_equal(solve(rhs), ref)
+        np.testing.assert_array_equal(solve(rhs), ref)
+        np.testing.assert_array_equal(rhs, kept)

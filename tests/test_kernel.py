@@ -12,7 +12,7 @@ from ctrlstop.kernel import (
     psi,
     truncate_data,
 )
-from ctrlstop.kernel import _xi_profile
+from ctrlstop.kernel import _xi_profile, _xi_profile_d1
 
 
 class TestCutoff:
@@ -38,6 +38,14 @@ class TestCutoff:
 
     def test_c0_independent_of_radius(self):
         assert build_cutoff(1).C0 == build_cutoff(9).C0
+
+    def test_lazy_c0_is_the_eager_certificate(self):
+        # the certification build_cutoff used to run on every call
+        z = np.linspace(1e-9, 1.0 - 1e-9, 2_000_001)
+        xi = _xi_profile(z)
+        d1 = _xi_profile_d1(z)
+        ratio = np.where(xi > 0, d1**2 / np.where(xi > 0, xi, 1.0), 0.0)
+        assert build_cutoff(4).C0 == float(np.max(ratio)) * (1.0 + 1e-6)
 
     def test_gradient_direction_radial(self):
         cut = build_cutoff(2)
@@ -76,6 +84,31 @@ class TestPenalty:
         assert psi(pen, 0.4, 2) == pytest.approx(float(pen.d2(0.4)))
         with pytest.raises(ValueError):
             psi(pen, 0.4, 3)
+
+    def test_bridge_only_evaluation_is_the_clipped_formula(self):
+        # reference: the clip-and-nested-where form, which evaluates the
+        # bridge everywhere and selects the branch afterwards
+        def reference(pen, y):
+            s = np.clip(y / (2.0 * pen.eps), 0.0, 1.0)
+            two_eps, zero = 2.0 * pen.eps, y <= 0.0
+            return (
+                np.where(y >= two_eps, (y - pen.eps) / pen.eps, np.where(zero, 0.0, 2.0 * s**3 - s**4)),
+                np.where(
+                    y >= two_eps, 1.0 / pen.eps, np.where(zero, 0.0, (6.0 * s**2 - 4.0 * s**3) / two_eps)
+                ),
+                np.where(
+                    y >= two_eps, 0.0, np.where(zero, 0.0, (12.0 * s - 12.0 * s**2) / (4.0 * pen.eps**2))
+                ),
+            )
+
+        rng = np.random.default_rng(9)
+        for eps in (0.5, 0.1, 1.0 / 64, 1.0 / 1024):
+            pen = Penalty(eps)
+            special = [0.0, -0.0, 2 * eps, np.nextafter(2 * eps, 0.0), 5e-324, np.nan, np.inf, -np.inf]
+            y = np.concatenate([rng.uniform(-3 * eps, 3 * eps, 20_000), special])
+            for new, ref in zip((pen.value(y), pen.d1(y), pen.d2(y)), reference(pen, y)):
+                np.testing.assert_array_equal(new, ref)
+                np.testing.assert_array_equal(np.signbit(new), np.signbit(ref))
 
     def test_eps_range(self):
         with pytest.raises(ValueError):

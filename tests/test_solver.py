@@ -174,6 +174,16 @@ h = 0.2 + 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)
 
 
 class TestContinuation:
+    def test_march_counts_add_up(self):
+        bench = load_bench("bench_ou", coarse=True)
+        res = continuation(bench.spec, bench.schedule, bench.grid_policy, tol=1e-7)
+        for point in res.points:
+            work = point.march
+            assert point.iters == 1  # certified at the first attempt
+            assert work.levels == bench.grid.nt
+            assert work.newton_iters >= work.levels  # one linear solve at least per level
+            assert work.line_search_trials <= 9 * work.newton_iters
+
     def test_single_point_reproduces_solve(self):
         bench = load_bench("bench_ou", coarse=True)
         data = truncate_data(bench.spec, bench.grid.m)
