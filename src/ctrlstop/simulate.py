@@ -8,6 +8,8 @@ with the controlled discount R^w, and simulate_recursive its recursive
 reformulation with killing rate 1/delta.  Feedback strategies are synthesized
 from a solved field: the controller pushes along -grad u at rate
 2 psi'(|grad u|^2 - f^2)|grad u|, the stopper uses the contact-set rules.
+The three simulators share one path engine (_run_paths) and differ only in
+their payoff rule: when a path stops, its discount, and what it accrues.
 
 All draws come from a counter-based Philox generator keyed by the seed, so
 runs are bit-reproducible; paths are vectorized and reduced in fixed order.
@@ -15,7 +17,7 @@ runs are bit-reproducible; paths are vectorized and reduced in fixed order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -71,6 +73,17 @@ class PayoffEstimate:
     @property
     def valid(self) -> bool:
         return self.metadata.get("valid", True)
+
+
+class _Controls(tuple):
+    """(direction, rate, outside) of FeedbackStrategy.control.  A gradient
+    feedback also keeps the |grad u|^2 and f^2 it sampled, so that the
+    closed-form Hamiltonian of the penalized payoffs reuses them."""
+
+    def __new__(cls, direction, rate, outside, gnorm_sq, f_sq):
+        self = super().__new__(cls, (direction, rate, outside))
+        self.gnorm_sq, self.f_sq = gnorm_sq, f_sq
+        return self
 
 
 @dataclass
@@ -137,14 +150,16 @@ class FeedbackStrategy:
             if self.mode == "controller_delayed" and elapsed < self.delay:
                 return direction, rate, outside
             grad, outside = self._grad_u(t, x)
-            norm = np.sqrt(np.sum(grad**2, axis=0))
+            gnorm_sq = np.sum(grad**2, axis=0)
+            f_sq = self._f_squared(t, x)
+            norm = np.sqrt(gnorm_sq)
             pos = norm > 0
             direction[:, pos] = -grad[:, pos] / norm[pos]
-            rate = 2.0 * self.pen.d1(norm**2 - self._f_squared(t, x)) * norm
+            rate = 2.0 * self.pen.d1(norm**2 - f_sq) * norm
             rate *= self.scale
             if self.flip:
                 direction = -direction
-            return direction, rate, outside
+            return _Controls(direction, rate, outside, gnorm_sq, f_sq)
         raise ValueError(f"not a controller mode: {self.mode}")
 
     def stop_mask(self, t, elapsed, x, uniforms, dt):
@@ -207,16 +222,24 @@ def _jump_cost(spec, t, x, direction, sizes, q_points):
     return np.where(moving, cost * sizes / q_points, 0.0)
 
 
-def _finalize(parts, n_eff, rejected, cfg, extras=None):
+def _finalize(parts, keep, n_rej, cfg, extras):
+    """Estimate over the kept paths.  Antithetic runs keep a pair only when
+    both its paths are kept, and their samples are the pair averages: a path
+    and its mirror share their draws, so they are not independent."""
+    if cfg.antithetic:
+        half = cfg.n_paths // 2
+        keep = np.tile(keep[:half] & keep[half:], 2)
+    parts = {k: v[keep] for k, v in parts.items()}
     total = parts["terminal"] + parts["running"] + parts["control_cost"]
+    n_eff = total.size
+    if cfg.antithetic:
+        total = 0.5 * (total[: n_eff // 2] + total[n_eff // 2 :])
     mean = float(np.mean(total))
-    se = float(np.std(total, ddof=1) / math.sqrt(n_eff)) if n_eff > 1 else 0.0
+    se = float(np.std(total, ddof=1) / math.sqrt(total.size)) if total.size > 1 else 0.0
     breakdown = {k: float(np.mean(v)) for k, v in parts.items()}
-    meta = {"rejected_paths": int(rejected), "n_steps": cfg.n_steps}
-    if extras:
-        meta.update(extras)
+    meta = {"rejected_paths": n_rej, "n_steps": cfg.n_steps, **extras}
     return PayoffEstimate(
-        mean=mean, std_error=se, n_paths=int(n_eff), breakdown=breakdown, metadata=meta
+        mean=mean, std_error=se, n_paths=n_eff, breakdown=breakdown, metadata=meta
     )
 
 
@@ -233,6 +256,216 @@ def _start_point(spec: ProblemSpec, start):
     return t0, x0, horizon
 
 
+def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimate:
+    """The Euler-Maruyama path engine behind the three simulators.
+
+    Each step k < n_steps draws one batch of normals and uniforms for all
+    paths.  The payoff rule picks the alive paths that stop (at the horizon
+    all do) and what they are paid.  strategy_ctrl steers the rest over nsub
+    substeps (none with nsub=0), the rule books what they accrue, and they
+    move X += b dt + sigma sqrt(dt) Z + n dnu.  Paths that leave the finite
+    floats are rejected and dropped from the estimate.
+    """
+    t0, x0, horizon = _start_point(spec, start)
+    dt = horizon / cfg.n_steps
+    sqdt = math.sqrt(dt)
+    n = cfg.n_paths
+    x = np.tile(x0[:, None], (1, n))
+    alive = np.ones(n, dtype=bool)
+    rejected = np.zeros(n, dtype=bool)
+    parts = {"terminal": np.zeros(n), "running": np.zeros(n), "control_cost": np.zeros(n)}
+    x = payoff.begin(t0, x, parts)
+    draws = _draws(cfg, spec.d_noise)
+
+    for k in range(cfg.n_steps + 1):
+        elapsed = k * dt
+        t = t0 + elapsed
+        idx = np.flatnonzero(alive)
+        xa = x[:, idx]
+        if k == cfg.n_steps:
+            stop = np.ones(idx.size, dtype=bool)
+        else:
+            z, uniforms = next(draws)
+            stop = payoff.stop(t, elapsed, xa, uniforms[idx], dt)
+        if np.any(stop):
+            parts["terminal"][idx[stop]] += payoff.terminal(t, elapsed, xa[:, stop], idx[stop])
+            alive[idx[stop]] = False
+            idx, xa = idx[~stop], xa[:, ~stop]
+        if idx.size == 0 or k == cfg.n_steps:
+            break
+
+        drift_ctrl = np.zeros_like(xa)
+        controls = []
+        xs = xa
+        for _ in range(nsub):
+            ctl = strategy_ctrl.control(t, elapsed, xs)
+            drift_ctrl = drift_ctrl + ctl[0] * (ctl[1] * dt / nsub)[None, :]
+            controls.append((xs, ctl))
+            xs = xa + drift_ctrl
+        running, control_cost = payoff.accrue(t, elapsed, xa, idx, controls, dt)
+        parts["running"][idx] += running
+        parts["control_cost"][idx] += control_cost
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            bv = spec.drift(xa)
+            sv = spec.diffusion(xa)
+            noise = np.einsum("ijk,jk->ik", sv, z[:, idx])
+            x_new = xa + bv * dt + noise * sqdt + drift_ctrl
+        bad = ~np.all(np.isfinite(x_new), axis=0)
+        if np.any(bad):
+            rejected[idx[bad]] = True
+            alive[idx[bad]] = False
+            x_new = x_new[:, ~bad]
+        x[:, alive] = x_new
+
+    n_rej = int(np.sum(rejected))
+    if n_rej > MAX_REJECT_FRACTION * n:
+        raise SimulationError(f"{n_rej}/{n} paths rejected (diverging dynamics)")
+    keep = ~rejected
+    return _finalize(parts, keep, n_rej, cfg, {**payoff.extras(keep), "dt": dt})
+
+
+class _Payoff:
+    """A simulator's payoff rule for the path engine, called on the alive
+    paths x (d, n_alive) with path numbers idx:
+
+    stop(t, elapsed, x, uniforms, dt): mask of the paths that stop at t;
+    terminal(t, elapsed, x, idx): discounted payment of the stopping paths;
+    accrue(t, elapsed, x, idx, controls, dt): discounted (running reward,
+        control cost) over [t, t + dt]; controls lists each feedback
+        substep's (state, control);
+    begin(t0, x, parts): the paths after a move at t0 (none by default);
+    extras(keep): metadata entries (none by default).
+    """
+
+    def begin(self, t0, x, parts):
+        return x
+
+    def extras(self, keep):
+        return {}
+
+
+class _OriginalPayoff(_Payoff):
+    """The stopper's rule, g discounted at e^{-r t}; h and f dnu accrue."""
+
+    def __init__(self, spec, strategy_ctrl, strategy_stop, cfg):
+        self.spec, self.ctrl, self.stopper, self.cfg = spec, strategy_ctrl, strategy_stop, cfg
+        self.ever_exited = np.zeros(cfg.n_paths, dtype=bool)
+
+    def begin(self, t0, x, parts):
+        # optional single impulse at time zero (test strategies)
+        if self.ctrl.mode != "controller_jump" or self.ctrl.jump_size <= 0:
+            return x
+        direction = np.zeros_like(x)
+        direction[0] = float(np.sign(self.ctrl.jump_direction) or 1.0)
+        sizes = np.full(x.shape[1], self.ctrl.jump_size)
+        parts["control_cost"] += _jump_cost(
+            self.spec, t0, x, direction, sizes, self.cfg.jump_quadrature_points
+        )
+        return x + direction * sizes[None, :]
+
+    def stop(self, t, elapsed, x, uniforms, dt):
+        return self.stopper.stop_mask(t, elapsed, x, uniforms, dt)
+
+    def terminal(self, t, elapsed, x, idx):
+        g_val = np.asarray(self.spec.g(t, x), dtype=float) * np.ones(x.shape[1])
+        return math.exp(-self.spec.r * elapsed) * g_val
+
+    def accrue(self, t, elapsed, x, idx, controls, dt):
+        spec, n_alive = self.spec, x.shape[1]
+        disc = math.exp(-spec.r * elapsed)
+        w_step = float(_exp_weight(spec.r, dt))  # exact discount integral per step
+        h_val = np.asarray(spec.h(t, x), dtype=float) * np.ones(n_alive)
+        cost_rate = np.zeros(n_alive)
+        outside = np.zeros(n_alive, dtype=bool)
+        for xs, (_, rate, out_sub) in controls:
+            fv = np.asarray(spec.f(t, xs), dtype=float) * np.ones(n_alive)
+            cost_rate = cost_rate + fv * rate * w_step / len(controls)
+            outside |= out_sub
+        self.ever_exited[idx] |= outside
+        return disc * h_val * w_step, disc * cost_rate
+
+    def extras(self, keep):
+        exit_fraction = float(np.mean(self.ever_exited[keep])) if np.any(keep) else 0.0
+        return {"exit_fraction": exit_fraction, "valid": exit_fraction <= MAX_EXIT_FRACTION}
+
+
+class _TruncatedPayoff(_Payoff):
+    """Stop at the exit from the radius-m ball, paid the truncated g_m; the
+    controller pays the penalized Hamiltonian term."""
+
+    def __init__(self, spec, data, pen, delta, strategy_ctrl):
+        self.spec, self.data, self.pen, self.delta = spec, data, pen, delta
+        self.field = strategy_ctrl.field
+        self.closed_form = strategy_ctrl.mode == "controller_opt" and not strategy_ctrl.flip
+
+    def stop(self, t, elapsed, x, uniforms, dt):
+        return np.linalg.norm(x, axis=0) >= self.data.m
+
+    def hamiltonian(self, t, x, controls):
+        ((_, ctl),) = controls
+        if self.closed_form:
+            zeta = ctl.gnorm_sq - ctl.f_sq
+            return 2.0 * self.pen.d1(zeta) * ctl.gnorm_sq - self.pen.value(zeta)
+        return hamiltonian_batch(self.pen, np.sqrt(self.data.f_m_sq(t, x)), ctl[1])
+
+
+class _PenalizedPayoff(_TruncatedPayoff):
+    """Controlled discount R^w = exp(-int (r + w)); h_m + w g_m accrues."""
+
+    def __init__(self, spec, data, pen, delta, strategy_ctrl, strategy_w, cfg):
+        super().__init__(spec, data, pen, delta, strategy_ctrl)
+        self.strategy_w = strategy_w
+        self.logR = np.zeros(cfg.n_paths)  # log of the controlled discount R^w
+        self.min_R = 1.0
+
+    def terminal(self, t, elapsed, x, idx):
+        return np.exp(self.logR[idx]) * np.asarray(self.data.g_m(t, x), dtype=float)
+
+    def accrue(self, t, elapsed, x, idx, controls, dt):
+        n_alive, delta, r = x.shape[1], self.delta, self.spec.r
+        u_val = self.field.sample(t, x) if self.field is not None else None
+        g_m_val = np.asarray(self.data.g_m(t, x), dtype=float)
+        h_m_val = np.asarray(self.data.h_m(t, x), dtype=float)
+        if self.strategy_w == "w_star":
+            w_val = np.where(u_val <= g_m_val, 1.0 / delta, 0.0)
+        elif callable(self.strategy_w):
+            w_val = np.asarray(self.strategy_w(t, x, u_val), dtype=float) * np.ones(n_alive)
+        else:
+            w_val = np.full(n_alive, float(self.strategy_w))
+        if np.any(w_val < -1e-12) or np.any(w_val > 1.0 / delta + 1e-9):
+            raise SimulationError("stopper intensity outside [0, 1/delta]")
+        h_term = self.hamiltonian(t, x, controls)
+        R_now = np.exp(self.logR[idx])
+        w_step = _exp_weight(r + w_val, dt)
+        self.logR[idx] -= (r + w_val) * dt
+        self.min_R = min(self.min_R, float(np.min(np.exp(self.logR[idx]))))
+        return R_now * (h_m_val + w_val * g_m_val) * w_step, R_now * h_term * w_step
+
+    def extras(self, keep):
+        return {"min_R": self.min_R}
+
+
+class _RecursivePayoff(_TruncatedPayoff):
+    """Killing at rate 1/delta, discount e^{-(r + 1/delta) t};
+    h_m + (1/delta) max(g_m, u) accrues."""
+
+    def terminal(self, t, elapsed, x, idx):
+        kappa = self.spec.r + 1.0 / self.delta
+        return math.exp(-kappa * elapsed) * np.asarray(self.data.g_m(t, x), dtype=float)
+
+    def accrue(self, t, elapsed, x, idx, controls, dt):
+        kappa = self.spec.r + 1.0 / self.delta
+        disc = math.exp(-kappa * elapsed)
+        u_val = self.field.sample(t, x)
+        g_m_val = np.asarray(self.data.g_m(t, x), dtype=float)
+        h_m_val = np.asarray(self.data.h_m(t, x), dtype=float)
+        h_term = self.hamiltonian(t, x, controls)
+        reward = h_m_val + np.maximum(g_m_val, u_val) / self.delta
+        w_step = float(_exp_weight(kappa, dt))
+        return disc * reward * w_step, disc * h_term * w_step
+
+
 def simulate_paths(
     spec: ProblemSpec,
     start,
@@ -246,108 +479,14 @@ def simulate_paths(
     polled at each grid time before the move; stopping (or the horizon) pays
     the discounted g; running h and control costs accumulate along the way.
     """
-    t0, x0, horizon = _start_point(spec, start)
-    dt = horizon / cfg.n_steps
-    n = cfg.n_paths
-    x = np.tile(x0[:, None], (1, n))
-    alive = np.ones(n, dtype=bool)
-    ever_exited = np.zeros(n, dtype=bool)
-    rejected = np.zeros(n, dtype=bool)
-    parts = {
-        "terminal": np.zeros(n),
-        "running": np.zeros(n),
-        "control_cost": np.zeros(n),
-    }
-    draws = _draws(cfg, spec.d_noise)
-    sqdt = math.sqrt(dt)
-
-    # optional single impulse at time zero (test strategies)
-    if strategy_ctrl.mode == "controller_jump" and strategy_ctrl.jump_size > 0:
-        direction = np.zeros_like(x)
-        direction[0] = float(np.sign(strategy_ctrl.jump_direction) or 1.0)
-        sizes = np.full(n, strategy_ctrl.jump_size)
-        parts["control_cost"] += _jump_cost(
-            spec, t0, x, direction, sizes, cfg.jump_quadrature_points
-        )
-        x = x + direction * sizes[None, :]
-
-    for k in range(cfg.n_steps + 1):
-        elapsed = k * dt
-        t = t0 + elapsed
-        disc = math.exp(-spec.r * elapsed)
-        z, uniforms = next(draws)
-        if k == cfg.n_steps:
-            stop_now = alive.copy()
-        else:
-            stop_now = alive & strategy_stop.stop_mask(t, elapsed, x, uniforms, dt)
-        if np.any(stop_now):
-            g_val = np.asarray(spec.g(t, x[:, stop_now]), dtype=float) * np.ones(
-                int(np.sum(stop_now))
-            )
-            parts["terminal"][stop_now] += disc * g_val
-            alive &= ~stop_now
-        if not np.any(alive) or k == cfg.n_steps:
-            break
-
-        xa = x[:, alive]
-        n_alive = xa.shape[1]
-        w_step = float(_exp_weight(spec.r, dt))  # exact discount integral per step
-        h_val = np.asarray(spec.h(t, xa), dtype=float) * np.ones(n_alive)
-        parts["running"][alive] += disc * h_val * w_step
-
-        if strategy_ctrl.mode == "controller_jump":
-            drift_ctrl = np.zeros_like(xa)
-            cost_rate = np.zeros(n_alive)
-            outside = np.zeros(n_alive, dtype=bool)
-        else:
-            nsub = max(1, cfg.feedback_substeps if _is_feedback(strategy_ctrl) else 1)
-            drift_ctrl = np.zeros_like(xa)
-            cost_rate = np.zeros(n_alive)
-            outside = np.zeros(n_alive, dtype=bool)
-            xs = xa
-            for _ in range(nsub):
-                nvec, rate, out_sub = strategy_ctrl.control(t, elapsed, xs)
-                fv = np.asarray(spec.f(t, xs), dtype=float) * np.ones(n_alive)
-                move = nvec * (rate * dt / nsub)[None, :]
-                drift_ctrl = drift_ctrl + move
-                cost_rate = cost_rate + fv * rate * w_step / nsub
-                outside |= out_sub
-                xs = xa + drift_ctrl
-        parts["control_cost"][alive] += disc * cost_rate
-        ever_exited[alive] |= outside
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            bv = spec.drift(xa)
-            sv = spec.diffusion(xa)
-            noise = np.einsum("ijk,jk->ik", sv, z[:, alive])
-            x_new = xa + bv * dt + noise * sqdt + drift_ctrl
-        bad = ~np.all(np.isfinite(x_new), axis=0)
-        if np.any(bad):
-            idx = np.flatnonzero(alive)[bad]
-            rejected[idx] = True
-            alive[idx] = False
-            x_new = x_new[:, ~bad]
-            x[:, alive] = x_new
-        else:
-            x[:, alive] = x_new
-
-    n_rej = int(np.sum(rejected))
-    if n_rej > MAX_REJECT_FRACTION * n:
-        raise SimulationError(f"{n_rej}/{n} paths rejected (diverging dynamics)")
-    keep = ~rejected
-    parts = {k: v[keep] for k, v in parts.items()}
-    exit_fraction = float(np.mean(ever_exited[keep])) if np.any(keep) else 0.0
-    return _finalize(
-        parts,
-        int(np.sum(keep)),
-        n_rej,
-        cfg,
-        extras={
-            "exit_fraction": exit_fraction,
-            "valid": exit_fraction <= MAX_EXIT_FRACTION,
-            "dt": dt,
-        },
-    )
+    if strategy_ctrl.mode == "controller_jump":
+        nsub = 0  # the impulse at t0 is its only control
+    elif _is_feedback(strategy_ctrl):
+        nsub = max(1, cfg.feedback_substeps)
+    else:
+        nsub = 1
+    payoff = _OriginalPayoff(spec, strategy_ctrl, strategy_stop, cfg)
+    return _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub)
 
 
 def _is_feedback(strategy: FeedbackStrategy) -> bool:
@@ -371,98 +510,10 @@ def simulate_penalized(
     for a constant intensity.  Paths stop at the exit from the radius-m ball
     or at the horizon, collecting the discounted truncated payoff g_m.
     """
-    t0, x0, horizon = _start_point(spec, start)
-    dt = horizon / cfg.n_steps
-    n = cfg.n_paths
-    x = np.tile(x0[:, None], (1, n))
-    alive = np.ones(n, dtype=bool)
-    rejected = np.zeros(n, dtype=bool)
-    logR = np.zeros(n)  # log of the controlled discount R^w
-    parts = {
-        "terminal": np.zeros(n),
-        "running": np.zeros(n),
-        "control_cost": np.zeros(n),
-    }
-    min_R, max_R = 1.0, 1.0
-    draws = _draws(cfg, spec.d_noise)
-    sqdt = math.sqrt(dt)
-    use_opt_closed_form = strategy_ctrl.mode == "controller_opt" and not strategy_ctrl.flip
-
-    for k in range(cfg.n_steps + 1):
-        elapsed = k * dt
-        t = t0 + elapsed
-        xa = x[:, alive]
-        n_alive = xa.shape[1]
-        if n_alive == 0:
-            break
-        radius = np.linalg.norm(xa, axis=0)
-        exited = radius >= data.m
-        final = exited | (k == cfg.n_steps)
-        if np.any(final):
-            g_val = np.asarray(data.g_m(t, xa[:, final]), dtype=float)
-            idx = np.flatnonzero(alive)[final]
-            parts["terminal"][idx] += np.exp(logR[idx]) * g_val
-            alive[idx] = False
-            xa = xa[:, ~final]
-            n_alive = xa.shape[1]
-        if k == cfg.n_steps or n_alive == 0:
-            if k == cfg.n_steps:
-                break
-            z, uniforms = next(draws)
-            continue
-
-        z, uniforms = next(draws)
-        idx_alive = np.flatnonzero(alive)
-        u_val = strategy_ctrl.field.sample(t, xa) if strategy_ctrl.field is not None else None
-        g_m_val = np.asarray(data.g_m(t, xa), dtype=float)
-        h_m_val = np.asarray(data.h_m(t, xa), dtype=float)
-
-        if strategy_w == "w_star":
-            w_val = np.where(u_val <= g_m_val, 1.0 / delta, 0.0)
-        elif callable(strategy_w):
-            w_val = np.asarray(strategy_w(t, xa, u_val), dtype=float) * np.ones(n_alive)
-        else:
-            w_val = np.full(n_alive, float(strategy_w))
-        if np.any(w_val < -1e-12) or np.any(w_val > 1.0 / delta + 1e-9):
-            raise SimulationError("stopper intensity outside [0, 1/delta]")
-
-        nvec, rate, _ = strategy_ctrl.control(t, elapsed, xa)
-        if use_opt_closed_form:
-            grad, _ = strategy_ctrl._grad_u(t, xa)
-            gnorm_sq = np.sum(grad**2, axis=0)
-            zeta = gnorm_sq - strategy_ctrl._f_squared(t, xa)
-            h_term = 2.0 * pen.d1(zeta) * gnorm_sq - pen.value(zeta)
-        else:
-            f_m_val = np.sqrt(data.f_m_sq(t, xa))
-            h_term = hamiltonian_batch(pen, f_m_val, rate)
-        R_now = np.exp(logR[idx_alive])
-        w_step = _exp_weight(spec.r + w_val, dt)
-        parts["running"][idx_alive] += R_now * (h_m_val + w_val * g_m_val) * w_step
-        parts["control_cost"][idx_alive] += R_now * h_term * w_step
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            bv = spec.drift(xa)
-            sv = spec.diffusion(xa)
-            noise = np.einsum("ijk,jk->ik", sv, z[:, alive])
-            x_new = xa + bv * dt + noise * sqdt + nvec * (rate * dt)[None, :]
-        logR[idx_alive] -= (spec.r + w_val) * dt
-        min_R = min(min_R, float(np.min(np.exp(logR[idx_alive]))))
-        bad = ~np.all(np.isfinite(x_new), axis=0)
-        if np.any(bad):
-            rejected[idx_alive[bad]] = True
-            alive[idx_alive[bad]] = False
-            x[:, alive] = x_new[:, ~bad]
-        else:
-            x[:, alive] = x_new
-
-    n_rej = int(np.sum(rejected))
-    if n_rej > MAX_REJECT_FRACTION * n:
-        raise SimulationError(f"{n_rej}/{n} paths rejected (diverging dynamics)")
-    keep = ~rejected
-    parts = {k: v[keep] for k, v in parts.items()}
-    return _finalize(
-        parts, int(np.sum(keep)), n_rej, cfg, extras={"dt": dt, "min_R": min_R, "max_R": max_R}
-    )
+    if strategy_w == "w_star" and strategy_ctrl.field is None:
+        raise ValueError("the w_star stopper needs a solved field on the strategy")
+    payoff = _PenalizedPayoff(spec, data, pen, delta, strategy_ctrl, strategy_w, cfg)
+    return _run_paths(spec, start, strategy_ctrl, cfg, payoff)
 
 
 def simulate_recursive(
@@ -480,90 +531,8 @@ def simulate_recursive(
     enters its own running reward through u)."""
     if strategy_ctrl.field is None:
         raise ValueError("recursive payoff needs a solved field on the strategy")
-
-    def w_const(t, x, u):
-        return 1.0 / delta
-
-    # identical mechanics to the penalized payoff with w = 1/delta, except
-    # the running reward uses (1/delta) (g_m v u) instead of w g_m
-    t0, x0, horizon = _start_point(spec, start)
-    dt = horizon / cfg.n_steps
-    n = cfg.n_paths
-    x = np.tile(x0[:, None], (1, n))
-    alive = np.ones(n, dtype=bool)
-    rejected = np.zeros(n, dtype=bool)
-    parts = {
-        "terminal": np.zeros(n),
-        "running": np.zeros(n),
-        "control_cost": np.zeros(n),
-    }
-    kappa = spec.r + 1.0 / delta
-    draws = _draws(cfg, spec.d_noise)
-    sqdt = math.sqrt(dt)
-    use_opt_closed_form = strategy_ctrl.mode == "controller_opt" and not strategy_ctrl.flip
-
-    for k in range(cfg.n_steps + 1):
-        elapsed = k * dt
-        t = t0 + elapsed
-        disc = math.exp(-kappa * elapsed)
-        xa = x[:, alive]
-        n_alive = xa.shape[1]
-        if n_alive == 0:
-            break
-        radius = np.linalg.norm(xa, axis=0)
-        exited = radius >= data.m
-        final = exited | (k == cfg.n_steps)
-        if np.any(final):
-            g_val = np.asarray(data.g_m(t, xa[:, final]), dtype=float)
-            idx = np.flatnonzero(alive)[final]
-            parts["terminal"][idx] += disc * g_val
-            alive[idx] = False
-            xa = xa[:, ~final]
-            n_alive = xa.shape[1]
-        if k == cfg.n_steps or n_alive == 0:
-            if k == cfg.n_steps:
-                break
-            next(draws)
-            continue
-
-        z, _ = next(draws)
-        idx_alive = np.flatnonzero(alive)
-        u_val = strategy_ctrl.field.sample(t, xa)
-        g_m_val = np.asarray(data.g_m(t, xa), dtype=float)
-        h_m_val = np.asarray(data.h_m(t, xa), dtype=float)
-        nvec, rate, _ = strategy_ctrl.control(t, elapsed, xa)
-        if use_opt_closed_form:
-            grad, _ = strategy_ctrl._grad_u(t, xa)
-            gnorm_sq = np.sum(grad**2, axis=0)
-            zeta = gnorm_sq - strategy_ctrl._f_squared(t, xa)
-            h_term = 2.0 * pen.d1(zeta) * gnorm_sq - pen.value(zeta)
-        else:
-            f_m_val = np.sqrt(data.f_m_sq(t, xa))
-            h_term = hamiltonian_batch(pen, f_m_val, rate)
-        reward = h_m_val + np.maximum(g_m_val, u_val) / delta
-        w_step = float(_exp_weight(kappa, dt))
-        parts["running"][idx_alive] += disc * reward * w_step
-        parts["control_cost"][idx_alive] += disc * h_term * w_step
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            bv = spec.drift(xa)
-            sv = spec.diffusion(xa)
-            noise = np.einsum("ijk,jk->ik", sv, z[:, alive])
-            x_new = xa + bv * dt + noise * sqdt + nvec * (rate * dt)[None, :]
-        bad = ~np.all(np.isfinite(x_new), axis=0)
-        if np.any(bad):
-            rejected[idx_alive[bad]] = True
-            alive[idx_alive[bad]] = False
-            x[:, alive] = x_new[:, ~bad]
-        else:
-            x[:, alive] = x_new
-
-    n_rej = int(np.sum(rejected))
-    if n_rej > MAX_REJECT_FRACTION * n:
-        raise SimulationError(f"{n_rej}/{n} paths rejected (diverging dynamics)")
-    keep = ~rejected
-    parts = {k: v[keep] for k, v in parts.items()}
-    return _finalize(parts, int(np.sum(keep)), n_rej, cfg, extras={"dt": dt})
+    payoff = _RecursivePayoff(spec, data, pen, delta, strategy_ctrl)
+    return _run_paths(spec, start, strategy_ctrl, cfg, payoff)
 
 
 @dataclass
@@ -627,14 +596,7 @@ def saddle_probe(
     tau_star = ctrl("stopper_tau_star", band=band)
     seed = cfg.rng_seed
     for i, (name, stopper) in enumerate(stopper_perturbations):
-        sub_cfg = PathConfig(
-            n_paths=cfg.n_paths,
-            n_steps=cfg.n_steps,
-            rng_seed=seed + 1000 + i,
-            antithetic=cfg.antithetic,
-            jump_quadrature_points=cfg.jump_quadrature_points,
-            feedback_substeps=cfg.feedback_substeps,
-        )
+        sub_cfg = replace(cfg, rng_seed=seed + 1000 + i)
         est = simulate_paths(spec, start, opt_ctrl, stopper, sub_cfg)
         margin = 3 * est.std_error + allowance
         results.append(
@@ -649,14 +611,7 @@ def saddle_probe(
             )
         )
     for i, (name, controller) in enumerate(controller_perturbations):
-        sub_cfg = PathConfig(
-            n_paths=cfg.n_paths,
-            n_steps=cfg.n_steps,
-            rng_seed=seed + 2000 + i,
-            antithetic=cfg.antithetic,
-            jump_quadrature_points=cfg.jump_quadrature_points,
-            feedback_substeps=cfg.feedback_substeps,
-        )
+        sub_cfg = replace(cfg, rng_seed=seed + 2000 + i)
         est = simulate_paths(spec, start, controller, tau_star, sub_cfg)
         margin = 3 * est.std_error + allowance
         results.append(

@@ -242,12 +242,16 @@ h = 0
         )
         assert 0.0 < est.metadata["min_R"] <= 1.0
 
-    def test_recursive_needs_field(self, allzero):
+    @pytest.mark.parametrize("simulator", ["penalized", "recursive"])
+    def test_recursive_needs_field(self, allzero, simulator):
         spec, data, _ = allzero
         pen = Penalty(0.25)
         bare = FeedbackStrategy(spec=spec, mode="controller_idle", pen=pen, data=data)
         with pytest.raises(ValueError, match="field"):
-            simulate_recursive(spec, data, pen, 0.25, (0.0, [0.0]), bare, CFG)
+            if simulator == "penalized":
+                simulate_penalized(spec, data, pen, 0.25, (0.0, [0.0]), bare, "w_star", CFG)
+            else:
+                simulate_recursive(spec, data, pen, 0.25, (0.0, [0.0]), bare, CFG)
 
 
 @pytest.mark.parametrize("simulator", ["paths", "penalized", "recursive"])
@@ -297,3 +301,118 @@ class TestFeedbackContract:
         nvec, rate, _ = strat.control(0.0, 0.0, xs)
         np.testing.assert_allclose(rate, 0.0)
         np.testing.assert_allclose(np.sqrt(np.sum(nvec**2, axis=0)), 1.0)
+
+
+def test_antithetic_error_is_over_pairs():
+    # g = x1^2 with zero drift from the origin: a path and its mirror pay the
+    # same, so 2N antithetic paths carry exactly the information of N plain ones
+    cfg_text = """
+dim = 1
+horizon = 0.5
+rate = 0.1
+drift[1] = 0
+sigma[1][1] = 1
+f = 1
+g = x1^2
+h = 0
+"""
+    spec, _, _ = parse_config_text(cfg_text)
+    grid = Grid(d=1, m=6.0, nx=61, nt=20, T=0.5)
+    zeros = GridField(grid=grid, values=np.zeros((grid.nt + 1, grid.n_nodes)))
+    make = strategies(spec, zeros, Penalty(0.25))
+
+    def run(n_paths, antithetic):
+        cfg = PathConfig(n_paths=n_paths, n_steps=50, rng_seed=9, antithetic=antithetic)
+        return simulate_paths(
+            spec, (0.0, [0.0]), make("controller_idle"), make("stopper_never"), cfg
+        )
+
+    anti, plain = run(1000, True), run(500, False)
+    assert anti.mean == pytest.approx(plain.mean, abs=1e-12)
+    assert anti.std_error == pytest.approx(plain.std_error, rel=1e-12)
+    assert anti.n_paths == 1000
+
+
+
+def test_antithetic_drops_pairs_with_a_rejected_path():
+    from ctrlstop.simulate import _finalize
+
+    cfg = PathConfig(n_paths=6, n_steps=1, antithetic=True)
+    parts = {
+        "terminal": np.array([1.0, 2.0, 3.0, 5.0, 6.0, 100.0]),
+        "running": np.zeros(6),
+        "control_cost": np.zeros(6),
+    }
+    keep = np.array([True, True, True, True, True, False])  # pair (2, 5) goes
+    est = _finalize(parts, keep, 1, cfg, {})
+    # pair averages 3 and 4
+    assert est.mean == 3.5 and est.std_error == pytest.approx(0.5, rel=1e-15)
+    assert est.n_paths == 4 and est.breakdown["terminal"] == 3.5
+
+@pytest.fixture(scope="module")
+def ou_solved():
+    """Coarse bench_ou field at eps = delta = 1/8, rounded to 1e-9 so that the
+    golden estimates below pin the simulators, not the solver's last bits."""
+    from ctrlstop.solver import solve_penalized
+
+    bench = load_bench("bench_ou", coarse=True)
+    data = truncate_data(bench.spec, bench.grid.m)
+    pen = Penalty(0.125)
+    point = solve_penalized(bench.grid, data, pen, 0.125, tol=1e-8)
+    field = GridField(grid=bench.grid, values=np.round(point.field.values, 9))
+    return bench.spec, data, pen, field
+
+
+# (mean, std_error) as float.hex of 400-path, 40-step runs with seed 5
+GOLDEN = {
+    "paths_opt_tau_star": ("0x1.41f1da0aa39d8p-1", "0x1.4d486aa3dd25dp-8"),
+    "paths_jump_fixed": ("0x1.5602b1ce82083p-1", "0x1.14c761c0b89d8p-10"),
+    "penalized_w_star": ("0x1.73427222bc892p-5", "0x1.68d66e3874ebcp-9"),
+    "penalized_callable": ("0x1.4232a56a56274p-1", "0x1.62029ca7c3d07p-8"),
+    "recursive": ("0x1.606a0f6331563p-5", "0x1.03e4805b1acf6p-10"),
+    "recursive_core": ("0x1.4a5fc441ddbacp-1", "0x1.3316698859d7ep-9"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_fixed_seed_estimates_are_golden(ou_solved, case):
+    spec, data, pen, field = ou_solved
+    make = strategies(spec, field, pen, data=data)
+    cfg = PathConfig(n_paths=400, n_steps=40, rng_seed=5)
+
+    def intensity(t, x, u):
+        return np.where(u <= 0.3, 4.0, 0.0)
+
+    run = {
+        "paths_opt_tau_star": lambda: simulate_paths(
+            spec, (0.0, [1.0]), make("controller_opt"), make("stopper_tau_star", band=0.01), cfg
+        ),
+        "paths_jump_fixed": lambda: simulate_paths(
+            spec,
+            (0.1, [-0.5]),
+            make("controller_jump", jump_size=0.3),
+            make("stopper_fixed", fixed_time=0.2),
+            cfg,
+        ),
+        "penalized_w_star": lambda: simulate_penalized(
+            spec, data, pen, 0.125, (0.0, [5.9]), make("controller_opt"), "w_star", cfg
+        ),
+        "penalized_callable": lambda: simulate_penalized(
+            spec,
+            data,
+            pen,
+            0.125,
+            (0.0, [1.0]),
+            make("controller_perturbed", scale=0.5),
+            intensity,
+            cfg,
+        ),
+        "recursive": lambda: simulate_recursive(
+            spec, data, pen, 0.125, (0.0, [5.9]), make("controller_opt"), cfg
+        ),
+        "recursive_core": lambda: simulate_recursive(
+            spec, data, pen, 0.125, (0.2, [-1.2]), make("controller_perturbed", flip=True), cfg
+        ),
+    }[case]
+    est = run()
+    assert (est.mean.hex(), est.std_error.hex()) == GOLDEN[case]
