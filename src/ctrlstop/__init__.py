@@ -10,7 +10,6 @@ from .kernel import (
     TruncatedData,
     build_cutoff,
     hamiltonian,
-    psi,
     truncate_data,
 )
 from .model import AssumptionReport, ProblemSpec, SamplePlan, load_problem, validate_assumptions

@@ -268,13 +268,22 @@ class Expression:
     def __call__(self, t, x):
         """Evaluate at time t and spatial point(s) x.
 
-        x is indexable by axis: x[i] is coordinate i+1 (scalar or ndarray).
+        x is indexable by axis: x[i] is coordinate i+1, a scalar for one point
+        of shape (d,) or an array for a batch of shape (d, n...); t is a scalar
+        or broadcasts against the batch.  Returns a float array of the batch
+        shape, also when the formula does not use every variable.
         """
         env = {"t": t}
         for v in self._free:
             if v != "t":
                 env[v] = x[int(v[1:]) - 1]
-        return _eval_node(self._root, env)
+        val = _eval_node(self._root, env)
+        shape = np.shape(x)[1:]
+        if getattr(t, "ndim", 0):
+            shape = np.broadcast_shapes(t.shape, shape)
+        if getattr(val, "shape", None) == shape:
+            return np.asarray(val, dtype=float)
+        return np.full(shape, val, dtype=float)
 
     def __str__(self) -> str:
         return _to_str(self._root)
@@ -314,49 +323,50 @@ def parse_expression(src: str) -> Expression:
 def eval_with_derivatives(e: Expression, point, order: int = 0, fd_step: float = 1e-5):
     """Value, spatial gradient and Hessian of e at point=(t, x) by central differences.
 
-    The step for coordinate i is fd_step * max(1, |x_i|).  The Hessian is
-    symmetrized by averaging.  Returns (value, grad, hess) with grad/hess
-    None when not requested by order.
+    x is one point of shape (d,) or a batch of shape (d, n), and t a scalar or
+    an array that broadcasts against the batch.  The step for coordinate i is
+    fd_step * max(1, |x_i|).  Each difference quotient is evaluated on the
+    whole batch at once, so column k of a batched result equals the result
+    at point k alone.  Returns (value, grad, hess) of shapes (n,), (d, n) and
+    (d, d, n), or (), (d,) and (d, d) for one point; grad/hess are None when
+    not requested by order.  The Hessian is symmetric by construction.
     """
     t, x = point
     x = np.asarray(x, dtype=float)
-    d = x.shape[0]
-    val = float(e(t, x))
+    val = e(t, x)
     if order == 0:
         return val, None, None
+    d = x.shape[0]
     steps = fd_step * np.maximum(1.0, np.abs(x))
-    grad = np.empty(d)
-    for i in range(d):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += steps[i]
-        xm[i] -= steps[i]
-        grad[i] = (float(e(t, xp)) - float(e(t, xm))) / (2 * steps[i])
+
+    def shifted(*moves):
+        """e at x with coordinate i moved by sign * steps[i] for each (i, sign)."""
+        y = x.copy()
+        for i, sign in moves:
+            y[i] = x[i] + steps[i] if sign > 0 else x[i] - steps[i]
+        return e(t, y)
+
+    plus = [shifted((i, 1)) for i in range(d)]
+    minus = [shifted((i, -1)) for i in range(d)]
+    grad = np.stack([(plus[i] - minus[i]) / (2 * steps[i]) for i in range(d)])
     if order == 1:
         return val, grad, None
-    hess = np.empty((d, d))
+    hess = np.empty((d,) + grad.shape)
     for i in range(d):
-        xp, xm = x.copy(), x.copy()
-        xp[i] += steps[i]
-        xm[i] -= steps[i]
-        hess[i, i] = (float(e(t, xp)) - 2 * val + float(e(t, xm))) / steps[i] ** 2
-    for i in range(d):
+        hess[i, i] = (plus[i] - 2 * val + minus[i]) / steps[i] ** 2
         for j in range(i + 1, d):
-            xpp, xpm, xmp, xmm = x.copy(), x.copy(), x.copy(), x.copy()
-            xpp[[i, j]] += [steps[i], steps[j]]
-            xpm[i] += steps[i]
-            xpm[j] -= steps[j]
-            xmp[i] -= steps[i]
-            xmp[j] += steps[j]
-            xmm[[i, j]] -= [steps[i], steps[j]]
             hess[i, j] = hess[j, i] = (
-                float(e(t, xpp)) - float(e(t, xpm)) - float(e(t, xmp)) + float(e(t, xmm))
+                shifted((i, 1), (j, 1))
+                - shifted((i, 1), (j, -1))
+                - shifted((i, -1), (j, 1))
+                + shifted((i, -1), (j, -1))
             ) / (4 * steps[i] * steps[j])
-    hess = 0.5 * (hess + hess.T)
     return val, grad, hess
 
 
-def time_derivative(e: Expression, point, fd_step: float = 1e-5) -> float:
-    """Central finite-difference time derivative of e at point=(t, x)."""
+def time_derivative(e: Expression, point, fd_step: float = 1e-5):
+    """Central finite-difference time derivative of e at point=(t, x), with the
+    step fd_step * max(1, |t|); batched like eval_with_derivatives."""
     t, x = point
-    h = fd_step * max(1.0, abs(t))
-    return (float(e(t + h, x)) - float(e(t - h, x))) / (2 * h)
+    h = fd_step * np.maximum(1.0, np.abs(t))
+    return (e(t + h, x) - e(t - h, x)) / (2 * h)

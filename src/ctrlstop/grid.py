@@ -92,12 +92,9 @@ class Grid:
         return mask
 
     def cfl_diagnostic(self, spec: ProblemSpec) -> float:
-        """ht * (max diffusion coefficient) / hx^2 (reported, not enforced)."""
-        pts = self.points()
-        amax = 0.0
-        for k in range(0, pts.shape[1], max(1, pts.shape[1] // 512)):
-            a = spec.a_matrix(pts[:, k])
-            amax = max(amax, float(np.max(np.abs(np.diag(a)))))
+        """ht * (max diffusion coefficient over the nodes) / hx^2 (reported,
+        not enforced)."""
+        amax = float(np.max(np.abs(np.diagonal(spec.a_matrix(self.points())))))
         return self.ht * amax / self.hx**2
 
 
@@ -302,11 +299,7 @@ def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:
     hx = grid.hx
 
     bvals = spec.drift(pts)  # (d, n)
-    avals = np.empty((grid.d, grid.d, n))
-    svals = spec.diffusion(pts)  # (d, d', n)
-    for i in range(grid.d):
-        for j in range(grid.d):
-            avals[i, j] = np.sum(svals[i] * svals[j], axis=0)
+    avals = spec.a_matrix(pts)  # (d, d, n)
 
     rows, cols, vals = [], [], []
     interior = ~dirichlet

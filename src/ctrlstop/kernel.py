@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import eval_with_derivatives
 from .model import ProblemSpec
 
 __all__ = [
@@ -25,7 +26,6 @@ __all__ = [
     "DataError",
     "build_cutoff",
     "truncate_data",
-    "psi",
     "hamiltonian",
     "hamiltonian_batch",
     "dump_psi_curve",
@@ -157,33 +157,21 @@ class TruncatedData:
         xi, _ = self._xi(x)
         return xi * self.spec.h(t, np.asarray(x, dtype=float))
 
-    def grad_g(self, t, x):
-        """Spatial gradient of the untruncated g by central differences (vectorized)."""
+    def f_m_sq(self, t, x):
+        """f_m^2 = f^2 + |g|_sup^2 |grad xi|^2 + 2 g xi <grad xi, grad g>, clamped at 0,
+        with grad g by central differences of the untruncated g."""
         x = np.asarray(x, dtype=float)
-        out = np.empty(x.shape)
-        for i in range(self.spec.d):
-            hstep = self.spec.fd_step * np.maximum(1.0, np.abs(x[i]))
-            xp = x.copy()
-            xm = x.copy()
-            xp[i] = x[i] + hstep
-            xm[i] = x[i] - hstep
-            out[i] = (self.spec.g(t, xp) - self.spec.g(t, xm)) / (2 * hstep)
-        return out
-
-    def f_m_sq(self, t, x, check: bool = True):
-        """f_m^2 = f^2 + |g|_sup^2 |grad xi|^2 + 2 g xi <grad xi, grad g>, clamped at 0."""
-        x = np.asarray(x, dtype=float)
-        fv = np.asarray(self.spec.f(t, x), dtype=float) * np.ones(x.shape[1:])
+        fv = self.spec.f(t, x)
         xi, r = self._xi(x)
         out = fv**2
         bridge = (self.cutoff.grad_norm_sq_radial(r) > 0)
         if np.any(bridge):
             gx = self.cutoff.grad(x)
-            gg = self.grad_g(t, x)
-            cross = 2.0 * self.spec.g(t, x) * xi * np.sum(gx * gg, axis=0)
+            gv, gg, _ = eval_with_derivatives(self.spec.g, (t, x), order=1, fd_step=self.spec.fd_step)
+            cross = 2.0 * gv * xi * np.sum(gx * gg, axis=0)
             out = out + self.g_norm**2 * np.sum(gx * gx, axis=0) + cross
         scale = 1.0 + self.g_norm**2 + float(np.max(fv**2))
-        if check and np.any(out < -1e-12 * scale):
+        if np.any(out < -1e-12 * scale):
             raise DataError(
                 "negative radicand in the enlarged cost term: "
                 f"min {float(np.min(out)):.3e} (gradient-constraint identity violated)"
@@ -262,17 +250,6 @@ class Penalty:
         out = np.zeros(y.shape)
         out[bridge] = (12.0 * s - 12.0 * s**2) / (4.0 * self.eps**2)
         return out
-
-
-def psi(pen: Penalty, y, order: int = 0):
-    """Penalty value / first / second derivative at y (scalar or array)."""
-    if order == 0:
-        return pen.value(y)
-    if order == 1:
-        return pen.d1(y)
-    if order == 2:
-        return pen.d2(y)
-    raise ValueError("order must be 0, 1 or 2")
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,13 @@ standing assumptions by dense sampling.
 
 A ProblemSpec holds the SDE coefficients b, sigma, the payoffs f (cost per
 unit of control), g (stopping payoff), h (running payoff), the discount rate
-and horizon.  validate_assumptions estimates the structural constants
-(ellipticity, growth, the obstacle drift term) and flags violations of the
-gates that the downstream algorithms rely on:
+and horizon.  Every pointwise question (drift, diffusion, a = sigma sigma^T,
+Theta) is answered on a batch of points x of shape (d, n), with t a scalar
+or of shape (n,); a single point of shape (d,) gives the same quantities
+without the trailing n.  validate_assumptions estimates the structural
+constants (ellipticity, growth, the obstacle drift term) in one such pass
+per sample radius and flags violations of the gates that the downstream
+algorithms rely on:
 
   * f, g, h >= 0,
   * sigma*sigma^T locally elliptic (theta_B > 0 on each tested ball),
@@ -112,26 +116,22 @@ class ProblemSpec:
         return out
 
     def a_matrix(self, x):
-        """a = sigma sigma^T at a single point x of shape (d,)."""
-        s = self.diffusion(np.asarray(x, dtype=float))
-        return s @ s.T
-
-    def generator_of(self, e: Expression, t, x):
-        """(L e)(t, x) = 0.5 tr(a D^2 e) + <b, grad e> at one point."""
-        _, grad, hess = eval_with_derivatives(e, (t, x), order=2, fd_step=self.fd_step)
-        a = self.a_matrix(x)
-        bvec = self.drift(np.asarray(x, dtype=float))
-        return 0.5 * float(np.trace(a @ hess)) + float(bvec @ grad)
+        """a = sigma sigma^T, entry (i, j) = sum_k sigma_ik sigma_jk; shape (d, d)
+        at one point x of shape (d,), (d, d, n) on a batch of shape (d, n)."""
+        s = self.diffusion(x)
+        return np.array([[np.sum(s[i] * s[j], axis=0) for j in range(self.d)] for i in range(self.d)])
 
     def theta(self, t, x):
-        """Theta = h + dg/dt + L g - r g, the drift of the stopping payoff."""
-        h_val = float(self.h(t, np.asarray(x, dtype=float)))
-        g_val = float(self.g(t, np.asarray(x, dtype=float)))
+        """Theta = h + dg/dt + L g - r g, the drift of the stopping payoff, with
+        L g = 0.5 tr(a D^2 g) + <b, grad g>; batched like eval_with_derivatives."""
+        x = np.asarray(x, dtype=float)
+        g, grad, hess = eval_with_derivatives(self.g, (t, x), order=2, fd_step=self.fd_step)
         return (
-            h_val
+            self.h(t, x)
             + time_derivative(self.g, (t, x), self.fd_step)
-            + self.generator_of(self.g, t, x)
-            - self.r * g_val
+            + 0.5 * np.sum(self.a_matrix(x) * hess, axis=(0, 1))
+            + np.sum(self.drift(x) * grad, axis=0)
+            - self.r * g
         )
 
 
@@ -211,104 +211,107 @@ def _sample_points(spec: ProblemSpec, radius: float, count: int, rng: np.random.
     return np.concatenate(out, axis=1)  # rows: t, x1..xd
 
 
+def _check_points(spec: ProblemSpec, f_sq: Expression, pts):
+    """The pointwise checks at the sample points pts (rows t, x1..xd), each one
+    vectorized pass over the batch.
+
+    Points with non-finite payoffs skip every later check; points with
+    non-finite derivative probes skip the margin, Theta and growth checks.
+    Returns the violation entries and the extrema over the batch of the
+    linear growth ratio, the smallest eigenvalue of a, the margin f - |grad g|,
+    Theta, the forward time increments of g and h, and (g + h) / (1 + |x|^2).
+    """
+    found: list[tuple[str, tuple, float]] = []
+
+    def flag(name, bad, values):
+        """Entries at the points of the current pts selected by the mask bad."""
+        for col, v in zip(pts[:, bad].T, np.broadcast_to(values, bad.shape)[bad]):
+            key = (round(float(col[0]), 6),) + tuple(np.round(col[1:], 6))
+            found.append((name, key, float(v)))
+
+    t, x = pts[0], pts[1:]
+    fv, gv, hv = spec.f(t, x), spec.g(t, x), spec.h(t, x)
+    for name, v in (("f>=0", fv), ("g>=0", gv), ("h>=0", hv)):
+        flag(name, v < -CHECK_TOL, v)
+    ok = np.isfinite(fv) & np.isfinite(gv) & np.isfinite(hv)
+    flag("finite payoffs", ~ok, math.nan)
+    pts, fv, gv, hv = pts[:, ok], fv[ok], gv[ok], hv[ok]
+    t, x = pts[0], pts[1:]
+
+    # SDE coefficients: linear growth and local ellipticity
+    norm = np.sqrt(np.sum(spec.drift(x) ** 2, axis=0))
+    norm = norm + np.sqrt(np.sum(spec.diffusion(x) ** 2, axis=(0, 1)))
+    d1 = np.fmax.reduce(norm / (1.0 + np.sqrt(np.sum(x**2, axis=0))), initial=0.0)
+    lam_min = np.linalg.eigvalsh(np.moveaxis(spec.a_matrix(x), -1, 0))[:, 0]
+    theta_b = np.fmin.reduce(lam_min, initial=math.inf)
+
+    # differentiability probes and gradient constraint
+    _, grad_g, hess_g = eval_with_derivatives(spec.g, (t, x), order=2, fd_step=spec.fd_step)
+    dt_g = time_derivative(spec.g, (t, x), spec.fd_step)
+    _, grad_h, _ = eval_with_derivatives(spec.h, (t, x), order=1, fd_step=spec.fd_step)
+    _, grad_f2, hess_f2 = eval_with_derivatives(f_sq, (t, x), order=2, fd_step=spec.fd_step)
+    ok = np.ones(t.shape, dtype=bool)
+    for p in (grad_g, hess_g, dt_g, grad_h, grad_f2, hess_f2):
+        ok &= np.all(np.isfinite(p), axis=tuple(range(p.ndim - 1)))
+    flag("finite derivatives of g, h, f^2", ~ok, math.nan)
+    pts, fv, gv, hv, grad_g = pts[:, ok], fv[ok], gv[ok], hv[ok], grad_g[:, ok]
+    t, x = pts[0], pts[1:]
+
+    m = fv - np.sqrt(np.sum(grad_g**2, axis=0))
+    flag("|grad g| <= f", m < -CHECK_TOL, m)
+    margin = np.fmin.reduce(m, initial=math.inf)
+
+    # Theta and growth constants
+    theta = spec.theta(t, x)
+    flag("finite Theta", ~np.isfinite(theta), theta)
+    theta_min = np.fmin.reduce(theta, initial=math.inf)
+    k1 = np.fmax.reduce((gv + hv) / (1.0 + np.sum(x**2, axis=0)), initial=0.0)
+
+    # forward time increments of g, h and monotonicity of f
+    t2 = np.minimum(t + spec.T / 64.0, spec.T)
+    later = t2 > t
+    pts, fv, gv, hv, t, t2 = pts[:, later], fv[later], gv[later], hv[later], t[later], t2[later]
+    x = pts[1:]
+    rise_g = (spec.g(t2, x) - gv) / (t2 - t)
+    rise_h = (spec.h(t2, x) - hv) / (t2 - t)
+    k0 = np.fmax.reduce(np.concatenate([rise_g, rise_h]), initial=0.0)
+    f2 = spec.f(t2, x)
+    flag("f non-increasing in t", f2 > fv + CHECK_TOL, f2 - fv)
+
+    return found, *map(float, (d1, theta_b, margin, theta_min, k0, k1))
+
+
 def validate_assumptions(spec: ProblemSpec, plan: SamplePlan) -> AssumptionReport:
     """Estimate the structural constants over the sample plan and flag violations.
 
     Failures never raise: each violated check appends an entry
-    (check name, (t, x...), offending value) to the report.
+    (check name, (t, x...), offending value) to the report, radius by radius
+    and, within a radius, check by check.  A domain error while evaluating
+    the data on a radius's points appends ("evaluation: ...", (radius,), nan)
+    and skips that radius.
     """
     rng = np.random.default_rng(plan.rng_seed)
     violations: list[tuple[str, tuple, float]] = []
-    d1 = 0.0
+    d1, margin, theta_min, k0, k1 = 0.0, math.inf, math.inf, 0.0, 0.0
     theta_map: dict[float, float] = {}
-    margin = math.inf
-    theta_min = math.inf
-    k0 = 0.0
-    k1 = 0.0
-    f_monotone = True
     f_sq = parse_expression(f"({spec.f}) * ({spec.f})")
 
     for radius, count in zip(plan.radii, plan.counts):
         pts = _sample_points(spec, radius, count, rng)
-        theta_b = math.inf
-        for col in range(pts.shape[1]):
-            t = float(pts[0, col])
-            x = pts[1:, col].copy()
-            key = (round(t, 6),) + tuple(np.round(x, 6))
-            try:
-                fv = float(spec.f(t, x))
-                gv = float(spec.g(t, x))
-                hv = float(spec.h(t, x))
-            except ArithmeticError as exc:
-                violations.append((f"evaluation: {exc}", key, math.nan))
-                continue
-            for name, v in (("f>=0", fv), ("g>=0", gv), ("h>=0", hv)):
-                if v < -CHECK_TOL:
-                    violations.append((name, key, v))
-            if not (math.isfinite(fv) and math.isfinite(gv) and math.isfinite(hv)):
-                violations.append(("finite payoffs", key, math.nan))
-                continue
-
-            # SDE coefficients: linear growth and local ellipticity
-            bvec = spec.drift(x)
-            smat = spec.diffusion(x)
-            norm = float(np.linalg.norm(bvec)) + float(np.linalg.norm(smat))
-            d1 = max(d1, norm / (1.0 + float(np.linalg.norm(x))))
-            a = smat @ smat.T
-            lam_min = float(np.linalg.eigvalsh(a)[0])
-            theta_b = min(theta_b, lam_min)
-
-            # differentiability probes and gradient constraint
-            try:
-                _, grad_g, hess_g = eval_with_derivatives(
-                    spec.g, (t, x), order=2, fd_step=spec.fd_step
-                )
-                dt_g = time_derivative(spec.g, (t, x), spec.fd_step)
-                _, grad_h, _ = eval_with_derivatives(spec.h, (t, x), order=1, fd_step=spec.fd_step)
-                _, grad_f2, hess_f2 = eval_with_derivatives(
-                    f_sq, (t, x), order=2, fd_step=spec.fd_step
-                )
-            except ArithmeticError as exc:
-                violations.append((f"derivative probe: {exc}", key, math.nan))
-                continue
-            probes = np.concatenate(
-                [grad_g, hess_g.ravel(), [dt_g], grad_h, grad_f2, hess_f2.ravel()]
-            )
-            if not np.all(np.isfinite(probes)):
-                violations.append(("finite derivatives of g, h, f^2", key, math.nan))
-                continue
-
-            m = fv - float(np.linalg.norm(grad_g))
-            margin = min(margin, m)
-            if m < -CHECK_TOL:
-                violations.append(("|grad g| <= f", key, m))
-
-            # Theta and growth constants
-            theta_val = (
-                hv + dt_g + 0.5 * float(np.trace(spec.a_matrix(x) @ hess_g)) + float(bvec @ grad_g)
-                - spec.r * gv
-            )
-            theta_min = min(theta_min, theta_val)
-            if not math.isfinite(theta_val):
-                violations.append(("finite Theta", key, theta_val))
-            k1 = max(k1, (gv + hv) / (1.0 + float(x @ x)))
-
-            # forward time increments of g, h and monotonicity of f
-            dt_probe = spec.T / 64.0
-            t2 = min(t + dt_probe, spec.T)
-            if t2 > t:
-                g2 = float(spec.g(t2, x))
-                h2 = float(spec.h(t2, x))
-                f2v = float(spec.f(t2, x))
-                k0 = max(k0, (g2 - gv) / (t2 - t), (h2 - hv) / (t2 - t))
-                if f2v > fv + CHECK_TOL:
-                    f_monotone = False
-                    violations.append(("f non-increasing in t", key, f2v - fv))
+        try:
+            # non-finite values are reported as violations, not as warnings
+            with np.errstate(invalid="ignore", over="ignore"):
+                found, r_d1, theta_b, r_margin, r_theta, r_k0, r_k1 = _check_points(spec, f_sq, pts)
+        except ArithmeticError as exc:
+            violations.append((f"evaluation: {exc}", (radius,), math.nan))
+            continue
+        violations.extend(found)
+        d1, margin, theta_min = max(d1, r_d1), min(margin, r_margin), min(theta_min, r_theta)
+        k0, k1 = max(k0, r_k0), max(k1, r_k1)
         theta_map[radius] = theta_b
         if theta_b <= CHECK_TOL:
             violations.append(("theta_B > 0", (radius,), theta_b))
 
-    k0 = max(k0, 0.0)
     return AssumptionReport(
         linear_growth_D1=d1,
         ellipticity_theta=theta_map,
@@ -317,7 +320,7 @@ def validate_assumptions(spec: ProblemSpec, plan: SamplePlan) -> AssumptionRepor
         K0=k0,
         K1=k1,
         K2=max(0.0, -theta_min),
-        f_time_monotone=f_monotone,
+        f_time_monotone=not any(v[0] == "f non-increasing in t" for v in violations),
         violations=violations,
     )
 

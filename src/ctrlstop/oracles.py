@@ -38,10 +38,10 @@ class ObstacleProblem:
     grid: Grid
 
     def obstacle(self, t, pts):
-        return np.asarray(self.spec.g(t, pts), dtype=float) * np.ones(pts.shape[1])
+        return self.spec.g(t, pts)
 
     def source(self, t, pts):
-        return np.asarray(self.spec.h(t, pts), dtype=float) * np.ones(pts.shape[1])
+        return self.spec.h(t, pts)
 
 
 @dataclass
@@ -153,8 +153,7 @@ class LatticeGame:
         """Trinomial (p_down, p_stay, p_up) per state; must lie in [0, 1]."""
         x = self.states[None, :]
         b = self.spec.drift(x)[0]
-        s = self.spec.diffusion(x)
-        var = np.sum(s[0] * s[0], axis=0)
+        var = self.spec.a_matrix(x)[0, 0]
         p_up = 0.5 * (var * self.dt / self.eta**2 + b * self.dt / self.eta)
         p_dn = 0.5 * (var * self.dt / self.eta**2 - b * self.dt / self.eta)
         p_st = 1.0 - p_up - p_dn
@@ -203,14 +202,14 @@ def solve_lattice_game(game: LatticeGame) -> LatticeSolution:
     x_arr = xs[None, :]
     v_mm = np.empty((n_times + 1, n_states))
     v_ms = np.empty((n_times + 1, n_states))
-    g_T = np.asarray(spec.g(spec.T, x_arr), dtype=float) * np.ones(n_states)
+    g_T = spec.g(spec.T, x_arr)
     v_mm[n_times] = g_T
     v_ms[n_times] = g_T
     for k in range(n_times - 1, -1, -1):
         t = k * game.dt
-        g_k = np.asarray(spec.g(t, x_arr), dtype=float) * np.ones(n_states)
-        h_k = np.asarray(spec.h(t, x_arr), dtype=float) * np.ones(n_states)
-        f_k = np.asarray(spec.f(t, x_arr), dtype=float) * np.ones(n_states)
+        g_k = spec.g(t, x_arr)
+        h_k = spec.h(t, x_arr)
+        f_k = spec.f(t, x_arr)
         run = h_k * game.dt
         costs = (0.0, f_k * game.eta)
         cont_mm = [

@@ -60,6 +60,8 @@ class PathConfig:
             raise ValueError("need at least one time step")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic pairing needs an even path count")
+        if self.jump_quadrature_points < 1 or self.feedback_substeps < 1:
+            raise ValueError("jump quadrature points and feedback substeps must be >= 1")
 
 
 @dataclass
@@ -131,8 +133,7 @@ class FeedbackStrategy:
     def _f_squared(self, t, x):
         if self.data is not None:
             return self.data.f_m_sq(t, x)
-        fv = np.asarray(self.spec.f(t, x), dtype=float)
-        return fv**2 * np.ones(x.shape[1])
+        return self.spec.f(t, x) ** 2
 
     def control(self, t, elapsed, x):
         """Unit direction and control rate at state x (d, n)."""
@@ -170,14 +171,10 @@ class FeedbackStrategy:
             return np.full(x.shape[1], elapsed >= self.fixed_time - 1e-12)
         if self.mode == "stopper_tau_star":
             u = self.field.sample(t, x)
-            g = np.asarray(self.spec.g(t, x), dtype=float) * np.ones(x.shape[1])
-            return u <= g + self.band
+            return u <= self.spec.g(t, x) + self.band
         if self.mode == "stopper_w_star":
             u = self.field.sample(t, x)
-            if self.data is not None:
-                g = np.asarray(self.data.g_m(t, x), dtype=float)
-            else:
-                g = np.asarray(self.spec.g(t, x), dtype=float) * np.ones(x.shape[1])
+            g = self.data.g_m(t, x) if self.data is not None else self.spec.g(t, x)
             in_contact = u <= g + self.band
             p_stop = 1.0 - math.exp(-dt / self.delta)
             return in_contact & (uniforms < p_stop)
@@ -218,7 +215,7 @@ def _jump_cost(spec, t, x, direction, sizes, q_points):
     lam = (np.arange(q_points) + 0.5) / q_points
     for w in lam:
         probe = x + direction * (w * sizes)[None, :]
-        cost += np.asarray(spec.f(t, probe), dtype=float) * np.ones(x.shape[1])
+        cost += spec.f(t, probe)
     return np.where(moving, cost * sizes / q_points, 0.0)
 
 
@@ -368,18 +365,17 @@ class _OriginalPayoff(_Payoff):
         return self.stopper.stop_mask(t, elapsed, x, uniforms, dt)
 
     def terminal(self, t, elapsed, x, idx):
-        g_val = np.asarray(self.spec.g(t, x), dtype=float) * np.ones(x.shape[1])
-        return math.exp(-self.spec.r * elapsed) * g_val
+        return math.exp(-self.spec.r * elapsed) * self.spec.g(t, x)
 
     def accrue(self, t, elapsed, x, idx, controls, dt):
         spec, n_alive = self.spec, x.shape[1]
         disc = math.exp(-spec.r * elapsed)
         w_step = float(_exp_weight(spec.r, dt))  # exact discount integral per step
-        h_val = np.asarray(spec.h(t, x), dtype=float) * np.ones(n_alive)
+        h_val = spec.h(t, x)
         cost_rate = np.zeros(n_alive)
         outside = np.zeros(n_alive, dtype=bool)
         for xs, (_, rate, out_sub) in controls:
-            fv = np.asarray(spec.f(t, xs), dtype=float) * np.ones(n_alive)
+            fv = spec.f(t, xs)
             cost_rate = cost_rate + fv * rate * w_step / len(controls)
             outside |= out_sub
         self.ever_exited[idx] |= outside
@@ -482,7 +478,7 @@ def simulate_paths(
     if strategy_ctrl.mode == "controller_jump":
         nsub = 0  # the impulse at t0 is its only control
     elif _is_feedback(strategy_ctrl):
-        nsub = max(1, cfg.feedback_substeps)
+        nsub = cfg.feedback_substeps
     else:
         nsub = 1
     payoff = _OriginalPayoff(spec, strategy_ctrl, strategy_stop, cfg)

@@ -557,9 +557,9 @@ def vi_report(field: GridField, spec, tol_region: float | None = None, operator=
 
     for k in range(nt + 1):
         t = float(grid.times[k])
-        g_k = np.asarray(spec.g(t, pts), dtype=float)
-        f_k = np.asarray(spec.f(t, pts), dtype=float) * np.ones(n)
-        h_k = np.asarray(spec.h(t, pts), dtype=float) * np.ones(n)
+        g_k = spec.g(t, pts)
+        f_k = spec.f(t, pts)
+        h_k = spec.h(t, pts)
         u_k = field.values[k]
         grad_norm = field.gradient_norm(k)
         obst = g_k - u_k

@@ -9,8 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .benches import load_bench
-from .expressions import parse_expression
-from .kernel import Penalty, build_cutoff, hamiltonian, hamiltonian_batch, psi, truncate_data
+from .expressions import eval_with_derivatives, parse_expression
+from .kernel import Penalty, build_cutoff, hamiltonian, hamiltonian_batch, truncate_data
 from .oracles import LatticeGame, ObstacleProblem, solve_lattice_game, solve_obstacle
 
 __all__ = ["run_invariant_suite", "CorruptiblePenalty"]
@@ -103,11 +103,10 @@ def _check_truncation(n_cases, rng):
     ts = rng.uniform(0.0, bench.spec.T, 4)
     worst = -np.inf
     for t in ts:
-        gg = data.grad_g(float(t), xs)
-        grad_gm = (
-            data.cutoff.grad(xs) * np.asarray(bench.spec.g(float(t), xs), dtype=float)
-            + data.cutoff.value(xs) * gg
+        gv, gg, _ = eval_with_derivatives(
+            bench.spec.g, (float(t), xs), order=1, fd_step=bench.spec.fd_step
         )
+        grad_gm = data.cutoff.grad(xs) * gv + data.cutoff.value(xs) * gg
         norm = np.sqrt(np.sum(grad_gm**2, axis=0))
         fm = data.f_m(float(t), xs)
         worst = max(worst, float(np.max(norm - fm)))

@@ -57,7 +57,7 @@ def bench_stage_measures(bench_run):
     grid = bench.grid
     pts = grid.points()
     interior = ~grid.dirichlet_mask()
-    f_const = float(bench.spec.f(0.0, pts[:, :1]))
+    f_const = float(bench.spec.f(0.0, pts[:, 0]))
     rows = []
     for point in res.points:
         obst = 0.0

@@ -115,6 +115,37 @@ def test_time_derivative():
     assert abs(d + 2 * np.exp(-0.6) * 1.5) < 1e-7
 
 
+def test_batched_probes_are_the_single_point_probes():
+    # 2-D, t-dependent, with a mixed term: column k of every batched result
+    # equals the single-point call at point k, bit for bit
+    e = parse_expression("exp(-t) * x1^2 * x2 + sin(x1 * x2) + t * x2^3")
+    rng = np.random.default_rng(3)
+    x = rng.uniform(-2.0, 2.0, (2, 9))
+    x[:, 0] = 0.0  # steps of fd_step * 1 below |x| = 1
+    t = rng.uniform(0.0, 1.0, 9)
+    val, grad, hess = eval_with_derivatives(e, (t, x), order=2)
+    dt = time_derivative(e, (t, x))
+    assert val.shape == (9,) and grad.shape == (2, 9) and hess.shape == (2, 2, 9)
+    assert dt.shape == (9,)
+    for k in range(9):
+        v1, g1, h1 = eval_with_derivatives(e, (t[k], x[:, k]), order=2)
+        assert g1.shape == (2,) and h1.shape == (2, 2)
+        assert val[k] == v1
+        assert np.array_equal(grad[:, k], g1)
+        assert np.array_equal(hess[:, :, k], h1)
+        assert dt[k] == time_derivative(e, (t[k], x[:, k]))
+
+
+def test_constant_expression_returns_the_batch_shape():
+    x = np.zeros((2, 7))
+    for src in ("1", "2 * t"):
+        out = parse_expression(src)(0.5, x)
+        assert out.shape == (7,) and out.dtype == float
+        assert np.all(out == out[0])
+    assert parse_expression("x1 + 1")(np.zeros(7), [2.0]).shape == (7,)
+    assert parse_expression("1")(0.0, [0.3, 0.1]).shape == ()
+
+
 _leaf = st.one_of(
     st.floats(min_value=0.1, max_value=4.0).map(lambda v: ("num", round(v, 3))),
     st.sampled_from([("var", "t"), ("var", "x1"), ("var", "x2")]),

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ctrlstop.benches import load_bench
+from ctrlstop.expressions import eval_with_derivatives
 from ctrlstop.kernel import (
     Penalty,
     build_cutoff,
@@ -9,7 +10,6 @@ from ctrlstop.kernel import (
     dump_psi_curve,
     hamiltonian,
     hamiltonian_batch,
-    psi,
     truncate_data,
 )
 from ctrlstop.kernel import _xi_profile, _xi_profile_d1
@@ -76,14 +76,6 @@ class TestPenalty:
         ys = np.linspace(-pen.eps, 3 * pen.eps, 10_000)
         assert np.all(pen.d2(ys) >= 0)
         assert np.all(np.diff(pen.d1(ys)) >= -1e-12)
-
-    def test_order_dispatch(self):
-        pen = Penalty(0.2)
-        assert psi(pen, 0.4, 0) == pytest.approx(float(pen.value(0.4)))
-        assert psi(pen, 0.4, 1) == pytest.approx(float(pen.d1(0.4)))
-        assert psi(pen, 0.4, 2) == pytest.approx(float(pen.d2(0.4)))
-        with pytest.raises(ValueError):
-            psi(pen, 0.4, 3)
 
     def test_bridge_only_evaluation_is_the_clipped_formula(self):
         # reference: the clip-and-nested-where form, which evaluates the
@@ -201,7 +193,7 @@ class TestTruncation:
             np.testing.assert_allclose(data.g_m(t, xs), bench.spec.g(t, xs) * np.ones(41))
             np.testing.assert_allclose(data.h_m(t, xs), bench.spec.h(t, xs) * np.ones(41))
             np.testing.assert_allclose(
-                data.f_m(t, xs), float(bench.spec.f(t, xs[:, :1])) * np.ones(41)
+                data.f_m(t, xs), float(bench.spec.f(t, xs[:, 0])) * np.ones(41)
             )
 
     def test_vanishes_outside(self):
@@ -224,10 +216,8 @@ class TestTruncation:
         data = truncate_data(bench.spec, 6.0)
         xs = np.linspace(-6.3, 6.3, 2001)[None, :]
         for t in (0.0, 0.37):
-            gg = data.grad_g(t, xs)
-            grad_gm = data.cutoff.grad(xs) * np.asarray(
-                bench.spec.g(t, xs), dtype=float
-            ) + data.cutoff.value(xs) * gg
+            gv, gg, _ = eval_with_derivatives(bench.spec.g, (t, xs), order=1)
+            grad_gm = data.cutoff.grad(xs) * gv + data.cutoff.value(xs) * gg
             norm = np.sqrt(np.sum(grad_gm**2, axis=0))
             assert np.max(norm - data.f_m(t, xs)) <= 1e-8
 

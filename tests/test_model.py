@@ -153,3 +153,76 @@ def test_f_squared_probe_follows_each_spec():
         flagged = any(v[0] == "finite derivatives of g, h, f^2" for v in rep.violations)
         assert flagged == huge, f"spec {i} (f = {spec.f})"
         del spec, rep
+
+
+def test_domain_error_skips_the_radius():
+    # the sample lattice of both radii contains x1 = 0
+    spec, plan, _ = parse_config_text(CONST1.replace("h = 0", "h = 1/x1"))
+    rep = validate_assumptions(spec, plan)
+    assert not rep.valid
+    assert rep.violations == [
+        ("evaluation: division by zero", (2.0,), pytest.approx(np.nan, nan_ok=True)),
+        ("evaluation: division by zero", (4.0,), pytest.approx(np.nan, nan_ok=True)),
+    ]
+    assert rep.ellipticity_theta == {}
+
+
+SKEW_2D = """
+dim = 2
+horizon = 0.4
+rate = 0.1
+drift[1] = -x1 + 0.2*x2
+drift[2] = -0.5*x2
+sigma[1][1] = 1
+sigma[1][2] = 0.3
+sigma[2][1] = 0.2
+sigma[2][2] = 0.8 + 0.1*sin(x1)
+f = 2 + 0.1*x1^2
+g = exp(-t) * (1 + 0.3*sin(x1*x2)) + 0.2*x1*x2
+h = 0.5 + 0.1*x2^2
+sample_plan.radii = 1.5, 3
+sample_plan.counts = 300, 200
+sample_plan.rng_seed = 3
+"""
+
+# float.hex of (D1, theta_B per radius, margin, Theta_min, K0, K1, K2) and the
+# relative tolerance: exact on the 1-D benches; the 2-D sums over the
+# coordinates may be reordered
+GOLDEN_REPORTS = {
+    "bench_ou": (
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.22ecd44252a3cp-4", "-0x1.e6f852434cbecp-4", "0x0.0p+0",
+         "0x1.3b9ec9f35e3eep-1", "0x1.e6f852434cbecp-4"],
+        0.0,
+    ),
+    "const1": (
+        ["0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.0000000000000p+0",
+         "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x1.ffeb80b07fdc4p-1", "0x0.0p+0"],
+        0.0,
+    ),
+    "skew_2d": (
+        ["0x1.5495fa25f0897p+0", "0x1.414101073a212p-2", "0x1.4109a312edd28p-2",
+         "0x1.0000000133fb2p-1", "-0x1.1f17536fd858ap+1", "0x0.0p+0",
+         "0x1.8000000000000p+0", "0x1.1f17536fd858ap+1"],
+        1e-12,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_assumption_constants_are_golden(case):
+    if case == "skew_2d":
+        spec, plan, _ = parse_config_text(SKEW_2D)
+    else:
+        bench = load_bench(case, coarse=True)
+        spec, plan = bench.spec, bench.plan
+    rep = validate_assumptions(spec, plan)
+    assert rep.valid
+    got = [rep.linear_growth_D1, *(v for _, v in sorted(rep.ellipticity_theta.items())),
+           rep.grad_g_le_f_margin, rep.Theta_min, rep.K0, rep.K1, rep.K2]
+    want, rel = GOLDEN_REPORTS[case]
+    if rel == 0.0:
+        assert [float(v).hex() for v in got] == want
+    else:
+        assert got == pytest.approx([float.fromhex(w) for w in want], rel=rel, abs=0.0)

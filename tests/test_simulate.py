@@ -272,6 +272,17 @@ def test_start_point_checked(const1, simulator, start, match):
         run()
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("jump_quadrature_points", 0), ("feedback_substeps", 0), ("feedback_substeps", -3)],
+)
+def test_path_config_needs_a_quadrature_point_and_a_substep(name, value):
+    # zero quadrature points made the jump cost 0/0 = nan with the estimate
+    # still marked valid; non-positive substeps were quietly read as 1
+    with pytest.raises(ValueError, match="must be >= 1"):
+        PathConfig(n_paths=8, n_steps=4, **{name: value})
+
+
 class TestFeedbackContract:
     def test_controller_opt_unit_direction_and_nonnegative_rate(self, const1):
         spec, data, ones = const1
