@@ -295,7 +295,7 @@ class Expression:
         return isinstance(other, Expression) and self._root == other._root
 
     def __hash__(self):
-        return hash(("Expression", self._src))
+        return hash(("Expression", self._root))
 
 
 def _collect_vars(node, out=None):

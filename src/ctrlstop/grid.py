@@ -12,6 +12,7 @@ nodal gradient D_i u.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -100,52 +101,45 @@ class Grid:
 
 @dataclass
 class GridField:
-    """Nodal values over the full lattice: values[k] is the slice at times[k]."""
+    """Nodal values over the full lattice: values[k] is the slice at times[k].
+    values is made read-only, so the gradient table built from it on first
+    use cannot go stale."""
 
     grid: Grid
     values: np.ndarray  # shape (nt+1, n_nodes)
+    _gradients: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (self.grid.nt + 1, self.grid.n_nodes)
         if self.values.shape != expected:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
+        self.values.flags.writeable = False
 
     def slice_at(self, k: int) -> np.ndarray:
         return self.values[k].reshape(self.grid.shape)
 
+    def _gradient_table(self) -> np.ndarray:
+        """centered_gradient of every slice, shape (nt+1, d, n_nodes), read-only."""
+        if self._gradients is None:
+            self._gradients = np.stack([centered_gradient(self.grid, v) for v in self.values])
+            self._gradients.flags.writeable = False
+        return self._gradients
+
     def nodal_gradient(self, k: int) -> np.ndarray:
         """Centered-difference spatial gradient of slice k, shape (d, *shape)."""
-        grad = centered_gradient(self.grid, self.values[k])
-        return grad.reshape((self.grid.d,) + self.grid.shape)
+        return self._gradient_table()[k].reshape((self.grid.d,) + self.grid.shape)
 
     def gradient_norm(self, k: int) -> np.ndarray:
-        return np.sqrt(np.sum(centered_gradient(self.grid, self.values[k]) ** 2, axis=0))
-
-    def interp_time_index(self, t: float) -> tuple[int, float]:
-        tt = np.clip(t, 0.0, self.grid.T)
-        pos = tt / self.grid.ht
-        k = int(min(np.floor(pos), self.grid.nt - 1))
-        return k, pos - k
+        return np.sqrt(np.sum(self._gradient_table()[k] ** 2, axis=0))
 
     def sample(self, t: float, x: np.ndarray) -> np.ndarray:
         """Field value at time t and spatial points x (d, n): linear in t,
         linear/bilinear in space; queries outside the box are clamped."""
-        k, w = self.interp_time_index(t)
-        lo = _space_interp(self.grid, self.values[k], x)
-        hi = _space_interp(self.grid, self.values[k + 1], x)
-        return (1.0 - w) * lo + w * hi
+        return _SamplingPlan(self.grid, t, x).apply(self.values)
 
     def sample_gradient(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Interpolated nodal centered-difference gradient at (t, x)."""
-        k, w = self.interp_time_index(t)
-        g_lo = self.nodal_gradient(k)
-        g_hi = self.nodal_gradient(k + 1)
-        out = np.empty((self.grid.d,) + x.shape[1:])
-        for i in range(self.grid.d):
-            lo = _space_interp(self.grid, g_lo[i].ravel(), x)
-            hi = _space_interp(self.grid, g_hi[i].ravel(), x)
-            out[i] = (1.0 - w) * lo + w * hi
-        return out
+        """Interpolated nodal centered-difference gradient at (t, x), shape (d, n)."""
+        return _SamplingPlan(self.grid, t, x).apply(self._gradient_table())
 
     def restrict_common(self, other: "GridField") -> tuple[np.ndarray, np.ndarray]:
         """Values of self and other on their common nodes (other interpolated,
@@ -184,24 +178,34 @@ def centered_gradient(grid: Grid, flat_values: np.ndarray) -> np.ndarray:
     return out.reshape(grid.d, -1)
 
 
-def _space_interp(grid: Grid, flat_values: np.ndarray, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    axis = grid.axis
-    pos = np.clip((x - axis[0]) / grid.hx, 0.0, grid.nx - 1 - 1e-12)
-    i0 = pos.astype(int)
-    frac = pos - i0
-    if grid.d == 1:
-        v = flat_values
-        return (1 - frac[0]) * v[i0[0]] + frac[0] * v[i0[0] + 1]
-    v = flat_values.reshape(grid.shape)
-    fx, fy = frac[0], frac[1]
-    ix, iy = i0[0], i0[1]
-    return (
-        (1 - fx) * (1 - fy) * v[ix, iy]
-        + fx * (1 - fy) * v[ix + 1, iy]
-        + (1 - fx) * fy * v[ix, iy + 1]
-        + fx * fy * v[ix + 1, iy + 1]
-    )
+class _SamplingPlan:
+    """Where (t, x) falls on the lattice, computed once and applied to any
+    nodal table: the time levels k, k+1 with weight w on k+1, and the corner
+    nodes of each point's cell with their (bi)linear weights.  Points outside
+    the box are clamped onto it."""
+
+    def __init__(self, grid: Grid, t: float, x: np.ndarray):
+        pos = min(max(float(t), 0.0), grid.T) / grid.ht
+        self.k = min(math.floor(pos), grid.nt - 1)
+        self.w = pos - self.k
+        # (x + m) / hx is (x - axis[0]) / hx bit for bit: linspace starts at -m
+        pos = np.clip((np.asarray(x, dtype=float) + grid.m) / grid.hx, 0.0, grid.nx - 1 - 1e-12)
+        i0 = pos.astype(int)
+        frac = pos - i0
+        if grid.d == 1:
+            self.corners, self.weights = (i0[0], i0[0] + 1), (1 - frac[0], frac[0])
+        else:
+            (fx, fy), c00 = frac, i0[0] * grid.nx + i0[1]
+            self.corners = (c00, c00 + grid.nx, c00 + 1, c00 + grid.nx + 1)
+            self.weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+
+    def apply(self, table: np.ndarray) -> np.ndarray:
+        """Interpolate table (nt+1, ..., n_nodes) at the plan's points."""
+        pair = table[self.k : self.k + 2]
+        both = self.weights[0] * np.take(pair, self.corners[0], axis=-1)
+        for c, wc in zip(self.corners[1:], self.weights[1:]):
+            both += wc * np.take(pair, c, axis=-1)
+        return (1.0 - self.w) * both[0] + self.w * both[1]
 
 
 @dataclass

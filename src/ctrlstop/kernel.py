@@ -159,11 +159,16 @@ class TruncatedData:
 
     def f_m_sq(self, t, x):
         """f_m^2 = f^2 + |g|_sup^2 |grad xi|^2 + 2 g xi <grad xi, grad g>, clamped at 0,
-        with grad g by central differences of the untruncated g."""
+        with grad g by central differences of the untruncated g.  Off the
+        cut-off bridge 0 < |x| - (m - 1) < 1, where grad xi = 0, it is f^2."""
         x = np.asarray(x, dtype=float)
         fv = self.spec.f(t, x)
-        xi, r = self._xi(x)
         out = fv**2
+        r = np.linalg.norm(x, axis=0)
+        z = r - self.cutoff.m
+        if not np.any((z > 0.0) & (z < 1.0)):
+            return np.maximum(out, 0.0)
+        xi = self.cutoff.value_radial(r)
         bridge = (self.cutoff.grad_norm_sq_radial(r) > 0)
         if np.any(bridge):
             gx = self.cutoff.grad(x)

@@ -226,7 +226,7 @@ def _check_points(spec: ProblemSpec, f_sq: Expression, pts):
     def flag(name, bad, values):
         """Entries at the points of the current pts selected by the mask bad."""
         for col, v in zip(pts[:, bad].T, np.broadcast_to(values, bad.shape)[bad]):
-            key = (round(float(col[0]), 6),) + tuple(np.round(col[1:], 6))
+            key = (round(float(col[0]), 6),) + tuple(np.round(col[1:], 6).tolist())
             found.append((name, key, float(v)))
 
     t, x = pts[0], pts[1:]

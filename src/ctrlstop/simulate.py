@@ -267,26 +267,23 @@ def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimat
     dt = horizon / cfg.n_steps
     sqdt = math.sqrt(dt)
     n = cfg.n_paths
-    x = np.tile(x0[:, None], (1, n))
-    alive = np.ones(n, dtype=bool)
     rejected = np.zeros(n, dtype=bool)
     parts = {"terminal": np.zeros(n), "running": np.zeros(n), "control_cost": np.zeros(n)}
-    x = payoff.begin(t0, x, parts)
+    # the alive paths, kept compact: their numbers idx and states xa
+    idx = np.arange(n)
+    xa = payoff.begin(t0, np.tile(x0[:, None], (1, n)), parts)
     draws = _draws(cfg, spec.d_noise)
 
     for k in range(cfg.n_steps + 1):
         elapsed = k * dt
         t = t0 + elapsed
-        idx = np.flatnonzero(alive)
-        xa = x[:, idx]
         if k == cfg.n_steps:
             stop = np.ones(idx.size, dtype=bool)
         else:
             z, uniforms = next(draws)
-            stop = payoff.stop(t, elapsed, xa, uniforms[idx], dt)
+            stop = payoff.stop(t, elapsed, xa, uniforms if idx.size == n else uniforms[idx], dt)
         if np.any(stop):
             parts["terminal"][idx[stop]] += payoff.terminal(t, elapsed, xa[:, stop], idx[stop])
-            alive[idx[stop]] = False
             idx, xa = idx[~stop], xa[:, ~stop]
         if idx.size == 0 or k == cfg.n_steps:
             break
@@ -306,14 +303,12 @@ def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimat
         with np.errstate(over="ignore", invalid="ignore"):
             bv = spec.drift(xa)
             sv = spec.diffusion(xa)
-            noise = np.einsum("ijk,jk->ik", sv, z[:, idx])
-            x_new = xa + bv * dt + noise * sqdt + drift_ctrl
-        bad = ~np.all(np.isfinite(x_new), axis=0)
+            noise = np.einsum("ijk,jk->ik", sv, z if idx.size == n else z[:, idx])
+            xa = xa + bv * dt + noise * sqdt + drift_ctrl
+        bad = ~np.all(np.isfinite(xa), axis=0)
         if np.any(bad):
             rejected[idx[bad]] = True
-            alive[idx[bad]] = False
-            x_new = x_new[:, ~bad]
-        x[:, alive] = x_new
+            idx, xa = idx[~bad], xa[:, ~bad]
 
     n_rej = int(np.sum(rejected))
     if n_rej > MAX_REJECT_FRACTION * n:
@@ -416,13 +411,13 @@ class _PenalizedPayoff(_TruncatedPayoff):
         self.min_R = 1.0
 
     def terminal(self, t, elapsed, x, idx):
-        return np.exp(self.logR[idx]) * np.asarray(self.data.g_m(t, x), dtype=float)
+        return np.exp(self.logR[idx]) * self.data.g_m(t, x)
 
     def accrue(self, t, elapsed, x, idx, controls, dt):
         n_alive, delta, r = x.shape[1], self.delta, self.spec.r
         u_val = self.field.sample(t, x) if self.field is not None else None
-        g_m_val = np.asarray(self.data.g_m(t, x), dtype=float)
-        h_m_val = np.asarray(self.data.h_m(t, x), dtype=float)
+        g_m_val = self.data.g_m(t, x)
+        h_m_val = self.data.h_m(t, x)
         if self.strategy_w == "w_star":
             w_val = np.where(u_val <= g_m_val, 1.0 / delta, 0.0)
         elif callable(self.strategy_w):
@@ -448,14 +443,14 @@ class _RecursivePayoff(_TruncatedPayoff):
 
     def terminal(self, t, elapsed, x, idx):
         kappa = self.spec.r + 1.0 / self.delta
-        return math.exp(-kappa * elapsed) * np.asarray(self.data.g_m(t, x), dtype=float)
+        return math.exp(-kappa * elapsed) * self.data.g_m(t, x)
 
     def accrue(self, t, elapsed, x, idx, controls, dt):
         kappa = self.spec.r + 1.0 / self.delta
         disc = math.exp(-kappa * elapsed)
         u_val = self.field.sample(t, x)
-        g_m_val = np.asarray(self.data.g_m(t, x), dtype=float)
-        h_m_val = np.asarray(self.data.h_m(t, x), dtype=float)
+        g_m_val = self.data.g_m(t, x)
+        h_m_val = self.data.h_m(t, x)
         h_term = self.hamiltonian(t, x, controls)
         reward = h_m_val + np.maximum(g_m_val, u_val) / self.delta
         w_step = float(_exp_weight(kappa, dt))

@@ -66,9 +66,9 @@ class _DataOnGrid:
         key = 0 if self.static else k
         if key not in self._cache:
             t = 0.0 if self.static else float(self.grid.times[key])
-            g = np.asarray(self.data.g_m(t, self.pts), dtype=float)
-            h = np.asarray(self.data.h_m(t, self.pts), dtype=float)
-            f2 = np.asarray(self.data.f_m_sq(t, self.pts), dtype=float)
+            g = self.data.g_m(t, self.pts)
+            h = self.data.h_m(t, self.pts)
+            f2 = self.data.f_m_sq(t, self.pts)
             self._cache[key] = (g, h, f2)
         return self._cache[key]
 
@@ -510,9 +510,9 @@ def _interp_onto(src: GridField, grid: Grid, data: TruncatedData) -> GridField:
         vals[k] = src.sample(float(t), pts)
     dirichlet = grid.dirichlet_mask()
     for k, t in enumerate(grid.times):
-        gk = np.asarray(data.g_m(float(t), pts), dtype=float)
+        gk = data.g_m(float(t), pts)
         vals[k, dirichlet] = gk[dirichlet]
-    vals[grid.nt] = np.asarray(data.g_m(float(grid.T), pts), dtype=float)
+    vals[grid.nt] = data.g_m(float(grid.T), pts)
     return GridField(grid=grid, values=vals)
 
 

@@ -207,3 +207,8 @@ def test_roundtrip_thousand_points():
     ts = rng.uniform(0, 2, 1000)
     for i in range(1000):
         assert float(e(ts[i], xs[:, i])) == float(e2(ts[i], xs[:, i]))
+
+
+def test_equal_expressions_hash_alike():
+    a, b = parse_expression("x1+1"), parse_expression("x1 + 1")
+    assert a == b and len({a, b}) == 1

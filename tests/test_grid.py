@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from ctrlstop.benches import load_bench
-from ctrlstop.grid import Grid, build_operator, centered_gradient
+from ctrlstop.grid import Grid, GridField, build_operator, centered_gradient
 from ctrlstop.model import parse_config_text
 
 # strong drift (cell Peclet number above the switch on part of the grid) and
@@ -104,3 +104,68 @@ def test_level_solver_gtsv_is_solve_banded():
         np.testing.assert_array_equal(solve(rhs), ref)
         np.testing.assert_array_equal(solve(rhs), ref)
         np.testing.assert_array_equal(rhs, kept)
+
+
+def _reference_sample(grid, table, t, x):
+    """Interpolation of a nodal table (nt+1, n_nodes) at (t, x) as sample and
+    sample_gradient computed it before the sampling plan: per level and per
+    table, from the time clip and the linspace axis."""
+    tt = np.clip(t, 0.0, grid.T)
+    pos_t = tt / grid.ht
+    k = int(min(np.floor(pos_t), grid.nt - 1))
+    w = pos_t - k
+
+    def space(flat):
+        pos = np.clip((x - grid.axis[0]) / grid.hx, 0.0, grid.nx - 1 - 1e-12)
+        i0 = pos.astype(int)
+        frac = pos - i0
+        if grid.d == 1:
+            return (1 - frac[0]) * flat[i0[0]] + frac[0] * flat[i0[0] + 1]
+        v = flat.reshape(grid.shape)
+        fx, fy = frac[0], frac[1]
+        ix, iy = i0[0], i0[1]
+        return (
+            (1 - fx) * (1 - fy) * v[ix, iy]
+            + fx * (1 - fy) * v[ix + 1, iy]
+            + (1 - fx) * fy * v[ix, iy + 1]
+            + fx * fy * v[ix + 1, iy + 1]
+        )
+
+    return (1.0 - w) * space(table[k]) + w * space(table[k + 1])
+
+
+@pytest.mark.parametrize("case", ["bench_ou", "2d"])
+def test_sampling_plan_is_the_old_interpolation(case):
+    """sample and sample_gradient equal the per-table formula bit for bit:
+    inside the box, clamped outside it, on the first and last node, and at
+    times 0, T, beyond T, before 0, on a level and between levels."""
+    if case == "bench_ou":
+        grid = load_bench("bench_ou", coarse=True).grid
+    else:
+        grid = Grid(d=2, m=3.0, nx=31, nt=30, T=0.2)
+    rng = np.random.default_rng(3)
+    field = GridField(grid=grid, values=rng.normal(size=(grid.nt + 1, grid.n_nodes)))
+    m = grid.m
+    x = rng.uniform(-1.2 * m, 1.2 * m, size=(grid.d, 200))
+    x[:, :4] = [m, -m, 1.5 * m, m * (1 - 1e-15)]
+    times = [0.0, grid.T, grid.T + 0.1, -0.05, 7 * grid.ht, 0.37 * grid.T]
+    for t in times:
+        assert np.array_equal(field.sample(t, x), _reference_sample(grid, field.values, t, x))
+        grads = [
+            np.stack([centered_gradient(grid, v)[i] for v in field.values])
+            for i in range(grid.d)
+        ]
+        got = field.sample_gradient(t, x)
+        want = np.stack([_reference_sample(grid, g, t, x) for g in grads])
+        assert got.shape == (grid.d, x.shape[1]) and np.array_equal(got, want)
+    one = x[:, 5]  # a single point of shape (d,)
+    assert field.sample(0.1, one) == _reference_sample(grid, field.values, 0.1, one)
+
+
+def test_field_values_are_read_only():
+    grid = Grid(d=1, m=2.0, nx=11, nt=4, T=1.0)
+    field = GridField(grid=grid, values=np.zeros((grid.nt + 1, grid.n_nodes)))
+    with pytest.raises(ValueError, match="read-only"):
+        field.values[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        field.nodal_gradient(0)[0, 0] = 1.0

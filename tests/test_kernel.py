@@ -13,6 +13,7 @@ from ctrlstop.kernel import (
     truncate_data,
 )
 from ctrlstop.kernel import _xi_profile, _xi_profile_d1
+from ctrlstop.model import parse_config_text
 
 
 class TestCutoff:
@@ -221,10 +222,70 @@ class TestTruncation:
             norm = np.sqrt(np.sum(grad_gm**2, axis=0))
             assert np.max(norm - data.f_m(t, xs)) <= 1e-8
 
+    @pytest.mark.parametrize("case", ["bench_ou", "2d"])
+    def test_lean_f_m_sq_is_the_full_formula(self, case):
+        """f_m_sq skips the bridge terms only where grad xi = 0: bit for bit
+        the full formula inside the cut-off radius, on the bridge, beyond it
+        and on a mix of the three."""
+        if case == "bench_ou":
+            spec = load_bench("bench_ou", coarse=True).spec
+            data = truncate_data(spec, 6.0)
+        else:
+            spec, _, _ = parse_config_text(SKEW_2D)
+            data = truncate_data(spec, 3.0, sup_samples=61)
+        mc = data.cutoff.m
+        rng = np.random.default_rng(5)
+        direction = rng.normal(size=(spec.d, 300))
+        direction /= np.linalg.norm(direction, axis=0)
+        radii = {
+            "inside": rng.uniform(0.0, mc, 300),
+            "bridge": rng.uniform(mc, mc + 1.0, 300),
+            "beyond": rng.uniform(mc + 1.0, mc + 3.0, 300),
+        }
+        radii["inside"][0] = mc
+        radii["beyond"][0] = mc + 1.0
+        radii["mix"] = np.concatenate([radii["inside"][:100], radii["bridge"][:5], radii["beyond"][:100]])
+        for name, r in radii.items():
+            x = direction[:, : r.size] * r
+            for t in (0.0, 0.3):
+                got = data.f_m_sq(t, x)
+                assert np.array_equal(got, _reference_f_m_sq(data, t, x)), (case, name, t)
+
     def test_minimum_radius(self):
         bench = load_bench("const1", coarse=True)
         with pytest.raises(ValueError):
             truncate_data(bench.spec, 1.0)
+
+
+SKEW_2D = """
+dim = 2
+horizon = 0.4
+rate = 0.1
+drift[1] = -x1
+drift[2] = -x2
+sigma[1][1] = 1
+sigma[1][2] = 0
+sigma[2][1] = 0
+sigma[2][2] = 1
+f = 2 + 0.1*x1^2
+g = 1 + 0.3*sin(x1*x2) + 0.1*x1
+h = 0
+"""
+
+
+def _reference_f_m_sq(data, t, x):
+    """f_m_sq as computed before it skipped the points off the bridge."""
+    x = np.asarray(x, dtype=float)
+    fv = data.spec.f(t, x)
+    r = np.linalg.norm(x, axis=0)
+    xi = data.cutoff.value_radial(r)
+    out = fv**2
+    if np.any(data.cutoff.grad_norm_sq_radial(r) > 0):
+        gx = data.cutoff.grad(x)
+        gv, gg, _ = eval_with_derivatives(data.spec.g, (t, x), order=1, fd_step=data.spec.fd_step)
+        cross = 2.0 * gv * xi * np.sum(gx * gg, axis=0)
+        out = out + data.g_norm**2 * np.sum(gx * gx, axis=0) + cross
+    return np.maximum(out, 0.0)
 
 
 def test_diagnostic_dumps(tmp_path):

@@ -77,6 +77,14 @@ def test_gradient_dominance_violation():
     assert not rep.valid
 
 
+def test_summary_prints_plain_floats():
+    spec, plan, _ = parse_config_text(CONST1.replace("g = 1", "g = 2*x1"))
+    rep = validate_assumptions(spec, plan)
+    assert rep.violations
+    assert all(type(c) is float for _, point, _ in rep.violations for c in point)
+    assert "np.float64" not in rep.summary()
+
+
 def test_negative_payoff_flagged():
     spec, plan, _ = parse_config_text(CONST1.replace("h = 0", "h = -1"))
     rep = validate_assumptions(spec, plan)

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
@@ -382,7 +384,15 @@ GOLDEN = {
     "penalized_callable": ("0x1.4232a56a56274p-1", "0x1.62029ca7c3d07p-8"),
     "recursive": ("0x1.606a0f6331563p-5", "0x1.03e4805b1acf6p-10"),
     "recursive_core": ("0x1.4a5fc441ddbacp-1", "0x1.3316698859d7ep-9"),
+    "paths_w_star_rejected": ("0x1.441e112ae1fe2p-1", "0x1.58f06f4523f45p-8"),
+    "penalized_rejected": ("0x1.93a81385aa7e1p-1", "0x1.393dd83565ca8p-7"),
 }
+
+# The *_rejected cases move under the bench_ou data with a drift that blows
+# up past x1 = 1.3: paths stop at many different steps and a few leave the
+# finite floats mid-run, so the engine's bookkeeping of the alive paths
+# (draws, stops, rejections) is pinned.  Rejected paths per case:
+REJECTED = {"paths_w_star_rejected": 3, "penalized_rejected": 1}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -393,6 +403,12 @@ def test_fixed_seed_estimates_are_golden(ou_solved, case):
 
     def intensity(t, x, u):
         return np.where(u <= 0.3, 4.0, 0.0)
+
+    text = resources.files("ctrlstop.configs").joinpath("bench_ou.cfg").read_text()
+    explosive = parse_config_text(
+        text.replace("drift[1] = -x1", "drift[1] = -x1 + max(0, x1 - 1.3)^4000")
+    )[0]
+    wild = strategies(explosive, field, pen, data=data)
 
     run = {
         "paths_opt_tau_star": lambda: simulate_paths(
@@ -424,6 +440,18 @@ def test_fixed_seed_estimates_are_golden(ou_solved, case):
         "recursive_core": lambda: simulate_recursive(
             spec, data, pen, 0.125, (0.2, [-1.2]), make("controller_perturbed", flip=True), cfg
         ),
+        "paths_w_star_rejected": lambda: simulate_paths(
+            explosive,
+            (0.0, [1.0]),
+            wild("controller_opt"),
+            wild("stopper_w_star", delta=0.125, band=0.01),
+            cfg,
+        ),
+        "penalized_rejected": lambda: simulate_penalized(
+            explosive, data, pen, 0.125, (0.0, [1.5]), wild("controller_opt"), "w_star", cfg
+        ),
     }[case]
     est = run()
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN[case]
+    if case in REJECTED:
+        assert est.metadata["rejected_paths"] == REJECTED[case]
