@@ -3,7 +3,9 @@ finite-difference discretization of the generator L = 0.5 tr(a D^2) + <b, grad>.
 
 build_operator is the only place that knows the stencil (centered second
 differences, centered first differences with one-sided upwinding where the
-cell Peclet number |b| hx / a exceeds 2, the centered cross term, and -r).
+cell Peclet number |b| hx / a exceeds 1, the centered cross term, and -r).
+At |b| hx / a <= 1 the centered off-diagonals 0.5 a / hx^2 -+ b / (2 hx)
+stay nonnegative (the positive-coefficient rule of Wang & Forsyth 2008).
 The implicit matrix M0 = I/ht - (L - r), the Newton level systems
 M0 + diag(extra_diag) - sum_i diag(extra_drift_i) D_i (interior rows) and
 the obstacle oracle all derive from its L_matrix, so the penalized solver
@@ -23,7 +25,7 @@ from .model import ProblemSpec
 
 __all__ = ["Grid", "GridField", "Operator", "build_operator", "centered_gradient"]
 
-PECLET_SWITCH = 2.0
+PECLET_SWITCH = 1.0
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,6 @@ class Operator:
     spec: ProblemSpec
     L_matrix: sp.csr_matrix
     dirichlet: np.ndarray
-    upwind_fraction: float
     implicit_matrix: sp.csc_matrix = field(repr=False)
 
     def __post_init__(self):
@@ -315,7 +316,6 @@ def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:
         stride = grid.nx if axis == 0 else 1
         return idx + step * stride
 
-    upwind_nodes = 0
     interior_idx = idx_all[interior]
     for axis in range(grid.d):
         a_diag = avals[axis, axis][interior]
@@ -331,7 +331,6 @@ def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:
         with np.errstate(divide="ignore", invalid="ignore"):
             peclet = np.where(a_diag > 0, np.abs(b_ax) * hx / a_diag, np.inf)
         centered = peclet <= PECLET_SWITCH
-        upwind_nodes += int(np.sum(~centered))
         c_half = np.where(centered, b_ax / (2.0 * hx), 0.0)
         rows.extend([interior_idx, interior_idx])
         cols.extend([ip, im])
@@ -372,6 +371,5 @@ def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:
         spec=spec,
         L_matrix=L,
         dirichlet=dirichlet,
-        upwind_fraction=upwind_nodes / max(1, interior_idx.size * grid.d),
         implicit_matrix=sp.csc_matrix(M0),
     )

@@ -68,6 +68,13 @@ def _xi_profile_d1(z):
     return out
 
 
+def _radius(x):
+    """|x| over axis 0 of points x (d, n...).  A radius too large for a float
+    reads +inf, which lies outside every ball."""
+    with np.errstate(over="ignore"):
+        return np.linalg.norm(np.asarray(x, dtype=float), axis=0)
+
+
 @dataclass(frozen=True)
 class Cutoff:
     """Radial cut-off: 1 on the closed ball of radius m, 0 outside radius m+1.
@@ -84,8 +91,7 @@ class Cutoff:
 
     def value(self, x):
         """xi_m at spatial points x of shape (d,) or (d, n...)."""
-        r = np.linalg.norm(np.asarray(x, dtype=float), axis=0)
-        return _xi_profile(r - self.m)
+        return _xi_profile(_radius(x) - self.m)
 
     def value_radial(self, r):
         return _xi_profile(np.asarray(r, dtype=float) - self.m)
@@ -93,7 +99,7 @@ class Cutoff:
     def grad(self, x):
         """grad xi_m = (x/|x|) * xi'(|x|-m); zero at the origin and off the bridge."""
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=0)
+        r = _radius(x)
         dz = _xi_profile_d1(r - self.m)
         safe_r = np.where(r > 0, r, 1.0)
         return x * (dz / safe_r)
@@ -146,7 +152,7 @@ class TruncatedData:
 
     def _xi(self, x):
         x = np.asarray(x, dtype=float)
-        r = np.linalg.norm(x, axis=0)
+        r = _radius(x)
         return self.cutoff.value_radial(r), r
 
     def g_m(self, t, x):
@@ -164,7 +170,7 @@ class TruncatedData:
         x = np.asarray(x, dtype=float)
         fv = self.spec.f(t, x)
         out = fv**2
-        r = np.linalg.norm(x, axis=0)
+        r = _radius(x)
         z = r - self.cutoff.m
         if not np.any((z > 0.0) & (z < 1.0)):
             return np.maximum(out, 0.0)

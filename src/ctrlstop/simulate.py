@@ -22,7 +22,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .grid import GridField
-from .kernel import Penalty, TruncatedData, hamiltonian_batch
+from .kernel import Penalty, TruncatedData, _radius, hamiltonian_batch
 from .model import ProblemSpec
 
 __all__ = [
@@ -124,8 +124,7 @@ class FeedbackStrategy:
     def _grad_u(self, t, x):
         g = self.field.sample_gradient(t, x)
         # outside the solved box the controller idles (logged by the caller)
-        radius = np.linalg.norm(x, axis=0)
-        outside = radius > self.field.grid.m
+        outside = _radius(x) > self.field.grid.m
         if np.any(outside):
             g[:, outside] = 0.0
         return g, outside
@@ -391,7 +390,7 @@ class _TruncatedPayoff(_Payoff):
         self.closed_form = strategy_ctrl.mode == "controller_opt" and not strategy_ctrl.flip
 
     def stop(self, t, elapsed, x, uniforms, dt):
-        return np.linalg.norm(x, axis=0) >= self.data.m
+        return _radius(x) >= self.data.m
 
     def hamiltonian(self, t, x, controls):
         ((_, ctl),) = controls

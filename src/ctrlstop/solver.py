@@ -8,11 +8,9 @@ The frozen-source sweep (gamma_step) solves the LINEAR backward problem
 
 with the source frozen at a previous iterate phi, Dirichlet data g_m on the
 lateral boundary and terminal slice g_m(T, .).  Its fixed point is the
-discrete penalized solution.  solve_penalized reaches that fixed point
-either by a per-level semi-smooth Newton march (default; robust for small
-penalty parameters) or by the plain damped iteration u <- (1-w)u + w Gamma[u]
-(method="picard"); in both cases convergence is certified by the
-frozen-source residual |Gamma[u] - u|.
+discrete penalized solution.  solve_penalized reaches that fixed point by
+a per-level semi-smooth Newton march (robust for small penalty parameters)
+and certifies convergence by the frozen-source residual |Gamma[u] - u|.
 """
 from __future__ import annotations
 
@@ -22,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridField, Operator, build_operator, centered_gradient
-from .kernel import Penalty, TruncatedData
+from .kernel import Penalty, TruncatedData, truncate_data
 
 __all__ = [
     "MarchCounts",
@@ -38,7 +36,6 @@ __all__ = [
     "default_schedule",
 ]
 
-DIVERGENCE_LIMIT = 1e6
 TIME_SLACK = 0.05  # additive slack on the time-derivative bound
 
 
@@ -249,8 +246,8 @@ class PenaltyPoint:
     """One (eps, delta, m) stage of the continuation with its solved field.
 
     iters counts certification attempts: marches checked by a frozen-source
-    sweep (1 unless a certification failed), or Picard iterations.  march
-    counts the work of the stage's marches (zero for Picard).
+    sweep (1 unless a certification failed).  march counts the work of the
+    stage's marches.
     """
 
     eps: float
@@ -272,21 +269,18 @@ def solve_penalized(
     pen: Penalty,
     delta: float,
     tol: float = 1e-7,
-    max_iter: int = 200,
     u0: GridField | None = None,
     k3_bound: float | None = None,
     operator: Operator | None = None,
-    method: str = "policy",
 ) -> PenaltyPoint:
-    """Iterate the fixed-point operator to tolerance, starting from the
-    truncated stopping payoff (or a warm start), with runtime bound checks.
+    """Solve one penalty point to tolerance, warm-started from u0 if given,
+    with runtime bound checks.
 
-    method="policy" (default) marches backward once, solving each implicit
-    level by semi-smooth Newton, and certifies convergence with the plain
-    frozen-source residual |Gamma[u] - u| (same fixed point; the march IS
-    Gamma restarted on its own output).  method="picard" is the plain damped
-    iteration u <- (1-omega) u + omega Gamma[u]; it is kept as a cross-check
-    but rings once the gradient penalty binds and eps is small.
+    Marches backward once, solving each implicit level by semi-smooth Newton,
+    and certifies convergence with the plain frozen-source residual
+    |Gamma[u] - u| <= tol (same fixed point; the march IS Gamma restarted on
+    its own output).  A failed certification re-marches from the last field
+    with tighter level solves, up to 4 attempts in all; then SolverError.
 
     bound_report entries are (upper bound, observed) pairs:
       negative_part        max(0, -min u)              <= 10 tol
@@ -298,65 +292,26 @@ def solve_penalized(
                            the truncation boundary layer is not covered)
       gradient_penalty     max psi(|grad u|^2 - f_m^2) (recorded)
     """
-    if method not in ("policy", "picard"):
-        raise ValueError("method must be 'policy' or 'picard'")
+    if u0 is not None and u0.grid != grid:
+        raise ValueError("warm start lives on a different grid")
     op = operator if operator is not None else build_operator(grid, data.spec)
     arrays = _DataOnGrid(grid, data)
 
-    if u0 is None:
-        vals = np.empty((grid.nt + 1, grid.n_nodes))
-        for k in range(grid.nt + 1):
-            vals[k] = arrays.level(k)[0]
-        u = GridField(grid=grid, values=vals)
-    else:
-        u = GridField(grid=grid, values=u0.values.copy())
-
     counts = MarchCounts()
-    if method == "policy":
-        residual = math.inf
-        inner_tol = 0.1 * tol
-        iters = 0
-        guess = u if u0 is not None else None
-        for attempt in range(4):
-            iters += 1
-            u = _nonlinear_march(op, arrays, pen, delta, inner_tol, counts, guess=guess)
-            w = gamma_step(grid, data, pen, delta, u, operator=op)
-            residual = float(np.max(np.abs(w.values - u.values)))
-            if residual <= tol:
-                break
-            guess = u
-            inner_tol *= 0.05  # certification failed: tighten the level solves
-        else:
-            raise SolverError(
-                f"marched solution failed certification (residual {residual:.3e} > {tol:g})"
-            )
+    inner_tol = 0.1 * tol
+    guess = u0
+    for iters in range(1, 5):
+        u = _nonlinear_march(op, arrays, pen, delta, inner_tol, counts, guess=guess)
+        w = gamma_step(grid, data, pen, delta, u, operator=op)
+        residual = float(np.max(np.abs(w.values - u.values)))
+        if residual <= tol:
+            break
+        guess = u
+        inner_tol *= 0.05  # certification failed: tighten the level solves
     else:
-        omega = 1.0
-        prev_residual = math.inf
-        residual = math.inf
-        iters = 0
-        streak = 0  # consecutive residual decreases; grows omega back after ringing
-        for iters in range(1, max_iter + 1):
-            w = gamma_step(grid, data, pen, delta, u, operator=op)
-            residual = float(np.max(np.abs(w.values - u.values)))
-            if not math.isfinite(residual) or residual > DIVERGENCE_LIMIT:
-                raise SolverError(f"Picard iteration diverged (residual {residual:.3e})")
-            if residual <= tol:
-                u = w
-                break
-            if residual > prev_residual:
-                omega = max(0.02, 0.5 * omega)
-                streak = 0
-            else:
-                streak += 1
-                if streak >= 2:
-                    omega = min(1.0, 1.25 * omega)
-            u = GridField(grid=grid, values=(1.0 - omega) * u.values + omega * w.values)
-            prev_residual = residual
-        else:
-            raise SolverError(
-                f"no convergence in {max_iter} iterations (residual {residual:.3e})"
-            )
+        raise SolverError(
+            f"marched solution failed certification (residual {residual:.3e} > {tol:g})"
+        )
 
     uv = u.values
     if float(np.min(uv)) < -10.0 * tol:
@@ -430,18 +385,13 @@ def continuation(
     schedule,
     grid_policy,
     tol: float = 1e-7,
-    truncate=None,
 ) -> ContinuationResult:
     """Solve the schedule of penalty points, warm-starting each from the
     previous field; reports sup-norm Cauchy increments on the innermost box.
 
     schedule: list of (eps, delta, m) with eps, delta nonincreasing and m
-    nondecreasing.  grid_policy maps a radius m to a Grid.  truncate maps
-    (spec, m) to TruncatedData (defaults to kernel.truncate_data).
+    nondecreasing.  grid_policy maps a radius m to a Grid.
     """
-    from .kernel import truncate_data as _truncate_default
-
-    make_data = truncate if truncate is not None else _truncate_default
     schedule = [(float(e), float(d), float(m)) for e, d, m in schedule]
     if not schedule:
         raise ValueError("empty schedule")
@@ -458,7 +408,7 @@ def continuation(
 
     for eps_k, delta_k, m_k in schedule:
         if m_k not in data_cache:
-            data_cache[m_k] = make_data(spec, m_k)
+            data_cache[m_k] = truncate_data(spec, m_k)
         grid = grid_policy(m_k)
         if m_k not in op_cache:
             op_cache[m_k] = build_operator(grid, spec)

@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -133,6 +134,17 @@ class TestSolve:
         p = tmp_path / "bad.cfg"
         p.write_text(CONST1.replace("g = 1", "g = 2*x1"))
         assert main(["solve", "--config", str(p), "--grid", "4,81,50", "--out", str(tmp_path / "o")]) == 1
+
+    def test_convergence_failure_exits_two_with_manifest(self, tmp_path):
+        # no level solve reaches a tolerance of 1e-300: the first stage stalls
+        p = tmp_path / "bench_ou.cfg"
+        p.write_text(resources.files("ctrlstop.configs").joinpath("bench_ou.cfg").read_text())
+        out = tmp_path / "runs"
+        argv = ["solve", "--config", str(p), "--grid", "6,41,20", "--schedule", "0.5,0.5,2"]
+        assert main(argv + ["--tol", "1e-300", "--out", str(out)]) == 2
+        manifest = json.loads((next(out.iterdir()) / "manifest.json").read_text())[0]
+        assert manifest["status"] == "convergence-failure"
+        assert "stage (eps=0.5, delta=0.5, m=6) failed" in manifest["error"]
 
 
 class TestSimulate:

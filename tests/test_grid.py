@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 from ctrlstop.benches import load_bench
-from ctrlstop.grid import Grid, GridField, build_operator, centered_gradient
+from ctrlstop.grid import PECLET_SWITCH, Grid, GridField, build_operator, centered_gradient
 from ctrlstop.model import parse_config_text
 
 # strong drift (cell Peclet number above the switch on part of the grid) and
@@ -30,8 +30,14 @@ def _operator(case):
         op = build_operator(bench.grid, bench.spec)
     else:
         spec, _, _ = parse_config_text(SKEWED_2D)
-        op = build_operator(Grid(d=2, m=3.0, nx=31, nt=30, T=0.2), spec)
-        assert op.upwind_fraction > 0.0
+        grid = Grid(d=2, m=3.0, nx=31, nt=30, T=0.2)
+        op = build_operator(grid, spec)
+        # interior cell Peclet numbers |b_i| hx / a_ii on both sides of the
+        # switch, so both the centered and the upwind branch are exercised
+        pts = grid.points()[:, ~op.dirichlet]
+        a_diag = np.diagonal(spec.a_matrix(pts)).T
+        peclet = np.abs(spec.drift(pts)) * grid.hx / a_diag
+        assert np.any(peclet <= PECLET_SWITCH) and np.any(peclet > PECLET_SWITCH)
         assert spec.a_matrix(np.zeros(2))[0, 1] != 0.0
     return op
 

@@ -8,7 +8,6 @@ from ctrlstop.grid import Grid, GridField, build_operator
 from ctrlstop.kernel import Penalty, truncate_data
 from ctrlstop.model import parse_config_text
 from ctrlstop.solver import (
-    SolverError,
     continuation,
     default_schedule,
     gamma_step,
@@ -102,6 +101,8 @@ class TestGammaStep:
         frozen = GridField(grid=other, values=np.zeros((other.nt + 1, other.n_nodes)))
         with pytest.raises(ValueError):
             gamma_step(bench.grid, data, Penalty(0.5), 0.5, frozen)
+        with pytest.raises(ValueError):
+            solve_penalized(bench.grid, data, Penalty(0.5), 0.5, u0=frozen)
 
 
 class TestSolvePenalized:
@@ -124,14 +125,6 @@ class TestSolvePenalized:
         inner = np.abs(pts) <= 5.0
         err = np.max(np.abs(res.limit.values[:, inner] - 1.0))
         assert err < 5e-3
-
-    def test_policy_and_picard_agree(self):
-        bench = load_bench("bench_ou", coarse=True)
-        grid = Grid(d=1, m=6.0, nx=121, nt=100, T=bench.spec.T)
-        data = truncate_data(bench.spec, 6.0)
-        a = solve_penalized(grid, data, Penalty(0.5), 0.5, tol=1e-9, method="policy")
-        b = solve_penalized(grid, data, Penalty(0.5), 0.5, tol=1e-9, method="picard")
-        assert np.max(np.abs(a.field.values - b.field.values)) < 1e-7
 
     def test_obstacle_penalty_bound(self):
         bench = load_bench("bench_ou", coarse=True)
@@ -162,15 +155,6 @@ h = 0.2 + 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)
         )
         hi = solve_penalized(grid, truncate_data(spec_hi, 6.0), Penalty(0.25), 0.25, tol=1e-8)
         assert np.min(hi.field.values - lo.field.values) > -1e-6
-
-    def test_divergent_picard_reports(self):
-        bench = load_bench("bench_ou", coarse=True)
-        grid = Grid(d=1, m=6.0, nx=121, nt=100, T=bench.spec.T)
-        data = truncate_data(bench.spec, 6.0)
-        with pytest.raises(SolverError):
-            solve_penalized(
-                grid, data, Penalty(0.01), 0.01, tol=1e-10, method="picard", max_iter=8
-            )
 
 
 class TestContinuation:
@@ -313,3 +297,31 @@ h = 0
         data = truncate_data(spec, 3.0, sup_samples=41)
         point = solve_penalized(grid, data, Penalty(0.5), 0.5, tol=1e-9)
         assert np.max(np.abs(point.field.values)) == 0.0
+
+    OU_IN_X1 = """
+dim = 2
+horizon = 0.2
+rate = 0.05
+drift[1] = -x1
+drift[2] = -x2
+sigma[1][1] = 1
+sigma[1][2] = 0
+sigma[2][1] = 0
+sigma[2][2] = 1
+f = 0.3
+g = 0.6 * max(0, 1 - (x1/4.5)^2)^3
+h = 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)^2)^3
+"""
+
+    def test_strong_drift_keeps_nonnegativity(self):
+        # hx = 0.2 puts the cell Peclet number |x2| hx / a of the drift -x2 in
+        # (1, 1.2) near the rim of the ball; differenced centrally there, the
+        # off-diagonal 0.5 a / hx^2 - |b| / (2 hx) is negative and the solve
+        # loses nonnegativity
+        spec, _, _ = parse_config_text(self.OU_IN_X1)
+        grid = Grid(d=2, m=6.0, nx=61, nt=50, T=0.2)
+        data = truncate_data(spec, 6.0, sup_samples=61)
+        tol = 1e-7
+        point = solve_penalized(grid, data, Penalty(1 / 16), 1 / 16, tol=tol)
+        assert float(np.min(point.field.values)) >= -10.0 * tol
+        assert point.bounds_ok()
