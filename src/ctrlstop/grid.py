@@ -117,9 +117,6 @@ class GridField:
             raise ValueError(f"field shape {self.values.shape} != {expected}")
         self.values.flags.writeable = False
 
-    def slice_at(self, k: int) -> np.ndarray:
-        return self.values[k].reshape(self.grid.shape)
-
     def _gradient_table(self) -> np.ndarray:
         """centered_gradient of every slice, shape (nt+1, d, n_nodes), read-only."""
         if self._gradients is None:
@@ -216,7 +213,8 @@ class Operator:
 
     L_matrix applies (L - r) on interior rows (Dirichlet rows are zero).
     implicit_matrix is M0 = I/ht - (L - r) on interior rows and the identity
-    on Dirichlet rows; implicit_solve solves with its cached factorization.
+    on Dirichlet rows; implicit_solve solves M0 w = rhs, in 1-D with LAPACK
+    gtsv on M0's bands and in 2-D with a cached SuperLU factorization.
     level_solver derives the Newton level systems
 
         M0 + I_int (diag(extra_diag) - sum_i diag(extra_drift_i) D_i)
@@ -232,12 +230,13 @@ class Operator:
     implicit_matrix: sp.csc_matrix = field(repr=False)
 
     def __post_init__(self):
-        self._solver = sp.linalg.splu(self.implicit_matrix).solve
         if self.grid.d == 1:
             M0 = self.implicit_matrix
             self._bands = (M0.diagonal(-1), M0.diagonal(), M0.diagonal(1))
             (self._gtsv,) = get_lapack_funcs(("gtsv",), (self._bands[1],))
+            self._solver = self._tridiagonal(*self._bands)
         else:
+            self._solver = sp.linalg.splu(self.implicit_matrix).solve
             nx, hx = self.grid.nx, self.grid.hx
             d1 = sp.diags([-0.5 / hx, 0.5 / hx], [-1, 1], shape=(nx, nx))
             eye = sp.identity(nx)
@@ -246,6 +245,19 @@ class Operator:
 
     def implicit_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._solver(rhs)
+
+    def _tridiagonal(self, lower, diag, upper):
+        """Solver for the tridiagonal system with these bands, by LAPACK gtsv
+        (the routine solve_banded((1, 1), ...) calls, without its input
+        checks; callers check the solution for non-finite values)."""
+
+        def solve(rhs):
+            *_, x, info = self._gtsv(lower, diag, upper, rhs)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"tridiagonal system: gtsv info {info}")
+            return x
+
+        return solve
 
     def apply_generator(self, flat_values: np.ndarray) -> np.ndarray:
         """(L - r) u on interior nodes (zeros on Dirichlet rows)."""
@@ -261,9 +273,8 @@ class Operator:
         residual, whose gradients are also centered.
 
         d=1 adds the extra terms to the cached bands of M0 and solves with
-        LAPACK gtsv (the routine solve_banded((1, 1), ...) calls, without its
-        input checks; callers check the solution for non-finite values);
-        d=2 forms the sparse system and factorizes it per call.
+        LAPACK gtsv (_tridiagonal); d=2 forms the sparse system and
+        factorizes it per call.
         """
         interior = ~self.dirichlet
         diag_extra = None if extra_diag is None else np.where(interior, extra_diag, 0.0)
@@ -276,14 +287,7 @@ class Operator:
                 half = np.where(interior, extra_drift[0] / (2.0 * self.grid.hx), 0.0)
                 upper = upper - half[:-1]
                 lower = lower + half[1:]
-
-            def solve(rhs):
-                *_, x, info = self._gtsv(lower, diag, upper, rhs)
-                if info != 0:
-                    raise np.linalg.LinAlgError(f"tridiagonal level system: gtsv info {info}")
-                return x
-
-            return solve
+            return self._tridiagonal(lower, diag, upper)
 
         M = self.implicit_matrix
         if diag_extra is not None:

@@ -150,18 +150,11 @@ class TruncatedData:
             self.spec.f.depends_on_t or self.spec.g.depends_on_t or self.spec.h.depends_on_t
         )
 
-    def _xi(self, x):
-        x = np.asarray(x, dtype=float)
-        r = _radius(x)
-        return self.cutoff.value_radial(r), r
-
     def g_m(self, t, x):
-        xi, _ = self._xi(x)
-        return xi * self.spec.g(t, np.asarray(x, dtype=float))
+        return self.cutoff.value(x) * self.spec.g(t, np.asarray(x, dtype=float))
 
     def h_m(self, t, x):
-        xi, _ = self._xi(x)
-        return xi * self.spec.h(t, np.asarray(x, dtype=float))
+        return self.cutoff.value(x) * self.spec.h(t, np.asarray(x, dtype=float))
 
     def f_m_sq(self, t, x):
         """f_m^2 = f^2 + |g|_sup^2 |grad xi|^2 + 2 g xi <grad xi, grad g>, clamped at 0,

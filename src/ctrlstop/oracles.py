@@ -25,6 +25,9 @@ __all__ = [
 ]
 
 
+RELAX = 1.5  # over-relaxation factor of the projected SOR sweeps
+
+
 class OracleError(RuntimeError):
     pass
 
@@ -55,7 +58,6 @@ def solve_obstacle(
     prob: ObstacleProblem,
     tol: float = 1e-9,
     max_sweeps: int = 20000,
-    relax: float = 1.5,
 ) -> ObstacleSolution:
     """Backward time marching with projected SOR per level on
     max(linear residual, obstacle - u) = 0.
@@ -100,7 +102,7 @@ def solve_obstacle(
             max_change = 0.0
             for mask in colors:
                 acc = rhs - M @ u + M_diag * u
-                cand = (1 - relax) * u + relax * acc / M_diag
+                cand = (1 - RELAX) * u + RELAX * acc / M_diag
                 new = np.maximum(g_k, cand)
                 change = np.abs(new[mask] - u[mask])
                 if change.size:

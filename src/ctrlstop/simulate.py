@@ -38,6 +38,7 @@ __all__ = [
 
 MAX_REJECT_FRACTION = 0.01
 MAX_EXIT_FRACTION = 0.05
+JUMP_QUADRATURE_POINTS = 16  # midpoint nodes along an impulse's segment
 
 
 class SimulationError(RuntimeError):
@@ -50,7 +51,6 @@ class PathConfig:
     n_steps: int
     rng_seed: int = 0
     antithetic: bool = False
-    jump_quadrature_points: int = 16
     feedback_substeps: int = 4  # substeps for stiff reflection drifts
 
     def __post_init__(self):
@@ -60,8 +60,8 @@ class PathConfig:
             raise ValueError("need at least one time step")
         if self.antithetic and self.n_paths % 2:
             raise ValueError("antithetic pairing needs an even path count")
-        if self.jump_quadrature_points < 1 or self.feedback_substeps < 1:
-            raise ValueError("jump quadrature points and feedback substeps must be >= 1")
+        if self.feedback_substeps < 1:
+            raise ValueError("feedback substeps must be >= 1")
 
 
 @dataclass
@@ -88,22 +88,28 @@ class _Controls(tuple):
         return self
 
 
+MODES = (
+    "controller_opt", "controller_idle", "controller_push", "controller_jump",
+    "stopper_tau_star", "stopper_w_star", "stopper_fixed", "stopper_never",
+)
+
+
 @dataclass
 class FeedbackStrategy:
     """Controller or stopper rule synthesized from a solved field.
 
     Controller modes:
-      controller_opt              push along -grad u at 2 psi'(.)|grad u|
-      controller_idle             never act
-      controller_perturbed        opt with nu_dot scaled and/or n flipped
-      controller_push             constant rate along +e1 (test strategy)
-      controller_jump             one impulse of given size at time 0
-      controller_delayed          idle before `delay`, opt afterwards
+      controller_opt    push along -grad u at 2 psi'(.)|grad u|, idle before
+                        `delay`; the rate is multiplied by `scale`, and
+                        `flip` reverses the direction (saddle probes)
+      controller_idle   never act
+      controller_push   constant rate `push_rate` along +e1 (test strategy)
+      controller_jump   one impulse of size `jump_size` along +e1 at time 0
     Stopper modes:
-      stopper_tau_star            stop on u <= g + band
-      stopper_w_star              stop at rate 1/delta on u <= g_m
-      stopper_fixed               stop at a fixed elapsed time
-      stopper_never               run to the horizon
+      stopper_tau_star  stop on u <= g + band
+      stopper_w_star    stop at rate 1/delta on u <= g_m
+      stopper_fixed     stop at the elapsed time `fixed_time`
+      stopper_never     run to the horizon
     """
 
     spec: ProblemSpec
@@ -118,8 +124,17 @@ class FeedbackStrategy:
     fixed_time: float | None = None
     push_rate: float = 0.0
     jump_size: float = 0.0
-    jump_direction: int = 1
     delay: float = 0.0
+
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise ValueError(f"unknown strategy mode {self.mode!r}; expected one of {MODES}")
+
+    @property
+    def optimal(self) -> bool:
+        """The synthesized optimal feedback itself, with no probe perturbation."""
+        perturbed = self.scale != 1.0 or self.flip or self.delay != 0.0
+        return self.mode == "controller_opt" and not perturbed
 
     def _grad_u(self, t, x):
         g = self.field.sample_gradient(t, x)
@@ -146,8 +161,8 @@ class FeedbackStrategy:
         if self.mode == "controller_push":
             rate[:] = self.push_rate
             return direction, rate, outside
-        if self.mode in ("controller_opt", "controller_perturbed", "controller_delayed"):
-            if self.mode == "controller_delayed" and elapsed < self.delay:
+        if self.mode == "controller_opt":
+            if elapsed < self.delay:
                 return direction, rate, outside
             grad, outside = self._grad_u(t, x)
             gnorm_sq = np.sum(grad**2, axis=0)
@@ -204,18 +219,18 @@ def _exp_weight(kappa, dt):
     return out
 
 
-def _jump_cost(spec, t, x, direction, sizes, q_points):
+def _jump_cost(spec, t, x, direction, sizes):
     """Cost of an impulse per path: integral of f along the jump segment,
-    by midpoint quadrature with q_points nodes."""
+    by midpoint quadrature with JUMP_QUADRATURE_POINTS nodes."""
     cost = np.zeros(x.shape[1])
     moving = sizes > 0
     if not np.any(moving):
         return cost
-    lam = (np.arange(q_points) + 0.5) / q_points
+    lam = (np.arange(JUMP_QUADRATURE_POINTS) + 0.5) / JUMP_QUADRATURE_POINTS
     for w in lam:
         probe = x + direction * (w * sizes)[None, :]
         cost += spec.f(t, probe)
-    return np.where(moving, cost * sizes / q_points, 0.0)
+    return np.where(moving, cost * sizes / JUMP_QUADRATURE_POINTS, 0.0)
 
 
 def _finalize(parts, keep, n_rej, cfg, extras):
@@ -340,7 +355,7 @@ class _OriginalPayoff(_Payoff):
     """The stopper's rule, g discounted at e^{-r t}; h and f dnu accrue."""
 
     def __init__(self, spec, strategy_ctrl, strategy_stop, cfg):
-        self.spec, self.ctrl, self.stopper, self.cfg = spec, strategy_ctrl, strategy_stop, cfg
+        self.spec, self.ctrl, self.stopper = spec, strategy_ctrl, strategy_stop
         self.ever_exited = np.zeros(cfg.n_paths, dtype=bool)
 
     def begin(self, t0, x, parts):
@@ -348,11 +363,9 @@ class _OriginalPayoff(_Payoff):
         if self.ctrl.mode != "controller_jump" or self.ctrl.jump_size <= 0:
             return x
         direction = np.zeros_like(x)
-        direction[0] = float(np.sign(self.ctrl.jump_direction) or 1.0)
+        direction[0] = 1.0
         sizes = np.full(x.shape[1], self.ctrl.jump_size)
-        parts["control_cost"] += _jump_cost(
-            self.spec, t0, x, direction, sizes, self.cfg.jump_quadrature_points
-        )
+        parts["control_cost"] += _jump_cost(self.spec, t0, x, direction, sizes)
         return x + direction * sizes[None, :]
 
     def stop(self, t, elapsed, x, uniforms, dt):
@@ -387,7 +400,7 @@ class _TruncatedPayoff(_Payoff):
     def __init__(self, spec, data, pen, delta, strategy_ctrl):
         self.spec, self.data, self.pen, self.delta = spec, data, pen, delta
         self.field = strategy_ctrl.field
-        self.closed_form = strategy_ctrl.mode == "controller_opt" and not strategy_ctrl.flip
+        self.closed_form = strategy_ctrl.optimal
 
     def stop(self, t, elapsed, x, uniforms, dt):
         return _radius(x) >= self.data.m
@@ -471,16 +484,12 @@ def simulate_paths(
     """
     if strategy_ctrl.mode == "controller_jump":
         nsub = 0  # the impulse at t0 is its only control
-    elif _is_feedback(strategy_ctrl):
+    elif strategy_ctrl.mode == "controller_opt":
         nsub = cfg.feedback_substeps
     else:
         nsub = 1
     payoff = _OriginalPayoff(spec, strategy_ctrl, strategy_stop, cfg)
     return _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub)
-
-
-def _is_feedback(strategy: FeedbackStrategy) -> bool:
-    return strategy.mode in ("controller_opt", "controller_perturbed", "controller_delayed")
 
 
 def simulate_penalized(
@@ -562,9 +571,11 @@ def saddle_probe(
     def ctrl(mode, **kw):
         return FeedbackStrategy(spec=spec, mode=mode, field=field, pen=pen, data=data, **kw)
 
+    opt_ctrl = ctrl("controller_opt")
+    tau_star = ctrl("stopper_tau_star", band=band)
     if stopper_perturbations is None:
         stopper_perturbations = [
-            ("tau_star", ctrl("stopper_tau_star", band=band)),
+            ("tau_star", tau_star),
             ("immediate", ctrl("stopper_fixed", fixed_time=0.0)),
             ("never", ctrl("stopper_never")),
             ("fixed_quarter", ctrl("stopper_fixed", fixed_time=0.25 * horizon)),
@@ -573,46 +584,30 @@ def saddle_probe(
         ]
     if controller_perturbations is None:
         controller_perturbations = [
-            ("opt", ctrl("controller_opt")),
+            ("opt", opt_ctrl),
             ("idle", ctrl("controller_idle")),
-            ("half_rate", ctrl("controller_perturbed", scale=0.5)),
-            ("double_rate", ctrl("controller_perturbed", scale=2.0)),
-            ("flipped", ctrl("controller_perturbed", flip=True)),
-            ("delayed", ctrl("controller_delayed", delay=0.5 * horizon)),
+            ("half_rate", ctrl("controller_opt", scale=0.5)),
+            ("double_rate", ctrl("controller_opt", scale=2.0)),
+            ("flipped", ctrl("controller_opt", flip=True)),
+            ("delayed", ctrl("controller_opt", delay=0.5 * horizon)),
         ]
 
+    # (side, name, seed offset, controller, stopper) of every run
+    runs = [
+        ("stopper", name, 1000 + i, opt_ctrl, stopper)
+        for i, (name, stopper) in enumerate(stopper_perturbations)
+    ] + [
+        ("controller", name, 2000 + i, controller, tau_star)
+        for i, (name, controller) in enumerate(controller_perturbations)
+    ]
     results = []
-    opt_ctrl = ctrl("controller_opt")
-    tau_star = ctrl("stopper_tau_star", band=band)
-    seed = cfg.rng_seed
-    for i, (name, stopper) in enumerate(stopper_perturbations):
-        sub_cfg = replace(cfg, rng_seed=seed + 1000 + i)
-        est = simulate_paths(spec, start, opt_ctrl, stopper, sub_cfg)
+    for side, name, offset, controller, stopper in runs:
+        sub_cfg = replace(cfg, rng_seed=cfg.rng_seed + offset)
+        est = simulate_paths(spec, start, controller, stopper, sub_cfg)
         margin = 3 * est.std_error + allowance
-        results.append(
-            ProbeResult(
-                name=name,
-                side="stopper",
-                payoff=est.mean,
-                std_error=est.std_error,
-                reference=reference,
-                margin=margin,
-                passed=est.mean <= reference + margin,
-            )
-        )
-    for i, (name, controller) in enumerate(controller_perturbations):
-        sub_cfg = replace(cfg, rng_seed=seed + 2000 + i)
-        est = simulate_paths(spec, start, controller, tau_star, sub_cfg)
-        margin = 3 * est.std_error + allowance
-        results.append(
-            ProbeResult(
-                name=name,
-                side="controller",
-                payoff=est.mean,
-                std_error=est.std_error,
-                reference=reference,
-                margin=margin,
-                passed=est.mean >= reference - margin,
-            )
-        )
+        if side == "stopper":
+            passed = est.mean <= reference + margin
+        else:
+            passed = est.mean >= reference - margin
+        results.append(ProbeResult(name, side, est.mean, est.std_error, reference, margin, passed))
     return results

@@ -11,6 +11,7 @@ from ctrlstop.simulate import (
     FeedbackStrategy,
     PathConfig,
     SimulationError,
+    saddle_probe,
     simulate_paths,
     simulate_penalized,
     simulate_recursive,
@@ -274,15 +275,22 @@ def test_start_point_checked(const1, simulator, start, match):
         run()
 
 
-@pytest.mark.parametrize(
-    "name, value",
-    [("jump_quadrature_points", 0), ("feedback_substeps", 0), ("feedback_substeps", -3)],
-)
+@pytest.mark.parametrize("name, value", [("feedback_substeps", 0), ("feedback_substeps", -3)])
 def test_path_config_needs_a_quadrature_point_and_a_substep(name, value):
-    # zero quadrature points made the jump cost 0/0 = nan with the estimate
-    # still marked valid; non-positive substeps were quietly read as 1
+    # non-positive substeps were quietly read as 1
     with pytest.raises(ValueError, match="must be >= 1"):
         PathConfig(n_paths=8, n_steps=4, **{name: value})
+
+
+def test_unknown_mode_fails_at_construction(const1):
+    spec, data, ones = const1
+    make = strategies(spec, ones, Penalty(0.25))
+    # a misspelled controller used to run silently when every path stops at step 0
+    for mode in ("controller_perturbd", "controller_perturbed", "controller_delayed"):
+        with pytest.raises(ValueError, match="unknown strategy mode"):
+            simulate_paths(
+                spec, (0.0, [0.0]), make(mode), make("stopper_fixed", fixed_time=0), CFG
+            )
 
 
 class TestFeedbackContract:
@@ -430,7 +438,7 @@ def test_fixed_seed_estimates_are_golden(ou_solved, case):
             pen,
             0.125,
             (0.0, [1.0]),
-            make("controller_perturbed", scale=0.5),
+            make("controller_opt", scale=0.5),
             intensity,
             cfg,
         ),
@@ -438,7 +446,7 @@ def test_fixed_seed_estimates_are_golden(ou_solved, case):
             spec, data, pen, 0.125, (0.0, [5.9]), make("controller_opt"), cfg
         ),
         "recursive_core": lambda: simulate_recursive(
-            spec, data, pen, 0.125, (0.2, [-1.2]), make("controller_perturbed", flip=True), cfg
+            spec, data, pen, 0.125, (0.2, [-1.2]), make("controller_opt", flip=True), cfg
         ),
         "paths_w_star_rejected": lambda: simulate_paths(
             explosive,
@@ -455,3 +463,50 @@ def test_fixed_seed_estimates_are_golden(ou_solved, case):
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN[case]
     if case in REJECTED:
         assert est.metadata["rejected_paths"] == REJECTED[case]
+
+
+@pytest.mark.parametrize("simulator", ["paths", "penalized", "recursive"])
+def test_delay_past_the_horizon_is_idle(ou_solved, simulator):
+    spec, data, pen, field = ou_solved
+    make = strategies(spec, field, pen, data=data)
+    cfg = PathConfig(n_paths=400, n_steps=40, rng_seed=5)
+
+    def run(ctrl):
+        return {
+            "paths": lambda: simulate_paths(
+                spec, (0.0, [1.0]), ctrl, make("stopper_tau_star", band=0.01), cfg
+            ),
+            "penalized": lambda: simulate_penalized(
+                spec, data, pen, 0.125, (0.0, [1.0]), ctrl, "w_star", cfg
+            ),
+            "recursive": lambda: simulate_recursive(spec, data, pen, 0.125, (0.0, [1.0]), ctrl, cfg),
+        }[simulator]()
+
+    late, idle = run(make("controller_opt", delay=2 * spec.T)), run(make("controller_idle"))
+    assert (late.mean, late.std_error, late.breakdown) == (idle.mean, idle.std_error, idle.breakdown)
+
+
+# (name, side, payoff, std_error, passed) of the twelve default probes at
+# (0, [1.0]); payoff and std_error as float.hex
+SADDLE_GOLDEN = [
+    ("tau_star", "stopper", "0x1.4340470384d3dp-1", "0x1.423380bc4f9e6p-8", True),
+    ("immediate", "stopper", "0x1.07e63c303b3e3p-1", "0x1.9a1ceb13f2860p-58", True),
+    ("never", "stopper", "0x1.47ff44fa670c1p-1", "0x1.754fc93d0fe5dp-8", True),
+    ("fixed_quarter", "stopper", "0x1.193a6f4af19bdp-1", "0x1.94b6b7249ef10p-10", True),
+    ("fixed_half", "stopper", "0x1.296fae95d030bp-1", "0x1.5974bdb210413p-9", True),
+    ("wide_band", "stopper", "0x1.3799a4d3de3cdp-1", "0x1.437327690e016p-8", True),
+    ("opt", "controller", "0x1.44adbfb3a911dp-1", "0x1.45e72a2cb8d62p-8", True),
+    ("idle", "controller", "0x1.41f3534ac18d2p-1", "0x1.449912578f5e1p-8", True),
+    ("half_rate", "controller", "0x1.4989adc4b0bcfp-1", "0x1.66695a08697bap-8", True),
+    ("double_rate", "controller", "0x1.40c73acf966c8p-1", "0x1.2ed0506578a9bp-8", True),
+    ("flipped", "controller", "0x1.4ba6138c56fb7p-1", "0x1.7be9c9bf36dd6p-8", True),
+    ("delayed", "controller", "0x1.41cd6fc361565p-1", "0x1.3fcdc3a1b6c08p-8", True),
+]
+
+
+def test_saddle_probe_is_golden(ou_solved):
+    spec, data, pen, field = ou_solved
+    cfg = PathConfig(n_paths=400, n_steps=40, rng_seed=5, feedback_substeps=8)
+    results = saddle_probe(spec, field, pen, (0.0, [1.0]), cfg, band=0.01, data=data)
+    got = [(r.name, r.side, r.payoff.hex(), r.std_error.hex(), r.passed) for r in results]
+    assert got == SADDLE_GOLDEN
