@@ -334,7 +334,7 @@ def build_parser():
     p_solve.add_argument(
         "--obstacle-oracle",
         action="store_true",
-        help="cross-check the limit against the projected-relaxation solver",
+        help="cross-check the limit against the policy-iteration obstacle solver",
     )
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo the game with solved feedback")

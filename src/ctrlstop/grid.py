@@ -220,7 +220,8 @@ class Operator:
         M0 + I_int (diag(extra_diag) - sum_i diag(extra_drift_i) D_i)
 
     from M0, where D_i is the centered first difference along axis i and
-    I_int keeps interior rows only.
+    I_int keeps interior rows only.  pinned_solver solves M0 with chosen rows
+    made identity rows.
     """
 
     grid: Grid
@@ -258,6 +259,24 @@ class Operator:
             return x
 
         return solve
+
+    def pinned_solver(self, rows: np.ndarray):
+        """Solver for M0 with the rows in the boolean mask `rows` replaced by
+        identity rows (the policy systems of the obstacle oracle).
+
+        d=1 zeroes those rows of M0's cached bands and solves with LAPACK
+        gtsv (_tridiagonal); d=2 forms the sparse system and factorizes it.
+        """
+        if self.grid.d == 1:
+            lower, diag, upper = self._bands
+            return self._tridiagonal(
+                np.where(rows[1:], 0.0, lower),
+                np.where(rows, 1.0, diag),
+                np.where(rows[:-1], 0.0, upper),
+            )
+        keep = sp.diags((~rows).astype(float))
+        M = keep @ self.implicit_matrix + sp.diags(rows.astype(float))
+        return sp.linalg.splu(sp.csc_matrix(M)).solve
 
     def apply_generator(self, flat_values: np.ndarray) -> np.ndarray:
         """(L - r) u on interior nodes (zeros on Dirichlet rows)."""

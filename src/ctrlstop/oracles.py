@@ -1,7 +1,7 @@
-"""Independent brute-force oracles for acceptance testing: a projected
-successive-relaxation obstacle solver (the pure-stopping limit in which the
-gradient constraint never binds) and a desk-scale discrete lattice game
-solved by backward induction in both min-max orders.
+"""Independent oracles for acceptance testing: an obstacle solver by policy
+iteration (the pure-stopping limit in which the gradient constraint never
+binds), exact on each level's complementarity problem, and a desk-scale
+discrete lattice game solved by backward induction in both min-max orders.
 
 Both share the pde-solver's stencil conventions where applicable so that
 field comparisons measure algorithmic agreement, not stencil mismatch.
@@ -23,9 +23,6 @@ __all__ = [
     "solve_lattice_game",
     "compare_fields",
 ]
-
-
-RELAX = 1.5  # over-relaxation factor of the projected SOR sweeps
 
 
 class OracleError(RuntimeError):
@@ -59,13 +56,18 @@ def solve_obstacle(
     tol: float = 1e-9,
     max_sweeps: int = 20000,
 ) -> ObstacleSolution:
-    """Backward time marching with projected SOR per level on
-    max(linear residual, obstacle - u) = 0.
+    """Backward time marching with policy iteration (Howard's algorithm) per
+    level on the linear complementarity problem min(M0 u - rhs, u - g) = 0.
 
-    Sweeps are red-black colored so the per-level relaxation vectorizes;
-    for the 3/5-point stencils this is an exact Gauss-Seidel ordering.
-    Complementarity is reported as the worst interior violation of
-    min(M u - rhs, u - obstacle) in solution units (scaled by ht).
+    Each iteration solves M0 with the rows of the active set (where the
+    obstacle branch attains the min) made identity rows with right-hand side
+    g, then re-picks the active set; the level is solved once the set repeats,
+    which happens after finitely many solves when M0 is an M-matrix
+    (Bokanowski, Maroso & Zidani 2009).  `tol` guards against cycling: a level
+    also stops once a solve moves u by at most tol.  `max_sweeps` caps the
+    solves per level; sweeps_per_level counts them.  Complementarity is
+    reported as the worst interior violation of min(M0 u - rhs, u - g) in
+    solution units (scaled by ht).
     """
     grid, spec = prob.grid, prob.spec
     op = build_operator(grid, spec)
@@ -75,16 +77,8 @@ def solve_obstacle(
     interior = ~dirichlet
 
     M = op.implicit_matrix.tocsr()  # interior rows: I/ht - (L - r)
-    M_diag = M.diagonal()
-    if np.any(M_diag[interior] <= 0):
+    if np.any(M.diagonal()[interior] <= 0):
         raise OracleError("non-positive diagonal in the implicit operator")
-
-    if grid.d == 1:
-        parity = np.arange(n) % 2
-    else:
-        ii, jj = np.divmod(np.arange(n), grid.nx)
-        parity = (ii + jj) % 2
-    colors = [interior & (parity == 0), interior & (parity == 1)]
 
     out = np.empty((nt + 1, n))
     out[nt] = prob.obstacle(float(grid.T), pts)
@@ -96,23 +90,20 @@ def solve_obstacle(
         rhs = out[k + 1] / grid.ht + prob.source(t, pts)
         u = np.maximum(out[k + 1], g_k)
         u[dirichlet] = g_k[dirichlet]
-        n_sweeps = 0
-        for sweep in range(max_sweeps):
-            n_sweeps = sweep + 1
-            max_change = 0.0
-            for mask in colors:
-                acc = rhs - M @ u + M_diag * u
-                cand = (1 - RELAX) * u + RELAX * acc / M_diag
-                new = np.maximum(g_k, cand)
-                change = np.abs(new[mask] - u[mask])
-                if change.size:
-                    max_change = max(max_change, float(np.max(change)))
-                u[mask] = new[mask]
-            if max_change <= tol:
+        active = interior & (u <= g_k)
+        for solve in range(max_sweeps):
+            pinned = active | dirichlet
+            u_new = op.pinned_solver(pinned)(np.where(pinned, g_k, rhs))
+            repicked = interior & (M @ u_new - rhs > u_new - g_k)
+            settled = np.array_equal(repicked, active) or (
+                solve > 0 and np.max(np.abs(u_new - u)) <= tol
+            )
+            u, active = u_new, repicked
+            if settled:
                 break
         else:
-            raise OracleError(f"projected relaxation hit sweep limit at level {k}")
-        sweeps_used.append(n_sweeps)
+            raise OracleError(f"policy iteration hit the solve limit at level {k}")
+        sweeps_used.append(solve + 1)
         out[k] = u
         lin_res = (M @ u - rhs)[interior] * grid.ht  # solution units
         comp = np.minimum(lin_res, (u - g_k)[interior])
@@ -190,16 +181,16 @@ def solve_lattice_game(game: LatticeGame) -> LatticeSolution:
     probs = game.probabilities()
     disc = float(np.exp(-spec.r * game.dt))
 
-    def expected(v, shift):
-        """E[v(next)] after a controller shift of `shift` lattice cells."""
-        # post-shift state index i+shift, then trinomial +-1/0; clamp at edges
-        idx = np.arange(n_states)
-        tgt = np.clip(idx + shift, 0, n_states - 1)
-        p_dn, p_st, p_up = probs[0, tgt], probs[1, tgt], probs[2, tgt]
-        v_dn = v[np.clip(tgt - 1, 0, n_states - 1)]
-        v_st = v[tgt]
-        v_up = v[np.clip(tgt + 1, 0, n_states - 1)]
-        return p_dn * v_dn + p_st * v_st + p_up * v_up
+    # post-shift state tgt = i + shift, then a trinomial -1/0/+1 step, all
+    # clamped at the edges: E[v(next)] = expect(v)[tgt] for every shift
+    idx = np.arange(n_states)
+    dn = np.clip(idx - 1, 0, n_states - 1)
+    up = np.clip(idx + 1, 0, n_states - 1)
+    shifts = (-1, 0, 1)
+    targets = [np.clip(idx + shift, 0, n_states - 1) for shift in shifts]
+
+    def expect(v):
+        return probs[0] * v[dn] + probs[1] * v + probs[2] * v[up]
 
     x_arr = xs[None, :]
     v_mm = np.empty((n_times + 1, n_states))
@@ -214,13 +205,14 @@ def solve_lattice_game(game: LatticeGame) -> LatticeSolution:
         f_k = spec.f(t, x_arr)
         run = h_k * game.dt
         costs = (0.0, f_k * game.eta)
+        e_mm, e_ms = expect(v_mm[k + 1]), expect(v_ms[k + 1])
         cont_mm = [
-            run + costs[abs(shift)] + disc * expected(v_mm[k + 1], shift)
-            for shift in (-1, 0, 1)
+            run + costs[abs(shift)] + disc * e_mm[tgt]
+            for shift, tgt in zip(shifts, targets)
         ]
         cont_ms = [
-            run + costs[abs(shift)] + disc * expected(v_ms[k + 1], shift)
-            for shift in (-1, 0, 1)
+            run + costs[abs(shift)] + disc * e_ms[tgt]
+            for shift, tgt in zip(shifts, targets)
         ]
         v_mm[k] = np.minimum.reduce([np.maximum(g_k, c) for c in cont_mm])
         v_ms[k] = np.maximum(g_k, np.minimum.reduce(cont_ms))

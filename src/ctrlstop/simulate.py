@@ -482,6 +482,10 @@ def simulate_paths(
     polled at each grid time before the move; stopping (or the horizon) pays
     the discounted g; running h and control costs accumulate along the way.
     """
+    if not strategy_ctrl.mode.startswith("controller_"):
+        raise ValueError(f"strategy_ctrl needs a controller mode, got {strategy_ctrl.mode!r}")
+    if not strategy_stop.mode.startswith("stopper_"):
+        raise ValueError(f"strategy_stop needs a stopper mode, got {strategy_stop.mode!r}")
     if strategy_ctrl.mode == "controller_jump":
         nsub = 0  # the impulse at t0 is its only control
     elif strategy_ctrl.mode == "controller_opt":

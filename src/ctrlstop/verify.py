@@ -132,7 +132,7 @@ def _check_obstacle(rng):
         if np.any(sol.field.values[k] < g_k - 1e-9):
             above = False
     return (
-        above and sol.complementarity_residual < 1e-6,
+        above and sol.complementarity_residual < 1e-10,
         f"above obstacle={above}, complementarity={sol.complementarity_residual:.1e}",
     )
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ctrlstop.benches import load_bench
-from ctrlstop.grid import Grid, GridField
+from ctrlstop.grid import Grid, GridField, build_operator
 from ctrlstop.model import parse_config_text
 from ctrlstop.oracles import (
     LatticeGame,
@@ -23,6 +23,86 @@ f = 1000
 g = exp(-x1^2)
 h = 0
 """
+
+PLANE_BUMP = """
+dim = 2
+horizon = 0.2
+rate = 0.1
+drift[1] = -x1
+drift[2] = -x2
+sigma[1][1] = 1
+sigma[1][2] = 0
+sigma[2][1] = 0
+sigma[2][2] = 1
+f = 1000
+g = 0.5 * max(0, 1 - (x1^2 + x2^2) / 4)^3
+h = 0
+"""
+
+
+def projected_sor(prob, tol):
+    """The red-black projected SOR (relaxation 1.5) that solve_obstacle used
+    before policy iteration, kept as an independent reference."""
+    grid = prob.grid
+    op = build_operator(grid, prob.spec)
+    pts = grid.points()
+    interior = ~op.dirichlet
+    M = op.implicit_matrix.tocsr()
+    M_diag = M.diagonal()
+    if grid.d == 1:
+        parity = np.arange(grid.n_nodes) % 2
+    else:
+        ii, jj = np.divmod(np.arange(grid.n_nodes), grid.nx)
+        parity = (ii + jj) % 2
+    colors = [interior & (parity == 0), interior & (parity == 1)]
+    out = np.empty((grid.nt + 1, grid.n_nodes))
+    out[grid.nt] = prob.obstacle(float(grid.T), pts)
+    for k in range(grid.nt - 1, -1, -1):
+        t = float(grid.times[k])
+        g_k = prob.obstacle(t, pts)
+        rhs = out[k + 1] / grid.ht + prob.source(t, pts)
+        u = np.maximum(out[k + 1], g_k)
+        u[op.dirichlet] = g_k[op.dirichlet]
+        while True:
+            max_change = 0.0
+            for mask in colors:
+                acc = rhs - M @ u + M_diag * u
+                new = np.maximum(g_k, -0.5 * u + 1.5 * acc / M_diag)
+                max_change = max(max_change, float(np.max(np.abs(new[mask] - u[mask]))))
+                u[mask] = new[mask]
+            if max_change <= tol:
+                break
+        out[k] = u
+    return out
+
+
+def _purestop_1d():
+    bench = load_bench("bench_ou_purestop", coarse=True)
+    return ObstacleProblem(spec=bench.spec, grid=bench.grid)
+
+
+def _plane_bump_2d():
+    spec, _, _ = parse_config_text(PLANE_BUMP)
+    return ObstacleProblem(spec=spec, grid=Grid(d=2, m=3.0, nx=31, nt=20, T=spec.T))
+
+
+@pytest.mark.parametrize("make", [_purestop_1d, _plane_bump_2d], ids=["1d", "2d"])
+def test_policy_iteration_solves_the_lcp(make):
+    prob = make()
+    grid = prob.grid
+    sol = solve_obstacle(prob)
+    assert sol.complementarity_residual <= 1e-10
+    pts = grid.points()
+    interior = ~grid.dirichlet_mask()
+    contact = 0
+    for k, t in enumerate(grid.times):
+        above = sol.field.values[k] - prob.obstacle(float(t), pts)
+        assert np.min(above) >= -1e-12
+        contact += int(np.sum(above[interior] == 0.0))
+    # the obstacle binds on part of the interior, so the test sees both branches
+    assert 0 < contact < interior.sum() * grid.nt
+    reference = projected_sor(prob, tol=1e-13)
+    assert np.max(np.abs(sol.field.values - reference)) <= 1e-9
 
 
 class TestObstacle:
@@ -112,6 +192,36 @@ h = 0
         np.testing.assert_allclose(second, 1.0 * game.dt, atol=1e-15)
         var = second - mean**2
         np.testing.assert_allclose(var, 1.0 * game.dt, atol=(5.0 * game.dt) ** 2)
+
+    def test_one_stencil_per_level_is_bit_identical(self):
+        bench = load_bench("bench_ou", coarse=True)
+        game = LatticeGame(spec=bench.spec, radius=5.0, eta=0.1, dt=2e-3)
+        spec, probs, n = game.spec, game.probabilities(), game.n_states
+        disc = float(np.exp(-spec.r * game.dt))
+
+        def expected(v, shift):
+            # the per-shift stencil solve_lattice_game evaluated before
+            tgt = np.clip(np.arange(n) + shift, 0, n - 1)
+            p_dn, p_st, p_up = probs[0, tgt], probs[1, tgt], probs[2, tgt]
+            v_dn = v[np.clip(tgt - 1, 0, n - 1)]
+            v_up = v[np.clip(tgt + 1, 0, n - 1)]
+            return p_dn * v_dn + p_st * v[tgt] + p_up * v_up
+
+        x = game.states[None, :]
+        v_mm = np.empty((game.n_times + 1, n))
+        v_ms = np.empty((game.n_times + 1, n))
+        v_mm[-1] = v_ms[-1] = spec.g(spec.T, x)
+        for k in range(game.n_times - 1, -1, -1):
+            t = k * game.dt
+            g_k, run = spec.g(t, x), spec.h(t, x) * game.dt
+            costs = (0.0, spec.f(t, x) * game.eta)
+            cont_mm = [run + costs[abs(s)] + disc * expected(v_mm[k + 1], s) for s in (-1, 0, 1)]
+            cont_ms = [run + costs[abs(s)] + disc * expected(v_ms[k + 1], s) for s in (-1, 0, 1)]
+            v_mm[k] = np.minimum.reduce([np.maximum(g_k, c) for c in cont_mm])
+            v_ms[k] = np.maximum(g_k, np.minimum.reduce(cont_ms))
+        sol = solve_lattice_game(game)
+        assert np.array_equal(sol.value_minmax, v_mm)
+        assert np.array_equal(sol.value_maxmin, v_ms)
 
     def test_unstable_parameters_rejected(self):
         bench = load_bench("bench_ou", coarse=True)

@@ -293,6 +293,21 @@ def test_unknown_mode_fails_at_construction(const1):
             )
 
 
+@pytest.mark.parametrize(
+    "ctrl, stop, match",
+    [
+        ("stopper_never", "stopper_fixed", "needs a controller mode"),
+        ("controller_idle", "controller_opt", "needs a stopper mode"),
+    ],
+)
+def test_strategy_roles_are_checked(const1, ctrl, stop, match):
+    spec, data, ones = const1
+    make = strategies(spec, ones, Penalty(0.25))
+    # a role mix-up used to run silently when every path stops at step 0
+    with pytest.raises(ValueError, match=match):
+        simulate_paths(spec, (0.0, [0.0]), make(ctrl), make(stop, fixed_time=0), CFG)
+
+
 class TestFeedbackContract:
     def test_controller_opt_unit_direction_and_nonnegative_rate(self, const1):
         spec, data, ones = const1
