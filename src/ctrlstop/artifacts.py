@@ -28,13 +28,8 @@ __all__ = [
 ]
 
 
-def config_digest(path_or_text) -> str:
-    data = (
-        Path(path_or_text).read_bytes()
-        if os.path.exists(str(path_or_text))
-        else str(path_or_text).encode()
-    )
-    return hashlib.sha256(data).hexdigest()[:12]
+def config_digest(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()[:12]
 
 
 def file_digest(path) -> str:
@@ -56,7 +51,7 @@ def make_run_dir(out_root, digest: str) -> Path:
 def write_field_csv(
     path,
     field: GridField,
-    report: VIReport | None = None,
+    report: VIReport,
     every: int = 1,
 ) -> None:
     """Dump nodal values with header
@@ -77,16 +72,10 @@ def write_field_csv(
             t = float(grid.times[k])
             u = field.values[k]
             gr = field.nodal_gradient(k).reshape(d, -1)
-            if report is not None:
-                rmm = report.residual_minmax.values[k]
-                rms = report.residual_maxmin.values[k]
-                in_c = report.region_C[k].astype(int)
-                in_i = report.region_I[k].astype(int)
-            else:
-                rmm = np.zeros(grid.n_nodes)
-                rms = np.zeros(grid.n_nodes)
-                in_c = np.zeros(grid.n_nodes, dtype=int)
-                in_i = np.zeros(grid.n_nodes, dtype=int)
+            rmm = report.residual_minmax.values[k]
+            rms = report.residual_maxmin.values[k]
+            in_c = report.region_C[k].astype(int)
+            in_i = report.region_I[k].astype(int)
             for j in range(grid.n_nodes):
                 row = [f"{t:.17g}"] + [f"{pts[i, j]:.17g}" for i in range(d)]
                 row.append(f"{u[j]:.17g}")

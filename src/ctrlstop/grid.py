@@ -120,7 +120,7 @@ class GridField:
     def _gradient_table(self) -> np.ndarray:
         """centered_gradient of every slice, shape (nt+1, d, n_nodes), read-only."""
         if self._gradients is None:
-            self._gradients = np.stack([centered_gradient(self.grid, v) for v in self.values])
+            self._gradients = centered_gradient(self.grid, self.values)
             self._gradients.flags.writeable = False
         return self._gradients
 
@@ -158,23 +158,16 @@ class GridField:
         return np.asarray(mine), np.asarray(theirs)
 
 
-def centered_gradient(grid: Grid, flat_values: np.ndarray) -> np.ndarray:
-    """Centered-difference spatial gradient of a nodal slice, shape (d, n_nodes).
-
-    One-sided differences on the box edge, which only Dirichlet nodes occupy.
-    The formulas and their order of operations are those of np.gradient with
-    a uniform spacing, so the result matches it bit for bit.
-    """
-    u = flat_values.reshape(grid.shape)
-    hx = grid.hx
-    out = np.empty((grid.d,) + grid.shape)
-    for axis in range(grid.d):
-        v = np.moveaxis(u, axis, 0)
-        dv = np.moveaxis(out[axis], axis, 0)  # a view: writes land in out
-        dv[1:-1] = (v[2:] - v[:-2]) / (2.0 * hx)
-        dv[0] = (v[1] - v[0]) / hx
-        dv[-1] = (v[-1] - v[-2]) / hx
-    return out.reshape(grid.d, -1)
+def centered_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Centered-difference spatial gradient of nodal values (..., n_nodes),
+    shape (..., d, n_nodes): np.gradient with the uniform spacing hx over the
+    space axes, one-sided on the box edge, which only Dirichlet nodes occupy.
+    A stack of time levels is differenced in one call."""
+    lead = values.shape[:-1]
+    grads = np.gradient(values.reshape(lead + grid.shape), grid.hx, axis=tuple(range(-grid.d, 0)))
+    if grid.d == 1:
+        grads = (grads,)
+    return np.stack(grads, axis=-grid.d - 1).reshape(lead + (grid.d, grid.n_nodes))
 
 
 class _SamplingPlan:
@@ -279,7 +272,8 @@ class Operator:
         return sp.linalg.splu(sp.csc_matrix(M)).solve
 
     def apply_generator(self, flat_values: np.ndarray) -> np.ndarray:
-        """(L - r) u on interior nodes (zeros on Dirichlet rows)."""
+        """(L - r) u on interior nodes (zeros on Dirichlet rows), for u of
+        shape (n_nodes,) or (n_nodes, k) (k fields at once)."""
         return self.L_matrix @ flat_values
 
     def level_solver(self, extra_drift: np.ndarray | None, extra_diag: np.ndarray | None):

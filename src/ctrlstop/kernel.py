@@ -9,7 +9,6 @@ derivatives of 0 at the left end and of (y-eps)/eps at the right end.
 """
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass
@@ -28,8 +27,6 @@ __all__ = [
     "truncate_data",
     "hamiltonian",
     "hamiltonian_batch",
-    "dump_psi_curve",
-    "dump_hamiltonian_curve",
 ]
 
 
@@ -316,33 +313,3 @@ def hamiltonian_batch(pen: Penalty, f_vals, q_norms):
     rho = _solve_radius(pen, f_vals, q)
     out = q * rho - pen.value(rho**2 - f_vals**2)
     return np.where(q == 0.0, 0.0, out)
-
-
-# ---------------------------------------------------------------------------
-# Diagnostic dumps
-# ---------------------------------------------------------------------------
-
-
-def dump_psi_curve(pen: Penalty, path, y_min=None, y_max=None, n: int = 1001) -> None:
-    """CSV of the penalty and its derivatives (columns y, psi, dpsi, d2psi)."""
-    lo = -pen.eps if y_min is None else y_min
-    hi = 3.0 * pen.eps if y_max is None else y_max
-    ys = np.linspace(lo, hi, n)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "psi", "dpsi", "d2psi"])
-        for y in ys:
-            writer.writerow(
-                [f"{y:.17g}", f"{pen.value(y):.17g}", f"{pen.d1(y):.17g}", f"{pen.d2(y):.17g}"]
-            )
-
-
-def dump_hamiltonian_curve(pen: Penalty, f_val: float, path, q_max: float = 5.0, n: int = 501):
-    """CSV of |y| -> H(f_val, |y|) (columns |y|, H)."""
-    qs = np.linspace(0.0, q_max, n)
-    hs = hamiltonian_batch(pen, np.full_like(qs, f_val), qs)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["|y|", "H"])
-        for qv, hv in zip(qs, hs):
-            writer.writerow([f"{qv:.17g}", f"{hv:.17g}"])

@@ -11,6 +11,13 @@ lateral boundary and terminal slice g_m(T, .).  Its fixed point is the
 discrete penalized solution.  solve_penalized reaches that fixed point by
 a per-level semi-smooth Newton march (robust for small penalty parameters)
 and certifies convergence by the frozen-source residual |Gamma[u] - u|.
+
+Only the march and the backward solves of gamma_step go level by level,
+since each level needs the next.  Everything else (the frozen source, the
+bound report, Theta_m and vi_report) runs on the whole (nt+1, n_nodes) level
+stack.  _level_stacks is the one place that evaluates nodal data on the
+grid; it evaluates time-independent data once and broadcasts them over the
+levels.
 """
 from __future__ import annotations
 
@@ -49,29 +56,20 @@ class ContinuationError(SolverError):
         self.partial = partial
 
 
-class _DataOnGrid:
-    """Nodal arrays of g_m, h_m, f_m^2 with caching for time-independent data."""
-
-    def __init__(self, grid: Grid, data: TruncatedData):
-        self.grid = grid
-        self.data = data
-        self.pts = grid.points()
-        self.static = data.time_independent
-        self._cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-    def level(self, k: int):
-        key = 0 if self.static else k
-        if key not in self._cache:
-            t = 0.0 if self.static else float(self.grid.times[key])
-            g = self.data.g_m(t, self.pts)
-            h = self.data.h_m(t, self.pts)
-            f2 = self.data.f_m_sq(t, self.pts)
-            self._cache[key] = (g, h, f2)
-        return self._cache[key]
+def _level_stacks(grid: Grid, static: bool, *fns) -> list[np.ndarray]:
+    """fn(t_k, x) at every node and level of the grid, shape (nt+1, n_nodes),
+    for each fn.  Time-independent data (static) are evaluated once and
+    broadcast over the levels as a read-only view; time-dependent data are
+    evaluated level by level."""
+    pts = grid.points()
+    if static:
+        return [np.broadcast_to(fn(0.0, pts), (grid.nt + 1, grid.n_nodes)) for fn in fns]
+    return [np.stack([fn(float(t), pts) for t in grid.times]) for fn in fns]
 
 
-def _grad_norm_sq(grid: Grid, flat: np.ndarray) -> np.ndarray:
-    return np.sum(centered_gradient(grid, flat) ** 2, axis=0)
+def _truncated_stacks(grid: Grid, data: TruncatedData) -> list[np.ndarray]:
+    """The g_m, h_m and f_m^2 stacks of the truncated data."""
+    return _level_stacks(grid, data.time_independent, data.g_m, data.h_m, data.f_m_sq)
 
 
 def gamma_step(
@@ -87,25 +85,25 @@ def gamma_step(
     if frozen.grid != grid:
         raise ValueError("frozen field lives on a different grid")
     op = operator if operator is not None else build_operator(grid, data.spec)
-    arrays = _DataOnGrid(grid, data)
-    n = grid.n_nodes
+    g, h, f2 = _truncated_stacks(grid, data)
     nt = grid.nt
-    out = np.empty((nt + 1, n))
-    out[nt] = arrays.level(nt)[0]
-    dirichlet = op.dirichlet
+    phi = frozen.values[:nt]
     inv_delta = 1.0 / delta
+    source = (
+        h[:nt]
+        + inv_delta * np.maximum(g[:nt] - phi, 0.0)
+        - pen.value(np.sum(centered_gradient(grid, phi) ** 2, axis=-2) - f2[:nt])
+    )
+    bad = ~np.all(np.isfinite(source), axis=1)
+    if np.any(bad):
+        # the backward sweep meets the highest bad level first
+        raise SolverError(f"non-finite source at time level {np.flatnonzero(bad)[-1]}")
+    out = np.empty((nt + 1, grid.n_nodes))
+    out[nt] = g[nt]
+    dirichlet = op.dirichlet
     for k in range(nt - 1, -1, -1):
-        g_k, h_k, f2_k = arrays.level(k)
-        phi = frozen.values[k]
-        source = (
-            h_k
-            + inv_delta * np.maximum(g_k - phi, 0.0)
-            - pen.value(_grad_norm_sq(grid, phi) - f2_k)
-        )
-        if not np.all(np.isfinite(source)):
-            raise SolverError(f"non-finite source at time level {k}")
-        rhs = out[k + 1] / grid.ht + source
-        rhs[dirichlet] = g_k[dirichlet]
+        rhs = out[k + 1] / grid.ht + source[k]
+        rhs[dirichlet] = g[k, dirichlet]
         sol = op.implicit_solve(rhs)
         if not np.all(np.isfinite(sol)):
             raise SolverError(f"linear solve produced non-finite values at level {k}")
@@ -126,7 +124,7 @@ class MarchCounts:
 
 def _nonlinear_march(
     op: Operator,
-    arrays: _DataOnGrid,
+    stacks: list[np.ndarray],
     pen: Penalty,
     delta: float,
     inner_tol: float,
@@ -145,11 +143,13 @@ def _nonlinear_march(
     fixed point of the frozen-source operator up to the inner tolerance.
     The line search evaluates the level residual at each trial point; the
     accepted trial's gradient, |grad v|^2 and psi feed the next linearization.
+    stacks holds the g_m, h_m and f_m^2 level stacks.
     """
     grid = op.grid
-    n, nt = grid.n_nodes, grid.nt
-    out = np.empty((nt + 1, n))
-    out[nt] = arrays.level(nt)[0]
+    g, h, f2 = stacks
+    nt = grid.nt
+    out = np.empty((nt + 1, grid.n_nodes))
+    out[nt] = g[nt]
     dirichlet = op.dirichlet
     interior = ~dirichlet
     inv_delta = 1.0 / delta
@@ -171,7 +171,7 @@ def _nonlinear_march(
         return float(np.linalg.norm(res[interior])), grad, gsq, psi
 
     for k in range(nt - 1, -1, -1):
-        g_k, h_k, f2_k = arrays.level(k)
+        g_k, h_k, f2_k = g[k], h[k], f2[k]
         knext = out[k + 1]
         v = knext.copy() if guess is None else guess.values[k].copy()
         v[dirichlet] = g_k[dirichlet]
@@ -220,24 +220,17 @@ def _nonlinear_march(
     return GridField(grid=grid, values=out)
 
 
-def _theta_truncated(grid: Grid, data: TruncatedData, op: Operator, arrays: _DataOnGrid):
-    """Discrete Theta_m = h_m + dt g_m + (L - r) g_m on interior nodes."""
+def _theta_truncated(op: Operator, g: np.ndarray, h: np.ndarray):
+    """Discrete Theta_m = h_m + dt g_m + (L - r) g_m on interior nodes of the
+    levels 0..nt-1 (forward time differences), as (K2, K0): the worst
+    negative part of Theta_m and the largest forward dt g_m or dt h_m."""
     interior = ~op.dirichlet
-    worst = math.inf
-    k0 = 0.0
-    levels = [0] if arrays.static else list(range(grid.nt))
-    for k in levels:
-        g_k, h_k, _ = arrays.level(k)
-        if arrays.static:
-            dt_g = np.zeros_like(g_k)
-            dt_h = np.zeros_like(g_k)
-        else:
-            g_next, h_next, _ = arrays.level(k + 1)
-            dt_g = (g_next - g_k) / grid.ht
-            dt_h = (h_next - h_k) / grid.ht
-        theta = h_k + dt_g + op.apply_generator(g_k)
-        worst = min(worst, float(np.min(theta[interior])))
-        k0 = max(k0, float(np.max(dt_g[interior])), float(np.max(dt_h[interior])))
+    ht = op.grid.ht
+    dt_g = (g[1:] - g[:-1]) / ht
+    dt_h = (h[1:] - h[:-1]) / ht
+    theta = h[:-1] + dt_g + op.apply_generator(g[:-1].T).T
+    worst = float(np.min(theta[:, interior]))
+    k0 = max(0.0, float(np.max(dt_g[:, interior])), float(np.max(dt_h[:, interior])))
     return max(0.0, -worst), k0
 
 
@@ -295,13 +288,13 @@ def solve_penalized(
     if u0 is not None and u0.grid != grid:
         raise ValueError("warm start lives on a different grid")
     op = operator if operator is not None else build_operator(grid, data.spec)
-    arrays = _DataOnGrid(grid, data)
+    stacks = _truncated_stacks(grid, data)
 
     counts = MarchCounts()
     inner_tol = 0.1 * tol
     guess = u0
     for iters in range(1, 5):
-        u = _nonlinear_march(op, arrays, pen, delta, inner_tol, counts, guess=guess)
+        u = _nonlinear_march(op, stacks, pen, delta, inner_tol, counts, guess=guess)
         w = gamma_step(grid, data, pen, delta, u, operator=op)
         residual = float(np.max(np.abs(w.values - u.values)))
         if residual <= tol:
@@ -319,19 +312,14 @@ def solve_penalized(
             f"solution lost nonnegativity (min {float(np.min(uv)):.3e}); "
             "the payoff data may violate the standing assumptions"
         )
-    pts = arrays.pts
+    g, h, f2 = stacks
     interior = ~op.dirichlet
-    xsq = np.sum(pts**2, axis=0)
+    xsq = np.sum(grid.points() ** 2, axis=0)
 
-    k2_grid, k0_grid = _theta_truncated(grid, data, op, arrays)
-    obs_penalty = 0.0
-    obs_psi = 0.0
-    for k in range(grid.nt + 1):
-        g_k, _, f2_k = arrays.level(k)
-        obs_penalty = max(obs_penalty, float(np.max(g_k - uv[k])))
-        psi_k = pen.value(_grad_norm_sq(grid, uv[k]) - f2_k)
-        obs_psi = max(obs_psi, float(np.max(psi_k[interior])))
-    obs_penalty = max(0.0, obs_penalty) / delta
+    k2_grid, k0_grid = _theta_truncated(op, g, h)
+    obs_penalty = max(0.0, float(np.max(g - uv))) / delta
+    psi = pen.value(np.sum(centered_gradient(grid, uv) ** 2, axis=-2) - f2)
+    obs_psi = max(0.0, float(np.max(psi[:, interior])))
 
     # the time-derivative bound concerns the untruncated problem; measure it
     # on the cutoff-inert core and keep the full-domain max as a diagnostic
@@ -458,11 +446,10 @@ def _interp_onto(src: GridField, grid: Grid, data: TruncatedData) -> GridField:
     vals = np.empty((grid.nt + 1, grid.n_nodes))
     for k, t in enumerate(grid.times):
         vals[k] = src.sample(float(t), pts)
+    (g,) = _level_stacks(grid, data.time_independent, data.g_m)
     dirichlet = grid.dirichlet_mask()
-    for k, t in enumerate(grid.times):
-        gk = data.g_m(float(t), pts)
-        vals[k, dirichlet] = gk[dirichlet]
-    vals[grid.nt] = data.g_m(float(grid.T), pts)
+    vals[:, dirichlet] = g[:, dirichlet]
+    vals[grid.nt] = g[grid.nt]
     return GridField(grid=grid, values=vals)
 
 
@@ -492,46 +479,30 @@ def vi_report(field: GridField, spec, tol_region: float | None = None, operator=
     op = operator if operator is not None else build_operator(grid, spec)
     if tol_region is None:
         tol_region = 10.0 * grid.hx
-    pts = grid.points()
     interior = ~op.dirichlet
-    nt, n = grid.nt, grid.n_nodes
+    nt = grid.nt
+    static = not (spec.f.depends_on_t or spec.g.depends_on_t or spec.h.depends_on_t)
+    g, f, h = _level_stacks(grid, static, spec.g, spec.f, spec.h)
+    u = field.values
+    grad_norm = np.sqrt(np.sum(field._gradient_table() ** 2, axis=-2))
 
-    res_mm = np.zeros((nt + 1, n))
-    res_ms = np.zeros((nt + 1, n))
-    region_c = np.zeros((nt + 1, n), dtype=bool)
-    region_i = np.zeros((nt + 1, n), dtype=bool)
-    band = np.zeros((nt + 1, n), dtype=bool)
-    obst_viol = 0.0
-    grad_viol = 0.0
-    overlap = 0
-
-    for k in range(nt + 1):
-        t = float(grid.times[k])
-        g_k = spec.g(t, pts)
-        f_k = spec.f(t, pts)
-        h_k = spec.h(t, pts)
-        u_k = field.values[k]
-        grad_norm = field.gradient_norm(k)
-        obst = g_k - u_k
-        gradc = f_k - grad_norm
-        obst_viol = max(obst_viol, float(np.max(obst[interior])))
-        grad_viol = max(grad_viol, float(np.max(-gradc[interior])))
-        region_c[k] = interior & (u_k > g_k + tol_region)
-        region_i[k] = interior & (grad_norm < f_k - tol_region)
-        band[k] = interior & ~region_c[k] & ~region_i[k]
-        overlap += int(np.sum(interior & (-obst <= tol_region) & (gradc <= tol_region)))
-        if k < nt:
-            dt_u = (field.values[k + 1] - u_k) / grid.ht
-            pde = dt_u + op.apply_generator(u_k) + h_k
-            res_mm[k] = np.where(interior, np.minimum(np.maximum(pde, obst), gradc), 0.0)
-            res_ms[k] = np.where(interior, np.maximum(np.minimum(pde, gradc), obst), 0.0)
-
-    terminal_error = float(
-        np.max(np.abs(field.values[nt] - np.asarray(spec.g(float(grid.T), pts), dtype=float)))
-    )
-    sup_mm = float(np.max(np.abs(res_mm[:nt, :][:, interior]))) if nt > 0 else 0.0
-    sup_ms = float(np.max(np.abs(res_ms[:nt, :][:, interior]))) if nt > 0 else 0.0
-    mutual = float(np.max(np.abs((res_mm - res_ms)[:nt, :][:, interior]))) if nt > 0 else 0.0
+    obst = g - u
+    gradc = f - grad_norm
+    obst_viol = float(np.max(obst[:, interior]))
+    grad_viol = float(np.max(-gradc[:, interior]))
+    region_c = interior & (u > g + tol_region)
+    region_i = interior & (grad_norm < f - tol_region)
+    band = interior & ~region_c & ~region_i
+    overlap = int(np.sum(interior & (-obst <= tol_region) & (gradc <= tol_region)))
+    pde = (u[1:] - u[:-1]) / grid.ht + op.apply_generator(u[:-1].T).T + h[:-1]
+    res_mm = np.zeros(u.shape)
+    res_ms = np.zeros(u.shape)
+    res_mm[:nt] = np.where(interior, np.minimum(np.maximum(pde, obst[:-1]), gradc[:-1]), 0.0)
+    res_ms[:nt] = np.where(interior, np.maximum(np.minimum(pde, gradc[:-1]), obst[:-1]), 0.0)
+    terminal_error = float(np.max(np.abs(u[nt] - g[nt])))
+    sup_mm = float(np.max(np.abs(res_mm[:nt, interior])))
+    sup_ms = float(np.max(np.abs(res_ms[:nt, interior])))
+    mutual = float(np.max(np.abs((res_mm - res_ms)[:nt, interior])))
     return VIReport(
         region_C=region_c,
         region_I=region_i,

@@ -78,11 +78,15 @@ def test_level_system_is_the_generator_stencil(case):
     ids=["1d", "2d"],
 )
 def test_centered_gradient_is_np_gradient(grid):
-    """The sliced gradient keeps np.gradient's formulas bit for bit."""
+    """The gradient of one slice is np.gradient over its space axes, bit for
+    bit, and a stack of slices differences like each of its slices."""
     u = np.random.default_rng(7).normal(size=grid.n_nodes) * 10.0
     ref = np.gradient(u.reshape(grid.shape), grid.hx)
     ref = ref[None, :] if grid.d == 1 else np.stack(ref, axis=0).reshape(grid.d, -1)
     np.testing.assert_array_equal(centered_gradient(grid, u), ref)
+    stack = np.stack([u, -3.0 * u, u**2])
+    want = np.stack([centered_gradient(grid, v) for v in stack])
+    np.testing.assert_array_equal(centered_gradient(grid, stack), want)
 
 
 def test_level_solver_gtsv_is_solve_banded():

@@ -6,8 +6,6 @@ from ctrlstop.expressions import eval_with_derivatives
 from ctrlstop.kernel import (
     Penalty,
     build_cutoff,
-    dump_hamiltonian_curve,
-    dump_psi_curve,
     hamiltonian,
     hamiltonian_batch,
     truncate_data,
@@ -286,16 +284,3 @@ def _reference_f_m_sq(data, t, x):
         cross = 2.0 * gv * xi * np.sum(gx * gg, axis=0)
         out = out + data.g_norm**2 * np.sum(gx * gx, axis=0) + cross
     return np.maximum(out, 0.0)
-
-
-def test_diagnostic_dumps(tmp_path):
-    pen = Penalty(0.1)
-    p1 = tmp_path / "psi.csv"
-    p2 = tmp_path / "ham.csv"
-    dump_psi_curve(pen, p1)
-    dump_hamiltonian_curve(pen, 1.0, p2, q_max=3.0, n=11)
-    header = p1.read_text().splitlines()[0]
-    assert header == "y,psi,dpsi,d2psi"
-    rows = p2.read_text().splitlines()
-    assert rows[0] == "|y|,H"
-    assert len(rows) == 12

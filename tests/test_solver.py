@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from ctrlstop import solver
 from ctrlstop.benches import load_bench
 from ctrlstop.grid import Grid, GridField, build_operator
 from ctrlstop.kernel import Penalty, truncate_data
@@ -325,3 +327,202 @@ h = 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)^2)^3
         point = solve_penalized(grid, data, Penalty(1 / 16), 1 / 16, tol=tol)
         assert float(np.min(point.field.values)) >= -10.0 * tol
         assert point.bounds_ok()
+
+
+# bench_ou with a decaying stopping reward and a growing right running-reward
+# hill: time-dependent g_m, h_m on every level
+BENCH_OU_TIME_DEPENDENT = """
+dim = 1
+horizon = 0.5
+rate = 0.05
+drift[1] = -x1
+sigma[1][1] = 1
+f = 0.3
+g = 0.6*(1 - 0.2*t)*max(0, 1 - (x1/4.5)^2)^3
+h = (1 + t)*1.5*max(0, 1 - ((x1-1.5)/0.6)^2)^3
+"""
+
+
+def _sha(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+def _stage_reports(case):
+    """Every stage's field digest, certification residual, bound report and
+    march counts, and the vi_report of the limit, in a comparable form."""
+    if case == "static":
+        bench = load_bench("bench_ou", coarse=True)
+        spec, schedule, policy = bench.spec, bench.schedule, bench.grid_policy
+    else:
+        spec = parse_config_text(BENCH_OU_TIME_DEPENDENT)[0]
+        grid = Grid(d=1, m=6.0, nx=121, nt=50, T=spec.T)
+        schedule, policy = default_schedule(3, m=6.0), lambda m: grid
+    res = continuation(spec, schedule, policy, tol=1e-7)
+    stages = [
+        {
+            "values": _sha(p.field.values),
+            "residual": p.residual.hex(),
+            "march": (p.march.levels, p.march.newton_iters, p.march.line_search_trials),
+            "bounds": {k: (b.hex(), o.hex()) for k, (b, o) in sorted(p.bound_report.items())},
+        }
+        for p in res.points
+    ]
+    rep = vi_report(res.limit, spec, tol_region=0.05)
+    vi = {
+        "regions": [_sha(rep.region_C), _sha(rep.region_I), _sha(rep.band)],
+        "sups": [rep.sup_minmax.hex(), rep.sup_maxmin.hex(), rep.mutual_diff.hex()],
+        "overlap": rep.overlap_count,
+        "terminal_error": rep.terminal_error.hex(),
+    }
+    return {"stages": stages, "vi": vi}
+
+
+# _stage_reports of both cases: floats as float.hex, arrays as sha256 digests
+STAGE_GOLDEN = {
+    "static": {
+        "stages": [
+            {
+                "values": "878a3bed5beb870d",
+                "residual": "0x1.7800000000000p-48",
+                "march": (250, 505, 255),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x1.9806602029a66p-10"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.757ed534223cbp-49"),
+                    "obstacle_penalty": ("0x1.e6dcad891c56cp-4", "0x1.6a10fa94c87c0p-5"),
+                    "quad_growth": ("0x1.3333333333333p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.e32e86d235040p-4"),
+                    "time_derivative_full": ("inf", "0x1.e32e86d235040p-4"),
+                },
+            },
+            {
+                "values": "25351ddbda1a96b1",
+                "residual": "0x1.2800000000000p-48",
+                "march": (250, 574, 324),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x1.888802aa9c4fap-7"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.aa68447962d21p-49"),
+                    "obstacle_penalty": ("0x1.e6dec668106d8p-4", "0x1.0f0edf4367a40p-4"),
+                    "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.e1456b5f4e460p-4"),
+                    "time_derivative_full": ("inf", "0x1.e1456b5f4e460p-4"),
+                },
+            },
+            {
+                "values": "7119aff5565a764c",
+                "residual": "0x1.c800000000000p-48",
+                "march": (250, 715, 465),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x1.7472b863cd147p-4"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.181f1fe719ad8p-49"),
+                    "obstacle_penalty": ("0x1.e6e2f825f89afp-4", "0x1.66f98783aac00p-4"),
+                    "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.dd7eb7d066ae0p-4"),
+                    "time_derivative_full": ("inf", "0x1.dd7eb7d066ae0p-4"),
+                },
+            },
+            {
+                "values": "ad1cbc05656f7cb4",
+                "residual": "0x1.3000000000000p-48",
+                "march": (250, 906, 656),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x1.1154b27c20824p-1"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.025597bb869d3p-49"),
+                    "obstacle_penalty": ("0x1.e6eb5ba1c8f5fp-4", "0x1.a719c044b7380p-4"),
+                    "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.d61e1f4bca2a0p-4"),
+                    "time_derivative_full": ("inf", "0x1.d61e1f4bca2a0p-4"),
+                },
+            },
+            {
+                "values": "f07e72652c1f1407",
+                "residual": "0x1.1800000000000p-48",
+                "march": (250, 953, 703),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x1.298c132f64a9cp+0"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.d5fb54d088f2cp-50"),
+                    "obstacle_penalty": ("0x1.e6fc229969abep-4", "0x1.c9d41e0042500p-4"),
+                    "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.c806c1e5d7920p-4"),
+                    "time_derivative_full": ("inf", "0x1.c806c1e5d7920p-4"),
+                },
+            },
+        ],
+        "vi": {
+            "regions": ["f2d32f898b78a960", "1f13ffcd7b9f9e39", "3fec38ea8b724e24"],
+            "sups": ["0x1.8d1e93e7c3370p-4", "0x1.8d1e93e7c3370p-4", "0x0.0p+0"],
+            "overlap": 314,
+            "terminal_error": "0x0.0p+0",
+        },
+    },
+    "time_dependent": {
+        "stages": [
+            {
+                "values": "ff02a86097071570",
+                "residual": "0x1.a000000000000p-50",
+                "march": (50, 150, 100),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x1.e3d3db2f7461dp-8"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.063e7063e7066p-50"),
+                    "obstacle_penalty": ("0x1.e9289dba96dc6p-3", "0x1.ebdd38b6d40e0p-4"),
+                    "quad_growth": ("0x1.14c21e861b750p-1", "0x1.14c21e861b750p-1"),
+                    "time_derivative": ("0x1.44f8df7b183f7p+1", "0x1.9c7f947320c40p-4"),
+                    "time_derivative_full": ("inf", "0x1.9c7f947320c40p-4"),
+                },
+            },
+            {
+                "values": "955f8dd0ad81c4e6",
+                "residual": "0x1.0000000000000p-49",
+                "march": (50, 142, 92),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x1.cd5abf3548c0cp-5"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.44aed44aed44dp-51"),
+                    "obstacle_penalty": ("0x1.e929aa2a10e7cp-3", "0x1.5baf7355bc4d0p-3"),
+                    "quad_growth": ("0x1.14c21e8ac0200p-1", "0x1.1da8e5e803ab3p-1"),
+                    "time_derivative": ("0x1.44f8df7b183f7p+1", "0x1.8b445e7ffc400p-4"),
+                    "time_derivative_full": ("inf", "0x1.8b445e7ffc400p-4"),
+                },
+            },
+            {
+                "values": "a69cfd578fd4a6f9",
+                "residual": "0x1.6000000000000p-50",
+                "march": (50, 175, 125),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x1.8b70855112382p-2"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.a895da895da8cp-51"),
+                    "obstacle_penalty": ("0x1.e92bc30904fe8p-3", "0x1.a0f567a81b1a0p-3"),
+                    "quad_growth": ("0x1.14c21e8ac0200p-1", "0x1.2641658c54289p-1"),
+                    "time_derivative": ("0x1.44f8df7b183f7p+1", "0x1.6ab3f6b347940p-4"),
+                    "time_derivative_full": ("inf", "0x1.6ab3f6b347940p-4"),
+                },
+            },
+        ],
+        "vi": {
+            "regions": ["31795c643b15c6c2", "8f90f5229005eb0d", "6903b20b81007fef"],
+            "sups": ["0x1.a41c2e321091ap-3", "0x1.a41c2e321091ap-3", "0x1.6adb54743e638p-5"],
+            "overlap": 18,
+            "terminal_error": "0x0.0p+0",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("case", ["static", "time_dependent"])
+def test_stage_reports_are_golden(case):
+    """Stage fields, certification residuals, bound reports, march counts and
+    the VI report stay bit for bit, on static and on time-dependent data."""
+    assert _stage_reports(case) == STAGE_GOLDEN[case]
+
+
+def test_certification_goes_through_gamma_step(monkeypatch):
+    """solve_penalized certifies every march with one call of the module's
+    gamma_step, so a wrapper of it sees every certification attempt."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return gamma_step(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "gamma_step", counting)
+    bench = load_bench("bench_ou", coarse=True)
+    res = continuation(bench.spec, bench.schedule, bench.grid_policy, tol=1e-7)
+    assert len(calls) == sum(p.iters for p in res.points) > 0
