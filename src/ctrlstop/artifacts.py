@@ -48,6 +48,11 @@ def make_run_dir(out_root, digest: str) -> Path:
     return run_dir
 
 
+def _decimated(nt: int, every: int) -> list[int]:
+    """Every `every`-th time level, with level 0 and the terminal level nt."""
+    return sorted(set(range(0, nt + 1, max(1, every))) | {0, nt})
+
+
 def write_field_csv(
     path,
     field: GridField,
@@ -65,10 +70,9 @@ def write_field_csv(
     cols += ["u", "ux1"] + (["ux2"] if d == 2 else [])
     cols += ["residual_minmax", "residual_maxmin", "inC", "inI"]
     pts = grid.points()
-    levels = sorted(set(range(0, grid.nt + 1, max(1, every))) | {0, grid.nt})
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for k in levels:
+        for k in _decimated(grid.nt, every):
             t = float(grid.times[k])
             u = field.values[k]
             gr = field.nodal_gradient(k).reshape(d, -1)
@@ -89,8 +93,7 @@ def write_region_pgms(out_dir, report: VIReport, every: int = 1) -> list[Path]:
     2 continuation, using the report's region masks."""
     grid = report.residual_minmax.grid
     out = []
-    levels = sorted(set(range(0, grid.nt + 1, max(1, every))) | {0, grid.nt})
-    for k in levels:
+    for k in _decimated(grid.nt, every):
         codes = np.zeros(grid.n_nodes, dtype=int)
         codes[report.band[k]] = 1
         codes[report.region_C[k]] = 2

@@ -88,15 +88,18 @@ def load_field(path):
 
 def cmd_solve(args) -> int:
     spec, plan, _ = load_problem(args.config)
+    try:  # bad values exit 3 before any work or run directory
+        eps0, delta0, stages = _parse_triple(args.schedule, "schedule", 3)
+        m, nx, nt = _parse_triple(args.grid, "grid", 3)
+        grid = Grid(d=spec.d, m=float(m), nx=int(nx), nt=int(nt), T=spec.T)
+        schedule = default_schedule(int(stages), eps0=eps0, delta0=delta0, m=float(m))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     report = validate_assumptions(spec, plan)
     if not report.valid:
         print("problem data violates the standing assumptions:", file=sys.stderr)
         print(report.summary(), file=sys.stderr)
         return EXIT_ASSERT
-    eps0, delta0, stages = _parse_triple(args.schedule, "schedule", 3)
-    m, nx, nt = _parse_triple(args.grid, "grid", 3)
-    grid = Grid(d=spec.d, m=float(m), nx=int(nx), nt=int(nt), T=spec.T)
-    schedule = default_schedule(int(stages), eps0=eps0, delta0=delta0, m=float(m))
     digest = artifacts.config_digest(args.config)
     run_dir = artifacts.make_run_dir(args.out, digest)
     walls = {}
@@ -211,17 +214,20 @@ def cmd_solve(args) -> int:
 
 def cmd_simulate(args) -> int:
     spec, plan, sim_defaults = load_problem(args.config)
+    try:  # bad values exit 3 before any work or run directory
+        start_txt = args.start or sim_defaults.get("start", "0, 0")
+        start_vals = _parse_triple(start_txt, "start", spec.d + 1)
+        start = (start_vals[0], list(start_vals[1:]))
+        n_paths = args.paths if args.paths is not None else int(sim_defaults.get("paths", 10000))
+        n_steps = args.steps if args.steps is not None else int(sim_defaults.get("steps", 250))
+        seed = args.seed if args.seed is not None else int(sim_defaults.get("seed", 0))
+        band = args.band if args.band is not None else float(sim_defaults.get("band", 0.01))
+        cfg = PathConfig(n_paths=n_paths, n_steps=n_steps, rng_seed=seed, antithetic=args.antithetic)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     field, eps, delta = load_field(args.field)
     pen = Penalty(eps)
     data = truncate_data(spec, field.grid.m)
-    start_txt = args.start or sim_defaults.get("start", "0, 0")
-    start_vals = _parse_triple(start_txt, "start", spec.d + 1)
-    start = (start_vals[0], list(start_vals[1:]))
-    n_paths = args.paths or int(sim_defaults.get("paths", 10000))
-    n_steps = args.steps or int(sim_defaults.get("steps", 250))
-    seed = args.seed if args.seed is not None else int(sim_defaults.get("seed", 0))
-    band = args.band if args.band is not None else float(sim_defaults.get("band", 0.01))
-    cfg = PathConfig(n_paths=n_paths, n_steps=n_steps, rng_seed=seed, antithetic=args.antithetic)
 
     controller = FeedbackStrategy(
         spec=spec, mode="controller_opt", field=field, pen=pen, data=data
@@ -253,10 +259,11 @@ def cmd_simulate(args) -> int:
             f"  probe [{r.side:10s}] {r.name:13s} {r.payoff:.5f} {rel} "
             f"{r.reference:.5f} -+ {r.margin:.4f}  {status}"
         )
-    run_dir = artifacts.make_run_dir(args.out, artifacts.config_digest(args.config))
+    digest = artifacts.config_digest(args.config)
+    run_dir = artifacts.make_run_dir(args.out, digest)
     payload = {
         "command": "simulate",
-        "config_sha": artifacts.config_digest(args.config),
+        "config_sha": digest,
         "field": str(args.field),
         "start": list(start_vals),
         "paths": n_paths,

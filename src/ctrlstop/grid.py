@@ -6,11 +6,13 @@ differences, centered first differences with one-sided upwinding where the
 cell Peclet number |b| hx / a exceeds 1, the centered cross term, and -r).
 At |b| hx / a <= 1 the centered off-diagonals 0.5 a / hx^2 -+ b / (2 hx)
 stay nonnegative (the positive-coefficient rule of Wang & Forsyth 2008).
-The implicit matrix M0 = I/ht - (L - r), the Newton level systems
+It holds the stencil as diagonals, one coefficient array per offset, and
+everything derives from them: L_matrix, the implicit matrix
+M0 = I/ht - (L - r), the Newton level systems
 M0 + diag(extra_diag) - sum_i diag(extra_drift_i) D_i (interior rows) and
-the obstacle oracle all derive from its L_matrix, so the penalized solver
-and the oracle are free of stencil mismatch.  centered_gradient is the one
-nodal gradient D_i u.
+the obstacle oracle's pinned systems, so the penalized solver and the oracle
+are free of stencil mismatch.  centered_gradient is the one nodal gradient
+D_i u.
 """
 from __future__ import annotations
 
@@ -26,6 +28,7 @@ from .model import ProblemSpec
 __all__ = ["Grid", "GridField", "Operator", "build_operator", "centered_gradient"]
 
 PECLET_SWITCH = 1.0
+(_GTSV,) = get_lapack_funcs(("gtsv",), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -80,19 +83,9 @@ class Grid:
         return np.stack([xx.ravel(), yy.ravel()], axis=0)
 
     def dirichlet_mask(self) -> np.ndarray:
-        """Boundary nodes: outside the open ball of radius m, or the box edge."""
-        pts = self.points()
-        mask = np.sum(pts**2, axis=0) >= self.m**2 * (1.0 - 1e-12)
-        if self.d == 1:
-            mask[0] = mask[-1] = True
-        else:
-            idx = np.arange(self.n_nodes).reshape(self.shape)
-            mask = mask.copy()
-            mask[idx[0, :].ravel()] = True
-            mask[idx[-1, :].ravel()] = True
-            mask[idx[:, 0].ravel()] = True
-            mask[idx[:, -1].ravel()] = True
-        return mask
+        """Boundary nodes: outside the open ball of radius m.  The box edge is
+        among them, since every edge node has a coordinate of exactly +-m."""
+        return np.sum(self.points() ** 2, axis=0) >= self.m**2 * (1.0 - 1e-12)
 
     def cfl_diagnostic(self, spec: ProblemSpec) -> float:
         """ht * (max diffusion coefficient over the nodes) / hx^2 (reported,
@@ -200,21 +193,30 @@ class _SamplingPlan:
         return (1.0 - self.w) * both[0] + self.w * both[1]
 
 
+def _strides(grid: Grid) -> tuple[int, ...]:
+    """Flat-index step between neighbouring nodes along each axis (C order)."""
+    return (grid.nx, 1)[-grid.d :]
+
+
 @dataclass
 class Operator:
-    """Discrete generator on a grid for a given problem spec.
+    """Discrete generator on a grid for a given problem spec, held as the
+    diagonals of M0 = I/ht - (L - r) (interior rows; Dirichlet rows are
+    identity rows).  A diagonal is the coefficient array of one stencil
+    offset o (0, -+s per axis stride s, and the four cross-term corners in
+    2-D) in the layout of scipy.sparse.diags: element j belongs to row
+    j - min(o, 0).
 
-    L_matrix applies (L - r) on interior rows (Dirichlet rows are zero).
-    implicit_matrix is M0 = I/ht - (L - r) on interior rows and the identity
-    on Dirichlet rows; implicit_solve solves M0 w = rhs, in 1-D with LAPACK
-    gtsv on M0's bands and in 2-D with a cached SuperLU factorization.
-    level_solver derives the Newton level systems
+    L_matrix applies (L - r) on interior rows (Dirichlet rows are zero) and
+    implicit_matrix is M0, both sp.diags of the same diagonals.  Every solve
+    path edits a copy of M0's diagonals and hands it to _system:
+    implicit_solve solves M0 itself, level_solver the Newton level systems
 
         M0 + I_int (diag(extra_diag) - sum_i diag(extra_drift_i) D_i)
 
-    from M0, where D_i is the centered first difference along axis i and
-    I_int keeps interior rows only.  pinned_solver solves M0 with chosen rows
-    made identity rows.
+    where D_i is the centered first difference along axis i and I_int keeps
+    interior rows only, and pinned_solver M0 with chosen rows made identity
+    rows.
     """
 
     grid: Grid
@@ -222,54 +224,44 @@ class Operator:
     L_matrix: sp.csr_matrix
     dirichlet: np.ndarray
     implicit_matrix: sp.csc_matrix = field(repr=False)
+    _diagonals: dict[int, np.ndarray] = field(repr=False)  # M0's, by offset
 
     def __post_init__(self):
+        n = self.grid.n_nodes
+        self._interior = ~self.dirichlet
+        self._two_hx = 2.0 * self.grid.hx
+        self._strides = _strides(self.grid)
+        self._rows = {o: slice(max(-o, 0), n - max(o, 0)) for o in self._diagonals}
+        self._solver = self._system(self._diagonals)
+
+    def _system(self, diagonals: dict[int, np.ndarray]):
+        """Solver for the system with these diagonals: LAPACK gtsv on the
+        three bands in 1-D (the routine solve_banded((1, 1), ...) calls,
+        without its input checks; callers check the solution for non-finite
+        values), a SuperLU factorization in 2-D."""
         if self.grid.d == 1:
-            M0 = self.implicit_matrix
-            self._bands = (M0.diagonal(-1), M0.diagonal(), M0.diagonal(1))
-            (self._gtsv,) = get_lapack_funcs(("gtsv",), (self._bands[1],))
-            self._solver = self._tridiagonal(*self._bands)
-        else:
-            self._solver = sp.linalg.splu(self.implicit_matrix).solve
-            nx, hx = self.grid.nx, self.grid.hx
-            d1 = sp.diags([-0.5 / hx, 0.5 / hx], [-1, 1], shape=(nx, nx))
-            eye = sp.identity(nx)
-            rows = sp.diags((~self.dirichlet).astype(float))
-            self._centered = [rows @ sp.kron(d1, eye), rows @ sp.kron(eye, d1)]
+            lower, diag, upper = diagonals[-1], diagonals[0], diagonals[1]
+
+            def solve(rhs):
+                *_, x, info = _GTSV(lower, diag, upper, rhs)
+                if info != 0:
+                    raise np.linalg.LinAlgError(f"tridiagonal system: gtsv info {info}")
+                return x
+
+            return solve
+        M = sp.diags(list(diagonals.values()), list(diagonals), format="csc")
+        return sp.linalg.splu(M).solve
 
     def implicit_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._solver(rhs)
 
-    def _tridiagonal(self, lower, diag, upper):
-        """Solver for the tridiagonal system with these bands, by LAPACK gtsv
-        (the routine solve_banded((1, 1), ...) calls, without its input
-        checks; callers check the solution for non-finite values)."""
-
-        def solve(rhs):
-            *_, x, info = self._gtsv(lower, diag, upper, rhs)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"tridiagonal system: gtsv info {info}")
-            return x
-
-        return solve
-
     def pinned_solver(self, rows: np.ndarray):
         """Solver for M0 with the rows in the boolean mask `rows` replaced by
-        identity rows (the policy systems of the obstacle oracle).
-
-        d=1 zeroes those rows of M0's cached bands and solves with LAPACK
-        gtsv (_tridiagonal); d=2 forms the sparse system and factorizes it.
-        """
-        if self.grid.d == 1:
-            lower, diag, upper = self._bands
-            return self._tridiagonal(
-                np.where(rows[1:], 0.0, lower),
-                np.where(rows, 1.0, diag),
-                np.where(rows[:-1], 0.0, upper),
-            )
-        keep = sp.diags((~rows).astype(float))
-        M = keep @ self.implicit_matrix + sp.diags(rows.astype(float))
-        return sp.linalg.splu(sp.csc_matrix(M)).solve
+        identity rows (the policy systems of the obstacle oracle)."""
+        # a pinned row keeps 1 on the main diagonal (o == 0) and 0 elsewhere
+        return self._system(
+            {o: np.where(rows[self._rows[o]], float(o == 0), v) for o, v in self._diagonals.items()}
+        )
 
     def apply_generator(self, flat_values: np.ndarray) -> np.ndarray:
         """(L - r) u on interior nodes (zeros on Dirichlet rows), for u of
@@ -283,110 +275,69 @@ class Operator:
         The base generator keeps its static stencil; the extra drift (the
         penalty linearization) is discretized with CENTERED differences so
         the linear model is the exact Gateaux derivative of the frozen-source
-        residual, whose gradients are also centered.
-
-        d=1 adds the extra terms to the cached bands of M0 and solves with
-        LAPACK gtsv (_tridiagonal); d=2 forms the sparse system and
-        factorizes it per call.
+        residual, whose gradients are also centered: e / (2 hx) leaves the
+        +s diagonal and joins the -s one, row by row.
         """
-        interior = ~self.dirichlet
-        diag_extra = None if extra_diag is None else np.where(interior, extra_diag, 0.0)
-
-        if self.grid.d == 1:
-            lower, diag, upper = self._bands
-            if diag_extra is not None:
-                diag = diag + diag_extra
-            if extra_drift is not None:
-                half = np.where(interior, extra_drift[0] / (2.0 * self.grid.hx), 0.0)
-                upper = upper - half[:-1]
-                lower = lower + half[1:]
-            return self._tridiagonal(lower, diag, upper)
-
-        M = self.implicit_matrix
-        if diag_extra is not None:
-            M = M + sp.diags(diag_extra)
+        diagonals = self._diagonals.copy()
+        if extra_diag is not None:
+            diagonals[0] = diagonals[0] + np.where(self._interior, extra_diag, 0.0)
         if extra_drift is not None:
-            for e_ax, D in zip(extra_drift, self._centered):
-                M = M - sp.diags(e_ax) @ D
-        return sp.linalg.splu(sp.csc_matrix(M)).solve
+            for axis, s in enumerate(self._strides):
+                half = np.where(self._interior, extra_drift[axis] / self._two_hx, 0.0)
+                diagonals[s] = diagonals[s] - half[:-s]
+                diagonals[-s] = diagonals[-s] + half[s:]
+        return self._system(diagonals)
 
 
 def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:
-    """Assemble the stencil matrix for L - r and factorize the implicit system."""
+    """Compute the diagonals of L - r, and from them L_matrix, M0 and its
+    solver."""
     if spec.d != grid.d:
         raise ValueError("spec and grid dimension mismatch")
     n = grid.n_nodes
     pts = grid.points()
     dirichlet = grid.dirichlet_mask()
+    interior = ~dirichlet
     hx = grid.hx
 
     bvals = spec.drift(pts)  # (d, n)
     avals = spec.a_matrix(pts)  # (d, d, n)
 
-    rows, cols, vals = [], [], []
-    interior = ~dirichlet
-    idx_all = np.arange(n)
-
-    def neighbor(idx, axis, step):
-        if grid.d == 1:
-            return idx + step
-        stride = grid.nx if axis == 0 else 1
-        return idx + step * stride
-
-    interior_idx = idx_all[interior]
-    for axis in range(grid.d):
-        a_diag = avals[axis, axis][interior]
-        b_ax = bvals[axis][interior]
-        ip = neighbor(interior_idx, axis, +1)
-        im = neighbor(interior_idx, axis, -1)
+    # stencil[o][i]: the coefficient of u[i + o] in row i, before the Dirichlet
+    # rows are zeroed.  Each sum adds diffusion, convection, upwinding and -r
+    # in that order, the rounding the pinned 1-D results carry.
+    stencil: dict[int, np.ndarray] = {0: np.zeros(n)}
+    for axis, s in enumerate(_strides(grid)):
+        a_ii, b_ax = avals[axis, axis], bvals[axis]
         # diffusion: 0.5 * a_ii * (u_+ - 2u + u_-)/hx^2
-        coef = 0.5 * a_diag / hx**2
-        rows.extend([interior_idx, interior_idx, interior_idx])
-        cols.extend([ip, im, interior_idx])
-        vals.extend([coef, coef, -2.0 * coef])
+        coef = 0.5 * a_ii / hx**2
         # convection: centered unless the cell Peclet number exceeds the switch
         with np.errstate(divide="ignore", invalid="ignore"):
-            peclet = np.where(a_diag > 0, np.abs(b_ax) * hx / a_diag, np.inf)
+            peclet = np.where(a_ii > 0, np.abs(b_ax) * hx / a_ii, np.inf)
         centered = peclet <= PECLET_SWITCH
         c_half = np.where(centered, b_ax / (2.0 * hx), 0.0)
-        rows.extend([interior_idx, interior_idx])
-        cols.extend([ip, im])
-        vals.extend([c_half, -c_half])
-        up = ~centered
-        if np.any(up):
-            pos = up & (b_ax > 0)
-            neg = up & (b_ax < 0)
-            # b>0: forward difference, b<0: backward difference (M-matrix signs)
-            rows.extend([interior_idx[pos], interior_idx[pos]])
-            cols.extend([ip[pos], interior_idx[pos]])
-            vals.extend([b_ax[pos] / hx, -b_ax[pos] / hx])
-            rows.extend([interior_idx[neg], interior_idx[neg]])
-            cols.extend([im[neg], interior_idx[neg]])
-            vals.extend([-b_ax[neg] / hx, b_ax[neg] / hx])
+        # b>0: forward difference, b<0: backward difference (M-matrix signs)
+        forward = np.where(~centered & (b_ax > 0), b_ax / hx, 0.0)
+        backward = np.where(~centered & (b_ax < 0), -b_ax / hx, 0.0)
+        stencil[s] = coef + c_half + forward
+        stencil[-s] = coef - c_half + backward
+        stencil[0] = stencil[0] - 2.0 * coef - forward - backward
     if grid.d == 2:
         # cross term a12 * u_xy with the centered 4-corner stencil
-        a12 = avals[0, 1][interior]
-        if np.any(a12 != 0.0):
-            for sx, sy, sign in ((+1, +1, +1), (-1, -1, +1), (+1, -1, -1), (-1, +1, -1)):
-                nb = neighbor(neighbor(interior_idx, 0, sx), 1, sy)
-                rows.append(interior_idx)
-                cols.append(nb)
-                vals.append(sign * a12 / (4.0 * hx**2))
-    # zero-order term -r on interior rows
-    rows.append(interior_idx)
-    cols.append(interior_idx)
-    vals.append(np.full(interior_idx.shape, -spec.r))
+        quarter = avals[0, 1] / (4.0 * hx**2)
+        for sx, sy in ((+1, +1), (-1, -1), (+1, -1), (-1, +1)):
+            stencil[sx * grid.nx + sy] = sx * sy * quarter
+    # zero-order term -r
+    stencil[0] = stencil[0] - spec.r
 
-    rows = np.concatenate([np.atleast_1d(r) for r in rows])
-    cols = np.concatenate([np.atleast_1d(c) for c in cols])
-    vals = np.concatenate([np.atleast_1d(v) for v in vals])
-    L = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-
-    M0 = sp.diags(np.where(interior, 1.0 / grid.ht, 1.0)) - L
+    L = {o: np.where(interior, v, 0.0)[max(-o, 0) : n - max(o, 0)] for o, v in stencil.items()}
+    M0 = {o: -v for o, v in L.items()}
+    M0[0] = np.where(interior, 1.0 / grid.ht, 1.0) - L[0]
     return Operator(
         grid=grid,
         spec=spec,
-        L_matrix=L,
+        L_matrix=sp.diags(list(L.values()), list(L), format="csr"),
         dirichlet=dirichlet,
-        implicit_matrix=sp.csc_matrix(M0),
+        implicit_matrix=sp.diags(list(M0.values()), list(M0), format="csc"),
+        _diagonals=M0,
     )

@@ -143,9 +143,7 @@ class TruncatedData:
 
     @property
     def time_independent(self) -> bool:
-        return not (
-            self.spec.f.depends_on_t or self.spec.g.depends_on_t or self.spec.h.depends_on_t
-        )
+        return self.spec.time_independent
 
     def g_m(self, t, x):
         return self.cutoff.value(x) * self.spec.g(t, np.asarray(x, dtype=float))

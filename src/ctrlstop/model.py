@@ -98,6 +98,11 @@ class ProblemSpec:
     def d_noise(self) -> int:
         return len(self.sigma[0])
 
+    @property
+    def time_independent(self) -> bool:
+        """No payoff depends on t (drift and sigma never do)."""
+        return not (self.f.depends_on_t or self.g.depends_on_t or self.h.depends_on_t)
+
     def drift(self, x):
         """Drift vector at x; x has shape (d,) or (d, n). Returns same shape."""
         x = np.asarray(x, dtype=float)

@@ -353,6 +353,8 @@ def solve_penalized(
 
 def default_schedule(K: int, eps0: float = 0.5, delta0: float = 0.5, m: float = 4.0):
     """Geometric schedule (eps0 2^{-k+1}, delta0 2^{-k+1}, m), k = 1..K."""
+    if K < 1:
+        raise ValueError("empty schedule")
     return [(eps0 * 2.0 ** (-k), delta0 * 2.0 ** (-k), m) for k in range(K)]
 
 
@@ -481,8 +483,7 @@ def vi_report(field: GridField, spec, tol_region: float | None = None, operator=
         tol_region = 10.0 * grid.hx
     interior = ~op.dirichlet
     nt = grid.nt
-    static = not (spec.f.depends_on_t or spec.g.depends_on_t or spec.h.depends_on_t)
-    g, f, h = _level_stacks(grid, static, spec.g, spec.f, spec.h)
+    g, f, h = _level_stacks(grid, spec.time_independent, spec.g, spec.f, spec.h)
     u = field.values
     grad_norm = np.sqrt(np.sum(field._gradient_table() ** 2, axis=-2))
 

@@ -4,8 +4,11 @@ from pathlib import Path
 
 import pytest
 
+import numpy as np
+
 from ctrlstop.artifacts import file_digest
-from ctrlstop.cli import main
+from ctrlstop.cli import main, save_field
+from ctrlstop.grid import Grid, GridField
 
 CONST1 = """
 dim = 1
@@ -191,6 +194,35 @@ class TestSimulate:
         assert abs(est["mean"] - 1.0) < 5e-2
         assert len(manifest["probes"]) == 12
         assert all(p["passed"] for p in manifest["probes"])
+
+
+class TestBadArguments:
+    """A bad argument value exits 3 with one stderr line, before any work and
+    before a run directory exists."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--grid", "4,3,10"],
+            ["solve", "--schedule", "0.5,0.5,0"],
+            ["solve", "--grid", "4,many,10"],
+            ["simulate", "--paths", "0", "--steps", "0"],
+            ["simulate", "--paths", "1"],
+        ],
+        ids=["grid-too-small", "empty-schedule", "grid-not-a-number", "zero-paths-steps", "one-path"],
+    )
+    def test_exits_three_without_a_run(self, argv, tmp_path, capsys):
+        cfg = tmp_path / "const1.cfg"
+        # small config defaults, so a run that ignores the bad values ends fast
+        cfg.write_text(CONST1 + "simulate.paths = 40\nsimulate.steps = 5\n")
+        grid = Grid(d=1, m=4.0, nx=41, nt=10, T=0.3)
+        save_field(tmp_path / "field.npz", GridField(grid, np.zeros((11, 41))), 0.5, 0.5)
+        out = tmp_path / "runs"
+        extra = ["--field", str(tmp_path / "field.npz")] if argv[0] == "simulate" else []
+        assert main(argv + extra + ["--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+        assert not out.exists()
 
 
 class TestVerify:

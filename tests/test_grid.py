@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from ctrlstop.benches import load_bench
 from ctrlstop.grid import PECLET_SWITCH, Grid, GridField, build_operator, centered_gradient
@@ -89,6 +91,15 @@ def test_centered_gradient_is_np_gradient(grid):
     np.testing.assert_array_equal(centered_gradient(grid, stack), want)
 
 
+@pytest.mark.parametrize("d, m, nx", [(1, 6.0, 601), (2, 3.0, 31), (2, 0.7, 6)])
+def test_box_edge_is_dirichlet(d, m, nx):
+    """The ball mask takes in every node on the box edge: each has a
+    coordinate of exactly +-m."""
+    grid = Grid(d=d, m=m, nx=nx, nt=1, T=1.0)
+    edge = np.any(np.abs(grid.points()) == m, axis=0)
+    assert np.any(edge) and np.all(grid.dirichlet_mask()[edge])
+
+
 def test_level_solver_gtsv_is_solve_banded():
     """The 1-D closure calls gtsv directly; solve_banded((1, 1)) on the same
     bands is the reference, bit for bit, and the closure keeps its inputs."""
@@ -114,6 +125,135 @@ def test_level_solver_gtsv_is_solve_banded():
         np.testing.assert_array_equal(solve(rhs), ref)
         np.testing.assert_array_equal(solve(rhs), ref)
         np.testing.assert_array_equal(rhs, kept)
+
+
+# upwind rows of both signs: |b| hx / a > 1 with b > 0 left of x1 = 2/9 and
+# with b < 0 right of it, centered rows in between
+STRONG_1D = """
+dim = 1
+horizon = 0.2
+rate = 0.1
+drift[1] = -9*x1 + 2
+sigma[1][1] = 0.4 + 0.1*x1^2
+f = 1.5
+g = 0.5 * max(0, 1 - x1^2 / 4)^3
+h = 0
+"""
+
+
+def _coo_assembly(grid, spec):
+    """L - r and M0 = I/ht - (L - r) as the COO triplet assembly built them
+    before the stencil was held as diagonals, kept as the reference."""
+    n, hx = grid.n_nodes, grid.hx
+    pts = grid.points()
+    interior = ~grid.dirichlet_mask()
+    bvals, avals = spec.drift(pts), spec.a_matrix(pts)
+    rows, cols, vals = [], [], []
+    idx = np.arange(n)[interior]
+
+    def neighbor(i, axis, step):
+        return i + step * (1 if grid.d == 1 or axis == 1 else grid.nx)
+
+    for axis in range(grid.d):
+        a_diag, b_ax = avals[axis, axis][interior], bvals[axis][interior]
+        ip, im = neighbor(idx, axis, +1), neighbor(idx, axis, -1)
+        coef = 0.5 * a_diag / hx**2
+        rows.extend([idx, idx, idx])
+        cols.extend([ip, im, idx])
+        vals.extend([coef, coef, -2.0 * coef])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            peclet = np.where(a_diag > 0, np.abs(b_ax) * hx / a_diag, np.inf)
+        centered = peclet <= PECLET_SWITCH
+        c_half = np.where(centered, b_ax / (2.0 * hx), 0.0)
+        rows.extend([idx, idx])
+        cols.extend([ip, im])
+        vals.extend([c_half, -c_half])
+        pos, neg = ~centered & (b_ax > 0), ~centered & (b_ax < 0)
+        rows.extend([idx[pos], idx[pos], idx[neg], idx[neg]])
+        cols.extend([ip[pos], idx[pos], im[neg], idx[neg]])
+        vals.extend([b_ax[pos] / hx, -b_ax[pos] / hx, -b_ax[neg] / hx, b_ax[neg] / hx])
+    if grid.d == 2:
+        a12 = avals[0, 1][interior]
+        for sx, sy, sign in ((+1, +1, +1), (-1, -1, +1), (+1, -1, -1), (-1, +1, -1)):
+            rows.append(idx)
+            cols.append(neighbor(neighbor(idx, 0, sx), 1, sy))
+            vals.append(sign * a12 / (4.0 * hx**2))
+    rows.append(idx)
+    cols.append(idx)
+    vals.append(np.full(idx.shape, -spec.r))
+    L = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    return L, sp.csc_matrix(sp.diags(np.where(interior, 1.0 / grid.ht, 1.0)) - L)
+
+
+def _reference_system(grid, M0, interior, extra_drift=None, extra_diag=None, pinned=None):
+    """Solver of a level (extra_drift, extra_diag) or pinned system by the
+    former formulas: gtsv on M0's edited bands in 1-D, SuperLU of the sparse
+    product form in 2-D."""
+    if grid.d == 1:
+        lower, diag, upper = M0.diagonal(-1), M0.diagonal(), M0.diagonal(1)
+        if pinned is not None:
+            lower = np.where(pinned[1:], 0.0, lower)
+            diag = np.where(pinned, 1.0, diag)
+            upper = np.where(pinned[:-1], 0.0, upper)
+        if extra_diag is not None:
+            diag = diag + np.where(interior, extra_diag, 0.0)
+        if extra_drift is not None:
+            half = np.where(interior, extra_drift[0] / (2.0 * grid.hx), 0.0)
+            upper = upper - half[:-1]
+            lower = lower + half[1:]
+        return lambda rhs: dgtsv(lower, diag, upper, rhs)[3]
+    M = M0
+    if pinned is not None:
+        M = sp.diags((~pinned).astype(float)) @ M0 + sp.diags(pinned.astype(float))
+    if extra_diag is not None:
+        M = M + sp.diags(np.where(interior, extra_diag, 0.0))
+    if extra_drift is not None:
+        d1 = sp.diags([-0.5 / grid.hx, 0.5 / grid.hx], [-1, 1], shape=(grid.nx, grid.nx))
+        eye, keep = sp.identity(grid.nx), sp.diags(interior.astype(float))
+        for e_ax, D in zip(extra_drift, (sp.kron(d1, eye), sp.kron(eye, d1))):
+            M = M - sp.diags(e_ax) @ keep @ D
+    return sp.linalg.splu(sp.csc_matrix(M)).solve
+
+
+@pytest.mark.parametrize("case", ["bench_ou", "bench_ou_purestop", "strong_1d", "skewed_2d"])
+def test_operator_is_the_coo_assembly(case):
+    """L_matrix, implicit_matrix and the implicit, level and pinned solves
+    equal the COO assembly and the former band and sparse-product systems:
+    bit for bit in 1-D, within 1e-14 (relative) in 2-D, where the COO sums
+    had no fixed order."""
+    if case.startswith("bench"):
+        bench = load_bench(case, coarse=True)
+        op = build_operator(bench.grid, bench.spec)
+    elif case == "strong_1d":
+        spec, _, _ = parse_config_text(STRONG_1D)
+        op = build_operator(Grid(d=1, m=4.0, nx=161, nt=20, T=0.2), spec)
+        b, a = spec.drift(op.grid.points())[0], spec.a_matrix(op.grid.points())[0, 0]
+        upwind = (np.abs(b) * op.grid.hx / a > PECLET_SWITCH) & ~op.dirichlet
+        assert np.any(upwind & (b > 0)) and np.any(upwind & (b < 0))
+    else:
+        op = _operator(case)
+    grid, interior = op.grid, ~op.dirichlet
+    L, M0 = _coo_assembly(grid, op.spec)
+
+    def same(got, want):
+        if grid.d == 1:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    same(op.L_matrix.toarray(), L.toarray())
+    same(op.implicit_matrix.toarray(), M0.toarray())
+    rng = np.random.default_rng(23)
+    rhs = rng.normal(size=grid.n_nodes)
+    same(op.implicit_solve(rhs), _reference_system(grid, M0, interior)(rhs))
+    for _ in range(3):
+        drift = rng.normal(size=(grid.d, grid.n_nodes)) * 5.0
+        diag = rng.uniform(0.0, 50.0, size=grid.n_nodes)
+        pinned = op.dirichlet | (rng.uniform(size=grid.n_nodes) < 0.3)
+        for e, dg in ((drift, diag), (drift, None), (None, diag), (None, None)):
+            want = _reference_system(grid, M0, interior, extra_drift=e, extra_diag=dg)(rhs)
+            same(op.level_solver(e, dg)(rhs), want)
+        same(op.pinned_solver(pinned)(rhs), _reference_system(grid, M0, interior, pinned=pinned)(rhs))
 
 
 def _reference_sample(grid, table, t, x):
