@@ -26,7 +26,14 @@ from .simulate import (
     saddle_probe,
     simulate_paths,
 )
-from .solver import ContinuationError, SolverError, continuation, default_schedule, vi_report
+from .solver import (
+    ContinuationError,
+    SolverError,
+    check_schedule,
+    continuation,
+    default_schedule,
+    vi_report,
+)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -92,7 +99,7 @@ def cmd_solve(args) -> int:
         eps0, delta0, stages = _parse_triple(args.schedule, "schedule", 3)
         m, nx, nt = _parse_triple(args.grid, "grid", 3)
         grid = Grid(d=spec.d, m=float(m), nx=int(nx), nt=int(nt), T=spec.T)
-        schedule = default_schedule(int(stages), eps0=eps0, delta0=delta0, m=float(m))
+        schedule = check_schedule(default_schedule(int(stages), eps0=eps0, delta0=delta0, m=float(m)))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = validate_assumptions(spec, plan)

@@ -16,6 +16,7 @@ D_i u.
 """
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -48,6 +49,8 @@ class Grid:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValueError("grid supports d = 1 or 2")
+        if not self.m > 0:
+            raise ValueError("grid radius m must be positive")
         if self.nx < 5 or self.nt < 1:
             raise ValueError("grid too small")
 
@@ -126,12 +129,22 @@ class GridField:
 
     def sample(self, t: float, x: np.ndarray) -> np.ndarray:
         """Field value at time t and spatial points x (d, n): linear in t,
-        linear/bilinear in space; queries outside the box are clamped."""
-        return _SamplingPlan(self.grid, t, x).apply(self.values)
+        linear/bilinear in space; queries outside the box are clamped.  x may
+        also be the _SamplingPlan of the points on this grid at t, which the
+        path engine builds once per step and reuses."""
+        return self._plan(t, x).apply(self.values)
 
     def sample_gradient(self, t: float, x: np.ndarray) -> np.ndarray:
-        """Interpolated nodal centered-difference gradient at (t, x), shape (d, n)."""
-        return _SamplingPlan(self.grid, t, x).apply(self._gradient_table())
+        """Interpolated nodal centered-difference gradient at (t, x), shape
+        (d, n); x may be a _SamplingPlan as in sample."""
+        return self._plan(t, x).apply(self._gradient_table())
+
+    def _plan(self, t, x) -> "_SamplingPlan":
+        if not isinstance(x, _SamplingPlan):
+            return _SamplingPlan(self.grid, t, x)
+        if x.grid != self.grid:
+            raise ValueError("sampling plan belongs to another grid")
+        return x
 
     def restrict_common(self, other: "GridField") -> tuple[np.ndarray, np.ndarray]:
         """Values of self and other on their common nodes (other interpolated,
@@ -170,6 +183,7 @@ class _SamplingPlan:
     the box are clamped onto it."""
 
     def __init__(self, grid: Grid, t: float, x: np.ndarray):
+        self.grid = grid
         pos = min(max(float(t), 0.0), grid.T) / grid.ht
         self.k = min(math.floor(pos), grid.nt - 1)
         self.w = pos - self.k
@@ -183,6 +197,14 @@ class _SamplingPlan:
             (fx, fy), c00 = frac, i0[0] * grid.nx + i0[1]
             self.corners = (c00, c00 + grid.nx, c00 + 1, c00 + grid.nx + 1)
             self.weights = ((1 - fx) * (1 - fy), fx * (1 - fy), (1 - fx) * fy, fx * fy)
+
+    def subset(self, mask: np.ndarray) -> "_SamplingPlan":
+        """The plan of the points in the boolean mask: each point's cell and
+        weights are its own, so they are taken, not recomputed."""
+        plan = copy.copy(self)
+        plan.corners = tuple(c[mask] for c in self.corners)
+        plan.weights = tuple(wc[mask] for wc in self.weights)
+        return plan
 
     def apply(self, table: np.ndarray) -> np.ndarray:
         """Interpolate table (nt+1, ..., n_nodes) at the plan's points."""

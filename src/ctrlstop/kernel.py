@@ -96,7 +96,10 @@ class Cutoff:
     def grad(self, x):
         """grad xi_m = (x/|x|) * xi'(|x|-m); zero at the origin and off the bridge."""
         x = np.asarray(x, dtype=float)
-        r = _radius(x)
+        return self._grad(x, _radius(x))
+
+    def _grad(self, x, r):
+        """grad at points x (d, n...) whose radii r = _radius(x) are known."""
         dz = _xi_profile_d1(r - self.m)
         safe_r = np.where(r > 0, r, 1.0)
         return x * (dz / safe_r)
@@ -146,26 +149,37 @@ class TruncatedData:
         return self.spec.time_independent
 
     def g_m(self, t, x):
-        return self.cutoff.value(x) * self.spec.g(t, np.asarray(x, dtype=float))
+        return self._g_m(t, np.asarray(x, dtype=float), self.cutoff.value(x))
 
     def h_m(self, t, x):
-        return self.cutoff.value(x) * self.spec.h(t, np.asarray(x, dtype=float))
+        return self._h_m(t, np.asarray(x, dtype=float), self.cutoff.value(x))
+
+    # The private forms take what the caller already has at the points x:
+    # the cut-off values xi = cutoff.value(x), or the radii r = _radius(x).
+
+    def _g_m(self, t, x, xi):
+        return xi * self.spec.g(t, x)
+
+    def _h_m(self, t, x, xi):
+        return xi * self.spec.h(t, x)
 
     def f_m_sq(self, t, x):
         """f_m^2 = f^2 + |g|_sup^2 |grad xi|^2 + 2 g xi <grad xi, grad g>, clamped at 0,
         with grad g by central differences of the untruncated g.  Off the
         cut-off bridge 0 < |x| - (m - 1) < 1, where grad xi = 0, it is f^2."""
         x = np.asarray(x, dtype=float)
+        return self._f_m_sq(t, x, _radius(x))
+
+    def _f_m_sq(self, t, x, r):
         fv = self.spec.f(t, x)
         out = fv**2
-        r = _radius(x)
         z = r - self.cutoff.m
         if not np.any((z > 0.0) & (z < 1.0)):
             return np.maximum(out, 0.0)
         xi = self.cutoff.value_radial(r)
         bridge = (self.cutoff.grad_norm_sq_radial(r) > 0)
         if np.any(bridge):
-            gx = self.cutoff.grad(x)
+            gx = self.cutoff._grad(x, r)
             gv, gg, _ = eval_with_derivatives(self.spec.g, (t, x), order=1, fd_step=self.spec.fd_step)
             cross = 2.0 * gv * xi * np.sum(gx * gg, axis=0)
             out = out + self.g_norm**2 * np.sum(gx * gx, axis=0) + cross

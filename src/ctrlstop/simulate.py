@@ -10,6 +10,14 @@ from a solved field: the controller pushes along -grad u at rate
 2 psi'(|grad u|^2 - f^2)|grad u|, the stopper uses the contact-set rules.
 The three simulators share one path engine (_run_paths) and differ only in
 their payoff rule: when a path stops, its discount, and what it accrues.
+The engine keeps the per-path state of the alive paths compact (states,
+accrued sums and the rule's own state, such as log R^w) and writes it into
+the full-size arrays only when a path stops.  Each step computes its
+geometry once: the radius |x| and the sampling plan of the field live on
+one _Points, which the stop rule, the feedback and the payoff rule share,
+and which is subset, not recomputed, when paths drop out.  The estimate's
+metadata counts the paths stopped by the rule, alive at the horizon and
+rejected.
 
 All draws come from a counter-based Philox generator keyed by the seed, so
 runs are bit-reproducible; paths are vectorized and reduced in fixed order.
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .grid import GridField
+from .grid import GridField, _SamplingPlan
 from .kernel import Penalty, TruncatedData, _radius, hamiltonian_batch
 from .model import ProblemSpec
 
@@ -88,6 +96,43 @@ class _Controls(tuple):
         return self
 
 
+class _Points:
+    """States x (d, n) at time t with the geometry that the stop rule, the
+    feedback and the payoff rule all read there: the radius |x| and the
+    sampling plan on a field's grid.  Each is computed on first use; subset
+    takes the points of a mask with the geometry already computed."""
+
+    __slots__ = ("t", "x", "_radius", "_plan")
+
+    def __init__(self, t, x, radius=None, plan=None):
+        self.t, self.x, self._radius, self._plan = t, x, radius, plan
+
+    @property
+    def radius(self):
+        if self._radius is None:
+            self._radius = _radius(self.x)
+        return self._radius
+
+    def plan(self, grid):
+        """The sampling plan of the points on grid."""
+        if self._plan is None or self._plan.grid != grid:
+            self._plan = _SamplingPlan(grid, self.t, self.x)
+        return self._plan
+
+    def subset(self, mask):
+        return _Points(
+            self.t,
+            self.x[:, mask],
+            None if self._radius is None else self._radius[mask],
+            None if self._plan is None else self._plan.subset(mask),
+        )
+
+
+def _as_points(t, x):
+    """x itself when the path engine passed its _Points, else points (d, n)."""
+    return x if isinstance(x, _Points) else _Points(t, np.asarray(x, dtype=float))
+
+
 MODES = (
     "controller_opt", "controller_idle", "controller_push", "controller_jump",
     "stopper_tau_star", "stopper_w_star", "stopper_fixed", "stopper_never",
@@ -136,23 +181,26 @@ class FeedbackStrategy:
         perturbed = self.scale != 1.0 or self.flip or self.delay != 0.0
         return self.mode == "controller_opt" and not perturbed
 
-    def _grad_u(self, t, x):
-        g = self.field.sample_gradient(t, x)
+    def _grad_u(self, pts):
+        g = self.field.sample_gradient(pts.t, pts.plan(self.field.grid))
         # outside the solved box the controller idles (logged by the caller)
-        outside = _radius(x) > self.field.grid.m
+        outside = pts.radius > self.field.grid.m
         if np.any(outside):
             g[:, outside] = 0.0
         return g, outside
 
-    def _f_squared(self, t, x):
+    def _f_squared(self, pts):
         if self.data is not None:
-            return self.data.f_m_sq(t, x)
-        return self.spec.f(t, x) ** 2
+            return self.data._f_m_sq(pts.t, pts.x, pts.radius)
+        return self.spec.f(pts.t, pts.x) ** 2
 
     def control(self, t, elapsed, x):
-        """Unit direction and control rate at state x (d, n)."""
-        n_paths = x.shape[1]
-        direction = np.zeros_like(x)
+        """Unit direction and control rate at states x (d, n) at time t.  The
+        path engine passes its _Points at t as x, so that the feedback reads
+        the radius and sampling plan the step already has."""
+        pts = _as_points(t, x)
+        n_paths = pts.x.shape[1]
+        direction = np.zeros_like(pts.x)
         direction[0] = 1.0
         rate = np.zeros(n_paths)
         outside = np.zeros(n_paths, dtype=bool)
@@ -164,12 +212,12 @@ class FeedbackStrategy:
         if self.mode == "controller_opt":
             if elapsed < self.delay:
                 return direction, rate, outside
-            grad, outside = self._grad_u(t, x)
+            grad, outside = self._grad_u(pts)
             gnorm_sq = np.sum(grad**2, axis=0)
-            f_sq = self._f_squared(t, x)
+            f_sq = self._f_squared(pts)
             norm = np.sqrt(gnorm_sq)
-            pos = norm > 0
-            direction[:, pos] = -grad[:, pos] / norm[pos]
+            # -grad u / |grad u|, and +e1 where grad u = 0
+            np.divide(-grad, norm, out=direction, where=norm > 0)
             rate = 2.0 * self.pen.d1(norm**2 - f_sq) * norm
             rate *= self.scale
             if self.flip:
@@ -178,17 +226,23 @@ class FeedbackStrategy:
         raise ValueError(f"not a controller mode: {self.mode}")
 
     def stop_mask(self, t, elapsed, x, uniforms, dt):
-        """Boolean mask of paths the stopper terminates on this step."""
+        """Boolean mask of paths the stopper terminates on this step; x as in
+        control."""
+        pts = _as_points(t, x)
+        x = pts.x
         if self.mode == "stopper_never":
             return np.zeros(x.shape[1], dtype=bool)
         if self.mode == "stopper_fixed":
             return np.full(x.shape[1], elapsed >= self.fixed_time - 1e-12)
         if self.mode == "stopper_tau_star":
-            u = self.field.sample(t, x)
+            u = self.field.sample(t, pts.plan(self.field.grid))
             return u <= self.spec.g(t, x) + self.band
         if self.mode == "stopper_w_star":
-            u = self.field.sample(t, x)
-            g = self.data.g_m(t, x) if self.data is not None else self.spec.g(t, x)
+            u = self.field.sample(t, pts.plan(self.field.grid))
+            if self.data is not None:
+                g = self.data._g_m(t, x, self.data.cutoff.value_radial(pts.radius))
+            else:
+                g = self.spec.g(t, x)
             in_contact = u <= g + self.band
             p_stop = 1.0 - math.exp(-dt / self.delta)
             return in_contact & (uniforms < p_stop)
@@ -276,6 +330,12 @@ def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimat
     substeps (none with nsub=0), the rule books what they accrue, and they
     move X += b dt + sigma sqrt(dt) Z + n dnu.  Paths that leave the finite
     floats are rejected and dropped from the estimate.
+
+    The alive paths are kept compact: their numbers idx, states xa, running
+    and control-cost sums, and the rule's own per-path state all drop the
+    same paths together.  The sums reach the full-size parts when a path
+    stops.  Each step's geometry (|x| and the sampling plan) lives on one
+    _Points, which the stop rule, the feedback and the payoff rule share.
     """
     t0, x0, horizon = _start_point(spec, start)
     dt = horizon / cfg.n_steps
@@ -283,36 +343,46 @@ def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimat
     n = cfg.n_paths
     rejected = np.zeros(n, dtype=bool)
     parts = {"terminal": np.zeros(n), "running": np.zeros(n), "control_cost": np.zeros(n)}
-    # the alive paths, kept compact: their numbers idx and states xa
-    idx = np.arange(n)
     xa = payoff.begin(t0, np.tile(x0[:, None], (1, n)), parts)
+    idx = np.arange(n)
+    running = np.zeros(n)
+    control_cost = parts["control_cost"].copy()  # begin may book a jump's cost
+    counts = {"stopped_paths": 0, "horizon_paths": 0}
     draws = _draws(cfg, spec.d_noise)
 
     for k in range(cfg.n_steps + 1):
         elapsed = k * dt
         t = t0 + elapsed
+        pts = _Points(t, xa)
         if k == cfg.n_steps:
             stop = np.ones(idx.size, dtype=bool)
         else:
             z, uniforms = next(draws)
-            stop = payoff.stop(t, elapsed, xa, uniforms if idx.size == n else uniforms[idx], dt)
+            stop = payoff.stop(pts, elapsed, uniforms if idx.size == n else uniforms[idx], dt)
         if np.any(stop):
-            parts["terminal"][idx[stop]] += payoff.terminal(t, elapsed, xa[:, stop], idx[stop])
-            idx, xa = idx[~stop], xa[:, ~stop]
+            ids = idx[stop]
+            parts["terminal"][ids] += payoff.terminal(pts.subset(stop), elapsed, stop)
+            parts["running"][ids] = running[stop]
+            parts["control_cost"][ids] = control_cost[stop]
+            payoff.retire(ids, stop)
+            counts["horizon_paths" if k == cfg.n_steps else "stopped_paths"] += ids.size
+            live = ~stop
+            idx, pts = idx[live], pts.subset(live)
+            xa, running, control_cost = pts.x, running[live], control_cost[live]
+            payoff.compact(live)
         if idx.size == 0 or k == cfg.n_steps:
             break
 
         drift_ctrl = np.zeros_like(xa)
         controls = []
-        xs = xa
-        for _ in range(nsub):
-            ctl = strategy_ctrl.control(t, elapsed, xs)
+        for s in range(nsub):
+            ps = _Points(t, xa + drift_ctrl) if s else pts
+            ctl = strategy_ctrl.control(t, elapsed, ps)
             drift_ctrl = drift_ctrl + ctl[0] * (ctl[1] * dt / nsub)[None, :]
-            controls.append((xs, ctl))
-            xs = xa + drift_ctrl
-        running, control_cost = payoff.accrue(t, elapsed, xa, idx, controls, dt)
-        parts["running"][idx] += running
-        parts["control_cost"][idx] += control_cost
+            controls.append((ps, ctl))
+        step_running, step_cost = payoff.accrue(pts, elapsed, controls, dt)
+        running += step_running
+        control_cost += step_cost
 
         with np.errstate(over="ignore", invalid="ignore"):
             bv = spec.drift(xa)
@@ -322,30 +392,43 @@ def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimat
         bad = ~np.all(np.isfinite(xa), axis=0)
         if np.any(bad):
             rejected[idx[bad]] = True
-            idx, xa = idx[~bad], xa[:, ~bad]
+            live = ~bad
+            idx, xa, running, control_cost = idx[live], xa[:, live], running[live], control_cost[live]
+            payoff.compact(live)
 
     n_rej = int(np.sum(rejected))
     if n_rej > MAX_REJECT_FRACTION * n:
         raise SimulationError(f"{n_rej}/{n} paths rejected (diverging dynamics)")
     keep = ~rejected
-    return _finalize(parts, keep, n_rej, cfg, {**payoff.extras(keep), "dt": dt})
+    return _finalize(parts, keep, n_rej, cfg, {**counts, **payoff.extras(keep), "dt": dt})
 
 
 class _Payoff:
     """A simulator's payoff rule for the path engine, called on the alive
-    paths x (d, n_alive) with path numbers idx:
+    paths' _Points pts at time pts.t:
 
-    stop(t, elapsed, x, uniforms, dt): mask of the paths that stop at t;
-    terminal(t, elapsed, x, idx): discounted payment of the stopping paths;
-    accrue(t, elapsed, x, idx, controls, dt): discounted (running reward,
-        control cost) over [t, t + dt]; controls lists each feedback
-        substep's (state, control);
+    stop(pts, elapsed, uniforms, dt): mask of the paths that stop at t;
+    terminal(pts, elapsed, stop): discounted payment of the stopping paths
+        pts, which are the alive paths in mask stop;
+    accrue(pts, elapsed, controls, dt): discounted (running reward, control
+        cost) over [t, t + dt]; controls lists each feedback substep's
+        (_Points, control);
     begin(t0, x, parts): the paths after a move at t0 (none by default);
+    retire(ids, stop): book the per-path state of the alive paths in mask
+        stop, path numbers ids, as they stop (nothing by default);
+    compact(live): keep the per-path state of the alive paths in mask live
+        only (no state by default);
     extras(keep): metadata entries (none by default).
     """
 
     def begin(self, t0, x, parts):
         return x
+
+    def retire(self, ids, stop):
+        pass
+
+    def compact(self, live):
+        pass
 
     def extras(self, keep):
         return {}
@@ -357,6 +440,7 @@ class _OriginalPayoff(_Payoff):
     def __init__(self, spec, strategy_ctrl, strategy_stop, cfg):
         self.spec, self.ctrl, self.stopper = spec, strategy_ctrl, strategy_stop
         self.ever_exited = np.zeros(cfg.n_paths, dtype=bool)
+        self.exited = self.ever_exited.copy()  # of the alive paths
 
     def begin(self, t0, x, parts):
         # optional single impulse at time zero (test strategies)
@@ -368,25 +452,29 @@ class _OriginalPayoff(_Payoff):
         parts["control_cost"] += _jump_cost(self.spec, t0, x, direction, sizes)
         return x + direction * sizes[None, :]
 
-    def stop(self, t, elapsed, x, uniforms, dt):
-        return self.stopper.stop_mask(t, elapsed, x, uniforms, dt)
+    def stop(self, pts, elapsed, uniforms, dt):
+        return self.stopper.stop_mask(pts.t, elapsed, pts, uniforms, dt)
 
-    def terminal(self, t, elapsed, x, idx):
-        return math.exp(-self.spec.r * elapsed) * self.spec.g(t, x)
+    def terminal(self, pts, elapsed, stop):
+        return math.exp(-self.spec.r * elapsed) * self.spec.g(pts.t, pts.x)
 
-    def accrue(self, t, elapsed, x, idx, controls, dt):
-        spec, n_alive = self.spec, x.shape[1]
+    def accrue(self, pts, elapsed, controls, dt):
+        spec, t = self.spec, pts.t
         disc = math.exp(-spec.r * elapsed)
         w_step = float(_exp_weight(spec.r, dt))  # exact discount integral per step
-        h_val = spec.h(t, x)
-        cost_rate = np.zeros(n_alive)
-        outside = np.zeros(n_alive, dtype=bool)
-        for xs, (_, rate, out_sub) in controls:
-            fv = spec.f(t, xs)
+        h_val = spec.h(t, pts.x)
+        cost_rate = np.zeros(pts.x.shape[1])
+        for ps, (_, rate, out_sub) in controls:
+            fv = spec.f(t, ps.x)
             cost_rate = cost_rate + fv * rate * w_step / len(controls)
-            outside |= out_sub
-        self.ever_exited[idx] |= outside
+            self.exited |= out_sub
         return disc * h_val * w_step, disc * cost_rate
+
+    def retire(self, ids, stop):
+        self.ever_exited[ids] = self.exited[stop]
+
+    def compact(self, live):
+        self.exited = self.exited[live]
 
     def extras(self, keep):
         exit_fraction = float(np.mean(self.ever_exited[keep])) if np.any(keep) else 0.0
@@ -402,15 +490,24 @@ class _TruncatedPayoff(_Payoff):
         self.field = strategy_ctrl.field
         self.closed_form = strategy_ctrl.optimal
 
-    def stop(self, t, elapsed, x, uniforms, dt):
-        return _radius(x) >= self.data.m
+    def stop(self, pts, elapsed, uniforms, dt):
+        return pts.radius >= self.data.m
 
-    def hamiltonian(self, t, x, controls):
+    def g_m(self, pts):
+        return self.data._g_m(pts.t, pts.x, self.data.cutoff.value_radial(pts.radius))
+
+    def g_m_h_m(self, pts):
+        """(g_m, h_m) at pts, with one evaluation of the cut-off."""
+        xi = self.data.cutoff.value_radial(pts.radius)
+        return self.data._g_m(pts.t, pts.x, xi), self.data._h_m(pts.t, pts.x, xi)
+
+    def hamiltonian(self, pts, controls):
         ((_, ctl),) = controls
         if self.closed_form:
             zeta = ctl.gnorm_sq - ctl.f_sq
             return 2.0 * self.pen.d1(zeta) * ctl.gnorm_sq - self.pen.value(zeta)
-        return hamiltonian_batch(self.pen, np.sqrt(self.data.f_m_sq(t, x)), ctl[1])
+        f_m = np.sqrt(self.data._f_m_sq(pts.t, pts.x, pts.radius))
+        return hamiltonian_batch(self.pen, f_m, ctl[1])
 
 
 class _PenalizedPayoff(_TruncatedPayoff):
@@ -419,17 +516,17 @@ class _PenalizedPayoff(_TruncatedPayoff):
     def __init__(self, spec, data, pen, delta, strategy_ctrl, strategy_w, cfg):
         super().__init__(spec, data, pen, delta, strategy_ctrl)
         self.strategy_w = strategy_w
-        self.logR = np.zeros(cfg.n_paths)  # log of the controlled discount R^w
+        self.logR = np.zeros(cfg.n_paths)  # log of the controlled discount R^w, alive paths
         self.min_R = 1.0
 
-    def terminal(self, t, elapsed, x, idx):
-        return np.exp(self.logR[idx]) * self.data.g_m(t, x)
+    def terminal(self, pts, elapsed, stop):
+        return np.exp(self.logR[stop]) * self.g_m(pts)
 
-    def accrue(self, t, elapsed, x, idx, controls, dt):
-        n_alive, delta, r = x.shape[1], self.delta, self.spec.r
-        u_val = self.field.sample(t, x) if self.field is not None else None
-        g_m_val = self.data.g_m(t, x)
-        h_m_val = self.data.h_m(t, x)
+    def accrue(self, pts, elapsed, controls, dt):
+        t, x, delta, r = pts.t, pts.x, self.delta, self.spec.r
+        n_alive = x.shape[1]
+        u_val = self.field.sample(t, pts.plan(self.field.grid)) if self.field is not None else None
+        g_m_val, h_m_val = self.g_m_h_m(pts)
         if self.strategy_w == "w_star":
             w_val = np.where(u_val <= g_m_val, 1.0 / delta, 0.0)
         elif callable(self.strategy_w):
@@ -438,12 +535,15 @@ class _PenalizedPayoff(_TruncatedPayoff):
             w_val = np.full(n_alive, float(self.strategy_w))
         if np.any(w_val < -1e-12) or np.any(w_val > 1.0 / delta + 1e-9):
             raise SimulationError("stopper intensity outside [0, 1/delta]")
-        h_term = self.hamiltonian(t, x, controls)
-        R_now = np.exp(self.logR[idx])
+        h_term = self.hamiltonian(pts, controls)
+        R_now = np.exp(self.logR)
         w_step = _exp_weight(r + w_val, dt)
-        self.logR[idx] -= (r + w_val) * dt
-        self.min_R = min(self.min_R, float(np.min(np.exp(self.logR[idx]))))
+        self.logR -= (r + w_val) * dt
+        self.min_R = min(self.min_R, float(np.min(np.exp(self.logR))))
         return R_now * (h_m_val + w_val * g_m_val) * w_step, R_now * h_term * w_step
+
+    def compact(self, live):
+        self.logR = self.logR[live]
 
     def extras(self, keep):
         return {"min_R": self.min_R}
@@ -453,17 +553,16 @@ class _RecursivePayoff(_TruncatedPayoff):
     """Killing at rate 1/delta, discount e^{-(r + 1/delta) t};
     h_m + (1/delta) max(g_m, u) accrues."""
 
-    def terminal(self, t, elapsed, x, idx):
+    def terminal(self, pts, elapsed, stop):
         kappa = self.spec.r + 1.0 / self.delta
-        return math.exp(-kappa * elapsed) * self.data.g_m(t, x)
+        return math.exp(-kappa * elapsed) * self.g_m(pts)
 
-    def accrue(self, t, elapsed, x, idx, controls, dt):
+    def accrue(self, pts, elapsed, controls, dt):
         kappa = self.spec.r + 1.0 / self.delta
         disc = math.exp(-kappa * elapsed)
-        u_val = self.field.sample(t, x)
-        g_m_val = self.data.g_m(t, x)
-        h_m_val = self.data.h_m(t, x)
-        h_term = self.hamiltonian(t, x, controls)
+        u_val = self.field.sample(pts.t, pts.plan(self.field.grid))
+        g_m_val, h_m_val = self.g_m_h_m(pts)
+        h_term = self.hamiltonian(pts, controls)
         reward = h_m_val + np.maximum(g_m_val, u_val) / self.delta
         w_step = float(_exp_weight(kappa, dt))
         return disc * reward * w_step, disc * h_term * w_step

@@ -41,6 +41,7 @@ __all__ = [
     "continuation",
     "vi_report",
     "default_schedule",
+    "check_schedule",
 ]
 
 TIME_SLACK = 0.05  # additive slack on the time-derivative bound
@@ -358,6 +359,27 @@ def default_schedule(K: int, eps0: float = 0.5, delta0: float = 0.5, m: float = 
     return [(eps0 * 2.0 ** (-k), delta0 * 2.0 ** (-k), m) for k in range(K)]
 
 
+def check_schedule(schedule) -> list[tuple[float, float, float]]:
+    """The schedule of penalty points (eps, delta, m) as floats, checked before
+    any stage runs: it is not empty, every eps lies in (0, 1), every delta is
+    positive, every truncation radius m is at least 2, eps and delta are
+    nonincreasing and m is nondecreasing."""
+    schedule = [(float(e), float(d), float(m)) for e, d, m in schedule]
+    if not schedule:
+        raise ValueError("empty schedule")
+    for eps, delta, m in schedule:
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"schedule eps {eps:g} must lie in (0, 1)")
+        if not delta > 0.0:
+            raise ValueError(f"schedule delta {delta:g} must be positive")
+        if not m >= 2.0:
+            raise ValueError(f"truncation radius {m:g} must be >= 2")
+    for (e0, d0, m0_), (e1, d1, m1_) in zip(schedule, schedule[1:]):
+        if e1 > e0 or d1 > d0 or m1_ < m0_:
+            raise ValueError("schedule must have eps, delta nonincreasing and m nondecreasing")
+    return schedule
+
+
 @dataclass
 class ContinuationResult:
     points: list[PenaltyPoint]
@@ -379,15 +401,10 @@ def continuation(
     """Solve the schedule of penalty points, warm-starting each from the
     previous field; reports sup-norm Cauchy increments on the innermost box.
 
-    schedule: list of (eps, delta, m) with eps, delta nonincreasing and m
-    nondecreasing.  grid_policy maps a radius m to a Grid.
+    schedule: list of (eps, delta, m) that check_schedule accepts.
+    grid_policy maps a radius m to a Grid.
     """
-    schedule = [(float(e), float(d), float(m)) for e, d, m in schedule]
-    if not schedule:
-        raise ValueError("empty schedule")
-    for (e0, d0, m0_), (e1, d1, m1_) in zip(schedule, schedule[1:]):
-        if e1 > e0 or d1 > d0 or m1_ < m0_:
-            raise ValueError("schedule must have eps, delta nonincreasing and m nondecreasing")
+    schedule = check_schedule(schedule)
 
     points: list[PenaltyPoint] = []
     increments: list[float] = []

@@ -192,6 +192,9 @@ class TestSimulate:
         manifest = json.loads((sim_dir / "manifest.json").read_text())[0]
         est = manifest["estimate"]
         assert abs(est["mean"] - 1.0) < 5e-2
+        # the path counts of the estimate reach the manifest and add up
+        meta = est["metadata"]
+        assert meta["stopped_paths"] + meta["horizon_paths"] + meta["rejected_paths"] == 400
         assert len(manifest["probes"]) == 12
         assert all(p["passed"] for p in manifest["probes"])
 
@@ -206,10 +209,24 @@ class TestBadArguments:
             ["solve", "--grid", "4,3,10"],
             ["solve", "--schedule", "0.5,0.5,0"],
             ["solve", "--grid", "4,many,10"],
+            ["solve", "--schedule=-0.5,0.5,2"],
+            ["solve", "--schedule=1.5,0.5,2"],
+            ["solve", "--grid=-6,41,20"],
+            ["solve", "--grid=1.5,41,20"],
             ["simulate", "--paths", "0", "--steps", "0"],
             ["simulate", "--paths", "1"],
         ],
-        ids=["grid-too-small", "empty-schedule", "grid-not-a-number", "zero-paths-steps", "one-path"],
+        ids=[
+            "grid-too-small",
+            "empty-schedule",
+            "grid-not-a-number",
+            "non-monotone-schedule",
+            "eps-above-one",
+            "negative-radius",
+            "radius-below-two",
+            "zero-paths-steps",
+            "one-path",
+        ],
     )
     def test_exits_three_without_a_run(self, argv, tmp_path, capsys):
         cfg = tmp_path / "const1.cfg"

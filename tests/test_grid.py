@@ -319,3 +319,33 @@ def test_field_values_are_read_only():
         field.values[0, 0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
         field.nodal_gradient(0)[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_subset_plan_is_the_plan_of_the_subset(d):
+    """A plan handed to sample and sample_gradient in place of the points
+    gives their values, and the plan's subset is the plan of the subset
+    points bit for bit; a plan of another grid is refused."""
+    from ctrlstop.grid import _SamplingPlan
+
+    grid = Grid(d=d, m=3.0, nx=31, nt=30, T=0.2)
+    rng = np.random.default_rng(4)
+    field = GridField(grid=grid, values=rng.normal(size=(grid.nt + 1, grid.n_nodes)))
+    x = rng.uniform(-3.6, 3.6, size=(d, 300))
+    mask = rng.random(300) < 0.6
+    plan = _SamplingPlan(grid, 0.13, x)
+    assert np.array_equal(field.sample(0.13, plan), field.sample(0.13, x))
+    assert np.array_equal(field.sample_gradient(0.13, plan), field.sample_gradient(0.13, x))
+    sub = plan.subset(mask)
+    assert np.array_equal(field.sample(0.13, sub), field.sample(0.13, x[:, mask]))
+    assert np.array_equal(field.sample_gradient(0.13, sub), field.sample_gradient(0.13, x[:, mask]))
+    other = Grid(d=d, m=3.0, nx=21, nt=30, T=0.2)
+    with pytest.raises(ValueError, match="another grid"):
+        field.sample(0.13, _SamplingPlan(other, 0.13, x))
+
+
+@pytest.mark.parametrize("m", [0.0, -6.0, float("nan")])
+def test_grid_radius_must_be_positive(m):
+    # Grid(m=-6) used to be accepted, with hx = -0.3
+    with pytest.raises(ValueError, match="radius"):
+        Grid(d=1, m=m, nx=41, nt=20, T=0.2)

@@ -525,3 +525,184 @@ def test_saddle_probe_is_golden(ou_solved):
     results = saddle_probe(spec, field, pen, (0.0, [1.0]), cfg, band=0.01, data=data)
     got = [(r.name, r.side, r.payoff.hex(), r.std_error.hex(), r.passed) for r in results]
     assert got == SADDLE_GOLDEN
+
+
+@pytest.fixture(scope="module")
+def ou2d_solved():
+    """The 2-D OU_IN_X1 data of test_solver on Grid(d=2, m=6, nx=61, nt=50)
+    at eps = delta = 1/16, rounded to 1e-9 like ou_solved."""
+    from ctrlstop.solver import solve_penalized
+
+    from test_solver import TestTwoDimensional
+
+    spec, _, _ = parse_config_text(TestTwoDimensional.OU_IN_X1)
+    grid = Grid(d=2, m=6.0, nx=61, nt=50, T=0.2)
+    data = truncate_data(spec, 6.0, sup_samples=61)
+    pen = Penalty(1 / 16)
+    point = solve_penalized(grid, data, pen, 1 / 16, tol=1e-8)
+    field = GridField(grid=grid, values=np.round(point.field.values, 9))
+    return spec, data, pen, field
+
+
+# (mean, std_error) as float.hex of 400-path, 40-step 2-D runs with seed 5
+# and 8 feedback substeps; the penalized and recursive runs start near the
+# ball's edge, so many of their paths exit
+GOLDEN_2D = {
+    "paths_opt_tau_star": ("0x1.2fc3ec35bf68ap-1", "0x1.429b7dbf74feap-9"),
+    "penalized_w_star": ("0x1.7d453e99bf9c3p-3", "0x1.2d4569cda4636p-8"),
+    "recursive": ("0x1.9af7d1baf5fafp-2", "0x1.041ea04ed64f0p-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_2D))
+def test_fixed_seed_2d_estimates_are_golden(ou2d_solved, case):
+    spec, data, pen, field = ou2d_solved
+    make = strategies(spec, field, pen, data=data)
+    cfg = PathConfig(n_paths=400, n_steps=40, rng_seed=5, feedback_substeps=8)
+    run = {
+        "paths_opt_tau_star": lambda: simulate_paths(
+            spec, (0.0, [1.2, -0.4]), make("controller_opt"), make("stopper_tau_star", band=0.01), cfg
+        ),
+        "penalized_w_star": lambda: simulate_penalized(
+            spec, data, pen, 1 / 16, (0.0, [3.0, 4.9]), make("controller_opt"), "w_star", cfg
+        ),
+        "recursive": lambda: simulate_recursive(
+            spec, data, pen, 1 / 16, (0.05, [-2.0, -5.2]), make("controller_opt"), cfg
+        ),
+    }[case]
+    est = run()
+    assert (est.mean.hex(), est.std_error.hex()) == GOLDEN_2D[case]
+
+
+def _old_control(strat, t, x):
+    """controller_opt's direction and rate by the boolean-gather formula the
+    feedback used before it wrote the direction with np.divide."""
+    grad = strat.field.sample_gradient(t, x)
+    outside = np.linalg.norm(x, axis=0) > strat.field.grid.m
+    grad[:, outside] = 0.0
+    gnorm_sq = np.sum(grad**2, axis=0)
+    f_sq = strat.data.f_m_sq(t, x)
+    norm = np.sqrt(gnorm_sq)
+    direction = np.zeros_like(x)
+    direction[0] = 1.0
+    pos = norm > 0
+    direction[:, pos] = -grad[:, pos] / norm[pos]
+    rate = 2.0 * strat.pen.d1(norm**2 - f_sq) * norm
+    rate *= strat.scale
+    if strat.flip:
+        direction = -direction
+    return direction, rate
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("flip", [False, True])
+def test_feedback_direction_is_the_boolean_gather_formula(d, flip):
+    """Inside the box, outside it (the controller idles) and where grad u = 0
+    the direction and rate equal the old formula bit for bit; where the norm
+    is 0 the direction is +e1, or -e1 when flipped."""
+    from test_solver import TestTwoDimensional
+
+    if d == 1:
+        spec = load_bench("bench_ou", coarse=True).spec
+    else:
+        spec = parse_config_text(TestTwoDimensional.OU_IN_X1)[0]
+    grid = Grid(d=d, m=4.0, nx=41, nt=10, T=0.2)
+    data = truncate_data(spec, 4.0, sup_samples=41)
+    pts = grid.points()
+    # flat (grad u = 0) for x1 < 0.5 and x2 < 1, sloped beyond
+    u = np.maximum(pts[0] - 0.5, 0.0) ** 2 + (np.maximum(pts[1] - 1.0, 0.0) if d == 2 else 0.0)
+    field = GridField(grid=grid, values=np.tile(u, (grid.nt + 1, 1)))
+    strat = FeedbackStrategy(
+        spec=spec, mode="controller_opt", field=field, pen=Penalty(1 / 16), data=data, flip=flip
+    )
+    rng = np.random.default_rng(8)
+    x = np.concatenate(
+        [
+            rng.uniform(-3.5, 3.5, size=(d, 40)),  # inside, sloped or flat
+            rng.uniform(-3.0, -1.0, size=(d, 10)),  # flat: grad u = 0
+            rng.uniform(4.2, 6.0, size=(d, 10)) * rng.choice([-1.0, 1.0], size=(d, 10)),  # outside
+        ],
+        axis=1,
+    )
+    direction, rate, _ = strat.control(0.07, 0.0, x)
+    want_direction, want_rate = _old_control(strat, 0.07, x)
+    assert np.array_equal(direction, want_direction) and np.array_equal(rate, want_rate)
+    norm = np.sqrt(np.sum(field.sample_gradient(0.07, x) ** 2, axis=0))
+    idle = (norm == 0) | (np.linalg.norm(x, axis=0) > grid.m)
+    assert 15 <= np.count_nonzero(idle) < x.shape[1]
+    e1 = np.zeros(d)
+    e1[0] = -1.0 if flip else 1.0
+    assert np.array_equal(direction[:, idle], np.tile(e1[:, None], (1, np.count_nonzero(idle))))
+
+
+@pytest.mark.parametrize("simulator", ["paths", "penalized", "recursive"])
+def test_each_step_computes_its_geometry_once(ou_solved, monkeypatch, simulator):
+    """Per step, the penalized and recursive simulators take |x| once and
+    build one sampling plan; simulate_paths with s feedback substeps at most
+    s of each (the stop rule shares the first substep's)."""
+    import ctrlstop.grid as grid_mod
+    import ctrlstop.kernel as kernel_mod
+    import ctrlstop.simulate as simulate_mod
+
+    calls = {"radius": 0, "plan": 0}
+    plain_radius = kernel_mod._radius
+
+    def radius(x):
+        calls["radius"] += 1
+        return plain_radius(x)
+
+    class Plan(grid_mod._SamplingPlan):
+        def __init__(self, *args):
+            calls["plan"] += 1
+            super().__init__(*args)
+
+    for mod in (kernel_mod, simulate_mod):
+        monkeypatch.setattr(mod, "_radius", radius)
+    for mod in (grid_mod, simulate_mod):
+        monkeypatch.setattr(mod, "_SamplingPlan", Plan, raising=False)
+
+    spec, data, pen, field = ou_solved
+    make = strategies(spec, field, pen, data=data)
+    subs, n_steps = 4, 40
+    cfg = PathConfig(n_paths=400, n_steps=n_steps, rng_seed=5, feedback_substeps=subs)
+    opt = make("controller_opt")
+    if simulator == "paths":
+        est = simulate_paths(spec, (0.0, [1.0]), opt, make("stopper_tau_star", band=0.01), cfg)
+        radii, plans = subs * n_steps, subs * n_steps
+    elif simulator == "penalized":
+        est = simulate_penalized(spec, data, pen, 0.125, (0.0, [5.9]), opt, "w_star", cfg)
+        radii, plans = n_steps + 1, n_steps  # the horizon pays g_m: one more radius
+    else:
+        est = simulate_recursive(spec, data, pen, 0.125, (0.0, [5.9]), opt, cfg)
+        radii, plans = n_steps + 1, n_steps
+    assert 0 < calls["radius"] <= radii and 0 < calls["plan"] <= plans
+    assert est.metadata["stopped_paths"] > 0
+
+
+@pytest.mark.parametrize("case", ["paths_w_star_rejected", "penalized_w_star"])
+def test_path_counts_add_up(ou_solved, case):
+    """Every launched path is stopped by the rule, reaches the horizon or is
+    rejected, exactly once."""
+    spec, data, pen, field = ou_solved
+    cfg = PathConfig(n_paths=400, n_steps=40, rng_seed=5)
+    if case == "penalized_w_star":
+        make = strategies(spec, field, pen, data=data)
+        est = simulate_penalized(spec, data, pen, 0.125, (0.0, [5.9]), make("controller_opt"), "w_star", cfg)
+    else:
+        text = resources.files("ctrlstop.configs").joinpath("bench_ou.cfg").read_text()
+        explosive = parse_config_text(
+            text.replace("drift[1] = -x1", "drift[1] = -x1 + max(0, x1 - 1.3)^4000")
+        )[0]
+        wild = strategies(explosive, field, pen, data=data)
+        est = simulate_paths(
+            explosive,
+            (0.0, [1.0]),
+            wild("controller_opt"),
+            wild("stopper_w_star", delta=0.125, band=0.01),
+            cfg,
+        )
+    meta = est.metadata
+    assert meta["stopped_paths"] > 0 and meta["horizon_paths"] > 0
+    assert meta["stopped_paths"] + meta["horizon_paths"] + meta["rejected_paths"] == cfg.n_paths
+    if case == "paths_w_star_rejected":
+        assert meta["rejected_paths"] == REJECTED[case]
