@@ -110,11 +110,11 @@ def cmd_solve(args) -> int:
     digest = artifacts.config_digest(args.config)
     run_dir = artifacts.make_run_dir(args.out, digest)
     walls = {}
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         result = continuation(spec, schedule, lambda mm: grid, tol=args.tol)
     except ContinuationError as exc:
-        walls["solve"] = time.time() - t0
+        walls["solve"] = time.perf_counter() - t0
         print(f"continuation aborted: {exc}", file=sys.stderr)
         for i, point in enumerate(exc.partial):
             save_field(run_dir / f"field_{i:02d}.npz", point.field, point.eps, point.delta)
@@ -130,27 +130,27 @@ def cmd_solve(args) -> int:
         )
         print(f"partial artifacts in {run_dir}")
         return EXIT_CONVERGENCE
-    walls["solve"] = time.time() - t0
+    walls["solve"] = time.perf_counter() - t0
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     report_vi = vi_report(result.limit, spec, tol_region=args.tol_region)
-    walls["vi_report"] = time.time() - t0
+    walls["vi_report"] = time.perf_counter() - t0
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     last = result.last
     save_field(run_dir / "field_limit.npz", result.limit, last.eps, last.delta)
     artifacts.write_field_csv(
         run_dir / "field_limit.csv", result.limit, report_vi, every=args.dump_every
     )
     artifacts.write_region_pgms(run_dir, report_vi, every=args.dump_every)
-    walls["artifacts"] = time.time() - t0
+    walls["artifacts"] = time.perf_counter() - t0
 
     oracle_gap = None
     if args.obstacle_oracle:
-        t0 = time.time()
+        t0 = time.perf_counter()
         oracle = solve_obstacle(ObstacleProblem(spec=spec, grid=grid), tol=1e-9)
         oracle_gap = compare_fields(result.limit, oracle.field, norm="sup")
-        walls["obstacle_oracle"] = time.time() - t0
+        walls["obstacle_oracle"] = time.perf_counter() - t0
 
     bounds_summary = []
     all_bounds_ok = True
@@ -162,6 +162,7 @@ def cmd_solve(args) -> int:
             "iters": point.iters,
             "residual": point.residual,
             "march": dataclasses.asdict(point.march),
+            "seconds": point.seconds,
             "bounds": {
                 name: {"bound": b, "observed": o, "ok": o <= b}
                 for name, (b, o) in point.bound_report.items()

@@ -12,11 +12,15 @@ M0 = I/ht - (L - r), the Newton level systems
 M0 + diag(extra_diag) - sum_i diag(extra_drift_i) D_i (interior rows) and
 the obstacle oracle's pinned systems, so the penalized solver and the oracle
 are free of stencil mismatch.  centered_gradient is the one nodal gradient
-D_i u.
+D_i u: along the axis of flat-index stride s, (u[j+s] - u[j-s]) / (2 hx)
+inside the box, and one-sided (u[j+s] - u[j]) / hx on its low edge and
+(u[j] - u[j-s]) / hx on its high edge, which is np.gradient(u, hx) bit for
+bit.
 """
 from __future__ import annotations
 
 import copy
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -166,14 +170,41 @@ class GridField:
 
 def centered_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
     """Centered-difference spatial gradient of nodal values (..., n_nodes),
-    shape (..., d, n_nodes): np.gradient with the uniform spacing hx over the
-    space axes, one-sided on the box edge, which only Dirichlet nodes occupy.
-    A stack of time levels is differenced in one call."""
+    shape (..., d, n_nodes): (u[j+1] - u[j-1]) / (2 hx) along each space
+    axis, one-sided (u[1] - u[0]) / hx and (u[-1] - u[-2]) / hx on the box
+    edge, which only Dirichlet nodes occupy.  These are np.gradient's formulas
+    with the uniform spacing hx, evaluated in its order, so the result is its
+    result bit for bit.  A stack of time levels is differenced in one call."""
     lead = values.shape[:-1]
-    grads = np.gradient(values.reshape(lead + grid.shape), grid.hx, axis=tuple(range(-grid.d, 0)))
-    if grid.d == 1:
-        grads = (grads,)
-    return np.stack(grads, axis=-grid.d - 1).reshape(lead + (grid.d, grid.n_nodes))
+    u = values.reshape(lead + grid.shape)
+    out = np.empty(lead + (grid.d,) + grid.shape)
+    hx = grid.hx
+    for mid, ahead, behind, edges in _difference_index(len(lead), grid.d):
+        inner = out[mid]
+        np.subtract(u[ahead], u[behind], out=inner)
+        inner /= 2.0 * hx
+        for node, up, down in edges:
+            out[node] = (u[up] - u[down]) / hx
+    return out.reshape(lead + (grid.d, grid.n_nodes))
+
+
+@functools.cache
+def _difference_index(n_lead: int, d: int):
+    """Index tuples of centered_gradient for values with n_lead leading axes,
+    per space axis: the output's interior slab, the nodes ahead of and behind
+    it, and (output node, minuend, subtrahend) of its two box edges."""
+    pre = (slice(None),) * n_lead
+    index = []
+    for axis in range(d):
+
+        def at(sel, component=()):
+            space = [slice(None)] * d
+            space[axis] = sel
+            return pre + component + tuple(space)
+
+        edges = ((at(0, (axis,)), at(1), at(0)), (at(-1, (axis,)), at(-1), at(-2)))
+        index.append((at(slice(1, -1), (axis,)), at(slice(2, None)), at(slice(None, -2)), edges))
+    return tuple(index)
 
 
 class _SamplingPlan:

@@ -87,12 +87,13 @@ class PayoffEstimate:
 
 class _Controls(tuple):
     """(direction, rate, outside) of FeedbackStrategy.control.  A gradient
-    feedback also keeps the |grad u|^2 and f^2 it sampled, so that the
-    closed-form Hamiltonian of the penalized payoffs reuses them."""
+    feedback also keeps the |grad u|^2 and f^2 it sampled, and the truncated
+    data f^2 came from (f_m^2; None for the untruncated f^2), so that the
+    Hamiltonian of the penalized payoffs reuses them."""
 
-    def __new__(cls, direction, rate, outside, gnorm_sq, f_sq):
+    def __new__(cls, direction, rate, outside, gnorm_sq, f_sq, data):
         self = super().__new__(cls, (direction, rate, outside))
-        self.gnorm_sq, self.f_sq = gnorm_sq, f_sq
+        self.gnorm_sq, self.f_sq, self.data = gnorm_sq, f_sq, data
         return self
 
 
@@ -222,7 +223,7 @@ class FeedbackStrategy:
             rate *= self.scale
             if self.flip:
                 direction = -direction
-            return _Controls(direction, rate, outside, gnorm_sq, f_sq)
+            return _Controls(direction, rate, outside, gnorm_sq, f_sq, self.data)
         raise ValueError(f"not a controller mode: {self.mode}")
 
     def stop_mask(self, t, elapsed, x, uniforms, dt):
@@ -506,8 +507,11 @@ class _TruncatedPayoff(_Payoff):
         if self.closed_form:
             zeta = ctl.gnorm_sq - ctl.f_sq
             return 2.0 * self.pen.d1(zeta) * ctl.gnorm_sq - self.pen.value(zeta)
-        f_m = np.sqrt(self.data._f_m_sq(pts.t, pts.x, pts.radius))
-        return hamiltonian_batch(self.pen, f_m, ctl[1])
+        if isinstance(ctl, _Controls) and ctl.data is self.data:
+            f_m_sq = ctl.f_sq  # f_m^2 that control sampled at these points
+        else:  # a delayed feedback's plain tuple, or f^2 of other data
+            f_m_sq = self.data._f_m_sq(pts.t, pts.x, pts.radius)
+        return hamiltonian_batch(self.pen, np.sqrt(f_m_sq), ctl[1])
 
 
 class _PenalizedPayoff(_TruncatedPayoff):

@@ -22,6 +22,7 @@ levels.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,12 +102,13 @@ def gamma_step(
         raise SolverError(f"non-finite source at time level {np.flatnonzero(bad)[-1]}")
     out = np.empty((nt + 1, grid.n_nodes))
     out[nt] = g[nt]
-    dirichlet = op.dirichlet
+    dirichlet = np.flatnonzero(op.dirichlet)
+    ht = grid.ht
     for k in range(nt - 1, -1, -1):
-        rhs = out[k + 1] / grid.ht + source[k]
+        rhs = out[k + 1] / ht + source[k]
         rhs[dirichlet] = g[k, dirichlet]
         sol = op.implicit_solve(rhs)
-        if not np.all(np.isfinite(sol)):
+        if not np.isfinite(sol).all():
             raise SolverError(f"linear solve produced non-finite values at level {k}")
         out[k] = sol
     return GridField(grid=grid, values=out)
@@ -143,58 +145,67 @@ def _nonlinear_march(
     inner loop converges in a few iterations; the marched field is the
     fixed point of the frozen-source operator up to the inner tolerance.
     The line search evaluates the level residual at each trial point; the
-    accepted trial's gradient, |grad v|^2 and psi feed the next linearization.
+    accepted trial's gradient, |grad v|^2, zeta and psi feed the next
+    linearization, so each Newton iteration evaluates psi' once and psi only
+    through the residuals.
     stacks holds the g_m, h_m and f_m^2 level stacks.
     """
     grid = op.grid
     g, h, f2 = stacks
-    nt = grid.nt
+    nt, ht = grid.nt, grid.ht
     out = np.empty((nt + 1, grid.n_nodes))
     out[nt] = g[nt]
-    dirichlet = op.dirichlet
-    interior = ~dirichlet
+    dirichlet = np.flatnonzero(op.dirichlet)
+    interior = np.flatnonzero(~op.dirichlet)
     inv_delta = 1.0 / delta
 
-    def level_residual(v, knext, g_k, h_k, f2_k):
+    def level_residual(v, knext_ht, g_k, h_k, f2_k):
         """Merit (interior norm of the level residual) at v, with the
-        gradient, |grad v|^2 and psi(|grad v|^2 - f_m^2) it used."""
+        gradient, |grad v|^2, zeta = |grad v|^2 - f_m^2 and psi(zeta) it used.
+        The residual v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+
+        + psi is summed left to right in place, and the merit is
+        np.linalg.norm's sqrt(dot) of its interior entries."""
         grad = centered_gradient(grid, v)
-        gsq = np.sum(grad**2, axis=0)
-        psi = pen.value(gsq - f2_k)
-        res = (
-            v / grid.ht
-            - op.apply_generator(v)
-            - knext / grid.ht
-            - h_k
-            - inv_delta * np.maximum(g_k - v, 0.0)
-            + psi
-        )
-        return float(np.linalg.norm(res[interior])), grad, gsq, psi
+        gsq = (grad**2).sum(axis=0)
+        zeta = gsq - f2_k
+        psi = pen.value(zeta)
+        res = v / ht
+        res -= op.apply_generator(v)
+        res -= knext_ht
+        res -= h_k
+        obstacle = np.subtract(g_k, v)
+        np.maximum(obstacle, 0.0, out=obstacle)
+        obstacle *= inv_delta
+        res -= obstacle
+        res += psi
+        res = res[interior]
+        return math.sqrt(np.dot(res, res)), grad, gsq, zeta, psi
 
     for k in range(nt - 1, -1, -1):
         g_k, h_k, f2_k = g[k], h[k], f2[k]
-        knext = out[k + 1]
-        v = knext.copy() if guess is None else guess.values[k].copy()
+        knext_ht = out[k + 1] / ht
+        v = out[k + 1].copy() if guess is None else guess.values[k].copy()
         v[dirichlet] = g_k[dirichlet]
-        state = level_residual(v, knext, g_k, h_k, f2_k)
+        state = level_residual(v, knext_ht, g_k, h_k, f2_k)
         converged = False
         for _ in range(max_inner):
-            merit, grad_v, gsq, psi = state
+            merit, grad_v, gsq, zeta, psi = state
             counts.newton_iters += 1
-            slope = 2.0 * pen.d1(gsq - f2_k)
-            active = (g_k - v > 0.0).astype(float)
+            slope = 2.0 * pen.d1(zeta)
+            extra_diag = inv_delta * (g_k - v > 0.0)
             extra_drift = -slope[None, :] * grad_v
-            extra_diag = inv_delta * active
-            const_src = h_k + inv_delta * active * g_k - psi + slope * gsq
-            if not np.all(np.isfinite(const_src)):
+            const_src = h_k + extra_diag * g_k - psi + slope * gsq
+            if not np.isfinite(const_src).all():
                 raise SolverError(f"non-finite source at time level {k}")
-            rhs = knext / grid.ht + const_src
+            rhs = knext_ht + const_src
             rhs[dirichlet] = g_k[dirichlet]
             w = op.level_solver(extra_drift, extra_diag)(rhs)
-            if not np.all(np.isfinite(w)):
-                raise SolverError(f"linear solve produced non-finite values at level {k}")
             direction = w - v
-            step = float(np.max(np.abs(direction)))
+            step = float(np.abs(direction).max())
+            # v is finite, so a non-finite step means a non-finite w, unless
+            # w - v overflowed; then w is finite and the line search goes on
+            if not math.isfinite(step) and not np.isfinite(w).all():
+                raise SolverError(f"linear solve produced non-finite values at level {k}")
             if step <= inner_tol:
                 v = w
                 converged = True
@@ -204,7 +215,7 @@ def _nonlinear_march(
             accepted, best_merit = None, merit
             for _ in range(9):
                 cand = v + theta * direction
-                trial = level_residual(cand, knext, g_k, h_k, f2_k)
+                trial = level_residual(cand, knext_ht, g_k, h_k, f2_k)
                 counts.line_search_trials += 1
                 if trial[0] < best_merit:
                     accepted, best_merit = (cand, trial), trial[0]
@@ -241,7 +252,9 @@ class PenaltyPoint:
 
     iters counts certification attempts: marches checked by a frozen-source
     sweep (1 unless a certification failed).  march counts the work of the
-    stage's marches.
+    stage's marches.  seconds splits the stage's wall time: "march" (every
+    march), "certify" (every frozen-source sweep with its residual) and
+    "report" (the nonnegativity check and the bound report).
     """
 
     eps: float
@@ -252,6 +265,7 @@ class PenaltyPoint:
     residual: float
     bound_report: dict[str, tuple[float, float]]
     march: MarchCounts
+    seconds: dict[str, float]
 
     def bounds_ok(self) -> bool:
         return all(obs <= bound for bound, obs in self.bound_report.values())
@@ -292,12 +306,18 @@ def solve_penalized(
     stacks = _truncated_stacks(grid, data)
 
     counts = MarchCounts()
+    seconds = dict.fromkeys(("march", "certify", "report"), 0.0)
     inner_tol = 0.1 * tol
     guess = u0
     for iters in range(1, 5):
+        start = time.perf_counter()
         u = _nonlinear_march(op, stacks, pen, delta, inner_tol, counts, guess=guess)
+        marched = time.perf_counter()
         w = gamma_step(grid, data, pen, delta, u, operator=op)
         residual = float(np.max(np.abs(w.values - u.values)))
+        certified = time.perf_counter()
+        seconds["march"] += marched - start
+        seconds["certify"] += certified - marched
         if residual <= tol:
             break
         guess = u
@@ -340,6 +360,7 @@ def solve_penalized(
         "time_derivative_full": (math.inf, obs_dt_full),
         "gradient_penalty": (math.inf, obs_psi),
     }
+    seconds["report"] = time.perf_counter() - certified
     return PenaltyPoint(
         eps=pen.eps,
         delta=delta,
@@ -349,6 +370,7 @@ def solve_penalized(
         residual=residual,
         bound_report=report,
         march=counts,
+        seconds=seconds,
     )
 
 

@@ -106,6 +106,10 @@ class TestSolve:
             assert point["iters"] == 1
             assert point["march"]["levels"] == 50
             assert point["march"]["newton_iters"] >= 50
+            assert set(point["seconds"]) == {"march", "certify", "report"}
+            assert min(point["seconds"].values()) >= 0.0
+        staged = sum(sum(p["seconds"].values()) for p in manifest["points"])
+        assert staged <= manifest["wall_times"]["solve"]
         names = {o["file"] for o in manifest["outputs"]}
         assert "field_limit.csv" in names and "field_limit.npz" in names
         assert any(n.endswith(".pgm") for n in names)

@@ -74,21 +74,46 @@ def test_level_system_is_the_generator_stencil(case):
 
 
 
+def _np_gradient(grid, values):
+    """np.gradient of nodal values (..., n_nodes) over the space axes with
+    spacing hx, stacked as (..., d, n_nodes)."""
+    lead = values.shape[:-1]
+    axes = tuple(range(len(lead), len(lead) + grid.d))
+    grads = np.gradient(values.reshape(lead + grid.shape), grid.hx, axis=axes)
+    if grid.d == 1:
+        grads = (grads,)
+    return np.stack(grads, axis=len(lead)).reshape(lead + (grid.d, grid.n_nodes))
+
+
 @pytest.mark.parametrize(
     "grid",
-    [Grid(d=1, m=6.0, nx=601, nt=1, T=1.0), Grid(d=2, m=3.0, nx=31, nt=1, T=1.0)],
-    ids=["1d", "2d"],
+    [
+        Grid(d=1, m=6.0, nx=601, nt=1, T=1.0),
+        Grid(d=2, m=3.0, nx=31, nt=1, T=1.0),
+        Grid(d=1, m=1.0, nx=5, nt=1, T=1.0),
+        Grid(d=2, m=1.0, nx=5, nt=1, T=1.0),
+    ],
+    ids=["1d", "2d", "1d-nx5", "2d-nx5"],
 )
 def test_centered_gradient_is_np_gradient(grid):
-    """The gradient of one slice is np.gradient over its space axes, bit for
-    bit, and a stack of slices differences like each of its slices."""
-    u = np.random.default_rng(7).normal(size=grid.n_nodes) * 10.0
-    ref = np.gradient(u.reshape(grid.shape), grid.hx)
-    ref = ref[None, :] if grid.d == 1 else np.stack(ref, axis=0).reshape(grid.d, -1)
-    np.testing.assert_array_equal(centered_gradient(grid, u), ref)
+    """centered_gradient is np.gradient over the space axes, bit for bit: on
+    one slice and on a stack of slices, on the smallest grid, and where the
+    values hold inf and NaN (inf - inf and NaN come out where np.gradient
+    puts them, with the same bits)."""
+    rng = np.random.default_rng(7)
+    u = rng.normal(size=grid.n_nodes) * 10.0
     stack = np.stack([u, -3.0 * u, u**2])
-    want = np.stack([centered_gradient(grid, v) for v in stack])
-    np.testing.assert_array_equal(centered_gradient(grid, stack), want)
+    bad = stack.copy()
+    n = grid.n_nodes
+    bad[0, [0, 1]] = np.inf  # on the box edge, and inf - inf next to it
+    bad[1, n // 2] = np.nan
+    bad[2, [n // 2 - 1, n // 2 + 1, n - 1]] = [np.inf, np.inf, -np.inf]
+    for values in (u, stack, bad[0], bad[1], bad):
+        with np.errstate(invalid="ignore"):
+            got = centered_gradient(grid, values)
+            want = _np_gradient(grid, values)
+        assert got.shape == values.shape[:-1] + (grid.d, n)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("d, m, nx", [(1, 6.0, 601), (2, 3.0, 31), (2, 0.7, 6)])

@@ -706,3 +706,42 @@ def test_path_counts_add_up(ou_solved, case):
     assert meta["stopped_paths"] + meta["horizon_paths"] + meta["rejected_paths"] == cfg.n_paths
     if case == "paths_w_star_rejected":
         assert meta["rejected_paths"] == REJECTED[case]
+
+
+@pytest.mark.parametrize("case", ["scaled", "flipped", "delayed", "untruncated_feedback"])
+def test_truncated_hamiltonian_samples_f_m_once_per_step(ou_solved, monkeypatch, case):
+    """A perturbed optimal feedback samples f_m^2 once per step: the payoff's
+    Hamiltonian reuses the f_m^2 that control took from the same truncated
+    data.  Where control returned a plain tuple (before its delay) or sampled
+    the untruncated f^2, the Hamiltonian samples f_m^2 itself, once."""
+    from ctrlstop.kernel import TruncatedData
+    from ctrlstop.simulate import _TruncatedPayoff
+
+    spec, data, pen, field = ou_solved
+    calls = {"f_m_sq": 0, "hamiltonian": 0}
+    plain_f_m_sq, plain_hamiltonian = TruncatedData._f_m_sq, _TruncatedPayoff.hamiltonian
+
+    def f_m_sq(self, *args):
+        calls["f_m_sq"] += 1
+        return plain_f_m_sq(self, *args)
+
+    def hamiltonian(self, *args):
+        calls["hamiltonian"] += 1
+        return plain_hamiltonian(self, *args)
+
+    monkeypatch.setattr(TruncatedData, "_f_m_sq", f_m_sq)
+    monkeypatch.setattr(_TruncatedPayoff, "hamiltonian", hamiltonian)
+    make = strategies(spec, field, pen, data=None if case == "untruncated_feedback" else data)
+    ctrl = {
+        "scaled": make("controller_opt", scale=0.5),
+        "flipped": make("controller_opt", flip=True),
+        "delayed": make("controller_opt", delay=0.1),
+        "untruncated_feedback": make("controller_opt", scale=0.5),
+    }[case]
+    cfg = PathConfig(n_paths=400, n_steps=40, rng_seed=5)
+    if case == "flipped":
+        simulate_recursive(spec, data, pen, 0.125, (0.2, [-1.2]), ctrl, cfg)
+    else:
+        simulate_penalized(spec, data, pen, 0.125, (0.0, [1.0]), ctrl, "w_star", cfg)
+    assert calls["hamiltonian"] > 0
+    assert calls["f_m_sq"] == calls["hamiltonian"]  # one per step with paths alive

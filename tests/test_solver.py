@@ -6,10 +6,11 @@ import pytest
 
 from ctrlstop import solver
 from ctrlstop.benches import load_bench
-from ctrlstop.grid import Grid, GridField, build_operator
+from ctrlstop.grid import Grid, GridField, Operator, build_operator
 from ctrlstop.kernel import Penalty, truncate_data
 from ctrlstop.model import parse_config_text
 from ctrlstop.solver import (
+    SolverError,
     continuation,
     default_schedule,
     gamma_step,
@@ -526,3 +527,108 @@ def test_certification_goes_through_gamma_step(monkeypatch):
     bench = load_bench("bench_ou", coarse=True)
     res = continuation(bench.spec, bench.schedule, bench.grid_policy, tol=1e-7)
     assert len(calls) == sum(p.iters for p in res.points) > 0
+
+
+class PoisonedSource:
+    """Zero payoff data, except a running reward of +inf on one time level."""
+
+    def __init__(self, grid, level):
+        self.spec = load_bench("allzero", coarse=True).spec
+        self.m = grid.m
+        self.time_independent = False
+        self.t_bad = float(grid.times[level])
+
+    def g_m(self, t, x):
+        return np.zeros(np.asarray(x).shape[1:])
+
+    def h_m(self, t, x):
+        return np.full(np.asarray(x).shape[1:], np.inf if t == self.t_bad else 0.0)
+
+    def f_m_sq(self, t, x):
+        return np.ones(np.asarray(x).shape[1:])
+
+
+class TestMarchErrors:
+    def test_non_finite_source_names_its_level(self):
+        bench = load_bench("allzero", coarse=True)
+        grid = bench.grid
+        data = PoisonedSource(grid, level=6)
+        with pytest.raises(SolverError, match=r"^non-finite source at time level 6$"):
+            solve_penalized(grid, data, Penalty(0.5), 0.5)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_solve_names_its_level(self, bad, monkeypatch):
+        """On zero data every level converges in one Newton iteration, so the
+        fourth level solve is the one of level nt - 4."""
+        real = Operator.level_solver
+        calls = []
+
+        def poisoned(self, extra_drift, extra_diag):
+            solve = real(self, extra_drift, extra_diag)
+            calls.append(1)
+            if len(calls) != 4:
+                return solve
+
+            def bad_solve(rhs):
+                w = solve(rhs)
+                w[w.size // 2] = bad
+                return w
+
+            return bad_solve
+
+        monkeypatch.setattr(Operator, "level_solver", poisoned)
+        bench = load_bench("allzero", coarse=True)
+        grid = bench.grid
+        data = truncate_data(bench.spec, grid.m)
+        level = grid.nt - 4
+        with pytest.raises(
+            SolverError, match=rf"^linear solve produced non-finite values at level {level}$"
+        ):
+            solve_penalized(grid, data, Penalty(0.5), 0.5)
+
+
+def test_layer_counters_match_the_march(monkeypatch):
+    """perfbench reads the march's work off calls of Operator.level_solver,
+    Operator.apply_generator, Penalty.value and Penalty.d1.  Per solve without
+    retries: one level solver and one Penalty.d1 per Newton iteration; one
+    apply_generator and one Penalty.value per level residual (one per level,
+    one per line-search trial), plus one apply_generator for Theta_m and one
+    Penalty.value each in gamma_step and the bound report."""
+    calls = dict.fromkeys(["level_solver", "apply_generator", "value", "d1"], 0)
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(Operator, "level_solver")
+    counted(Operator, "apply_generator")
+    counted(Penalty, "value")
+    counted(Penalty, "d1")
+    per_solve = []
+    real_solve = solver.solve_penalized
+
+    def solve_counted(*args, **kwargs):
+        before = dict(calls)
+        point = real_solve(*args, **kwargs)
+        per_solve.append((point, {k: calls[k] - before[k] for k in calls}))
+        return point
+
+    monkeypatch.setattr(solver, "solve_penalized", solve_counted)
+    bench = load_bench("bench_ou", coarse=True)
+    res = continuation(bench.spec, bench.schedule, bench.grid_policy, tol=1e-7)
+    assert len(per_solve) == len(res.points) == len(bench.schedule)
+    for point, seen in per_solve:
+        work = point.march
+        assert point.iters == 1
+        residuals = work.levels + work.line_search_trials
+        assert seen == {
+            "level_solver": work.newton_iters,
+            "d1": work.newton_iters,
+            "apply_generator": residuals + 1,
+            "value": residuals + 2,
+        }
