@@ -313,10 +313,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    from .verify import CorruptiblePenalty, run_invariant_suite
+    from .verify import run_invariant_suite
 
-    factory = CorruptiblePenalty if args.selftest_corrupt_psi else Penalty
-    results = run_invariant_suite(pen_factory=factory, n_cases=args.cases, rng_seed=args.seed or 0)
+    results = run_invariant_suite(n_cases=args.cases, rng_seed=args.seed or 0)
     failures = 0
     for name, ok, detail in results:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
@@ -367,7 +366,6 @@ def build_parser():
     p_ver = sub.add_parser("verify", help="run the randomized invariant suite")
     p_ver.add_argument("--cases", type=int, default=100_000)
     p_ver.add_argument("--seed", type=int, default=None)
-    p_ver.add_argument("--selftest-corrupt-psi", action="store_true", help=argparse.SUPPRESS)
 
     return parser
 

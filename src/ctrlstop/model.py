@@ -6,7 +6,9 @@ unit of control), g (stopping payoff), h (running payoff), the discount rate
 and horizon.  Every pointwise question (drift, diffusion, a = sigma sigma^T,
 Theta) is answered on a batch of points x of shape (d, n), with t a scalar
 or of shape (n,); a single point of shape (d,) gives the same quantities
-without the trailing n.  validate_assumptions estimates the structural
+without the trailing n.  _level_stacks evaluates data on time levels (the
+solver's lattice, the oracles' levels): time-independent data once,
+broadcast over the levels.  validate_assumptions estimates the structural
 constants (ellipticity, growth, the obstacle drift term) in one such pass
 per sample radius and flags violations of the gates that the downstream
 algorithms rely on:
@@ -138,6 +140,17 @@ class ProblemSpec:
             + np.sum(self.drift(x) * grad, axis=0)
             - self.r * g
         )
+
+
+def _level_stacks(times, points, static: bool, *fns) -> list[np.ndarray]:
+    """fn(t_k, x) at every point of points (shape (d, n)) and every time t_k
+    of times, shape (len(times), n), for each fn.  Time-independent data
+    (static) are evaluated once and broadcast over the times as a read-only
+    view; time-dependent data are evaluated time by time.  Every consumer of
+    problem data on time levels reads them through here."""
+    if static:
+        return [np.broadcast_to(fn(0.0, points), (len(times), points.shape[1])) for fn in fns]
+    return [np.stack([fn(float(t), points) for t in times]) for fn in fns]
 
 
 @dataclass(frozen=True)

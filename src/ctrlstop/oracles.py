@@ -4,7 +4,9 @@ binds), exact on each level's complementarity problem, and a desk-scale
 discrete lattice game solved by backward induction in both min-max orders.
 
 Both share the pde-solver's stencil conventions where applicable so that
-field comparisons measure algorithmic agreement, not stencil mismatch.
+field comparisons measure algorithmic agreement, not stencil mismatch, and
+both read g, h and f on their time levels through model._level_stacks, which
+evaluates time-independent data once.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridField, build_operator
-from .model import ProblemSpec
+from .model import ProblemSpec, _level_stacks
 
 __all__ = [
     "ObstacleProblem",
@@ -36,12 +38,6 @@ class ObstacleProblem:
 
     spec: ProblemSpec
     grid: Grid
-
-    def obstacle(self, t, pts):
-        return self.spec.g(t, pts)
-
-    def source(self, t, pts):
-        return self.spec.h(t, pts)
 
 
 @dataclass
@@ -71,7 +67,6 @@ def solve_obstacle(
     """
     grid, spec = prob.grid, prob.spec
     op = build_operator(grid, spec)
-    pts = grid.points()
     n, nt = grid.n_nodes, grid.nt
     dirichlet = op.dirichlet
     interior = ~dirichlet
@@ -80,14 +75,14 @@ def solve_obstacle(
     if np.any(M.diagonal()[interior] <= 0):
         raise OracleError("non-positive diagonal in the implicit operator")
 
+    g, h = _level_stacks(grid.times, grid.points(), spec.time_independent, spec.g, spec.h)
     out = np.empty((nt + 1, n))
-    out[nt] = prob.obstacle(float(grid.T), pts)
+    out[nt] = g[nt]
     sweeps_used = []
     worst_comp = 0.0
     for k in range(nt - 1, -1, -1):
-        t = float(grid.times[k])
-        g_k = prob.obstacle(t, pts)
-        rhs = out[k + 1] / grid.ht + prob.source(t, pts)
+        g_k = g[k]
+        rhs = out[k + 1] / grid.ht + h[k]
         u = np.maximum(out[k + 1], g_k)
         u[dirichlet] = g_k[dirichlet]
         active = interior & (u <= g_k)
@@ -192,19 +187,17 @@ def solve_lattice_game(game: LatticeGame) -> LatticeSolution:
     def expect(v):
         return probs[0] * v[dn] + probs[1] * v + probs[2] * v[up]
 
-    x_arr = xs[None, :]
+    # level k lies at k dt and the terminal level at T
+    times = np.append(np.arange(n_times) * game.dt, spec.T)
+    g, h, f = _level_stacks(times, xs[None, :], spec.time_independent, spec.g, spec.h, spec.f)
     v_mm = np.empty((n_times + 1, n_states))
     v_ms = np.empty((n_times + 1, n_states))
-    g_T = spec.g(spec.T, x_arr)
-    v_mm[n_times] = g_T
-    v_ms[n_times] = g_T
+    v_mm[n_times] = g[n_times]
+    v_ms[n_times] = g[n_times]
     for k in range(n_times - 1, -1, -1):
-        t = k * game.dt
-        g_k = spec.g(t, x_arr)
-        h_k = spec.h(t, x_arr)
-        f_k = spec.f(t, x_arr)
-        run = h_k * game.dt
-        costs = (0.0, f_k * game.eta)
+        g_k = g[k]
+        run = h[k] * game.dt
+        costs = (0.0, f[k] * game.eta)
         e_mm, e_ms = expect(v_mm[k + 1]), expect(v_ms[k + 1])
         cont_mm = [
             run + costs[abs(shift)] + disc * e_mm[tgt]

@@ -15,9 +15,8 @@ and certifies convergence by the frozen-source residual |Gamma[u] - u|.
 Only the march and the backward solves of gamma_step go level by level,
 since each level needs the next.  Everything else (the frozen source, the
 bound report, Theta_m and vi_report) runs on the whole (nt+1, n_nodes) level
-stack.  _level_stacks is the one place that evaluates nodal data on the
-grid; it evaluates time-independent data once and broadcasts them over the
-levels.
+stack.  Nodal data come from model._level_stacks on the grid's times and
+nodes, which evaluates time-independent data once.
 """
 from __future__ import annotations
 
@@ -29,6 +28,7 @@ import numpy as np
 
 from .grid import Grid, GridField, Operator, build_operator, centered_gradient
 from .kernel import Penalty, TruncatedData, truncate_data
+from .model import _level_stacks
 
 __all__ = [
     "MarchCounts",
@@ -58,20 +58,11 @@ class ContinuationError(SolverError):
         self.partial = partial
 
 
-def _level_stacks(grid: Grid, static: bool, *fns) -> list[np.ndarray]:
-    """fn(t_k, x) at every node and level of the grid, shape (nt+1, n_nodes),
-    for each fn.  Time-independent data (static) are evaluated once and
-    broadcast over the levels as a read-only view; time-dependent data are
-    evaluated level by level."""
-    pts = grid.points()
-    if static:
-        return [np.broadcast_to(fn(0.0, pts), (grid.nt + 1, grid.n_nodes)) for fn in fns]
-    return [np.stack([fn(float(t), pts) for t in grid.times]) for fn in fns]
-
-
 def _truncated_stacks(grid: Grid, data: TruncatedData) -> list[np.ndarray]:
-    """The g_m, h_m and f_m^2 stacks of the truncated data."""
-    return _level_stacks(grid, data.time_independent, data.g_m, data.h_m, data.f_m_sq)
+    """The g_m, h_m and f_m^2 stacks of the truncated data on the grid."""
+    return _level_stacks(
+        grid.times, grid.points(), data.time_independent, data.g_m, data.h_m, data.f_m_sq
+    )
 
 
 def gamma_step(
@@ -424,7 +415,10 @@ def continuation(
     previous field; reports sup-norm Cauchy increments on the innermost box.
 
     schedule: list of (eps, delta, m) that check_schedule accepts.
-    grid_policy maps a radius m to a Grid.
+    grid_policy maps a radius m to a Grid.  Since m is nondecreasing, a radius
+    never comes back: the truncated data and the operator are those of the
+    current radius, rebuilt when m grows, and the first radius's data are
+    kept for the limit.
     """
     schedule = check_schedule(schedule)
 
@@ -432,16 +426,16 @@ def continuation(
     increments: list[float] = []
     prev_field: GridField | None = None
     k3_bound = None
-    data_cache: dict[float, TruncatedData] = {}
-    op_cache: dict[float, object] = {}
+    m0 = schedule[0][2]
+    data0 = truncate_data(spec, m0)
+    data, op = data0, None
 
     for eps_k, delta_k, m_k in schedule:
-        if m_k not in data_cache:
-            data_cache[m_k] = truncate_data(spec, m_k)
         grid = grid_policy(m_k)
-        if m_k not in op_cache:
-            op_cache[m_k] = build_operator(grid, spec)
-        data = data_cache[m_k]
+        if m_k != data.m:
+            data, op = truncate_data(spec, m_k), None
+        if op is None:
+            op = build_operator(grid, spec)
         u0 = None
         if prev_field is not None:
             u0 = _interp_onto(prev_field, grid, data)
@@ -454,7 +448,7 @@ def continuation(
                 tol=tol,
                 u0=u0,
                 k3_bound=k3_bound,
-                operator=op_cache[m_k],
+                operator=op,
             )
         except SolverError as exc:
             raise ContinuationError(
@@ -468,14 +462,11 @@ def continuation(
         points.append(point)
         prev_field = point.field
 
-    m0 = schedule[0][2]
     last = points[-1].field
     if points[-1].m == m0:
         limit = last
     else:
-        grid0 = grid_policy(m0)
-        data0 = data_cache[m0]
-        limit = _interp_onto(last, grid0, data0)
+        limit = _interp_onto(last, grid_policy(m0), data0)
     return ContinuationResult(points=points, limit=limit, increments=increments, schedule=schedule)
 
 
@@ -487,7 +478,7 @@ def _interp_onto(src: GridField, grid: Grid, data: TruncatedData) -> GridField:
     vals = np.empty((grid.nt + 1, grid.n_nodes))
     for k, t in enumerate(grid.times):
         vals[k] = src.sample(float(t), pts)
-    (g,) = _level_stacks(grid, data.time_independent, data.g_m)
+    (g,) = _level_stacks(grid.times, pts, data.time_independent, data.g_m)
     dirichlet = grid.dirichlet_mask()
     vals[:, dirichlet] = g[:, dirichlet]
     vals[grid.nt] = g[grid.nt]
@@ -522,7 +513,7 @@ def vi_report(field: GridField, spec, tol_region: float | None = None, operator=
         tol_region = 10.0 * grid.hx
     interior = ~op.dirichlet
     nt = grid.nt
-    g, f, h = _level_stacks(grid, spec.time_independent, spec.g, spec.f, spec.h)
+    g, f, h = _level_stacks(grid.times, grid.points(), spec.time_independent, spec.g, spec.f, spec.h)
     u = field.values
     grad_norm = np.sqrt(np.sum(field._gradient_table() ** 2, axis=-2))
 

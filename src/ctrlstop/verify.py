@@ -11,16 +11,10 @@ import numpy as np
 from .benches import load_bench
 from .expressions import eval_with_derivatives, parse_expression
 from .kernel import Penalty, build_cutoff, hamiltonian, hamiltonian_batch, truncate_data
+from .model import _level_stacks
 from .oracles import LatticeGame, ObstacleProblem, solve_lattice_game, solve_obstacle
 
-__all__ = ["run_invariant_suite", "CorruptiblePenalty"]
-
-
-class CorruptiblePenalty(Penalty):
-    """Test hook: a penalty with a deliberately non-convex bridge."""
-
-    def d2(self, y):
-        return super().d2(y) - 0.5 / self.eps**2
+__all__ = ["run_invariant_suite"]
 
 
 def _check_psi(pen_factory, n_cases, rng):
@@ -123,14 +117,10 @@ def _check_lattice(rng):
 
 def _check_obstacle(rng):
     bench = load_bench("bench_ou_purestop", coarse=True)
-    prob = ObstacleProblem(spec=bench.spec, grid=bench.grid)
-    sol = solve_obstacle(prob, tol=1e-10)
-    pts = bench.grid.points()
-    above = True
-    for k, t in enumerate(bench.grid.times):
-        g_k = prob.obstacle(float(t), pts)
-        if np.any(sol.field.values[k] < g_k - 1e-9):
-            above = False
+    spec, grid = bench.spec, bench.grid
+    sol = solve_obstacle(ObstacleProblem(spec=spec, grid=grid), tol=1e-10)
+    (g,) = _level_stacks(grid.times, grid.points(), spec.time_independent, spec.g)
+    above = not np.any(sol.field.values < g - 1e-9)
     return (
         above and sol.complementarity_residual < 1e-10,
         f"above obstacle={above}, complementarity={sol.complementarity_residual:.1e}",

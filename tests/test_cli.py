@@ -1,3 +1,5 @@
+import argparse
+import functools
 import json
 from importlib import resources
 from pathlib import Path
@@ -6,9 +8,12 @@ import pytest
 
 import numpy as np
 
+from ctrlstop import cli, solver, verify
 from ctrlstop.artifacts import file_digest
-from ctrlstop.cli import main, save_field
+from ctrlstop.cli import build_parser, main, save_field
 from ctrlstop.grid import Grid, GridField
+from ctrlstop.kernel import Penalty
+from ctrlstop.simulate import SimulationError
 
 CONST1 = """
 dim = 1
@@ -142,6 +147,15 @@ class TestSolve:
         p.write_text(CONST1.replace("g = 1", "g = 2*x1"))
         assert main(["solve", "--config", str(p), "--grid", "4,81,50", "--out", str(tmp_path / "o")]) == 1
 
+    def test_bound_violation_exits_one_with_manifest(self, allzero_cfg, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(solver.PenaltyPoint, "bounds_ok", lambda self: False)
+        out = tmp_path / "runs"
+        argv = ["solve", "--config", str(allzero_cfg), "--schedule", "0.5,0.5,2"]
+        assert main(argv + ["--grid", "4,81,50", "--out", str(out)]) == 1
+        assert "bound report violations detected (see manifest)" in capsys.readouterr().err
+        manifest = json.loads((next(out.iterdir()) / "manifest.json").read_text())[0]
+        assert manifest["status"] == "ok" and manifest["bounds_ok"] is False
+
     def test_convergence_failure_exits_two_with_manifest(self, tmp_path):
         # no level solve reaches a tolerance of 1e-300: the first stage stalls
         p = tmp_path / "bench_ou.cfg"
@@ -202,6 +216,20 @@ class TestSimulate:
         assert len(manifest["probes"]) == 12
         assert all(p["passed"] for p in manifest["probes"])
 
+    def test_simulation_error_exits_one_without_a_run(self, const1_cfg, tmp_path, monkeypatch, capsys):
+        def failing(*args, **kwargs):
+            raise SimulationError("too many rejected paths")
+
+        monkeypatch.setattr(cli, "simulate_paths", failing)
+        grid = Grid(d=1, m=4.0, nx=41, nt=10, T=0.3)
+        save_field(tmp_path / "field.npz", GridField(grid, np.ones((11, 41))), 0.5, 0.5)
+        out = tmp_path / "runs"
+        argv = ["simulate", "--config", str(const1_cfg), "--field", str(tmp_path / "field.npz")]
+        assert main(argv + ["--paths", "40", "--steps", "5", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["simulation failed: too many rejected paths"]
+        assert not out.exists()
+
 
 class TestBadArguments:
     """A bad argument value exits 3 with one stderr line, before any work and
@@ -250,8 +278,35 @@ class TestVerify:
     def test_clean_suite_exits_zero(self):
         assert main(["verify", "--cases", "4000"]) == 0
 
-    def test_corrupted_bridge_detected(self):
-        assert main(["verify", "--cases", "4000", "--selftest-corrupt-psi"]) == 1
+    def test_corrupted_bridge_detected(self, monkeypatch, capsys):
+        class NonConvexPenalty(Penalty):
+            """A penalty whose bridge has a negative second derivative."""
+
+            def d2(self, y):
+                return super().d2(y) - 0.5 / self.eps**2
+
+        suite = functools.partial(verify.run_invariant_suite, pen_factory=NonConvexPenalty)
+        monkeypatch.setattr(verify, "run_invariant_suite", suite)
+        assert main(["verify", "--cases", "4000"]) == 1
+        assert "[FAIL] penalty bridge" in capsys.readouterr().out
+
+
+def test_every_option_is_in_its_help():
+    """No subcommand has a hidden option."""
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in subparsers.choices.items():
+        text = sub.format_help()
+        options = [o for a in sub._actions for o in a.option_strings if o not in ("-h", "--help")]
+        assert options, name
+        for option in options:
+            assert option in text, (name, option)
+    assert sorted(o for a in subparsers.choices["verify"]._actions for o in a.option_strings) == [
+        "--cases",
+        "--help",
+        "--seed",
+        "-h",
+    ]
 
 
 class TestObstacleOracleCrossLink:

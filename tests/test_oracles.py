@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from ctrlstop import verify
 from ctrlstop.benches import load_bench
+from ctrlstop.expressions import Expression
 from ctrlstop.grid import Grid, GridField, build_operator
 from ctrlstop.model import parse_config_text
 from ctrlstop.oracles import (
@@ -56,11 +60,11 @@ def projected_sor(prob, tol):
         parity = (ii + jj) % 2
     colors = [interior & (parity == 0), interior & (parity == 1)]
     out = np.empty((grid.nt + 1, grid.n_nodes))
-    out[grid.nt] = prob.obstacle(float(grid.T), pts)
+    out[grid.nt] = prob.spec.g(float(grid.T), pts)
     for k in range(grid.nt - 1, -1, -1):
         t = float(grid.times[k])
-        g_k = prob.obstacle(t, pts)
-        rhs = out[k + 1] / grid.ht + prob.source(t, pts)
+        g_k = prob.spec.g(t, pts)
+        rhs = out[k + 1] / grid.ht + prob.spec.h(t, pts)
         u = np.maximum(out[k + 1], g_k)
         u[op.dirichlet] = g_k[op.dirichlet]
         while True:
@@ -96,7 +100,7 @@ def test_policy_iteration_solves_the_lcp(make):
     interior = ~grid.dirichlet_mask()
     contact = 0
     for k, t in enumerate(grid.times):
-        above = sol.field.values[k] - prob.obstacle(float(t), pts)
+        above = sol.field.values[k] - prob.spec.g(float(t), pts)
         assert np.min(above) >= -1e-12
         contact += int(np.sum(above[interior] == 0.0))
     # the obstacle binds on part of the interior, so the test sees both branches
@@ -128,11 +132,11 @@ class TestObstacle:
             sol = solve_obstacle(prob, tol=1e-10)
             pts = grid.points()
             for k, t in enumerate(grid.times):
-                g_k = prob.obstacle(float(t), pts)
+                g_k = prob.spec.g(float(t), pts)
                 assert np.min(sol.field.values[k] - g_k) >= -1e-9
             assert sol.complementarity_residual < 1e-7
             # continuation region nonempty: strictly above somewhere
-            g_0 = prob.obstacle(0.0, pts)
+            g_0 = prob.spec.g(0.0, pts)
             assert np.max(sol.field.values[0] - g_0) > 1e-3
             sols[grid.nx] = sol.field
         # doubling the resolution moves the solution by a discretization amount
@@ -246,6 +250,88 @@ h = 0.1 + 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)
         b = solve_lattice_game(LatticeGame(spec=lifted, radius=5.0, eta=0.1, dt=2e-3))
         assert np.min(b.value_minmax - a.value_minmax) >= -1e-12
         assert np.min(b.value_maxmin - a.value_maxmin) >= -1e-12
+
+
+# bench_ou with g, h and f all depending on t
+BENCH_OU_TIME_DEPENDENT = """
+dim = 1
+horizon = 0.5
+rate = 0.05
+drift[1] = -x1
+sigma[1][1] = 1
+f = 0.3*(2 - t)
+g = 0.6*(1 - 0.2*t)*max(0, 1 - (x1/4.5)^2)^3
+h = (1 + t)*1.5*max(0, 1 - ((x1-1.5)/0.6)^2)^3
+"""
+
+
+class TestDataEvaluations:
+    """The oracles read g, h and f on their time levels through one level
+    stack: time-independent data are evaluated once, time-dependent data once
+    per level."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Expression.__call__ counted per expression (equal expressions,
+        such as those of two parses of one bench, share a count)."""
+        counts = Counter()
+        real = Expression.__call__
+
+        def counted(self, t, x):
+            counts[self] += 1
+            return real(self, t, x)
+
+        monkeypatch.setattr(Expression, "__call__", counted)
+        return counts
+
+    @staticmethod
+    def _spec(case):
+        if case == "static":
+            return load_bench("bench_ou_purestop", coarse=True).spec
+        return parse_config_text(BENCH_OU_TIME_DEPENDENT)[0]
+
+    @staticmethod
+    def _assert_at_most(counts, spec, levels):
+        """g, h and f evaluated at most once on static data, else once per level."""
+        bound = 1 if spec.time_independent else levels
+        for name in ("g", "h", "f"):
+            assert counts[getattr(spec, name)] <= bound, name
+
+    @pytest.mark.parametrize("case", ["static", "time_dependent"])
+    def test_obstacle_oracle(self, case, counts):
+        spec = self._spec(case)
+        grid = Grid(d=1, m=6.0, nx=151, nt=40, T=spec.T)
+        solve_obstacle(ObstacleProblem(spec=spec, grid=grid))
+        self._assert_at_most(counts, spec, grid.nt + 1)
+        assert counts[spec.g] > 0 and counts[spec.h] > 0
+
+    @pytest.mark.parametrize("case", ["static", "time_dependent"])
+    def test_lattice_game(self, case, counts):
+        spec = self._spec(case)
+        game = LatticeGame(spec=spec, radius=4.0, eta=0.2, dt=0.01)
+        solve_lattice_game(game)
+        self._assert_at_most(counts, spec, game.n_times + 1)
+        assert min(counts[spec.g], counts[spec.h], counts[spec.f]) > 0
+
+    def test_obstacle_check_of_the_invariant_suite(self, counts, monkeypatch):
+        """verify._check_obstacle evaluates g once for its comparison, on top
+        of the oracle's own single evaluation of g and h."""
+        in_oracle = Counter()
+        real = verify.solve_obstacle
+
+        def solve_counted(*args, **kwargs):
+            before = counts.copy()
+            sol = real(*args, **kwargs)
+            in_oracle.update(counts - before)
+            return sol
+
+        monkeypatch.setattr(verify, "solve_obstacle", solve_counted)
+        ok, _ = verify._check_obstacle(np.random.default_rng(0))
+        assert ok
+        spec = self._spec("static")
+        self._assert_at_most(in_oracle, spec, 1)
+        self._assert_at_most(counts - in_oracle, spec, 1)
+        assert (counts - in_oracle)[spec.g] == 1
 
 
 class TestCompareFields:

@@ -529,6 +529,52 @@ def test_certification_goes_through_gamma_step(monkeypatch):
     assert len(calls) == sum(p.iters for p in res.points) > 0
 
 
+class TestCertificationRetry:
+    """A failed certification re-marches from the last field with tighter
+    level solves; four failed attempts end in SolverError."""
+
+    TOL = 1e-7
+
+    @staticmethod
+    def _perturbed_sweeps(monkeypatch, perturb):
+        """gamma_step with TOL * 10 added at one interior node of level 0 on
+        the sweeps that perturb(sweep number) selects; returns the sweep log."""
+        sweeps = []
+
+        def sweep(*args, **kwargs):
+            w = gamma_step(*args, **kwargs)
+            sweeps.append(1)
+            if not perturb(len(sweeps)):
+                return w
+            values = w.values.copy()
+            values[0, values.shape[1] // 2] += 10.0 * TestCertificationRetry.TOL
+            return GridField(grid=w.grid, values=values)
+
+        monkeypatch.setattr(solver, "gamma_step", sweep)
+        return sweeps
+
+    @staticmethod
+    def _problem():
+        bench = load_bench("bench_ou", coarse=True)
+        grid = Grid(d=1, m=6.0, nx=81, nt=30, T=bench.spec.T)
+        return grid, truncate_data(bench.spec, grid.m)
+
+    def test_one_failed_certification_re_marches(self, monkeypatch):
+        sweeps = self._perturbed_sweeps(monkeypatch, lambda n: n == 1)
+        grid, data = self._problem()
+        point = solve_penalized(grid, data, Penalty(0.25), 0.25, tol=self.TOL)
+        assert point.iters == 2 and len(sweeps) == 2
+        assert point.march.levels == 2 * grid.nt
+        assert point.residual <= self.TOL
+
+    def test_four_failed_certifications_raise(self, monkeypatch):
+        sweeps = self._perturbed_sweeps(monkeypatch, lambda n: True)
+        grid, data = self._problem()
+        with pytest.raises(SolverError, match=r"^marched solution failed certification"):
+            solve_penalized(grid, data, Penalty(0.25), 0.25, tol=self.TOL)
+        assert len(sweeps) == 4
+
+
 class PoisonedSource:
     """Zero payoff data, except a running reward of +inf on one time level."""
 
