@@ -33,7 +33,7 @@ from .model import ProblemSpec
 __all__ = ["Grid", "GridField", "Operator", "build_operator", "centered_gradient"]
 
 PECLET_SWITCH = 1.0
-(_GTSV,) = get_lapack_funcs(("gtsv",), (np.empty(0),))
+_GTSV, _GTTRF, _GTTRS = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (np.empty(0),))
 
 
 @dataclass(frozen=True)
@@ -261,9 +261,12 @@ class Operator:
     j - min(o, 0).
 
     L_matrix applies (L - r) on interior rows (Dirichlet rows are zero) and
-    implicit_matrix is M0, both sp.diags of the same diagonals.  Every solve
-    path edits a copy of M0's diagonals and hands it to _system:
-    implicit_solve solves M0 itself, level_solver the Newton level systems
+    implicit_matrix is M0, both sp.diags of the same diagonals.  M0 is
+    factored once, when the operator is built (LAPACK gttrf in 1-D, SuperLU
+    in 2-D), and implicit_solve applies that factorization (gttrs in 1-D,
+    the same elimination arithmetic as gtsv).  The other solve paths edit a
+    copy of M0's diagonals and hand it to _system: level_solver builds the
+    Newton level systems
 
         M0 + I_int (diag(extra_diag) - sum_i diag(extra_drift_i) D_i)
 
@@ -285,7 +288,11 @@ class Operator:
         self._two_hx = 2.0 * self.grid.hx
         self._strides = _strides(self.grid)
         self._rows = {o: slice(max(-o, 0), n - max(o, 0)) for o in self._diagonals}
-        self._solver = self._system(self._diagonals)
+        # M0's factors: gttrf's (dl, d, du, du2, ipiv, info) in 1-D, SuperLU in 2-D
+        if self.grid.d == 1:
+            self._lu = _GTTRF(self._diagonals[-1], self._diagonals[0], self._diagonals[1])
+        else:
+            self._lu = sp.linalg.splu(self.implicit_matrix)
 
     def _system(self, diagonals: dict[int, np.ndarray]):
         """Solver for the system with these diagonals: LAPACK gtsv on the
@@ -306,7 +313,13 @@ class Operator:
         return sp.linalg.splu(M).solve
 
     def implicit_solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._solver(rhs)
+        """M0^{-1} rhs from the factorization of M0 kept since construction."""
+        if self.grid.d == 2:
+            return self._lu.solve(rhs)
+        *factors, info = self._lu
+        if info != 0:
+            raise np.linalg.LinAlgError(f"tridiagonal system: gttrf info {info}")
+        return _GTTRS(*factors, rhs)[0]
 
     def pinned_solver(self, rows: np.ndarray):
         """Solver for M0 with the rows in the boolean mask `rows` replaced by
@@ -323,7 +336,7 @@ class Operator:
 
     def level_solver(self, extra_drift: np.ndarray | None, extra_diag: np.ndarray | None):
         """Solver for (I/ht - (L - r) - <extra_drift, grad .> + diag(extra_diag))
-        with Dirichlet rows identity.
+        with Dirichlet rows identity; a term given as None is left out.
 
         The base generator keeps its static stencil; the extra drift (the
         penalty linearization) is discretized with CENTERED differences so
@@ -335,8 +348,9 @@ class Operator:
         if extra_diag is not None:
             diagonals[0] = diagonals[0] + np.where(self._interior, extra_diag, 0.0)
         if extra_drift is not None:
+            half = np.zeros(self.grid.n_nodes)
             for axis, s in enumerate(self._strides):
-                half = np.where(self._interior, extra_drift[axis] / self._two_hx, 0.0)
+                np.divide(extra_drift[axis], self._two_hx, out=half, where=self._interior)
                 diagonals[s] = diagonals[s] - half[:-s]
                 diagonals[-s] = diagonals[-s] + half[s:]
         return self._system(diagonals)

@@ -228,7 +228,11 @@ def truncate_data(spec: ProblemSpec, m: float, sup_samples: int = 201) -> Trunca
 @dataclass(frozen=True)
 class Penalty:
     """C^2, convex, nondecreasing penalty: 0 for y<=0, (y-eps)/eps for y>=2eps,
-    polynomial bridge 2s^3 - s^4 (s = y/2eps) in between."""
+    polynomial bridge 2s^3 - s^4 (s = y/2eps) in between.
+
+    Each evaluation starts from zeros and computes a branch only on its own
+    nodes, and not at all when it has none: in the pure-stopping limit every
+    y is <= 0, and value and d1 return zeros after classifying y."""
 
     eps: float
 
@@ -237,31 +241,39 @@ class Penalty:
             raise ValueError("penalty parameter must lie in (0, 1)")
 
     def _split(self, y):
-        """y as an array, the mask of the linear branch y >= 2eps, the mask of
-        the bridge (0 < y < 2eps, and NaN, which the bridge propagates) and
-        s = y/2eps on the bridge."""
+        """y as an array, the mask of the linear branch y >= 2eps, the flat
+        indices of the bridge (0 < y < 2eps, and NaN, which the bridge
+        propagates) and s = y/2eps there."""
         y = np.asarray(y, dtype=float)
         two_eps = 2.0 * self.eps
         linear = y >= two_eps
-        bridge = ~(linear | (y <= 0.0))
-        return y, linear, bridge, y[bridge] / two_eps
+        bridge = np.flatnonzero(~(linear | (y <= 0.0)))
+        return y, linear, bridge, y.take(bridge) / two_eps
 
     def value(self, y):
         y, linear, bridge, s = self._split(y)
-        out = np.where(linear, (y - self.eps) / self.eps, 0.0)
-        out[bridge] = 2.0 * s**3 - s**4
+        out = np.zeros(y.shape)
+        if linear.any():
+            np.subtract(y, self.eps, out=out, where=linear)
+            np.divide(out, self.eps, out=out, where=linear)
+        if bridge.size:
+            out.put(bridge, 2.0 * s**3 - s**4)
         return out
 
     def d1(self, y):
         y, linear, bridge, s = self._split(y)
-        out = np.where(linear, 1.0 / self.eps, 0.0)
-        out[bridge] = (6.0 * s**2 - 4.0 * s**3) / (2.0 * self.eps)
+        out = np.zeros(y.shape)
+        if linear.any():
+            out[linear] = 1.0 / self.eps
+        if bridge.size:
+            out.put(bridge, (6.0 * s**2 - 4.0 * s**3) / (2.0 * self.eps))
         return out
 
     def d2(self, y):
         y, linear, bridge, s = self._split(y)
         out = np.zeros(y.shape)
-        out[bridge] = (12.0 * s - 12.0 * s**2) / (4.0 * self.eps**2)
+        if bridge.size:
+            out.put(bridge, (12.0 * s - 12.0 * s**2) / (4.0 * self.eps**2))
         return out
 
 

@@ -89,7 +89,8 @@ def solve_obstacle(
         for solve in range(max_sweeps):
             pinned = active | dirichlet
             u_new = op.pinned_solver(pinned)(np.where(pinned, g_k, rhs))
-            repicked = interior & (M @ u_new - rhs > u_new - g_k)
+            lin_res = M @ u_new - rhs
+            repicked = interior & (lin_res > u_new - g_k)
             settled = np.array_equal(repicked, active) or (
                 solve > 0 and np.max(np.abs(u_new - u)) <= tol
             )
@@ -100,8 +101,8 @@ def solve_obstacle(
             raise OracleError(f"policy iteration hit the solve limit at level {k}")
         sweeps_used.append(solve + 1)
         out[k] = u
-        lin_res = (M @ u - rhs)[interior] * grid.ht  # solution units
-        comp = np.minimum(lin_res, (u - g_k)[interior])
+        # the accepted u is the last u_new, so lin_res is its M0 u - rhs
+        comp = np.minimum(lin_res[interior] * grid.ht, (u - g_k)[interior])  # solution units
         worst_comp = max(worst_comp, float(np.max(np.abs(comp))))
     return ObstacleSolution(
         field=GridField(grid=grid, values=out),

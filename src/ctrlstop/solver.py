@@ -16,7 +16,9 @@ Only the march and the backward solves of gamma_step go level by level,
 since each level needs the next.  Everything else (the frozen source, the
 bound report, Theta_m and vi_report) runs on the whole (nt+1, n_nodes) level
 stack.  Nodal data come from model._level_stacks on the grid's times and
-nodes, which evaluates time-independent data once.
+nodes, which evaluates time-independent data once.  Theta_m depends only on
+the grid and the truncated data, so continuation computes its bounds once
+per radius and hands them to every stage.
 """
 from __future__ import annotations
 
@@ -184,7 +186,8 @@ def _nonlinear_march(
             counts.newton_iters += 1
             slope = 2.0 * pen.d1(zeta)
             extra_diag = inv_delta * (g_k - v > 0.0)
-            extra_drift = -slope[None, :] * grad_v
+            # an idle gradient penalty (zero slope at every node) adds no drift
+            extra_drift = -slope[None, :] * grad_v if slope.any() else None
             const_src = h_k + extra_diag * g_k - psi + slope * gsq
             if not np.isfinite(const_src).all():
                 raise SolverError(f"non-finite source at time level {k}")
@@ -271,6 +274,7 @@ def solve_penalized(
     u0: GridField | None = None,
     k3_bound: float | None = None,
     operator: Operator | None = None,
+    theta_bounds: tuple[float, float] | None = None,
 ) -> PenaltyPoint:
     """Solve one penalty point to tolerance, warm-started from u0 if given,
     with runtime bound checks.
@@ -290,6 +294,10 @@ def solve_penalized(
       time_derivative_full same over the whole interior (diagnostic only;
                            the truncation boundary layer is not covered)
       gradient_penalty     max psi(|grad u|^2 - f_m^2) (recorded)
+
+    theta_bounds is (K2, K0) = _theta_truncated(operator, g_m, h_m) of this
+    grid and data; they depend on neither the penalty nor u, so continuation
+    computes them once per radius.  None computes them here.
     """
     if u0 is not None and u0.grid != grid:
         raise ValueError("warm start lives on a different grid")
@@ -328,7 +336,7 @@ def solve_penalized(
     interior = ~op.dirichlet
     xsq = np.sum(grid.points() ** 2, axis=0)
 
-    k2_grid, k0_grid = _theta_truncated(op, g, h)
+    k2_grid, k0_grid = theta_bounds if theta_bounds is not None else _theta_truncated(op, g, h)
     obs_penalty = max(0.0, float(np.max(g - uv))) / delta
     psi = pen.value(np.sum(centered_gradient(grid, uv) ** 2, axis=-2) - f2)
     obs_psi = max(0.0, float(np.max(psi[:, interior])))
@@ -416,9 +424,9 @@ def continuation(
 
     schedule: list of (eps, delta, m) that check_schedule accepts.
     grid_policy maps a radius m to a Grid.  Since m is nondecreasing, a radius
-    never comes back: the truncated data and the operator are those of the
-    current radius, rebuilt when m grows, and the first radius's data are
-    kept for the limit.
+    never comes back: the truncated data, the operator and the Theta_m bounds
+    (K2, K0) are those of the current radius, rebuilt when m grows, and the
+    first radius's data are kept for the limit.
     """
     schedule = check_schedule(schedule)
 
@@ -436,6 +444,8 @@ def continuation(
             data, op = truncate_data(spec, m_k), None
         if op is None:
             op = build_operator(grid, spec)
+            g, h = _level_stacks(grid.times, grid.points(), data.time_independent, data.g_m, data.h_m)
+            theta_bounds = _theta_truncated(op, g, h)
         u0 = None
         if prev_field is not None:
             u0 = _interp_onto(prev_field, grid, data)
@@ -449,6 +459,7 @@ def continuation(
                 u0=u0,
                 k3_bound=k3_bound,
                 operator=op,
+                theta_bounds=theta_bounds,
             )
         except SolverError as exc:
             raise ContinuationError(

@@ -96,10 +96,23 @@ class TestPenalty:
         for eps in (0.5, 0.1, 1.0 / 64, 1.0 / 1024):
             pen = Penalty(eps)
             special = [0.0, -0.0, 2 * eps, np.nextafter(2 * eps, 0.0), 5e-324, np.nan, np.inf, -np.inf]
-            y = np.concatenate([rng.uniform(-3 * eps, 3 * eps, 20_000), special])
-            for new, ref in zip((pen.value(y), pen.d1(y), pen.d2(y)), reference(pen, y)):
-                np.testing.assert_array_equal(new, ref)
-                np.testing.assert_array_equal(np.signbit(new), np.signbit(ref))
+            inputs = [
+                np.concatenate([rng.uniform(-3 * eps, 3 * eps, 20_000), special]),
+                # one or two branches without nodes
+                np.concatenate([-rng.uniform(0.0, 3 * eps, 100), [0.0, -0.0, -np.inf]]),
+                np.concatenate([2 * eps + rng.uniform(0.0, 3 * eps, 100), [2 * eps, np.inf]]),
+                np.concatenate([np.linspace(0.0, 2 * eps, 102)[1:-1], [5e-324, np.nextafter(2 * eps, 0.0)]]),
+                np.full(7, np.nan),
+                np.empty(0),
+                # 0-d scalars, one per branch, and a stack of levels
+                *(np.array(v) for v in (-0.0, 0.0, 0.5 * eps, 3 * eps, np.nan)),
+                rng.uniform(-3 * eps, 3 * eps, (5, 60)),
+            ]
+            for y in inputs:
+                for new, ref in zip((pen.value(y), pen.d1(y), pen.d2(y)), reference(pen, y)):
+                    assert new.shape == y.shape
+                    np.testing.assert_array_equal(new, ref)
+                    np.testing.assert_array_equal(np.signbit(new), np.signbit(ref))
 
     def test_eps_range(self):
         with pytest.raises(ValueError):

@@ -351,8 +351,8 @@ def _sha(array) -> str:
 def _stage_reports(case):
     """Every stage's field digest, certification residual, bound report and
     march counts, and the vi_report of the limit, in a comparable form."""
-    if case == "static":
-        bench = load_bench("bench_ou", coarse=True)
+    if case in ("static", "purestop"):
+        bench = load_bench("bench_ou" if case == "static" else "bench_ou_purestop", coarse=True)
         spec, schedule, policy = bench.spec, bench.schedule, bench.grid_policy
     else:
         spec = parse_config_text(BENCH_OU_TIME_DEPENDENT)[0]
@@ -378,7 +378,7 @@ def _stage_reports(case):
     return {"stages": stages, "vi": vi}
 
 
-# _stage_reports of both cases: floats as float.hex, arrays as sha256 digests
+# _stage_reports of every case: floats as float.hex, arrays as sha256 digests
 STAGE_GOLDEN = {
     "static": {
         "stages": [
@@ -455,6 +455,81 @@ STAGE_GOLDEN = {
             "terminal_error": "0x0.0p+0",
         },
     },
+    "purestop": {
+        "stages": [
+            {
+                "values": "6feac40356816f45",
+                "residual": "0x1.6800000000000p-48",
+                "march": (250, 505, 255),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x0.0p+0"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.025597bb869d3p-49"),
+                    "obstacle_penalty": ("0x1.e6dcad891c56cp-4", "0x1.6a10e66499ba0p-5"),
+                    "quad_growth": ("0x1.3333333333333p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.e32e86d235040p-4"),
+                    "time_derivative_full": ("inf", "0x1.e32e86d235040p-4"),
+                },
+            },
+            {
+                "values": "c3d0b0b1a39db1b9",
+                "residual": "0x1.c000000000000p-49",
+                "march": (250, 573, 323),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x0.0p+0"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.27af1373f0701p-49"),
+                    "obstacle_penalty": ("0x1.e6dec668106d8p-4", "0x1.0f0eb579898a0p-4"),
+                    "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.e1456b5f4e460p-4"),
+                    "time_derivative_full": ("inf", "0x1.e1456b5f4e460p-4"),
+                },
+            },
+            {
+                "values": "2c1d7c2da5520ac9",
+                "residual": "0x1.b800000000000p-48",
+                "march": (250, 592, 342),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x0.0p+0"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.f8380639949ecp-50"),
+                    "obstacle_penalty": ("0x1.e6e2f825f89afp-4", "0x1.66f93878a4e00p-4"),
+                    "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.dd7eb7d066ae0p-4"),
+                    "time_derivative_full": ("inf", "0x1.dd7eb7d066ae0p-4"),
+                },
+            },
+            {
+                "values": "c85c36a6b46f259a",
+                "residual": "0x1.b000000000000p-49",
+                "march": (250, 613, 363),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x0.0p+0"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.4d088f2c5a42fp-49"),
+                    "obstacle_penalty": ("0x1.e6eb5ba1c8f5fp-4", "0x1.a7197b5a41c00p-4"),
+                    "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.d61e1f4bca2a0p-4"),
+                    "time_derivative_full": ("inf", "0x1.d61e1f4bca2a0p-4"),
+                },
+            },
+            {
+                "values": "53207683ab619b52",
+                "residual": "0x1.2000000000000p-49",
+                "march": (250, 623, 373),
+                "bounds": {
+                    "gradient_penalty": ("inf", "0x0.0p+0"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.757ed534223cbp-49"),
+                    "obstacle_penalty": ("0x1.e6fc229969abep-4", "0x1.c9d4091e4d400p-4"),
+                    "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
+                    "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.c806c1e5d7920p-4"),
+                    "time_derivative_full": ("inf", "0x1.c806c1e5d7920p-4"),
+                },
+            },
+        ],
+        "vi": {
+            "regions": ["584b24a856518c0a", "c975daac4f06cad6", "dac9a288668e58a9"],
+            "sups": ["0x1.c9d4091e4d400p-9", "0x1.c9d4091e4d400p-9", "0x0.0p+0"],
+            "overlap": 0,
+            "terminal_error": "0x0.0p+0",
+        },
+    },
     "time_dependent": {
         "stages": [
             {
@@ -507,10 +582,12 @@ STAGE_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", ["static", "time_dependent"])
+@pytest.mark.parametrize("case", ["static", "purestop", "time_dependent"])
 def test_stage_reports_are_golden(case):
     """Stage fields, certification residuals, bound reports, march counts and
-    the VI report stay bit for bit, on static and on time-dependent data."""
+    the VI report stay bit for bit, on static and on time-dependent data, and
+    in the pure-stopping case, where the gradient penalty is idle at every
+    node."""
     assert _stage_reports(case) == STAGE_GOLDEN[case]
 
 
@@ -635,11 +712,13 @@ class TestMarchErrors:
 
 def test_layer_counters_match_the_march(monkeypatch):
     """perfbench reads the march's work off calls of Operator.level_solver,
-    Operator.apply_generator, Penalty.value and Penalty.d1.  Per solve without
-    retries: one level solver and one Penalty.d1 per Newton iteration; one
-    apply_generator and one Penalty.value per level residual (one per level,
-    one per line-search trial), plus one apply_generator for Theta_m and one
-    Penalty.value each in gamma_step and the bound report."""
+    Operator.apply_generator, Penalty.value and Penalty.d1.  Per stage
+    without retries, counted from the end of the stage before: one level
+    solver and one Penalty.d1 per Newton iteration; one apply_generator and
+    one Penalty.value per level residual (one per level, one per line-search
+    trial), plus one Penalty.value each in gamma_step and the bound report,
+    and on the first stage of a radius one apply_generator for the Theta_m
+    that continuation computes before it."""
     calls = dict.fromkeys(["level_solver", "apply_generator", "value", "d1"], 0)
 
     def counted(cls, name):
@@ -655,26 +734,82 @@ def test_layer_counters_match_the_march(monkeypatch):
     counted(Operator, "apply_generator")
     counted(Penalty, "value")
     counted(Penalty, "d1")
-    per_solve = []
+    totals = []
     real_solve = solver.solve_penalized
 
     def solve_counted(*args, **kwargs):
-        before = dict(calls)
         point = real_solve(*args, **kwargs)
-        per_solve.append((point, {k: calls[k] - before[k] for k in calls}))
+        totals.append((point, dict(calls)))
         return point
 
     monkeypatch.setattr(solver, "solve_penalized", solve_counted)
     bench = load_bench("bench_ou", coarse=True)
     res = continuation(bench.spec, bench.schedule, bench.grid_policy, tol=1e-7)
-    assert len(per_solve) == len(res.points) == len(bench.schedule)
-    for point, seen in per_solve:
+    assert len(totals) == len(res.points) == len(bench.schedule)
+    before, radius = dict.fromkeys(calls, 0), None
+    for point, total in totals:
+        seen = {k: total[k] - before[k] for k in calls}
         work = point.march
         assert point.iters == 1
         residuals = work.levels + work.line_search_trials
         assert seen == {
             "level_solver": work.newton_iters,
             "d1": work.newton_iters,
-            "apply_generator": residuals + 1,
+            "apply_generator": residuals + (point.m != radius),
             "value": residuals + 2,
         }
+        before, radius = total, point.m
+
+
+class TestThetaOncePerRadius:
+    """continuation computes the Theta_m bounds (K2, K0) once per radius and
+    hands them to every stage of that radius; each stage's bound report is
+    bit for bit that of a standalone solve_penalized, which computes them
+    itself."""
+
+    @staticmethod
+    def _run(monkeypatch, spec, schedule, policy):
+        """continuation with _theta_truncated and solve_penalized recorded;
+        returns the number of Theta_m evaluations and each stage's call."""
+        theta_calls, stages = [], []
+        real_theta, real_solve = solver._theta_truncated, solver.solve_penalized
+
+        def theta(*args, **kwargs):
+            theta_calls.append(1)
+            return real_theta(*args, **kwargs)
+
+        def solve(*args, **kwargs):
+            point = real_solve(*args, **kwargs)
+            stages.append((args, kwargs, point))
+            return point
+
+        monkeypatch.setattr(solver, "_theta_truncated", theta)
+        monkeypatch.setattr(solver, "solve_penalized", solve)
+        res = continuation(spec, schedule, policy, tol=1e-7)
+        assert [p for *_, p in stages] == res.points
+        count = len(theta_calls)
+        for args, kwargs, point in stages:
+            kwargs = dict(kwargs)
+            assert kwargs.pop("theta_bounds") is not None
+            alone = real_solve(*args, **kwargs)
+            assert {k: (b.hex(), o.hex()) for k, (b, o) in alone.bound_report.items()} == {
+                k: (b.hex(), o.hex()) for k, (b, o) in point.bound_report.items()
+            }
+        return count, res
+
+    def test_one_evaluation_on_one_radius(self, monkeypatch):
+        bench = load_bench("bench_ou", coarse=True)
+        count, res = self._run(monkeypatch, bench.spec, bench.schedule, bench.grid_policy)
+        assert count == 1 and len(res.points) == len(bench.schedule) > 1
+
+    def test_one_evaluation_per_radius(self, monkeypatch):
+        bench = load_bench("bench_ou", coarse=True)
+        schedule = [(0.5, 0.5, 4.0), (0.25, 0.25, 4.0), (0.125, 0.125, 6.0)]
+        schedule += [(1 / 16, 1 / 16, 6.0), (1 / 32, 1 / 32, 8.0)]
+
+        def policy(m):
+            return Grid(d=1, m=m, nx=int(20 * m) + 1, nt=50, T=bench.spec.T)
+
+        count, res = self._run(monkeypatch, bench.spec, schedule, policy)
+        assert count == len({m for *_, m in schedule}) == 3
+        assert [p.m for p in res.points] == [m for *_, m in schedule]
