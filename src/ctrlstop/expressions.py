@@ -6,7 +6,14 @@ exp, log, sin, cos, sqrt, abs, min, max, tanh.  Evaluation is vectorized:
 variables may be bound to floats or numpy arrays of a common shape.
 
 Domain violations (division by zero, log of a non-positive argument,
-sqrt of a negative argument) raise EvalError instead of producing NaN.
+sqrt of a negative argument, a power with a NaN result such as (-1)^0.5)
+raise EvalError instead of producing NaN.  Overflow is not a domain
+violation: every operation saturates to +-inf without a warning.
+
+A large array base of ^ that is mostly exact zeros, with a single-number
+exponent, runs numpy's power kernel only on its nonzero elements; its zeros
+take the kernel's results for +0.0 and -0.0 by sign, so the result is the
+plain np.power bit for bit.
 """
 from __future__ import annotations
 
@@ -191,14 +198,15 @@ def _eval_node(node, env):
         if op == "*":
             return va * vb
         if op == "/":
-            if np.any(vb == 0):
+            # a literal divisor is one Python float: no array scan
+            zero = vb == 0 if b[0] == "num" else np.any(vb == 0)
+            if zero:
                 raise EvalError("division by zero")
             return va / vb
-        # op == "^": overflow saturates to inf (diverging states are the
-        # caller's concern); NaN-producing powers are domain errors
-        with np.errstate(invalid="raise", divide="ignore", over="ignore"):
+        # op == "^": NaN-producing powers are domain errors
+        with np.errstate(invalid="raise", divide="ignore"):
             try:
-                return np.power(va, vb, dtype=float)
+                return _power(va, vb)
             except FloatingPointError as exc:
                 raise EvalError(f"invalid power: {exc}") from exc
     # call
@@ -213,6 +221,40 @@ def _eval_node(node, env):
             raise EvalError("sqrt of negative argument")
         return np.sqrt(vals[0])
     return _FUNCTIONS[name][1](*vals)
+
+
+# The zero path of ^ pays off only when numpy's power kernel would spend
+# long on zero bases: on an array of at least _ZERO_PATH_MIN_SIZE bases, at
+# least half of which are zero.  On smaller arrays the zero scan costs about
+# as much as the kernel, and with fewer zeros the take/put bookkeeping costs
+# more than the zeros would.
+_ZERO_PATH_MIN_SIZE = 1024
+
+
+def _power(va, vb):
+    """np.power(va, vb, dtype=float), with the kernel run only on the nonzero
+    bases when a large array base is mostly exact zeros and the exponent is
+    one number.
+
+    numpy's SIMD power kernel is several times slower on a zero base than on
+    a positive one, and max(0, .)^k data are zero on most of the line.  The
+    zero bases take the kernel's own results for +0.0 and -0.0, placed by
+    sign, so every element is the bit of the plain call.  NaN, inf and
+    negative bases are nonzero and go through the kernel.  A scalar base keeps
+    the plain call, since numpy's scalar path uses another pow.
+    """
+    if isinstance(va, np.ndarray) and va.size >= _ZERO_PATH_MIN_SIZE and isinstance(vb, float):
+        nonzero = va != 0  # flatnonzero scans a bool mask far faster than floats
+        n_nonzero = np.count_nonzero(nonzero)
+        if 2 * n_nonzero <= va.size:
+            at_zero = np.power(np.array([0.0, -0.0]), vb, dtype=float)
+            out = np.full(va.shape, at_zero[0])
+            np.copyto(out, at_zero[1], where=np.signbit(va))
+            if n_nonzero:
+                nonzero = np.flatnonzero(nonzero)
+                out.put(nonzero, np.power(va.take(nonzero), vb, dtype=float))
+            return out
+    return np.power(va, vb, dtype=float)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
@@ -277,7 +319,16 @@ class Expression:
         for v in self._free:
             if v != "t":
                 env[v] = x[int(v[1:]) - 1]
-        val = _eval_node(self._root, env)
+        node = self._root
+        while node[0] == "neg":  # negation cannot overflow
+            node = node[1]
+        if node[0] in ("num", "var"):  # no operation that can overflow
+            val = _eval_node(self._root, env)
+        else:
+            # overflow saturates to inf in every operation (diverging states
+            # are the caller's concern)
+            with np.errstate(over="ignore"):
+                val = _eval_node(self._root, env)
         shape = np.shape(x)[1:]
         if getattr(t, "ndim", 0):
             shape = np.broadcast_shapes(t.shape, shape)

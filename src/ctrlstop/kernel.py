@@ -43,8 +43,11 @@ def _xi_profile(z):
     """1 for z<=0, 0 for z>=1, exponential bridge in between. Vectorized."""
     z = np.asarray(z, dtype=float)
     out = np.ones_like(z)
+    beyond = z > 0.0
+    if not beyond.any():  # all inside the inner ball, as most path states are
+        return out
     out[z >= 1.0] = 0.0
-    mid = (z > 0.0) & (z < 1.0)
+    mid = beyond & (z < 1.0)
     zm = z[mid]
     with np.errstate(under="ignore"):
         a = np.exp(1.0 / (zm - 1.0))
@@ -331,9 +334,18 @@ def hamiltonian(pen: Penalty, f_val: float, y) -> tuple[float, np.ndarray]:
 
 
 def hamiltonian_batch(pen: Penalty, f_vals, q_norms):
-    """Vectorized Hamiltonian value for |y| = q_norms (zeros handled)."""
-    f_vals = np.asarray(f_vals, dtype=float)
-    q = np.asarray(q_norms, dtype=float)
-    rho = _solve_radius(pen, f_vals, q)
-    out = q * rho - pen.value(rho**2 - f_vals**2)
-    return np.where(q == 0.0, 0.0, out)
+    """Vectorized Hamiltonian value for |y| = q_norms, broadcast with f_vals.
+
+    The value is +0.0 where q_norms is zero (an idle controller's rate); the
+    bisection of _solve_radius runs only on the other entries, NaN included.
+    """
+    f_vals, q = np.broadcast_arrays(
+        np.asarray(f_vals, dtype=float), np.asarray(q_norms, dtype=float)
+    )
+    out = np.zeros(q.shape)
+    active = q != 0.0
+    if active.any():
+        f_act, q_act = f_vals[active], q[active]
+        rho = _solve_radius(pen, f_act, q_act)
+        out[active] = q_act * rho - pen.value(rho**2 - f_act**2)
+    return out

@@ -515,7 +515,13 @@ class _TruncatedPayoff(_Payoff):
 
 
 class _PenalizedPayoff(_TruncatedPayoff):
-    """Controlled discount R^w = exp(-int (r + w)); h_m + w g_m accrues."""
+    """Controlled discount R^w = exp(-int (r + w)); h_m + w g_m accrues.
+
+    Under w_star the rate w is 0 or 1/delta, so each step takes the exact
+    discount weights of r and r + 1/delta once and selects them per path
+    (numpy's expm1 gives the same bits on the two-element array as on every
+    path).  A callable or constant intensity is checked to lie in
+    [0, 1/delta] and takes the weight per path."""
 
     def __init__(self, spec, data, pen, delta, strategy_ctrl, strategy_w, cfg):
         super().__init__(spec, data, pen, delta, strategy_ctrl)
@@ -531,17 +537,21 @@ class _PenalizedPayoff(_TruncatedPayoff):
         n_alive = x.shape[1]
         u_val = self.field.sample(t, pts.plan(self.field.grid)) if self.field is not None else None
         g_m_val, h_m_val = self.g_m_h_m(pts)
-        if self.strategy_w == "w_star":
-            w_val = np.where(u_val <= g_m_val, 1.0 / delta, 0.0)
-        elif callable(self.strategy_w):
-            w_val = np.asarray(self.strategy_w(t, x, u_val), dtype=float) * np.ones(n_alive)
+        if self.strategy_w == "w_star":  # two rates: two weights, selected per path
+            stopping = u_val <= g_m_val
+            w_val = np.where(stopping, 1.0 / delta, 0.0)
+            lo, hi = _exp_weight(np.array([r, r + 1.0 / delta]), dt)
+            w_step = np.where(stopping, hi, lo)
         else:
-            w_val = np.full(n_alive, float(self.strategy_w))
-        if np.any(w_val < -1e-12) or np.any(w_val > 1.0 / delta + 1e-9):
-            raise SimulationError("stopper intensity outside [0, 1/delta]")
+            if callable(self.strategy_w):
+                w_val = np.asarray(self.strategy_w(t, x, u_val), dtype=float) * np.ones(n_alive)
+            else:
+                w_val = np.full(n_alive, float(self.strategy_w))
+            if np.any(w_val < -1e-12) or np.any(w_val > 1.0 / delta + 1e-9):
+                raise SimulationError("stopper intensity outside [0, 1/delta]")
+            w_step = _exp_weight(r + w_val, dt)
         h_term = self.hamiltonian(pts, controls)
         R_now = np.exp(self.logR)
-        w_step = _exp_weight(r + w_val, dt)
         self.logR -= (r + w_val) * dt
         self.min_R = min(self.min_R, float(np.min(np.exp(self.logR))))
         return R_now * (h_m_val + w_val * g_m_val) * w_step, R_now * h_term * w_step

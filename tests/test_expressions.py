@@ -1,8 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ctrlstop.benches import load_bench
 from ctrlstop.expressions import (
     EvalError,
     ParseError,
@@ -212,3 +215,178 @@ def test_roundtrip_thousand_points():
 def test_equal_expressions_hash_alike():
     a, b = parse_expression("x1+1"), parse_expression("x1 + 1")
     assert a == b and len({a, b}) == 1
+
+
+def test_overflow_saturates_to_inf_without_a_warning():
+    # one overflow rule for every operation; pyproject turns RuntimeWarning
+    # into an error, so a warning fails here
+    assert ev("exp(exp(exp(2.0)))") == np.inf
+    assert ev("exp(exp(exp(x1)))", x1=2.0) == np.inf
+    assert ev("1e200 * 1e200") == np.inf
+    assert ev("x1 * x1", x1=1e200) == np.inf
+    assert ev("x1 * x1 * x1 - 1", x1=-1e200) == -np.inf
+    assert ev("2 ^ x1", x1=2000.0) == np.inf
+    x = np.array([[1e200, 1.0, -1e300]])
+    got = parse_expression("x1 * 1e200 + exp(710 * x1 / 1e200)")(0.0, x)
+    assert got[0] == np.inf and got[2] == -np.inf and np.isfinite(got[1])
+
+
+def test_invalid_power_still_raises():
+    with pytest.raises(EvalError):
+        ev("(-1)^0.5")
+    with pytest.raises(EvalError):
+        ev("x1^0.5", x1=-1.0)
+    with pytest.raises(EvalError):
+        parse_expression("max(0, x1)^3 * x1^0.5")(0.0, np.array([[0.0, 2.0, -1.0]]))
+
+
+def test_literal_zero_divisor_raises():
+    with pytest.raises(EvalError, match="division by zero"):
+        ev("x1 / 0", x1=1.0)
+    with pytest.raises(EvalError, match="division by zero"):
+        parse_expression("x1 / (0.0)")(0.0, np.ones((1, 4)))
+    assert ev("x1 / 4", x1=2.0) == 0.5
+
+
+_BASES = (0.0, -0.0, 0.75, 2.5, -0.75, -3.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324)
+_EXPONENTS = (3.0, 2.0, 0.5, 1.0, 2.5, 4000.0, -1.0)
+
+
+def _reference_power(base, exponent):
+    """np.power on the whole array, as the evaluator's ^ with its error state;
+    None where that call finds an invalid power."""
+    with np.errstate(invalid="raise", divide="ignore", over="ignore"):
+        try:
+            return np.power(base, exponent, dtype=float)
+        except FloatingPointError:
+            return None
+
+
+def _assert_power_rule(base, exponent):
+    want = _reference_power(base, exponent)
+    e = parse_expression(f"x1 ^ {exponent!r}")
+    x = base[None]
+    if want is None:
+        with pytest.raises(EvalError):
+            e(0.0, x)
+        return
+    got = e(0.0, x)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _among_zeros(values, rng, size=2048):
+    """values at random places of an array of size +-0.0 bases, so that the
+    ^ of the evaluator takes its zero path (a large, mostly zero base)."""
+    base = np.where(rng.random(size) < 0.3, -0.0, 0.0)
+    values = np.asarray(values, dtype=float)
+    base[rng.choice(size, values.size, replace=False)] = values
+    return base
+
+
+@pytest.mark.parametrize("exponent", _EXPONENTS)
+def test_power_of_every_base_kind_is_numpys(exponent):
+    # each kind alone, each kind among zeros, and all of them at once
+    rng = np.random.default_rng(7)
+    for b in _BASES:
+        _assert_power_rule(np.array([b]), exponent)
+        _assert_power_rule(np.array([0.0, b, -0.0, b, 1.5]), exponent)
+        _assert_power_rule(_among_zeros([b, 1.5], rng), exponent)
+        _assert_power_rule(_among_zeros(np.full(1000, b), rng), exponent)
+    mixed = rng.choice(np.array(_BASES), 2000)
+    for base in (mixed, _among_zeros(mixed[:900], rng, 4000)):
+        _assert_power_rule(base, exponent)
+        _assert_power_rule(base[::-3], exponent)  # strided
+        _assert_power_rule(base.reshape(40, -1).T, exponent)  # 2-D, not contiguous
+        _assert_power_rule(np.abs(base).reshape(40, -1), exponent)
+    _assert_power_rule(np.zeros(2048), exponent)
+    _assert_power_rule(-np.zeros(2048), exponent)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.sampled_from(_BASES),
+            st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+        ),
+        min_size=1,
+        max_size=64,
+    ),
+    st.sampled_from(_EXPONENTS),
+    st.integers(0, 2**31 - 1),
+)
+def test_power_rule_is_numpys_power(bases, exponent, seed):
+    _assert_power_rule(np.array(bases, dtype=float), exponent)
+    _assert_power_rule(_among_zeros(bases, np.random.default_rng(seed)), exponent)
+
+
+def test_power_with_many_zero_bases_is_numpys():
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 64, 1000, 1023, 1024, 1025, 20000):
+        for zero_share in (0.3, 0.5, 0.6, 0.99):
+            base = rng.uniform(0.0, 1.0, n)
+            base[rng.random(n) < zero_share] = 0.0
+            base[rng.random(n) < 0.05] = -0.0
+            for exponent in _EXPONENTS:
+                _assert_power_rule(base, exponent)
+                _assert_power_rule(rng.permutation(base), exponent)
+
+
+# sha256 of g, h and f of every bundled bench at t = 0 on _bench_batch, as a
+# 1-D batch followed by a transposed 2-D one; recorded before ^ skipped the
+# power kernel on zero bases
+BENCH_DATA_GOLDEN = {
+    "const1": {
+        "g": "09adb0e26af9503a59cbac4148ebb38901dceefa9e85097c7e01e8d426062f5f",
+        "h": "06a45094803e138ec51042c969b5ca8a5c10afc1e951f9a7512b430833d2b9f4",
+        "f": "09adb0e26af9503a59cbac4148ebb38901dceefa9e85097c7e01e8d426062f5f",
+    },
+    "bench_ou": {
+        "g": "fbe95d0372edf9976257e734f57d2ba52f4fe0b2d7033e397ce69d77b0ff8d99",
+        "h": "b59b4fc41debd0da745e05ffae208e3e0f6561a1f014be28913f16e1bb6a603c",
+        "f": "b7e100335e6d31fbcc313bd06b41b756af497e1fc745bb9bad475052078a68a8",
+    },
+    "bench_ou_purestop": {
+        "g": "fbe95d0372edf9976257e734f57d2ba52f4fe0b2d7033e397ce69d77b0ff8d99",
+        "h": "b59b4fc41debd0da745e05ffae208e3e0f6561a1f014be28913f16e1bb6a603c",
+        "f": "9f7dc0c691b9defa71b8092163a4b26635885bde9df5465cade8100da07b223e",
+    },
+    "allzero": {
+        "g": "06a45094803e138ec51042c969b5ca8a5c10afc1e951f9a7512b430833d2b9f4",
+        "h": "06a45094803e138ec51042c969b5ca8a5c10afc1e951f9a7512b430833d2b9f4",
+        "f": "09adb0e26af9503a59cbac4148ebb38901dceefa9e85097c7e01e8d426062f5f",
+    },
+}
+
+
+def _bench_batch():
+    special = [0.0, -0.0, 0.9, -0.9, 2.1, -2.1, 4.5, -4.5, np.nan, np.inf, -np.inf]
+    edges = np.array([0.9, 2.1, 4.5])
+    near = np.concatenate([np.nextafter(edges, 0.0), np.nextafter(edges, 9.0)])
+    rng = np.random.default_rng(2024)
+    x1 = np.concatenate(
+        [special, near, -near, np.linspace(-6.0, 6.0, 1201), rng.uniform(-7.0, 7.0, 1000)]
+    )
+    return x1[None, :]
+
+
+def _bench_data_digests(name):
+    spec = load_bench(name, coarse=True).spec
+    x = _bench_batch()
+    x2 = x[:, : 40 * 55].reshape(1, 40, 55).transpose(0, 2, 1)
+    out = {}
+    for key in ("g", "h", "f"):
+        digest = hashlib.sha256()
+        for batch in (x, x2):
+            val = np.ascontiguousarray(getattr(spec, key)(0.0, batch))
+            assert val.shape == batch.shape[1:] and val.dtype == float
+            digest.update(val.tobytes())
+        out[key] = digest.hexdigest()
+    return out
+
+
+@pytest.mark.parametrize("name", ["const1", "bench_ou", "bench_ou_purestop", "allzero"])
+def test_bench_data_are_golden(name):
+    assert _bench_data_digests(name) == BENCH_DATA_GOLDEN[name]

@@ -297,3 +297,49 @@ def _reference_f_m_sq(data, t, x):
         cross = 2.0 * gv * xi * np.sum(gx * gg, axis=0)
         out = out + data.g_norm**2 * np.sum(gx * gx, axis=0) + cross
     return np.maximum(out, 0.0)
+
+
+def _reference_hamiltonian_batch(pen, f_vals, q):
+    """hamiltonian_batch with the bisection on every rate, zeros included."""
+    from ctrlstop.kernel import _solve_radius
+
+    rho = _solve_radius(pen, f_vals, q)
+    out = q * rho - pen.value(rho**2 - f_vals**2)
+    return np.where(q == 0.0, 0.0, out)
+
+
+@pytest.mark.parametrize("zero_share", [0.0, 0.7, 1.0])
+def test_hamiltonian_batch_is_the_bisection_on_every_rate(zero_share):
+    rng = np.random.default_rng(12)
+    pen = Penalty(1 / 16)
+    n = 3000
+    f_vals = rng.uniform(0.0, 2.0, n)
+    q = rng.uniform(0.0, 6.0, n)
+    q[rng.random(n) < zero_share] = 0.0
+    q[:4] = [-0.0, np.nan, 0.0, 5e-324]
+    got = hamiltonian_batch(pen, f_vals, q)
+    want = _reference_hamiltonian_batch(pen, f_vals, q)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert hamiltonian_batch(pen, 0.3, q).shape == (n,)  # f broadcasts
+    assert hamiltonian_batch(pen, f_vals, 0.0).shape == (n,)
+
+
+def test_bisection_never_receives_a_zero_rate(monkeypatch):
+    import ctrlstop.kernel as kernel_mod
+
+    seen = []
+    plain = kernel_mod._solve_radius
+
+    def solve_radius(pen, f_val, q, *args):
+        seen.append(np.asarray(q).copy())
+        return plain(pen, f_val, q, *args)
+
+    monkeypatch.setattr(kernel_mod, "_solve_radius", solve_radius)
+    pen = Penalty(0.1)
+    q = np.array([0.0, 1.5, -0.0, np.nan, 0.0, 2.0])
+    hamiltonian_batch(pen, np.full(6, 0.3), q)
+    hamiltonian_batch(pen, np.full(6, 0.3), np.zeros(6))
+    assert seen and all(np.count_nonzero(s == 0.0) == 0 for s in seen)
+    assert sum(s.size for s in seen) == 3  # 1.5, NaN and 2.0

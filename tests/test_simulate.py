@@ -745,3 +745,36 @@ def test_truncated_hamiltonian_samples_f_m_once_per_step(ou_solved, monkeypatch,
         simulate_penalized(spec, data, pen, 0.125, (0.0, [1.0]), ctrl, "w_star", cfg)
     assert calls["hamiltonian"] > 0
     assert calls["f_m_sq"] == calls["hamiltonian"]  # one per step with paths alive
+
+
+# (mean, std_error) as float.hex of 400-path, 40-step simulate_penalized runs
+# with seed 5 from (0, [1.0]) under feedbacks whose rate is zero on some or
+# all paths; recorded before hamiltonian_batch skipped the zero rates
+ZERO_RATE_GOLDEN = {
+    "delayed": ("0x1.44f3dae30e54dp-1", "0x1.54eb84982c0e7p-8"),
+    "idle": ("0x1.4512ff3c25843p-1", "0x1.53fe9f381378ep-8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ZERO_RATE_GOLDEN))
+def test_zero_rate_estimates_are_golden(ou_solved, case):
+    spec, data, pen, field = ou_solved
+    make = strategies(spec, field, pen, data=data)
+    ctrl = make("controller_idle") if case == "idle" else make("controller_opt", delay=0.1)
+    cfg = PathConfig(n_paths=400, n_steps=40, rng_seed=5)
+    est = simulate_penalized(spec, data, pen, 0.125, (0.0, [1.0]), ctrl, "w_star", cfg)
+    assert (est.mean.hex(), est.std_error.hex()) == ZERO_RATE_GOLDEN[case]
+
+
+@pytest.mark.parametrize("delta", [1 / 2, 1 / 8, 1 / 16, 1 / 64, 1 / 256])
+@pytest.mark.parametrize("dt", [1e-3, 2e-3, 1.25e-2])
+def test_two_discount_weights_are_the_per_path_weights(delta, dt):
+    """Under w_star the stopper's rate takes two values, and accrue selects
+    between two weights; they are the per-path weights bit for bit."""
+    from ctrlstop.simulate import _exp_weight
+
+    rng = np.random.default_rng(9)
+    w_val = np.where(rng.random(10_000) < 0.4, 1.0 / delta, 0.0)
+    for r in (0.05, 0.0):
+        lo, hi = _exp_weight(np.array([r, r + 1.0 / delta]), dt)
+        assert np.array_equal(np.where(w_val > 0, hi, lo), _exp_weight(r + w_val, dt))
