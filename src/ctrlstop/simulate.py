@@ -2,7 +2,7 @@
 
 simulate_paths estimates the original singular-control/stopping payoff
 (discounted stopping reward g, running reward h, and a cost f per unit of
-control, with jump costs integrated along the jump segment).
+control).
 simulate_penalized estimates the absolutely-continuous penalized game payoff
 with the controlled discount R^w, and simulate_recursive its recursive
 reformulation with killing rate 1/delta.  Feedback strategies are synthesized
@@ -46,7 +46,6 @@ __all__ = [
 
 MAX_REJECT_FRACTION = 0.01
 MAX_EXIT_FRACTION = 0.05
-JUMP_QUADRATURE_POINTS = 16  # midpoint nodes along an impulse's segment
 
 
 class SimulationError(RuntimeError):
@@ -134,27 +133,23 @@ def _as_points(t, x):
     return x if isinstance(x, _Points) else _Points(t, np.asarray(x, dtype=float))
 
 
-MODES = (
-    "controller_opt", "controller_idle", "controller_push", "controller_jump",
-    "stopper_tau_star", "stopper_w_star", "stopper_fixed", "stopper_never",
-)
+MODES = ("controller_opt", "controller_idle", "stopper_tau_star", "stopper_fixed", "stopper_never")
 
 
 @dataclass
 class FeedbackStrategy:
-    """Controller or stopper rule synthesized from a solved field.
+    """Controller or stopper rule synthesized from a solved field; each mode
+    is played by saddle_probe.  A mode's inputs are checked at construction.
 
     Controller modes:
       controller_opt    push along -grad u at 2 psi'(.)|grad u|, idle before
                         `delay`; the rate is multiplied by `scale`, and
-                        `flip` reverses the direction (saddle probes)
+                        `flip` reverses the direction (saddle probes); needs
+                        `field` and `pen`
       controller_idle   never act
-      controller_push   constant rate `push_rate` along +e1 (test strategy)
-      controller_jump   one impulse of size `jump_size` along +e1 at time 0
     Stopper modes:
-      stopper_tau_star  stop on u <= g + band
-      stopper_w_star    stop at rate 1/delta on u <= g_m
-      stopper_fixed     stop at the elapsed time `fixed_time`
+      stopper_tau_star  stop on u <= g + band; needs `field`
+      stopper_fixed     stop at the elapsed time `fixed_time` (not NaN)
       stopper_never     run to the horizon
     """
 
@@ -163,18 +158,21 @@ class FeedbackStrategy:
     field: GridField | None = None
     pen: Penalty | None = None
     data: TruncatedData | None = None  # use truncated payoffs where present
-    delta: float | None = None
     band: float = 0.0
     scale: float = 1.0
     flip: bool = False
     fixed_time: float | None = None
-    push_rate: float = 0.0
-    jump_size: float = 0.0
     delay: float = 0.0
 
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"unknown strategy mode {self.mode!r}; expected one of {MODES}")
+        if self.mode == "controller_opt" and (self.field is None or self.pen is None):
+            raise ValueError("controller_opt needs a solved field and a penalty")
+        if self.mode == "stopper_tau_star" and self.field is None:
+            raise ValueError("stopper_tau_star needs a solved field")
+        if self.mode == "stopper_fixed" and (self.fixed_time is None or math.isnan(self.fixed_time)):
+            raise ValueError(f"stopper_fixed needs a fixed_time, got {self.fixed_time!r}")
 
     @property
     def optimal(self) -> bool:
@@ -207,9 +205,6 @@ class FeedbackStrategy:
         outside = np.zeros(n_paths, dtype=bool)
         if self.mode == "controller_idle":
             return direction, rate, outside
-        if self.mode == "controller_push":
-            rate[:] = self.push_rate
-            return direction, rate, outside
         if self.mode == "controller_opt":
             if elapsed < self.delay:
                 return direction, rate, outside
@@ -226,7 +221,7 @@ class FeedbackStrategy:
             return _Controls(direction, rate, outside, gnorm_sq, f_sq, self.data)
         raise ValueError(f"not a controller mode: {self.mode}")
 
-    def stop_mask(self, t, elapsed, x, uniforms, dt):
+    def stop_mask(self, t, elapsed, x):
         """Boolean mask of paths the stopper terminates on this step; x as in
         control."""
         pts = _as_points(t, x)
@@ -238,32 +233,22 @@ class FeedbackStrategy:
         if self.mode == "stopper_tau_star":
             u = self.field.sample(t, pts.plan(self.field.grid))
             return u <= self.spec.g(t, x) + self.band
-        if self.mode == "stopper_w_star":
-            u = self.field.sample(t, pts.plan(self.field.grid))
-            if self.data is not None:
-                g = self.data._g_m(t, x, self.data.cutoff.value_radial(pts.radius))
-            else:
-                g = self.spec.g(t, x)
-            in_contact = u <= g + self.band
-            p_stop = 1.0 - math.exp(-dt / self.delta)
-            return in_contact & (uniforms < p_stop)
         raise ValueError(f"not a stopper mode: {self.mode}")
 
 
 def _draws(cfg: PathConfig, d_noise: int):
-    """Per-step generator of (normals (d', n), uniforms (n,)) from Philox."""
+    """Per-step generator of normals (d', n) from Philox."""
     gen = np.random.Generator(np.random.Philox(key=cfg.rng_seed))
     half = cfg.n_paths // 2
     while True:
         if cfg.antithetic:
             z_half = gen.standard_normal((d_noise, half))
             z = np.concatenate([z_half, -z_half], axis=1)
-            u_half = gen.random(half)
-            u = np.concatenate([u_half, u_half])
         else:
             z = gen.standard_normal((d_noise, cfg.n_paths))
-            u = gen.random(cfg.n_paths)
-        yield z, u
+        # unread uniforms: they keep every fixed-seed estimate bit for bit until a re-record
+        gen.random(half if cfg.antithetic else cfg.n_paths)
+        yield z
 
 
 def _exp_weight(kappa, dt):
@@ -272,20 +257,6 @@ def _exp_weight(kappa, dt):
     kappa = np.asarray(kappa, dtype=float)
     out = np.where(kappa > 0, -np.expm1(-kappa * dt) / np.where(kappa > 0, kappa, 1.0), dt)
     return out
-
-
-def _jump_cost(spec, t, x, direction, sizes):
-    """Cost of an impulse per path: integral of f along the jump segment,
-    by midpoint quadrature with JUMP_QUADRATURE_POINTS nodes."""
-    cost = np.zeros(x.shape[1])
-    moving = sizes > 0
-    if not np.any(moving):
-        return cost
-    lam = (np.arange(JUMP_QUADRATURE_POINTS) + 0.5) / JUMP_QUADRATURE_POINTS
-    for w in lam:
-        probe = x + direction * (w * sizes)[None, :]
-        cost += spec.f(t, probe)
-    return np.where(moving, cost * sizes / JUMP_QUADRATURE_POINTS, 0.0)
 
 
 def _finalize(parts, keep, n_rej, cfg, extras):
@@ -325,12 +296,12 @@ def _start_point(spec: ProblemSpec, start):
 def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimate:
     """The Euler-Maruyama path engine behind the three simulators.
 
-    Each step k < n_steps draws one batch of normals and uniforms for all
-    paths.  The payoff rule picks the alive paths that stop (at the horizon
-    all do) and what they are paid.  strategy_ctrl steers the rest over nsub
-    substeps (none with nsub=0), the rule books what they accrue, and they
-    move X += b dt + sigma sqrt(dt) Z + n dnu.  Paths that leave the finite
-    floats are rejected and dropped from the estimate.
+    Each step k < n_steps draws one batch of normals for all paths.  The
+    payoff rule picks the alive paths that stop (at the horizon all do) and
+    what they are paid.  strategy_ctrl steers the rest over nsub >= 1
+    substeps, the rule books what they accrue, and they move
+    X += b dt + sigma sqrt(dt) Z + n dnu.  Paths that leave the finite floats
+    are rejected and dropped from the estimate.
 
     The alive paths are kept compact: their numbers idx, states xa, running
     and control-cost sums, and the rule's own per-path state all drop the
@@ -344,10 +315,10 @@ def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimat
     n = cfg.n_paths
     rejected = np.zeros(n, dtype=bool)
     parts = {"terminal": np.zeros(n), "running": np.zeros(n), "control_cost": np.zeros(n)}
-    xa = payoff.begin(t0, np.tile(x0[:, None], (1, n)), parts)
+    xa = np.tile(x0[:, None], (1, n))
     idx = np.arange(n)
     running = np.zeros(n)
-    control_cost = parts["control_cost"].copy()  # begin may book a jump's cost
+    control_cost = np.zeros(n)
     counts = {"stopped_paths": 0, "horizon_paths": 0}
     draws = _draws(cfg, spec.d_noise)
 
@@ -358,8 +329,8 @@ def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimat
         if k == cfg.n_steps:
             stop = np.ones(idx.size, dtype=bool)
         else:
-            z, uniforms = next(draws)
-            stop = payoff.stop(pts, elapsed, uniforms if idx.size == n else uniforms[idx], dt)
+            z = next(draws)
+            stop = payoff.stop(pts, elapsed)
         if np.any(stop):
             ids = idx[stop]
             parts["terminal"][ids] += payoff.terminal(pts.subset(stop), elapsed, stop)
@@ -408,22 +379,18 @@ class _Payoff:
     """A simulator's payoff rule for the path engine, called on the alive
     paths' _Points pts at time pts.t:
 
-    stop(pts, elapsed, uniforms, dt): mask of the paths that stop at t;
+    stop(pts, elapsed): mask of the paths that stop at t;
     terminal(pts, elapsed, stop): discounted payment of the stopping paths
         pts, which are the alive paths in mask stop;
     accrue(pts, elapsed, controls, dt): discounted (running reward, control
         cost) over [t, t + dt]; controls lists each feedback substep's
         (_Points, control);
-    begin(t0, x, parts): the paths after a move at t0 (none by default);
     retire(ids, stop): book the per-path state of the alive paths in mask
         stop, path numbers ids, as they stop (nothing by default);
     compact(live): keep the per-path state of the alive paths in mask live
         only (no state by default);
     extras(keep): metadata entries (none by default).
     """
-
-    def begin(self, t0, x, parts):
-        return x
 
     def retire(self, ids, stop):
         pass
@@ -438,23 +405,13 @@ class _Payoff:
 class _OriginalPayoff(_Payoff):
     """The stopper's rule, g discounted at e^{-r t}; h and f dnu accrue."""
 
-    def __init__(self, spec, strategy_ctrl, strategy_stop, cfg):
-        self.spec, self.ctrl, self.stopper = spec, strategy_ctrl, strategy_stop
+    def __init__(self, spec, strategy_stop, cfg):
+        self.spec, self.stopper = spec, strategy_stop
         self.ever_exited = np.zeros(cfg.n_paths, dtype=bool)
         self.exited = self.ever_exited.copy()  # of the alive paths
 
-    def begin(self, t0, x, parts):
-        # optional single impulse at time zero (test strategies)
-        if self.ctrl.mode != "controller_jump" or self.ctrl.jump_size <= 0:
-            return x
-        direction = np.zeros_like(x)
-        direction[0] = 1.0
-        sizes = np.full(x.shape[1], self.ctrl.jump_size)
-        parts["control_cost"] += _jump_cost(self.spec, t0, x, direction, sizes)
-        return x + direction * sizes[None, :]
-
-    def stop(self, pts, elapsed, uniforms, dt):
-        return self.stopper.stop_mask(pts.t, elapsed, pts, uniforms, dt)
+    def stop(self, pts, elapsed):
+        return self.stopper.stop_mask(pts.t, elapsed, pts)
 
     def terminal(self, pts, elapsed, stop):
         return math.exp(-self.spec.r * elapsed) * self.spec.g(pts.t, pts.x)
@@ -491,7 +448,7 @@ class _TruncatedPayoff(_Payoff):
         self.field = strategy_ctrl.field
         self.closed_form = strategy_ctrl.optimal
 
-    def stop(self, pts, elapsed, uniforms, dt):
+    def stop(self, pts, elapsed):
         return pts.radius >= self.data.m
 
     def g_m(self, pts):
@@ -599,13 +556,8 @@ def simulate_paths(
         raise ValueError(f"strategy_ctrl needs a controller mode, got {strategy_ctrl.mode!r}")
     if not strategy_stop.mode.startswith("stopper_"):
         raise ValueError(f"strategy_stop needs a stopper mode, got {strategy_stop.mode!r}")
-    if strategy_ctrl.mode == "controller_jump":
-        nsub = 0  # the impulse at t0 is its only control
-    elif strategy_ctrl.mode == "controller_opt":
-        nsub = cfg.feedback_substeps
-    else:
-        nsub = 1
-    payoff = _OriginalPayoff(spec, strategy_ctrl, strategy_stop, cfg)
+    nsub = cfg.feedback_substeps if strategy_ctrl.mode == "controller_opt" else 1
+    payoff = _OriginalPayoff(spec, strategy_stop, cfg)
     return _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub)
 
 

@@ -62,26 +62,18 @@ class TestOriginalGame:
         )
         assert est.mean == 1.0 and est.std_error == 0.0
 
-    def test_single_jump_costs_f_times_size(self, const1):
-        spec, data, ones = const1
-        make = strategies(spec, ones, Penalty(0.25))
-        est = simulate_paths(
-            spec,
-            (0.0, [0.0]),
-            make("controller_jump", jump_size=0.7),
-            make("stopper_never"),
-            CFG,
-        )
-        assert est.breakdown["control_cost"] == pytest.approx(0.7, abs=1e-12)
-
     def test_constant_push_cost_closed_form(self, const1):
-        # with r=0, f=1, g=1 and no early stop: payoff = 1 + c (T - t0)
+        # on u = 1 - 2 x1, |grad u| = 2 > f = 1, so psi' = 1/eps = 4 and the
+        # optimal push is 2 * 4 * 2 = 16 along +e1; scaled to c = 0.4, with
+        # r=0, f=1, g=1 and no early stop: payoff = 1 + c (T - t0)
         spec, data, ones = const1
-        make = strategies(spec, ones, Penalty(0.25))
+        grid = ones.grid
+        slope = GridField(grid=grid, values=np.tile(1.0 - 2.0 * grid.points()[0], (grid.nt + 1, 1)))
+        make = strategies(spec, slope, Penalty(0.25))
         est = simulate_paths(
             spec,
             (0.0, [0.0]),
-            make("controller_push", push_rate=0.4),
+            make("controller_opt", scale=0.025),
             make("stopper_never"),
             CFG,
         )
@@ -286,11 +278,56 @@ def test_unknown_mode_fails_at_construction(const1):
     spec, data, ones = const1
     make = strategies(spec, ones, Penalty(0.25))
     # a misspelled controller used to run silently when every path stops at step 0
-    for mode in ("controller_perturbd", "controller_perturbed", "controller_delayed"):
+    for mode in (
+        "controller_perturbd",
+        "controller_perturbed",
+        "controller_delayed",
+        "controller_push",
+        "controller_jump",
+        "stopper_w_star",
+    ):
         with pytest.raises(ValueError, match="unknown strategy mode"):
             simulate_paths(
                 spec, (0.0, [0.0]), make(mode), make("stopper_fixed", fixed_time=0), CFG
             )
+
+
+@pytest.mark.parametrize(
+    "mode, missing",
+    [
+        ("controller_opt", {"field": None}),
+        ("controller_opt", {"pen": None}),
+        ("stopper_tau_star", {"field": None}),
+        ("stopper_fixed", {"fixed_time": None}),
+        ("stopper_fixed", {"fixed_time": float("nan")}),
+    ],
+    ids=["opt_no_field", "opt_no_pen", "tau_star_no_field", "fixed_none", "fixed_nan"],
+)
+def test_mode_inputs_are_checked_at_construction(const1, mode, missing):
+    # these used to fail mid-run (TypeError, AttributeError), or for a NaN
+    # fixed_time never to stop
+    spec, data, ones = const1
+    kw = {"field": ones, "pen": Penalty(0.25), "fixed_time": 0.1, **missing}
+    with pytest.raises(ValueError, match="needs"):
+        FeedbackStrategy(spec=spec, mode=mode, **kw)
+
+
+def test_saddle_probe_plays_every_mode(const1, monkeypatch):
+    """Each mode of MODES has a reader: the default saddle probes play all of
+    them, and no other."""
+    import ctrlstop.simulate as simulate_mod
+    from ctrlstop.simulate import MODES, PayoffEstimate
+
+    played = set()
+
+    def record(spec, start, ctrl, stop, cfg):
+        played.update((ctrl.mode, stop.mode))
+        return PayoffEstimate(mean=1.0, std_error=0.0, n_paths=cfg.n_paths, breakdown={})
+
+    monkeypatch.setattr(simulate_mod, "simulate_paths", record)
+    spec, data, ones = const1
+    saddle_probe(spec, ones, Penalty(0.25), (0.0, [0.0]), CFG)
+    assert played == set(MODES)
 
 
 @pytest.mark.parametrize(
@@ -402,12 +439,12 @@ def ou_solved():
 # (mean, std_error) as float.hex of 400-path, 40-step runs with seed 5
 GOLDEN = {
     "paths_opt_tau_star": ("0x1.41f1da0aa39d8p-1", "0x1.4d486aa3dd25dp-8"),
-    "paths_jump_fixed": ("0x1.5602b1ce82083p-1", "0x1.14c761c0b89d8p-10"),
+    "paths_opt_fixed": ("0x1.238bec2c9b29dp-1", "0x1.64f918ff72ceap-10"),
     "penalized_w_star": ("0x1.73427222bc892p-5", "0x1.68d66e3874ebcp-9"),
     "penalized_callable": ("0x1.4232a56a56274p-1", "0x1.62029ca7c3d07p-8"),
     "recursive": ("0x1.606a0f6331563p-5", "0x1.03e4805b1acf6p-10"),
     "recursive_core": ("0x1.4a5fc441ddbacp-1", "0x1.3316698859d7ep-9"),
-    "paths_w_star_rejected": ("0x1.441e112ae1fe2p-1", "0x1.58f06f4523f45p-8"),
+    "paths_tau_star_rejected": ("0x1.464a69e39a797p-1", "0x1.4e1b4c6dba864p-8"),
     "penalized_rejected": ("0x1.93a81385aa7e1p-1", "0x1.393dd83565ca8p-7"),
 }
 
@@ -415,7 +452,7 @@ GOLDEN = {
 # up past x1 = 1.3: paths stop at many different steps and a few leave the
 # finite floats mid-run, so the engine's bookkeeping of the alive paths
 # (draws, stops, rejections) is pinned.  Rejected paths per case:
-REJECTED = {"paths_w_star_rejected": 3, "penalized_rejected": 1}
+REJECTED = {"paths_tau_star_rejected": 4, "penalized_rejected": 1}
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -437,10 +474,10 @@ def test_fixed_seed_estimates_are_golden(ou_solved, case):
         "paths_opt_tau_star": lambda: simulate_paths(
             spec, (0.0, [1.0]), make("controller_opt"), make("stopper_tau_star", band=0.01), cfg
         ),
-        "paths_jump_fixed": lambda: simulate_paths(
+        "paths_opt_fixed": lambda: simulate_paths(
             spec,
             (0.1, [-0.5]),
-            make("controller_jump", jump_size=0.3),
+            make("controller_opt"),
             make("stopper_fixed", fixed_time=0.2),
             cfg,
         ),
@@ -463,11 +500,11 @@ def test_fixed_seed_estimates_are_golden(ou_solved, case):
         "recursive_core": lambda: simulate_recursive(
             spec, data, pen, 0.125, (0.2, [-1.2]), make("controller_opt", flip=True), cfg
         ),
-        "paths_w_star_rejected": lambda: simulate_paths(
+        "paths_tau_star_rejected": lambda: simulate_paths(
             explosive,
             (0.0, [1.0]),
             wild("controller_opt"),
-            wild("stopper_w_star", delta=0.125, band=0.01),
+            wild("stopper_tau_star", band=0.0),
             cfg,
         ),
         "penalized_rejected": lambda: simulate_penalized(
@@ -679,7 +716,7 @@ def test_each_step_computes_its_geometry_once(ou_solved, monkeypatch, simulator)
     assert est.metadata["stopped_paths"] > 0
 
 
-@pytest.mark.parametrize("case", ["paths_w_star_rejected", "penalized_w_star"])
+@pytest.mark.parametrize("case", ["paths_tau_star_rejected", "penalized_w_star"])
 def test_path_counts_add_up(ou_solved, case):
     """Every launched path is stopped by the rule, reaches the horizon or is
     rejected, exactly once."""
@@ -698,13 +735,13 @@ def test_path_counts_add_up(ou_solved, case):
             explosive,
             (0.0, [1.0]),
             wild("controller_opt"),
-            wild("stopper_w_star", delta=0.125, band=0.01),
+            wild("stopper_tau_star", band=0.0),
             cfg,
         )
     meta = est.metadata
     assert meta["stopped_paths"] > 0 and meta["horizon_paths"] > 0
     assert meta["stopped_paths"] + meta["horizon_paths"] + meta["rejected_paths"] == cfg.n_paths
-    if case == "paths_w_star_rejected":
+    if case == "paths_tau_star_rejected":
         assert meta["rejected_paths"] == REJECTED[case]
 
 
