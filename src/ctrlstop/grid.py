@@ -260,13 +260,14 @@ class Operator:
     2-D) in the layout of scipy.sparse.diags: element j belongs to row
     j - min(o, 0).
 
-    L_matrix applies (L - r) on interior rows (Dirichlet rows are zero) and
-    implicit_matrix is M0, both sp.diags of the same diagonals.  M0 is
-    factored once, when the operator is built (LAPACK gttrf in 1-D, SuperLU
-    in 2-D), and implicit_solve applies that factorization (gttrs in 1-D,
-    the same elimination arithmetic as gtsv).  The other solve paths edit a
-    copy of M0's diagonals and hand it to _system: level_solver builds the
-    Newton level systems
+    L_matrix is (L - r) on interior rows (Dirichlet rows are zero) and
+    implicit_matrix is M0, both sp.diags of the same diagonals;
+    apply_generator applies (L - r) from L_matrix's three bands in 1-D and
+    by L_matrix in 2-D.  M0 is factored once, when the operator is built
+    (LAPACK gttrf in 1-D, SuperLU in 2-D), and implicit_solve applies that
+    factorization (gttrs in 1-D, the same elimination arithmetic as gtsv).
+    The other solve paths edit a copy of M0's diagonals and hand it to
+    _system: level_solver builds the Newton level systems
 
         M0 + I_int (diag(extra_diag) - sum_i diag(extra_drift_i) D_i)
 
@@ -284,13 +285,17 @@ class Operator:
 
     def __post_init__(self):
         n = self.grid.n_nodes
-        self._interior = ~self.dirichlet
+        self._boundary = np.flatnonzero(self.dirichlet)
         self._two_hx = 2.0 * self.grid.hx
         self._strides = _strides(self.grid)
         self._rows = {o: slice(max(-o, 0), n - max(o, 0)) for o in self._diagonals}
         # M0's factors: gttrf's (dl, d, du, du2, ipiv, info) in 1-D, SuperLU in 2-D
         if self.grid.d == 1:
             self._lu = _GTTRF(self._diagonals[-1], self._diagonals[0], self._diagonals[1])
+            # L - r on the interior rows 1..n-2 (the Dirichlet nodes of a
+            # line are its two ends): the coefficients of u[i-1], u[i], u[i+1]
+            L = self.L_matrix
+            self._bands = (L.diagonal(-1)[:-1], L.diagonal(0)[1:-1], L.diagonal(1)[1:])
         else:
             self._lu = sp.linalg.splu(self.implicit_matrix)
 
@@ -330,9 +335,26 @@ class Operator:
         )
 
     def apply_generator(self, flat_values: np.ndarray) -> np.ndarray:
-        """(L - r) u on interior nodes (zeros on Dirichlet rows), for u of
-        shape (n_nodes,) or (n_nodes, k) (k fields at once)."""
-        return self.L_matrix @ flat_values
+        """(L - r) u on interior nodes (exact zeros on Dirichlet rows, whatever
+        u holds there), for u of shape (n_nodes,) or (n_nodes, k) (k fields
+        at once).
+
+        In 1-D the three bands act on the interior rows, each row summed
+        from +0.0 in CSR's column order, so the result is L_matrix @ u bit
+        for bit, except where an interior row has a zero coefficient (which
+        CSR does not store) on a non-finite value.  In 2-D L_matrix applies
+        it: its rows skip the zero cross-term corners, which a band sum
+        would multiply by the values of Dirichlet nodes."""
+        if self.grid.d == 2:
+            return self.L_matrix @ flat_values
+        u = flat_values
+        lower, diag, upper = self._bands if u.ndim == 1 else (b[:, None] for b in self._bands)
+        out = np.zeros(u.shape)
+        rows = out[1:-1]
+        rows += lower * u[:-2]
+        rows += diag * u[1:-1]
+        rows += upper * u[2:]
+        return out
 
     def level_solver(self, extra_drift: np.ndarray | None, extra_diag: np.ndarray | None):
         """Solver for (I/ht - (L - r) - <extra_drift, grad .> + diag(extra_diag))
@@ -342,15 +364,19 @@ class Operator:
         penalty linearization) is discretized with CENTERED differences so
         the linear model is the exact Gateaux derivative of the frozen-source
         residual, whose gradients are also centered: e / (2 hx) leaves the
-        +s diagonal and joins the -s one, row by row.
+        +s diagonal and joins the -s one, row by row.  Both terms are added
+        on every row, then the Dirichlet rows are put back: 1 on the main
+        diagonal and no drift, so they stay exact identity rows.
         """
         diagonals = self._diagonals.copy()
         if extra_diag is not None:
-            diagonals[0] = diagonals[0] + np.where(self._interior, extra_diag, 0.0)
+            diag = diagonals[0] + extra_diag
+            diag[self._boundary] = 1.0
+            diagonals[0] = diag
         if extra_drift is not None:
-            half = np.zeros(self.grid.n_nodes)
             for axis, s in enumerate(self._strides):
-                np.divide(extra_drift[axis], self._two_hx, out=half, where=self._interior)
+                half = extra_drift[axis] / self._two_hx
+                half[self._boundary] = 0.0
                 diagonals[s] = diagonals[s] - half[:-s]
                 diagonals[-s] = diagonals[-s] + half[s:]
         return self._system(diagonals)

@@ -228,12 +228,38 @@ def truncate_data(spec: ProblemSpec, m: float, sup_samples: int = 201) -> Trunca
 # ---------------------------------------------------------------------------
 
 
+class _Branches:
+    """Where the points y fall among a penalty's branches, computed once and
+    read by value, d1 and d2.  One compare and one nonzero pick the
+    nodes that are not y <= 0, which are few where the constraint is slack
+    and none in the pure-stopping limit; only those are split into the
+    linear nodes y >= 2eps, with their y, and the bridge nodes
+    (0 < y < 2eps, and NaN, which the bridge propagates), with s = y/2eps.
+    A node with no branch of its own reads zero."""
+
+    def __init__(self, pen: "Penalty", y):
+        y = np.asarray(y, dtype=float)
+        self.eps, self.shape = pen.eps, y.shape
+        above = (~(y <= 0.0)).ravel().nonzero()[0]  # np.flatnonzero, minus its wrapper
+        self.linear = self.bridge = above  # both empty unless y has nodes above 0
+        if above.size:
+            y_above = y.take(above)
+            two_eps = 2.0 * pen.eps
+            linear = y_above >= two_eps
+            bridge = ~linear
+            self.linear, self.y_linear = above[linear], y_above[linear]
+            self.bridge, self.s = above[bridge], y_above[bridge] / two_eps
+
+
 @dataclass(frozen=True)
 class Penalty:
     """C^2, convex, nondecreasing penalty: 0 for y<=0, (y-eps)/eps for y>=2eps,
     polynomial bridge 2s^3 - s^4 (s = y/2eps) in between.
 
-    Each evaluation starts from zeros and computes a branch only on its own
+    value, d1 and d2 take either the points y or their _Branches, which a
+    caller that needs two of them at the same points builds once (the Newton
+    level needs psi and psi', the Monte Carlo Hamiltonian the same).  Each
+    evaluation starts from zeros and computes a branch only on its own
     nodes, and not at all when it has none: in the pure-stopping limit every
     y is <= 0, and value and d1 return zeros after classifying y."""
 
@@ -243,40 +269,39 @@ class Penalty:
         if not (0.0 < self.eps < 1.0):
             raise ValueError("penalty parameter must lie in (0, 1)")
 
-    def _split(self, y):
-        """y as an array, the mask of the linear branch y >= 2eps, the flat
-        indices of the bridge (0 < y < 2eps, and NaN, which the bridge
-        propagates) and s = y/2eps there."""
-        y = np.asarray(y, dtype=float)
-        two_eps = 2.0 * self.eps
-        linear = y >= two_eps
-        bridge = np.flatnonzero(~(linear | (y <= 0.0)))
-        return y, linear, bridge, y.take(bridge) / two_eps
+    def _branches(self, y) -> _Branches:
+        if not isinstance(y, _Branches):
+            return _Branches(self, y)
+        if y.eps != self.eps:
+            raise ValueError("branches belong to another penalty")
+        return y
 
     def value(self, y):
-        y, linear, bridge, s = self._split(y)
-        out = np.zeros(y.shape)
-        if linear.any():
-            np.subtract(y, self.eps, out=out, where=linear)
-            np.divide(out, self.eps, out=out, where=linear)
-        if bridge.size:
-            out.put(bridge, 2.0 * s**3 - s**4)
+        b = self._branches(y)
+        out = np.zeros(b.shape)
+        if b.linear.size:
+            out.put(b.linear, (b.y_linear - self.eps) / self.eps)
+        if b.bridge.size:
+            s = b.s
+            out.put(b.bridge, 2.0 * s**3 - s**4)
         return out
 
     def d1(self, y):
-        y, linear, bridge, s = self._split(y)
-        out = np.zeros(y.shape)
-        if linear.any():
-            out[linear] = 1.0 / self.eps
-        if bridge.size:
-            out.put(bridge, (6.0 * s**2 - 4.0 * s**3) / (2.0 * self.eps))
+        b = self._branches(y)
+        out = np.zeros(b.shape)
+        if b.linear.size:
+            out.put(b.linear, 1.0 / self.eps)
+        if b.bridge.size:
+            s = b.s
+            out.put(b.bridge, (6.0 * s**2 - 4.0 * s**3) / (2.0 * self.eps))
         return out
 
     def d2(self, y):
-        y, linear, bridge, s = self._split(y)
-        out = np.zeros(y.shape)
-        if bridge.size:
-            out.put(bridge, (12.0 * s - 12.0 * s**2) / (4.0 * self.eps**2))
+        b = self._branches(y)
+        out = np.zeros(b.shape)
+        if b.bridge.size:
+            s = b.s
+            out.put(b.bridge, (12.0 * s - 12.0 * s**2) / (4.0 * self.eps**2))
         return out
 
 

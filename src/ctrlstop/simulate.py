@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .grid import GridField, _SamplingPlan
-from .kernel import Penalty, TruncatedData, _radius, hamiltonian_batch
+from .kernel import Penalty, TruncatedData, _Branches, _radius, hamiltonian_batch
 from .model import ProblemSpec
 
 __all__ = [
@@ -462,7 +462,7 @@ class _TruncatedPayoff(_Payoff):
     def hamiltonian(self, pts, controls):
         ((_, ctl),) = controls
         if self.closed_form:
-            zeta = ctl.gnorm_sq - ctl.f_sq
+            zeta = _Branches(self.pen, ctl.gnorm_sq - ctl.f_sq)
             return 2.0 * self.pen.d1(zeta) * ctl.gnorm_sq - self.pen.value(zeta)
         if isinstance(ctl, _Controls) and ctl.data is self.data:
             f_m_sq = ctl.f_sq  # f_m^2 that control sampled at these points
@@ -484,10 +484,11 @@ class _PenalizedPayoff(_TruncatedPayoff):
         super().__init__(spec, data, pen, delta, strategy_ctrl)
         self.strategy_w = strategy_w
         self.logR = np.zeros(cfg.n_paths)  # log of the controlled discount R^w, alive paths
+        self.R = np.ones(cfg.n_paths)  # exp(logR), taken once per step
         self.min_R = 1.0
 
     def terminal(self, pts, elapsed, stop):
-        return np.exp(self.logR[stop]) * self.g_m(pts)
+        return self.R[stop] * self.g_m(pts)
 
     def accrue(self, pts, elapsed, controls, dt):
         t, x, delta, r = pts.t, pts.x, self.delta, self.spec.r
@@ -508,13 +509,14 @@ class _PenalizedPayoff(_TruncatedPayoff):
                 raise SimulationError("stopper intensity outside [0, 1/delta]")
             w_step = _exp_weight(r + w_val, dt)
         h_term = self.hamiltonian(pts, controls)
-        R_now = np.exp(self.logR)
+        R_now = self.R
         self.logR -= (r + w_val) * dt
-        self.min_R = min(self.min_R, float(np.min(np.exp(self.logR))))
+        self.R = np.exp(self.logR)
+        self.min_R = min(self.min_R, float(np.min(self.R)))
         return R_now * (h_m_val + w_val * g_m_val) * w_step, R_now * h_term * w_step
 
     def compact(self, live):
-        self.logR = self.logR[live]
+        self.logR, self.R = self.logR[live], self.R[live]
 
     def extras(self, keep):
         return {"min_R": self.min_R}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridField, Operator, build_operator, centered_gradient
-from .kernel import Penalty, TruncatedData, truncate_data
+from .kernel import Penalty, TruncatedData, _Branches, truncate_data
 from .model import _level_stacks
 
 __all__ = [
@@ -138,8 +138,9 @@ def _nonlinear_march(
     inner loop converges in a few iterations; the marched field is the
     fixed point of the frozen-source operator up to the inner tolerance.
     The line search evaluates the level residual at each trial point; the
-    accepted trial's gradient, |grad v|^2, zeta and psi feed the next
-    linearization, so each Newton iteration evaluates psi' once and psi only
+    accepted trial's gradient, |grad v|^2, the penalty branches of zeta and
+    psi feed the next linearization, so zeta is classified once per
+    residual, and each Newton iteration evaluates psi' once and psi only
     through the residuals.
     stacks holds the g_m, h_m and f_m^2 level stacks.
     """
@@ -154,13 +155,14 @@ def _nonlinear_march(
 
     def level_residual(v, knext_ht, g_k, h_k, f2_k):
         """Merit (interior norm of the level residual) at v, with the
-        gradient, |grad v|^2, zeta = |grad v|^2 - f_m^2 and psi(zeta) it used.
+        gradient, |grad v|^2, the penalty branches of
+        zeta = |grad v|^2 - f_m^2 and psi(zeta) it used.
         The residual v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+
         + psi is summed left to right in place, and the merit is
         np.linalg.norm's sqrt(dot) of its interior entries."""
         grad = centered_gradient(grid, v)
         gsq = (grad**2).sum(axis=0)
-        zeta = gsq - f2_k
+        zeta = _Branches(pen, gsq - f2_k)
         psi = pen.value(zeta)
         res = v / ht
         res -= op.apply_generator(v)
@@ -188,7 +190,12 @@ def _nonlinear_march(
             extra_diag = inv_delta * (g_k - v > 0.0)
             # an idle gradient penalty (zero slope at every node) adds no drift
             extra_drift = -slope[None, :] * grad_v if slope.any() else None
-            const_src = h_k + extra_diag * g_k - psi + slope * gsq
+            # h_m + extra_diag g_m - psi + slope |grad v|^2, left to right
+            const_src = np.multiply(extra_diag, g_k)
+            np.add(h_k, const_src, out=const_src)
+            const_src -= psi
+            slope *= gsq
+            const_src += slope
             if not np.isfinite(const_src).all():
                 raise SolverError(f"non-finite source at time level {k}")
             rhs = knext_ht + const_src

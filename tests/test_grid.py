@@ -281,6 +281,39 @@ def test_operator_is_the_coo_assembly(case):
         same(op.pinned_solver(pinned)(rhs), _reference_system(grid, M0, interior, pinned=pinned)(rhs))
 
 
+@pytest.mark.parametrize("case", ["bench_ou", "strong_1d", "skewed_2d"])
+def test_apply_generator_is_the_csr_product(case):
+    """apply_generator(u) is L_matrix @ u bit for bit, signs of zero
+    included, for a vector and for (n, k) stacks in C and in F order; its
+    Dirichlet rows are +0.0 also where u is inf or NaN on Dirichlet nodes."""
+    if case == "strong_1d":
+        spec, _, _ = parse_config_text(STRONG_1D)
+        op = build_operator(Grid(d=1, m=4.0, nx=161, nt=20, T=0.2), spec)
+    else:
+        op = _operator(case)
+    n, boundary = op.grid.n_nodes, np.flatnonzero(op.dirichlet)
+    rng = np.random.default_rng(31)
+
+    def check(u):
+        got, want = op.apply_generator(u), op.L_matrix @ u
+        assert got.shape == want.shape == u.shape
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        np.testing.assert_array_equal(got[boundary], 0.0)
+        assert not np.signbit(got[boundary]).any()
+
+    for shape in ((n,), (n, 7)):
+        # exact zeros of both signs, so that some rows sum to zero
+        u = rng.normal(size=shape) * (rng.random(shape) < 0.5)
+        u[rng.random(shape) < 0.3] *= -1.0
+        check(u)
+        check(np.zeros(shape))
+        check(-np.zeros(shape))
+        u[boundary] = rng.choice([np.inf, -np.inf, np.nan], size=(boundary.size,) + shape[1:])
+        check(u)
+    check(np.ascontiguousarray(rng.normal(size=(5, n))).T)
+
+
 def _reference_sample(grid, table, t, x):
     """Interpolation of a nodal table (nt+1, n_nodes) at (t, x) as sample and
     sample_gradient computed it before the sampling plan: per level and per

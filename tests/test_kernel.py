@@ -10,7 +10,7 @@ from ctrlstop.kernel import (
     hamiltonian_batch,
     truncate_data,
 )
-from ctrlstop.kernel import _xi_profile, _xi_profile_d1
+from ctrlstop.kernel import _Branches, _xi_profile, _xi_profile_d1
 from ctrlstop.model import parse_config_text
 
 
@@ -95,7 +95,7 @@ class TestPenalty:
         rng = np.random.default_rng(9)
         for eps in (0.5, 0.1, 1.0 / 64, 1.0 / 1024):
             pen = Penalty(eps)
-            special = [0.0, -0.0, 2 * eps, np.nextafter(2 * eps, 0.0), 5e-324, np.nan, np.inf, -np.inf]
+            special = [0.0, -0.0, 2 * eps, np.nextafter(2 * eps, 0.0), 5e-324, 1e300, np.nan, np.inf, -np.inf]
             inputs = [
                 np.concatenate([rng.uniform(-3 * eps, 3 * eps, 20_000), special]),
                 # one or two branches without nodes
@@ -109,10 +109,18 @@ class TestPenalty:
                 rng.uniform(-3 * eps, 3 * eps, (5, 60)),
             ]
             for y in inputs:
-                for new, ref in zip((pen.value(y), pen.d1(y), pen.d2(y)), reference(pen, y)):
-                    assert new.shape == y.shape
-                    np.testing.assert_array_equal(new, ref)
-                    np.testing.assert_array_equal(np.signbit(new), np.signbit(ref))
+                # the points themselves, then their branches classified once
+                # and read by all three evaluations
+                for given in (y, _Branches(pen, y)):
+                    for new, ref in zip((pen.value(given), pen.d1(given), pen.d2(given)), reference(pen, y)):
+                        assert new.shape == y.shape
+                        np.testing.assert_array_equal(new, ref)
+                        np.testing.assert_array_equal(np.signbit(new), np.signbit(ref))
+
+    def test_branches_belong_to_their_penalty(self):
+        branches = _Branches(Penalty(0.1), np.linspace(-1.0, 1.0, 11))
+        with pytest.raises(ValueError, match="another penalty"):
+            Penalty(0.2).value(branches)
 
     def test_eps_range(self):
         with pytest.raises(ValueError):
