@@ -26,6 +26,7 @@ from .simulate import (
 from .solver import (
     ContinuationResult,
     PenaltyPoint,
+    TruncatedProblem,
     VIReport,
     continuation,
     default_schedule,

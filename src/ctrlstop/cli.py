@@ -10,6 +10,7 @@ import dataclasses
 import json
 import sys
 import time
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -84,13 +85,20 @@ def save_field(path, field: GridField, eps: float, delta: float) -> None:
 
 
 def load_field(path):
-    with np.load(path) as z:
-        grid = Grid(d=int(z["d"]), m=float(z["m"]), nx=int(z["nx"]), nt=int(z["nt"]), T=float(z["T"]))
-        return (
-            GridField(grid=grid, values=z["values"].copy()),
-            float(z["eps"]),
-            float(z["delta"]),
-        )
+    """The field, eps and delta that save_field wrote to path; ConfigError if
+    the file does not hold them."""
+    try:
+        with np.load(path) as z:
+            grid = Grid(d=int(z["d"]), m=float(z["m"]), nx=int(z["nx"]), nt=int(z["nt"]), T=float(z["T"]))
+            return (
+                GridField(grid=grid, values=z["values"].copy()),
+                float(z["eps"]),
+                float(z["delta"]),
+            )
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        # not an .npz archive (empty, pickled, .npy, broken zip), a key
+        # missing, or a value of the wrong type or shape
+        raise ConfigError(f"field {path}: {exc}") from exc
 
 
 def cmd_solve(args) -> int:
@@ -231,10 +239,14 @@ def cmd_simulate(args) -> int:
         seed = args.seed if args.seed is not None else int(sim_defaults.get("seed", 0))
         band = args.band if args.band is not None else float(sim_defaults.get("band", 0.01))
         cfg = PathConfig(n_paths=n_paths, n_steps=n_steps, rng_seed=seed, antithetic=args.antithetic)
+        field, eps, delta = load_field(args.field)
+        if field.grid.d != spec.d:
+            raise ValueError(f"field has dimension {field.grid.d}, the config {spec.d}")
+        pen = Penalty(eps)
+        if not delta > 0.0:
+            raise ValueError(f"field delta {delta:g} must be positive")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    field, eps, delta = load_field(args.field)
-    pen = Penalty(eps)
     data = truncate_data(spec, field.grid.m)
 
     controller = FeedbackStrategy(

@@ -15,10 +15,11 @@ and certifies convergence by the frozen-source residual |Gamma[u] - u|.
 Only the march and the backward solves of gamma_step go level by level,
 since each level needs the next.  Everything else (the frozen source, the
 bound report, Theta_m and vi_report) runs on the whole (nt+1, n_nodes) level
-stack.  Nodal data come from model._level_stacks on the grid's times and
-nodes, which evaluates time-independent data once.  Theta_m depends only on
-the grid and the truncated data, so continuation computes its bounds once
-per radius and hands them to every stage.
+stack.  The operator, the g_m, h_m, f_m^2 level stacks (from
+model._level_stacks, which evaluates time-independent data once) and the
+Theta_m bounds depend only on the grid and the truncated data, not on the
+penalty: a TruncatedProblem derives them once per radius, and every stage
+of that radius reads them from it.
 """
 from __future__ import annotations
 
@@ -33,6 +34,7 @@ from .kernel import Penalty, TruncatedData, _Branches, truncate_data
 from .model import _level_stacks
 
 __all__ = [
+    "TruncatedProblem",
     "MarchCounts",
     "PenaltyPoint",
     "VIReport",
@@ -48,6 +50,7 @@ __all__ = [
 ]
 
 TIME_SLACK = 0.05  # additive slack on the time-derivative bound
+MAX_INNER = 60  # Newton iterations per time level before the march stalls
 
 
 class SolverError(RuntimeError):
@@ -60,27 +63,34 @@ class ContinuationError(SolverError):
         self.partial = partial
 
 
-def _truncated_stacks(grid: Grid, data: TruncatedData) -> list[np.ndarray]:
-    """The g_m, h_m and f_m^2 stacks of the truncated data on the grid."""
-    return _level_stacks(
-        grid.times, grid.points(), data.time_independent, data.g_m, data.h_m, data.f_m_sq
-    )
+class TruncatedProblem:
+    """The truncated problem on the ball of radius data.m, discretized on
+    grid: the operator of L - r, the (g_m, h_m, f_m^2) level stacks and the
+    Theta_m bounds (K2, K0) = _theta_truncated(op, g_m, h_m).  None of them
+    depends on the penalty or on a field, so they are derived once, here, and
+    every stage of the radius reads them.  The stacks are read-only."""
+
+    def __init__(self, grid: Grid, data: TruncatedData):
+        self.grid = grid
+        self.data = data
+        self.op = build_operator(grid, data.spec)
+        self.stacks = tuple(
+            _level_stacks(
+                grid.times, grid.points(), data.time_independent, data.g_m, data.h_m, data.f_m_sq
+            )
+        )
+        for stack in self.stacks:
+            stack.flags.writeable = False
+        self.theta_bounds = _theta_truncated(self.op, *self.stacks[:2])
 
 
-def gamma_step(
-    grid: Grid,
-    data: TruncatedData,
-    pen: Penalty,
-    delta: float,
-    frozen: GridField,
-    operator: Operator | None = None,
-) -> GridField:
+def gamma_step(problem: TruncatedProblem, pen: Penalty, delta: float, frozen: GridField) -> GridField:
     """One sweep of the fixed-point operator: solve the linear backward problem
     with the obstacle and gradient penalties evaluated at the frozen field."""
+    grid, op = problem.grid, problem.op
     if frozen.grid != grid:
         raise ValueError("frozen field lives on a different grid")
-    op = operator if operator is not None else build_operator(grid, data.spec)
-    g, h, f2 = _truncated_stacks(grid, data)
+    g, h, f2 = problem.stacks
     nt = grid.nt
     phi = frozen.values[:nt]
     inv_delta = 1.0 / delta
@@ -119,14 +129,12 @@ class MarchCounts:
 
 
 def _nonlinear_march(
-    op: Operator,
-    stacks: list[np.ndarray],
+    problem: TruncatedProblem,
     pen: Penalty,
     delta: float,
     inner_tol: float,
     counts: MarchCounts,
     guess: GridField | None = None,
-    max_inner: int = 60,
 ) -> GridField:
     """Backward march solving each implicit time level to nonlinear tolerance.
 
@@ -142,10 +150,9 @@ def _nonlinear_march(
     psi feed the next linearization, so zeta is classified once per
     residual, and each Newton iteration evaluates psi' once and psi only
     through the residuals.
-    stacks holds the g_m, h_m and f_m^2 level stacks.
     """
-    grid = op.grid
-    g, h, f2 = stacks
+    grid, op = problem.grid, problem.op
+    g, h, f2 = problem.stacks
     nt, ht = grid.nt, grid.ht
     out = np.empty((nt + 1, grid.n_nodes))
     out[nt] = g[nt]
@@ -183,7 +190,7 @@ def _nonlinear_march(
         v[dirichlet] = g_k[dirichlet]
         state = level_residual(v, knext_ht, g_k, h_k, f2_k)
         converged = False
-        for _ in range(max_inner):
+        for _ in range(MAX_INNER):
             merit, grad_v, gsq, zeta, psi = state
             counts.newton_iters += 1
             slope = 2.0 * pen.d1(zeta)
@@ -224,7 +231,7 @@ def _nonlinear_march(
                         break
                 theta *= 0.5
             # no trial lowered the merit: take the last, smallest trial to
-            # escape a kink, bounded by max_inner
+            # escape a kink, bounded by MAX_INNER
             v, state = accepted if accepted is not None else (cand, trial)
         if not converged:
             raise SolverError(f"inner iteration stalled at time level {k} (merit {state[0]:.3e})")
@@ -273,15 +280,12 @@ class PenaltyPoint:
 
 
 def solve_penalized(
-    grid: Grid,
-    data: TruncatedData,
+    problem: TruncatedProblem,
     pen: Penalty,
     delta: float,
     tol: float = 1e-7,
     u0: GridField | None = None,
     k3_bound: float | None = None,
-    operator: Operator | None = None,
-    theta_bounds: tuple[float, float] | None = None,
 ) -> PenaltyPoint:
     """Solve one penalty point to tolerance, warm-started from u0 if given,
     with runtime bound checks.
@@ -302,14 +306,11 @@ def solve_penalized(
                            the truncation boundary layer is not covered)
       gradient_penalty     max psi(|grad u|^2 - f_m^2) (recorded)
 
-    theta_bounds is (K2, K0) = _theta_truncated(operator, g_m, h_m) of this
-    grid and data; they depend on neither the penalty nor u, so continuation
-    computes them once per radius.  None computes them here.
+    K2 and K0 are the problem's Theta_m bounds.
     """
+    grid, op, data = problem.grid, problem.op, problem.data
     if u0 is not None and u0.grid != grid:
         raise ValueError("warm start lives on a different grid")
-    op = operator if operator is not None else build_operator(grid, data.spec)
-    stacks = _truncated_stacks(grid, data)
 
     counts = MarchCounts()
     seconds = dict.fromkeys(("march", "certify", "report"), 0.0)
@@ -317,9 +318,9 @@ def solve_penalized(
     guess = u0
     for iters in range(1, 5):
         start = time.perf_counter()
-        u = _nonlinear_march(op, stacks, pen, delta, inner_tol, counts, guess=guess)
+        u = _nonlinear_march(problem, pen, delta, inner_tol, counts, guess=guess)
         marched = time.perf_counter()
-        w = gamma_step(grid, data, pen, delta, u, operator=op)
+        w = gamma_step(problem, pen, delta, u)
         residual = float(np.max(np.abs(w.values - u.values)))
         certified = time.perf_counter()
         seconds["march"] += marched - start
@@ -339,11 +340,11 @@ def solve_penalized(
             f"solution lost nonnegativity (min {float(np.min(uv)):.3e}); "
             "the payoff data may violate the standing assumptions"
         )
-    g, h, f2 = stacks
+    g, _, f2 = problem.stacks
     interior = ~op.dirichlet
     xsq = np.sum(grid.points() ** 2, axis=0)
 
-    k2_grid, k0_grid = theta_bounds if theta_bounds is not None else _theta_truncated(op, g, h)
+    k2_grid, k0_grid = problem.theta_bounds
     obs_penalty = max(0.0, float(np.max(g - uv))) / delta
     psi = pen.value(np.sum(centered_gradient(grid, uv) ** 2, axis=-2) - f2)
     obs_psi = max(0.0, float(np.max(psi[:, interior])))
@@ -431,9 +432,9 @@ def continuation(
 
     schedule: list of (eps, delta, m) that check_schedule accepts.
     grid_policy maps a radius m to a Grid.  Since m is nondecreasing, a radius
-    never comes back: the truncated data, the operator and the Theta_m bounds
-    (K2, K0) are those of the current radius, rebuilt when m grows, and the
-    first radius's data are kept for the limit.
+    never comes back: one TruncatedProblem on grid_policy(m) serves every
+    stage of the radius m, and the first radius's problem is kept for the
+    limit.
     """
     schedule = check_schedule(schedule)
 
@@ -442,32 +443,16 @@ def continuation(
     prev_field: GridField | None = None
     k3_bound = None
     m0 = schedule[0][2]
-    data0 = truncate_data(spec, m0)
-    data, op = data0, None
+    problem0 = problem = TruncatedProblem(grid_policy(m0), truncate_data(spec, m0))
 
     for eps_k, delta_k, m_k in schedule:
-        grid = grid_policy(m_k)
-        if m_k != data.m:
-            data, op = truncate_data(spec, m_k), None
-        if op is None:
-            op = build_operator(grid, spec)
-            g, h = _level_stacks(grid.times, grid.points(), data.time_independent, data.g_m, data.h_m)
-            theta_bounds = _theta_truncated(op, g, h)
+        if m_k != problem.data.m:
+            problem = TruncatedProblem(grid_policy(m_k), truncate_data(spec, m_k))
         u0 = None
         if prev_field is not None:
-            u0 = _interp_onto(prev_field, grid, data)
+            u0 = _interp_onto(prev_field, problem)
         try:
-            point = solve_penalized(
-                grid,
-                data,
-                Penalty(eps_k),
-                delta_k,
-                tol=tol,
-                u0=u0,
-                k3_bound=k3_bound,
-                operator=op,
-                theta_bounds=theta_bounds,
-            )
+            point = solve_penalized(problem, Penalty(eps_k), delta_k, tol=tol, u0=u0, k3_bound=k3_bound)
         except SolverError as exc:
             raise ContinuationError(
                 f"stage (eps={eps_k:g}, delta={delta_k:g}, m={m_k:g}) failed: {exc}", points
@@ -481,23 +466,22 @@ def continuation(
         prev_field = point.field
 
     last = points[-1].field
-    if points[-1].m == m0:
-        limit = last
-    else:
-        limit = _interp_onto(last, grid_policy(m0), data0)
+    limit = last if points[-1].m == m0 else _interp_onto(last, problem0)
     return ContinuationResult(points=points, limit=limit, increments=increments, schedule=schedule)
 
 
-def _interp_onto(src: GridField, grid: Grid, data: TruncatedData) -> GridField:
-    """Interpolate a field onto a new grid, re-imposing boundary/terminal data."""
+def _interp_onto(src: GridField, problem: TruncatedProblem) -> GridField:
+    """Interpolate a field onto the problem's grid, re-imposing its
+    boundary/terminal data g_m."""
+    grid = problem.grid
     if src.grid == grid:
         return GridField(grid=grid, values=src.values.copy())
     pts = grid.points()
     vals = np.empty((grid.nt + 1, grid.n_nodes))
     for k, t in enumerate(grid.times):
         vals[k] = src.sample(float(t), pts)
-    (g,) = _level_stacks(grid.times, pts, data.time_independent, data.g_m)
-    dirichlet = grid.dirichlet_mask()
+    g = problem.stacks[0]
+    dirichlet = problem.op.dirichlet
     vals[:, dirichlet] = g[:, dirichlet]
     vals[grid.nt] = g[grid.nt]
     return GridField(grid=grid, values=vals)

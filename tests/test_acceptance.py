@@ -22,7 +22,7 @@ from ctrlstop.simulate import (
     simulate_penalized,
     simulate_recursive,
 )
-from ctrlstop.solver import continuation, gamma_step, vi_report
+from ctrlstop.solver import TruncatedProblem, continuation, gamma_step, vi_report
 from ctrlstop.verify import run_invariant_suite
 
 
@@ -292,7 +292,7 @@ def test_criterion_11_manufactured_order():
         pts = grid.points()
         exact = np.array([np.exp(-t) * np.cos(pts[0]) for t in grid.times])
         frozen = GridField(grid=grid, values=exact.copy())
-        w = gamma_step(grid, data, Penalty(0.5), 1.0, frozen)
+        w = gamma_step(TruncatedProblem(grid, data), Penalty(0.5), 1.0, frozen)
         errs.append(float(np.max(np.abs(w.values - exact))))
         hxs.append(grid.hx)
     orders = [

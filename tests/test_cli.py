@@ -261,17 +261,64 @@ class TestBadArguments:
         ],
     )
     def test_exits_three_without_a_run(self, argv, tmp_path, capsys):
+        grid = Grid(d=1, m=4.0, nx=41, nt=10, T=0.3)
+        save_field(tmp_path / "field.npz", GridField(grid, np.zeros((11, 41))), 0.5, 0.5)
+        self._exits_three(argv, tmp_path, capsys)
+
+    @staticmethod
+    def _exits_three(argv, tmp_path, capsys):
+        """Run argv on const1 (with tmp_path/field.npz for simulate) and check
+        the exit code, the one stderr line and the missing run directory."""
         cfg = tmp_path / "const1.cfg"
         # small config defaults, so a run that ignores the bad values ends fast
         cfg.write_text(CONST1 + "simulate.paths = 40\nsimulate.steps = 5\n")
-        grid = Grid(d=1, m=4.0, nx=41, nt=10, T=0.3)
-        save_field(tmp_path / "field.npz", GridField(grid, np.zeros((11, 41))), 0.5, 0.5)
         out = tmp_path / "runs"
         extra = ["--field", str(tmp_path / "field.npz")] if argv[0] == "simulate" else []
         assert main(argv + extra + ["--config", str(cfg), "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert "Traceback" not in err and len(err.strip().splitlines()) == 1
         assert not out.exists()
+
+    # save_field's keys; each malformed archive below changes or drops one
+    FIELD = dict(values=np.zeros((11, 41)), d=1, m=4.0, nx=41, nt=10, T=0.3, eps=0.5, delta=0.5)
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\x00 not a field \xff" * 8,
+            b"",
+            b"PK\x03\x04 not a zip" * 8,
+            np.zeros(3),
+            {k: v for k, v in FIELD.items() if k != "delta"},
+            {**FIELD, "nx": "many"},
+            {**FIELD, "values": np.zeros((10, 41))},
+            {**FIELD, "eps": 1.5},
+            {**FIELD, "d": 2, "values": np.zeros((11, 41 * 41))},
+            {**FIELD, "delta": 0.0},
+        ],
+        ids=[
+            "garbage-bytes",
+            "empty",
+            "broken-zip",
+            "npy-array",
+            "missing-key",
+            "nx-not-a-number",
+            "wrong-shape",
+            "eps-above-one",
+            "2d-under-1d",
+            "zero-delta",
+        ],
+    )
+    def test_malformed_field_exits_three(self, content, tmp_path, capsys):
+        path = tmp_path / "field.npz"
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        elif isinstance(content, np.ndarray):
+            with open(path, "wb") as f:
+                np.save(f, content)  # an .npy array under the .npz name
+        else:
+            np.savez(path, **content)
+        self._exits_three(["simulate"], tmp_path, capsys)
 
 
 class TestVerify:

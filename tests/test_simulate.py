@@ -426,12 +426,12 @@ def test_antithetic_drops_pairs_with_a_rejected_path():
 def ou_solved():
     """Coarse bench_ou field at eps = delta = 1/8, rounded to 1e-9 so that the
     golden estimates below pin the simulators, not the solver's last bits."""
-    from ctrlstop.solver import solve_penalized
+    from ctrlstop.solver import TruncatedProblem, solve_penalized
 
     bench = load_bench("bench_ou", coarse=True)
     data = truncate_data(bench.spec, bench.grid.m)
     pen = Penalty(0.125)
-    point = solve_penalized(bench.grid, data, pen, 0.125, tol=1e-8)
+    point = solve_penalized(TruncatedProblem(bench.grid, data), pen, 0.125, tol=1e-8)
     field = GridField(grid=bench.grid, values=np.round(point.field.values, 9))
     return bench.spec, data, pen, field
 
@@ -568,7 +568,7 @@ def test_saddle_probe_is_golden(ou_solved):
 def ou2d_solved():
     """The 2-D OU_IN_X1 data of test_solver on Grid(d=2, m=6, nx=61, nt=50)
     at eps = delta = 1/16, rounded to 1e-9 like ou_solved."""
-    from ctrlstop.solver import solve_penalized
+    from ctrlstop.solver import TruncatedProblem, solve_penalized
 
     from test_solver import TestTwoDimensional
 
@@ -576,7 +576,7 @@ def ou2d_solved():
     grid = Grid(d=2, m=6.0, nx=61, nt=50, T=0.2)
     data = truncate_data(spec, 6.0, sup_samples=61)
     pen = Penalty(1 / 16)
-    point = solve_penalized(grid, data, pen, 1 / 16, tol=1e-8)
+    point = solve_penalized(TruncatedProblem(grid, data), pen, 1 / 16, tol=1e-8)
     field = GridField(grid=grid, values=np.round(point.field.values, 9))
     return spec, data, pen, field
 

@@ -7,10 +7,11 @@ import pytest
 from ctrlstop import solver
 from ctrlstop.benches import load_bench
 from ctrlstop.grid import Grid, GridField, Operator, build_operator
-from ctrlstop.kernel import Penalty, truncate_data
+from ctrlstop.kernel import Penalty, TruncatedData, truncate_data
 from ctrlstop.model import parse_config_text
 from ctrlstop.solver import (
     SolverError,
+    TruncatedProblem,
     continuation,
     default_schedule,
     gamma_step,
@@ -59,7 +60,7 @@ class TestGammaStep:
         grid = bench.grid
         data = truncate_data(bench.spec, grid.m)
         frozen = GridField(grid=grid, values=np.zeros((grid.nt + 1, grid.n_nodes)))
-        w = gamma_step(grid, data, Penalty(0.5), 0.5, frozen)
+        w = gamma_step(TruncatedProblem(grid, data), Penalty(0.5), 0.5, frozen)
         assert np.max(np.abs(w.values)) == 0.0
 
     def test_const1_interior_residual_vanishes(self):
@@ -88,7 +89,7 @@ class TestGammaStep:
             grid = Grid(d=1, m=1.0, nx=nx, nt=nt, T=1.0)
             exact = exact_heat(grid)
             frozen = GridField(grid=grid, values=exact.copy())
-            w = gamma_step(grid, data, Penalty(0.5), 1.0, frozen)
+            w = gamma_step(TruncatedProblem(grid, data), Penalty(0.5), 1.0, frozen)
             errs.append(float(np.max(np.abs(w.values - exact))))
             hxs.append(grid.hx)
         orders = [
@@ -103,16 +104,16 @@ class TestGammaStep:
         data = truncate_data(bench.spec, bench.grid.m)
         frozen = GridField(grid=other, values=np.zeros((other.nt + 1, other.n_nodes)))
         with pytest.raises(ValueError):
-            gamma_step(bench.grid, data, Penalty(0.5), 0.5, frozen)
+            gamma_step(TruncatedProblem(bench.grid, data), Penalty(0.5), 0.5, frozen)
         with pytest.raises(ValueError):
-            solve_penalized(bench.grid, data, Penalty(0.5), 0.5, u0=frozen)
+            solve_penalized(TruncatedProblem(bench.grid, data), Penalty(0.5), 0.5, u0=frozen)
 
 
 class TestSolvePenalized:
     def test_zero_data_single_pass(self):
         bench = load_bench("allzero", coarse=True)
         data = truncate_data(bench.spec, bench.grid.m)
-        point = solve_penalized(bench.grid, data, Penalty(0.5), 0.5, tol=1e-9)
+        point = solve_penalized(TruncatedProblem(bench.grid, data), Penalty(0.5), 0.5, tol=1e-9)
         assert point.iters == 1
         assert np.max(np.abs(point.field.values)) == 0.0
         assert point.bounds_ok()
@@ -134,7 +135,7 @@ class TestSolvePenalized:
         data = truncate_data(bench.spec, bench.grid.m)
         for k in (1, 3):
             eps = 0.5 ** k
-            point = solve_penalized(bench.grid, data, Penalty(eps), eps, tol=1e-8)
+            point = solve_penalized(TruncatedProblem(bench.grid, data), Penalty(eps), eps, tol=1e-8)
             bound, observed = point.bound_report["obstacle_penalty"]
             assert observed <= bound
 
@@ -154,9 +155,11 @@ h = 0.2 + 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)
 """
         spec_hi = parse_config_text(lifted_cfg)[0]
         lo = solve_penalized(
-            grid, truncate_data(bench.spec, 6.0), Penalty(0.25), 0.25, tol=1e-8
+            TruncatedProblem(grid, truncate_data(bench.spec, 6.0)), Penalty(0.25), 0.25, tol=1e-8
         )
-        hi = solve_penalized(grid, truncate_data(spec_hi, 6.0), Penalty(0.25), 0.25, tol=1e-8)
+        hi = solve_penalized(
+            TruncatedProblem(grid, truncate_data(spec_hi, 6.0)), Penalty(0.25), 0.25, tol=1e-8
+        )
         assert np.min(hi.field.values - lo.field.values) > -1e-6
 
 
@@ -174,7 +177,7 @@ class TestContinuation:
     def test_single_point_reproduces_solve(self):
         bench = load_bench("bench_ou", coarse=True)
         data = truncate_data(bench.spec, bench.grid.m)
-        single = solve_penalized(bench.grid, data, Penalty(0.25), 0.25, tol=1e-8)
+        single = solve_penalized(TruncatedProblem(bench.grid, data), Penalty(0.25), 0.25, tol=1e-8)
         res = continuation(
             bench.spec,
             [(0.25, 0.25, bench.grid.m)],
@@ -283,7 +286,7 @@ h = 0
         spec, _, _ = parse_config_text(self.CFG)
         grid = Grid(d=2, m=3.0, nx=31, nt=30, T=0.2)
         data = truncate_data(spec, 3.0, sup_samples=61)
-        point = solve_penalized(grid, data, Penalty(0.25), 0.25, tol=1e-7)
+        point = solve_penalized(TruncatedProblem(grid, data), Penalty(0.25), 0.25, tol=1e-7)
         assert point.bounds_ok()
         # masked nodes outside the ball carry the (vanishing) boundary data
         pts = grid.points()
@@ -298,7 +301,7 @@ h = 0
         spec, _, _ = parse_config_text(self.CFG.replace("g = 0.5", "g = 0 * 0.5"))
         grid = Grid(d=2, m=3.0, nx=25, nt=20, T=0.2)
         data = truncate_data(spec, 3.0, sup_samples=41)
-        point = solve_penalized(grid, data, Penalty(0.5), 0.5, tol=1e-9)
+        point = solve_penalized(TruncatedProblem(grid, data), Penalty(0.5), 0.5, tol=1e-9)
         assert np.max(np.abs(point.field.values)) == 0.0
 
     OU_IN_X1 = """
@@ -325,7 +328,7 @@ h = 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)^2)^3
         grid = Grid(d=2, m=6.0, nx=61, nt=50, T=0.2)
         data = truncate_data(spec, 6.0, sup_samples=61)
         tol = 1e-7
-        point = solve_penalized(grid, data, Penalty(1 / 16), 1 / 16, tol=tol)
+        point = solve_penalized(TruncatedProblem(grid, data), Penalty(1 / 16), 1 / 16, tol=tol)
         assert float(np.min(point.field.values)) >= -10.0 * tol
         assert point.bounds_ok()
 
@@ -639,7 +642,7 @@ class TestCertificationRetry:
     def test_one_failed_certification_re_marches(self, monkeypatch):
         sweeps = self._perturbed_sweeps(monkeypatch, lambda n: n == 1)
         grid, data = self._problem()
-        point = solve_penalized(grid, data, Penalty(0.25), 0.25, tol=self.TOL)
+        point = solve_penalized(TruncatedProblem(grid, data), Penalty(0.25), 0.25, tol=self.TOL)
         assert point.iters == 2 and len(sweeps) == 2
         assert point.march.levels == 2 * grid.nt
         assert point.residual <= self.TOL
@@ -648,7 +651,7 @@ class TestCertificationRetry:
         sweeps = self._perturbed_sweeps(monkeypatch, lambda n: True)
         grid, data = self._problem()
         with pytest.raises(SolverError, match=r"^marched solution failed certification"):
-            solve_penalized(grid, data, Penalty(0.25), 0.25, tol=self.TOL)
+            solve_penalized(TruncatedProblem(grid, data), Penalty(0.25), 0.25, tol=self.TOL)
         assert len(sweeps) == 4
 
 
@@ -677,7 +680,7 @@ class TestMarchErrors:
         grid = bench.grid
         data = PoisonedSource(grid, level=6)
         with pytest.raises(SolverError, match=r"^non-finite source at time level 6$"):
-            solve_penalized(grid, data, Penalty(0.5), 0.5)
+            solve_penalized(TruncatedProblem(grid, data), Penalty(0.5), 0.5)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_solve_names_its_level(self, bad, monkeypatch):
@@ -707,7 +710,7 @@ class TestMarchErrors:
         with pytest.raises(
             SolverError, match=rf"^linear solve produced non-finite values at level {level}$"
         ):
-            solve_penalized(grid, data, Penalty(0.5), 0.5)
+            solve_penalized(TruncatedProblem(grid, data), Penalty(0.5), 0.5)
 
 
 def test_layer_counters_match_the_march(monkeypatch):
@@ -761,48 +764,65 @@ def test_layer_counters_match_the_march(monkeypatch):
         before, radius = total, point.m
 
 
-class TestThetaOncePerRadius:
-    """continuation computes the Theta_m bounds (K2, K0) once per radius and
-    hands them to every stage of that radius; each stage's bound report is
-    bit for bit that of a standalone solve_penalized, which computes them
-    itself."""
+class TestOneProblemPerRadius:
+    """continuation builds one TruncatedProblem per radius, so the truncated
+    data are evaluated on the grid once per radius, and every stage of the
+    radius reads its operator, data stacks and Theta_m bounds from it; each
+    stage's bound report is bit for bit that of a standalone solve_penalized
+    on a problem built afresh from the same grid and data."""
 
     @staticmethod
     def _run(monkeypatch, spec, schedule, policy):
-        """continuation with _theta_truncated and solve_penalized recorded;
-        returns the number of Theta_m evaluations and each stage's call."""
-        theta_calls, stages = [], []
-        real_theta, real_solve = solver._theta_truncated, solver.solve_penalized
+        """continuation with the problems it builds, the data evaluations and
+        each stage's call recorded; returns the problems, the number of
+        evaluations of each of g_m, h_m, f_m^2 and the result."""
+        problems, stages = [], []
+        evaluations = dict.fromkeys(["g_m", "h_m", "f_m_sq"], 0)
+        real_solve = solver.solve_penalized
 
-        def theta(*args, **kwargs):
-            theta_calls.append(1)
-            return real_theta(*args, **kwargs)
+        class Recorded(TruncatedProblem):
+            def __init__(self, grid, data):
+                super().__init__(grid, data)
+                problems.append(self)
 
-        def solve(*args, **kwargs):
-            point = real_solve(*args, **kwargs)
-            stages.append((args, kwargs, point))
+        def counted(name):
+            real = getattr(TruncatedData, name)
+
+            def wrapper(*args, **kwargs):
+                evaluations[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(TruncatedData, name, wrapper)
+
+        def solve(problem, *args, **kwargs):
+            point = real_solve(problem, *args, **kwargs)
+            stages.append((problem, args, kwargs, point))
             return point
 
-        monkeypatch.setattr(solver, "_theta_truncated", theta)
+        for name in evaluations:
+            counted(name)
+        monkeypatch.setattr(solver, "TruncatedProblem", Recorded)
         monkeypatch.setattr(solver, "solve_penalized", solve)
         res = continuation(spec, schedule, policy, tol=1e-7)
+        counts = dict(evaluations)
         assert [p for *_, p in stages] == res.points
-        count = len(theta_calls)
-        for args, kwargs, point in stages:
-            kwargs = dict(kwargs)
-            assert kwargs.pop("theta_bounds") is not None
-            alone = real_solve(*args, **kwargs)
+        for problem, args, kwargs, point in stages:
+            assert problem in problems and problem.data.m == point.m
+            alone = real_solve(TruncatedProblem(problem.grid, problem.data), *args, **kwargs)
             assert {k: (b.hex(), o.hex()) for k, (b, o) in alone.bound_report.items()} == {
                 k: (b.hex(), o.hex()) for k, (b, o) in point.bound_report.items()
             }
-        return count, res
+        return problems, counts, res
 
-    def test_one_evaluation_on_one_radius(self, monkeypatch):
+    def test_one_problem_on_one_radius(self, monkeypatch):
         bench = load_bench("bench_ou", coarse=True)
-        count, res = self._run(monkeypatch, bench.spec, bench.schedule, bench.grid_policy)
-        assert count == 1 and len(res.points) == len(bench.schedule) > 1
+        problems, evaluations, res = self._run(
+            monkeypatch, bench.spec, bench.schedule, bench.grid_policy
+        )
+        assert len(problems) == 1 and len(res.points) == len(bench.schedule) > 1
+        assert evaluations == {"g_m": 1, "h_m": 1, "f_m_sq": 1}
 
-    def test_one_evaluation_per_radius(self, monkeypatch):
+    def test_one_problem_per_radius(self, monkeypatch):
         bench = load_bench("bench_ou", coarse=True)
         schedule = [(0.5, 0.5, 4.0), (0.25, 0.25, 4.0), (0.125, 0.125, 6.0)]
         schedule += [(1 / 16, 1 / 16, 6.0), (1 / 32, 1 / 32, 8.0)]
@@ -810,6 +830,7 @@ class TestThetaOncePerRadius:
         def policy(m):
             return Grid(d=1, m=m, nx=int(20 * m) + 1, nt=50, T=bench.spec.T)
 
-        count, res = self._run(monkeypatch, bench.spec, schedule, policy)
-        assert count == len({m for *_, m in schedule}) == 3
+        problems, evaluations, res = self._run(monkeypatch, bench.spec, schedule, policy)
+        assert [p.data.m for p in problems] == [4.0, 6.0, 8.0]
+        assert evaluations == {"g_m": 3, "h_m": 3, "f_m_sq": 3}
         assert [p.m for p in res.points] == [m for *_, m in schedule]
