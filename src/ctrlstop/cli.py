@@ -275,6 +275,8 @@ def cmd_simulate(args) -> int:
     for r in probes:
         rel = "<=" if r.side == "stopper" else ">="
         status = "ok" if r.passed else "FAIL"
+        if not r.metadata.get("valid", True):
+            status += f" (exit fraction {r.metadata['exit_fraction']:.3f} over the 5% budget)"
         print(
             f"  probe [{r.side:10s}] {r.name:13s} {r.payoff:.5f} {rel} "
             f"{r.reference:.5f} -+ {r.margin:.4f}  {status}"
@@ -305,6 +307,7 @@ def cmd_simulate(args) -> int:
                 "std_error": r.std_error,
                 "margin": r.margin,
                 "passed": r.passed,
+                "metadata": r.metadata,
             }
             for r in probes
         ],

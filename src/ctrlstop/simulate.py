@@ -19,6 +19,16 @@ and which is subset, not recomputed, when paths drop out.  The estimate's
 metadata counts the paths stopped by the rule, alive at the horizon and
 rejected.
 
+The engine runs a batch of runs that share the start, the path and step
+counts and the substeps: each simulator is a batch of one, and saddle_probe
+runs its probes as batches.  Each run owns a contiguous slice of the path
+numbers, and its alive paths stay one contiguous slice of the alive ones, so
+per-run work reads views.  Each run keeps its own Philox stream, stop rule,
+controller and estimate, bit for bit those of the run alone; the payments,
+accruals and moves run once on all alive paths, a stop rule once per group
+of adjacent runs that share it, and the feedback once per substep per family
+of adjacent controllers that differ only in their probe perturbation.
+
 All draws come from a counter-based Philox generator keyed by the seed, so
 runs are bit-reproducible; paths are vectorized and reduced in fixed order.
 """
@@ -100,24 +110,39 @@ class _Points:
     """States x (d, n) at time t with the geometry that the stop rule, the
     feedback and the payoff rule all read there: the radius |x| and the
     sampling plan on a field's grid.  Each is computed on first use; subset
-    takes the points of a mask with the geometry already computed."""
+    takes the points of a mask with the geometry already computed, and part
+    the points of a slice, whose geometry is that of the whole, computed on
+    all of its points once."""
 
-    __slots__ = ("t", "x", "_radius", "_plan")
+    __slots__ = ("t", "x", "_radius", "_plan", "_whole")
 
-    def __init__(self, t, x, radius=None, plan=None):
+    def __init__(self, t, x, radius=None, plan=None, whole=None):
         self.t, self.x, self._radius, self._plan = t, x, radius, plan
+        self._whole = whole  # (points, slice) these points are a part of
 
     @property
     def radius(self):
         if self._radius is None:
-            self._radius = _radius(self.x)
+            if self._whole is None:
+                self._radius = _radius(self.x)
+            else:
+                whole, part = self._whole
+                self._radius = whole.radius[part]
         return self._radius
 
     def plan(self, grid):
         """The sampling plan of the points on grid."""
         if self._plan is None or self._plan.grid != grid:
-            self._plan = _SamplingPlan(grid, self.t, self.x)
+            if self._whole is None:
+                self._plan = _SamplingPlan(grid, self.t, self.x)
+            else:
+                whole, part = self._whole
+                self._plan = whole.plan(grid).subset(part)
         return self._plan
+
+    def part(self, a, b):
+        """The points a:b, a view."""
+        return _Points(self.t, self.x[:, a:b], whole=(self, slice(a, b)))
 
     def subset(self, mask):
         return _Points(
@@ -143,9 +168,9 @@ class FeedbackStrategy:
 
     Controller modes:
       controller_opt    push along -grad u at 2 psi'(.)|grad u|, idle before
-                        `delay`; the rate is multiplied by `scale`, and
-                        `flip` reverses the direction (saddle probes); needs
-                        `field` and `pen`
+                        `delay` (>= 0); the rate is multiplied by `scale`
+                        (finite, >= 0), and `flip` reverses the direction
+                        (saddle probes); needs `field` and `pen`
       controller_idle   never act
     Stopper modes:
       stopper_tau_star  stop on u <= g + band; needs `field`
@@ -173,6 +198,10 @@ class FeedbackStrategy:
             raise ValueError("stopper_tau_star needs a solved field")
         if self.mode == "stopper_fixed" and (self.fixed_time is None or math.isnan(self.fixed_time)):
             raise ValueError(f"stopper_fixed needs a fixed_time, got {self.fixed_time!r}")
+        if not (math.isfinite(self.scale) and self.scale >= 0.0):
+            raise ValueError(f"{self.mode} needs a finite scale >= 0, got {self.scale!r}")
+        if not self.delay >= 0.0:  # also NaN
+            raise ValueError(f"{self.mode} needs a delay >= 0, got {self.delay!r}")
 
     @property
     def optimal(self) -> bool:
@@ -194,32 +223,43 @@ class FeedbackStrategy:
         return self.spec.f(pts.t, pts.x) ** 2
 
     def control(self, t, elapsed, x):
-        """Unit direction and control rate at states x (d, n) at time t.  The
+        """Unit direction and control rate at states x (d, n) at time t: the
+        optimal feedback with this controller's perturbation applied.  The
         path engine passes its _Points at t as x, so that the feedback reads
         the radius and sampling plan the step already has."""
         pts = _as_points(t, x)
-        n_paths = pts.x.shape[1]
+        if self.mode == "controller_idle":
+            return _idle_controls(pts.x)
+        if self.mode != "controller_opt":
+            raise ValueError(f"not a controller mode: {self.mode}")
+        if elapsed < self.delay:
+            return _idle_controls(pts.x)
+        grad, outside = self._grad_u(pts)
+        gnorm_sq = np.sum(grad**2, axis=0)
+        f_sq = self._f_squared(pts)
+        norm = np.sqrt(gnorm_sq)
+        # -grad u / |grad u|, and +e1 where grad u = 0
         direction = np.zeros_like(pts.x)
         direction[0] = 1.0
-        rate = np.zeros(n_paths)
-        outside = np.zeros(n_paths, dtype=bool)
-        if self.mode == "controller_idle":
-            return direction, rate, outside
-        if self.mode == "controller_opt":
-            if elapsed < self.delay:
-                return direction, rate, outside
-            grad, outside = self._grad_u(pts)
-            gnorm_sq = np.sum(grad**2, axis=0)
-            f_sq = self._f_squared(pts)
-            norm = np.sqrt(gnorm_sq)
-            # -grad u / |grad u|, and +e1 where grad u = 0
-            np.divide(-grad, norm, out=direction, where=norm > 0)
-            rate = 2.0 * self.pen.d1(norm**2 - f_sq) * norm
+        np.divide(-grad, norm, out=direction, where=norm > 0)
+        rate = 2.0 * self.pen.d1(norm**2 - f_sq) * norm
+        self._perturb(direction, rate)
+        return _Controls(direction, rate, outside, gnorm_sq, f_sq, self.data)
+
+    def _perturb(self, direction, rate):
+        """Apply the probe perturbation in place: rate *= scale, and the
+        direction reversed when flipped."""
+        if self.scale != 1.0:
             rate *= self.scale
-            if self.flip:
-                direction = -direction
-            return _Controls(direction, rate, outside, gnorm_sq, f_sq, self.data)
-        raise ValueError(f"not a controller mode: {self.mode}")
+        if self.flip:
+            np.negative(direction, out=direction)
+
+    def _same_feedback(self, other) -> bool:
+        """Both are controller_opt on the same data, so that they differ at
+        most in scale, flip and delay."""
+        return self.mode == other.mode == "controller_opt" and all(
+            getattr(self, k) is getattr(other, k) for k in ("spec", "field", "pen", "data")
+        )
 
     def stop_mask(self, t, elapsed, x):
         """Boolean mask of paths the stopper terminates on this step; x as in
@@ -236,6 +276,28 @@ class FeedbackStrategy:
         raise ValueError(f"not a stopper mode: {self.mode}")
 
 
+def _idle_controls(x):
+    """(direction +e1, rate 0, nowhere outside) at the n states x (d, n)."""
+    direction = np.zeros_like(x)
+    direction[0] = 1.0
+    return direction, np.zeros(x.shape[1]), np.zeros(x.shape[1], dtype=bool)
+
+
+_PHILOX_BLOCK = 4  # 64-bit outputs per Philox counter step
+
+
+def _skip_raw(bits, count):
+    """Move the Philox bit generator past count 64-bit outputs, as drawing
+    count uniforms would: the rest of its buffer, whole counter blocks by
+    advance (which empties the buffer), then the remainder."""
+    buffered = min(count, _PHILOX_BLOCK - bits.state["buffer_pos"])
+    bits.random_raw(buffered)
+    blocks, rest = divmod(count - buffered, _PHILOX_BLOCK)
+    if blocks:
+        bits.advance(blocks)
+    bits.random_raw(rest)
+
+
 def _draws(cfg: PathConfig, d_noise: int):
     """Per-step generator of normals (d', n) from Philox."""
     gen = np.random.Generator(np.random.Philox(key=cfg.rng_seed))
@@ -246,8 +308,9 @@ def _draws(cfg: PathConfig, d_noise: int):
             z = np.concatenate([z_half, -z_half], axis=1)
         else:
             z = gen.standard_normal((d_noise, cfg.n_paths))
-        # unread uniforms: they keep every fixed-seed estimate bit for bit until a re-record
-        gen.random(half if cfg.antithetic else cfg.n_paths)
+        # skip the uniforms the step once drew and never read, so that every
+        # fixed-seed estimate keeps its bits
+        _skip_raw(gen.bit_generator, half if cfg.antithetic else cfg.n_paths)
         yield z
 
 
@@ -293,63 +356,170 @@ def _start_point(spec: ProblemSpec, start):
     return t0, x0, horizon
 
 
-def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimate:
-    """The Euler-Maruyama path engine behind the three simulators.
+_MAX_BATCH_PATHS = 2**15  # paths of all runs of one batch; larger probes run one per batch
 
-    Each step k < n_steps draws one batch of normals for all paths.  The
-    payoff rule picks the alive paths that stop (at the horizon all do) and
-    what they are paid.  strategy_ctrl steers the rest over nsub >= 1
-    substeps, the rule books what they accrue, and they move
+
+@dataclass(frozen=True)
+class _Run:
+    """One run of a path engine batch: its PathConfig (which keys its Philox
+    stream), its controller, and its stop rule, an object with
+    stop_mask(t, elapsed, pts) (a stopper strategy, or the payoff rule)."""
+
+    cfg: PathConfig
+    ctrl: FeedbackStrategy
+    stopper: object
+
+
+def _spans(idx, firsts):
+    """(run, a, b) of every run with alive paths: the alive path numbers idx
+    (sorted) of run j, which owns the numbers firsts[j]:firsts[j + 1], are
+    idx[a:b]."""
+    bounds = np.searchsorted(idx, firsts).tolist()
+    return [(j, a, b) for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])) if a < b]
+
+
+def _groups(spans, keys):
+    """(key, a, b) of every maximal group of adjacent spans whose runs have
+    the same key object; runs with key None are left out."""
+    out = []
+    for j, a, b in spans:
+        key = keys[j]
+        if key is None:
+            continue
+        if out and out[-1][0] is key and out[-1][2] == a:
+            out[-1] = (key, out[-1][1], b)
+        else:
+            out.append((key, a, b))
+    return out
+
+
+def _feedback_bases(ctrls):
+    """Per controller, the unperturbed optimal feedback it perturbs (None for
+    controller_idle).  Controllers that differ only in scale, flip and delay
+    share one base, so that one control call serves a group of them."""
+    bases = []
+    for c in ctrls:
+        base = None
+        if c.mode == "controller_opt":
+            base = next((b for b in bases if b is not None and b._same_feedback(c)), None)
+            if base is None:
+                base = c if c.optimal else replace(c, scale=1.0, flip=False, delay=0.0)
+        bases.append(base)
+    return bases
+
+
+def _batch_stop(runs, spans, pts, elapsed):
+    """Stop mask of the alive paths pts: one stop_mask call per group of
+    adjacent runs that share a stop rule."""
+    groups = _groups(spans, [run.stopper for run in runs])
+    if len(groups) == 1:
+        return groups[0][0].stop_mask(pts.t, elapsed, pts)
+    stop = np.empty(pts.x.shape[1], dtype=bool)
+    for stopper, a, b in groups:
+        stop[a:b] = stopper.stop_mask(pts.t, elapsed, pts.part(a, b))
+    return stop
+
+
+def _batch_control(runs, spans, keys, ps, elapsed):
+    """Controls at the alive paths' substep points ps: one control call per
+    group of adjacent runs with the same feedback base (keys; None idles the
+    run), then each run's perturbation on its own slice."""
+    groups = _groups(spans, keys)
+    if len(groups) == 1 and groups[0][1:] == (0, ps.x.shape[1]):
+        ctl = groups[0][0].control(ps.t, elapsed, ps)
+    else:
+        ctl = _idle_controls(ps.x)
+        for base, a, b in groups:
+            part = base.control(ps.t, elapsed, ps.part(a, b))
+            for whole, piece in zip(ctl, part):
+                whole[..., a:b] = piece
+    for j, a, b in spans:
+        if keys[j] is not None:
+            runs[j].ctrl._perturb(ctl[0][:, a:b], ctl[1][a:b])
+    return ctl
+
+
+def _run_paths(spec, start, runs, payoff, nsub=1) -> list[PayoffEstimate]:
+    """The Euler-Maruyama path engine behind the three simulators: one batch
+    of runs that share the start, n_paths, n_steps, antithetic and the nsub
+    >= 1 feedback substeps; one estimate per run.
+
+    Each step k < n_steps, each run with alive paths draws one batch of
+    normals from its own Philox stream.  Each run's stop rule picks its
+    alive paths that stop (at the horizon all do), and the payoff rule what
+    they are paid.  The controllers steer the rest over nsub substeps, the
+    payoff rule books what they accrue, and they move
     X += b dt + sigma sqrt(dt) Z + n dnu.  Paths that leave the finite floats
-    are rejected and dropped from the estimate.
+    are rejected and dropped from their run's estimate.
 
-    The alive paths are kept compact: their numbers idx, states xa, running
-    and control-cost sums, and the rule's own per-path state all drop the
-    same paths together.  The sums reach the full-size parts when a path
-    stops.  Each step's geometry (|x| and the sampling plan) lives on one
-    _Points, which the stop rule, the feedback and the payoff rule share.
+    The alive paths are kept compact and in order: their numbers idx, states xa, running and
+    control-cost sums, and the payoff rule's own per-path state all drop the
+    same paths together, so each run's alive paths are one contiguous slice
+    (_spans).  The payment, the accrual and the move run once on all alive
+    paths; a stop rule runs once per group of adjacent runs that share it,
+    and the feedback once per substep per group of adjacent runs whose
+    controllers differ only in scale, flip and delay, each run applying its
+    own perturbation to its slice.  The sums reach the full-size parts when a
+    path stops.  Each step's geometry (|x| and the sampling plan) lives on
+    one _Points, which the stop rules, the feedback and the payoff rule
+    share.  Each run is then finalized on its own paths; a batch raises the
+    SimulationError of the first run over its rejection budget.
     """
     t0, x0, horizon = _start_point(spec, start)
+    cfg = runs[0].cfg
     dt = horizon / cfg.n_steps
     sqdt = math.sqrt(dt)
     n = cfg.n_paths
-    rejected = np.zeros(n, dtype=bool)
-    parts = {"terminal": np.zeros(n), "running": np.zeros(n), "control_cost": np.zeros(n)}
-    xa = np.tile(x0[:, None], (1, n))
-    idx = np.arange(n)
-    running = np.zeros(n)
-    control_cost = np.zeros(n)
-    counts = {"stopped_paths": 0, "horizon_paths": 0}
-    draws = _draws(cfg, spec.d_noise)
+    n_all = n * len(runs)
+    firsts = np.arange(len(runs) + 1) * n  # run j owns the path numbers firsts[j]:firsts[j + 1]
+    rejected = np.zeros(n_all, dtype=bool)
+    parts = {k: np.zeros(n_all) for k in ("terminal", "running", "control_cost")}
+    xa = np.tile(x0[:, None], (1, n_all))
+    idx = np.arange(n_all)
+    running = np.zeros(n_all)
+    control_cost = np.zeros(n_all)
+    stopped = np.zeros(len(runs), dtype=int)
+    at_horizon = np.zeros(len(runs), dtype=int)
+    draws = [_draws(run.cfg, spec.d_noise) for run in runs]
+    bases = _feedback_bases([run.ctrl for run in runs])
 
     for k in range(cfg.n_steps + 1):
         elapsed = k * dt
         t = t0 + elapsed
         pts = _Points(t, xa)
-        if k == cfg.n_steps:
-            stop = np.ones(idx.size, dtype=bool)
-        else:
-            z = next(draws)
-            stop = payoff.stop(pts, elapsed)
+        spans = _spans(idx, firsts)
+        stop = np.ones(idx.size, dtype=bool) if k == cfg.n_steps else _batch_stop(runs, spans, pts, elapsed)
         if np.any(stop):
             ids = idx[stop]
             parts["terminal"][ids] += payoff.terminal(pts.subset(stop), elapsed, stop)
             parts["running"][ids] = running[stop]
             parts["control_cost"][ids] = control_cost[stop]
             payoff.retire(ids, stop)
-            counts["horizon_paths" if k == cfg.n_steps else "stopped_paths"] += ids.size
+            per_run = np.bincount(ids // n, minlength=len(runs))
+            if k == cfg.n_steps:
+                at_horizon += per_run
+            else:
+                stopped += per_run
             live = ~stop
             idx, pts = idx[live], pts.subset(live)
             xa, running, control_cost = pts.x, running[live], control_cost[live]
             payoff.compact(live)
+            spans = _spans(idx, firsts)
         if idx.size == 0 or k == cfg.n_steps:
             break
 
+        pieces = []  # each run's normals at its alive paths
+        for j, a, b in spans:
+            z = next(draws[j])
+            pieces.append(z if b - a == n else z[:, idx[a:b] - firsts[j]])
+        z = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+
+        keys = [base if elapsed >= run.ctrl.delay else None for base, run in zip(bases, runs)]
         drift_ctrl = np.zeros_like(xa)
         controls = []
         for s in range(nsub):
             ps = _Points(t, xa + drift_ctrl) if s else pts
-            ctl = strategy_ctrl.control(t, elapsed, ps)
+            ctl = _batch_control(runs, spans, keys, ps, elapsed)
             drift_ctrl = drift_ctrl + ctl[0] * (ctl[1] * dt / nsub)[None, :]
             controls.append((ps, ctl))
         step_running, step_cost = payoff.accrue(pts, elapsed, controls, dt)
@@ -359,7 +529,7 @@ def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimat
         with np.errstate(over="ignore", invalid="ignore"):
             bv = spec.drift(xa)
             sv = spec.diffusion(xa)
-            noise = np.einsum("ijk,jk->ik", sv, z if idx.size == n else z[:, idx])
+            noise = np.einsum("ijk,jk->ik", sv, z)
             xa = xa + bv * dt + noise * sqdt + drift_ctrl
         bad = ~np.all(np.isfinite(xa), axis=0)
         if np.any(bad):
@@ -368,18 +538,23 @@ def _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub=1) -> PayoffEstimat
             idx, xa, running, control_cost = idx[live], xa[:, live], running[live], control_cost[live]
             payoff.compact(live)
 
-    n_rej = int(np.sum(rejected))
-    if n_rej > MAX_REJECT_FRACTION * n:
-        raise SimulationError(f"{n_rej}/{n} paths rejected (diverging dynamics)")
-    keep = ~rejected
-    return _finalize(parts, keep, n_rej, cfg, {**counts, **payoff.extras(keep), "dt": dt})
+    estimates = []
+    for j, run in enumerate(runs):
+        own = slice(firsts[j], firsts[j + 1])
+        n_rej = int(np.count_nonzero(rejected[own]))
+        if n_rej > MAX_REJECT_FRACTION * n:
+            raise SimulationError(f"{n_rej}/{n} paths rejected (diverging dynamics)")
+        keep = ~rejected[own]
+        counts = {"stopped_paths": int(stopped[j]), "horizon_paths": int(at_horizon[j])}
+        extras = {**counts, **payoff.extras(own, keep), "dt": dt}
+        estimates.append(_finalize({k: v[own] for k, v in parts.items()}, keep, n_rej, run.cfg, extras))
+    return estimates
 
 
 class _Payoff:
-    """A simulator's payoff rule for the path engine, called on the alive
-    paths' _Points pts at time pts.t:
+    """A simulator's payoff rule for the path engine, for all runs of a
+    batch, called on the alive paths' _Points pts at time pts.t:
 
-    stop(pts, elapsed): mask of the paths that stop at t;
     terminal(pts, elapsed, stop): discounted payment of the stopping paths
         pts, which are the alive paths in mask stop;
     accrue(pts, elapsed, controls, dt): discounted (running reward, control
@@ -389,7 +564,9 @@ class _Payoff:
         stop, path numbers ids, as they stop (nothing by default);
     compact(live): keep the per-path state of the alive paths in mask live
         only (no state by default);
-    extras(keep): metadata entries (none by default).
+    extras(own, keep): metadata entries of the run whose path numbers are
+        the slice own, keep marking its paths that were not rejected (none by
+        default).
     """
 
     def retire(self, ids, stop):
@@ -398,20 +575,18 @@ class _Payoff:
     def compact(self, live):
         pass
 
-    def extras(self, keep):
+    def extras(self, own, keep):
         return {}
 
 
 class _OriginalPayoff(_Payoff):
-    """The stopper's rule, g discounted at e^{-r t}; h and f dnu accrue."""
+    """Paid g discounted at e^{-r t} when a run's stopper stops; h and f dnu
+    accrue."""
 
-    def __init__(self, spec, strategy_stop, cfg):
-        self.spec, self.stopper = spec, strategy_stop
-        self.ever_exited = np.zeros(cfg.n_paths, dtype=bool)
+    def __init__(self, spec, n_paths):
+        self.spec = spec
+        self.ever_exited = np.zeros(n_paths, dtype=bool)
         self.exited = self.ever_exited.copy()  # of the alive paths
-
-    def stop(self, pts, elapsed):
-        return self.stopper.stop_mask(pts.t, elapsed, pts)
 
     def terminal(self, pts, elapsed, stop):
         return math.exp(-self.spec.r * elapsed) * self.spec.g(pts.t, pts.x)
@@ -434,21 +609,22 @@ class _OriginalPayoff(_Payoff):
     def compact(self, live):
         self.exited = self.exited[live]
 
-    def extras(self, keep):
-        exit_fraction = float(np.mean(self.ever_exited[keep])) if np.any(keep) else 0.0
+    def extras(self, own, keep):
+        exit_fraction = float(np.mean(self.ever_exited[own][keep])) if np.any(keep) else 0.0
         return {"exit_fraction": exit_fraction, "valid": exit_fraction <= MAX_EXIT_FRACTION}
 
 
 class _TruncatedPayoff(_Payoff):
     """Stop at the exit from the radius-m ball, paid the truncated g_m; the
-    controller pays the penalized Hamiltonian term."""
+    controller pays the penalized Hamiltonian term.  The rule is also its
+    runs' stop rule, and the truncated simulators run batches of one."""
 
     def __init__(self, spec, data, pen, delta, strategy_ctrl):
         self.spec, self.data, self.pen, self.delta = spec, data, pen, delta
         self.field = strategy_ctrl.field
         self.closed_form = strategy_ctrl.optimal
 
-    def stop(self, pts, elapsed):
+    def stop_mask(self, t, elapsed, pts):
         return pts.radius >= self.data.m
 
     def g_m(self, pts):
@@ -480,11 +656,11 @@ class _PenalizedPayoff(_TruncatedPayoff):
     path).  A callable or constant intensity is checked to lie in
     [0, 1/delta] and takes the weight per path."""
 
-    def __init__(self, spec, data, pen, delta, strategy_ctrl, strategy_w, cfg):
+    def __init__(self, spec, data, pen, delta, strategy_ctrl, strategy_w, n_paths):
         super().__init__(spec, data, pen, delta, strategy_ctrl)
         self.strategy_w = strategy_w
-        self.logR = np.zeros(cfg.n_paths)  # log of the controlled discount R^w, alive paths
-        self.R = np.ones(cfg.n_paths)  # exp(logR), taken once per step
+        self.logR = np.zeros(n_paths)  # log of the controlled discount R^w, alive paths
+        self.R = np.ones(n_paths)  # exp(logR), taken once per step
         self.min_R = 1.0
 
     def terminal(self, pts, elapsed, stop):
@@ -518,7 +694,7 @@ class _PenalizedPayoff(_TruncatedPayoff):
     def compact(self, live):
         self.logR, self.R = self.logR[live], self.R[live]
 
-    def extras(self, keep):
+    def extras(self, own, keep):
         return {"min_R": self.min_R}
 
 
@@ -554,13 +730,18 @@ def simulate_paths(
     polled at each grid time before the move; stopping (or the horizon) pays
     the discounted g; running h and control costs accumulate along the way.
     """
+    run, nsub = _paths_run(strategy_ctrl, strategy_stop, cfg)
+    return _run_paths(spec, start, [run], _OriginalPayoff(spec, cfg.n_paths), nsub)[0]
+
+
+def _paths_run(strategy_ctrl, strategy_stop, cfg):
+    """The path engine run of simulate_paths, and its feedback substeps."""
     if not strategy_ctrl.mode.startswith("controller_"):
         raise ValueError(f"strategy_ctrl needs a controller mode, got {strategy_ctrl.mode!r}")
     if not strategy_stop.mode.startswith("stopper_"):
         raise ValueError(f"strategy_stop needs a stopper mode, got {strategy_stop.mode!r}")
     nsub = cfg.feedback_substeps if strategy_ctrl.mode == "controller_opt" else 1
-    payoff = _OriginalPayoff(spec, strategy_stop, cfg)
-    return _run_paths(spec, start, strategy_ctrl, cfg, payoff, nsub)
+    return _Run(cfg, strategy_ctrl, strategy_stop), nsub
 
 
 def simulate_penalized(
@@ -582,8 +763,8 @@ def simulate_penalized(
     """
     if strategy_w == "w_star" and strategy_ctrl.field is None:
         raise ValueError("the w_star stopper needs a solved field on the strategy")
-    payoff = _PenalizedPayoff(spec, data, pen, delta, strategy_ctrl, strategy_w, cfg)
-    return _run_paths(spec, start, strategy_ctrl, cfg, payoff)
+    payoff = _PenalizedPayoff(spec, data, pen, delta, strategy_ctrl, strategy_w, cfg.n_paths)
+    return _run_paths(spec, start, [_Run(cfg, strategy_ctrl, payoff)], payoff)[0]
 
 
 def simulate_recursive(
@@ -602,7 +783,7 @@ def simulate_recursive(
     if strategy_ctrl.field is None:
         raise ValueError("recursive payoff needs a solved field on the strategy")
     payoff = _RecursivePayoff(spec, data, pen, delta, strategy_ctrl)
-    return _run_paths(spec, start, strategy_ctrl, cfg, payoff)
+    return _run_paths(spec, start, [_Run(cfg, strategy_ctrl, payoff)], payoff)[0]
 
 
 @dataclass
@@ -614,6 +795,7 @@ class ProbeResult:
     reference: float
     margin: float
     passed: bool
+    metadata: dict  # the run's estimate metadata
 
 
 def saddle_probe(
@@ -664,21 +846,43 @@ def saddle_probe(
         ]
 
     # (side, name, seed offset, controller, stopper) of every run
-    runs = [
+    probes = [
         ("stopper", name, 1000 + i, opt_ctrl, stopper)
         for i, (name, stopper) in enumerate(stopper_perturbations)
     ] + [
         ("controller", name, 2000 + i, controller, tau_star)
         for i, (name, controller) in enumerate(controller_perturbations)
     ]
+    runs = [
+        _paths_run(controller, stopper, replace(cfg, rng_seed=cfg.rng_seed + offset))
+        for _, _, offset, controller, stopper in probes
+    ]
+
+    # Batches of runs with the same substeps, in probe order: the stopper
+    # probes share opt_ctrl, the controller probes tau_star, and the
+    # perturbations of opt_ctrl its feedback.
+    batches = []
+    for i in sorted(range(len(probes)), key=lambda i: runs[i][1]):
+        nsub = runs[i][1]
+        if batches and batches[-1][0] == nsub and (len(batches[-1][1]) + 1) * cfg.n_paths <= _MAX_BATCH_PATHS:
+            batches[-1][1].append(i)
+        else:
+            batches.append((nsub, [i]))
+    estimates = {}
+    for nsub, members in batches:
+        payoff = _OriginalPayoff(spec, len(members) * cfg.n_paths)
+        batch = _run_paths(spec, start, [runs[i][0] for i in members], payoff, nsub)
+        estimates.update(zip(members, batch))
+
     results = []
-    for side, name, offset, controller, stopper in runs:
-        sub_cfg = replace(cfg, rng_seed=cfg.rng_seed + offset)
-        est = simulate_paths(spec, start, controller, stopper, sub_cfg)
+    for i, (side, name, _, _, _) in enumerate(probes):
+        est = estimates[i]
         margin = 3 * est.std_error + allowance
         if side == "stopper":
             passed = est.mean <= reference + margin
         else:
             passed = est.mean >= reference - margin
-        results.append(ProbeResult(name, side, est.mean, est.std_error, reference, margin, passed))
+        results.append(
+            ProbeResult(name, side, est.mean, est.std_error, reference, margin, passed, est.metadata)
+        )
     return results

@@ -215,6 +215,25 @@ class TestSimulate:
         assert meta["stopped_paths"] + meta["horizon_paths"] + meta["rejected_paths"] == 400
         assert len(manifest["probes"]) == 12
         assert all(p["passed"] for p in manifest["probes"])
+        # and so do each probe's
+        for probe in manifest["probes"]:
+            meta = probe["metadata"]
+            assert meta["stopped_paths"] + meta["horizon_paths"] + meta["rejected_paths"] == 400
+            assert meta["valid"] and 0.0 <= meta["exit_fraction"] <= 0.05
+
+    def test_probes_over_the_exit_budget_are_flagged(self, const1_cfg, tmp_path, capsys):
+        # on a box of radius 2 many paths from 1.95 leave it, so the probes
+        # that do not stop at once are invalid
+        grid = Grid(d=1, m=2.0, nx=41, nt=10, T=0.3)
+        save_field(tmp_path / "field.npz", GridField(grid, np.ones((11, 41))), 0.5, 0.5)
+        out = tmp_path / "runs"
+        argv = ["simulate", "--config", str(const1_cfg), "--field", str(tmp_path / "field.npz")]
+        main(argv + ["--start", "0,1.95", "--paths", "40", "--steps", "20", "--out", str(out)])
+        flagged = [line for line in capsys.readouterr().out.splitlines() if "over the 5% budget" in line]
+        manifest = json.loads((next(out.iterdir()) / "manifest.json").read_text())[0]
+        invalid = [p for p in manifest["probes"] if not p["metadata"]["valid"]]
+        assert invalid and len(flagged) == len(invalid)
+        assert all(p["metadata"]["exit_fraction"] > 0.05 for p in invalid)
 
     def test_simulation_error_exits_one_without_a_run(self, const1_cfg, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):

@@ -300,12 +300,29 @@ def test_unknown_mode_fails_at_construction(const1):
         ("stopper_tau_star", {"field": None}),
         ("stopper_fixed", {"fixed_time": None}),
         ("stopper_fixed", {"fixed_time": float("nan")}),
+        ("controller_opt", {"scale": float("nan")}),
+        ("controller_opt", {"scale": float("inf")}),
+        ("controller_opt", {"scale": -0.5}),
+        ("controller_opt", {"delay": float("nan")}),
+        ("controller_opt", {"delay": -0.1}),
     ],
-    ids=["opt_no_field", "opt_no_pen", "tau_star_no_field", "fixed_none", "fixed_nan"],
+    ids=[
+        "opt_no_field",
+        "opt_no_pen",
+        "tau_star_no_field",
+        "fixed_none",
+        "fixed_nan",
+        "scale_nan",
+        "scale_inf",
+        "scale_negative",
+        "delay_nan",
+        "delay_negative",
+    ],
 )
 def test_mode_inputs_are_checked_at_construction(const1, mode, missing):
-    # these used to fail mid-run (TypeError, AttributeError), or for a NaN
-    # fixed_time never to stop
+    # these used to fail mid-run (TypeError, AttributeError), for a NaN
+    # fixed_time never to stop, and for a NaN delay to switch the closed-form
+    # Hamiltonian off
     spec, data, ones = const1
     kw = {"field": ones, "pen": Penalty(0.25), "fixed_time": 0.1, **missing}
     with pytest.raises(ValueError, match="needs"):
@@ -320,11 +337,15 @@ def test_saddle_probe_plays_every_mode(const1, monkeypatch):
 
     played = set()
 
-    def record(spec, start, ctrl, stop, cfg):
-        played.update((ctrl.mode, stop.mode))
-        return PayoffEstimate(mean=1.0, std_error=0.0, n_paths=cfg.n_paths, breakdown={})
+    def record(spec, start, runs, payoff, nsub=1):
+        # the modes of the runs the path engine receives
+        played.update(mode for run in runs for mode in (run.ctrl.mode, run.stopper.mode))
+        return [
+            PayoffEstimate(mean=1.0, std_error=0.0, n_paths=run.cfg.n_paths, breakdown={})
+            for run in runs
+        ]
 
-    monkeypatch.setattr(simulate_mod, "simulate_paths", record)
+    monkeypatch.setattr(simulate_mod, "_run_paths", record)
     spec, data, ones = const1
     saddle_probe(spec, ones, Penalty(0.25), (0.0, [0.0]), CFG)
     assert played == set(MODES)
@@ -609,6 +630,152 @@ def test_fixed_seed_2d_estimates_are_golden(ou2d_solved, case):
     }[case]
     est = run()
     assert (est.mean.hex(), est.std_error.hex()) == GOLDEN_2D[case]
+
+
+def _probe_strategies(spec, field, pen, data, band, horizon):
+    """The default probes of saddle_probe as (side, name, seed offset,
+    controller, stopper), built anew."""
+    make = strategies(spec, field, pen, data=data)
+    opt, tau_star = make("controller_opt"), make("stopper_tau_star", band=band)
+    stoppers = [
+        ("tau_star", tau_star),
+        ("immediate", make("stopper_fixed", fixed_time=0.0)),
+        ("never", make("stopper_never")),
+        ("fixed_quarter", make("stopper_fixed", fixed_time=0.25 * horizon)),
+        ("fixed_half", make("stopper_fixed", fixed_time=0.5 * horizon)),
+        ("wide_band", make("stopper_tau_star", band=5 * band)),
+    ]
+    controllers = [
+        ("opt", opt),
+        ("idle", make("controller_idle")),
+        ("half_rate", make("controller_opt", scale=0.5)),
+        ("double_rate", make("controller_opt", scale=2.0)),
+        ("flipped", make("controller_opt", flip=True)),
+        ("delayed", make("controller_opt", delay=0.5 * horizon)),
+    ]
+    return [("stopper", name, 1000 + i, opt, stop) for i, (name, stop) in enumerate(stoppers)] + [
+        ("controller", name, 2000 + i, ctrl, tau_star) for i, (name, ctrl) in enumerate(controllers)
+    ]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_batched_probes_are_their_standalone_runs(ou_solved, ou2d_solved, dim):
+    """saddle_probe runs its probes as batches of the path engine; each
+    probe's estimate and metadata equal those of a standalone simulate_paths
+    run with the same controller, stopper and seed, bit for bit."""
+    spec, data, pen, field = ou_solved if dim == 1 else ou2d_solved
+    start = (0.0, [1.0]) if dim == 1 else (0.0, [1.2, -0.4])
+    cfg = PathConfig(n_paths=400, n_steps=40, rng_seed=5, feedback_substeps=8)
+    results = saddle_probe(spec, field, pen, start, cfg, band=0.01, data=data)
+    probes = _probe_strategies(spec, field, pen, data, 0.01, spec.T)
+    assert [(r.side, r.name) for r in results] == [(side, name) for side, name, *_ in probes]
+    for r, (_, _, offset, ctrl, stop) in zip(results, probes):
+        est = simulate_paths(spec, start, ctrl, stop, PathConfig(
+            n_paths=400, n_steps=40, rng_seed=5 + offset, feedback_substeps=8
+        ))
+        assert (r.payoff.hex(), r.std_error.hex()) == (est.mean.hex(), est.std_error.hex()), r.name
+        assert r.metadata == est.metadata, r.name
+
+
+def _explosive_runs(ou_solved, start, plan):
+    """Standalone simulate_paths estimates (or SimulationErrors) and one batch
+    on the explosive-drift spec of test_path_counts_add_up; plan lists each
+    run's (stopper, seed)."""
+    from ctrlstop.simulate import _OriginalPayoff, _Run, _run_paths
+
+    spec, data, pen, field = ou_solved
+    text = resources.files("ctrlstop.configs").joinpath("bench_ou.cfg").read_text()
+    explosive = parse_config_text(
+        text.replace("drift[1] = -x1", "drift[1] = -x1 + max(0, x1 - 1.3)^4000")
+    )[0]
+    wild = strategies(explosive, field, pen, data=data)
+    stoppers = {
+        "tau_star": wild("stopper_tau_star", band=0.0),
+        "never": wild("stopper_never"),
+        "fixed": wild("stopper_fixed", fixed_time=0.1),
+    }
+    opt = wild("controller_opt")
+    runs = [_Run(PathConfig(n_paths=400, n_steps=40, rng_seed=seed), opt, stoppers[stop]) for stop, seed in plan]
+    alone = []
+    for run in runs:
+        try:
+            alone.append(simulate_paths(explosive, start, run.ctrl, run.stopper, run.cfg))
+        except SimulationError as exc:
+            alone.append(exc)
+
+    def batch():
+        return _run_paths(explosive, start, runs, _OriginalPayoff(explosive, 400 * len(runs)), 4)
+
+    return alone, batch
+
+
+def test_batched_path_counts_are_their_standalone_counts(ou_solved):
+    """In a batch whose runs stop at many different steps and lose paths to
+    the floats, each run counts its own stopped, horizon and rejected paths."""
+    plan = [("tau_star", 5), ("never", 7), ("fixed", 6), ("tau_star", 7)]
+    alone, batch = _explosive_runs(ou_solved, (0.0, [1.0]), plan)
+    batched = batch()
+    assert sum(est.metadata["rejected_paths"] for est in batched) == 12
+    for est, ref in zip(batched, alone):
+        assert (est.mean, est.std_error) == (ref.mean, ref.std_error)
+        assert est.metadata == ref.metadata
+
+
+@pytest.mark.parametrize("plan", [[("fixed", 5), ("tau_star", 7), ("never", 5)], [("never", 5), ("tau_star", 7)]])
+def test_batch_over_budget_raises_its_first_failing_run(ou_solved, plan):
+    """Runs 5/400 and 7/400 over the 1% rejection budget: the batch raises
+    the message of the first of them in run order."""
+    alone, batch = _explosive_runs(ou_solved, (0.0, [1.2]), plan)
+    failing = [str(exc) for exc in alone if isinstance(exc, SimulationError)]
+    assert len(failing) == 2 and failing[0] != failing[1]
+    with pytest.raises(SimulationError) as raised:
+        batch()
+    assert str(raised.value) == failing[0]
+
+
+def test_a_run_emptied_at_step_0_leaves_its_neighbours(ou_solved):
+    """The immediate stopper empties its run at step 0 (and draws nothing);
+    the runs beside it keep their standalone estimates."""
+    from ctrlstop.simulate import _OriginalPayoff, _Run, _run_paths
+
+    spec, data, pen, field = ou_solved
+    make = strategies(spec, field, pen, data=data)
+    opt = make("controller_opt")
+    runs = [
+        _Run(PathConfig(n_paths=400, n_steps=40, rng_seed=seed, feedback_substeps=4), opt, stop)
+        for seed, stop in (
+            (3, make("stopper_tau_star", band=0.01)),
+            (4, make("stopper_fixed", fixed_time=0.0)),
+            (5, make("stopper_never")),
+        )
+    ]
+    batched = _run_paths(spec, (0.0, [1.0]), runs, _OriginalPayoff(spec, 1200), 4)
+    assert batched[1].metadata["stopped_paths"] == 400
+    for est, run in zip(batched, runs):
+        ref = simulate_paths(spec, (0.0, [1.0]), run.ctrl, run.stopper, run.cfg)
+        assert (est.mean, est.std_error, est.breakdown) == (ref.mean, ref.std_error, ref.breakdown)
+
+
+@pytest.mark.parametrize("n_paths, antithetic", [(3, False), (7, False), (2001, False), (10, True), (2002, True)])
+@pytest.mark.parametrize("d_noise", [1, 2])
+def test_draws_skip_the_unread_uniforms(n_paths, antithetic, d_noise):
+    """_draws advances Philox past the uniforms each step once drew and never
+    read: its normals are those of a generator that draws them, over steps
+    that leave the 4-value buffer at every position."""
+    from ctrlstop.simulate import _draws
+
+    cfg = PathConfig(n_paths=n_paths, n_steps=1, rng_seed=31, antithetic=antithetic)
+    gen = np.random.Generator(np.random.Philox(key=31))
+    half = n_paths // 2
+    draws = _draws(cfg, d_noise)
+    for _ in range(30):
+        if antithetic:
+            z_half = gen.standard_normal((d_noise, half))
+            want = np.concatenate([z_half, -z_half], axis=1)
+        else:
+            want = gen.standard_normal((d_noise, n_paths))
+        gen.random(half if antithetic else n_paths)
+        assert np.array_equal(next(draws), want)
 
 
 def _old_control(strat, t, x):
