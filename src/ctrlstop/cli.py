@@ -245,9 +245,9 @@ def cmd_simulate(args) -> int:
         pen = Penalty(eps)
         if not delta > 0.0:
             raise ValueError(f"field delta {delta:g} must be positive")
+        data = truncate_data(spec, field.grid.m)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    data = truncate_data(spec, field.grid.m)
 
     controller = FeedbackStrategy(
         spec=spec, mode="controller_opt", field=field, pen=pen, data=data

@@ -29,6 +29,13 @@ accruals and moves run once on all alive paths, a stop rule once per group
 of adjacent runs that share it, and the feedback once per substep per family
 of adjacent controllers that differ only in their probe perturbation.
 
+The controller is singular: its rate is zero on the inaction region, which
+holds almost every path.  A path with a zero rate does not move, so a
+substep after the first evaluates the feedback only on the paths pushed at
+the substep before, and the others keep their controls, which are the same
+values; once no path is pushed, the step's remaining substeps repeat.  The
+estimate's metadata counts the (path, substep) pairs with a nonzero rate.
+
 All draws come from a counter-based Philox generator keyed by the seed, so
 runs are bit-reproducible; paths are vectorized and reduced in fixed order.
 """
@@ -68,7 +75,9 @@ class PathConfig:
     n_steps: int
     rng_seed: int = 0
     antithetic: bool = False
-    feedback_substeps: int = 4  # substeps for stiff reflection drifts
+    # substeps for stiff reflection drifts; the later ones of a step
+    # re-evaluate the feedback only on the paths it pushed
+    feedback_substeps: int = 4
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -449,8 +458,14 @@ def _run_paths(spec, start, runs, payoff, nsub=1) -> list[PayoffEstimate]:
     alive paths that stop (at the horizon all do), and the payoff rule what
     they are paid.  The controllers steer the rest over nsub substeps, the
     payoff rule books what they accrue, and they move
-    X += b dt + sigma sqrt(dt) Z + n dnu.  Paths that leave the finite floats
-    are rejected and dropped from their run's estimate.
+    X += b dt + sigma sqrt(dt) Z + n dnu.  A substep s >= 1 evaluates the
+    feedback only on the alive paths whose rate was nonzero (or NaN) at
+    substep s - 1: the others did not move, and the feedback is elementwise
+    in the points, so they keep the previous substep's (direction, rate,
+    outside) bit for bit.  Once no path moved, the remaining substeps repeat
+    the last (points, controls) pair.  With nsub = 1 no moved set is formed.
+    Paths that leave the finite floats are rejected and dropped from their
+    run's estimate.
 
     The alive paths are kept compact and in order: their numbers idx, states xa, running and
     control-cost sums, and the payoff rule's own per-path state all drop the
@@ -480,6 +495,7 @@ def _run_paths(spec, start, runs, payoff, nsub=1) -> list[PayoffEstimate]:
     control_cost = np.zeros(n_all)
     stopped = np.zeros(len(runs), dtype=int)
     at_horizon = np.zeros(len(runs), dtype=int)
+    pushed = np.zeros(len(runs), dtype=int)  # (path, substep) pairs with a nonzero rate
     draws = [_draws(run.cfg, spec.d_noise) for run in runs]
     bases = _feedback_bases([run.ctrl for run in runs])
 
@@ -518,10 +534,27 @@ def _run_paths(spec, start, runs, payoff, nsub=1) -> list[PayoffEstimate]:
         drift_ctrl = np.zeros_like(xa)
         controls = []
         for s in range(nsub):
-            ps = _Points(t, xa + drift_ctrl) if s else pts
-            ctl = _batch_control(runs, spans, keys, ps, elapsed)
+            if s == 0:
+                ps, ctl = pts, _batch_control(runs, spans, keys, pts, elapsed)
+                rate, rate_spans = ctl[1], spans  # the rates this substep computed
+            else:
+                ps = _Points(t, xa + drift_ctrl)
+                rate_spans = _spans(idx[moved], firsts)
+                part = _batch_control(runs, rate_spans, keys, _Points(t, ps.x[:, moved]), elapsed)
+                ctl = tuple(whole.copy() for whole in ctl)  # earlier substeps keep theirs
+                for whole, piece in zip(ctl, part):
+                    whole[..., moved] = piece
+                rate = part[1]
+            nonzero = rate != 0  # the paths this substep pushes (a NaN rate counts)
+            for j, a, b in rate_spans:
+                pushed[j] += np.count_nonzero(nonzero[a:b])
             drift_ctrl = drift_ctrl + ctl[0] * (ctl[1] * dt / nsub)[None, :]
             controls.append((ps, ctl))
+            if s + 1 < nsub:
+                moved = np.flatnonzero(nonzero) if s == 0 else moved[nonzero]
+                if moved.size == 0:  # nothing moves again: the substeps repeat
+                    controls += [controls[-1]] * (nsub - s - 1)
+                    break
         step_running, step_cost = payoff.accrue(pts, elapsed, controls, dt)
         running += step_running
         control_cost += step_cost
@@ -545,7 +578,11 @@ def _run_paths(spec, start, runs, payoff, nsub=1) -> list[PayoffEstimate]:
         if n_rej > MAX_REJECT_FRACTION * n:
             raise SimulationError(f"{n_rej}/{n} paths rejected (diverging dynamics)")
         keep = ~rejected[own]
-        counts = {"stopped_paths": int(stopped[j]), "horizon_paths": int(at_horizon[j])}
+        counts = {
+            "stopped_paths": int(stopped[j]),
+            "horizon_paths": int(at_horizon[j]),
+            "pushed_path_substeps": int(pushed[j]),
+        }
         extras = {**counts, **payoff.extras(own, keep), "dt": dt}
         estimates.append(_finalize({k: v[own] for k, v in parts.items()}, keep, n_rej, run.cfg, extras))
     return estimates

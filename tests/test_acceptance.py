@@ -225,9 +225,11 @@ def test_criterion_09_saddle_sandwich(bench_run):
     pen = Penalty(final.eps)
     data = truncate_data(bench.spec, bench.grid.m)
     cfg = PathConfig(n_paths=20_000, n_steps=500, rng_seed=31, feedback_substeps=8)
+    start = time.time()
     results = saddle_probe(
         bench.spec, res.limit, pen, (0.0, [1.0]), cfg, band=0.01, allowance=0.02, data=data
     )
+    wall = time.time() - start
     n_stop = sum(1 for r in results if r.side == "stopper")
     n_ctrl = sum(1 for r in results if r.side == "controller")
     all_passed = all(r.passed for r in results)
@@ -239,7 +241,7 @@ def test_criterion_09_saddle_sandwich(bench_run):
         9,
         all_passed and n_stop == 6 and n_ctrl == 6,
         f"{n_stop} stopper + {n_ctrl} controller probes all within margin "
-        f"(worst slack {worst:+.4f})",
+        f"(worst slack {worst:+.4f}), saddle_probe wall {wall:.0f}s",
     )
 
 

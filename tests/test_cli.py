@@ -213,6 +213,7 @@ class TestSimulate:
         # the path counts of the estimate reach the manifest and add up
         meta = est["metadata"]
         assert meta["stopped_paths"] + meta["horizon_paths"] + meta["rejected_paths"] == 400
+        assert meta["pushed_path_substeps"] >= 0
         assert len(manifest["probes"]) == 12
         assert all(p["passed"] for p in manifest["probes"])
         # and so do each probe's
@@ -220,6 +221,9 @@ class TestSimulate:
             meta = probe["metadata"]
             assert meta["stopped_paths"] + meta["horizon_paths"] + meta["rejected_paths"] == 400
             assert meta["valid"] and 0.0 <= meta["exit_fraction"] <= 0.05
+            assert meta["pushed_path_substeps"] >= 0
+        idle = next(p for p in manifest["probes"] if p["name"] == "idle")
+        assert idle["metadata"]["pushed_path_substeps"] == 0
 
     def test_probes_over_the_exit_budget_are_flagged(self, const1_cfg, tmp_path, capsys):
         # on a box of radius 2 many paths from 1.95 leave it, so the probes
@@ -283,6 +287,12 @@ class TestBadArguments:
         grid = Grid(d=1, m=4.0, nx=41, nt=10, T=0.3)
         save_field(tmp_path / "field.npz", GridField(grid, np.zeros((11, 41))), 0.5, 0.5)
         self._exits_three(argv, tmp_path, capsys)
+
+    def test_field_radius_below_two_exits_three(self, tmp_path, capsys):
+        # the data cannot be truncated on a box of radius 1.5
+        grid = Grid(d=1, m=1.5, nx=31, nt=10, T=0.3)
+        save_field(tmp_path / "field.npz", GridField(grid, np.zeros((11, 31))), 0.5, 0.5)
+        self._exits_three(["simulate"], tmp_path, capsys)
 
     @staticmethod
     def _exits_three(argv, tmp_path, capsys):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -982,3 +983,120 @@ def test_two_discount_weights_are_the_per_path_weights(delta, dt):
     for r in (0.05, 0.0):
         lo, hi = _exp_weight(np.array([r, r + 1.0 / delta]), dt)
         assert np.array_equal(np.where(w_val > 0, hi, lo), _exp_weight(r + w_val, dt))
+
+
+@pytest.fixture(scope="module")
+def ou_limit():
+    """Last stage (eps = delta = 1/32) of the coarse bench_ou continuation,
+    rounded to 1e-9 like ou_solved.  From x1 = 1.5 or 2 a doubled optimal
+    push starts and ends inside many steps."""
+    from ctrlstop.solver import continuation
+
+    bench = load_bench("bench_ou", coarse=True)
+    res = continuation(bench.spec, bench.schedule, bench.grid_policy, tol=1e-8)
+    last = res.points[-1]
+    field = GridField(grid=bench.grid, values=np.round(last.field.values, 9))
+    return bench.spec, truncate_data(bench.spec, bench.grid.m), Penalty(last.eps), field
+
+
+def _recorded_controls(monkeypatch):
+    """Wrap _batch_control; the list it returns gets (elapsed, points, rates,
+    directions) of every call."""
+    import ctrlstop.simulate as simulate_mod
+
+    calls, plain = [], simulate_mod._batch_control
+
+    def batch_control(runs, spans, keys, ps, elapsed):
+        ctl = plain(runs, spans, keys, ps, elapsed)
+        calls.append((elapsed, ps.x.copy(), ctl[1].copy(), ctl[0].copy()))
+        return ctl
+
+    monkeypatch.setattr(simulate_mod, "_batch_control", batch_control)
+    return calls
+
+
+def _steps(calls):
+    """The recorded calls grouped by step, in order."""
+    steps = []
+    for call in calls:
+        if steps and steps[-1][0][0] == call[0]:
+            steps[-1].append(call)
+        else:
+            steps.append([call])
+    return steps
+
+
+# (mean, std_error) as float.hex of 400-path, 5-step runs with seed 5 and 8
+# feedback substeps from (0, [x1]) under the doubled optimal feedback on
+# ou_limit, never stopped, and the (path, substep) pairs with a nonzero
+# rate; recorded while every substep still evaluated every alive path
+PUSH_END_GOLDEN = {
+    1.5: ("0x1.bc3883fa84205p-1", "0x1.f8a2b974fea8ep-8", 1230),
+    2.0: ("0x1.6bd013e24b605p-1", "0x1.62768587f1ac1p-7", 6737),
+}
+PUSH_END_CFG = PathConfig(n_paths=400, n_steps=5, rng_seed=5, feedback_substeps=8)
+
+
+@pytest.mark.parametrize("x1", sorted(PUSH_END_GOLDEN))
+def test_pushes_that_end_inside_a_step_are_golden(ou_limit, monkeypatch, x1):
+    """Pushed paths that go idle inside a step: later substeps evaluate a
+    proper subset of the alive paths, and the estimate keeps its bits."""
+    spec, data, pen, field = ou_limit
+    make = strategies(spec, field, pen, data=data)
+    calls = _recorded_controls(monkeypatch)
+    est = simulate_paths(
+        spec, (0.0, [x1]), make("controller_opt", scale=2.0), make("stopper_never"), PUSH_END_CFG
+    )
+    mean, se, pushed = PUSH_END_GOLDEN[x1]
+    assert (est.mean.hex(), est.std_error.hex()) == (mean, se)
+    assert est.metadata["pushed_path_substeps"] == pushed
+    later = [rate for step in _steps(calls) for _, _, rate, _ in step[1:]]
+    assert any(0 < rate.size < 400 for rate in later)
+    assert any(np.any(rate == 0) for rate in later)  # a push ended inside a step
+
+
+@pytest.mark.parametrize("nsub", [1, 8])
+@pytest.mark.parametrize("x1", sorted(PUSH_END_GOLDEN))
+def test_substeps_evaluate_the_pushed_paths(ou_limit, monkeypatch, x1, nsub):
+    """At substep s >= 1 the feedback sees exactly the paths whose rate was
+    nonzero at substep s - 1, moved by their push, and no call follows a
+    substep that pushed none; one substep makes one call per step."""
+    spec, data, pen, field = ou_limit
+    make = strategies(spec, field, pen, data=data)
+    calls = _recorded_controls(monkeypatch)
+    cfg = replace(PUSH_END_CFG, feedback_substeps=nsub)
+    simulate_paths(spec, (0.0, [x1]), make("controller_opt", scale=2.0), make("stopper_never"), cfg)
+    steps = _steps(calls)
+    dt = spec.T / cfg.n_steps
+    assert len(steps) == cfg.n_steps
+    for step in steps:
+        assert 1 <= len(step) <= nsub and step[0][1].shape[1] == 400
+        for (_, x, rate, direction), (_, x_next, _, _) in zip(step, step[1:]):
+            pushed = rate != 0
+            moved = x[:, pushed] + direction[:, pushed] * (rate[pushed] * dt / nsub)
+            assert x_next.shape[1] == np.count_nonzero(pushed) > 0
+            np.testing.assert_allclose(x_next, moved, rtol=0, atol=1e-12)
+        assert len(step) == nsub or not np.any(step[-1][2])
+
+
+def test_pushed_path_substeps_counts_the_nonzero_rates(ou_limit, monkeypatch):
+    """pushed_path_substeps counts the (path, substep) pairs with a nonzero
+    rate, 0 for the idle controller, and in a batch each run its own."""
+    spec, data, pen, field = ou_limit
+    make = strategies(spec, field, pen, data=data)
+    calls = _recorded_controls(monkeypatch)
+    start = (0.0, [2.0])
+    est = simulate_paths(spec, start, make("controller_opt"), make("stopper_tau_star", band=0.01), PUSH_END_CFG)
+    assert est.metadata["pushed_path_substeps"] == sum(np.count_nonzero(c[2]) for c in calls) > 0
+    idle = simulate_paths(spec, start, make("controller_idle"), make("stopper_never"), PUSH_END_CFG)
+    assert idle.metadata["pushed_path_substeps"] == 0
+
+    calls.clear()
+    results = saddle_probe(spec, field, pen, start, PUSH_END_CFG, band=0.01, data=data)
+    assert sum(r.metadata["pushed_path_substeps"] for r in results) == sum(np.count_nonzero(c[2]) for c in calls)
+    probes = _probe_strategies(spec, field, pen, data, 0.01, spec.T)
+    for r, (_, _, offset, ctrl, stop) in zip(results, probes):
+        alone = simulate_paths(spec, start, ctrl, stop, replace(PUSH_END_CFG, rng_seed=5 + offset))
+        assert r.metadata["pushed_path_substeps"] == alone.metadata["pushed_path_substeps"], r.name
+    counts = {r.name: r.metadata["pushed_path_substeps"] for r in results}
+    assert counts["idle"] == 0 and counts["opt"] > 0
