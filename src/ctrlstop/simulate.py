@@ -34,6 +34,11 @@ holds almost every path.  A path with a zero rate does not move, so a
 substep after the first evaluates the feedback only on the paths pushed at
 the substep before, and the others keep their controls, which are the same
 values; once no path is pushed, the step's remaining substeps repeat.  The
+control drift of a substep before the last is added only on the paths it
+pushed, and the payoff books a repeated substep once, adding its cost again
+only where that is nonzero.  So an idle controller costs the same at any
+substep count and gives the same estimate: saddle_probe runs every probe
+with the configured substeps, in batches of adjacent probes.  The
 estimate's metadata counts the (path, substep) pairs with a nonzero rate.
 
 All draws come from a counter-based Philox generator keyed by the seed, so
@@ -462,8 +467,13 @@ def _run_paths(spec, start, runs, payoff, nsub=1) -> list[PayoffEstimate]:
     feedback only on the alive paths whose rate was nonzero (or NaN) at
     substep s - 1: the others did not move, and the feedback is elementwise
     in the points, so they keep the previous substep's (direction, rate,
-    outside) bit for bit.  Once no path moved, the remaining substeps repeat
-    the last (points, controls) pair.  With nsub = 1 no moved set is formed.
+    outside) bit for bit.  A substep before the last adds its control drift
+    only on the paths it pushed (moved): a zero rate would add +-0.0 to a
+    drift that is never -0.0.  Once no path moved, the remaining substeps
+    repeat the last (points, controls) pair, the same tuple, which the payoff
+    rule books once.  With nsub = 1 no moved set is formed.  A batch runs
+    nsub substeps for all its runs, the largest any of them needs; an idle
+    controller gives the same estimate at any nsub.
     Paths that leave the finite floats are rejected and dropped from their
     run's estimate.
 
@@ -548,13 +558,16 @@ def _run_paths(spec, start, runs, payoff, nsub=1) -> list[PayoffEstimate]:
             nonzero = rate != 0  # the paths this substep pushes (a NaN rate counts)
             for j, a, b in rate_spans:
                 pushed[j] += np.count_nonzero(nonzero[a:b])
-            drift_ctrl = drift_ctrl + ctl[0] * (ctl[1] * dt / nsub)[None, :]
             controls.append((ps, ctl))
-            if s + 1 < nsub:
-                moved = np.flatnonzero(nonzero) if s == 0 else moved[nonzero]
-                if moved.size == 0:  # nothing moves again: the substeps repeat
-                    controls += [controls[-1]] * (nsub - s - 1)
-                    break
+            if s + 1 == nsub:
+                drift_ctrl = drift_ctrl + ctl[0] * (ctl[1] * dt / nsub)[None, :]
+                break
+            moved = np.flatnonzero(nonzero) if s == 0 else moved[nonzero]
+            if moved.size == 0:  # nothing moves again: the substeps repeat
+                controls += [controls[-1]] * (nsub - s - 1)
+                break
+            # only the pushed paths: a zero rate adds +-0.0 to a drift that is never -0.0
+            drift_ctrl[:, moved] += ctl[0][:, moved] * (ctl[1][moved] * dt / nsub)[None, :]
         step_running, step_cost = payoff.accrue(pts, elapsed, controls, dt)
         running += step_running
         control_cost += step_cost
@@ -596,7 +609,8 @@ class _Payoff:
         pts, which are the alive paths in mask stop;
     accrue(pts, elapsed, controls, dt): discounted (running reward, control
         cost) over [t, t + dt]; controls lists each feedback substep's
-        (_Points, control);
+        (_Points, control) pair, and a substep that repeats the one before
+        is the same pair object;
     retire(ids, stop): book the per-path state of the alive paths in mask
         stop, path numbers ids, as they stop (nothing by default);
     compact(live): keep the per-path state of the alive paths in mask live
@@ -618,7 +632,9 @@ class _Payoff:
 
 class _OriginalPayoff(_Payoff):
     """Paid g discounted at e^{-r t} when a run's stopper stops; h and f dnu
-    accrue."""
+    accrue.  Each distinct substep pair samples f and books its cost term
+    once; a repeat adds the term again only where it is nonzero (NaN
+    counts), which is bit for bit booking every pair."""
 
     def __init__(self, spec, n_paths):
         self.spec = spec
@@ -634,10 +650,20 @@ class _OriginalPayoff(_Payoff):
         w_step = float(_exp_weight(spec.r, dt))  # exact discount integral per step
         h_val = spec.h(t, pts.x)
         cost_rate = np.zeros(pts.x.shape[1])
-        for ps, (_, rate, out_sub) in controls:
-            fv = spec.f(t, ps.x)
-            cost_rate = cost_rate + fv * rate * w_step / len(controls)
-            self.exited |= out_sub
+        last = again = None
+        for pair in controls:
+            if pair is not last:
+                last, again = pair, None
+                ps, (_, rate, out_sub) = pair
+                term = spec.f(t, ps.x) * rate * w_step / len(controls)
+                cost_rate = cost_rate + term
+                self.exited |= out_sub
+                continue
+            # a repeat adds its term again where it is nonzero (NaN counts):
+            # a zero term would add +-0.0 to a sum that is never -0.0
+            if again is None:
+                again = np.flatnonzero(term != 0)
+            cost_rate[again] += term[again]
         return disc * h_val * w_step, disc * cost_rate
 
     def retire(self, ids, stop):
@@ -767,18 +793,17 @@ def simulate_paths(
     polled at each grid time before the move; stopping (or the horizon) pays
     the discounted g; running h and control costs accumulate along the way.
     """
-    run, nsub = _paths_run(strategy_ctrl, strategy_stop, cfg)
-    return _run_paths(spec, start, [run], _OriginalPayoff(spec, cfg.n_paths), nsub)[0]
+    run = _paths_run(strategy_ctrl, strategy_stop, cfg)
+    return _run_paths(spec, start, [run], _OriginalPayoff(spec, cfg.n_paths), cfg.feedback_substeps)[0]
 
 
 def _paths_run(strategy_ctrl, strategy_stop, cfg):
-    """The path engine run of simulate_paths, and its feedback substeps."""
+    """The path engine run of simulate_paths."""
     if not strategy_ctrl.mode.startswith("controller_"):
         raise ValueError(f"strategy_ctrl needs a controller mode, got {strategy_ctrl.mode!r}")
     if not strategy_stop.mode.startswith("stopper_"):
         raise ValueError(f"strategy_stop needs a stopper mode, got {strategy_stop.mode!r}")
-    nsub = cfg.feedback_substeps if strategy_ctrl.mode == "controller_opt" else 1
-    return _Run(cfg, strategy_ctrl, strategy_stop), nsub
+    return _Run(cfg, strategy_ctrl, strategy_stop)
 
 
 def simulate_penalized(
@@ -854,6 +879,12 @@ def saddle_probe(
     (b) stopper at the contact rule vs perturbed controllers:
         payoff >= u(start) - margin;
     margin = 3 std errors + a discretization allowance.
+
+    The probes run in probe order as batches of the path engine, of at most
+    _MAX_BATCH_PATHS paths (a larger probe runs alone), whatever their
+    controller.  Every probe runs cfg.feedback_substeps, the largest count
+    any of them needs: controller_idle never moves and books +0.0, so its
+    estimate is that of one substep.
     """
     t0, x0, horizon = _start_point(spec, start)
     reference = float(field.sample(t0, x0.reshape(-1, 1))[0])
@@ -895,25 +926,18 @@ def saddle_probe(
         for _, _, offset, controller, stopper in probes
     ]
 
-    # Batches of runs with the same substeps, in probe order: the stopper
-    # probes share opt_ctrl, the controller probes tau_star, and the
+    # Batches of adjacent probes of at most _MAX_BATCH_PATHS paths: the
+    # stopper probes share opt_ctrl, the controller probes tau_star, and the
     # perturbations of opt_ctrl its feedback.
-    batches = []
-    for i in sorted(range(len(probes)), key=lambda i: runs[i][1]):
-        nsub = runs[i][1]
-        if batches and batches[-1][0] == nsub and (len(batches[-1][1]) + 1) * cfg.n_paths <= _MAX_BATCH_PATHS:
-            batches[-1][1].append(i)
-        else:
-            batches.append((nsub, [i]))
-    estimates = {}
-    for nsub, members in batches:
-        payoff = _OriginalPayoff(spec, len(members) * cfg.n_paths)
-        batch = _run_paths(spec, start, [runs[i][0] for i in members], payoff, nsub)
-        estimates.update(zip(members, batch))
+    per_batch = max(1, _MAX_BATCH_PATHS // cfg.n_paths)
+    estimates = []
+    for i in range(0, len(runs), per_batch):
+        batch = runs[i : i + per_batch]
+        payoff = _OriginalPayoff(spec, len(batch) * cfg.n_paths)
+        estimates += _run_paths(spec, start, batch, payoff, cfg.feedback_substeps)
 
     results = []
-    for i, (side, name, _, _, _) in enumerate(probes):
-        est = estimates[i]
+    for (side, name, _, _, _), est in zip(probes, estimates):
         margin = 3 * est.std_error + allowance
         if side == "stopper":
             passed = est.mean <= reference + margin

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from importlib import resources
 
@@ -678,6 +679,55 @@ def test_batched_probes_are_their_standalone_runs(ou_solved, ou2d_solved, dim):
         assert r.metadata == est.metadata, r.name
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_idle_controller_is_the_same_at_any_substep_count(ou_solved, ou2d_solved, dim):
+    """controller_idle never moves a path and books +0.0 for its control, so
+    its estimate and metadata are the same at 1 and at 8 feedback substeps;
+    saddle_probe runs it in the batch of the pushing controllers."""
+    spec, data, pen, field = ou_solved if dim == 1 else ou2d_solved
+    make = strategies(spec, field, pen, data=data)
+    start = (0.0, [1.0]) if dim == 1 else (0.0, [1.2, -0.4])
+    one, eight = (
+        simulate_paths(
+            spec,
+            start,
+            make("controller_idle"),
+            make("stopper_tau_star", band=0.01),
+            PathConfig(n_paths=400, n_steps=40, rng_seed=5, feedback_substeps=nsub),
+        )
+        for nsub in (1, 8)
+    )
+    assert (eight.mean.hex(), eight.std_error.hex()) == (one.mean.hex(), one.std_error.hex())
+    assert eight.breakdown == one.breakdown and eight.metadata == one.metadata
+    assert one.metadata["stopped_paths"] > 0 and one.breakdown["control_cost"] == 0.0
+
+
+@pytest.mark.parametrize("n_paths, batches", [(400, [12]), (20_000, [1] * 12)])
+def test_saddle_probes_run_as_few_batches(ou_solved, monkeypatch, n_paths, batches):
+    """The twelve default probes run in probe order as batches of at most
+    _MAX_BATCH_PATHS paths, whatever their controller, each with the
+    configured substeps: one batch at 400 paths, and one per probe at
+    criterion 09's 20,000 paths (counted on a stand-in engine, which runs no
+    path)."""
+    import ctrlstop.simulate as simulate_mod
+    from ctrlstop.simulate import PayoffEstimate
+
+    spec, data, pen, field = ou_solved
+    calls, plain = [], simulate_mod._run_paths
+
+    def run_paths(spec, start, runs, payoff, nsub=1):
+        calls.append((len(runs), nsub))
+        if n_paths == 400:
+            return plain(spec, start, runs, payoff, nsub)
+        return [PayoffEstimate(mean=0.6, std_error=0.0, n_paths=n_paths, breakdown={}) for _ in runs]
+
+    monkeypatch.setattr(simulate_mod, "_run_paths", run_paths)
+    cfg = PathConfig(n_paths=n_paths, n_steps=40, rng_seed=5, feedback_substeps=8)
+    results = saddle_probe(spec, field, pen, (0.0, [1.0]), cfg, band=0.01, data=data)
+    assert calls == [(size, 8) for size in batches]
+    assert len(results) == 12
+
+
 def _explosive_runs(ou_solved, start, plan):
     """Standalone simulate_paths estimates (or SimulationErrors) and one batch
     on the explosive-drift spec of test_path_counts_add_up; plan lists each
@@ -1100,3 +1150,92 @@ def test_pushed_path_substeps_counts_the_nonzero_rates(ou_limit, monkeypatch):
         assert r.metadata["pushed_path_substeps"] == alone.metadata["pushed_path_substeps"], r.name
     counts = {r.name: r.metadata["pushed_path_substeps"] for r in results}
     assert counts["idle"] == 0 and counts["opt"] > 0
+
+
+def _accrue_every_pair(spec, pts, elapsed, controls, dt, exited):
+    """_OriginalPayoff.accrue as it was when it booked every (points,
+    controls) pair: one spec.f call and one full term per pair."""
+    from ctrlstop.simulate import _exp_weight
+
+    disc = math.exp(-spec.r * elapsed)
+    w_step = float(_exp_weight(spec.r, dt))
+    h_val = spec.h(pts.t, pts.x)
+    cost_rate = np.zeros(pts.x.shape[1])
+    for ps, (_, rate, out_sub) in controls:
+        cost_rate = cost_rate + spec.f(pts.t, ps.x) * rate * w_step / len(controls)
+        exited |= out_sub
+    return disc * h_val * w_step, disc * cost_rate
+
+
+def _same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("case", ["push_end_1.5", "push_end_2.0", "idle"])
+def test_accrue_books_each_pair_once(ou_limit, monkeypatch, case):
+    """accrue samples f once per distinct (points, controls) pair and adds a
+    repeat's term again only where it is nonzero; every step's running
+    reward, control cost and exit flags equal those of booking every pair,
+    bit for bit, on pushes that end inside a step and on all-idle steps."""
+    from ctrlstop.simulate import _OriginalPayoff
+
+    spec, data, pen, field = ou_limit
+    make = strategies(spec, field, pen, data=data)
+    plain = _OriginalPayoff.accrue
+    seen = {"steps": 0, "repeats": 0, "distinct": 0}
+
+    def accrue(self, pts, elapsed, controls, dt):
+        exited = self.exited.copy()
+        want = _accrue_every_pair(self.spec, pts, elapsed, controls, dt, exited)
+        got = plain(self, pts, elapsed, controls, dt)
+        assert all(_same_bits(g, w) for g, w in zip(got, want))
+        assert np.array_equal(self.exited, exited)
+        distinct = len({id(pair) for pair in controls})
+        seen["steps"] += 1
+        seen["repeats"] += distinct < len(controls)
+        seen["distinct"] = max(seen["distinct"], distinct)
+        return got
+
+    monkeypatch.setattr(_OriginalPayoff, "accrue", accrue)
+    if case == "idle":
+        ctrl, x1 = make("controller_idle"), 1.5
+    else:
+        ctrl, x1 = make("controller_opt", scale=2.0), float(case.split("_")[-1])
+    est = simulate_paths(spec, (0.0, [x1]), ctrl, make("stopper_never"), PUSH_END_CFG)
+    assert seen["steps"] == PUSH_END_CFG.n_steps
+    # from 2.0 some path is pushed at every substep of every step
+    assert (seen["repeats"] > 0) == (case != "push_end_2.0")
+    if case == "idle":
+        assert seen["distinct"] == 1 and est.breakdown["control_cost"] == 0.0
+    else:
+        mean, se, _ = PUSH_END_GOLDEN[x1]
+        assert (est.mean.hex(), est.std_error.hex()) == (mean, se)
+        assert seen["distinct"] > 1
+
+
+def test_repeated_pairs_add_their_nonzero_terms():
+    """A repeated pair whose term is nonzero, infinite or NaN adds it again
+    on every repeat, as booking every pair did; its zero terms add nothing."""
+    from ctrlstop.simulate import _OriginalPayoff, _Points
+
+    text = resources.files("ctrlstop.configs").joinpath("bench_ou.cfg").read_text()
+    # f overflows to inf past x1 = 1.3, so a zero rate there books NaN
+    spec = parse_config_text(text.replace("f = 0.3", "f = 0.3 + max(0, x1 - 1.3)^4000"))[0]
+    rng = np.random.default_rng(3)
+    n = 64
+    pts = _Points(0.1, rng.uniform(-2.0, 2.0, size=(1, n)))
+    moved = _Points(0.1, pts.x + 0.01)
+    rates = [np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 3.0, n)) for _ in range(2)]
+    rates[1][:4] = [np.nan, np.inf, -0.0, 0.0]
+    pairs = [
+        (p, (np.ones((1, n)), rate, rng.random(n) < 0.1)) for p, rate in zip((pts, moved), rates)
+    ]
+    controls = [pairs[0], pairs[1], pairs[1], pairs[1]]
+    payoff = _OriginalPayoff(spec, n)
+    exited = payoff.exited.copy()
+    want = _accrue_every_pair(spec, pts, 0.1, controls, 1e-3, exited)
+    got = payoff.accrue(pts, 0.1, controls, 1e-3)
+    assert all(_same_bits(g, w) for g, w in zip(got, want))
+    assert np.array_equal(payoff.exited, exited)
+    cost = got[1]
+    assert np.isnan(cost).any() and np.isfinite(cost).any() and np.any(cost > 0)
