@@ -174,8 +174,9 @@ class TruncatedData:
         return self._f_m_sq(t, x, _radius(x))
 
     def _f_m_sq(self, t, x, r):
-        fv = self.spec.f(t, x)
-        out = fv**2
+        with np.errstate(over="ignore"):  # a huge f saturates to f^2 = +inf
+            f_sq = self.spec.f(t, x) ** 2
+        out = f_sq
         z = r - self.cutoff.m
         if not np.any((z > 0.0) & (z < 1.0)):
             return np.maximum(out, 0.0)
@@ -186,7 +187,7 @@ class TruncatedData:
             gv, gg, _ = eval_with_derivatives(self.spec.g, (t, x), order=1, fd_step=self.spec.fd_step)
             cross = 2.0 * gv * xi * np.sum(gx * gg, axis=0)
             out = out + self.g_norm**2 * np.sum(gx * gx, axis=0) + cross
-        scale = 1.0 + self.g_norm**2 + float(np.max(fv**2))
+        scale = 1.0 + self.g_norm**2 + float(np.max(f_sq))
         if np.any(out < -1e-12 * scale):
             raise DataError(
                 "negative radicand in the enlarged cost term: "

@@ -19,27 +19,26 @@ and which is subset, not recomputed, when paths drop out.  The estimate's
 metadata counts the paths stopped by the rule, alive at the horizon and
 rejected.
 
-The engine runs a batch of runs that share the start, the path and step
-counts and the substeps: each simulator is a batch of one, and saddle_probe
-runs its probes as batches.  Each run owns a contiguous slice of the path
-numbers, and its alive paths stay one contiguous slice of the alive ones, so
-per-run work reads views.  Each run keeps its own Philox stream, stop rule,
-controller and estimate, bit for bit those of the run alone; the payments,
-accruals and moves run once on all alive paths, a stop rule once per group
-of adjacent runs that share it, and the feedback once per substep per family
-of adjacent controllers that differ only in their probe perturbation.
+The engine runs a batch of runs that share the start and the path and step
+counts: each simulator is a batch of one, and saddle_probe runs its probes
+as batches.  Each run owns a contiguous slice of the path numbers, and its
+alive paths stay one contiguous slice of the alive ones, so per-run work
+reads views.  Each run keeps its own Philox stream, stop rule, controller
+and estimate, bit for bit those of the run alone; the payments, accruals and
+moves run once on all alive paths, a stop rule once per group of adjacent
+runs that share it, and the feedback once per substep per family of
+adjacent controllers that differ only in their probe perturbation.
 
-The controller is singular: its rate is zero on the inaction region, which
-holds almost every path.  A path with a zero rate does not move, so a
-substep after the first evaluates the feedback only on the paths pushed at
-the substep before, and the others keep their controls, which are the same
-values; once no path is pushed, the step's remaining substeps repeat.  The
-control drift of a substep before the last is added only on the paths it
-pushed, and the payoff books a repeated substep once, adding its cost again
-only where that is nonzero.  So an idle controller costs the same at any
-substep count and gives the same estimate: saddle_probe runs every probe
-with the configured substeps, in batches of adjacent probes.  The
-estimate's metadata counts the (path, substep) pairs with a nonzero rate.
+The controller is singular: it pays f per unit of push, and its rate is zero
+on the inaction region, which holds almost every path.  So the controller
+pays only where it pushes.  Substep 0 of a step evaluates the feedback on
+every alive path, a substep s >= 1 only on the paths pushed at s - 1 (a path
+that was not pushed did not move), and the step's substeps end once no path
+was pushed.  The control drift and the cost f * rate are booked only on the
+pushed paths, those with a nonzero (or NaN) rate, so a non-finite f where the
+controller idles costs nothing, and an idle controller gives the same
+estimate at any substep count.  The estimate's metadata counts the (path,
+substep) pairs with a nonzero rate.
 
 All draws come from a counter-based Philox generator keyed by the seed, so
 runs are bit-reproducible; paths are vectorized and reduced in fixed order.
@@ -80,8 +79,8 @@ class PathConfig:
     n_steps: int
     rng_seed: int = 0
     antithetic: bool = False
-    # substeps for stiff reflection drifts; the later ones of a step
-    # re-evaluate the feedback only on the paths it pushed
+    # substeps of simulate_paths and saddle_probe for stiff reflection drifts;
+    # simulate_penalized and simulate_recursive ignore it and take one
     feedback_substeps: int = 4
 
     def __post_init__(self):
@@ -234,7 +233,8 @@ class FeedbackStrategy:
     def _f_squared(self, pts):
         if self.data is not None:
             return self.data._f_m_sq(pts.t, pts.x, pts.radius)
-        return self.spec.f(pts.t, pts.x) ** 2
+        with np.errstate(over="ignore"):  # a huge f saturates to f^2 = +inf
+            return self.spec.f(pts.t, pts.x) ** 2
 
     def control(self, t, elapsed, x):
         """Unit direction and control rate at states x (d, n) at time t: the
@@ -453,27 +453,23 @@ def _batch_control(runs, spans, keys, ps, elapsed):
     return ctl
 
 
-def _run_paths(spec, start, runs, payoff, nsub=1) -> list[PayoffEstimate]:
+def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
     """The Euler-Maruyama path engine behind the three simulators: one batch
-    of runs that share the start, n_paths, n_steps, antithetic and the nsub
-    >= 1 feedback substeps; one estimate per run.
+    of runs that share the start, n_paths, n_steps and antithetic; one
+    estimate per run.
 
     Each step k < n_steps, each run with alive paths draws one batch of
     normals from its own Philox stream.  Each run's stop rule picks its
     alive paths that stop (at the horizon all do), and the payoff rule what
-    they are paid.  The controllers steer the rest over nsub substeps, the
-    payoff rule books what they accrue, and they move
-    X += b dt + sigma sqrt(dt) Z + n dnu.  A substep s >= 1 evaluates the
-    feedback only on the alive paths whose rate was nonzero (or NaN) at
-    substep s - 1: the others did not move, and the feedback is elementwise
-    in the points, so they keep the previous substep's (direction, rate,
-    outside) bit for bit.  A substep before the last adds its control drift
-    only on the paths it pushed (moved): a zero rate would add +-0.0 to a
-    drift that is never -0.0.  Once no path moved, the remaining substeps
-    repeat the last (points, controls) pair, the same tuple, which the payoff
-    rule books once.  With nsub = 1 no moved set is formed.  A batch runs
-    nsub substeps for all its runs, the largest any of them needs; an idle
-    controller gives the same estimate at any nsub.
+    they are paid.  The controllers steer the rest over the payoff rule's
+    nsub substeps, the payoff rule books what they accrue, and they move
+    X += b dt + sigma sqrt(dt) Z + n dnu.  Substep 0 evaluates the feedback
+    on every alive path, a substep s >= 1 only on the paths pushed (rate
+    nonzero or NaN) at s - 1, moved by their push, and the substeps end once
+    no path was pushed.  Each substep adds its control drift only on the
+    paths it pushed, and hands the payoff rule its (points, controls,
+    positions): the alive-path positions it evaluated, with their points and
+    controls.
     Paths that leave the finite floats are rejected and dropped from their
     run's estimate.
 
@@ -542,32 +538,21 @@ def _run_paths(spec, start, runs, payoff, nsub=1) -> list[PayoffEstimate]:
 
         keys = [base if elapsed >= run.ctrl.delay else None for base, run in zip(bases, runs)]
         drift_ctrl = np.zeros_like(xa)
-        controls = []
-        for s in range(nsub):
-            if s == 0:
-                ps, ctl = pts, _batch_control(runs, spans, keys, pts, elapsed)
-                rate, rate_spans = ctl[1], spans  # the rates this substep computed
-            else:
-                ps = _Points(t, xa + drift_ctrl)
-                rate_spans = _spans(idx[moved], firsts)
-                part = _batch_control(runs, rate_spans, keys, _Points(t, ps.x[:, moved]), elapsed)
-                ctl = tuple(whole.copy() for whole in ctl)  # earlier substeps keep theirs
-                for whole, piece in zip(ctl, part):
-                    whole[..., moved] = piece
-                rate = part[1]
-            nonzero = rate != 0  # the paths this substep pushes (a NaN rate counts)
-            for j, a, b in rate_spans:
+        controls = []  # (points, controls, positions) of each substep
+        at, ps, at_spans = np.arange(idx.size), pts, spans  # substep 0: every alive path
+        for s in range(payoff.nsub):
+            if s:  # the paths pushed at s - 1, moved by their push
+                ps, at_spans = _Points(t, xa[:, at] + drift_ctrl[:, at]), _spans(idx[at], firsts)
+            ctl = _batch_control(runs, at_spans, keys, ps, elapsed)
+            controls.append((ps, ctl, at))
+            nonzero = ctl[1] != 0  # the paths this substep pushes (a NaN rate counts)
+            for j, a, b in at_spans:
                 pushed[j] += np.count_nonzero(nonzero[a:b])
-            controls.append((ps, ctl))
-            if s + 1 == nsub:
-                drift_ctrl = drift_ctrl + ctl[0] * (ctl[1] * dt / nsub)[None, :]
+            hit = np.flatnonzero(nonzero)
+            if hit.size == 0:
                 break
-            moved = np.flatnonzero(nonzero) if s == 0 else moved[nonzero]
-            if moved.size == 0:  # nothing moves again: the substeps repeat
-                controls += [controls[-1]] * (nsub - s - 1)
-                break
-            # only the pushed paths: a zero rate adds +-0.0 to a drift that is never -0.0
-            drift_ctrl[:, moved] += ctl[0][:, moved] * (ctl[1][moved] * dt / nsub)[None, :]
+            at = at[hit]
+            drift_ctrl[:, at] += ctl[0][:, hit] * (ctl[1][hit] * dt / payoff.nsub)[None, :]
         step_running, step_cost = payoff.accrue(pts, elapsed, controls, dt)
         running += step_running
         control_cost += step_cost
@@ -609,8 +594,8 @@ class _Payoff:
         pts, which are the alive paths in mask stop;
     accrue(pts, elapsed, controls, dt): discounted (running reward, control
         cost) over [t, t + dt]; controls lists each feedback substep's
-        (_Points, control) pair, and a substep that repeats the one before
-        is the same pair object;
+        (_Points, control, positions): the points and controls of the alive
+        paths at positions, the ones the substep evaluated;
     retire(ids, stop): book the per-path state of the alive paths in mask
         stop, path numbers ids, as they stop (nothing by default);
     compact(live): keep the per-path state of the alive paths in mask live
@@ -618,7 +603,11 @@ class _Payoff:
     extras(own, keep): metadata entries of the run whose path numbers are
         the slice own, keep marking its paths that were not rejected (none by
         default).
+
+    nsub is the count of feedback substeps the engine takes per step.
     """
+
+    nsub = 1
 
     def retire(self, ids, stop):
         pass
@@ -632,12 +621,11 @@ class _Payoff:
 
 class _OriginalPayoff(_Payoff):
     """Paid g discounted at e^{-r t} when a run's stopper stops; h and f dnu
-    accrue.  Each distinct substep pair samples f and books its cost term
-    once; a repeat adds the term again only where it is nonzero (NaN
-    counts), which is bit for bit booking every pair."""
+    accrue over nsub feedback substeps.  A substep books f * rate / nsub only
+    at the paths it pushed, so f is sampled only there."""
 
-    def __init__(self, spec, n_paths):
-        self.spec = spec
+    def __init__(self, spec, n_paths, nsub):
+        self.spec, self.nsub = spec, nsub
         self.ever_exited = np.zeros(n_paths, dtype=bool)
         self.exited = self.ever_exited.copy()  # of the alive paths
 
@@ -650,20 +638,11 @@ class _OriginalPayoff(_Payoff):
         w_step = float(_exp_weight(spec.r, dt))  # exact discount integral per step
         h_val = spec.h(t, pts.x)
         cost_rate = np.zeros(pts.x.shape[1])
-        last = again = None
-        for pair in controls:
-            if pair is not last:
-                last, again = pair, None
-                ps, (_, rate, out_sub) = pair
-                term = spec.f(t, ps.x) * rate * w_step / len(controls)
-                cost_rate = cost_rate + term
-                self.exited |= out_sub
-                continue
-            # a repeat adds its term again where it is nonzero (NaN counts):
-            # a zero term would add +-0.0 to a sum that is never -0.0
-            if again is None:
-                again = np.flatnonzero(term != 0)
-            cost_rate[again] += term[again]
+        for ps, (_, rate, outside), at in controls:
+            self.exited[at[outside]] = True
+            hit = np.flatnonzero(rate != 0)  # the pushed paths (a NaN rate counts)
+            if hit.size:
+                cost_rate[at[hit]] += spec.f(t, ps.x[:, hit]) * rate[hit] * w_step / self.nsub
         return disc * h_val * w_step, disc * cost_rate
 
     def retire(self, ids, stop):
@@ -685,7 +664,8 @@ class _TruncatedPayoff(_Payoff):
     def __init__(self, spec, data, pen, delta, strategy_ctrl):
         self.spec, self.data, self.pen, self.delta = spec, data, pen, delta
         self.field = strategy_ctrl.field
-        self.closed_form = strategy_ctrl.optimal
+        # the closed form charges the controller's own penalty and f^2
+        self.closed_form = strategy_ctrl.optimal and strategy_ctrl.pen == pen and strategy_ctrl.data is data
 
     def stop_mask(self, t, elapsed, pts):
         return pts.radius >= self.data.m
@@ -699,7 +679,7 @@ class _TruncatedPayoff(_Payoff):
         return self.data._g_m(pts.t, pts.x, xi), self.data._h_m(pts.t, pts.x, xi)
 
     def hamiltonian(self, pts, controls):
-        ((_, ctl),) = controls
+        ((_, ctl, _),) = controls
         if self.closed_form:
             zeta = _Branches(self.pen, ctl.gnorm_sq - ctl.f_sq)
             return 2.0 * self.pen.d1(zeta) * ctl.gnorm_sq - self.pen.value(zeta)
@@ -794,7 +774,8 @@ def simulate_paths(
     the discounted g; running h and control costs accumulate along the way.
     """
     run = _paths_run(strategy_ctrl, strategy_stop, cfg)
-    return _run_paths(spec, start, [run], _OriginalPayoff(spec, cfg.n_paths), cfg.feedback_substeps)[0]
+    payoff = _OriginalPayoff(spec, cfg.n_paths, cfg.feedback_substeps)
+    return _run_paths(spec, start, [run], payoff)[0]
 
 
 def _paths_run(strategy_ctrl, strategy_stop, cfg):
@@ -821,7 +802,9 @@ def simulate_penalized(
     strategy_w maps (t, x, u_interp) -> stopping intensity in [0, 1/delta];
     pass "w_star" for the bang-bang rule 1/delta on {u <= g_m}, or a float
     for a constant intensity.  Paths stop at the exit from the radius-m ball
-    or at the horizon, collecting the discounted truncated payoff g_m.
+    or at the horizon, collecting the discounted truncated payoff g_m.  The
+    controller takes one feedback substep per step, whatever
+    cfg.feedback_substeps.
     """
     if strategy_w == "w_star" and strategy_ctrl.field is None:
         raise ValueError("the w_star stopper needs a solved field on the strategy")
@@ -841,7 +824,8 @@ def simulate_recursive(
     """Estimate the recursive reformulation: killing rate 1/delta, running
     reward h_m + (1/delta) max(g_m, u) + Hamiltonian term, terminal g_m at
     the exit from the ball or the horizon.  Requires the solved field (it
-    enters its own running reward through u)."""
+    enters its own running reward through u).  The controller takes one
+    feedback substep per step, whatever cfg.feedback_substeps."""
     if strategy_ctrl.field is None:
         raise ValueError("recursive payoff needs a solved field on the strategy")
     payoff = _RecursivePayoff(spec, data, pen, delta, strategy_ctrl)
@@ -933,8 +917,8 @@ def saddle_probe(
     estimates = []
     for i in range(0, len(runs), per_batch):
         batch = runs[i : i + per_batch]
-        payoff = _OriginalPayoff(spec, len(batch) * cfg.n_paths)
-        estimates += _run_paths(spec, start, batch, payoff, cfg.feedback_substeps)
+        payoff = _OriginalPayoff(spec, len(batch) * cfg.n_paths, cfg.feedback_substeps)
+        estimates += _run_paths(spec, start, batch, payoff)
 
     results = []
     for (side, name, _, _, _), est in zip(probes, estimates):

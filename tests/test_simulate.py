@@ -1,4 +1,3 @@
-import math
 from dataclasses import replace
 from importlib import resources
 
@@ -270,7 +269,7 @@ def test_start_point_checked(const1, simulator, start, match):
 
 
 @pytest.mark.parametrize("name, value", [("feedback_substeps", 0), ("feedback_substeps", -3)])
-def test_path_config_needs_a_quadrature_point_and_a_substep(name, value):
+def test_path_config_needs_a_substep(name, value):
     # non-positive substeps were quietly read as 1
     with pytest.raises(ValueError, match="must be >= 1"):
         PathConfig(n_paths=8, n_steps=4, **{name: value})
@@ -339,7 +338,7 @@ def test_saddle_probe_plays_every_mode(const1, monkeypatch):
 
     played = set()
 
-    def record(spec, start, runs, payoff, nsub=1):
+    def record(spec, start, runs, payoff):
         # the modes of the runs the path engine receives
         played.update(mode for run in runs for mode in (run.ctrl.mode, run.stopper.mode))
         return [
@@ -715,10 +714,10 @@ def test_saddle_probes_run_as_few_batches(ou_solved, monkeypatch, n_paths, batch
     spec, data, pen, field = ou_solved
     calls, plain = [], simulate_mod._run_paths
 
-    def run_paths(spec, start, runs, payoff, nsub=1):
-        calls.append((len(runs), nsub))
+    def run_paths(spec, start, runs, payoff):
+        calls.append((len(runs), payoff.nsub))
         if n_paths == 400:
-            return plain(spec, start, runs, payoff, nsub)
+            return plain(spec, start, runs, payoff)
         return [PayoffEstimate(mean=0.6, std_error=0.0, n_paths=n_paths, breakdown={}) for _ in runs]
 
     monkeypatch.setattr(simulate_mod, "_run_paths", run_paths)
@@ -755,7 +754,7 @@ def _explosive_runs(ou_solved, start, plan):
             alone.append(exc)
 
     def batch():
-        return _run_paths(explosive, start, runs, _OriginalPayoff(explosive, 400 * len(runs)), 4)
+        return _run_paths(explosive, start, runs, _OriginalPayoff(explosive, 400 * len(runs), 4))
 
     return alone, batch
 
@@ -800,7 +799,7 @@ def test_a_run_emptied_at_step_0_leaves_its_neighbours(ou_solved):
             (5, make("stopper_never")),
         )
     ]
-    batched = _run_paths(spec, (0.0, [1.0]), runs, _OriginalPayoff(spec, 1200), 4)
+    batched = _run_paths(spec, (0.0, [1.0]), runs, _OriginalPayoff(spec, 1200, 4))
     assert batched[1].metadata["stopped_paths"] == 400
     for est, run in zip(batched, runs):
         ref = simulate_paths(spec, (0.0, [1.0]), run.ctrl, run.stopper, run.cfg)
@@ -1152,90 +1151,107 @@ def test_pushed_path_substeps_counts_the_nonzero_rates(ou_limit, monkeypatch):
     assert counts["idle"] == 0 and counts["opt"] > 0
 
 
-def _accrue_every_pair(spec, pts, elapsed, controls, dt, exited):
-    """_OriginalPayoff.accrue as it was when it booked every (points,
-    controls) pair: one spec.f call and one full term per pair."""
-    from ctrlstop.simulate import _exp_weight
+def _recorded_accruals(monkeypatch):
+    """Wrap _OriginalPayoff.accrue; the list it returns gets, per step, the
+    (points, rates, positions) of every substep entry and the nsub of the
+    payoff rule."""
+    from ctrlstop.simulate import _OriginalPayoff
 
-    disc = math.exp(-spec.r * elapsed)
-    w_step = float(_exp_weight(spec.r, dt))
-    h_val = spec.h(pts.t, pts.x)
-    cost_rate = np.zeros(pts.x.shape[1])
-    for ps, (_, rate, out_sub) in controls:
-        cost_rate = cost_rate + spec.f(pts.t, ps.x) * rate * w_step / len(controls)
-        exited |= out_sub
-    return disc * h_val * w_step, disc * cost_rate
+    steps, plain = [], _OriginalPayoff.accrue
 
+    def accrue(self, pts, elapsed, controls, dt):
+        assert len({id(entry) for entry in controls}) == len(controls)  # none twice
+        steps.append(([(ps.x.copy(), ctl[1].copy(), at.copy()) for ps, ctl, at in controls], self.nsub))
+        return plain(self, pts, elapsed, controls, dt)
 
-def _same_bits(a, b):
-    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+    monkeypatch.setattr(_OriginalPayoff, "accrue", accrue)
+    return steps
 
 
 @pytest.mark.parametrize("case", ["push_end_1.5", "push_end_2.0", "idle"])
-def test_accrue_books_each_pair_once(ou_limit, monkeypatch, case):
-    """accrue samples f once per distinct (points, controls) pair and adds a
-    repeat's term again only where it is nonzero; every step's running
-    reward, control cost and exit flags equal those of booking every pair,
-    bit for bit, on pushes that end inside a step and on all-idle steps."""
-    from ctrlstop.simulate import _OriginalPayoff
-
+def test_accrue_gets_each_substep_once(ou_limit, monkeypatch, case):
+    """accrue gets at most nsub entries per step, no entry twice, and a
+    short list only when its last substep pushed no path; an idle controller
+    hands it one entry per step."""
     spec, data, pen, field = ou_limit
     make = strategies(spec, field, pen, data=data)
-    plain = _OriginalPayoff.accrue
-    seen = {"steps": 0, "repeats": 0, "distinct": 0}
-
-    def accrue(self, pts, elapsed, controls, dt):
-        exited = self.exited.copy()
-        want = _accrue_every_pair(self.spec, pts, elapsed, controls, dt, exited)
-        got = plain(self, pts, elapsed, controls, dt)
-        assert all(_same_bits(g, w) for g, w in zip(got, want))
-        assert np.array_equal(self.exited, exited)
-        distinct = len({id(pair) for pair in controls})
-        seen["steps"] += 1
-        seen["repeats"] += distinct < len(controls)
-        seen["distinct"] = max(seen["distinct"], distinct)
-        return got
-
-    monkeypatch.setattr(_OriginalPayoff, "accrue", accrue)
+    steps = _recorded_accruals(monkeypatch)
     if case == "idle":
         ctrl, x1 = make("controller_idle"), 1.5
     else:
         ctrl, x1 = make("controller_opt", scale=2.0), float(case.split("_")[-1])
-    est = simulate_paths(spec, (0.0, [x1]), ctrl, make("stopper_never"), PUSH_END_CFG)
-    assert seen["steps"] == PUSH_END_CFG.n_steps
-    # from 2.0 some path is pushed at every substep of every step
-    assert (seen["repeats"] > 0) == (case != "push_end_2.0")
+    simulate_paths(spec, (0.0, [x1]), ctrl, make("stopper_never"), PUSH_END_CFG)
+    assert len(steps) == PUSH_END_CFG.n_steps
+    for entries, nsub in steps:
+        assert nsub == PUSH_END_CFG.feedback_substeps and 1 <= len(entries) <= nsub
+        assert len(entries) == nsub or not np.any(entries[-1][1])
+    lengths = {len(entries) for entries, _ in steps}
     if case == "idle":
-        assert seen["distinct"] == 1 and est.breakdown["control_cost"] == 0.0
+        assert lengths == {1}
     else:
-        mean, se, _ = PUSH_END_GOLDEN[x1]
-        assert (est.mean.hex(), est.std_error.hex()) == (mean, se)
-        assert seen["distinct"] > 1
+        assert max(lengths) > 1
 
 
-def test_repeated_pairs_add_their_nonzero_terms():
-    """A repeated pair whose term is nonzero, infinite or NaN adds it again
-    on every repeat, as booking every pair did; its zero terms add nothing."""
-    from ctrlstop.simulate import _OriginalPayoff, _Points
+@pytest.mark.parametrize("x1", sorted(PUSH_END_GOLDEN))
+def test_substep_entries_hold_the_pushed_positions(ou_limit, monkeypatch, x1):
+    """Entry 0 holds every alive path at its state; entry s >= 1 holds
+    exactly the positions whose rate was nonzero at s - 1, with one point
+    and one rate per position."""
+    spec, data, pen, field = ou_limit
+    make = strategies(spec, field, pen, data=data)
+    steps = _recorded_accruals(monkeypatch)
+    simulate_paths(spec, (0.0, [x1]), make("controller_opt", scale=2.0), make("stopper_never"), PUSH_END_CFG)
+    for entries, _ in steps:
+        assert np.array_equal(entries[0][2], np.arange(400))
+        for (_, rate, at), (x_next, rate_next, at_next) in zip(entries, entries[1:]):
+            assert np.array_equal(at_next, at[rate != 0])
+            assert x_next.shape[1] == rate_next.size == at_next.size > 0
 
-    text = resources.files("ctrlstop.configs").joinpath("bench_ou.cfg").read_text()
-    # f overflows to inf past x1 = 1.3, so a zero rate there books NaN
-    spec = parse_config_text(text.replace("f = 0.3", "f = 0.3 + max(0, x1 - 1.3)^4000"))[0]
-    rng = np.random.default_rng(3)
-    n = 64
-    pts = _Points(0.1, rng.uniform(-2.0, 2.0, size=(1, n)))
-    moved = _Points(0.1, pts.x + 0.01)
-    rates = [np.where(rng.random(n) < 0.5, 0.0, rng.uniform(0.0, 3.0, n)) for _ in range(2)]
-    rates[1][:4] = [np.nan, np.inf, -0.0, 0.0]
-    pairs = [
-        (p, (np.ones((1, n)), rate, rng.random(n) < 0.1)) for p, rate in zip((pts, moved), rates)
-    ]
-    controls = [pairs[0], pairs[1], pairs[1], pairs[1]]
-    payoff = _OriginalPayoff(spec, n)
-    exited = payoff.exited.copy()
-    want = _accrue_every_pair(spec, pts, 0.1, controls, 1e-3, exited)
-    got = payoff.accrue(pts, 0.1, controls, 1e-3)
-    assert all(_same_bits(g, w) for g, w in zip(got, want))
-    assert np.array_equal(payoff.exited, exited)
-    cost = got[1]
-    assert np.isnan(cost).any() and np.isfinite(cost).any() and np.any(cost > 0)
+
+@pytest.fixture(scope="module")
+def const1_huge_f(const1):
+    """const1 with f = exp(1000 x1^2): f^2 overflows from |x1| = 0.6 on, and
+    f itself from |x1| = 0.85 on."""
+    text = resources.files("ctrlstop.configs").joinpath("const1.cfg").read_text()
+    spec, data, ones = const1
+    return parse_config_text(text.replace("f = 1", "f = exp(1000 * x1^2)"))[0], ones
+
+
+def test_idle_controller_pays_nothing_for_an_infinite_f(const1_huge_f):
+    """The controller pays f only where it pushes: idle at x1 = 1, where f is
+    +inf, it books 0, and the unit payoff is exact (it used to book NaN)."""
+    spec, ones = const1_huge_f
+    make = strategies(spec, ones, Penalty(0.25))
+    est = simulate_paths(spec, (0.0, [1.0]), make("controller_idle"), make("stopper_never"), CFG)
+    assert est.mean == 1.0 and est.breakdown["control_cost"] == 0.0
+
+
+@pytest.mark.parametrize("truncated", [False, True])
+def test_controller_opt_squares_a_huge_f_silently(const1_huge_f, truncated):
+    """f^2 saturates to +inf without a warning, in the feedback's f^2 and in
+    the truncated f_m^2; on the flat field the controller idles and the
+    payoff is exactly 1."""
+    import warnings
+
+    spec, ones = const1_huge_f
+    data = truncate_data(spec, 6.0) if truncated else None
+    make = strategies(spec, ones, Penalty(0.25), data=data)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = simulate_paths(spec, (0.0, [1.0]), make("controller_opt"), make("stopper_never"), CFG)
+    assert est.mean == 1.0 and est.metadata["pushed_path_substeps"] == 0
+
+
+def test_closed_form_hamiltonian_needs_the_payoff_penalty(ou_solved):
+    """A controller on another penalty than the payoff's is charged by the
+    payoff's penalty: the optimal feedback gives the estimate of its scaled
+    twin (scale one ulp above 1), which the bisection charges."""
+    spec, data, pen, field = ou_solved
+    cfg = PathConfig(n_paths=2000, n_steps=100, rng_seed=5)
+    own = strategies(spec, field, Penalty(1 / 16), data=data)
+    opt, twin = own("controller_opt"), own("controller_opt", scale=np.nextafter(1.0, 2.0))
+    closed, bisected = (
+        simulate_recursive(spec, data, pen, 1 / 8, (0.0, [1.5]), ctrl, cfg) for ctrl in (opt, twin)
+    )
+    assert closed.mean == pytest.approx(bisected.mean, abs=1e-9)
+    assert closed.breakdown["control_cost"] == pytest.approx(bisected.breakdown["control_cost"], abs=1e-9)
