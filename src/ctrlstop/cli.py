@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 import time
 import zipfile
@@ -24,6 +25,7 @@ from .simulate import (
     FeedbackStrategy,
     PathConfig,
     SimulationError,
+    _start_point,
     saddle_probe,
     simulate_paths,
 )
@@ -31,6 +33,7 @@ from .solver import (
     ContinuationError,
     SolverError,
     check_schedule,
+    check_tol,
     continuation,
     default_schedule,
     vi_report,
@@ -108,6 +111,9 @@ def cmd_solve(args) -> int:
         m, nx, nt = _parse_triple(args.grid, "grid", 3)
         grid = Grid(d=spec.d, m=float(m), nx=int(nx), nt=int(nt), T=spec.T)
         schedule = check_schedule(default_schedule(int(stages), eps0=eps0, delta0=delta0, m=float(m)))
+        check_tol(args.tol)
+        if args.tol_region is not None and not (math.isfinite(args.tol_region) and args.tol_region >= 0.0):
+            raise ValueError(f"--tol-region {args.tol_region!r} must be finite and >= 0")
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     report = validate_assumptions(spec, plan)
@@ -234,27 +240,28 @@ def cmd_simulate(args) -> int:
         start_txt = args.start or sim_defaults.get("start", "0, 0")
         start_vals = _parse_triple(start_txt, "start", spec.d + 1)
         start = (start_vals[0], list(start_vals[1:]))
+        _start_point(spec, start)
         n_paths = args.paths if args.paths is not None else int(sim_defaults.get("paths", 10000))
         n_steps = args.steps if args.steps is not None else int(sim_defaults.get("steps", 250))
         seed = args.seed if args.seed is not None else int(sim_defaults.get("seed", 0))
         band = args.band if args.band is not None else float(sim_defaults.get("band", 0.01))
+        if not (math.isfinite(args.allowance) and args.allowance >= 0.0):
+            raise ValueError(f"--allowance {args.allowance!r} must be finite and >= 0")
         cfg = PathConfig(n_paths=n_paths, n_steps=n_steps, rng_seed=seed, antithetic=args.antithetic)
         field, eps, delta = load_field(args.field)
         if field.grid.d != spec.d:
             raise ValueError(f"field has dimension {field.grid.d}, the config {spec.d}")
+        if field.grid.T != spec.T:
+            raise ValueError(f"field has horizon {field.grid.T!r}, the config {spec.T!r}")
         pen = Penalty(eps)
         if not delta > 0.0:
             raise ValueError(f"field delta {delta:g} must be positive")
         data = truncate_data(spec, field.grid.m)
+        controller = FeedbackStrategy(spec=spec, mode="controller_opt", field=field, pen=pen, data=data)
+        stopper = FeedbackStrategy(spec=spec, mode="stopper_tau_star", field=field, pen=pen, band=band)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    controller = FeedbackStrategy(
-        spec=spec, mode="controller_opt", field=field, pen=pen, data=data
-    )
-    stopper = FeedbackStrategy(
-        spec=spec, mode="stopper_tau_star", field=field, pen=pen, band=band
-    )
     t0 = time.time()
     try:
         estimate = simulate_paths(spec, start, controller, stopper, cfg)

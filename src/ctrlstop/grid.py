@@ -53,8 +53,10 @@ class Grid:
     def __post_init__(self):
         if self.d not in (1, 2):
             raise ValueError("grid supports d = 1 or 2")
-        if not self.m > 0:
-            raise ValueError("grid radius m must be positive")
+        if not (math.isfinite(self.m) and self.m > 0):
+            raise ValueError(f"grid radius m must be finite and positive, got {self.m!r}")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"grid horizon T must be finite and positive, got {self.T!r}")
         if self.nx < 5 or self.nt < 1:
             raise ValueError("grid too small")
 

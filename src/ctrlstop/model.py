@@ -69,10 +69,12 @@ class ProblemSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("dimension must be >= 1")
-        if self.T <= 0:
-            raise ValueError("horizon must be positive")
-        if self.r < 0:
-            raise ValueError("rate must be nonnegative")
+        if not (math.isfinite(self.T) and self.T > 0):
+            raise ValueError(f"horizon must be finite and positive, got {self.T!r}")
+        if not (math.isfinite(self.r) and self.r >= 0):
+            raise ValueError(f"rate must be finite and nonnegative, got {self.r!r}")
+        if not (math.isfinite(self.fd_step) and self.fd_step > 0):
+            raise ValueError(f"fd_step must be finite and positive, got {self.fd_step!r}")
         if len(self.b) != self.d:
             raise ValueError(f"drift must have {self.d} components")
         if len(self.sigma) != self.d or not self.sigma:
@@ -162,8 +164,8 @@ class SamplePlan:
     def __post_init__(self):
         if len(self.radii) != len(self.counts):
             raise ValueError("radii and counts must have equal length")
-        if any(r <= 0 for r in self.radii) or any(c < 8 for c in self.counts):
-            raise ValueError("radii must be positive and counts >= 8")
+        if not all(math.isfinite(r) and r > 0 for r in self.radii) or any(c < 8 for c in self.counts):
+            raise ValueError("radii must be finite and positive and counts >= 8")
 
 
 @dataclass
@@ -432,17 +434,7 @@ def parse_config_text(text: str, source: str = "<string>"):
         tuple(parse_expr(f"sigma[{i}][{j}]", sigma_entries[(i, j)]) for j in range(1, d_noise + 1))
         for i in range(1, d + 1)
     )
-    spec = ProblemSpec(
-        d=d,
-        T=horizon,
-        r=rate,
-        b=b,
-        sigma=sigma,
-        f=parse_expr("f", need("f")),
-        g=parse_expr("g", need("g")),
-        h=parse_expr("h", need("h")),
-        fd_step=fd_step,
-    )
+    f, g, h = (parse_expr(key, need(key)) for key in ("f", "g", "h"))
 
     def parse_floats(key, default=None):
         if key not in raw:
@@ -455,9 +447,13 @@ def parse_config_text(text: str, source: str = "<string>"):
             raise ConfigError(f"{source}: bad list for {key!r}: {exc}") from exc
 
     radii = parse_floats("sample_plan.radii", (2.0,))
-    counts = tuple(int(c) for c in parse_floats("sample_plan.counts", (256.0,) * len(radii)))
-    seed = int(float(raw.get("sample_plan.rng_seed", "0")))
-    plan = SamplePlan(radii=radii, counts=counts, rng_seed=seed)
+    counts = parse_floats("sample_plan.counts", (256.0,) * len(radii))
+    try:  # a value the data classes reject is a bad value of the file
+        spec = ProblemSpec(d=d, T=horizon, r=rate, b=b, sigma=sigma, f=f, g=g, h=h, fd_step=fd_step)
+        seed = int(float(raw.get("sample_plan.rng_seed", "0")))
+        plan = SamplePlan(radii=radii, counts=tuple(int(c) for c in counts), rng_seed=seed)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{source}: {exc}") from exc
 
     sim_defaults = {k.split(".", 1)[1]: v for k, v in raw.items() if k in _SIM_KEYS}
     return spec, plan, sim_defaults

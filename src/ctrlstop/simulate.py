@@ -10,9 +10,10 @@ from a solved field: the controller pushes along -grad u at rate
 2 psi'(|grad u|^2 - f^2)|grad u|, the stopper uses the contact-set rules.
 The three simulators share one path engine (_run_paths) and differ only in
 their payoff rule: when a path stops, its discount, and what it accrues.
-The engine keeps the per-path state of the alive paths compact (states,
-accrued sums and the rule's own state, such as log R^w) and writes it into
-the full-size arrays only when a path stops.  Each step computes its
+The engine owns every per-path array: the alive paths' states, accrued sums
+and the arrays the rule declares (such as log R^w) are kept compact, and a
+path that stops or is rejected has its entries copied into full-size arrays
+as it leaves.  Each step computes its
 geometry once: the radius |x| and the sampling plan of the field live on
 one _Points, which the stop rule, the feedback and the payoff rule share,
 and which is subset, not recomputed, when paths drop out.  The estimate's
@@ -186,7 +187,7 @@ class FeedbackStrategy:
                         (saddle probes); needs `field` and `pen`
       controller_idle   never act
     Stopper modes:
-      stopper_tau_star  stop on u <= g + band; needs `field`
+      stopper_tau_star  stop on u <= g + band (finite); needs `field`
       stopper_fixed     stop at the elapsed time `fixed_time` (not NaN)
       stopper_never     run to the horizon
     """
@@ -215,6 +216,8 @@ class FeedbackStrategy:
             raise ValueError(f"{self.mode} needs a finite scale >= 0, got {self.scale!r}")
         if not self.delay >= 0.0:  # also NaN
             raise ValueError(f"{self.mode} needs a delay >= 0, got {self.delay!r}")
+        if not math.isfinite(self.band):
+            raise ValueError(f"{self.mode} needs a finite band, got {self.band!r}")
 
     @property
     def optimal(self) -> bool:
@@ -358,16 +361,18 @@ def _finalize(parts, keep, n_rej, cfg, extras):
 
 
 def _start_point(spec: ProblemSpec, start):
-    """(t0, x0 as a flat array, horizon T - t0) of a (t0, x0) start point."""
+    """(t0, x0 as a flat array, horizon T - t0) of a (t0, x0) start point,
+    checked: a finite t0 in [0, T) and a finite x0 of dimension d."""
     t0, x0 = start
     t0 = float(t0)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != spec.d:
         raise ValueError("start point dimension mismatch")
-    horizon = spec.T - t0
-    if horizon <= 0:
-        raise ValueError("start time at or beyond the horizon")
-    return t0, x0, horizon
+    if not np.all(np.isfinite(x0)):
+        raise ValueError(f"start point {x0.tolist()} must be finite")
+    if not 0.0 <= t0 < spec.T:  # also NaN
+        raise ValueError(f"start time {t0!r} must be >= 0 and before the horizon {spec.T!r}")
+    return t0, x0, spec.T - t0
 
 
 _MAX_BATCH_PATHS = 2**15  # paths of all runs of one batch; larger probes run one per batch
@@ -453,6 +458,17 @@ def _batch_control(runs, spans, keys, ps, elapsed):
     return ctl
 
 
+def _leave(idx, alive, final, gone):
+    """The one rule of a stop and a rejection: copy the entries of the alive
+    paths in mask gone into final at their path numbers, then return the
+    numbers idx and entries alive of the rest."""
+    ids = idx[gone]
+    for key, values in alive.items():
+        final[key][ids] = values[gone]
+    keep = ~gone
+    return idx[keep], {key: values[keep] for key, values in alive.items()}
+
+
 def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
     """The Euler-Maruyama path engine behind the three simulators: one batch
     of runs that share the start, n_paths, n_steps and antithetic; one
@@ -473,17 +489,17 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
     Paths that leave the finite floats are rejected and dropped from their
     run's estimate.
 
-    The alive paths are kept compact and in order: their numbers idx, states xa, running and
-    control-cost sums, and the payoff rule's own per-path state all drop the
-    same paths together, so each run's alive paths are one contiguous slice
-    (_spans).  The payment, the accrual and the move run once on all alive
-    paths; a stop rule runs once per group of adjacent runs that share it,
-    and the feedback once per substep per group of adjacent runs whose
-    controllers differ only in scale, flip and delay, each run applying its
-    own perturbation to its slice.  The sums reach the full-size parts when a
-    path stops.  Each step's geometry (|x| and the sampling plan) lives on
-    one _Points, which the stop rules, the feedback and the payoff rule
-    share.  Each run is then finalized on its own paths; a batch raises the
+    The alive paths are kept compact and in order: their numbers idx,
+    states xa and entries alive (the running and control-cost sums and the
+    payoff rule's per_path arrays) drop the same paths together, so each
+    run's alive paths are one contiguous slice (_spans).  Stopped and
+    rejected paths leave through _leave into the full-size arrays final,
+    which also hold each path's terminal payment and whether it stopped
+    before the horizon.  The payment, the accrual and the move run once on
+    all alive paths, a stop rule once per group of adjacent runs that share
+    it, and the feedback once per substep per group of adjacent runs whose
+    controllers differ only in their perturbation (_batch_control).  Each
+    run is then finalized on its own paths; a batch raises the
     SimulationError of the first run over its rejection budget.
     """
     t0, x0, horizon = _start_point(spec, start)
@@ -494,13 +510,12 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
     n_all = n * len(runs)
     firsts = np.arange(len(runs) + 1) * n  # run j owns the path numbers firsts[j]:firsts[j + 1]
     rejected = np.zeros(n_all, dtype=bool)
-    parts = {k: np.zeros(n_all) for k in ("terminal", "running", "control_cost")}
     xa = np.tile(x0[:, None], (1, n_all))
     idx = np.arange(n_all)
-    running = np.zeros(n_all)
-    control_cost = np.zeros(n_all)
-    stopped = np.zeros(len(runs), dtype=int)
-    at_horizon = np.zeros(len(runs), dtype=int)
+    initial = {"running": 0.0, "control_cost": 0.0, **payoff.per_path}
+    alive = {key: np.full(n_all, value) for key, value in initial.items()}
+    final = {key: np.zeros_like(values) for key, values in alive.items()}
+    final.update(terminal=np.zeros(n_all), stopped=np.zeros(n_all, dtype=bool))
     pushed = np.zeros(len(runs), dtype=int)  # (path, substep) pairs with a nonzero rate
     draws = [_draws(run.cfg, spec.d_noise) for run in runs]
     bases = _feedback_bases([run.ctrl for run in runs])
@@ -513,19 +528,11 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
         stop = np.ones(idx.size, dtype=bool) if k == cfg.n_steps else _batch_stop(runs, spans, pts, elapsed)
         if np.any(stop):
             ids = idx[stop]
-            parts["terminal"][ids] += payoff.terminal(pts.subset(stop), elapsed, stop)
-            parts["running"][ids] = running[stop]
-            parts["control_cost"][ids] = control_cost[stop]
-            payoff.retire(ids, stop)
-            per_run = np.bincount(ids // n, minlength=len(runs))
-            if k == cfg.n_steps:
-                at_horizon += per_run
-            else:
-                stopped += per_run
-            live = ~stop
-            idx, pts = idx[live], pts.subset(live)
-            xa, running, control_cost = pts.x, running[live], control_cost[live]
-            payoff.compact(live)
+            final["terminal"][ids] += payoff.terminal(pts.subset(stop), elapsed, alive, stop)
+            final["stopped"][ids] = k < cfg.n_steps
+            idx, alive = _leave(idx, alive, final, stop)
+            pts = pts.subset(~stop)
+            xa = pts.x
             spans = _spans(idx, firsts)
         if idx.size == 0 or k == cfg.n_steps:
             break
@@ -553,9 +560,9 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
                 break
             at = at[hit]
             drift_ctrl[:, at] += ctl[0][:, hit] * (ctl[1][hit] * dt / payoff.nsub)[None, :]
-        step_running, step_cost = payoff.accrue(pts, elapsed, controls, dt)
-        running += step_running
-        control_cost += step_cost
+        step_running, step_cost = payoff.accrue(pts, elapsed, alive, controls, dt)
+        alive["running"] += step_running
+        alive["control_cost"] += step_cost
 
         with np.errstate(over="ignore", invalid="ignore"):
             bv = spec.drift(xa)
@@ -565,9 +572,8 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
         bad = ~np.all(np.isfinite(xa), axis=0)
         if np.any(bad):
             rejected[idx[bad]] = True
-            live = ~bad
-            idx, xa, running, control_cost = idx[live], xa[:, live], running[live], control_cost[live]
-            payoff.compact(live)
+            idx, alive = _leave(idx, alive, final, bad)
+            xa = xa[:, ~bad]
 
     estimates = []
     for j, run in enumerate(runs):
@@ -576,83 +582,77 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
         if n_rej > MAX_REJECT_FRACTION * n:
             raise SimulationError(f"{n_rej}/{n} paths rejected (diverging dynamics)")
         keep = ~rejected[own]
+        n_stopped = int(np.count_nonzero(final["stopped"][own]))
         counts = {
-            "stopped_paths": int(stopped[j]),
-            "horizon_paths": int(at_horizon[j]),
+            "stopped_paths": n_stopped,
+            "horizon_paths": n - n_stopped - n_rej,
             "pushed_path_substeps": int(pushed[j]),
         }
-        extras = {**counts, **payoff.extras(own, keep), "dt": dt}
-        estimates.append(_finalize({k: v[own] for k, v in parts.items()}, keep, n_rej, run.cfg, extras))
+        extras = {**counts, **payoff.extras(final, own, keep), "dt": dt}
+        parts = {k: final[k][own] for k in ("terminal", "running", "control_cost")}
+        estimates.append(_finalize(parts, keep, n_rej, run.cfg, extras))
     return estimates
 
 
 class _Payoff:
     """A simulator's payoff rule for the path engine, for all runs of a
-    batch, called on the alive paths' _Points pts at time pts.t:
+    batch, called on the alive paths' _Points pts at time pts.t and their
+    entries alive, the engine's dict of per-path arrays in the order of pts:
 
-    terminal(pts, elapsed, stop): discounted payment of the stopping paths
-        pts, which are the alive paths in mask stop;
-    accrue(pts, elapsed, controls, dt): discounted (running reward, control
-        cost) over [t, t + dt]; controls lists each feedback substep's
-        (_Points, control, positions): the points and controls of the alive
-        paths at positions, the ones the substep evaluated;
-    retire(ids, stop): book the per-path state of the alive paths in mask
-        stop, path numbers ids, as they stop (nothing by default);
-    compact(live): keep the per-path state of the alive paths in mask live
-        only (no state by default);
-    extras(own, keep): metadata entries of the run whose path numbers are
-        the slice own, keep marking its paths that were not rejected (none by
-        default).
+    terminal(pts, elapsed, alive, stop): discounted payment of the stopping
+        paths pts, which are the alive paths in mask stop;
+    accrue(pts, elapsed, alive, controls, dt): discounted (running reward,
+        control cost) over [t, t + dt], updating the rule's own entries of
+        alive; controls lists each feedback substep's (_Points, control,
+        positions): the points and controls of the alive paths at positions,
+        the ones the substep evaluated;
+    extras(final, own, keep): metadata entries of the run whose path numbers
+        are the slice own, from the full-size arrays final, which hold each
+        path's entries as it left; keep marks its paths that were not
+        rejected (none by default).
 
+    per_path maps the name of each per-path array the rule keeps to its
+    initial value (none by default); the engine keeps them with its own.
     nsub is the count of feedback substeps the engine takes per step.
     """
 
     nsub = 1
+    per_path = {}
 
-    def retire(self, ids, stop):
-        pass
-
-    def compact(self, live):
-        pass
-
-    def extras(self, own, keep):
+    def extras(self, final, own, keep):
         return {}
 
 
 class _OriginalPayoff(_Payoff):
     """Paid g discounted at e^{-r t} when a run's stopper stops; h and f dnu
     accrue over nsub feedback substeps.  A substep books f * rate / nsub only
-    at the paths it pushed, so f is sampled only there."""
+    at the paths it pushed, so f is sampled only there.  Each path's exited
+    flag records whether the controller saw it outside the solved box."""
 
-    def __init__(self, spec, n_paths, nsub):
+    per_path = {"exited": False}
+
+    def __init__(self, spec, nsub):
         self.spec, self.nsub = spec, nsub
-        self.ever_exited = np.zeros(n_paths, dtype=bool)
-        self.exited = self.ever_exited.copy()  # of the alive paths
 
-    def terminal(self, pts, elapsed, stop):
+    def terminal(self, pts, elapsed, alive, stop):
         return math.exp(-self.spec.r * elapsed) * self.spec.g(pts.t, pts.x)
 
-    def accrue(self, pts, elapsed, controls, dt):
+    def accrue(self, pts, elapsed, alive, controls, dt):
         spec, t = self.spec, pts.t
         disc = math.exp(-spec.r * elapsed)
         w_step = float(_exp_weight(spec.r, dt))  # exact discount integral per step
         h_val = spec.h(t, pts.x)
         cost_rate = np.zeros(pts.x.shape[1])
         for ps, (_, rate, outside), at in controls:
-            self.exited[at[outside]] = True
+            alive["exited"][at[outside]] = True
             hit = np.flatnonzero(rate != 0)  # the pushed paths (a NaN rate counts)
             if hit.size:
                 cost_rate[at[hit]] += spec.f(t, ps.x[:, hit]) * rate[hit] * w_step / self.nsub
         return disc * h_val * w_step, disc * cost_rate
 
-    def retire(self, ids, stop):
-        self.ever_exited[ids] = self.exited[stop]
-
-    def compact(self, live):
-        self.exited = self.exited[live]
-
-    def extras(self, own, keep):
-        exit_fraction = float(np.mean(self.ever_exited[own][keep])) if np.any(keep) else 0.0
+    def extras(self, final, own, keep):
+        exited = final["exited"][own][keep]
+        exit_fraction = float(np.mean(exited)) if exited.size else 0.0
         return {"exit_fraction": exit_fraction, "valid": exit_fraction <= MAX_EXIT_FRACTION}
 
 
@@ -699,17 +699,18 @@ class _PenalizedPayoff(_TruncatedPayoff):
     path).  A callable or constant intensity is checked to lie in
     [0, 1/delta] and takes the weight per path."""
 
-    def __init__(self, spec, data, pen, delta, strategy_ctrl, strategy_w, n_paths):
+    # log of the controlled discount R^w, and R^w = exp(logR) taken once per step
+    per_path = {"logR": 0.0, "R": 1.0}
+
+    def __init__(self, spec, data, pen, delta, strategy_ctrl, strategy_w):
         super().__init__(spec, data, pen, delta, strategy_ctrl)
         self.strategy_w = strategy_w
-        self.logR = np.zeros(n_paths)  # log of the controlled discount R^w, alive paths
-        self.R = np.ones(n_paths)  # exp(logR), taken once per step
         self.min_R = 1.0
 
-    def terminal(self, pts, elapsed, stop):
-        return self.R[stop] * self.g_m(pts)
+    def terminal(self, pts, elapsed, alive, stop):
+        return alive["R"][stop] * self.g_m(pts)
 
-    def accrue(self, pts, elapsed, controls, dt):
+    def accrue(self, pts, elapsed, alive, controls, dt):
         t, x, delta, r = pts.t, pts.x, self.delta, self.spec.r
         n_alive = x.shape[1]
         u_val = self.field.sample(t, pts.plan(self.field.grid)) if self.field is not None else None
@@ -728,16 +729,13 @@ class _PenalizedPayoff(_TruncatedPayoff):
                 raise SimulationError("stopper intensity outside [0, 1/delta]")
             w_step = _exp_weight(r + w_val, dt)
         h_term = self.hamiltonian(pts, controls)
-        R_now = self.R
-        self.logR -= (r + w_val) * dt
-        self.R = np.exp(self.logR)
-        self.min_R = min(self.min_R, float(np.min(self.R)))
+        R_now = alive["R"]
+        alive["logR"] -= (r + w_val) * dt
+        alive["R"] = np.exp(alive["logR"])
+        self.min_R = min(self.min_R, float(np.min(alive["R"])))
         return R_now * (h_m_val + w_val * g_m_val) * w_step, R_now * h_term * w_step
 
-    def compact(self, live):
-        self.logR, self.R = self.logR[live], self.R[live]
-
-    def extras(self, own, keep):
+    def extras(self, final, own, keep):
         return {"min_R": self.min_R}
 
 
@@ -745,11 +743,11 @@ class _RecursivePayoff(_TruncatedPayoff):
     """Killing at rate 1/delta, discount e^{-(r + 1/delta) t};
     h_m + (1/delta) max(g_m, u) accrues."""
 
-    def terminal(self, pts, elapsed, stop):
+    def terminal(self, pts, elapsed, alive, stop):
         kappa = self.spec.r + 1.0 / self.delta
         return math.exp(-kappa * elapsed) * self.g_m(pts)
 
-    def accrue(self, pts, elapsed, controls, dt):
+    def accrue(self, pts, elapsed, alive, controls, dt):
         kappa = self.spec.r + 1.0 / self.delta
         disc = math.exp(-kappa * elapsed)
         u_val = self.field.sample(pts.t, pts.plan(self.field.grid))
@@ -774,7 +772,7 @@ def simulate_paths(
     the discounted g; running h and control costs accumulate along the way.
     """
     run = _paths_run(strategy_ctrl, strategy_stop, cfg)
-    payoff = _OriginalPayoff(spec, cfg.n_paths, cfg.feedback_substeps)
+    payoff = _OriginalPayoff(spec, cfg.feedback_substeps)
     return _run_paths(spec, start, [run], payoff)[0]
 
 
@@ -808,7 +806,7 @@ def simulate_penalized(
     """
     if strategy_w == "w_star" and strategy_ctrl.field is None:
         raise ValueError("the w_star stopper needs a solved field on the strategy")
-    payoff = _PenalizedPayoff(spec, data, pen, delta, strategy_ctrl, strategy_w, cfg.n_paths)
+    payoff = _PenalizedPayoff(spec, data, pen, delta, strategy_ctrl, strategy_w)
     return _run_paths(spec, start, [_Run(cfg, strategy_ctrl, payoff)], payoff)[0]
 
 
@@ -914,11 +912,10 @@ def saddle_probe(
     # stopper probes share opt_ctrl, the controller probes tau_star, and the
     # perturbations of opt_ctrl its feedback.
     per_batch = max(1, _MAX_BATCH_PATHS // cfg.n_paths)
+    payoff = _OriginalPayoff(spec, cfg.feedback_substeps)
     estimates = []
     for i in range(0, len(runs), per_batch):
-        batch = runs[i : i + per_batch]
-        payoff = _OriginalPayoff(spec, len(batch) * cfg.n_paths, cfg.feedback_substeps)
-        estimates += _run_paths(spec, start, batch, payoff)
+        estimates += _run_paths(spec, start, runs[i : i + per_batch], payoff)
 
     results = []
     for (side, name, _, _, _), est in zip(probes, estimates):

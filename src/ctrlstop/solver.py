@@ -47,6 +47,7 @@ __all__ = [
     "vi_report",
     "default_schedule",
     "check_schedule",
+    "check_tol",
 ]
 
 TIME_SLACK = 0.05  # additive slack on the time-derivative bound
@@ -309,6 +310,7 @@ def solve_penalized(
     K2 and K0 are the problem's Theta_m bounds.
     """
     grid, op, data = problem.grid, problem.op, problem.data
+    tol = check_tol(tol)
     if u0 is not None and u0.grid != grid:
         raise ValueError("warm start lives on a different grid")
 
@@ -409,6 +411,15 @@ def check_schedule(schedule) -> list[tuple[float, float, float]]:
     return schedule
 
 
+def check_tol(tol) -> float:
+    """The solver tolerance as a float, checked to be finite and positive: a
+    march cannot certify a residual below a tolerance that is not."""
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"solver tolerance {tol!r} must be finite and positive")
+    return tol
+
+
 @dataclass
 class ContinuationResult:
     points: list[PenaltyPoint]
@@ -437,6 +448,7 @@ def continuation(
     limit.
     """
     schedule = check_schedule(schedule)
+    tol = check_tol(tol)
 
     points: list[PenaltyPoint] = []
     increments: list[float] = []

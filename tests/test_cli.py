@@ -74,10 +74,41 @@ class TestValidate:
         p.write_text(CONST1.replace("g = 1", "g = 2*x1"))
         assert main(["validate", "--config", str(p)]) == 1
 
-    def test_unknown_key_exits_three(self, tmp_path):
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            ("sample_plan.rng_seed = 7", "sample_plan.rng_seed = 7\nwhatever = 3"),
+            ("horizon = 0.3", "horizon = -1"),
+            ("drift[1] = -x1", "drift[1] = -x1*t"),
+            ("counts = 257, 257", "counts = 4, 4"),
+            ("horizon = 0.3", "horizon = nan"),
+            ("horizon = 0.3", "horizon = inf"),
+            ("rate = 0", "rate = nan"),
+            ("rate = 0", "rate = inf"),
+            ("radii = 2, 4", "radii = nan, 4"),
+            ("radii = 2, 4", "radii = 2, inf"),
+        ],
+        ids=[
+            "unknown-key",
+            "negative-horizon",
+            "drift-depends-on-t",
+            "counts-below-8",
+            "nan-horizon",
+            "inf-horizon",
+            "nan-rate",
+            "inf-rate",
+            "nan-radius",
+            "inf-radius",
+        ],
+    )
+    def test_unknown_key_exits_three(self, edit, tmp_path, capsys):
+        # all but the unknown key used to end in a traceback (exit 1) or,
+        # for nan and inf, to be accepted
         p = tmp_path / "bad.cfg"
-        p.write_text(CONST1 + "\nwhatever = 3\n")
+        p.write_text(CONST1.replace(*edit))
         assert main(["validate", "--config", str(p)]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
 
     def test_missing_file_exits_three(self, tmp_path):
         assert main(["validate", "--config", str(tmp_path / "nope.cfg")]) == 3
@@ -270,6 +301,16 @@ class TestBadArguments:
             ["solve", "--grid=1.5,41,20"],
             ["simulate", "--paths", "0", "--steps", "0"],
             ["simulate", "--paths", "1"],
+            ["simulate", "--start=-1,0"],
+            ["simulate", "--start=nan,0"],
+            ["simulate", "--start=0,nan"],
+            ["simulate", "--band", "nan"],
+            ["simulate", "--allowance", "nan"],
+            ["simulate", "--allowance=-1"],
+            ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2", "--tol=-1"],
+            ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2", "--tol", "nan"],
+            ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2", "--tol-region", "nan"],
+            ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2", "--tol-region=-1"],
         ],
         ids=[
             "grid-too-small",
@@ -281,6 +322,16 @@ class TestBadArguments:
             "radius-below-two",
             "zero-paths-steps",
             "one-path",
+            "start-before-0",
+            "nan-start-time",
+            "nan-start-point",
+            "nan-band",
+            "nan-allowance",
+            "negative-allowance",
+            "negative-tol",
+            "nan-tol",
+            "nan-tol-region",
+            "negative-tol-region",
         ],
     )
     def test_exits_three_without_a_run(self, argv, tmp_path, capsys):
@@ -324,6 +375,8 @@ class TestBadArguments:
             {**FIELD, "eps": 1.5},
             {**FIELD, "d": 2, "values": np.zeros((11, 41 * 41))},
             {**FIELD, "delta": 0.0},
+            {**FIELD, "T": 0.0},
+            {**FIELD, "T": 0.25},
         ],
         ids=[
             "garbage-bytes",
@@ -336,6 +389,8 @@ class TestBadArguments:
             "eps-above-one",
             "2d-under-1d",
             "zero-delta",
+            "zero-horizon",
+            "other-horizon",
         ],
     )
     def test_malformed_field_exits_three(self, content, tmp_path, capsys):

@@ -252,7 +252,14 @@ h = 0
 
 @pytest.mark.parametrize("simulator", ["paths", "penalized", "recursive"])
 @pytest.mark.parametrize(
-    "start, match", [((0.0, [0.0, 0.0]), "dimension"), ((0.5, [0.0]), "horizon")]
+    "start, match",
+    [
+        ((0.0, [0.0, 0.0]), "dimension"),
+        ((0.5, [0.0]), "horizon"),
+        ((-1.0, [0.0]), ">= 0"),
+        ((float("nan"), [0.0]), ">= 0"),
+        ((0.0, [float("inf")]), "finite"),
+    ],
 )
 def test_start_point_checked(const1, simulator, start, match):
     spec, data, ones = const1
@@ -306,6 +313,8 @@ def test_unknown_mode_fails_at_construction(const1):
         ("controller_opt", {"scale": -0.5}),
         ("controller_opt", {"delay": float("nan")}),
         ("controller_opt", {"delay": -0.1}),
+        ("stopper_tau_star", {"band": float("nan")}),
+        ("stopper_tau_star", {"band": float("inf")}),
     ],
     ids=[
         "opt_no_field",
@@ -318,6 +327,8 @@ def test_unknown_mode_fails_at_construction(const1):
         "scale_negative",
         "delay_nan",
         "delay_negative",
+        "band_nan",
+        "band_inf",
     ],
 )
 def test_mode_inputs_are_checked_at_construction(const1, mode, missing):
@@ -730,7 +741,8 @@ def test_saddle_probes_run_as_few_batches(ou_solved, monkeypatch, n_paths, batch
 def _explosive_runs(ou_solved, start, plan):
     """Standalone simulate_paths estimates (or SimulationErrors) and one batch
     on the explosive-drift spec of test_path_counts_add_up; plan lists each
-    run's (stopper, seed)."""
+    run's (stopper, seed), and batch(rule) takes the payoff rule
+    rule(spec, nsub)."""
     from ctrlstop.simulate import _OriginalPayoff, _Run, _run_paths
 
     spec, data, pen, field = ou_solved
@@ -743,6 +755,7 @@ def _explosive_runs(ou_solved, start, plan):
         "tau_star": wild("stopper_tau_star", band=0.0),
         "never": wild("stopper_never"),
         "fixed": wild("stopper_fixed", fixed_time=0.1),
+        "immediate": wild("stopper_fixed", fixed_time=0.0),
     }
     opt = wild("controller_opt")
     runs = [_Run(PathConfig(n_paths=400, n_steps=40, rng_seed=seed), opt, stoppers[stop]) for stop, seed in plan]
@@ -753,8 +766,8 @@ def _explosive_runs(ou_solved, start, plan):
         except SimulationError as exc:
             alone.append(exc)
 
-    def batch():
-        return _run_paths(explosive, start, runs, _OriginalPayoff(explosive, 400 * len(runs), 4))
+    def batch(rule=_OriginalPayoff):
+        return _run_paths(explosive, start, runs, rule(explosive, 4))
 
     return alone, batch
 
@@ -799,11 +812,54 @@ def test_a_run_emptied_at_step_0_leaves_its_neighbours(ou_solved):
             (5, make("stopper_never")),
         )
     ]
-    batched = _run_paths(spec, (0.0, [1.0]), runs, _OriginalPayoff(spec, 1200, 4))
+    batched = _run_paths(spec, (0.0, [1.0]), runs, _OriginalPayoff(spec, 4))
     assert batched[1].metadata["stopped_paths"] == 400
     for est, run in zip(batched, runs):
         ref = simulate_paths(spec, (0.0, [1.0]), run.ctrl, run.stopper, run.cfg)
         assert (est.mean, est.std_error, est.breakdown) == (ref.mean, ref.std_error, ref.breakdown)
+
+
+def test_final_records_every_path_once_as_it_leaves(ou_solved):
+    """The engine copies each path's entries into final exactly once, at its
+    stop or at its rejection: a stand-in rule whose own per-path array holds
+    each path's number, and which counts each path's accruals, finds every
+    number in its place and every count as of the path's last step, in a
+    batch with rejected paths and a run emptied at step 0."""
+    from ctrlstop.simulate import _OriginalPayoff
+
+    plan = [("tau_star", 5), ("immediate", 3), ("never", 7), ("fixed", 6)]
+    n_all = 400 * len(plan)
+
+    stopped, seen, final = [], np.zeros(n_all + 1, dtype=int), {}
+
+    class Numbered(_OriginalPayoff):
+        per_path = {**_OriginalPayoff.per_path, "number": np.arange(1, n_all + 1), "accruals": 0}
+
+        def terminal(self, pts, elapsed, alive, stop):
+            stopped.append(alive["number"][stop].copy())
+            return super().terminal(pts, elapsed, alive, stop)
+
+        def accrue(self, pts, elapsed, alive, controls, dt):
+            alive["accruals"] += 1
+            seen[alive["number"]] += 1
+            return super().accrue(pts, elapsed, alive, controls, dt)
+
+        def extras(self, engine_final, own, keep):
+            final.update({k: v.copy() for k, v in engine_final.items()})
+            return super().extras(engine_final, own, keep)
+
+    alone, batch = _explosive_runs(ou_solved, (0.0, [1.0]), plan)
+    batched = batch(Numbered)
+    n_rej = sum(est.metadata["rejected_paths"] for est in batched)
+    assert n_rej > 0 and batched[1].metadata["stopped_paths"] == 400
+    assert np.array_equal(final["number"], np.arange(1, n_all + 1))
+    assert np.array_equal(final["accruals"], seen[1:])
+    stopped = np.concatenate(stopped)
+    assert np.unique(stopped).size == stopped.size == n_all - n_rej
+    assert np.count_nonzero(final["stopped"]) == sum(est.metadata["stopped_paths"] for est in batched)
+    assert not np.any(final["accruals"][400:800])  # the emptied run never accrued
+    for est, ref in zip(batched, alone):
+        assert (est.mean, est.std_error, est.metadata) == (ref.mean, ref.std_error, ref.metadata)
 
 
 @pytest.mark.parametrize("n_paths, antithetic", [(3, False), (7, False), (2001, False), (10, True), (2002, True)])
@@ -1159,10 +1215,10 @@ def _recorded_accruals(monkeypatch):
 
     steps, plain = [], _OriginalPayoff.accrue
 
-    def accrue(self, pts, elapsed, controls, dt):
+    def accrue(self, pts, elapsed, alive, controls, dt):
         assert len({id(entry) for entry in controls}) == len(controls)  # none twice
         steps.append(([(ps.x.copy(), ctl[1].copy(), at.copy()) for ps, ctl, at in controls], self.nsub))
-        return plain(self, pts, elapsed, controls, dt)
+        return plain(self, pts, elapsed, alive, controls, dt)
 
     monkeypatch.setattr(_OriginalPayoff, "accrue", accrue)
     return steps
