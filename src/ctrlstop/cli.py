@@ -52,6 +52,13 @@ def _parse_triple(text, what, n, cast=float):
     return tuple(cast(p) for p in parts)
 
 
+def _whole(value: float, what: str) -> int:
+    """value as an int; ValueError unless it is a whole number."""
+    if not value.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def cmd_validate(args) -> int:
     spec, plan, _ = load_problem(args.config)
     report = validate_assumptions(spec, plan)
@@ -89,15 +96,14 @@ def save_field(path, field: GridField, eps: float, delta: float) -> None:
 
 def load_field(path):
     """The field, eps and delta that save_field wrote to path; ConfigError if
-    the file does not hold them."""
+    the file does not hold them or the field has a non-finite value."""
     try:
         with np.load(path) as z:
             grid = Grid(d=int(z["d"]), m=float(z["m"]), nx=int(z["nx"]), nt=int(z["nt"]), T=float(z["T"]))
-            return (
-                GridField(grid=grid, values=z["values"].copy()),
-                float(z["eps"]),
-                float(z["delta"]),
-            )
+            field = GridField(grid=grid, values=z["values"].copy())
+            if not np.isfinite(field.values).all():
+                raise ValueError("field values must be finite")
+            return field, float(z["eps"]), float(z["delta"])
     except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
         # not an .npz archive (empty, pickled, .npy, broken zip), a key
         # missing, or a value of the wrong type or shape
@@ -109,8 +115,9 @@ def cmd_solve(args) -> int:
     try:  # bad values exit 3 before any work or run directory
         eps0, delta0, stages = _parse_triple(args.schedule, "schedule", 3)
         m, nx, nt = _parse_triple(args.grid, "grid", 3)
-        grid = Grid(d=spec.d, m=float(m), nx=int(nx), nt=int(nt), T=spec.T)
-        schedule = check_schedule(default_schedule(int(stages), eps0=eps0, delta0=delta0, m=float(m)))
+        grid = Grid(d=spec.d, m=m, nx=_whole(nx, "grid nx"), nt=_whole(nt, "grid nt"), T=spec.T)
+        stages = _whole(stages, "schedule K")
+        schedule = check_schedule(default_schedule(stages, eps0=eps0, delta0=delta0, m=m))
         check_tol(args.tol)
         if args.tol_region is not None and not (math.isfinite(args.tol_region) and args.tol_region >= 0.0):
             raise ValueError(f"--tol-region {args.tol_region!r} must be finite and >= 0")

@@ -9,13 +9,18 @@ stay nonnegative (the positive-coefficient rule of Wang & Forsyth 2008).
 It holds the stencil as diagonals, one coefficient array per offset, and
 everything derives from them: L_matrix, the implicit matrix
 M0 = I/ht - (L - r), the Newton level systems
-M0 + diag(extra_diag) - sum_i diag(extra_drift_i) D_i (interior rows) and
-the obstacle oracle's pinned systems, so the penalized solver and the oracle
-are free of stencil mismatch.  centered_gradient is the one nodal gradient
-D_i u: along the axis of flat-index stride s, (u[j+s] - u[j-s]) / (2 hx)
-inside the box, and one-sided (u[j+s] - u[j]) / hx on its low edge and
+M0 + diag(extra_diag) + slope Q'(v) (interior rows) and the obstacle
+oracle's pinned systems, so the penalized solver and the oracle are free of
+stencil mismatch.
+
+The operator also owns the discrete control term Q(u) = |grad u|^2 of the
+gradient penalty psi(|grad u|^2 - f^2) (Operator.control_term) and its
+linearization Q'(v) in the level systems, so that the solver never forms
+either.  Q is built on centered_gradient, the one nodal gradient D_i u:
+along the axis of flat-index stride s, (u[j+s] - u[j-s]) / (2 hx) inside the
+box, and one-sided (u[j+s] - u[j]) / hx on its low edge and
 (u[j] - u[j-s]) / hx on its high edge, which is np.gradient(u, hx) bit for
-bit.
+bit.  The Monte Carlo feedback reads the same gradient off GridField.
 """
 from __future__ import annotations
 
@@ -271,11 +276,12 @@ class Operator:
     The other solve paths edit a copy of M0's diagonals and hand it to
     _system: level_solver builds the Newton level systems
 
-        M0 + I_int (diag(extra_diag) - sum_i diag(extra_drift_i) D_i)
+        M0 + I_int (diag(extra_diag) + diag(slope) Q'(v))
 
-    where D_i is the centered first difference along axis i and I_int keeps
-    interior rows only, and pinned_solver M0 with chosen rows made identity
-    rows.
+    where Q'(v) w = 2 sum_i (D_i v)(D_i w) is the derivative of the control
+    term Q = control_term at v, D_i is the centered first difference along
+    axis i and I_int keeps interior rows only, and pinned_solver M0 with
+    chosen rows made identity rows.
     """
 
     grid: Grid
@@ -288,7 +294,7 @@ class Operator:
     def __post_init__(self):
         n = self.grid.n_nodes
         self._boundary = np.flatnonzero(self.dirichlet)
-        self._two_hx = 2.0 * self.grid.hx
+        self._minus_hx = -self.grid.hx
         self._strides = _strides(self.grid)
         self._rows = {o: slice(max(-o, 0), n - max(o, 0)) for o in self._diagonals}
         # M0's factors: gttrf's (dl, d, du, du2, ipiv, info) in 1-D, SuperLU in 2-D
@@ -358,26 +364,42 @@ class Operator:
         rows += upper * u[2:]
         return out
 
-    def level_solver(self, extra_drift: np.ndarray | None, extra_diag: np.ndarray | None):
-        """Solver for (I/ht - (L - r) - <extra_drift, grad .> + diag(extra_diag))
-        with Dirichlet rows identity; a term given as None is left out.
+    def control_term(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, lin) of nodal values (..., n_nodes), one level or a stack:
+        Q = |grad u|^2 of the gradient penalty, shape (..., n_nodes), and lin,
+        what level_solver's linearization Q'(v) reads at v = values, here the
+        centered gradient (..., d, n_nodes) that Q squares."""
+        lin = centered_gradient(self.grid, values)
+        # squared axis by axis, so that a level stack makes no temporary of
+        # lin's size; the sum of d squares rounds as np.sum's
+        Q = np.square(lin[..., 0, :])
+        for axis in range(1, self.grid.d):
+            Q += np.square(lin[..., axis, :])
+        return Q, lin
 
-        The base generator keeps its static stencil; the extra drift (the
-        penalty linearization) is discretized with CENTERED differences so
-        the linear model is the exact Gateaux derivative of the frozen-source
-        residual, whose gradients are also centered: e / (2 hx) leaves the
-        +s diagonal and joins the -s one, row by row.  Both terms are added
-        on every row, then the Dirichlet rows are put back: 1 on the main
-        diagonal and no drift, so they stay exact identity rows.
+    def level_solver(self, slope: np.ndarray, lin: np.ndarray, extra_diag: np.ndarray):
+        """Solver for M0 + diag(extra_diag) + diag(slope) Q'(v) with Dirichlet
+        rows identity, where lin is control_term(v)[1]: the Newton system of
+        a level residual that holds psi(Q(v) - f^2), at slope = psi'.
+
+        Q'(v) w = 2 sum_i lin_i D_i w with the same centered differences as
+        Q, so the linear model is the exact derivative of the residual:
+        slope lin_i / hx joins the +s diagonal and leaves the -s one, row by
+        row; a slope that is zero everywhere (an idle gradient penalty) adds
+        nothing.  Both terms are added on every row, then the Dirichlet rows
+        are put back: 1 on the main diagonal and nothing off it, so they stay
+        exact identity rows.
         """
         diagonals = self._diagonals.copy()
-        if extra_diag is not None:
-            diag = diagonals[0] + extra_diag
-            diag[self._boundary] = 1.0
-            diagonals[0] = diag
-        if extra_drift is not None:
+        diag = diagonals[0] + extra_diag
+        diag[self._boundary] = 1.0
+        diagonals[0] = diag
+        if slope.any():
             for axis, s in enumerate(self._strides):
-                half = extra_drift[axis] / self._two_hx
+                # -slope lin_i / hx; dividing by -hx rounds as
+                # -(2 slope lin_i) / (2 hx) does, signed zeros included
+                half = lin[axis] * slope
+                half /= self._minus_hx
                 half[self._boundary] = 0.0
                 diagonals[s] = diagonals[s] - half[:-s]
                 diagonals[-s] = diagonals[-s] + half[s:]

@@ -166,6 +166,8 @@ class SamplePlan:
             raise ValueError("radii and counts must have equal length")
         if not all(math.isfinite(r) and r > 0 for r in self.radii) or any(c < 8 for c in self.counts):
             raise ValueError("radii must be finite and positive and counts >= 8")
+        if self.rng_seed < 0:
+            raise ValueError(f"sample plan seed must be >= 0, got {self.rng_seed!r}")
 
 
 @dataclass

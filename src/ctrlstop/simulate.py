@@ -34,11 +34,12 @@ The controller is singular: it pays f per unit of push, and its rate is zero
 on the inaction region, which holds almost every path.  So the controller
 pays only where it pushes.  Substep 0 of a step evaluates the feedback on
 every alive path, a substep s >= 1 only on the paths pushed at s - 1 (a path
-that was not pushed did not move), and the step's substeps end once no path
-was pushed.  The control drift and the cost f * rate are booked only on the
-pushed paths, those with a nonzero (or NaN) rate, so a non-finite f where the
-controller idles costs nothing, and an idle controller gives the same
-estimate at any substep count.  The estimate's metadata counts the (path,
+that was not pushed did not move) to a finite point (the move rejects the
+rest), and the step's substeps end once no path was pushed.  The control
+drift and the cost f * rate are booked only on the pushed paths, those with
+a nonzero (or NaN) rate, so a non-finite f where the controller idles costs
+nothing, and an idle controller gives the same estimate at any substep
+count.  The estimate's metadata counts the (path,
 substep) pairs with a nonzero rate.
 
 All draws come from a counter-based Philox generator keyed by the seed, so
@@ -85,6 +86,8 @@ class PathConfig:
     feedback_substeps: int = 4
 
     def __post_init__(self):
+        if not (isinstance(self.rng_seed, (int, np.integer)) and 0 <= self.rng_seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.rng_seed!r}")
         if self.n_paths < 2:
             raise ValueError("need at least 2 paths for standard errors")
         if self.n_steps < 1:
@@ -109,14 +112,13 @@ class PayoffEstimate:
 
 
 class _Controls(tuple):
-    """(direction, rate, outside) of FeedbackStrategy.control.  A gradient
-    feedback also keeps the |grad u|^2 and f^2 it sampled, and the truncated
-    data f^2 came from (f_m^2; None for the untruncated f^2), so that the
-    Hamiltonian of the penalized payoffs reuses them."""
+    """(direction, rate) of FeedbackStrategy.control.  A gradient feedback
+    also keeps the |grad u|^2 and f^2 it sampled, so that the Hamiltonian of
+    the penalized payoffs reuses them."""
 
-    def __new__(cls, direction, rate, outside, gnorm_sq, f_sq, data):
-        self = super().__new__(cls, (direction, rate, outside))
-        self.gnorm_sq, self.f_sq, self.data = gnorm_sq, f_sq, data
+    def __new__(cls, direction, rate, gnorm_sq, f_sq):
+        self = super().__new__(cls, (direction, rate))
+        self.gnorm_sq, self.f_sq = gnorm_sq, f_sq
         return self
 
 
@@ -124,15 +126,15 @@ class _Points:
     """States x (d, n) at time t with the geometry that the stop rule, the
     feedback and the payoff rule all read there: the radius |x| and the
     sampling plan on a field's grid.  Each is computed on first use; subset
-    takes the points of a mask with the geometry already computed, and part
-    the points of a slice, whose geometry is that of the whole, computed on
-    all of its points once."""
+    takes the points of a mask and part the points of a slice, whose
+    geometry is that of the whole, computed on all of its points once (the
+    geometry of a point is its own, so it is taken, not recomputed)."""
 
     __slots__ = ("t", "x", "_radius", "_plan", "_whole")
 
-    def __init__(self, t, x, radius=None, plan=None, whole=None):
-        self.t, self.x, self._radius, self._plan = t, x, radius, plan
-        self._whole = whole  # (points, slice) these points are a part of
+    def __init__(self, t, x, whole=None):
+        self.t, self.x, self._radius, self._plan = t, x, None, None
+        self._whole = whole  # (points, slice or mask) these points are a part of
 
     @property
     def radius(self):
@@ -159,12 +161,8 @@ class _Points:
         return _Points(self.t, self.x[:, a:b], whole=(self, slice(a, b)))
 
     def subset(self, mask):
-        return _Points(
-            self.t,
-            self.x[:, mask],
-            None if self._radius is None else self._radius[mask],
-            None if self._plan is None else self._plan.subset(mask),
-        )
+        """The points in the boolean mask."""
+        return _Points(self.t, self.x[:, mask], whole=(self, mask))
 
 
 def _as_points(t, x):
@@ -227,11 +225,12 @@ class FeedbackStrategy:
 
     def _grad_u(self, pts):
         g = self.field.sample_gradient(pts.t, pts.plan(self.field.grid))
-        # outside the solved box the controller idles (logged by the caller)
+        # outside the solved box the controller idles (the payoff rule logs
+        # the paths that leave it)
         outside = pts.radius > self.field.grid.m
         if np.any(outside):
             g[:, outside] = 0.0
-        return g, outside
+        return g
 
     def _f_squared(self, pts):
         if self.data is not None:
@@ -251,7 +250,7 @@ class FeedbackStrategy:
             raise ValueError(f"not a controller mode: {self.mode}")
         if elapsed < self.delay:
             return _idle_controls(pts.x)
-        grad, outside = self._grad_u(pts)
+        grad = self._grad_u(pts)
         gnorm_sq = np.sum(grad**2, axis=0)
         f_sq = self._f_squared(pts)
         norm = np.sqrt(gnorm_sq)
@@ -261,7 +260,7 @@ class FeedbackStrategy:
         np.divide(-grad, norm, out=direction, where=norm > 0)
         rate = 2.0 * self.pen.d1(norm**2 - f_sq) * norm
         self._perturb(direction, rate)
-        return _Controls(direction, rate, outside, gnorm_sq, f_sq, self.data)
+        return _Controls(direction, rate, gnorm_sq, f_sq)
 
     def _perturb(self, direction, rate):
         """Apply the probe perturbation in place: rate *= scale, and the
@@ -294,10 +293,10 @@ class FeedbackStrategy:
 
 
 def _idle_controls(x):
-    """(direction +e1, rate 0, nowhere outside) at the n states x (d, n)."""
+    """(direction +e1, rate 0) at the n states x (d, n)."""
     direction = np.zeros_like(x)
     direction[0] = 1.0
-    return direction, np.zeros(x.shape[1]), np.zeros(x.shape[1], dtype=bool)
+    return direction, np.zeros(x.shape[1])
 
 
 _PHILOX_BLOCK = 4  # 64-bit outputs per Philox counter step
@@ -481,11 +480,11 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
     nsub substeps, the payoff rule books what they accrue, and they move
     X += b dt + sigma sqrt(dt) Z + n dnu.  Substep 0 evaluates the feedback
     on every alive path, a substep s >= 1 only on the paths pushed (rate
-    nonzero or NaN) at s - 1, moved by their push, and the substeps end once
-    no path was pushed.  Each substep adds its control drift only on the
-    paths it pushed, and hands the payoff rule its (points, controls,
-    positions): the alive-path positions it evaluated, with their points and
-    controls.
+    nonzero or NaN) at s - 1 whose push moved them to finite points, and the
+    substeps end once no path was pushed.  Each substep adds its control
+    drift only on the paths it pushed, and hands the payoff rule its
+    (points, controls, positions): the alive-path positions it evaluated,
+    with their points and controls.
     Paths that leave the finite floats are rejected and dropped from their
     run's estimate.
 
@@ -548,8 +547,13 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
         controls = []  # (points, controls, positions) of each substep
         at, ps, at_spans = np.arange(idx.size), pts, spans  # substep 0: every alive path
         for s in range(payoff.nsub):
-            if s:  # the paths pushed at s - 1, moved by their push
-                ps, at_spans = _Points(t, xa[:, at] + drift_ctrl[:, at]), _spans(idx[at], firsts)
+            if s:  # the paths pushed at s - 1, moved by their push (the move rejects a non-finite one)
+                moved = xa[:, at] + drift_ctrl[:, at]
+                finite = np.isfinite(moved).all(axis=0)
+                at = at[finite]
+                if at.size == 0:
+                    break
+                ps, at_spans = _Points(t, moved[:, finite]), _spans(idx[at], firsts)
             ctl = _batch_control(runs, at_spans, keys, ps, elapsed)
             controls.append((ps, ctl, at))
             nonzero = ctl[1] != 0  # the paths this substep pushes (a NaN rate counts)
@@ -627,24 +631,31 @@ class _OriginalPayoff(_Payoff):
     """Paid g discounted at e^{-r t} when a run's stopper stops; h and f dnu
     accrue over nsub feedback substeps.  A substep books f * rate / nsub only
     at the paths it pushed, so f is sampled only there.  Each path's exited
-    flag records whether the controller saw it outside the solved box."""
+    flag records whether its state at a step time, where it accrued or was
+    paid, lay outside the radius box of the field that the strategies read
+    (_field_box)."""
 
     per_path = {"exited": False}
 
-    def __init__(self, spec, nsub):
-        self.spec, self.nsub = spec, nsub
+    def __init__(self, spec, nsub, box):
+        self.spec, self.nsub, self.box = spec, nsub, box
 
     def terminal(self, pts, elapsed, alive, stop):
+        if self.box < math.inf:
+            out = pts.radius > self.box
+            if out.any():  # rare: index the stopping paths only then
+                alive["exited"][np.flatnonzero(stop)[out]] = True
         return math.exp(-self.spec.r * elapsed) * self.spec.g(pts.t, pts.x)
 
     def accrue(self, pts, elapsed, alive, controls, dt):
         spec, t = self.spec, pts.t
+        if self.box < math.inf:
+            alive["exited"] |= pts.radius > self.box
         disc = math.exp(-spec.r * elapsed)
         w_step = float(_exp_weight(spec.r, dt))  # exact discount integral per step
         h_val = spec.h(t, pts.x)
         cost_rate = np.zeros(pts.x.shape[1])
-        for ps, (_, rate, outside), at in controls:
-            alive["exited"][at[outside]] = True
+        for ps, (_, rate), at in controls:
             hit = np.flatnonzero(rate != 0)  # the pushed paths (a NaN rate counts)
             if hit.size:
                 cost_rate[at[hit]] += spec.f(t, ps.x[:, hit]) * rate[hit] * w_step / self.nsub
@@ -664,8 +675,10 @@ class _TruncatedPayoff(_Payoff):
     def __init__(self, spec, data, pen, delta, strategy_ctrl):
         self.spec, self.data, self.pen, self.delta = spec, data, pen, delta
         self.field = strategy_ctrl.field
+        # the controller's f^2 is this rule's f_m^2 when it read the same data
+        self.own_f_sq = strategy_ctrl.data is data
         # the closed form charges the controller's own penalty and f^2
-        self.closed_form = strategy_ctrl.optimal and strategy_ctrl.pen == pen and strategy_ctrl.data is data
+        self.closed_form = strategy_ctrl.optimal and strategy_ctrl.pen == pen and self.own_f_sq
 
     def stop_mask(self, t, elapsed, pts):
         return pts.radius >= self.data.m
@@ -683,7 +696,7 @@ class _TruncatedPayoff(_Payoff):
         if self.closed_form:
             zeta = _Branches(self.pen, ctl.gnorm_sq - ctl.f_sq)
             return 2.0 * self.pen.d1(zeta) * ctl.gnorm_sq - self.pen.value(zeta)
-        if isinstance(ctl, _Controls) and ctl.data is self.data:
+        if self.own_f_sq and isinstance(ctl, _Controls):
             f_m_sq = ctl.f_sq  # f_m^2 that control sampled at these points
         else:  # a delayed feedback's plain tuple, or f^2 of other data
             f_m_sq = self.data._f_m_sq(pts.t, pts.x, pts.radius)
@@ -697,7 +710,9 @@ class _PenalizedPayoff(_TruncatedPayoff):
     discount weights of r and r + 1/delta once and selects them per path
     (numpy's expm1 gives the same bits on the two-element array as on every
     path).  A callable or constant intensity is checked to lie in
-    [0, 1/delta] and takes the weight per path."""
+    [0, 1/delta] (NaN does not) and takes the weight per path.  Since
+    r + w >= 0, R^w never increases along a path, so its smallest value is
+    the smallest R^w the paths leave with."""
 
     # log of the controlled discount R^w, and R^w = exp(logR) taken once per step
     per_path = {"logR": 0.0, "R": 1.0}
@@ -705,7 +720,6 @@ class _PenalizedPayoff(_TruncatedPayoff):
     def __init__(self, spec, data, pen, delta, strategy_ctrl, strategy_w):
         super().__init__(spec, data, pen, delta, strategy_ctrl)
         self.strategy_w = strategy_w
-        self.min_R = 1.0
 
     def terminal(self, pts, elapsed, alive, stop):
         return alive["R"][stop] * self.g_m(pts)
@@ -725,18 +739,17 @@ class _PenalizedPayoff(_TruncatedPayoff):
                 w_val = np.asarray(self.strategy_w(t, x, u_val), dtype=float) * np.ones(n_alive)
             else:
                 w_val = np.full(n_alive, float(self.strategy_w))
-            if np.any(w_val < -1e-12) or np.any(w_val > 1.0 / delta + 1e-9):
+            if not np.all((w_val >= -1e-12) & (w_val <= 1.0 / delta + 1e-9)):
                 raise SimulationError("stopper intensity outside [0, 1/delta]")
             w_step = _exp_weight(r + w_val, dt)
         h_term = self.hamiltonian(pts, controls)
         R_now = alive["R"]
         alive["logR"] -= (r + w_val) * dt
         alive["R"] = np.exp(alive["logR"])
-        self.min_R = min(self.min_R, float(np.min(alive["R"])))
         return R_now * (h_m_val + w_val * g_m_val) * w_step, R_now * h_term * w_step
 
     def extras(self, final, own, keep):
-        return {"min_R": self.min_R}
+        return {"min_R": float(np.min(final["R"][own]))}
 
 
 class _RecursivePayoff(_TruncatedPayoff):
@@ -772,7 +785,7 @@ def simulate_paths(
     the discounted g; running h and control costs accumulate along the way.
     """
     run = _paths_run(strategy_ctrl, strategy_stop, cfg)
-    payoff = _OriginalPayoff(spec, cfg.feedback_substeps)
+    payoff = _OriginalPayoff(spec, cfg.feedback_substeps, _field_box([run]))
     return _run_paths(spec, start, [run], payoff)[0]
 
 
@@ -783,6 +796,14 @@ def _paths_run(strategy_ctrl, strategy_stop, cfg):
     if not strategy_stop.mode.startswith("stopper_"):
         raise ValueError(f"strategy_stop needs a stopper mode, got {strategy_stop.mode!r}")
     return _Run(cfg, strategy_ctrl, strategy_stop)
+
+
+def _field_box(runs):
+    """The radius of the smallest field box that a controller_opt or a
+    stopper_tau_star of the runs reads (outside it the field is clamped);
+    inf when none of them reads a field."""
+    readers = [s for run in runs for s in (run.ctrl, run.stopper) if s.mode in ("controller_opt", "stopper_tau_star")]
+    return min((s.field.grid.m for s in readers), default=math.inf)
 
 
 def simulate_penalized(
@@ -904,7 +925,8 @@ def saddle_probe(
         for i, (name, controller) in enumerate(controller_perturbations)
     ]
     runs = [
-        _paths_run(controller, stopper, replace(cfg, rng_seed=cfg.rng_seed + offset))
+        # the seed offsets wrap around Philox's 64-bit keys
+        _paths_run(controller, stopper, replace(cfg, rng_seed=(int(cfg.rng_seed) + offset) % 2**64))
         for _, _, offset, controller, stopper in probes
     ]
 
@@ -912,7 +934,7 @@ def saddle_probe(
     # stopper probes share opt_ctrl, the controller probes tau_star, and the
     # perturbations of opt_ctrl its feedback.
     per_batch = max(1, _MAX_BATCH_PATHS // cfg.n_paths)
-    payoff = _OriginalPayoff(spec, cfg.feedback_substeps)
+    payoff = _OriginalPayoff(spec, cfg.feedback_substeps, _field_box(runs))
     estimates = []
     for i in range(0, len(runs), per_batch):
         estimates += _run_paths(spec, start, runs[i : i + per_batch], payoff)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, GridField, Operator, build_operator, centered_gradient
+from .grid import Grid, GridField, Operator, build_operator
 from .kernel import Penalty, TruncatedData, _Branches, truncate_data
 from .model import _level_stacks
 
@@ -98,7 +98,7 @@ def gamma_step(problem: TruncatedProblem, pen: Penalty, delta: float, frozen: Gr
     source = (
         h[:nt]
         + inv_delta * np.maximum(g[:nt] - phi, 0.0)
-        - pen.value(np.sum(centered_gradient(grid, phi) ** 2, axis=-2) - f2[:nt])
+        - pen.value(op.control_term(phi)[0] - f2[:nt])
     )
     bad = ~np.all(np.isfinite(source), axis=1)
     if np.any(bad):
@@ -140,17 +140,18 @@ def _nonlinear_march(
     """Backward march solving each implicit time level to nonlinear tolerance.
 
     Per level, the obstacle and gradient penalties are handled by semi-smooth
-    Newton: freeze the active set {g_m > v} and the controlled drift
-    -2 psi'(|grad v|^2 - f_m^2) grad v at the running inner iterate v (both
-    are supporting planes of convex terms), solve the linear system, repeat.
-    Starting v from the next level's solution keeps steps O(ht), so the
-    inner loop converges in a few iterations; the marched field is the
-    fixed point of the frozen-source operator up to the inner tolerance.
-    The line search evaluates the level residual at each trial point; the
-    accepted trial's gradient, |grad v|^2, the penalty branches of zeta and
-    psi feed the next linearization, so zeta is classified once per
-    residual, and each Newton iteration evaluates psi' once and psi only
-    through the residuals.
+    Newton: freeze the active set {g_m > v} and the slope psi'(Q(v) - f_m^2)
+    of the gradient penalty at the running inner iterate v, with
+    Q = |grad v|^2 the operator's control term (both are supporting planes
+    of convex terms), solve the linear system that op.level_solver
+    assembles, repeat.  Starting v from the next level's solution keeps
+    steps O(ht), so the inner loop converges in a few iterations; the
+    marched field is the fixed point of the frozen-source operator up to the
+    inner tolerance.  The line search evaluates the level residual at each
+    trial point; the accepted trial's control term (Q and what its
+    linearization reads), the penalty branches of zeta and psi feed the next
+    linearization, so zeta is classified once per residual, and each Newton
+    iteration evaluates psi' once and psi only through the residuals.
     """
     grid, op = problem.grid, problem.op
     g, h, f2 = problem.stacks
@@ -163,14 +164,13 @@ def _nonlinear_march(
 
     def level_residual(v, knext_ht, g_k, h_k, f2_k):
         """Merit (interior norm of the level residual) at v, with the
-        gradient, |grad v|^2, the penalty branches of
-        zeta = |grad v|^2 - f_m^2 and psi(zeta) it used.
+        control term (Q, lin) = op.control_term(v), the penalty branches of
+        zeta = Q - f_m^2 and psi(zeta) it used.
         The residual v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+
         + psi is summed left to right in place, and the merit is
         np.linalg.norm's sqrt(dot) of its interior entries."""
-        grad = centered_gradient(grid, v)
-        gsq = (grad**2).sum(axis=0)
-        zeta = _Branches(pen, gsq - f2_k)
+        Q, lin = op.control_term(v)
+        zeta = _Branches(pen, Q - f2_k)
         psi = pen.value(zeta)
         res = v / ht
         res -= op.apply_generator(v)
@@ -182,7 +182,7 @@ def _nonlinear_march(
         res -= obstacle
         res += psi
         res = res[interior]
-        return math.sqrt(np.dot(res, res)), grad, gsq, zeta, psi
+        return math.sqrt(np.dot(res, res)), lin, Q, zeta, psi
 
     for k in range(nt - 1, -1, -1):
         g_k, h_k, f2_k = g[k], h[k], f2[k]
@@ -192,23 +192,21 @@ def _nonlinear_march(
         state = level_residual(v, knext_ht, g_k, h_k, f2_k)
         converged = False
         for _ in range(MAX_INNER):
-            merit, grad_v, gsq, zeta, psi = state
+            merit, lin, Q, zeta, psi = state
             counts.newton_iters += 1
-            slope = 2.0 * pen.d1(zeta)
+            slope = pen.d1(zeta)
             extra_diag = inv_delta * (g_k - v > 0.0)
-            # an idle gradient penalty (zero slope at every node) adds no drift
-            extra_drift = -slope[None, :] * grad_v if slope.any() else None
-            # h_m + extra_diag g_m - psi + slope |grad v|^2, left to right
+            # h_m + extra_diag g_m - psi + slope Q'(v) v, left to right, where
+            # Q'(v) v = 2 Q since Q is quadratic
             const_src = np.multiply(extra_diag, g_k)
             np.add(h_k, const_src, out=const_src)
             const_src -= psi
-            slope *= gsq
-            const_src += slope
+            const_src += 2.0 * slope * Q
             if not np.isfinite(const_src).all():
                 raise SolverError(f"non-finite source at time level {k}")
             rhs = knext_ht + const_src
             rhs[dirichlet] = g_k[dirichlet]
-            w = op.level_solver(extra_drift, extra_diag)(rhs)
+            w = op.level_solver(slope, lin, extra_diag)(rhs)
             direction = w - v
             step = float(np.abs(direction).max())
             # v is finite, so a non-finite step means a non-finite w, unless
@@ -348,7 +346,7 @@ def solve_penalized(
 
     k2_grid, k0_grid = problem.theta_bounds
     obs_penalty = max(0.0, float(np.max(g - uv))) / delta
-    psi = pen.value(np.sum(centered_gradient(grid, uv) ** 2, axis=-2) - f2)
+    psi = pen.value(op.control_term(uv)[0] - f2)
     obs_psi = max(0.0, float(np.max(psi[:, interior])))
 
     # the time-derivative bound concerns the untruncated problem; measure it
@@ -520,16 +518,20 @@ class VIReport:
 
 def vi_report(field: GridField, spec, tol_region: float | None = None, operator=None) -> VIReport:
     """Evaluate both orderings of the variational inequality on interior nodes,
-    using the solver's own stencils, against the untruncated data f, g, h."""
+    using the solver's own stencils and control term |grad u|^2, against the
+    untruncated data f, g, h.  operator, if given, must live on the field's
+    grid."""
     grid = field.grid
     op = operator if operator is not None else build_operator(grid, spec)
+    if op.grid != grid:
+        raise ValueError("operator lives on a different grid than the field")
     if tol_region is None:
         tol_region = 10.0 * grid.hx
     interior = ~op.dirichlet
     nt = grid.nt
     g, f, h = _level_stacks(grid.times, grid.points(), spec.time_independent, spec.g, spec.f, spec.h)
     u = field.values
-    grad_norm = np.sqrt(np.sum(field._gradient_table() ** 2, axis=-2))
+    grad_norm = np.sqrt(op.control_term(u)[0])
 
     obst = g - u
     gradc = f - grad_norm

@@ -87,6 +87,7 @@ class TestValidate:
             ("rate = 0", "rate = inf"),
             ("radii = 2, 4", "radii = nan, 4"),
             ("radii = 2, 4", "radii = 2, inf"),
+            ("rng_seed = 7", "rng_seed = -1"),
         ],
         ids=[
             "unknown-key",
@@ -99,6 +100,7 @@ class TestValidate:
             "inf-rate",
             "nan-radius",
             "inf-radius",
+            "negative-seed",
         ],
     )
     def test_unknown_key_exits_three(self, edit, tmp_path, capsys):
@@ -149,6 +151,31 @@ class TestSolve:
         names = {o["file"] for o in manifest["outputs"]}
         assert "field_limit.csv" in names and "field_limit.npz" in names
         assert any(n.endswith(".pgm") for n in names)
+
+    def test_convergence_failure_keeps_the_finished_stages(self, allzero_cfg, tmp_path, monkeypatch, capsys):
+        """A stage that fails ends the solve with exit 2; the stages finished
+        before it are saved as field_NN.npz next to the failure manifest."""
+        real, solved = solver.solve_penalized, []
+
+        def third_fails(*args, **kwargs):
+            if len(solved) == 2:
+                raise solver.SolverError("stalled")
+            solved.append(real(*args, **kwargs))
+            return solved[-1]
+
+        monkeypatch.setattr(solver, "solve_penalized", third_fails)
+        out = tmp_path / "runs"
+        argv = ["solve", "--config", str(allzero_cfg), "--schedule", "0.5,0.5,3", "--grid", "4,41,20"]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert "continuation aborted" in capsys.readouterr().err
+        run_dir = next(out.iterdir())
+        manifest = json.loads((run_dir / "manifest.json").read_text())[0]
+        assert manifest["status"] == "convergence-failure"
+        assert sorted(o["file"] for o in manifest["outputs"]) == ["field_00.npz", "field_01.npz"]
+        for i, point in enumerate(solved):
+            field, eps, delta = cli.load_field(run_dir / f"field_{i:02d}.npz")
+            assert (eps, delta) == (point.eps, point.delta)
+            np.testing.assert_array_equal(field.values, point.field.values)
 
     def test_rerun_reproduces_csv_bytes(self, allzero_cfg, tmp_path):
         digests = []
@@ -270,6 +297,19 @@ class TestSimulate:
         assert invalid and len(flagged) == len(invalid)
         assert all(p["metadata"]["exit_fraction"] > 0.05 for p in invalid)
 
+    def test_invalid_estimate_exits_one(self, const1_cfg, tmp_path, capsys):
+        # u = 2 > g + band everywhere, so tau_star never stops, and on a box
+        # of radius 2 many paths from 1.95 leave it: the main estimate is
+        # invalid, and the run is still written
+        grid = Grid(d=1, m=2.0, nx=41, nt=10, T=0.3)
+        save_field(tmp_path / "field.npz", GridField(grid, np.full((11, 41), 2.0)), 0.5, 0.5)
+        out = tmp_path / "runs"
+        argv = ["simulate", "--config", str(const1_cfg), "--field", str(tmp_path / "field.npz")]
+        assert main(argv + ["--start", "0,1.95", "--paths", "40", "--steps", "20", "--out", str(out)]) == 1
+        assert "run invalid: exit fraction" in capsys.readouterr().err
+        meta = json.loads((next(out.iterdir()) / "manifest.json").read_text())[0]["estimate"]["metadata"]
+        assert not meta["valid"] and meta["exit_fraction"] > 0.05
+
     def test_simulation_error_exits_one_without_a_run(self, const1_cfg, tmp_path, monkeypatch, capsys):
         def failing(*args, **kwargs):
             raise SimulationError("too many rejected paths")
@@ -311,6 +351,12 @@ class TestBadArguments:
             ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2", "--tol", "nan"],
             ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2", "--tol-region", "nan"],
             ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2", "--tol-region=-1"],
+            ["simulate", "--seed", "-1"],
+            ["simulate", "--seed", str(2**64)],
+            ["solve", "--grid", "4,41.7,20", "--schedule", "0.5,0.5,2"],
+            ["solve", "--grid", "4,41,20.5", "--schedule", "0.5,0.5,2"],
+            ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2.9"],
+            ["solve", "--grid", "4,inf,20", "--schedule", "0.5,0.5,2"],
         ],
         ids=[
             "grid-too-small",
@@ -332,6 +378,12 @@ class TestBadArguments:
             "nan-tol",
             "nan-tol-region",
             "negative-tol-region",
+            "negative-seed",
+            "seed-past-64-bits",
+            "fractional-nx",
+            "fractional-nt",
+            "fractional-stages",
+            "infinite-nx",
         ],
     )
     def test_exits_three_without_a_run(self, argv, tmp_path, capsys):
@@ -377,6 +429,8 @@ class TestBadArguments:
             {**FIELD, "delta": 0.0},
             {**FIELD, "T": 0.0},
             {**FIELD, "T": 0.25},
+            {**FIELD, "values": np.where(np.arange(41) == 20, np.nan, np.zeros((11, 41)))},
+            {**FIELD, "values": np.full((11, 41), np.inf)},
         ],
         ids=[
             "garbage-bytes",
@@ -391,6 +445,8 @@ class TestBadArguments:
             "zero-delta",
             "zero-horizon",
             "other-horizon",
+            "nan-node",
+            "all-inf",
         ],
     )
     def test_malformed_field_exits_three(self, content, tmp_path, capsys):

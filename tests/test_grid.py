@@ -46,32 +46,50 @@ def _operator(case):
 
 @pytest.mark.parametrize("case", ["bench_ou", "skewed_2d"])
 def test_level_system_is_the_generator_stencil(case):
-    """w = level_solver(e, dg)(rhs) solves w/ht - (L - r) w + dg w - <e, grad w> = rhs
-    on interior rows, with L - r and grad the operator's own stencils."""
+    """w = level_solver(slope, lin, dg)(rhs), with lin = control_term(v)[1],
+    solves w/ht - (L - r) w + dg w + slope Q'(v) w = rhs on interior rows,
+    where L - r is the operator's own stencil and Q'(v) w the derivative of
+    control_term's Q at v along w, taken by a central difference of step
+    1e-4.  v has a gradient of fixed sign on every axis, so a one-sided Q has
+    no kink between v - 1e-4 w and v + 1e-4 w either."""
     op = _operator(case)
     grid = op.grid
     n = grid.n_nodes
     rng = np.random.default_rng(5)
-    extra_drift = rng.normal(size=(grid.d, n))
+    pts = grid.points()
+    v = np.array([1.0, -0.7])[: grid.d] @ pts + 0.1 * grid.hx * rng.uniform(size=n)
+    slope = rng.uniform(0.0, 2.0, size=n)
     extra_diag = rng.uniform(0.0, 5.0, size=n)
     rhs = rng.normal(size=n)
-    w = op.level_solver(extra_drift, extra_diag)(rhs)
+    w = op.level_solver(slope, op.control_term(v)[1], extra_diag)(rhs)
 
+    step = 1e-4
+    dQ = (op.control_term(v + step * w)[0] - op.control_term(v - step * w)[0]) / (2.0 * step)
+    terms = (w / grid.ht, -op.apply_generator(w), extra_diag * w, slope * dQ)
     interior = ~op.dirichlet
-    lhs = (
-        w / grid.ht
-        - op.apply_generator(w)
-        + extra_diag * w
-        - np.sum(extra_drift * centered_gradient(grid, w), axis=0)
-    )
-    scale = np.max(np.abs(w)) / grid.ht
-    assert np.max(np.abs(lhs - rhs)[interior]) <= 1e-10 * scale
+    scale = np.max(sum(np.abs(t) for t in terms)[interior])
+    assert np.max(np.abs(sum(terms) - rhs)[interior]) <= 1e-10 * scale
     assert np.allclose(w[op.dirichlet], rhs[op.dirichlet], rtol=1e-10, atol=0.0)
 
-    plain = op.level_solver(None, None)(rhs)
+    # a zero slope adds nothing: with no extra diagonal the system is M0
+    zeros = np.zeros(n)
+    plain = op.level_solver(zeros, op.control_term(v)[1], zeros)(rhs)
     implicit = op.implicit_solve(rhs)
     assert np.max(np.abs(plain - implicit)) <= 1e-10 * np.max(np.abs(implicit))
 
+
+def test_control_term_is_the_squared_centered_gradient():
+    """control_term gives |grad u|^2 of centered_gradient and the gradient
+    itself, bit for bit, for one level and for a stack of levels."""
+    for case in ("bench_ou", "skewed_2d"):
+        op = _operator(case)
+        grid = op.grid
+        values = np.random.default_rng(7).normal(size=(3, grid.n_nodes))
+        for u in (values[0], values):
+            Q, lin = op.control_term(u)
+            grad = centered_gradient(grid, u)
+            np.testing.assert_array_equal(lin, grad)
+            np.testing.assert_array_equal(Q, np.sum(grad**2, axis=-2))
 
 
 def _np_gradient(grid, values):
@@ -134,19 +152,21 @@ def test_level_solver_gtsv_is_solve_banded():
     M0 = op.implicit_matrix
     rng = np.random.default_rng(11)
     for _ in range(5):
-        extra_drift = rng.normal(size=(1, n)) * 5.0
+        slope = rng.uniform(0.0, 3.0, size=n)
+        lin = rng.normal(size=(1, n))
         extra_diag = rng.uniform(0.0, 50.0, size=n)
         rhs = rng.normal(size=n)
         ab = np.zeros((3, n))
         ab[0, 1:] = M0.diagonal(1)
         ab[1] = M0.diagonal() + np.where(interior, extra_diag, 0.0)
         ab[2, :-1] = M0.diagonal(-1)
-        half = np.where(interior, extra_drift[0] / (2.0 * op.grid.hx), 0.0)
+        # slope Q'(v) w = 2 slope lin D w: the drift -2 slope lin
+        half = np.where(interior, (-2.0 * slope * lin[0]) / (2.0 * op.grid.hx), 0.0)
         ab[0, 1:] -= half[:-1]
         ab[2, :-1] += half[1:]
         ref = solve_banded((1, 1), ab, rhs)
         kept = rhs.copy()
-        solve = op.level_solver(extra_drift, extra_diag)
+        solve = op.level_solver(slope, lin, extra_diag)
         np.testing.assert_array_equal(solve(rhs), ref)
         np.testing.assert_array_equal(solve(rhs), ref)
         np.testing.assert_array_equal(rhs, kept)
@@ -271,13 +291,17 @@ def test_operator_is_the_coo_assembly(case):
     rng = np.random.default_rng(23)
     rhs = rng.normal(size=grid.n_nodes)
     same(op.implicit_solve(rhs), _reference_system(grid, M0, interior)(rhs))
+    zeros = np.zeros(grid.n_nodes)
     for _ in range(3):
-        drift = rng.normal(size=(grid.d, grid.n_nodes)) * 5.0
+        slope = rng.uniform(0.0, 3.0, size=grid.n_nodes)
+        lin = rng.normal(size=(grid.d, grid.n_nodes))
         diag = rng.uniform(0.0, 50.0, size=grid.n_nodes)
         pinned = op.dirichlet | (rng.uniform(size=grid.n_nodes) < 0.3)
-        for e, dg in ((drift, diag), (drift, None), (None, diag), (None, None)):
+        # slope Q'(v) w = 2 slope <lin, D w>: the drift -2 slope lin
+        drift = -2.0 * slope * lin
+        for sl, e, dg in ((slope, drift, diag), (slope, drift, zeros), (zeros, None, diag), (zeros, None, zeros)):
             want = _reference_system(grid, M0, interior, extra_drift=e, extra_diag=dg)(rhs)
-            same(op.level_solver(e, dg)(rhs), want)
+            same(op.level_solver(sl, lin, dg)(rhs), want)
         same(op.pinned_solver(pinned)(rhs), _reference_system(grid, M0, interior, pinned=pinned)(rhs))
 
 

@@ -163,6 +163,17 @@ def test_f_squared_probe_follows_each_spec():
         del spec, rep
 
 
+def test_degenerate_noise_fails_ellipticity():
+    """sigma = 0 on part of the box makes theta_B 0 on every radius that
+    reaches it: the check flags each such radius with its theta_B."""
+    spec, plan, _ = parse_config_text(CONST1.replace("sigma[1][1] = 1", "sigma[1][1] = max(0, 1 - x1^2)"))
+    rep = validate_assumptions(spec, plan)
+    assert not rep.valid
+    flagged = [v for v in rep.violations if v[0] == "theta_B > 0"]
+    assert flagged == [("theta_B > 0", (2.0,), 0.0), ("theta_B > 0", (4.0,), 0.0)]
+    assert rep.ellipticity_theta == {2.0: 0.0, 4.0: 0.0}
+
+
 def test_domain_error_skips_the_radius():
     # the sample lattice of both radii contains x1 = 0
     spec, plan, _ = parse_config_text(CONST1.replace("h = 0", "h = 1/x1"))

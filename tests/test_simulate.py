@@ -164,6 +164,37 @@ h = 0
         assert est.metadata["exit_fraction"] > 0.05
         assert not est.valid
 
+    def test_exit_fraction_counts_the_stoppers_exits(self, const1):
+        """stopper_tau_star reads the field on every path, also outside its
+        box, so the exits count under an idle controller too (they read 0);
+        with neither a controller_opt nor a stopper_tau_star no run reads the
+        field, and none counts."""
+        spec, data, _ = const1
+        tiny = Grid(d=1, m=0.5, nx=11, nt=20, T=spec.T)
+        field = GridField(grid=tiny, values=np.ones((tiny.nt + 1, tiny.n_nodes)))
+        make = strategies(spec, field, Penalty(0.25))
+        cfg = PathConfig(n_paths=500, n_steps=100, rng_seed=5)
+        idle = make("controller_idle")
+        reading = simulate_paths(spec, (0.0, [0.45]), idle, make("stopper_tau_star", band=-0.5), cfg)
+        assert reading.metadata["stopped_paths"] == 0
+        assert reading.metadata["exit_fraction"] > 0.05 and not reading.valid
+        blind = simulate_paths(spec, (0.0, [0.45]), idle, make("stopper_never"), cfg)
+        assert blind.metadata["exit_fraction"] == 0.0 and blind.valid
+        assert (blind.mean, blind.std_error) == (reading.mean, reading.std_error)
+
+    def test_nan_node_rejects_the_paths_that_read_it(self, const1):
+        """A NaN node near the start gives the paths that sample it a NaN
+        push, which the move rejects: over the 1% budget, SimulationError
+        (a later feedback substep used to sample the field at the NaN pushed
+        point and fail with an IndexError)."""
+        spec, data, ones = const1
+        values = np.tile(0.1 * ones.grid.points()[0], (ones.grid.nt + 1, 1))
+        values[:, np.argmin(np.abs(ones.grid.axis - 0.5))] = np.nan
+        field = GridField(grid=ones.grid, values=values)
+        make = strategies(spec, field, Penalty(0.25), data=data)
+        with pytest.raises(SimulationError, match="rejected"):
+            simulate_paths(spec, (0.0, [0.5]), make("controller_opt"), make("stopper_never"), CFG)
+
 
 class TestPenalizedGame:
     def test_zero_data_zero(self, allzero):
@@ -229,6 +260,17 @@ h = 0
                 spec, data, pen, 0.125, (0.0, [0.0]), make("controller_idle"), 100.0, CFG
             )
 
+    @pytest.mark.parametrize("intensity", [np.nan, lambda t, x, u: np.full(x.shape[1], np.nan)], ids=["float", "callable"])
+    def test_nan_intensity_is_refused(self, const1, intensity):
+        # NaN compares false, so it passed the range check and gave mean = nan
+        spec, data, ones = const1
+        pen = Penalty(0.125)
+        make = strategies(spec, ones, pen, data=data)
+        with pytest.raises(SimulationError, match="intensity"):
+            simulate_penalized(
+                spec, data, pen, 0.125, (0.0, [0.0]), make("controller_idle"), intensity, CFG
+            )
+
     def test_discount_stays_in_unit_interval(self, const1):
         spec, data, ones = const1
         pen = Penalty(0.125)
@@ -280,6 +322,15 @@ def test_path_config_needs_a_substep(name, value):
     # non-positive substeps were quietly read as 1
     with pytest.raises(ValueError, match="must be >= 1"):
         PathConfig(n_paths=8, n_steps=4, **{name: value})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 1.5, "7"])
+def test_path_config_needs_a_philox_seed(seed):
+    # a negative seed ended in Philox's ValueError at the first draw, or ran
+    # when every path stopped before it
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        PathConfig(n_paths=8, n_steps=4, rng_seed=seed)
+    assert PathConfig(n_paths=8, n_steps=4, rng_seed=2**64 - 1).rng_seed == 2**64 - 1
 
 
 def test_unknown_mode_fails_at_construction(const1):
@@ -390,7 +441,7 @@ class TestFeedbackContract:
             spec=spec, mode="controller_opt", field=field, pen=Penalty(0.25), data=data
         )
         xs = np.linspace(-3, 3, 17)[None, :]
-        nvec, rate, _ = strat.control(0.0, 0.0, xs)
+        nvec, rate = strat.control(0.0, 0.0, xs)
         norms = np.sqrt(np.sum(nvec**2, axis=0))
         np.testing.assert_allclose(norms, 1.0)
         assert np.all(rate >= 0.0)
@@ -404,7 +455,7 @@ class TestFeedbackContract:
             spec=spec, mode="controller_opt", field=ones, pen=Penalty(0.25), data=data
         )
         xs = np.zeros((1, 5))
-        nvec, rate, _ = strat.control(0.0, 0.0, xs)
+        nvec, rate = strat.control(0.0, 0.0, xs)
         np.testing.assert_allclose(rate, 0.0)
         np.testing.assert_allclose(np.sqrt(np.sum(nvec**2, axis=0)), 1.0)
 
@@ -670,6 +721,20 @@ def _probe_strategies(spec, field, pen, data, band, horizon):
     ]
 
 
+def test_probe_seeds_wrap_around_64_bits(ou_solved):
+    """PathConfig takes any seed below 2**64, and saddle_probe's seed
+    offsets wrap around it: from the largest seed, each probe runs on its
+    offset - 1 (the probe's PathConfig used to refuse the sum)."""
+    spec, data, pen, field = ou_solved
+    cfg = PathConfig(n_paths=40, n_steps=8, rng_seed=2**64 - 1)
+    results = saddle_probe(spec, field, pen, (0.0, [1.0]), cfg, band=0.01, data=data)
+    probes = _probe_strategies(spec, field, pen, data, 0.01, spec.T)
+    for r, (_, _, offset, ctrl, stop) in zip(results, probes):
+        alone = simulate_paths(spec, (0.0, [1.0]), ctrl, stop, replace(cfg, rng_seed=offset - 1))
+        assert (r.payoff, r.std_error) == (alone.mean, alone.std_error), r.name
+    assert len({r.payoff for r in results}) > 2
+
+
 @pytest.mark.parametrize("dim", [1, 2])
 def test_batched_probes_are_their_standalone_runs(ou_solved, ou2d_solved, dim):
     """saddle_probe runs its probes as batches of the path engine; each
@@ -742,7 +807,7 @@ def _explosive_runs(ou_solved, start, plan):
     """Standalone simulate_paths estimates (or SimulationErrors) and one batch
     on the explosive-drift spec of test_path_counts_add_up; plan lists each
     run's (stopper, seed), and batch(rule) takes the payoff rule
-    rule(spec, nsub)."""
+    rule(spec, nsub, box) on the field's box."""
     from ctrlstop.simulate import _OriginalPayoff, _Run, _run_paths
 
     spec, data, pen, field = ou_solved
@@ -767,7 +832,7 @@ def _explosive_runs(ou_solved, start, plan):
             alone.append(exc)
 
     def batch(rule=_OriginalPayoff):
-        return _run_paths(explosive, start, runs, rule(explosive, 4))
+        return _run_paths(explosive, start, runs, rule(explosive, 4, field.grid.m))
 
     return alone, batch
 
@@ -812,7 +877,7 @@ def test_a_run_emptied_at_step_0_leaves_its_neighbours(ou_solved):
             (5, make("stopper_never")),
         )
     ]
-    batched = _run_paths(spec, (0.0, [1.0]), runs, _OriginalPayoff(spec, 4))
+    batched = _run_paths(spec, (0.0, [1.0]), runs, _OriginalPayoff(spec, 4, field.grid.m))
     assert batched[1].metadata["stopped_paths"] == 400
     for est, run in zip(batched, runs):
         ref = simulate_paths(spec, (0.0, [1.0]), run.ctrl, run.stopper, run.cfg)
@@ -934,7 +999,7 @@ def test_feedback_direction_is_the_boolean_gather_formula(d, flip):
         ],
         axis=1,
     )
-    direction, rate, _ = strat.control(0.07, 0.0, x)
+    direction, rate = strat.control(0.07, 0.0, x)
     want_direction, want_rate = _old_control(strat, 0.07, x)
     assert np.array_equal(direction, want_direction) and np.array_equal(rate, want_rate)
     norm = np.sqrt(np.sum(field.sample_gradient(0.07, x) ** 2, axis=0))

@@ -243,6 +243,19 @@ class TestVIReport:
         assert report.terminal_error == 0.0
         assert report.max_constraint_violation == (0.0, 0.0)
 
+    def test_operator_must_share_the_field_grid(self):
+        """vi_report reads |grad u|^2 through the operator, so an operator of
+        another grid is refused; the field's own operator gives the report
+        of the default one."""
+        bench = load_bench("allzero", coarse=True)
+        grid = bench.grid
+        field = GridField(grid=grid, values=np.zeros((grid.nt + 1, grid.n_nodes)))
+        other = Grid(d=grid.d, m=grid.m, nx=grid.nx + 2, nt=grid.nt, T=grid.T)
+        with pytest.raises(ValueError, match="different grid"):
+            vi_report(field, bench.spec, operator=build_operator(other, bench.spec))
+        own = vi_report(field, bench.spec, operator=build_operator(grid, bench.spec))
+        assert own.sup_minmax == vi_report(field, bench.spec).sup_minmax
+
     def test_terminal_slice_matches_data(self):
         bench = load_bench("bench_ou", coarse=True)
         res = continuation(
@@ -689,8 +702,8 @@ class TestMarchErrors:
         real = Operator.level_solver
         calls = []
 
-        def poisoned(self, extra_drift, extra_diag):
-            solve = real(self, extra_drift, extra_diag)
+        def poisoned(self, *args):
+            solve = real(self, *args)
             calls.append(1)
             if len(calls) != 4:
                 return solve
