@@ -19,7 +19,7 @@ import numpy as np
 from . import artifacts
 from .grid import Grid, GridField
 from .kernel import Penalty, truncate_data
-from .model import ConfigError, load_problem, validate_assumptions
+from .model import ConfigError, _whole, load_problem, validate_assumptions
 from .oracles import ObstacleProblem, compare_fields, solve_obstacle
 from .simulate import (
     FeedbackStrategy,
@@ -50,13 +50,6 @@ def _parse_triple(text, what, n, cast=float):
     if len(parts) != n:
         raise ConfigError(f"--{what} expects {n} comma-separated values")
     return tuple(cast(p) for p in parts)
-
-
-def _whole(value: float, what: str) -> int:
-    """value as an int; ValueError unless it is a whole number."""
-    if not value.is_integer():
-        raise ValueError(f"{what} must be a whole number, got {value!r}")
-    return int(value)
 
 
 def cmd_validate(args) -> int:
@@ -254,7 +247,7 @@ def cmd_simulate(args) -> int:
         band = args.band if args.band is not None else float(sim_defaults.get("band", 0.01))
         if not (math.isfinite(args.allowance) and args.allowance >= 0.0):
             raise ValueError(f"--allowance {args.allowance!r} must be finite and >= 0")
-        cfg = PathConfig(n_paths=n_paths, n_steps=n_steps, rng_seed=seed, antithetic=args.antithetic)
+        cfg = PathConfig(n_paths=n_paths, n_steps=n_steps, rng_seed=seed)
         field, eps, delta = load_field(args.field)
         if field.grid.d != spec.d:
             raise ValueError(f"field has dimension {field.grid.d}, the config {spec.d}")
@@ -344,6 +337,10 @@ def cmd_simulate(args) -> int:
 def cmd_verify(args) -> int:
     from .verify import run_invariant_suite
 
+    if args.cases < 1:
+        raise ConfigError(f"--cases {args.cases} must be >= 1")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed {args.seed} must be >= 0")
     results = run_invariant_suite(n_cases=args.cases, rng_seed=args.seed or 0)
     failures = 0
     for name, ok, detail in results:
@@ -355,8 +352,17 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad argument (an unknown or missing option, a value argparse cannot
+    convert) is a parse failure, exit 3 with one stderr line, not
+    argparse's exit 2, which this CLI keeps for a convergence failure."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ctrlstop",
         description="Numerical lab for singular-controller vs stopper games",
     )
@@ -389,7 +395,6 @@ def build_parser():
     p_sim.add_argument("--seed", type=int, default=None)
     p_sim.add_argument("--band", type=float, default=None)
     p_sim.add_argument("--allowance", type=float, default=0.02)
-    p_sim.add_argument("--antithetic", action="store_true")
     p_sim.add_argument("--out", default="runs")
 
     p_ver = sub.add_parser("verify", help="run the randomized invariant suite")
@@ -400,8 +405,6 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "validate": cmd_validate,
         "solve": cmd_solve,
@@ -409,6 +412,7 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

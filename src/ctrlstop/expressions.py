@@ -296,10 +296,6 @@ class Expression:
         raise AttributeError("Expression is immutable")
 
     @property
-    def free_variables(self) -> frozenset[str]:
-        return self._free
-
-    @property
     def depends_on_t(self) -> bool:
         return "t" in self._free
 

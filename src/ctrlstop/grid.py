@@ -135,9 +135,6 @@ class GridField:
         """Centered-difference spatial gradient of slice k, shape (d, *shape)."""
         return self._gradient_table()[k].reshape((self.grid.d,) + self.grid.shape)
 
-    def gradient_norm(self, k: int) -> np.ndarray:
-        return np.sqrt(np.sum(self._gradient_table()[k] ** 2, axis=0))
-
     def sample(self, t: float, x: np.ndarray) -> np.ndarray:
         """Field value at time t and spatial points x (d, n): linear in t,
         linear/bilinear in space; queries outside the box are clamped.  x may

@@ -370,6 +370,13 @@ _DRIFT_KEY = re.compile(r"^drift\[([1-9][0-9]*)\]$")
 _SIGMA_KEY = re.compile(r"^sigma\[([1-9][0-9]*)\]\[([1-9][0-9]*)\]$")
 
 
+def _whole(value: float, what: str) -> int:
+    """value as an int; ValueError unless it is a whole number."""
+    if not value.is_integer():
+        raise ValueError(f"{what} must be a whole number, got {value!r}")
+    return int(value)
+
+
 def parse_config_text(text: str, source: str = "<string>"):
     """Parse a problem file; returns (ProblemSpec, SamplePlan, sim_defaults dict)."""
     raw: dict[str, str] = {}
@@ -452,8 +459,9 @@ def parse_config_text(text: str, source: str = "<string>"):
     counts = parse_floats("sample_plan.counts", (256.0,) * len(radii))
     try:  # a value the data classes reject is a bad value of the file
         spec = ProblemSpec(d=d, T=horizon, r=rate, b=b, sigma=sigma, f=f, g=g, h=h, fd_step=fd_step)
-        seed = int(float(raw.get("sample_plan.rng_seed", "0")))
-        plan = SamplePlan(radii=radii, counts=tuple(int(c) for c in counts), rng_seed=seed)
+        seed = _whole(float(raw.get("sample_plan.rng_seed", "0")), "sample_plan.rng_seed")
+        counts = tuple(_whole(c, "sample_plan.counts") for c in counts)
+        plan = SamplePlan(radii=radii, counts=counts, rng_seed=seed)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{source}: {exc}") from exc
 

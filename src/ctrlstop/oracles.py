@@ -27,6 +27,9 @@ __all__ = [
 ]
 
 
+MAX_SWEEPS = 20000  # policy-iteration solves per level before OracleError
+
+
 class OracleError(RuntimeError):
     pass
 
@@ -47,11 +50,7 @@ class ObstacleSolution:
     complementarity_residual: float
 
 
-def solve_obstacle(
-    prob: ObstacleProblem,
-    tol: float = 1e-9,
-    max_sweeps: int = 20000,
-) -> ObstacleSolution:
+def solve_obstacle(prob: ObstacleProblem, tol: float = 1e-9) -> ObstacleSolution:
     """Backward time marching with policy iteration (Howard's algorithm) per
     level on the linear complementarity problem min(M0 u - rhs, u - g) = 0.
 
@@ -60,7 +59,7 @@ def solve_obstacle(
     g, then re-picks the active set; the level is solved once the set repeats,
     which happens after finitely many solves when M0 is an M-matrix
     (Bokanowski, Maroso & Zidani 2009).  `tol` guards against cycling: a level
-    also stops once a solve moves u by at most tol.  `max_sweeps` caps the
+    also stops once a solve moves u by at most tol.  MAX_SWEEPS caps the
     solves per level; sweeps_per_level counts them.  Complementarity is
     reported as the worst interior violation of min(M0 u - rhs, u - g) in
     solution units (scaled by ht).
@@ -86,7 +85,7 @@ def solve_obstacle(
         u = np.maximum(out[k + 1], g_k)
         u[dirichlet] = g_k[dirichlet]
         active = interior & (u <= g_k)
-        for solve in range(max_sweeps):
+        for solve in range(MAX_SWEEPS):
             pinned = active | dirichlet
             u_new = op.pinned_solver(pinned)(np.where(pinned, g_k, rhs))
             lin_res = M @ u_new - rhs

@@ -80,7 +80,6 @@ class PathConfig:
     n_paths: int
     n_steps: int
     rng_seed: int = 0
-    antithetic: bool = False
     # substeps of simulate_paths and saddle_probe for stiff reflection drifts;
     # simulate_penalized and simulate_recursive ignore it and take one
     feedback_substeps: int = 4
@@ -92,8 +91,6 @@ class PathConfig:
             raise ValueError("need at least 2 paths for standard errors")
         if self.n_steps < 1:
             raise ValueError("need at least one time step")
-        if self.antithetic and self.n_paths % 2:
-            raise ValueError("antithetic pairing needs an even path count")
         if self.feedback_substeps < 1:
             raise ValueError("feedback substeps must be >= 1")
 
@@ -317,16 +314,11 @@ def _skip_raw(bits, count):
 def _draws(cfg: PathConfig, d_noise: int):
     """Per-step generator of normals (d', n) from Philox."""
     gen = np.random.Generator(np.random.Philox(key=cfg.rng_seed))
-    half = cfg.n_paths // 2
     while True:
-        if cfg.antithetic:
-            z_half = gen.standard_normal((d_noise, half))
-            z = np.concatenate([z_half, -z_half], axis=1)
-        else:
-            z = gen.standard_normal((d_noise, cfg.n_paths))
+        z = gen.standard_normal((d_noise, cfg.n_paths))
         # skip the uniforms the step once drew and never read, so that every
         # fixed-seed estimate keeps its bits
-        _skip_raw(gen.bit_generator, half if cfg.antithetic else cfg.n_paths)
+        _skip_raw(gen.bit_generator, cfg.n_paths)
         yield z
 
 
@@ -339,23 +331,15 @@ def _exp_weight(kappa, dt):
 
 
 def _finalize(parts, keep, n_rej, cfg, extras):
-    """Estimate over the kept paths.  Antithetic runs keep a pair only when
-    both its paths are kept, and their samples are the pair averages: a path
-    and its mirror share their draws, so they are not independent."""
-    if cfg.antithetic:
-        half = cfg.n_paths // 2
-        keep = np.tile(keep[:half] & keep[half:], 2)
+    """Estimate over the kept paths."""
     parts = {k: v[keep] for k, v in parts.items()}
     total = parts["terminal"] + parts["running"] + parts["control_cost"]
-    n_eff = total.size
-    if cfg.antithetic:
-        total = 0.5 * (total[: n_eff // 2] + total[n_eff // 2 :])
     mean = float(np.mean(total))
     se = float(np.std(total, ddof=1) / math.sqrt(total.size)) if total.size > 1 else 0.0
     breakdown = {k: float(np.mean(v)) for k, v in parts.items()}
     meta = {"rejected_paths": n_rej, "n_steps": cfg.n_steps, **extras}
     return PayoffEstimate(
-        mean=mean, std_error=se, n_paths=n_eff, breakdown=breakdown, metadata=meta
+        mean=mean, std_error=se, n_paths=total.size, breakdown=breakdown, metadata=meta
     )
 
 
@@ -470,8 +454,8 @@ def _leave(idx, alive, final, gone):
 
 def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
     """The Euler-Maruyama path engine behind the three simulators: one batch
-    of runs that share the start, n_paths, n_steps and antithetic; one
-    estimate per run.
+    of runs that share the start, n_paths and n_steps; one estimate per
+    run.
 
     Each step k < n_steps, each run with alive paths draws one batch of
     normals from its own Philox stream.  Each run's stop rule picks its

@@ -65,7 +65,7 @@ def bench_stage_measures(bench_run):
         for k, t in enumerate(grid.times):
             g_k = np.asarray(bench.spec.g(float(t), pts), dtype=float)
             obst = max(obst, float(np.max((g_k - point.field.values[k])[interior])))
-            gn = point.field.gradient_norm(k)
+            gn = np.sqrt(np.sum(point.field.nodal_gradient(k).reshape(grid.d, -1) ** 2, axis=0))
             grad = max(grad, float(np.max(gn[interior]) - f_const))
         rows.append((max(0.0, obst), max(0.0, grad)))
     return rows

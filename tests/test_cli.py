@@ -357,6 +357,9 @@ class TestBadArguments:
             ["solve", "--grid", "4,41,20.5", "--schedule", "0.5,0.5,2"],
             ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2.9"],
             ["solve", "--grid", "4,inf,20", "--schedule", "0.5,0.5,2"],
+            ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2", "--tol", "abc"],
+            ["simulate", "--no-such-option"],
+            ["simulate", "--paths", "many"],
         ],
         ids=[
             "grid-too-small",
@@ -384,6 +387,9 @@ class TestBadArguments:
             "fractional-nt",
             "fractional-stages",
             "infinite-nx",
+            "tol-not-a-number",
+            "unknown-option",
+            "paths-not-an-integer",
         ],
     )
     def test_exits_three_without_a_run(self, argv, tmp_path, capsys):
@@ -465,6 +471,20 @@ class TestVerify:
     def test_clean_suite_exits_zero(self):
         assert main(["verify", "--cases", "4000"]) == 0
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["--cases", "0"], ["--cases", "-5"], ["--seed", "-1"]],
+        ids=["zero-cases", "negative-cases", "negative-seed"],
+    )
+    def test_bad_counts_exit_three_before_any_check(self, argv, monkeypatch, capsys):
+        def no_suite(*args, **kwargs):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setattr(verify, "run_invariant_suite", no_suite)
+        assert main(["verify"] + argv) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_corrupted_bridge_detected(self, monkeypatch, capsys):
         class NonConvexPenalty(Penalty):
             """A penalty whose bridge has a negative second derivative."""
@@ -476,6 +496,14 @@ class TestVerify:
         monkeypatch.setattr(verify, "run_invariant_suite", suite)
         assert main(["verify", "--cases", "4000"]) == 1
         assert "[FAIL] penalty bridge" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_every_option_is_in_its_help():

@@ -46,6 +46,26 @@ def test_duplicate_key_rejected():
         parse_config_text(CONST1 + "\nf = 2\n")
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("sample_plan.rng_seed = 7", "sample_plan.rng_seed = 7.9"),
+        ("sample_plan.counts = 257, 257", "sample_plan.counts = 513.5, 513"),
+        ("sample_plan.rng_seed = 7", "sample_plan.rng_seed = nan"),
+        ("sample_plan.counts = 257, 257", "sample_plan.counts = 257, inf"),
+    ],
+)
+def test_fractional_plan_values_rejected(old, new):
+    """The seed and the counts are whole numbers; no value is truncated."""
+    with pytest.raises(ConfigError, match="whole number"):
+        parse_config_text(CONST1.replace(old, new))
+
+
+def test_whole_float_plan_values_accepted():
+    _, plan, _ = parse_config_text(CONST1.replace("= 7", "= 7.0").replace("257, 257", "513.0, 513"))
+    assert plan.rng_seed == 7 and plan.counts == (513, 513)
+
+
 def test_dimension_mismatch_in_expression():
     bad = CONST1.replace("g = 1", "g = x2")
     with pytest.raises(ValueError, match="x2"):

@@ -3,7 +3,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ctrlstop import verify
+from ctrlstop import oracles, verify
 from ctrlstop.benches import load_bench
 from ctrlstop.expressions import Expression
 from ctrlstop.grid import Grid, GridField, build_operator
@@ -142,11 +142,12 @@ class TestObstacle:
         # doubling the resolution moves the solution by a discretization amount
         assert compare_fields(sols[121], sols[241]) < 5e-3
 
-    def test_sweep_limit_raises(self):
+    def test_sweep_limit_raises(self, monkeypatch):
         spec, _, _ = parse_config_text(OU_BUMP)
         grid = Grid(d=1, m=3.0, nx=81, nt=20, T=spec.T)
+        monkeypatch.setattr(oracles, "MAX_SWEEPS", 1)
         with pytest.raises(OracleError):
-            solve_obstacle(ObstacleProblem(spec=spec, grid=grid), tol=1e-14, max_sweeps=1)
+            solve_obstacle(ObstacleProblem(spec=spec, grid=grid), tol=1e-14)
 
 
 class TestLattice:

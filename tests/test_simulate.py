@@ -108,23 +108,6 @@ class TestOriginalGame:
         assert runs[0].mean == runs[1].mean
         assert runs[0].std_error == runs[1].std_error
 
-    def test_antithetic_preserves_deterministic_means(self, allzero, const1):
-        for spec, data, field, expect in (
-            (*allzero, 0.0),
-            (*const1, 1.0),
-        ):
-            make = strategies(spec, field, Penalty(0.25))
-            for anti in (False, True):
-                cfg = PathConfig(n_paths=1000, n_steps=50, rng_seed=3, antithetic=anti)
-                est = simulate_paths(
-                    spec,
-                    (0.0, [0.0]),
-                    make("controller_idle"),
-                    make("stopper_tau_star", band=0.01) if expect else make("stopper_never"),
-                    cfg,
-                )
-                assert est.mean == expect
-
     def test_exploding_dynamics_rejected(self):
         cfg_text = """
 dim = 1
@@ -459,52 +442,6 @@ class TestFeedbackContract:
         np.testing.assert_allclose(rate, 0.0)
         np.testing.assert_allclose(np.sqrt(np.sum(nvec**2, axis=0)), 1.0)
 
-
-def test_antithetic_error_is_over_pairs():
-    # g = x1^2 with zero drift from the origin: a path and its mirror pay the
-    # same, so 2N antithetic paths carry exactly the information of N plain ones
-    cfg_text = """
-dim = 1
-horizon = 0.5
-rate = 0.1
-drift[1] = 0
-sigma[1][1] = 1
-f = 1
-g = x1^2
-h = 0
-"""
-    spec, _, _ = parse_config_text(cfg_text)
-    grid = Grid(d=1, m=6.0, nx=61, nt=20, T=0.5)
-    zeros = GridField(grid=grid, values=np.zeros((grid.nt + 1, grid.n_nodes)))
-    make = strategies(spec, zeros, Penalty(0.25))
-
-    def run(n_paths, antithetic):
-        cfg = PathConfig(n_paths=n_paths, n_steps=50, rng_seed=9, antithetic=antithetic)
-        return simulate_paths(
-            spec, (0.0, [0.0]), make("controller_idle"), make("stopper_never"), cfg
-        )
-
-    anti, plain = run(1000, True), run(500, False)
-    assert anti.mean == pytest.approx(plain.mean, abs=1e-12)
-    assert anti.std_error == pytest.approx(plain.std_error, rel=1e-12)
-    assert anti.n_paths == 1000
-
-
-
-def test_antithetic_drops_pairs_with_a_rejected_path():
-    from ctrlstop.simulate import _finalize
-
-    cfg = PathConfig(n_paths=6, n_steps=1, antithetic=True)
-    parts = {
-        "terminal": np.array([1.0, 2.0, 3.0, 5.0, 6.0, 100.0]),
-        "running": np.zeros(6),
-        "control_cost": np.zeros(6),
-    }
-    keep = np.array([True, True, True, True, True, False])  # pair (2, 5) goes
-    est = _finalize(parts, keep, 1, cfg, {})
-    # pair averages 3 and 4
-    assert est.mean == 3.5 and est.std_error == pytest.approx(0.5, rel=1e-15)
-    assert est.n_paths == 4 and est.breakdown["terminal"] == 3.5
 
 @pytest.fixture(scope="module")
 def ou_solved():
@@ -927,25 +864,20 @@ def test_final_records_every_path_once_as_it_leaves(ou_solved):
         assert (est.mean, est.std_error, est.metadata) == (ref.mean, ref.std_error, ref.metadata)
 
 
-@pytest.mark.parametrize("n_paths, antithetic", [(3, False), (7, False), (2001, False), (10, True), (2002, True)])
+@pytest.mark.parametrize("n_paths", [3, 7, 2001, 10, 2002])
 @pytest.mark.parametrize("d_noise", [1, 2])
-def test_draws_skip_the_unread_uniforms(n_paths, antithetic, d_noise):
+def test_draws_skip_the_unread_uniforms(n_paths, d_noise):
     """_draws advances Philox past the uniforms each step once drew and never
     read: its normals are those of a generator that draws them, over steps
     that leave the 4-value buffer at every position."""
     from ctrlstop.simulate import _draws
 
-    cfg = PathConfig(n_paths=n_paths, n_steps=1, rng_seed=31, antithetic=antithetic)
+    cfg = PathConfig(n_paths=n_paths, n_steps=1, rng_seed=31)
     gen = np.random.Generator(np.random.Philox(key=31))
-    half = n_paths // 2
     draws = _draws(cfg, d_noise)
     for _ in range(30):
-        if antithetic:
-            z_half = gen.standard_normal((d_noise, half))
-            want = np.concatenate([z_half, -z_half], axis=1)
-        else:
-            want = gen.standard_normal((d_noise, n_paths))
-        gen.random(half if antithetic else n_paths)
+        want = gen.standard_normal((d_noise, n_paths))
+        gen.random(n_paths)
         assert np.array_equal(next(draws), want)
 
 
