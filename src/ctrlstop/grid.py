@@ -156,13 +156,17 @@ class GridField:
 
     def restrict_common(self, other: "GridField") -> tuple[np.ndarray, np.ndarray]:
         """Values of self and other on their common nodes (other interpolated,
-        or its stored node values when both fields share the grid)."""
+        or its stored node values when both fields share the grid).  On a
+        shared grid whose every node is common (always in 1-D) these are the
+        two read-only value stacks themselves."""
         radius = min(self.grid.m, other.grid.m)
         pts = self.grid.points()
         keep = np.sum(pts**2, axis=0) <= radius**2 * (1.0 + 1e-12)
         if not np.any(keep):
             raise ValueError("grids have no common nodes")
         if other.grid == self.grid:
+            if keep.all():
+                return self.values, other.values
             return self.values[:, keep], other.values[:, keep]
         mine = []
         theirs = []
@@ -270,8 +274,8 @@ class Operator:
     by L_matrix in 2-D.  M0 is factored once, when the operator is built
     (LAPACK gttrf in 1-D, SuperLU in 2-D), and implicit_solve applies that
     factorization (gttrs in 1-D, the same elimination arithmetic as gtsv).
-    The other solve paths edit a copy of M0's diagonals and hand it to
-    _system: level_solver builds the Newton level systems
+    The other solve paths hand _system a function that edits a copy of M0's
+    diagonals: level_solver builds the Newton level systems
 
         M0 + I_int (diag(extra_diag) + diag(slope) Q'(v))
 
@@ -304,21 +308,35 @@ class Operator:
         else:
             self._lu = sp.linalg.splu(self.implicit_matrix)
 
-    def _system(self, diagonals: dict[int, np.ndarray]):
-        """Solver for the system with these diagonals: LAPACK gtsv on the
-        three bands in 1-D (the routine solve_banded((1, 1), ...) calls,
-        without its input checks; callers check the solution for non-finite
-        values), a SuperLU factorization in 2-D."""
+    def _system(self, diagonals_of):
+        """Solver for the system with the diagonals that diagonals_of()
+        returns: LAPACK gtsv on the three bands in 1-D (the routine
+        solve_banded((1, 1), ...) calls, without its input checks; callers
+        check the solution for non-finite values), a SuperLU factorization
+        in 2-D.  In 1-D every solve builds its bands anew and lets gtsv
+        overwrite each band that is not one of M0's own diagonals, so no
+        band is copied and the solver may still be called again."""
         if self.grid.d == 1:
-            lower, diag, upper = diagonals[-1], diagonals[0], diagonals[1]
+            own = self._diagonals
 
             def solve(rhs):
-                *_, x, info = _GTSV(lower, diag, upper, rhs)
+                diagonals = diagonals_of()
+                lower, diag, upper = diagonals[-1], diagonals[0], diagonals[1]
+                *_, x, info = _GTSV(
+                    lower,
+                    diag,
+                    upper,
+                    rhs,
+                    overwrite_dl=lower is not own[-1],
+                    overwrite_d=diag is not own[0],
+                    overwrite_du=upper is not own[1],
+                )
                 if info != 0:
                     raise np.linalg.LinAlgError(f"tridiagonal system: gtsv info {info}")
                 return x
 
             return solve
+        diagonals = diagonals_of()
         M = sp.diags(list(diagonals.values()), list(diagonals), format="csc")
         return sp.linalg.splu(M).solve
 
@@ -336,13 +354,13 @@ class Operator:
         identity rows (the policy systems of the obstacle oracle)."""
         # a pinned row keeps 1 on the main diagonal (o == 0) and 0 elsewhere
         return self._system(
-            {o: np.where(rows[self._rows[o]], float(o == 0), v) for o, v in self._diagonals.items()}
+            lambda: {o: np.where(rows[self._rows[o]], float(o == 0), v) for o, v in self._diagonals.items()}
         )
 
     def apply_generator(self, flat_values: np.ndarray) -> np.ndarray:
         """(L - r) u on interior nodes (exact zeros on Dirichlet rows, whatever
-        u holds there), for u of shape (n_nodes,) or (n_nodes, k) (k fields
-        at once).
+        u holds there), for nodal values u of shape (..., n_nodes), one field
+        or a stack of them on leading axes, as control_term takes them.
 
         In 1-D the three bands act on the interior rows, each row summed
         from +0.0 in CSR's column order, so the result is L_matrix @ u bit
@@ -350,15 +368,18 @@ class Operator:
         CSR does not store) on a non-finite value.  In 2-D L_matrix applies
         it: its rows skip the zero cross-term corners, which a band sum
         would multiply by the values of Dirichlet nodes."""
-        if self.grid.d == 2:
-            return self.L_matrix @ flat_values
         u = flat_values
-        lower, diag, upper = self._bands if u.ndim == 1 else (b[:, None] for b in self._bands)
+        if self.grid.d == 2:
+            if u.ndim == 1:
+                return self.L_matrix @ u
+            stack = u.reshape(-1, u.shape[-1])
+            return (self.L_matrix @ stack.T).T.reshape(u.shape)
+        lower, diag, upper = self._bands
         out = np.zeros(u.shape)
-        rows = out[1:-1]
-        rows += lower * u[:-2]
-        rows += diag * u[1:-1]
-        rows += upper * u[2:]
+        rows = out[..., 1:-1]
+        rows += lower * u[..., :-2]
+        rows += diag * u[..., 1:-1]
+        rows += upper * u[..., 2:]
         return out
 
     def control_term(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -385,22 +406,28 @@ class Operator:
         row; a slope that is zero everywhere (an idle gradient penalty) adds
         nothing.  Both terms are added on every row, then the Dirichlet rows
         are put back: 1 on the main diagonal and nothing off it, so they stay
-        exact identity rows.
+        exact identity rows.  In 1-D the system is built when the solver is
+        called (see _system), so slope, lin and extra_diag must not change
+        before that.
         """
-        diagonals = self._diagonals.copy()
-        diag = diagonals[0] + extra_diag
-        diag[self._boundary] = 1.0
-        diagonals[0] = diag
-        if slope.any():
-            for axis, s in enumerate(self._strides):
-                # -slope lin_i / hx; dividing by -hx rounds as
-                # -(2 slope lin_i) / (2 hx) does, signed zeros included
-                half = lin[axis] * slope
-                half /= self._minus_hx
-                half[self._boundary] = 0.0
-                diagonals[s] = diagonals[s] - half[:-s]
-                diagonals[-s] = diagonals[-s] + half[s:]
-        return self._system(diagonals)
+
+        def diagonals_of():
+            diagonals = self._diagonals.copy()
+            diag = diagonals[0] + extra_diag
+            diag[self._boundary] = 1.0
+            diagonals[0] = diag
+            if slope.any():
+                for axis, s in enumerate(self._strides):
+                    # -slope lin_i / hx; dividing by -hx rounds as
+                    # -(2 slope lin_i) / (2 hx) does, signed zeros included
+                    half = lin[axis] * slope
+                    half /= self._minus_hx
+                    half[self._boundary] = 0.0
+                    diagonals[s] = diagonals[s] - half[:-s]
+                    diagonals[-s] = diagonals[-s] + half[s:]
+            return diagonals
+
+        return self._system(diagonals_of)
 
 
 def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:

@@ -234,9 +234,9 @@ class _Branches:
     read by value, d1 and d2.  One compare and one nonzero pick the
     nodes that are not y <= 0, which are few where the constraint is slack
     and none in the pure-stopping limit; only those are split into the
-    linear nodes y >= 2eps, with their y, and the bridge nodes
-    (0 < y < 2eps, and NaN, which the bridge propagates), with s = y/2eps.
-    A node with no branch of its own reads zero."""
+    linear nodes y >= 2eps, with their y and eps, and the bridge nodes
+    (0 < y < 2eps, and NaN, which the bridge propagates), with s = y/2eps
+    and their eps.  A node with no branch of its own reads zero."""
 
     def __init__(self, pen: "Penalty", y):
         y = np.asarray(y, dtype=float)
@@ -245,17 +245,23 @@ class _Branches:
         self.linear = self.bridge = above  # both empty unless y has nodes above 0
         if above.size:
             y_above = y.take(above)
-            two_eps = 2.0 * pen.eps
-            linear = y_above >= two_eps
+            per_row = np.ndim(pen.eps) > 0  # each node takes its row's eps
+            eps = pen.eps.ravel().take(above // y.shape[-1]) if per_row else pen.eps
+            linear = y_above >= 2.0 * eps
             bridge = ~linear
+            self.eps_linear, self.eps_bridge = (eps[linear], eps[bridge]) if per_row else (eps, eps)
             self.linear, self.y_linear = above[linear], y_above[linear]
-            self.bridge, self.s = above[bridge], y_above[bridge] / two_eps
+            self.bridge, self.s = above[bridge], y_above[bridge] / (2.0 * self.eps_bridge)
 
 
 @dataclass(frozen=True)
 class Penalty:
     """C^2, convex, nondecreasing penalty: 0 for y<=0, (y-eps)/eps for y>=2eps,
     polynomial bridge 2s^3 - s^4 (s = y/2eps) in between.
+
+    eps is one float, or a column (rows, 1) of them for points y of shape
+    (rows, n), one eps per row: the solver's Newton march evaluates the rows
+    of several stages in one call, each row with its stage's eps.
 
     value, d1 and d2 take either the points y or their _Branches, which a
     caller that needs two of them at the same points builds once (the Newton
@@ -267,13 +273,14 @@ class Penalty:
     eps: float
 
     def __post_init__(self):
-        if not (0.0 < self.eps < 1.0):
+        eps = np.asarray(self.eps)
+        if not ((0.0 < eps) & (eps < 1.0)).all():
             raise ValueError("penalty parameter must lie in (0, 1)")
 
     def _branches(self, y) -> _Branches:
         if not isinstance(y, _Branches):
             return _Branches(self, y)
-        if y.eps != self.eps:
+        if y.eps is not self.eps and not np.array_equal(y.eps, self.eps):
             raise ValueError("branches belong to another penalty")
         return y
 
@@ -281,7 +288,8 @@ class Penalty:
         b = self._branches(y)
         out = np.zeros(b.shape)
         if b.linear.size:
-            out.put(b.linear, (b.y_linear - self.eps) / self.eps)
+            eps = b.eps_linear
+            out.put(b.linear, (b.y_linear - eps) / eps)
         if b.bridge.size:
             s = b.s
             out.put(b.bridge, 2.0 * s**3 - s**4)
@@ -291,10 +299,10 @@ class Penalty:
         b = self._branches(y)
         out = np.zeros(b.shape)
         if b.linear.size:
-            out.put(b.linear, 1.0 / self.eps)
+            out.put(b.linear, 1.0 / b.eps_linear)
         if b.bridge.size:
             s = b.s
-            out.put(b.bridge, (6.0 * s**2 - 4.0 * s**3) / (2.0 * self.eps))
+            out.put(b.bridge, (6.0 * s**2 - 4.0 * s**3) / (2.0 * b.eps_bridge))
         return out
 
     def d2(self, y):
@@ -302,7 +310,7 @@ class Penalty:
         out = np.zeros(b.shape)
         if b.bridge.size:
             s = b.s
-            out.put(b.bridge, (12.0 * s - 12.0 * s**2) / (4.0 * self.eps**2))
+            out.put(b.bridge, (12.0 * s - 12.0 * s**2) / (4.0 * b.eps_bridge**2))
         return out
 
 

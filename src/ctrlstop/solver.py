@@ -15,7 +15,12 @@ and certifies convergence by the frozen-source residual |Gamma[u] - u|.
 Only the march and the backward solves of gamma_step go level by level,
 since each level needs the next.  Everything else (the frozen source, the
 bound report, Theta_m and vi_report) runs on the whole (nt+1, n_nodes) level
-stack.  The operator, the g_m, h_m, f_m^2 level stacks (from
+stack.  Level k of a continuation stage needs only its own level k+1 and
+level k of the stage before (its Newton start), so continuation marches
+the stages of a radius as a wavefront, each one level behind the stage
+before, with the rows of a wave on a leading axis; it then certifies and
+reports stage by stage, with the same results as solving the stages one
+after the other.  The operator, the g_m, h_m, f_m^2 level stacks (from
 model._level_stacks, which evaluates time-independent data once) and the
 Theta_m bounds depend only on the grid and the truncated data, not on the
 penalty: a TruncatedProblem derives them once per radius, and every stage
@@ -26,6 +31,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,114 +135,214 @@ class MarchCounts:
     line_search_trials: int = 0
 
 
+class _Marched(NamedTuple):
+    """One stage's marched field with the work and the wall time of its march."""
+
+    field: GridField
+    counts: MarchCounts
+    seconds: float
+
+
 def _nonlinear_march(
     problem: TruncatedProblem,
-    pen: Penalty,
-    delta: float,
+    stages: list[tuple[Penalty, float]],
     inner_tol: float,
-    counts: MarchCounts,
     guess: GridField | None = None,
-) -> GridField:
-    """Backward march solving each implicit time level to nonlinear tolerance.
+) -> tuple[list[_Marched], SolverError | None]:
+    """Backward march solving each implicit time level to nonlinear
+    tolerance, for a list of (penalty, delta) stages at once, each stage
+    starting its Newton iterations from the field of the stage before.
 
     Per level, the obstacle and gradient penalties are handled by semi-smooth
     Newton: freeze the active set {g_m > v} and the slope psi'(Q(v) - f_m^2)
     of the gradient penalty at the running inner iterate v, with
     Q = |grad v|^2 the operator's control term (both are supporting planes
     of convex terms), solve the linear system that op.level_solver
-    assembles, repeat.  Starting v from the next level's solution keeps
-    steps O(ht), so the inner loop converges in a few iterations; the
-    marched field is the fixed point of the frozen-source operator up to the
-    inner tolerance.  The line search evaluates the level residual at each
-    trial point; the accepted trial's control term (Q and what its
-    linearization reads), the penalty branches of zeta and psi feed the next
-    linearization, so zeta is classified once per residual, and each Newton
-    iteration evaluates psi' once and psi only through the residuals.
+    assembles, repeat.  Stage 0 starts v from level k of guess, or without
+    one from its own level k+1, which keeps steps O(ht); stage i starts it
+    from level k of stage i-1, so a stage needs only its own level k+1 and
+    level k of the stage before.  The marched field is the fixed point of
+    the frozen-source operator up to the inner tolerance.  The line search
+    evaluates the level residual at each trial point; the accepted trial's
+    control term (Q and what its linearization reads), zeta = Q - f_m^2 and
+    psi(zeta) feed the next linearization, so each Newton iteration
+    evaluates psi' once and psi only through the residuals.
+
+    The stages march as a wavefront: at wave j, stage i solves level
+    k = nt-1-j+i, one level behind the stage before.  The wave's rows (one
+    per stage) sit on a leading axis, so a level residual (control term,
+    penalty branches, apply_generator) or a Newton right-hand side (psi',
+    source) is evaluated once for all the rows that need it, each row with
+    its own eps and delta; each row keeps its own
+    Newton iterations, convergence test, MAX_INNER stall, error, level
+    solver and linear solve, and rows that start a line search together
+    share its theta.  Each row's arithmetic is that of a march of its stage
+    alone, bit for bit.
+
+    Returns the marches of the stages that finished, in order, and the
+    SolverError of the stage after them, or None.  An error ends its stage
+    and every later one (they start from it), while the earlier stages
+    march on.  Each wave's wall time is split evenly among the stages it
+    advanced, so the stages' seconds sum to the march's.
     """
+    clock = time.perf_counter()
     grid, op = problem.grid, problem.op
     g, h, f2 = problem.stacks
-    nt, ht = grid.nt, grid.ht
-    out = np.empty((nt + 1, grid.n_nodes))
-    out[nt] = g[nt]
+    nt, ht, n = grid.nt, grid.ht, grid.n_nodes
     dirichlet = np.flatnonzero(op.dirichlet)
-    interior = np.flatnonzero(~op.dirichlet)
-    inv_delta = 1.0 / delta
+    # the interior nodes; on a line, all but its two ends
+    interior = slice(1, -1) if grid.d == 1 else np.flatnonzero(~op.dirichlet)
+    eps = np.array([[pen.eps] for pen, _ in stages])
+    inv_delta = np.array([[1.0 / delta] for _, delta in stages])
+    outs = []
+    for _ in stages:
+        out = np.empty((nt + 1, n))
+        out[nt] = g[nt]
+        outs.append(out)
+    work = np.zeros((3, len(stages)), dtype=int)  # levels, Newton iterations, trials
+    seconds = np.zeros(len(stages))
+    alive, error = len(stages), None  # stages from alive on start from a failed one
+    for j in range(nt + len(stages) - 1):
+        rank = np.arange(max(0, j - nt + 1), min(alive, j + 1))  # the wave's stages
+        if not rank.size:
+            break
+        ks = nt - 1 - j + rank
+        g_k, h_k, f2_k = g[ks], h[ks], f2[ks]
+        inv_delta_k, pen_k = inv_delta[rank], Penalty(eps[rank])
+        knext_ht = np.empty((rank.size, n))
+        v = np.empty((rank.size, n))
+        for row, (i, k) in enumerate(zip(rank.tolist(), ks.tolist())):
+            knext_ht[row] = outs[i][k + 1]
+            v[row] = outs[i - 1][k] if i else outs[i][k + 1] if guess is None else guess.values[k]
+        knext_ht /= ht
+        v[:, dirichlet] = g_k[:, dirichlet]
 
-    def level_residual(v, knext_ht, g_k, h_k, f2_k):
-        """Merit (interior norm of the level residual) at v, with the
-        control term (Q, lin) = op.control_term(v), the penalty branches of
-        zeta = Q - f_m^2 and psi(zeta) it used.
-        The residual v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+
-        + psi is summed left to right in place, and the merit is
-        np.linalg.norm's sqrt(dot) of its interior entries."""
-        Q, lin = op.control_term(v)
-        zeta = _Branches(pen, Q - f2_k)
-        psi = pen.value(zeta)
-        res = v / ht
-        res -= op.apply_generator(v)
-        res -= knext_ht
-        res -= h_k
-        obstacle = np.subtract(g_k, v)
-        np.maximum(obstacle, 0.0, out=obstacle)
-        obstacle *= inv_delta
-        res -= obstacle
-        res += psi
-        res = res[interior]
-        return math.sqrt(np.dot(res, res)), lin, Q, zeta, psi
+        def pick(rows):
+            """Index of the wave rows (a view of all of them, or a gather)
+            and the penalty of their stages."""
+            if rows.size == rank.size:
+                return slice(None), pen_k
+            return rows, Penalty(pen_k.eps[rows])
 
-    for k in range(nt - 1, -1, -1):
-        g_k, h_k, f2_k = g[k], h[k], f2[k]
-        knext_ht = out[k + 1] / ht
-        v = out[k + 1].copy() if guess is None else guess.values[k].copy()
-        v[dirichlet] = g_k[dirichlet]
-        state = level_residual(v, knext_ht, g_k, h_k, f2_k)
-        converged = False
+        def level_residual(rows, cand):
+            """Merits (interior norms of the level residuals) of the rows at
+            cand, with the control term (Q, lin) = op.control_term(cand),
+            zeta = Q - f_m^2 and psi(zeta) they used.  The residual
+            v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+ + psi
+            is summed left to right in place, and each row's merit is
+            np.linalg.norm's sqrt(dot) of its interior entries."""
+            at, pen = pick(rows)
+            Q, lin = op.control_term(cand)
+            zeta = Q - f2_k[at]
+            psi = pen.value(zeta)
+            res = cand / ht
+            res -= op.apply_generator(cand)
+            res -= knext_ht[at]
+            res -= h_k[at]
+            obstacle = np.subtract(g_k[at], cand)
+            np.maximum(obstacle, 0.0, out=obstacle)
+            obstacle *= inv_delta_k[at]
+            res -= obstacle
+            res += psi
+            merits = np.array([math.sqrt(np.dot(r, r)) for r in res[:, interior]])
+            return [merits, lin, Q, zeta, psi]
+
+        def fail(row, message):
+            """End the stage of the row and every later one."""
+            nonlocal alive, error
+            alive, error = int(rank[row]), SolverError(message)
+
+        active = np.arange(rank.size)  # the rows iterating, in stage order
+        state = level_residual(active, v)  # merit, lin, Q, zeta, psi of every row
         for _ in range(MAX_INNER):
+            if rank[active[-1]] >= alive:
+                active = active[rank[active] < alive]
+                if not active.size:
+                    break
+            work[1, rank[active]] += 1
             merit, lin, Q, zeta, psi = state
-            counts.newton_iters += 1
-            slope = pen.d1(zeta)
-            extra_diag = inv_delta * (g_k - v > 0.0)
+            at, pen = pick(active)
+            v_a, g_a = v[at], g_k[at]
+            slope = pen.d1(zeta[at])
+            extra_diag = inv_delta_k[at] * (g_a - v_a > 0.0)
             # h_m + extra_diag g_m - psi + slope Q'(v) v, left to right, where
             # Q'(v) v = 2 Q since Q is quadratic
-            const_src = np.multiply(extra_diag, g_k)
-            np.add(h_k, const_src, out=const_src)
-            const_src -= psi
-            const_src += 2.0 * slope * Q
-            if not np.isfinite(const_src).all():
-                raise SolverError(f"non-finite source at time level {k}")
-            rhs = knext_ht + const_src
-            rhs[dirichlet] = g_k[dirichlet]
-            w = op.level_solver(slope, lin, extra_diag)(rhs)
-            direction = w - v
-            step = float(np.abs(direction).max())
+            const_src = np.multiply(extra_diag, g_a)
+            np.add(h_k[at], const_src, out=const_src)
+            const_src -= psi[at]
+            const_src += 2.0 * slope * Q[at]
+            finite = np.isfinite(const_src).all(axis=1)
+            rhs = knext_ht[at] + const_src
+            rhs[:, dirichlet] = g_a[:, dirichlet]
+            lin_a = lin[at]
+            w = np.empty_like(v_a)
+            for p, row in enumerate(active.tolist()):
+                if not finite[p]:
+                    fail(row, f"non-finite source at time level {ks[row]}")
+                    active = active[:p]
+                    break
+                w[p] = op.level_solver(slope[p], lin_a[p], extra_diag[p])(rhs[p])
+            w = w[: active.size]
+            direction = w - v_a[: active.size]
+            step = np.abs(direction).max(axis=1)
             # v is finite, so a non-finite step means a non-finite w, unless
             # w - v overflowed; then w is finite and the line search goes on
-            if not math.isfinite(step) and not np.isfinite(w).all():
-                raise SolverError(f"linear solve produced non-finite values at level {k}")
-            if step <= inner_tol:
-                v = w
-                converged = True
+            for p in np.flatnonzero(~np.isfinite(step)).tolist():
+                if not np.isfinite(w[p]).all():
+                    fail(active[p], f"linear solve produced non-finite values at level {ks[active[p]]}")
+                    active, step = active[:p], step[:p]
+                    break
+            converged = step <= inner_tol
+            v[active[converged]] = w[: active.size][converged]
+            searching = np.flatnonzero(~converged)
+            active = active[searching]
+            if not active.size:
                 break
-            # backtracking line search on the nonlinear level residual
+            # backtracking line search on the nonlinear level residual, one
+            # theta for every row that starts it here
+            v_s, d_s = v_a[searching], direction[searching]
+            base = merit[active]
+            best = base.copy()
+            accepted = np.zeros(active.size, dtype=bool)
+            left = np.arange(active.size)  # rows still searching, as positions
             theta = 1.0
-            accepted, best_merit = None, merit
-            for _ in range(9):
-                cand = v + theta * direction
-                trial = level_residual(cand, knext_ht, g_k, h_k, f2_k)
-                counts.line_search_trials += 1
-                if trial[0] < best_merit:
-                    accepted, best_merit = (cand, trial), trial[0]
-                    if best_merit <= 0.9 * merit:
-                        break
+            for trial in range(9):
+                rows = active[left]
+                cand = v_s[left] + theta * d_s[left]
+                found = level_residual(rows, cand)
+                work[2, rank[rows]] += 1
+                better = found[0] < best[left]
+                # no trial lowered the merit: take the last, smallest trial
+                # to escape a kink, bounded by MAX_INNER
+                take = better | ((trial == 8) & ~accepted[left])
+                if take.all() and rows.size == rank.size:
+                    state, v = found, cand
+                elif take.any():
+                    for kept, new in zip(state, found):
+                        kept[rows[take]] = new[take]
+                    v[rows[take]] = cand[take]
+                best[left[better]] = found[0][better]
+                accepted[left[better]] = True
+                left = left[~(better & (found[0] <= 0.9 * base[left]))]
+                if not left.size:
+                    break
                 theta *= 0.5
-            # no trial lowered the merit: take the last, smallest trial to
-            # escape a kink, bounded by MAX_INNER
-            v, state = accepted if accepted is not None else (cand, trial)
-        if not converged:
-            raise SolverError(f"inner iteration stalled at time level {k} (merit {state[0]:.3e})")
-        out[k] = v
-        counts.levels += 1
-    return GridField(grid=grid, values=out)
+        else:
+            active = active[rank[active] < alive]
+            if active.size:
+                row = active[0]
+                fail(row, f"inner iteration stalled at time level {ks[row]} (merit {state[0][row]:.3e})")
+        done = np.flatnonzero(rank < alive)
+        for row in done.tolist():
+            outs[rank[row]][ks[row]] = v[row]
+        work[0, rank[done]] += 1
+        now = time.perf_counter()
+        seconds[rank] += (now - clock) / rank.size
+        clock = now
+    return [
+        _Marched(GridField(grid=grid, values=outs[i]), MarchCounts(*(int(c) for c in work[:, i])), float(seconds[i]))
+        for i in range(alive)
+    ], error
 
 
 def _theta_truncated(op: Operator, g: np.ndarray, h: np.ndarray):
@@ -247,7 +353,7 @@ def _theta_truncated(op: Operator, g: np.ndarray, h: np.ndarray):
     ht = op.grid.ht
     dt_g = (g[1:] - g[:-1]) / ht
     dt_h = (h[1:] - h[:-1]) / ht
-    theta = h[:-1] + dt_g + op.apply_generator(g[:-1].T).T
+    theta = h[:-1] + dt_g + op.apply_generator(g[:-1])
     worst = float(np.min(theta[:, interior]))
     k0 = max(0.0, float(np.max(dt_g[:, interior])), float(np.max(dt_h[:, interior])))
     return max(0.0, -worst), k0
@@ -261,7 +367,10 @@ class PenaltyPoint:
     sweep (1 unless a certification failed).  march counts the work of the
     stage's marches.  seconds splits the stage's wall time: "march" (every
     march), "certify" (every frozen-source sweep with its residual) and
-    "report" (the nonnegativity check and the bound report).
+    "report" (the nonnegativity check and the bound report).  Where the
+    stage was marched in a wavefront with others (continuation), its
+    "march" time holds an even share of each wave that advanced it, so the
+    stages' march times sum to the measured wavefront.
     """
 
     eps: float
@@ -285,15 +394,20 @@ def solve_penalized(
     tol: float = 1e-7,
     u0: GridField | None = None,
     k3_bound: float | None = None,
+    marched: _Marched | None = None,
 ) -> PenaltyPoint:
     """Solve one penalty point to tolerance, warm-started from u0 if given,
     with runtime bound checks.
 
-    Marches backward once, solving each implicit level by semi-smooth Newton,
-    and certifies convergence with the plain frozen-source residual
-    |Gamma[u] - u| <= tol (same fixed point; the march IS Gamma restarted on
-    its own output).  A failed certification re-marches from the last field
-    with tighter level solves, up to 4 attempts in all; then SolverError.
+    Marches backward once, solving each implicit level by semi-smooth Newton
+    (a one-stage _nonlinear_march), and certifies convergence with the plain
+    frozen-source residual |Gamma[u] - u| <= tol (same fixed point; the
+    march IS Gamma restarted on its own output).  A failed certification
+    re-marches from the last field with tighter level solves, up to 4
+    attempts in all; then SolverError.  continuation passes the first march
+    as marched, the stage's part of a wavefront march from u0 at the
+    tolerance of a first march; it is certified, and counted and timed, as
+    if it had been marched here.
 
     bound_report entries are (upper bound, observed) pairs:
       negative_part        max(0, -min u)              <= 10 tol
@@ -317,14 +431,22 @@ def solve_penalized(
     inner_tol = 0.1 * tol
     guess = u0
     for iters in range(1, 5):
+        if marched is None:
+            done, error = _nonlinear_march(problem, [(pen, delta)], inner_tol, guess=guess)
+            if error is not None:
+                raise error
+            (marched,) = done
+        u = marched.field
+        counts.levels += marched.counts.levels
+        counts.newton_iters += marched.counts.newton_iters
+        counts.line_search_trials += marched.counts.line_search_trials
+        seconds["march"] += marched.seconds
+        marched = None
         start = time.perf_counter()
-        u = _nonlinear_march(problem, pen, delta, inner_tol, counts, guess=guess)
-        marched = time.perf_counter()
         w = gamma_step(problem, pen, delta, u)
         residual = float(np.max(np.abs(w.values - u.values)))
         certified = time.perf_counter()
-        seconds["march"] += marched - start
-        seconds["certify"] += certified - marched
+        seconds["certify"] += certified - start
         if residual <= tol:
             break
         guess = u
@@ -444,6 +566,15 @@ def continuation(
     never comes back: one TruncatedProblem on grid_policy(m) serves every
     stage of the radius m, and the first radius's problem is kept for the
     limit.
+
+    The stages of a radius are marched together as one wavefront
+    (_nonlinear_march), each from the marched field of the stage before;
+    then each is certified and reported in order by solve_penalized.  A
+    stage whose certification re-marched changes the start of the next
+    one, so the stages after it start a new wavefront from its certified
+    field.  A march error of a stage is raised once every stage before it
+    is certified.  So every stage is solved as if from the certified field
+    of the stage before, bit for bit.
     """
     schedule = check_schedule(schedule)
     tol = check_tol(tol)
@@ -455,25 +586,38 @@ def continuation(
     m0 = schedule[0][2]
     problem0 = problem = TruncatedProblem(grid_policy(m0), truncate_data(spec, m0))
 
-    for eps_k, delta_k, m_k in schedule:
+    def failed(stage, exc):
+        eps_k, delta_k, m_k = schedule[stage]
+        return ContinuationError(f"stage (eps={eps_k:g}, delta={delta_k:g}, m={m_k:g}) failed: {exc}", points)
+
+    first = 0  # the first stage not yet solved
+    while first < len(schedule):
+        m_k = schedule[first][2]
         if m_k != problem.data.m:
             problem = TruncatedProblem(grid_policy(m_k), truncate_data(spec, m_k))
-        u0 = None
-        if prev_field is not None:
-            u0 = _interp_onto(prev_field, problem)
-        try:
-            point = solve_penalized(problem, Penalty(eps_k), delta_k, tol=tol, u0=u0, k3_bound=k3_bound)
-        except SolverError as exc:
-            raise ContinuationError(
-                f"stage (eps={eps_k:g}, delta={delta_k:g}, m={m_k:g}) failed: {exc}", points
-            ) from exc
-        if k3_bound is None:
-            k3_bound = point.bound_report["quad_growth"][1] * (1.0 + 1e-9)
-        if prev_field is not None:
-            mine, theirs = point.field.restrict_common(prev_field)
-            increments.append(float(np.max(np.abs(mine - theirs))))
-        points.append(point)
-        prev_field = point.field
+        wave = [(Penalty(eps_k), delta_k) for eps_k, delta_k, m in schedule[first:] if m == m_k]
+        u0 = None if prev_field is None else _interp_onto(prev_field, problem)
+        done, error = _nonlinear_march(problem, wave, 0.1 * tol, guess=u0)
+        for (pen, delta_k), marched in zip(wave, done):
+            try:
+                point = solve_penalized(
+                    problem, pen, delta_k, tol=tol, u0=u0, k3_bound=k3_bound, marched=marched
+                )
+            except SolverError as exc:
+                raise failed(first, exc) from exc
+            if k3_bound is None:
+                k3_bound = point.bound_report["quad_growth"][1] * (1.0 + 1e-9)
+            if prev_field is not None:
+                mine, theirs = point.field.restrict_common(prev_field)
+                increments.append(float(np.max(np.abs(mine - theirs))))
+            points.append(point)
+            prev_field = u0 = point.field
+            first += 1
+            if point.iters > 1:  # re-marched: the next stage starts anew
+                break
+        else:
+            if error is not None:
+                raise failed(first, error) from error
 
     last = points[-1].field
     limit = last if points[-1].m == m0 else _interp_onto(last, problem0)
@@ -541,7 +685,7 @@ def vi_report(field: GridField, spec, tol_region: float | None = None, operator=
     region_i = interior & (grad_norm < f - tol_region)
     band = interior & ~region_c & ~region_i
     overlap = int(np.sum(interior & (-obst <= tol_region) & (gradc <= tol_region)))
-    pde = (u[1:] - u[:-1]) / grid.ht + op.apply_generator(u[:-1].T).T + h[:-1]
+    pde = (u[1:] - u[:-1]) / grid.ht + op.apply_generator(u[:-1]) + h[:-1]
     res_mm = np.zeros(u.shape)
     res_ms = np.zeros(u.shape)
     res_mm[:nt] = np.where(interior, np.minimum(np.maximum(pde, obst[:-1]), gradc[:-1]), 0.0)

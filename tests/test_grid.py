@@ -172,6 +172,47 @@ def test_level_solver_gtsv_is_solve_banded():
         np.testing.assert_array_equal(rhs, kept)
 
 
+@pytest.mark.parametrize("case", ["bench_ou", "skewed_2d"])
+def test_solves_keep_the_diagonals_of_m0(case):
+    """Level solves with a zero and a nonzero slope and pinned solves leave
+    M0's diagonals bit for bit as built (a 1-D solve lets gtsv overwrite
+    only the bands it built for the call), so a solve repeated after them
+    gives the same result."""
+    op = _operator(case)
+    n = op.grid.n_nodes
+    kept = {o: d.copy() for o, d in op._diagonals.items()}
+    rng = np.random.default_rng(5)
+    rhs = rng.normal(size=n)
+    zeros = np.zeros(n)
+    lin = rng.normal(size=(op.grid.d, n))
+    first = op.level_solver(zeros, lin, zeros)(rhs)
+    for slope in (zeros, rng.uniform(0.0, 3.0, size=n)):
+        for extra_diag in (zeros, rng.uniform(0.0, 50.0, size=n)):
+            op.level_solver(slope, lin, extra_diag)(rhs)
+    op.pinned_solver(op.dirichlet | (rng.uniform(size=n) < 0.3))(rhs)
+    assert kept.keys() == op._diagonals.keys()
+    for o, diagonal in kept.items():
+        np.testing.assert_array_equal(op._diagonals[o], diagonal)
+    np.testing.assert_array_equal(op.level_solver(zeros, lin, zeros)(rhs), first)
+
+
+def test_restrict_common_on_a_shared_grid():
+    """On a shared grid whose nodes are all common (any 1-D grid) the value
+    stacks themselves come back; in 2-D the nodes of the ball."""
+    grid = Grid(d=1, m=3.0, nx=31, nt=4, T=1.0)
+    rng = np.random.default_rng(9)
+    a, b = (GridField(grid=grid, values=rng.normal(size=(5, 31))) for _ in range(2))
+    mine, theirs = a.restrict_common(b)
+    assert mine is a.values and theirs is b.values
+    grid = Grid(d=2, m=3.0, nx=11, nt=4, T=1.0)
+    a, b = (GridField(grid=grid, values=rng.normal(size=(5, 121))) for _ in range(2))
+    keep = np.sum(grid.points() ** 2, axis=0) <= 9.0 * (1.0 + 1e-12)
+    assert not keep.all()
+    mine, theirs = a.restrict_common(b)
+    np.testing.assert_array_equal(mine, a.values[:, keep])
+    np.testing.assert_array_equal(theirs, b.values[:, keep])
+
+
 # upwind rows of both signs: |b| hx / a > 1 with b > 0 left of x1 = 2/9 and
 # with b < 0 right of it, centered rows in between
 STRONG_1D = """
@@ -308,8 +349,10 @@ def test_operator_is_the_coo_assembly(case):
 @pytest.mark.parametrize("case", ["bench_ou", "strong_1d", "skewed_2d"])
 def test_apply_generator_is_the_csr_product(case):
     """apply_generator(u) is L_matrix @ u bit for bit, signs of zero
-    included, for a vector and for (n, k) stacks in C and in F order; its
-    Dirichlet rows are +0.0 also where u is inf or NaN on Dirichlet nodes."""
+    included, for a vector, and for stacks (k, n) and (j, k, n) of fields on
+    leading axes, in C and in F order, L_matrix times the fields as columns;
+    its Dirichlet rows are +0.0 also where u is inf or NaN on Dirichlet
+    nodes."""
     if case == "strong_1d":
         spec, _, _ = parse_config_text(STRONG_1D)
         op = build_operator(Grid(d=1, m=4.0, nx=161, nt=20, T=0.2), spec)
@@ -319,23 +362,24 @@ def test_apply_generator_is_the_csr_product(case):
     rng = np.random.default_rng(31)
 
     def check(u):
-        got, want = op.apply_generator(u), op.L_matrix @ u
-        assert got.shape == want.shape == u.shape
+        got = op.apply_generator(u)
+        want = (op.L_matrix @ u.reshape(-1, n).T).T.reshape(u.shape)
+        assert got.shape == u.shape
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
-        np.testing.assert_array_equal(got[boundary], 0.0)
-        assert not np.signbit(got[boundary]).any()
+        np.testing.assert_array_equal(got[..., boundary], 0.0)
+        assert not np.signbit(got[..., boundary]).any()
 
-    for shape in ((n,), (n, 7)):
+    for shape in ((n,), (7, n), (2, 3, n)):
         # exact zeros of both signs, so that some rows sum to zero
         u = rng.normal(size=shape) * (rng.random(shape) < 0.5)
         u[rng.random(shape) < 0.3] *= -1.0
         check(u)
         check(np.zeros(shape))
         check(-np.zeros(shape))
-        u[boundary] = rng.choice([np.inf, -np.inf, np.nan], size=(boundary.size,) + shape[1:])
+        u[..., boundary] = rng.choice([np.inf, -np.inf, np.nan], size=shape[:-1] + (boundary.size,))
         check(u)
-    check(np.ascontiguousarray(rng.normal(size=(5, n))).T)
+    check(np.asfortranarray(rng.normal(size=(5, n))))
 
 
 def _reference_sample(grid, table, t, x):

@@ -117,6 +117,27 @@ class TestPenalty:
                         np.testing.assert_array_equal(new, ref)
                         np.testing.assert_array_equal(np.signbit(new), np.signbit(ref))
 
+    def test_a_column_of_eps_is_the_penalty_of_each_row(self):
+        """Penalty with a column (rows, 1) of eps evaluates each row of the
+        points (rows, n) as the penalty of that row's eps does, bit for bit,
+        given the points or their branches; a column eps outside (0, 1) is
+        refused."""
+        rng = np.random.default_rng(3)
+        eps = np.array([[0.5], [0.1], [1.0 / 64], [0.1]])
+        y = rng.uniform(-0.3, 0.3, (4, 200))
+        y[:, :4] = [0.0, -0.0, np.nan, np.inf]
+        y[1, 5] = 0.2  # the edge 2 eps of row 1, inside the bridge of row 0
+        pen = Penalty(eps)
+        for given in (y, _Branches(pen, y)):
+            for name in ("value", "d1", "d2"):
+                got = getattr(pen, name)(given)
+                want = np.array([getattr(Penalty(float(e)), name)(row) for e, row in zip(eps[:, 0], y)])
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        for bad in ([[0.5], [1.0]], [[0.5], [np.nan]]):
+            with pytest.raises(ValueError):
+                Penalty(np.array(bad))
+
     def test_branches_belong_to_their_penalty(self):
         branches = _Branches(Penalty(0.1), np.linspace(-1.0, 1.0, 11))
         with pytest.raises(ValueError, match="another penalty"):

@@ -728,53 +728,173 @@ class TestMarchErrors:
 
 def test_layer_counters_match_the_march(monkeypatch):
     """perfbench reads the march's work off calls of Operator.level_solver,
-    Operator.apply_generator, Penalty.value and Penalty.d1.  Per stage
-    without retries, counted from the end of the stage before: one level
-    solver and one Penalty.d1 per Newton iteration; one apply_generator and
-    one Penalty.value per level residual (one per level, one per line-search
-    trial), plus one Penalty.value each in gamma_step and the bound report,
-    and on the first stage of a radius one apply_generator for the Theta_m
-    that continuation computes before it."""
-    calls = dict.fromkeys(["level_solver", "apply_generator", "value", "d1"], 0)
+    Operator.apply_generator, Penalty.value and Penalty.d1.  The wavefront
+    evaluates the rows of several stages in one call, so the counts are
+    rows, summed over the continuation without retries: one level solver
+    call and one Penalty.d1 row per Newton iteration; one apply_generator
+    row and one Penalty.value row per level residual (one per level, one
+    per line-search trial), plus one Penalty.value call each in gamma_step
+    and the bound report of every stage, and one apply_generator call on the
+    nt-level data stack for the Theta_m of the one radius."""
+    rows = {name: [] for name in ("level_solver", "apply_generator", "value", "d1")}
 
-    def counted(cls, name):
+    def counted(cls, name, rows_of):
         real = getattr(cls, name)
 
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return real(*args, **kwargs)
+        def wrapper(self, *args, **kwargs):
+            rows[name].append(rows_of(self, *args))
+            return real(self, *args, **kwargs)
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    counted(Operator, "level_solver")
-    counted(Operator, "apply_generator")
-    counted(Penalty, "value")
-    counted(Penalty, "d1")
-    totals = []
-    real_solve = solver.solve_penalized
-
-    def solve_counted(*args, **kwargs):
-        point = real_solve(*args, **kwargs)
-        totals.append((point, dict(calls)))
-        return point
-
-    monkeypatch.setattr(solver, "solve_penalized", solve_counted)
+    counted(Operator, "level_solver", lambda op, *args: 1)
+    counted(Operator, "apply_generator", lambda op, u: u.shape[:-1])
+    counted(Penalty, "value", lambda pen, y: np.size(pen.eps))
+    counted(Penalty, "d1", lambda pen, y: np.size(pen.eps))
     bench = load_bench("bench_ou", coarse=True)
     res = continuation(bench.spec, bench.schedule, bench.grid_policy, tol=1e-7)
-    assert len(totals) == len(res.points) == len(bench.schedule)
-    before, radius = dict.fromkeys(calls, 0), None
-    for point, total in totals:
-        seen = {k: total[k] - before[k] for k in calls}
-        work = point.march
-        assert point.iters == 1
-        residuals = work.levels + work.line_search_trials
-        assert seen == {
-            "level_solver": work.newton_iters,
-            "d1": work.newton_iters,
-            "apply_generator": residuals + (point.m != radius),
-            "value": residuals + 2,
+    assert len(res.points) == len(bench.schedule) > 1
+    assert all(point.iters == 1 for point in res.points)
+    newton = sum(point.march.newton_iters for point in res.points)
+    residuals = sum(point.march.levels + point.march.line_search_trials for point in res.points)
+    theta = [shape for shape in rows["apply_generator"] if shape == (bench.grid.nt,)]
+    waves = [shape for shape in rows["apply_generator"] if shape != (bench.grid.nt,)]
+    assert sum(rows["level_solver"]) == newton
+    assert sum(rows["d1"]) == newton
+    assert len(theta) == 1 and sum(n for (n,) in waves) == residuals
+    assert sum(rows["value"]) == residuals + 2 * len(res.points)
+    # the wavefront evaluates several stages per call
+    assert len(waves) < residuals and len(rows["d1"]) < newton
+
+
+def _chain(spec, schedule, policy, tol=1e-7):
+    """The continuation as a chain of standalone solves: each stage
+    solve_penalized from the previous field, on a problem per radius."""
+    points, problem, prev, k3 = [], None, None, None
+    for eps, delta, m in schedule:
+        if problem is None or problem.data.m != m:
+            problem = TruncatedProblem(policy(m), truncate_data(spec, m))
+        u0 = None if prev is None else solver._interp_onto(prev, problem)
+        point = solve_penalized(problem, Penalty(eps), delta, tol=tol, u0=u0, k3_bound=k3)
+        if k3 is None:
+            k3 = point.bound_report["quad_growth"][1] * (1.0 + 1e-9)
+        points.append(point)
+        prev = point.field
+    return points
+
+
+def _same_stages(got, want):
+    """Stages equal bit for bit: fields, march counts, certification
+    attempts, residuals and bound reports."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.eps, a.delta, a.m) == (b.eps, b.delta, b.m)
+        np.testing.assert_array_equal(a.field.values, b.field.values)
+        assert a.march == b.march and a.iters == b.iters
+        assert a.residual.hex() == b.residual.hex()
+        assert {k: (u.hex(), o.hex()) for k, (u, o) in a.bound_report.items()} == {
+            k: (u.hex(), o.hex()) for k, (u, o) in b.bound_report.items()
         }
-        before, radius = total, point.m
+
+
+class TestWavefront:
+    """continuation marches the stages of a radius as one wavefront; every
+    stage equals the stage of a chain of standalone solves, each started
+    from the certified field of the stage before."""
+
+    @staticmethod
+    def _case(case):
+        if case == "bench_ou":
+            bench = load_bench("bench_ou", coarse=True)
+            return bench.spec, bench.schedule, bench.grid_policy
+        if case == "three_radii":
+            spec = load_bench("bench_ou", coarse=True).spec
+            schedule = [(0.5, 0.5, 4.0), (0.25, 0.25, 4.0), (0.125, 0.125, 6.0)]
+            schedule += [(1 / 16, 1 / 16, 6.0), (1 / 32, 1 / 32, 8.0)]
+            return spec, schedule, lambda m: Grid(d=1, m=m, nx=int(20 * m) + 1, nt=50, T=spec.T)
+        if case == "time_dependent":
+            spec = parse_config_text(BENCH_OU_TIME_DEPENDENT)[0]
+            grid = Grid(d=1, m=6.0, nx=121, nt=50, T=spec.T)
+            return spec, default_schedule(3, m=6.0), lambda m: grid
+        spec = parse_config_text(TestTwoDimensional.OU_IN_X1)[0]
+        grid = Grid(d=2, m=6.0, nx=61, nt=50, T=0.2)
+        return spec, [(0.125, 0.125, 6.0), (1 / 16, 1 / 16, 6.0)], lambda m: grid
+
+    @pytest.mark.parametrize("case", ["bench_ou", "three_radii", "time_dependent", "two_d"])
+    def test_continuation_is_the_chain_of_solves(self, case):
+        spec, schedule, policy = self._case(case)
+        res = continuation(spec, schedule, policy, tol=1e-7)
+        _same_stages(res.points, _chain(spec, schedule, policy))
+
+    @staticmethod
+    def _failing_sweep(monkeypatch, failing):
+        """gamma_step with 1e-6 added at one interior node of level 0 on the
+        sweep numbered failing, so that its certification fails once."""
+        sweeps = []
+
+        def sweep(*args, **kwargs):
+            w = gamma_step(*args, **kwargs)
+            sweeps.append(1)
+            if len(sweeps) != failing:
+                return w
+            values = w.values.copy()
+            values[0, values.shape[1] // 2] += 1e-6
+            return GridField(grid=w.grid, values=values)
+
+        monkeypatch.setattr(solver, "gamma_step", sweep)
+        return sweeps
+
+    def test_stages_after_a_re_march_start_from_its_certified_field(self, monkeypatch):
+        """Stage 2 of 4 fails its first certification and re-marches; stages
+        3 and 4 start from its certified field, as in the chain."""
+        bench = load_bench("bench_ou", coarse=True)
+        grid = Grid(d=1, m=6.0, nx=81, nt=30, T=bench.spec.T)
+        schedule = default_schedule(4, m=6.0)
+        sweeps = self._failing_sweep(monkeypatch, failing=2)
+        res = continuation(bench.spec, schedule, lambda m: grid, tol=1e-7)
+        assert [p.iters for p in res.points] == [1, 2, 1, 1] and len(sweeps) == 5
+        sweeps.clear()
+        _same_stages(res.points, _chain(bench.spec, schedule, lambda m: grid))
+        assert len(sweeps) == 5
+
+    def test_a_march_error_comes_after_the_stages_before_it(self, monkeypatch):
+        """A level solve of stage 2 that returns NaN ends the continuation
+        with the chain's message, once stages 0 and 1 are certified; stage 3,
+        which starts from stage 2, is not solved."""
+        bench = load_bench("bench_ou", coarse=True)
+        grid = Grid(d=1, m=6.0, nx=81, nt=30, T=bench.spec.T)
+        schedule = default_schedule(4, m=6.0)
+        real = Operator.level_solver
+        calls = []
+
+        def poisoned(self, slope, lin, extra_diag):
+            solve = real(self, slope, lin, extra_diag)
+            # stage 2 alone has delta = 1/8: its obstacle rows read 8
+            if np.max(extra_diag) != 8.0:
+                return solve
+            calls.append(1)
+            if len(calls) != 5:
+                return solve
+
+            def bad_solve(rhs):
+                w = solve(rhs)
+                w[w.size // 2] = np.nan
+                return w
+
+            return bad_solve
+
+        monkeypatch.setattr(Operator, "level_solver", poisoned)
+        with pytest.raises(solver.ContinuationError) as failed:
+            continuation(bench.spec, schedule, lambda m: grid, tol=1e-7)
+        calls.clear()
+        with pytest.raises(SolverError) as alone:
+            _chain(bench.spec, schedule, lambda m: grid)
+        assert len(calls) == 5
+        eps, delta, m = schedule[2]
+        assert str(failed.value) == f"stage (eps={eps:g}, delta={delta:g}, m={m:g}) failed: {alone.value}"
+        assert str(alone.value).startswith("linear solve produced non-finite values at level")
+        monkeypatch.setattr(Operator, "level_solver", real)
+        _same_stages(failed.value.partial, _chain(bench.spec, schedule[:2], lambda m: grid))
 
 
 class TestOneProblemPerRadius:
