@@ -9,9 +9,10 @@ stay nonnegative (the positive-coefficient rule of Wang & Forsyth 2008).
 It holds the stencil as diagonals, one coefficient array per offset, and
 everything derives from them: L_matrix, the implicit matrix
 M0 = I/ht - (L - r), the Newton level systems
-M0 + diag(extra_diag) + slope Q'(v) (interior rows) and the obstacle
-oracle's pinned systems, so the penalized solver and the oracle are free of
-stencil mismatch.
+M0 + diag(extra_diag) + slope Q'(v) (interior rows), assembled for a stack
+of rows in one pass and solved row by row, and the obstacle oracle's pinned
+systems, so the penalized solver and the oracle are free of stencil
+mismatch.
 
 The operator also owns the discrete control term Q(u) = |grad u|^2 of the
 gradient penalty psi(|grad u|^2 - f^2) (Operator.control_term) and its
@@ -274,15 +275,18 @@ class Operator:
     by L_matrix in 2-D.  M0 is factored once, when the operator is built
     (LAPACK gttrf in 1-D, SuperLU in 2-D), and implicit_solve applies that
     factorization (gttrs in 1-D, the same elimination arithmetic as gtsv).
-    The other solve paths hand _system a function that edits a copy of M0's
-    diagonals: level_solver builds the Newton level systems
+    The other solve paths edit copies of M0's diagonals and hand them to
+    _system.  The Newton level systems
 
         M0 + I_int (diag(extra_diag) + diag(slope) Q'(v))
 
     where Q'(v) w = 2 sum_i (D_i v)(D_i w) is the derivative of the control
     term Q = control_term at v, D_i is the centered first difference along
-    axis i and I_int keeps interior rows only, and pinned_solver M0 with
-    chosen rows made identity rows.
+    axis i and I_int keeps interior rows only, are assembled for a whole
+    stack of rows at once (level_systems) and solved one row at a time
+    (level_solver); pinned_solver solves M0 with chosen rows made identity
+    rows.  Their 1-D solvers are single-use: gtsv overwrites the bands they
+    were built with (never M0's own) and the right-hand side.
     """
 
     grid: Grid
@@ -308,36 +312,27 @@ class Operator:
         else:
             self._lu = sp.linalg.splu(self.implicit_matrix)
 
-    def _system(self, diagonals_of):
-        """Solver for the system with the diagonals that diagonals_of()
-        returns: LAPACK gtsv on the three bands in 1-D (the routine
-        solve_banded((1, 1), ...) calls, without its input checks; callers
-        check the solution for non-finite values), a SuperLU factorization
-        in 2-D.  In 1-D every solve builds its bands anew and lets gtsv
-        overwrite each band that is not one of M0's own diagonals, so no
-        band is copied and the solver may still be called again."""
+    def _system(self, diagonals, row=...):
+        """Solver for the system with the diagonals diagonals[o][row] (row
+        picks one system of stacked diagonals; by default the diagonals are
+        one system's), none of which may be M0's own: LAPACK gtsv on the
+        three bands in 1-D (the routine solve_banded((1, 1), ...) calls,
+        without its input checks; callers check the solution for non-finite
+        values), a SuperLU factorization in 2-D.  In 1-D gtsv overwrites the
+        bands and the right-hand side, which then holds the solution, so
+        nothing is copied and the solver is single-use."""
         if self.grid.d == 1:
-            own = self._diagonals
+            lower, diag, upper = diagonals[-1][row], diagonals[0][row], diagonals[1][row]
 
             def solve(rhs):
-                diagonals = diagonals_of()
-                lower, diag, upper = diagonals[-1], diagonals[0], diagonals[1]
-                *_, x, info = _GTSV(
-                    lower,
-                    diag,
-                    upper,
-                    rhs,
-                    overwrite_dl=lower is not own[-1],
-                    overwrite_d=diag is not own[0],
-                    overwrite_du=upper is not own[1],
-                )
+                # positional flags: overwrite_dl, overwrite_d, overwrite_du, overwrite_b
+                *_, x, info = _GTSV(lower, diag, upper, rhs, True, True, True, True)
                 if info != 0:
                     raise np.linalg.LinAlgError(f"tridiagonal system: gtsv info {info}")
                 return x
 
             return solve
-        diagonals = diagonals_of()
-        M = sp.diags(list(diagonals.values()), list(diagonals), format="csc")
+        M = sp.diags([v[row] for v in diagonals.values()], list(diagonals), format="csc")
         return sp.linalg.splu(M).solve
 
     def implicit_solve(self, rhs: np.ndarray) -> np.ndarray:
@@ -351,10 +346,11 @@ class Operator:
 
     def pinned_solver(self, rows: np.ndarray):
         """Solver for M0 with the rows in the boolean mask `rows` replaced by
-        identity rows (the policy systems of the obstacle oracle)."""
+        identity rows (the policy systems of the obstacle oracle), for one
+        call: in 1-D its solve overwrites the right-hand side it is given."""
         # a pinned row keeps 1 on the main diagonal (o == 0) and 0 elsewhere
         return self._system(
-            lambda: {o: np.where(rows[self._rows[o]], float(o == 0), v) for o, v in self._diagonals.items()}
+            {o: np.where(rows[self._rows[o]], float(o == 0), v) for o, v in self._diagonals.items()}
         )
 
     def apply_generator(self, flat_values: np.ndarray) -> np.ndarray:
@@ -385,7 +381,7 @@ class Operator:
     def control_term(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(Q, lin) of nodal values (..., n_nodes), one level or a stack:
         Q = |grad u|^2 of the gradient penalty, shape (..., n_nodes), and lin,
-        what level_solver's linearization Q'(v) reads at v = values, here the
+        what level_systems' linearization Q'(v) reads at v = values, here the
         centered gradient (..., d, n_nodes) that Q squares."""
         lin = centered_gradient(self.grid, values)
         # squared axis by axis, so that a level stack makes no temporary of
@@ -395,39 +391,49 @@ class Operator:
             Q += np.square(lin[..., axis, :])
         return Q, lin
 
-    def level_solver(self, slope: np.ndarray, lin: np.ndarray, extra_diag: np.ndarray):
-        """Solver for M0 + diag(extra_diag) + diag(slope) Q'(v) with Dirichlet
-        rows identity, where lin is control_term(v)[1]: the Newton system of
-        a level residual that holds psi(Q(v) - f^2), at slope = psi'.
+    def level_systems(
+        self, slope: np.ndarray, lin: np.ndarray, extra_diag: np.ndarray
+    ) -> dict[int, np.ndarray]:
+        """The systems M0 + diag(extra_diag) + diag(slope) Q'(v) with Dirichlet
+        rows identity, one per row of the stacks slope and extra_diag
+        (rows, n_nodes) and lin (rows, d, n_nodes), where lin is
+        control_term(v)[1]: the Newton systems of level residuals that hold
+        psi(Q(v) - f^2), at slope = psi'.  They are laid out as M0's
+        diagonals, one (rows, length) stack per offset, for level_solver.
 
         Q'(v) w = 2 sum_i lin_i D_i w with the same centered differences as
         Q, so the linear model is the exact derivative of the residual:
-        slope lin_i / hx joins the +s diagonal and leaves the -s one, row by
-        row; a slope that is zero everywhere (an idle gradient penalty) adds
-        nothing.  Both terms are added on every row, then the Dirichlet rows
-        are put back: 1 on the main diagonal and nothing off it, so they stay
-        exact identity rows.  In 1-D the system is built when the solver is
-        called (see _system), so slope, lin and extra_diag must not change
-        before that.
+        slope lin_i / hx joins the +s diagonal and leaves the -s one; a row
+        whose slope is zero everywhere (an idle gradient penalty) keeps M0's
+        off-diagonals bit for bit.  Both terms are added on every row, then
+        the Dirichlet rows are put back: 1 on the main diagonal and nothing
+        off it, so they stay exact identity rows.
         """
+        systems = {}
+        for o, v in self._diagonals.items():
+            systems[o] = np.empty((len(slope), v.size))
+            systems[o][...] = v
+        diag = systems[0]
+        diag += extra_diag
+        diag[:, self._boundary] = 1.0
+        moving = slope.any(axis=1)
+        if moving.any():
+            at = slice(None) if moving.all() else moving
+            for axis, s in enumerate(self._strides):
+                # -slope lin_i / hx; dividing by -hx rounds as
+                # -(2 slope lin_i) / (2 hx) does, signed zeros included
+                half = lin[at, axis] * slope[at]
+                half /= self._minus_hx
+                half[:, self._boundary] = 0.0
+                systems[s][at] -= half[:, :-s]
+                systems[-s][at] += half[:, s:]
+        return systems
 
-        def diagonals_of():
-            diagonals = self._diagonals.copy()
-            diag = diagonals[0] + extra_diag
-            diag[self._boundary] = 1.0
-            diagonals[0] = diag
-            if slope.any():
-                for axis, s in enumerate(self._strides):
-                    # -slope lin_i / hx; dividing by -hx rounds as
-                    # -(2 slope lin_i) / (2 hx) does, signed zeros included
-                    half = lin[axis] * slope
-                    half /= self._minus_hx
-                    half[self._boundary] = 0.0
-                    diagonals[s] = diagonals[s] - half[:-s]
-                    diagonals[-s] = diagonals[-s] + half[s:]
-            return diagonals
-
-        return self._system(diagonals_of)
+    def level_solver(self, systems: dict[int, np.ndarray], row: int):
+        """Solver for row `row` of systems = level_systems(...), for one call:
+        in 1-D gtsv overwrites that row of the band stacks and the
+        right-hand side it is given, both built for one Newton iteration."""
+        return self._system(systems, row)
 
 
 def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:

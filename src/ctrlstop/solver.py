@@ -18,13 +18,15 @@ bound report, Theta_m and vi_report) runs on the whole (nt+1, n_nodes) level
 stack.  Level k of a continuation stage needs only its own level k+1 and
 level k of the stage before (its Newton start), so continuation marches
 the stages of a radius as a wavefront, each one level behind the stage
-before, with the rows of a wave on a leading axis; it then certifies and
-reports stage by stage, with the same results as solving the stages one
-after the other.  The operator, the g_m, h_m, f_m^2 level stacks (from
-model._level_stacks, which evaluates time-independent data once) and the
-Theta_m bounds depend only on the grid and the truncated data, not on the
-penalty: a TruncatedProblem derives them once per radius, and every stage
-of that radius reads them from it.
+before, with the rows of a wave on a leading axis: a Newton iteration
+assembles the level systems of all its rows in one pass and then solves
+them row by row.  continuation then certifies and reports stage by stage,
+with the same results as solving the stages one after the other.  The
+operator, the g_m, h_m, f_m^2 level stacks (from model._level_stacks, which
+evaluates time-independent data once) and the Theta_m bounds depend only
+on the grid and the truncated data, not on the penalty: a TruncatedProblem
+derives them once per radius, and every stage of that radius reads them
+from it.
 """
 from __future__ import annotations
 
@@ -157,33 +159,37 @@ def _nonlinear_march(
     Newton: freeze the active set {g_m > v} and the slope psi'(Q(v) - f_m^2)
     of the gradient penalty at the running inner iterate v, with
     Q = |grad v|^2 the operator's control term (both are supporting planes
-    of convex terms), solve the linear system that op.level_solver
+    of convex terms), solve the linear system that op.level_systems
     assembles, repeat.  Stage 0 starts v from level k of guess, or without
     one from its own level k+1, which keeps steps O(ht); stage i starts it
     from level k of stage i-1, so a stage needs only its own level k+1 and
     level k of the stage before.  The marched field is the fixed point of
-    the frozen-source operator up to the inner tolerance.  The line search
-    evaluates the level residual at each trial point; the accepted trial's
-    control term (Q and what its linearization reads), zeta = Q - f_m^2 and
-    psi(zeta) feed the next linearization, so each Newton iteration
-    evaluates psi' once and psi only through the residuals.
+    the frozen-source operator up to the inner tolerance.  The level
+    residual, evaluated at the start and at each line-search trial point,
+    also returns all that a Newton step from that point reads (lin, psi',
+    the obstacle's extra diagonal and the right-hand side), with psi and
+    psi' from one classification of zeta; the accepted trial's feeds the
+    next Newton step.
 
     The stages march as a wavefront: at wave j, stage i solves level
     k = nt-1-j+i, one level behind the stage before.  The wave's rows (one
     per stage) sit on a leading axis, so a level residual (control term,
-    penalty branches, apply_generator) or a Newton right-hand side (psi',
-    source) is evaluated once for all the rows that need it, each row with
-    its own eps and delta; each row keeps its own
-    Newton iterations, convergence test, MAX_INNER stall, error, level
-    solver and linear solve, and rows that start a line search together
-    share its theta.  Each row's arithmetic is that of a march of its stage
-    alone, bit for bit.
+    penalty branches, apply_generator, Newton right-hand side) is evaluated
+    once for all the rows that need it, each row with its own eps and
+    delta, and a Newton iteration assembles the level systems of all its
+    rows in one op.level_systems call.  Each row keeps its own Newton
+    iterations, convergence test, MAX_INNER stall, error, level solver and
+    linear solve (the per-row loop calls op.level_solver and its solve
+    only), and rows that start a line search together share its theta.
+    Each row's arithmetic is that of a march of its stage alone, bit for
+    bit.
 
     Returns the marches of the stages that finished, in order, and the
     SolverError of the stage after them, or None.  An error ends its stage
     and every later one (they start from it), while the earlier stages
     march on.  Each wave's wall time is split evenly among the stages it
-    advanced, so the stages' seconds sum to the march's.
+    advanced (not those that failed in it), so the seconds of the returned
+    stages sum to the march's.
     """
     clock = time.perf_counter()
     grid, op = problem.grid, problem.op
@@ -217,35 +223,50 @@ def _nonlinear_march(
         knext_ht /= ht
         v[:, dirichlet] = g_k[:, dirichlet]
 
-        def pick(rows):
-            """Index of the wave rows (a view of all of them, or a gather)
-            and the penalty of their stages."""
-            if rows.size == rank.size:
-                return slice(None), pen_k
-            return rows, Penalty(pen_k.eps[rows])
+        def index(rows):
+            """The wave rows as an index: a view of all of them, or a gather."""
+            return slice(None) if rows.size == rank.size else rows
 
         def level_residual(rows, cand):
-            """Merits (interior norms of the level residuals) of the rows at
-            cand, with the control term (Q, lin) = op.control_term(cand),
-            zeta = Q - f_m^2 and psi(zeta) they used.  The residual
+            """What a Newton step from cand reads, for each of the rows: the
+            merit (interior norm of the level residual), lin of the control
+            term (Q, lin) = op.control_term(cand), the slope psi'(zeta) at
+            zeta = Q - f_m^2, the obstacle's extra diagonal
+            (1/delta) 1{g_m > cand}, and the right-hand side of the Newton
+            system with a flag that its source is finite.  The residual
             v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+ + psi
             is summed left to right in place, and each row's merit is
-            np.linalg.norm's sqrt(dot) of its interior entries."""
-            at, pen = pick(rows)
+            np.linalg.norm's sqrt(dot) of its interior entries.  psi and psi'
+            read one classification of zeta, and each wave stack is gathered
+            once."""
+            at = index(rows)
+            pen = pen_k if isinstance(at, slice) else Penalty(pen_k.eps[at])
+            g_a, h_a, knext_a, inv_delta_a = g_k[at], h_k[at], knext_ht[at], inv_delta_k[at]
             Q, lin = op.control_term(cand)
-            zeta = Q - f2_k[at]
-            psi = pen.value(zeta)
+            branches = _Branches(pen, Q - f2_k[at])
+            psi = pen.value(branches)
             res = cand / ht
             res -= op.apply_generator(cand)
-            res -= knext_ht[at]
-            res -= h_k[at]
-            obstacle = np.subtract(g_k[at], cand)
+            res -= knext_a
+            res -= h_a
+            obstacle = np.subtract(g_a, cand)
+            extra_diag = inv_delta_a * (obstacle > 0.0)
             np.maximum(obstacle, 0.0, out=obstacle)
-            obstacle *= inv_delta_k[at]
+            obstacle *= inv_delta_a
             res -= obstacle
             res += psi
             merits = np.array([math.sqrt(np.dot(r, r)) for r in res[:, interior]])
-            return [merits, lin, Q, zeta, psi]
+            slope = pen.d1(branches)
+            # h_m + extra_diag g_m - psi + slope Q'(v) v, left to right, where
+            # Q'(v) v = 2 Q since Q is quadratic
+            const_src = np.multiply(extra_diag, g_a)
+            np.add(h_a, const_src, out=const_src)
+            const_src -= psi
+            const_src += 2.0 * slope * Q
+            finite = np.isfinite(const_src).all(axis=1)
+            rhs = np.add(knext_a, const_src, out=const_src)
+            rhs[:, dirichlet] = g_a[:, dirichlet]
+            return [merits, lin, slope, extra_diag, rhs, finite]
 
         def fail(row, message):
             """End the stage of the row and every later one."""
@@ -253,35 +274,25 @@ def _nonlinear_march(
             alive, error = int(rank[row]), SolverError(message)
 
         active = np.arange(rank.size)  # the rows iterating, in stage order
-        state = level_residual(active, v)  # merit, lin, Q, zeta, psi of every row
+        state = level_residual(active, v)  # merit, lin, slope, extra_diag, rhs, finite per row
         for _ in range(MAX_INNER):
             if rank[active[-1]] >= alive:
                 active = active[rank[active] < alive]
                 if not active.size:
                     break
             work[1, rank[active]] += 1
-            merit, lin, Q, zeta, psi = state
-            at, pen = pick(active)
-            v_a, g_a = v[at], g_k[at]
-            slope = pen.d1(zeta[at])
-            extra_diag = inv_delta_k[at] * (g_a - v_a > 0.0)
-            # h_m + extra_diag g_m - psi + slope Q'(v) v, left to right, where
-            # Q'(v) v = 2 Q since Q is quadratic
-            const_src = np.multiply(extra_diag, g_a)
-            np.add(h_k[at], const_src, out=const_src)
-            const_src -= psi[at]
-            const_src += 2.0 * slope * Q[at]
-            finite = np.isfinite(const_src).all(axis=1)
-            rhs = knext_ht[at] + const_src
-            rhs[:, dirichlet] = g_a[:, dirichlet]
-            lin_a = lin[at]
-            w = np.empty_like(v_a)
+            merit, lin, slope, extra_diag, rhs, finite = state
+            at = index(active)
+            v_a = v[at]
+            systems = op.level_systems(slope[at], lin[at], extra_diag[at])
+            # each row's solve overwrites its right-hand side with w in 1-D
+            w, finite_a = rhs[at], finite[at]
             for p, row in enumerate(active.tolist()):
-                if not finite[p]:
+                if not finite_a[p]:
                     fail(row, f"non-finite source at time level {ks[row]}")
                     active = active[:p]
                     break
-                w[p] = op.level_solver(slope[p], lin_a[p], extra_diag[p])(rhs[p])
+                w[p] = op.level_solver(systems, p)(w[p])
             w = w[: active.size]
             direction = w - v_a[: active.size]
             step = np.abs(direction).max(axis=1)
@@ -337,7 +348,8 @@ def _nonlinear_march(
             outs[rank[row]][ks[row]] = v[row]
         work[0, rank[done]] += 1
         now = time.perf_counter()
-        seconds[rank] += (now - clock) / rank.size
+        if done.size:
+            seconds[rank[done]] += (now - clock) / done.size
         clock = now
     return [
         _Marched(GridField(grid=grid, values=outs[i]), MarchCounts(*(int(c) for c in work[:, i])), float(seconds[i]))
@@ -370,7 +382,8 @@ class PenaltyPoint:
     "report" (the nonnegativity check and the bound report).  Where the
     stage was marched in a wavefront with others (continuation), its
     "march" time holds an even share of each wave that advanced it, so the
-    stages' march times sum to the measured wavefront.
+    march times of the stages continuation returns sum to the measured
+    wavefront.
     """
 
     eps: float

@@ -44,9 +44,17 @@ def _operator(case):
     return op
 
 
+def _level_solve(op, slope, lin, extra_diag, rhs):
+    """Solution of one level system, assembled by level_systems as a stack
+    of one row and solved by its level_solver, which may overwrite the
+    right-hand side it is given (a copy of rhs)."""
+    systems = op.level_systems(slope[None], lin[None], extra_diag[None])
+    return op.level_solver(systems, 0)(rhs.copy())
+
+
 @pytest.mark.parametrize("case", ["bench_ou", "skewed_2d"])
 def test_level_system_is_the_generator_stencil(case):
-    """w = level_solver(slope, lin, dg)(rhs), with lin = control_term(v)[1],
+    """w solves the level system of (slope, lin, dg), with lin = control_term(v)[1],
     solves w/ht - (L - r) w + dg w + slope Q'(v) w = rhs on interior rows,
     where L - r is the operator's own stencil and Q'(v) w the derivative of
     control_term's Q at v along w, taken by a central difference of step
@@ -61,7 +69,7 @@ def test_level_system_is_the_generator_stencil(case):
     slope = rng.uniform(0.0, 2.0, size=n)
     extra_diag = rng.uniform(0.0, 5.0, size=n)
     rhs = rng.normal(size=n)
-    w = op.level_solver(slope, op.control_term(v)[1], extra_diag)(rhs)
+    w = _level_solve(op, slope, op.control_term(v)[1], extra_diag, rhs)
 
     step = 1e-4
     dQ = (op.control_term(v + step * w)[0] - op.control_term(v - step * w)[0]) / (2.0 * step)
@@ -73,7 +81,7 @@ def test_level_system_is_the_generator_stencil(case):
 
     # a zero slope adds nothing: with no extra diagonal the system is M0
     zeros = np.zeros(n)
-    plain = op.level_solver(zeros, op.control_term(v)[1], zeros)(rhs)
+    plain = _level_solve(op, zeros, op.control_term(v)[1], zeros, rhs)
     implicit = op.implicit_solve(rhs)
     assert np.max(np.abs(plain - implicit)) <= 1e-10 * np.max(np.abs(implicit))
 
@@ -144,40 +152,74 @@ def test_box_edge_is_dirichlet(d, m, nx):
 
 
 def test_level_solver_gtsv_is_solve_banded():
-    """The 1-D closure calls gtsv directly; solve_banded((1, 1)) on the same
-    bands is the reference, bit for bit, and the closure keeps its inputs."""
+    """The 1-D solver of one row calls gtsv directly; solve_banded((1, 1))
+    on the same bands is the reference, bit for bit.  It is single-use: the
+    solve overwrites its row of the band stacks and the right-hand side it
+    is given, which holds the solution, and leaves the other rows of the
+    stacks and M0's diagonals as they were."""
     op = _operator("bench_ou")
     n = op.grid.n_nodes
     interior = ~op.dirichlet
     M0 = op.implicit_matrix
+    kept_m0 = {o: d.copy() for o, d in op._diagonals.items()}
     rng = np.random.default_rng(11)
-    for _ in range(5):
-        slope = rng.uniform(0.0, 3.0, size=n)
-        lin = rng.normal(size=(1, n))
-        extra_diag = rng.uniform(0.0, 50.0, size=n)
-        rhs = rng.normal(size=n)
+    slope = rng.uniform(0.0, 3.0, size=(5, n))
+    lin = rng.normal(size=(5, 1, n))
+    extra_diag = rng.uniform(0.0, 50.0, size=(5, n))
+    rhs = rng.normal(size=(5, n))
+    systems = op.level_systems(slope, lin, extra_diag)
+    assembled = {o: stack.copy() for o, stack in systems.items()}
+    for p in range(5):
         ab = np.zeros((3, n))
         ab[0, 1:] = M0.diagonal(1)
-        ab[1] = M0.diagonal() + np.where(interior, extra_diag, 0.0)
+        ab[1] = M0.diagonal() + np.where(interior, extra_diag[p], 0.0)
         ab[2, :-1] = M0.diagonal(-1)
         # slope Q'(v) w = 2 slope lin D w: the drift -2 slope lin
-        half = np.where(interior, (-2.0 * slope * lin[0]) / (2.0 * op.grid.hx), 0.0)
+        half = np.where(interior, (-2.0 * slope[p] * lin[p, 0]) / (2.0 * op.grid.hx), 0.0)
         ab[0, 1:] -= half[:-1]
         ab[2, :-1] += half[1:]
-        ref = solve_banded((1, 1), ab, rhs)
-        kept = rhs.copy()
-        solve = op.level_solver(slope, lin, extra_diag)
-        np.testing.assert_array_equal(solve(rhs), ref)
-        np.testing.assert_array_equal(solve(rhs), ref)
-        np.testing.assert_array_equal(rhs, kept)
+        ref = solve_banded((1, 1), ab, rhs[p])
+        b = rhs[p].copy()
+        x = op.level_solver(systems, p)(b)
+        np.testing.assert_array_equal(x, ref)
+        np.testing.assert_array_equal(b, ref)
+        assert not np.array_equal(systems[0][p], assembled[0][p])
+        for o, stack in systems.items():
+            np.testing.assert_array_equal(stack[p + 1 :], assembled[o][p + 1 :])
+    for o, diagonal in kept_m0.items():
+        np.testing.assert_array_equal(op._diagonals[o], diagonal)
+
+
+@pytest.mark.parametrize("case", ["bench_ou", "skewed_2d"])
+def test_level_systems_stack_is_row_by_row_assembly(case):
+    """One level_systems call on a stack of rows equals the assembly of each
+    row on its own, bit for bit, signed zeros included; a row with zero
+    slope next to rows with nonzero slopes keeps M0's off-diagonals."""
+    op = _operator(case)
+    n, d = op.grid.n_nodes, op.grid.d
+    rng = np.random.default_rng(17)
+    slope = rng.uniform(0.0, 3.0, size=(4, n)) * (rng.random((4, n)) < 0.6)
+    slope[1] = 0.0
+    lin = rng.normal(size=(4, d, n))
+    extra_diag = rng.uniform(0.0, 50.0, size=(4, n)) * (rng.random((4, n)) < 0.5)
+    stacked = op.level_systems(slope, lin, extra_diag)
+    for p in range(4):
+        single = op.level_systems(slope[p : p + 1], lin[p : p + 1], extra_diag[p : p + 1])
+        assert single.keys() == stacked.keys() == op._diagonals.keys()
+        for o, stack in stacked.items():
+            assert stack.shape == (4, op._diagonals[o].size)
+            np.testing.assert_array_equal(stack[p].view(np.uint64), single[o][0].view(np.uint64))
+    for o, diagonal in op._diagonals.items():
+        if o != 0:
+            np.testing.assert_array_equal(stacked[o][1].view(np.uint64), diagonal.view(np.uint64))
 
 
 @pytest.mark.parametrize("case", ["bench_ou", "skewed_2d"])
 def test_solves_keep_the_diagonals_of_m0(case):
     """Level solves with a zero and a nonzero slope and pinned solves leave
     M0's diagonals bit for bit as built (a 1-D solve lets gtsv overwrite
-    only the bands it built for the call), so a solve repeated after them
-    gives the same result."""
+    only the bands assembled for it), so a solve repeated after them gives
+    the same result."""
     op = _operator(case)
     n = op.grid.n_nodes
     kept = {o: d.copy() for o, d in op._diagonals.items()}
@@ -185,15 +227,15 @@ def test_solves_keep_the_diagonals_of_m0(case):
     rhs = rng.normal(size=n)
     zeros = np.zeros(n)
     lin = rng.normal(size=(op.grid.d, n))
-    first = op.level_solver(zeros, lin, zeros)(rhs)
+    first = _level_solve(op, zeros, lin, zeros, rhs)
     for slope in (zeros, rng.uniform(0.0, 3.0, size=n)):
         for extra_diag in (zeros, rng.uniform(0.0, 50.0, size=n)):
-            op.level_solver(slope, lin, extra_diag)(rhs)
-    op.pinned_solver(op.dirichlet | (rng.uniform(size=n) < 0.3))(rhs)
+            _level_solve(op, slope, lin, extra_diag, rhs)
+    op.pinned_solver(op.dirichlet | (rng.uniform(size=n) < 0.3))(rhs.copy())
     assert kept.keys() == op._diagonals.keys()
     for o, diagonal in kept.items():
         np.testing.assert_array_equal(op._diagonals[o], diagonal)
-    np.testing.assert_array_equal(op.level_solver(zeros, lin, zeros)(rhs), first)
+    np.testing.assert_array_equal(_level_solve(op, zeros, lin, zeros, rhs), first)
 
 
 def test_restrict_common_on_a_shared_grid():
@@ -342,8 +384,8 @@ def test_operator_is_the_coo_assembly(case):
         drift = -2.0 * slope * lin
         for sl, e, dg in ((slope, drift, diag), (slope, drift, zeros), (zeros, None, diag), (zeros, None, zeros)):
             want = _reference_system(grid, M0, interior, extra_drift=e, extra_diag=dg)(rhs)
-            same(op.level_solver(sl, lin, dg)(rhs), want)
-        same(op.pinned_solver(pinned)(rhs), _reference_system(grid, M0, interior, pinned=pinned)(rhs))
+            same(_level_solve(op, sl, lin, dg, rhs), want)
+        same(op.pinned_solver(pinned)(rhs.copy()), _reference_system(grid, M0, interior, pinned=pinned)(rhs))
 
 
 @pytest.mark.parametrize("case", ["bench_ou", "strong_1d", "skewed_2d"])

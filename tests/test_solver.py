@@ -730,13 +730,14 @@ def test_layer_counters_match_the_march(monkeypatch):
     """perfbench reads the march's work off calls of Operator.level_solver,
     Operator.apply_generator, Penalty.value and Penalty.d1.  The wavefront
     evaluates the rows of several stages in one call, so the counts are
-    rows, summed over the continuation without retries: one level solver
-    call and one Penalty.d1 row per Newton iteration; one apply_generator
-    row and one Penalty.value row per level residual (one per level, one
-    per line-search trial), plus one Penalty.value call each in gamma_step
-    and the bound report of every stage, and one apply_generator call on the
-    nt-level data stack for the Theta_m of the one radius."""
-    rows = {name: [] for name in ("level_solver", "apply_generator", "value", "d1")}
+    rows, summed over the continuation without retries: one level_solver
+    call and one level_systems row per Newton iteration; one
+    apply_generator row, one Penalty.value row and one Penalty.d1 row per
+    level residual (one per level, one per line-search trial), plus one
+    Penalty.value call each in gamma_step and the bound report of every
+    stage, and one apply_generator call on the nt-level data stack for the
+    Theta_m of the one radius."""
+    rows = {name: [] for name in ("level_systems", "level_solver", "apply_generator", "value", "d1")}
 
     def counted(cls, name, rows_of):
         real = getattr(cls, name)
@@ -747,6 +748,7 @@ def test_layer_counters_match_the_march(monkeypatch):
 
         monkeypatch.setattr(cls, name, wrapper)
 
+    counted(Operator, "level_systems", lambda op, slope, lin, extra_diag: len(slope))
     counted(Operator, "level_solver", lambda op, *args: 1)
     counted(Operator, "apply_generator", lambda op, u: u.shape[:-1])
     counted(Penalty, "value", lambda pen, y: np.size(pen.eps))
@@ -759,12 +761,12 @@ def test_layer_counters_match_the_march(monkeypatch):
     residuals = sum(point.march.levels + point.march.line_search_trials for point in res.points)
     theta = [shape for shape in rows["apply_generator"] if shape == (bench.grid.nt,)]
     waves = [shape for shape in rows["apply_generator"] if shape != (bench.grid.nt,)]
-    assert sum(rows["level_solver"]) == newton
-    assert sum(rows["d1"]) == newton
+    assert sum(rows["level_solver"]) == sum(rows["level_systems"]) == newton
     assert len(theta) == 1 and sum(n for (n,) in waves) == residuals
+    assert sum(rows["d1"]) == residuals and len(rows["d1"]) == len(waves)
     assert sum(rows["value"]) == residuals + 2 * len(res.points)
-    # the wavefront evaluates several stages per call
-    assert len(waves) < residuals and len(rows["d1"]) < newton
+    # the wavefront evaluates and assembles several stages per call
+    assert len(waves) < residuals and len(rows["level_systems"]) < newton
 
 
 def _chain(spec, schedule, policy, tol=1e-7):
@@ -857,23 +859,25 @@ class TestWavefront:
         _same_stages(res.points, _chain(bench.spec, schedule, lambda m: grid))
         assert len(sweeps) == 5
 
-    def test_a_march_error_comes_after_the_stages_before_it(self, monkeypatch):
-        """A level solve of stage 2 that returns NaN ends the continuation
-        with the chain's message, once stages 0 and 1 are certified; stage 3,
-        which starts from stage 2, is not solved."""
-        bench = load_bench("bench_ou", coarse=True)
-        grid = Grid(d=1, m=6.0, nx=81, nt=30, T=bench.spec.T)
-        schedule = default_schedule(4, m=6.0)
-        real = Operator.level_solver
-        calls = []
+    @staticmethod
+    def _poison_stage_two(monkeypatch, nth):
+        """Make the nth level solve of stage 2 of default_schedule(4) return
+        NaN at its middle node; returns the list of stage 2's level solves.
+        Stage 2 alone has delta = 1/8: its obstacle rows read 8 in the
+        extra diagonal of the level systems."""
+        real_systems, real_solver = Operator.level_systems, Operator.level_solver
+        stage_two, calls = [], []  # stage_two: per row of the last systems
 
-        def poisoned(self, slope, lin, extra_diag):
-            solve = real(self, slope, lin, extra_diag)
-            # stage 2 alone has delta = 1/8: its obstacle rows read 8
-            if np.max(extra_diag) != 8.0:
+        def systems(self, slope, lin, extra_diag):
+            stage_two[:] = (np.max(extra_diag, axis=1) == 8.0).tolist()
+            return real_systems(self, slope, lin, extra_diag)
+
+        def poisoned(self, systems, row):
+            solve = real_solver(self, systems, row)
+            if not stage_two[row]:
                 return solve
             calls.append(1)
-            if len(calls) != 5:
+            if len(calls) != nth:
                 return solve
 
             def bad_solve(rhs):
@@ -883,7 +887,18 @@ class TestWavefront:
 
             return bad_solve
 
+        monkeypatch.setattr(Operator, "level_systems", systems)
         monkeypatch.setattr(Operator, "level_solver", poisoned)
+        return calls
+
+    def test_a_march_error_comes_after_the_stages_before_it(self, monkeypatch):
+        """A level solve of stage 2 that returns NaN ends the continuation
+        with the chain's message, once stages 0 and 1 are certified; stage 3,
+        which starts from stage 2, is not solved."""
+        bench = load_bench("bench_ou", coarse=True)
+        grid = Grid(d=1, m=6.0, nx=81, nt=30, T=bench.spec.T)
+        schedule = default_schedule(4, m=6.0)
+        calls = self._poison_stage_two(monkeypatch, nth=5)
         with pytest.raises(solver.ContinuationError) as failed:
             continuation(bench.spec, schedule, lambda m: grid, tol=1e-7)
         calls.clear()
@@ -893,8 +908,33 @@ class TestWavefront:
         eps, delta, m = schedule[2]
         assert str(failed.value) == f"stage (eps={eps:g}, delta={delta:g}, m={m:g}) failed: {alone.value}"
         assert str(alone.value).startswith("linear solve produced non-finite values at level")
-        monkeypatch.setattr(Operator, "level_solver", real)
+        monkeypatch.undo()
         _same_stages(failed.value.partial, _chain(bench.spec, schedule[:2], lambda m: grid))
+
+    def test_a_failing_wave_is_timed_to_the_stages_it_advanced(self, monkeypatch):
+        """The wave in which stage 2's first level solve fails advances
+        stages 0 and 1 only, so its time goes to them: the seconds of the
+        two stages that come back sum to the march's elapsed time, on a
+        clock that ticks one second per reading."""
+        bench = load_bench("bench_ou", coarse=True)
+        grid = Grid(d=1, m=6.0, nx=81, nt=30, T=bench.spec.T)
+        schedule = default_schedule(4, m=6.0)
+        problem = TruncatedProblem(grid, truncate_data(bench.spec, 6.0))
+        stages = [(Penalty(eps), delta) for eps, delta, _ in schedule]
+        calls = self._poison_stage_two(monkeypatch, nth=1)
+        readings = []
+
+        def clock():
+            readings.append(float(len(readings)))
+            return readings[-1]
+
+        monkeypatch.setattr(solver.time, "perf_counter", clock)
+        done, error = solver._nonlinear_march(problem, stages, 1e-8)
+        monkeypatch.undo()
+        assert len(calls) == 1 and len(done) == 2
+        assert str(error) == f"linear solve produced non-finite values at level {grid.nt - 1}"
+        assert all(march.seconds > 0.0 for march in done)
+        assert sum(march.seconds for march in done) == readings[-1] - readings[0]
 
 
 class TestOneProblemPerRadius:
