@@ -18,7 +18,7 @@ import numpy as np
 
 from . import artifacts
 from .grid import Grid, GridField
-from .kernel import Penalty, truncate_data
+from .kernel import DataError, Penalty, truncate_data
 from .model import ConfigError, _whole, load_problem, validate_assumptions
 from .oracles import ObstacleProblem, compare_fields, solve_obstacle
 from .simulate import (
@@ -124,6 +124,13 @@ def cmd_solve(args) -> int:
     digest = artifacts.config_digest(args.config)
     run_dir = artifacts.make_run_dir(args.out, digest)
     walls = {}
+
+    def failure_manifest(status, exc):
+        artifacts.write_manifest(
+            run_dir,
+            {"command": "solve", "config_sha": digest, "status": status, "error": str(exc), "wall_times": walls},
+        )
+
     t0 = time.perf_counter()
     try:
         result = continuation(spec, schedule, lambda mm: grid, tol=args.tol)
@@ -132,18 +139,15 @@ def cmd_solve(args) -> int:
         print(f"continuation aborted: {exc}", file=sys.stderr)
         for i, point in enumerate(exc.partial):
             save_field(run_dir / f"field_{i:02d}.npz", point.field, point.eps, point.delta)
-        artifacts.write_manifest(
-            run_dir,
-            {
-                "command": "solve",
-                "config_sha": digest,
-                "status": "convergence-failure",
-                "error": str(exc),
-                "wall_times": walls,
-            },
-        )
+        failure_manifest("convergence-failure", exc)
         print(f"partial artifacts in {run_dir}")
         return EXIT_CONVERGENCE
+    except DataError as exc:
+        # data that passed the sampled checks and still break the truncation
+        walls["solve"] = time.perf_counter() - t0
+        failure_manifest("data-error", exc)
+        print(f"failure manifest in {run_dir}")
+        raise
     walls["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -420,6 +424,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except DataError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_ASSERT
     except (SolverError, ContinuationError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE

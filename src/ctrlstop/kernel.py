@@ -199,16 +199,16 @@ class TruncatedData:
         return np.sqrt(self.f_m_sq(t, x))
 
 
-def truncate_data(spec: ProblemSpec, m: float, sup_samples: int = 201) -> TruncatedData:
+def truncate_data(spec: ProblemSpec, m: float) -> TruncatedData:
     """Truncate (g, h, f) to the cylinder of radius m.
 
     |g|_sup over the closed radius-m cylinder is taken over a fine tensor grid
-    (sup_samples per axis in space, 65 in time).
+    (201 points per axis in space, 65 in time).
     """
     if m < 2:
         raise ValueError("truncation radius must be >= 2")
     cutoff = build_cutoff(m - 1)
-    axes = [np.linspace(-m, m, sup_samples) for _ in range(spec.d)]
+    axes = [np.linspace(-m, m, 201) for _ in range(spec.d)]
     mesh = np.meshgrid(*axes, indexing="ij")
     pts = np.stack([mm.ravel() for mm in mesh], axis=0)
     keep = np.sum(pts**2, axis=0) <= m**2

@@ -180,16 +180,20 @@ def _nonlinear_march(
     rows in one op.level_systems call.  Each row keeps its own Newton
     iterations, convergence test, MAX_INNER stall, error, level solver and
     linear solve (the per-row loop calls op.level_solver and its solve
-    only), and rows that start a line search together share its theta.
-    Each row's arithmetic is that of a march of its stage alone, bit for
-    bit.
+    only), and rows that start a line search together share its trial
+    steps 0.5**trial.  Each row's arithmetic is that of a march of its
+    stage alone, bit for bit.
 
-    Returns the marches of the stages that finished, in order, and the
-    SolverError of the stage after them, or None.  An error ends its stage
-    and every later one (they start from it), while the earlier stages
-    march on.  Each wave's wall time is split evenly among the stages it
-    advanced (not those that failed in it), so the seconds of the returned
-    stages sum to the march's.
+    One rule ends a stage early: when a row's source is not finite, its
+    linear solve is not finite, or its level stalls after MAX_INNER Newton
+    iterations, fail records that error and ends the row's stage and every
+    later one (they start from it), while the earlier stages march on.
+    Since the rows of a wave are in stage order, the rows still iterating
+    are then those before the failing one.  Returns the marches of the
+    stages that finished, in order, and the SolverError of the stage after
+    them, or None.  Each wave's wall time is split evenly among the stages
+    it advanced (not those that failed in it), so the seconds of the
+    returned stages sum to the march's.
     """
     clock = time.perf_counter()
     grid, op = problem.grid, problem.op
@@ -268,18 +272,17 @@ def _nonlinear_march(
             rhs[:, dirichlet] = g_a[:, dirichlet]
             return [merits, lin, slope, extra_diag, rhs, finite]
 
-        def fail(row, message):
-            """End the stage of the row and every later one."""
+        def fail(active, p, message):
+            """Record the error of active row p, end its stage and every later
+            one, and return the active rows before p: those of the earlier
+            stages, which march on."""
             nonlocal alive, error
-            alive, error = int(rank[row]), SolverError(message)
+            alive, error = int(rank[active[p]]), SolverError(message)
+            return active[:p]
 
         active = np.arange(rank.size)  # the rows iterating, in stage order
         state = level_residual(active, v)  # merit, lin, slope, extra_diag, rhs, finite per row
         for _ in range(MAX_INNER):
-            if rank[active[-1]] >= alive:
-                active = active[rank[active] < alive]
-                if not active.size:
-                    break
             work[1, rank[active]] += 1
             merit, lin, slope, extra_diag, rhs, finite = state
             at = index(active)
@@ -289,8 +292,7 @@ def _nonlinear_march(
             w, finite_a = rhs[at], finite[at]
             for p, row in enumerate(active.tolist()):
                 if not finite_a[p]:
-                    fail(row, f"non-finite source at time level {ks[row]}")
-                    active = active[:p]
+                    active = fail(active, p, f"non-finite source at time level {ks[row]}")
                     break
                 w[p] = op.level_solver(systems, p)(w[p])
             w = w[: active.size]
@@ -300,32 +302,29 @@ def _nonlinear_march(
             # w - v overflowed; then w is finite and the line search goes on
             for p in np.flatnonzero(~np.isfinite(step)).tolist():
                 if not np.isfinite(w[p]).all():
-                    fail(active[p], f"linear solve produced non-finite values at level {ks[active[p]]}")
-                    active, step = active[:p], step[:p]
+                    active = fail(active, p, f"linear solve produced non-finite values at level {ks[active[p]]}")
                     break
-            converged = step <= inner_tol
+            converged = step[: active.size] <= inner_tol
             v[active[converged]] = w[: active.size][converged]
             searching = np.flatnonzero(~converged)
             active = active[searching]
             if not active.size:
                 break
             # backtracking line search on the nonlinear level residual, one
-            # theta for every row that starts it here
+            # step 0.5**trial for every row that starts it here
             v_s, d_s = v_a[searching], direction[searching]
             base = merit[active]
             best = base.copy()
-            accepted = np.zeros(active.size, dtype=bool)
             left = np.arange(active.size)  # rows still searching, as positions
-            theta = 1.0
             for trial in range(9):
                 rows = active[left]
-                cand = v_s[left] + theta * d_s[left]
+                cand = v_s[left] + 0.5**trial * d_s[left]
                 found = level_residual(rows, cand)
                 work[2, rank[rows]] += 1
                 better = found[0] < best[left]
                 # no trial lowered the merit: take the last, smallest trial
                 # to escape a kink, bounded by MAX_INNER
-                take = better | ((trial == 8) & ~accepted[left])
+                take = better | ((trial == 8) & ~(best[left] < base[left]))
                 if take.all() and rows.size == rank.size:
                     state, v = found, cand
                 elif take.any():
@@ -333,16 +332,12 @@ def _nonlinear_march(
                         kept[rows[take]] = new[take]
                     v[rows[take]] = cand[take]
                 best[left[better]] = found[0][better]
-                accepted[left[better]] = True
                 left = left[~(better & (found[0] <= 0.9 * base[left]))]
                 if not left.size:
                     break
-                theta *= 0.5
         else:
-            active = active[rank[active] < alive]
-            if active.size:
-                row = active[0]
-                fail(row, f"inner iteration stalled at time level {ks[row]} (merit {state[0][row]:.3e})")
+            row = active[0]
+            fail(active, 0, f"inner iteration stalled at time level {ks[row]} (merit {state[0][row]:.3e})")
         done = np.flatnonzero(rank < alive)
         for row in done.tolist():
             outs[rank[row]][ks[row]] = v[row]

@@ -225,6 +225,32 @@ class TestSolve:
         assert manifest["status"] == "convergence-failure"
         assert "stage (eps=0.5, delta=0.5, m=6) failed" in manifest["error"]
 
+    def test_data_error_exits_one_with_manifest(self, tmp_path, capsys):
+        """A bump of g at 5.5 breaks the enlarged cost term on the truncation
+        bridge of radius 6, which the sample radii 2.5 and 5 of validate
+        miss: solve exits 1 with one stderr line and a manifest that names
+        the failure."""
+        text = resources.files("ctrlstop.configs").joinpath("bench_ou.cfg").read_text()
+        lines = []
+        for line in text.splitlines():
+            if line.startswith("g = "):
+                line += " + 2 * max(0, 1 - ((x1-5.5)/0.3)^2)^3"
+            elif line.startswith("h = "):
+                line = "h = 0"
+            lines.append(line)
+        p = tmp_path / "bridge_bump.cfg"
+        p.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--config", str(p)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "runs"
+        argv = ["solve", "--config", str(p), "--grid", "6,121,50", "--schedule", "0.5,0.5,2"]
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("data error: negative radicand") and len(err.strip().splitlines()) == 1
+        manifest = json.loads((next(out.iterdir()) / "manifest.json").read_text())[0]
+        assert manifest["status"] == "data-error" and manifest["outputs"] == []
+        assert manifest["error"].startswith("negative radicand in the enlarged cost term")
+
 
 class TestSimulate:
     def test_const1_simulate_pipeline(self, const1_cfg, tmp_path):
@@ -360,6 +386,7 @@ class TestBadArguments:
             ["solve", "--grid", "4,41,20", "--schedule", "0.5,0.5,2", "--tol", "abc"],
             ["simulate", "--no-such-option"],
             ["simulate", "--paths", "many"],
+            ["solve", "--grid", "6,601"],
         ],
         ids=[
             "grid-too-small",
@@ -390,6 +417,7 @@ class TestBadArguments:
             "tol-not-a-number",
             "unknown-option",
             "paths-not-an-integer",
+            "grid-two-values",
         ],
     )
     def test_exits_three_without_a_run(self, argv, tmp_path, capsys):
@@ -402,6 +430,17 @@ class TestBadArguments:
         grid = Grid(d=1, m=1.5, nx=31, nt=10, T=0.3)
         save_field(tmp_path / "field.npz", GridField(grid, np.zeros((11, 31))), 0.5, 0.5)
         self._exits_three(["simulate"], tmp_path, capsys)
+
+    def test_out_under_a_file_exits_three(self, tmp_path, capsys):
+        """The run directory cannot be made under a regular file: exit 3 with
+        one I/O error line."""
+        cfg = tmp_path / "const1.cfg"
+        cfg.write_text(CONST1)
+        (tmp_path / "file").write_text("")
+        argv = ["solve", "--config", str(cfg), "--grid", "4,41,20", "--schedule", "0.5,0.5,2"]
+        assert main(argv + ["--out", str(tmp_path / "file" / "runs")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("I/O error: ") and len(err.strip().splitlines()) == 1
 
     @staticmethod
     def _exits_three(argv, tmp_path, capsys):

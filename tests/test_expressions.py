@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -41,9 +42,16 @@ def test_precedence_and_associativity():
 
 
 def test_syntax_error_carries_offset():
-    with pytest.raises(ParseError) as err:
-        parse_expression("x1 + * 2")
-    assert err.value.offset == 5
+    cases = [
+        ("x1 + * 2", "unexpected '*'", 5),
+        ("x1 $ 2", "unexpected character '$'", 3),
+        ("exp(x1", "expected ')'", 6),
+        ("x1 2", "trailing input", 3),
+    ]
+    for text, message, offset in cases:
+        with pytest.raises(ParseError, match=re.escape(message)) as err:
+            parse_expression(text)
+        assert err.value.offset == offset
 
 
 def test_unknown_identifier():

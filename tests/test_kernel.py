@@ -272,7 +272,7 @@ class TestTruncation:
             data = truncate_data(spec, 6.0)
         else:
             spec, _, _ = parse_config_text(SKEW_2D)
-            data = truncate_data(spec, 3.0, sup_samples=61)
+            data = truncate_data(spec, 3.0)
         mc = data.cutoff.m
         rng = np.random.default_rng(5)
         direction = rng.normal(size=(spec.d, 300))

@@ -595,7 +595,7 @@ def ou2d_solved():
 
     spec, _, _ = parse_config_text(TestTwoDimensional.OU_IN_X1)
     grid = Grid(d=2, m=6.0, nx=61, nt=50, T=0.2)
-    data = truncate_data(spec, 6.0, sup_samples=61)
+    data = truncate_data(spec, 6.0)
     pen = Penalty(1 / 16)
     point = solve_penalized(TruncatedProblem(grid, data), pen, 1 / 16, tol=1e-8)
     field = GridField(grid=grid, values=np.round(point.field.values, 9))
@@ -914,7 +914,7 @@ def test_feedback_direction_is_the_boolean_gather_formula(d, flip):
     else:
         spec = parse_config_text(TestTwoDimensional.OU_IN_X1)[0]
     grid = Grid(d=d, m=4.0, nx=41, nt=10, T=0.2)
-    data = truncate_data(spec, 4.0, sup_samples=41)
+    data = truncate_data(spec, 4.0)
     pts = grid.points()
     # flat (grad u = 0) for x1 < 0.5 and x2 < 1, sloped beyond
     u = np.maximum(pts[0] - 0.5, 0.0) ** 2 + (np.maximum(pts[1] - 1.0, 0.0) if d == 2 else 0.0)

@@ -298,7 +298,7 @@ h = 0
     def test_mask_and_solve(self):
         spec, _, _ = parse_config_text(self.CFG)
         grid = Grid(d=2, m=3.0, nx=31, nt=30, T=0.2)
-        data = truncate_data(spec, 3.0, sup_samples=61)
+        data = truncate_data(spec, 3.0)
         point = solve_penalized(TruncatedProblem(grid, data), Penalty(0.25), 0.25, tol=1e-7)
         assert point.bounds_ok()
         # masked nodes outside the ball carry the (vanishing) boundary data
@@ -313,7 +313,7 @@ h = 0
     def test_zero_data_2d(self):
         spec, _, _ = parse_config_text(self.CFG.replace("g = 0.5", "g = 0 * 0.5"))
         grid = Grid(d=2, m=3.0, nx=25, nt=20, T=0.2)
-        data = truncate_data(spec, 3.0, sup_samples=41)
+        data = truncate_data(spec, 3.0)
         point = solve_penalized(TruncatedProblem(grid, data), Penalty(0.5), 0.5, tol=1e-9)
         assert np.max(np.abs(point.field.values)) == 0.0
 
@@ -339,7 +339,7 @@ h = 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)^2)^3
         # loses nonnegativity
         spec, _, _ = parse_config_text(self.OU_IN_X1)
         grid = Grid(d=2, m=6.0, nx=61, nt=50, T=0.2)
-        data = truncate_data(spec, 6.0, sup_samples=61)
+        data = truncate_data(spec, 6.0)
         tol = 1e-7
         point = solve_penalized(TruncatedProblem(grid, data), Penalty(1 / 16), 1 / 16, tol=tol)
         assert float(np.min(point.field.values)) >= -10.0 * tol
@@ -860,11 +860,12 @@ class TestWavefront:
         assert len(sweeps) == 5
 
     @staticmethod
-    def _poison_stage_two(monkeypatch, nth):
-        """Make the nth level solve of stage 2 of default_schedule(4) return
-        NaN at its middle node; returns the list of stage 2's level solves.
-        Stage 2 alone has delta = 1/8: its obstacle rows read 8 in the
-        extra diagonal of the level systems."""
+    def _poison_stage_two(monkeypatch, nth=None, off=np.nan):
+        """Make the nth level solve of stage 2 of default_schedule(4), or
+        each one if nth is None, land off away at its middle node (NaN by
+        default); returns the list of stage 2's level solves.  Stage 2 alone
+        has delta = 1/8: its obstacle rows read 8 in the extra diagonal of
+        the level systems."""
         real_systems, real_solver = Operator.level_systems, Operator.level_solver
         stage_two, calls = [], []  # stage_two: per row of the last systems
 
@@ -877,12 +878,12 @@ class TestWavefront:
             if not stage_two[row]:
                 return solve
             calls.append(1)
-            if len(calls) != nth:
+            if nth is not None and len(calls) != nth:
                 return solve
 
             def bad_solve(rhs):
                 w = solve(rhs)
-                w[w.size // 2] = np.nan
+                w[w.size // 2] += off
                 return w
 
             return bad_solve
@@ -891,25 +892,64 @@ class TestWavefront:
         monkeypatch.setattr(Operator, "level_solver", poisoned)
         return calls
 
+    def _stage_two_fails(self, monkeypatch, **poison):
+        """Run default_schedule(4) with stage 2 poisoned by _poison_stage_two
+        as a continuation and as a chain of solves: both fail with the
+        chain's message once stages 0 and 1 are certified, which come back
+        bit for bit as in the chain.  Returns that message and, for the
+        continuation and then the chain, the number of stage 2's level
+        solves and of all level solves."""
+        bench = load_bench("bench_ou", coarse=True)
+        grid = Grid(d=1, m=6.0, nx=81, nt=30, T=bench.spec.T)
+        schedule = default_schedule(4, m=6.0)
+        calls = self._poison_stage_two(monkeypatch, **poison)
+        real, solves = Operator.level_solver, []
+
+        def counted(self, *args):
+            solves.append(1)
+            return real(self, *args)
+
+        monkeypatch.setattr(Operator, "level_solver", counted)
+        with pytest.raises(solver.ContinuationError) as failed:
+            continuation(bench.spec, schedule, lambda m: grid, tol=1e-7)
+        wave = len(calls), len(solves)
+        calls.clear()
+        solves.clear()
+        with pytest.raises(SolverError) as alone:
+            _chain(bench.spec, schedule, lambda m: grid)
+        eps, delta, m = schedule[2]
+        assert str(failed.value) == f"stage (eps={eps:g}, delta={delta:g}, m={m:g}) failed: {alone.value}"
+        monkeypatch.undo()
+        _same_stages(failed.value.partial, _chain(bench.spec, schedule[:2], lambda m: grid))
+        return str(alone.value), wave, (len(calls), len(solves))
+
     def test_a_march_error_comes_after_the_stages_before_it(self, monkeypatch):
         """A level solve of stage 2 that returns NaN ends the continuation
         with the chain's message, once stages 0 and 1 are certified; stage 3,
         which starts from stage 2, is not solved."""
-        bench = load_bench("bench_ou", coarse=True)
-        grid = Grid(d=1, m=6.0, nx=81, nt=30, T=bench.spec.T)
-        schedule = default_schedule(4, m=6.0)
-        calls = self._poison_stage_two(monkeypatch, nth=5)
-        with pytest.raises(solver.ContinuationError) as failed:
-            continuation(bench.spec, schedule, lambda m: grid, tol=1e-7)
-        calls.clear()
-        with pytest.raises(SolverError) as alone:
-            _chain(bench.spec, schedule, lambda m: grid)
-        assert len(calls) == 5
-        eps, delta, m = schedule[2]
-        assert str(failed.value) == f"stage (eps={eps:g}, delta={delta:g}, m={m:g}) failed: {alone.value}"
-        assert str(alone.value).startswith("linear solve produced non-finite values at level")
-        monkeypatch.undo()
-        _same_stages(failed.value.partial, _chain(bench.spec, schedule[:2], lambda m: grid))
+        message, _, (calls, _) = self._stage_two_fails(monkeypatch, nth=5)
+        assert calls == 5
+        assert message.startswith("linear solve produced non-finite values at level")
+
+    def test_a_stalled_stage_ends_the_stages_after_it(self, monkeypatch):
+        """Every level solve of stage 2 lands 1e-3 off at the middle node, so
+        its first level stalls after MAX_INNER Newton iterations.  The
+        continuation ends as the chain does and makes the chain's level
+        solves: none for stage 3, which the chain never reaches."""
+        message, wave, chain = self._stage_two_fails(monkeypatch, off=1e-3)
+        assert wave == chain and chain[0] == solver.MAX_INNER
+        assert message.startswith("inner iteration stalled at time level 29 (merit ")
+
+    def test_a_non_finite_source_ends_its_stage_and_the_later_ones(self):
+        """The running reward is +inf on level nt - 3.  Stage 0 reaches it in
+        wave 2, where stages 1 and 2 march the finite levels nt - 2 and
+        nt - 1: the march returns no stage and stage 0's error."""
+        grid = load_bench("allzero", coarse=True).grid
+        problem = TruncatedProblem(grid, PoisonedSource(grid, level=grid.nt - 3))
+        stages = [(Penalty(eps), delta) for eps, delta, _ in default_schedule(4, m=grid.m)]
+        done, error = solver._nonlinear_march(problem, stages, 1e-8)
+        assert done == [] and grid.nt == 50
+        assert str(error) == "non-finite source at time level 47"
 
     def test_a_failing_wave_is_timed_to_the_stages_it_advanced(self, monkeypatch):
         """The wave in which stage 2's first level solve fails advances
