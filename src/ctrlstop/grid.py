@@ -3,9 +3,11 @@ finite-difference discretization of the generator L = 0.5 tr(a D^2) + <b, grad>.
 
 build_operator is the only place that knows the stencil (centered second
 differences, centered first differences with one-sided upwinding where the
-cell Peclet number |b| hx / a exceeds 1, the centered cross term, and -r).
-At |b| hx / a <= 1 the centered off-diagonals 0.5 a / hx^2 -+ b / (2 hx)
-stay nonnegative (the positive-coefficient rule of Wang & Forsyth 2008).
+cell Peclet number |b| hx / a exceeds 1, the seven-point cross term of
+Kushner & Dupuis, and -r).  At |b| hx / a <= 1 the centered off-diagonals
+0.5 a / hx^2 -+ b / (2 hx) stay nonnegative (the positive-coefficient rule
+of Wang & Forsyth 2008), where in 2-D a is a_ii - |a12|, the diffusion the
+cross term leaves to the axis; the cross term's corners are nonnegative.
 It holds the stencil as diagonals, one coefficient array per offset, and
 everything derives from them: L_matrix, the implicit matrix
 M0 = I/ht - (L - r), the Newton level systems
@@ -39,6 +41,9 @@ from .model import ProblemSpec
 __all__ = ["Grid", "GridField", "Operator", "build_operator", "centered_gradient"]
 
 PECLET_SWITCH = 1.0
+# a table whose values all lie within +-BLEND_BOUND is finite, and no blend of
+# four of its values with weights in [0, 1] overflows (_SamplingPlan.apply)
+BLEND_BOUND = 1e307
 _GTSV, _GTTRF, _GTTRS = get_lapack_funcs(("gtsv", "gttrf", "gttrs"), (np.empty(0),))
 
 
@@ -113,11 +118,12 @@ class Grid:
 class GridField:
     """Nodal values over the full lattice: values[k] is the slice at times[k].
     values is made read-only, so the gradient table built from it on first
-    use cannot go stale."""
+    use, and whether a table is bounded by BLEND_BOUND, cannot go stale."""
 
     grid: Grid
     values: np.ndarray  # shape (nt+1, n_nodes)
     _gradients: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _bounded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         expected = (self.grid.nt + 1, self.grid.n_nodes)
@@ -141,12 +147,20 @@ class GridField:
         linear/bilinear in space; queries outside the box are clamped.  x may
         also be the _SamplingPlan of the points on this grid at t, which the
         path engine builds once per step and reuses."""
-        return self._plan(t, x).apply(self.values)
+        return self._plan(t, x).apply(self.values, self._is_bounded("values", self.values))
 
     def sample_gradient(self, t: float, x: np.ndarray) -> np.ndarray:
         """Interpolated nodal centered-difference gradient at (t, x), shape
         (d, n); x may be a _SamplingPlan as in sample."""
-        return self._plan(t, x).apply(self._gradient_table())
+        table = self._gradient_table()
+        return self._plan(t, x).apply(table, self._is_bounded("gradients", table))
+
+    def _is_bounded(self, name: str, table: np.ndarray) -> bool:
+        """Whether every value of the named table lies within +-BLEND_BOUND
+        (no NaN, no inf), checked on first use."""
+        if name not in self._bounded:
+            self._bounded[name] = bool(np.max(np.abs(table)) <= BLEND_BOUND)
+        return self._bounded[name]
 
     def _plan(self, t, x) -> "_SamplingPlan":
         if not isinstance(x, _SamplingPlan):
@@ -177,24 +191,27 @@ class GridField:
         return np.asarray(mine), np.asarray(theirs)
 
 
-def centered_gradient(grid: Grid, values: np.ndarray) -> np.ndarray:
+def centered_gradient(grid: Grid, values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Centered-difference spatial gradient of nodal values (..., n_nodes),
     shape (..., d, n_nodes): (u[j+1] - u[j-1]) / (2 hx) along each space
     axis, one-sided (u[1] - u[0]) / hx and (u[-1] - u[-2]) / hx on the box
     edge, which only Dirichlet nodes occupy.  These are np.gradient's formulas
     with the uniform spacing hx, evaluated in its order, so the result is its
-    result bit for bit.  A stack of time levels is differenced in one call."""
+    result bit for bit.  A stack of time levels is differenced in one call.
+    out, a C-contiguous array of the result's shape, receives the result."""
     lead = values.shape[:-1]
     u = values.reshape(lead + grid.shape)
-    out = np.empty(lead + (grid.d,) + grid.shape)
+    if out is None:
+        out = np.empty(lead + (grid.d, grid.n_nodes))
+    grads = out.reshape(lead + (grid.d,) + grid.shape, copy=False)
     hx = grid.hx
     for mid, ahead, behind, edges in _difference_index(len(lead), grid.d):
-        inner = out[mid]
+        inner = grads[mid]
         np.subtract(u[ahead], u[behind], out=inner)
         inner /= 2.0 * hx
         for node, up, down in edges:
-            out[node] = (u[up] - u[down]) / hx
-    return out.reshape(lead + (grid.d, grid.n_nodes))
+            grads[node] = (u[up] - u[down]) / hx
+    return out
 
 
 @functools.cache
@@ -246,13 +263,33 @@ class _SamplingPlan:
         plan.weights = tuple(wc[mask] for wc in self.weights)
         return plan
 
-    def apply(self, table: np.ndarray) -> np.ndarray:
-        """Interpolate table (nt+1, ..., n_nodes) at the plan's points."""
-        pair = table[self.k : self.k + 2]
-        both = self.weights[0] * np.take(pair, self.corners[0], axis=-1)
-        for c, wc in zip(self.corners[1:], self.weights[1:]):
-            both += wc * np.take(pair, c, axis=-1)
+    def apply(self, table: np.ndarray, bounded: bool = False) -> np.ndarray:
+        """Interpolate table (nt+1, ..., n_nodes) at the plan's points: the
+        blend (1 - w) near + w far of the levels k and k+1.
+
+        At a time on a level (w = 0 or 1) the blend adds 0.0 times one level
+        to the other level's value, which changes that value only where it
+        is +-0, unless the product is NaN.  So for a bounded table (every
+        value within +-BLEND_BOUND, which the caller knows) only the level
+        weighted 1 is interpolated, and the other one only where the result
+        is +-0, with the blend's rounding bit for bit."""
+        if bounded and self.w in (0.0, 1.0):
+            near, far = (self.k, self.k + 1) if self.w == 0.0 else (self.k + 1, self.k)
+            out = self._space(table[near])
+            zero = out == 0.0
+            if zero.any():
+                out[zero] += 0.0 * self._space(table[far])[zero]
+            return out
+        both = self._space(table[self.k : self.k + 2])
         return (1.0 - self.w) * both[0] + self.w * both[1]
+
+    def _space(self, table: np.ndarray) -> np.ndarray:
+        """(Bi)linear interpolation of table (..., n_nodes) at the plan's
+        points, shape (..., n_points)."""
+        out = self.weights[0] * np.take(table, self.corners[0], axis=-1)
+        for c, wc in zip(self.corners[1:], self.weights[1:]):
+            out += wc * np.take(table, c, axis=-1)
+        return out
 
 
 def _strides(grid: Grid) -> tuple[int, ...]:
@@ -378,15 +415,19 @@ class Operator:
         rows += upper * u[..., 2:]
         return out
 
-    def control_term(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def control_term(
+        self, values: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """(Q, lin) of nodal values (..., n_nodes), one level or a stack:
         Q = |grad u|^2 of the gradient penalty, shape (..., n_nodes), and lin,
         what level_systems' linearization Q'(v) reads at v = values, here the
-        centered gradient (..., d, n_nodes) that Q squares."""
-        lin = centered_gradient(self.grid, values)
+        centered gradient (..., d, n_nodes) that Q squares.  out, a pair of
+        arrays of those shapes (lin's C-contiguous), receives (Q, lin)."""
+        Q, lin = (None, None) if out is None else out
+        lin = centered_gradient(self.grid, values, out=lin)
         # squared axis by axis, so that a level stack makes no temporary of
         # lin's size; the sum of d squares rounds as np.sum's
-        Q = np.square(lin[..., 0, :])
+        Q = np.square(lin[..., 0, :], out=Q)
         for axis in range(1, self.grid.d):
             Q += np.square(lin[..., axis, :])
         return Q, lin
@@ -452,10 +493,14 @@ def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:
 
     # stencil[o][i]: the coefficient of u[i + o] in row i, before the Dirichlet
     # rows are zeroed.  Each sum adds diffusion, convection, upwinding and -r
-    # in that order, the rounding the pinned 1-D results carry.
+    # in that order, the rounding the pinned 1-D results carry.  In 2-D the
+    # cross term takes |a12| of each axis diffusion (below), so the axes
+    # diffuse with, and switch their convection on, a_ii - |a12|; at
+    # a12 = 0 this subtracts +0.0, which changes nothing.
+    abs_a12 = np.abs(avals[0, 1]) if grid.d == 2 else 0.0
     stencil: dict[int, np.ndarray] = {0: np.zeros(n)}
     for axis, s in enumerate(_strides(grid)):
-        a_ii, b_ax = avals[axis, axis], bvals[axis]
+        a_ii, b_ax = avals[axis, axis] - abs_a12, bvals[axis]
         # diffusion: 0.5 * a_ii * (u_+ - 2u + u_-)/hx^2
         coef = 0.5 * a_ii / hx**2
         # convection: centered unless the cell Peclet number exceeds the switch
@@ -470,10 +515,19 @@ def build_operator(grid: Grid, spec: ProblemSpec) -> Operator:
         stencil[-s] = coef - c_half + backward
         stencil[0] = stencil[0] - 2.0 * coef - forward - backward
     if grid.d == 2:
-        # cross term a12 * u_xy with the centered 4-corner stencil
-        quarter = avals[0, 1] / (4.0 * hx**2)
+        # cross term a12 * u_xy by the seven-point stencil of Kushner & Dupuis
+        # (2001, ch. 5): |a12| / (2 hx^2) on the two corners along the sign
+        # of a12, (+1, +1) and (-1, -1) for a12 > 0, (+1, -1) and (-1, +1)
+        # for a12 < 0, and twice that off the centre; with the |a12| taken
+        # from the axes above it is second-order consistent, and every
+        # off-diagonal is nonnegative where a_ii >= |a12| (and the cell
+        # Peclet number of a_ii - |a12| stays under the switch)
+        half = avals[0, 1] / (2.0 * hx**2)
+        along = np.maximum(half, 0.0)
+        across = -np.minimum(half, 0.0)
         for sx, sy in ((+1, +1), (-1, -1), (+1, -1), (-1, +1)):
-            stencil[sx * grid.nx + sy] = sx * sy * quarter
+            stencil[sx * grid.nx + sy] = along if sx == sy else across
+        stencil[0] = stencil[0] - 2.0 * np.abs(half)
     # zero-order term -r
     stencil[0] = stencil[0] - spec.r
 

@@ -268,7 +268,8 @@ class Penalty:
     level needs psi and psi', the Monte Carlo Hamiltonian the same).  Each
     evaluation starts from zeros and computes a branch only on its own
     nodes, and not at all when it has none: in the pure-stopping limit every
-    y is <= 0, and value and d1 return zeros after classifying y."""
+    y is <= 0, and value and d1 return zeros after classifying y.  The
+    branches hold copies of the y they read, so value may write over y."""
 
     eps: float
 
@@ -284,9 +285,13 @@ class Penalty:
             raise ValueError("branches belong to another penalty")
         return y
 
-    def value(self, y):
+    def value(self, y, out=None):
+        """psi(y); out, an array of y's shape (y itself too), receives it."""
         b = self._branches(y)
-        out = np.zeros(b.shape)
+        if out is None:
+            out = np.zeros(b.shape)
+        else:
+            out[...] = 0.0
         if b.linear.size:
             eps = b.eps_linear
             out.put(b.linear, (b.y_linear - eps) / eps)

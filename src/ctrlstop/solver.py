@@ -77,7 +77,17 @@ class TruncatedProblem:
     grid: the operator of L - r, the (g_m, h_m, f_m^2) level stacks and the
     Theta_m bounds (K2, K0) = _theta_truncated(op, g_m, h_m).  None of them
     depends on the penalty or on a field, so they are derived once, here, and
-    every stage of the radius reads them.  The stacks are read-only."""
+    every stage of the radius reads them.  The stacks are read-only.
+
+    The problem also holds the workspace of the passes over whole level
+    stacks that certify and report a stage (gamma_step's frozen source, the
+    certification residual, the bound report, the Cauchy increment) and of
+    _theta_truncated: two (nt+1, n_nodes) level stacks, work, and one
+    (nt+1, d, n_nodes) gradient stack, work_grad, allocated once per radius.
+    Without it each stage would allocate and free about ten level stacks,
+    whose pages the allocator hands back to the system and faults in again.
+    A pass reads back only what it wrote itself, so no state passes
+    from one call to the next."""
 
     def __init__(self, grid: Grid, data: TruncatedData):
         self.grid = grid
@@ -90,24 +100,48 @@ class TruncatedProblem:
         )
         for stack in self.stacks:
             stack.flags.writeable = False
-        self.theta_bounds = _theta_truncated(self.op, *self.stacks[:2])
+        levels, n = grid.nt + 1, grid.n_nodes
+        self.work = (np.empty((levels, n)), np.empty((levels, n)))
+        self.work_grad = np.empty((levels, grid.d, n))
+        self.theta_bounds = _theta_truncated(self.op, *self.stacks[:2], self.work)
+
+    def sup_distance(self, a: np.ndarray, b: np.ndarray) -> float:
+        """max |a - b| of two level stacks with at most the grid's levels and
+        nodes, computed in the workspace."""
+        diff = np.subtract(a, b, out=self.work[0][: a.shape[0], : a.shape[1]])
+        return float(np.max(np.abs(diff, out=diff)))
+
+
+def _columns(mask: np.ndarray):
+    """Index of the columns in the boolean mask: a slice where they form one
+    run (on a line, the interior and the core), so that reading them copies
+    nothing, else the mask itself."""
+    cols = np.flatnonzero(mask)
+    if cols.size and cols[-1] - cols[0] + 1 == cols.size:
+        return slice(int(cols[0]), int(cols[-1]) + 1)
+    return mask
 
 
 def gamma_step(problem: TruncatedProblem, pen: Penalty, delta: float, frozen: GridField) -> GridField:
     """One sweep of the fixed-point operator: solve the linear backward problem
-    with the obstacle and gradient penalties evaluated at the frozen field."""
+    with the obstacle and gradient penalties evaluated at the frozen field.
+    The frozen source h_m + (1/delta)(g_m - phi)^+ - psi(Q(phi) - f_m^2) is
+    summed left to right in the problem's workspace; the swept field is a
+    new array."""
     grid, op = problem.grid, problem.op
     if frozen.grid != grid:
         raise ValueError("frozen field lives on a different grid")
     g, h, f2 = problem.stacks
     nt = grid.nt
     phi = frozen.values[:nt]
-    inv_delta = 1.0 / delta
-    source = (
-        h[:nt]
-        + inv_delta * np.maximum(g[:nt] - phi, 0.0)
-        - pen.value(op.control_term(phi)[0] - f2[:nt])
-    )
+    source, zeta = (stack[:nt] for stack in problem.work)
+    np.subtract(g[:nt], phi, out=source)
+    np.maximum(source, 0.0, out=source)
+    source *= 1.0 / delta
+    np.add(h[:nt], source, out=source)
+    op.control_term(phi, out=(zeta, problem.work_grad[:nt]))
+    zeta -= f2[:nt]
+    source -= pen.value(zeta, out=zeta)
     bad = ~np.all(np.isfinite(source), axis=1)
     if np.any(bad):
         # the backward sweep meets the highest bad level first
@@ -352,17 +386,21 @@ def _nonlinear_march(
     ], error
 
 
-def _theta_truncated(op: Operator, g: np.ndarray, h: np.ndarray):
+def _theta_truncated(op: Operator, g: np.ndarray, h: np.ndarray, work):
     """Discrete Theta_m = h_m + dt g_m + (L - r) g_m on interior nodes of the
     levels 0..nt-1 (forward time differences), as (K2, K0): the worst
-    negative part of Theta_m and the largest forward dt g_m or dt h_m."""
-    interior = ~op.dirichlet
-    ht = op.grid.ht
-    dt_g = (g[1:] - g[:-1]) / ht
-    dt_h = (h[1:] - h[:-1]) / ht
-    theta = h[:-1] + dt_g + op.apply_generator(g[:-1])
-    worst = float(np.min(theta[:, interior]))
+    negative part of Theta_m and the largest forward dt g_m or dt h_m.
+    work is a pair of level stacks to compute in."""
+    interior = _columns(~op.dirichlet)
+    dt_g, theta = (stack[:-1] for stack in work)
+    np.subtract(g[1:], g[:-1], out=dt_g)
+    dt_g /= op.grid.ht
+    dt_h = np.subtract(h[1:], h[:-1], out=theta)
+    dt_h /= op.grid.ht
     k0 = max(0.0, float(np.max(dt_g[:, interior])), float(np.max(dt_h[:, interior])))
+    np.add(h[:-1], dt_g, out=theta)
+    theta += op.apply_generator(g[:-1])
+    worst = float(np.min(theta[:, interior]))
     return max(0.0, -worst), k0
 
 
@@ -451,8 +489,7 @@ def solve_penalized(
         seconds["march"] += marched.seconds
         marched = None
         start = time.perf_counter()
-        w = gamma_step(problem, pen, delta, u)
-        residual = float(np.max(np.abs(w.values - u.values)))
+        residual = problem.sup_distance(gamma_step(problem, pen, delta, u).values, u.values)
         certified = time.perf_counter()
         seconds["certify"] += certified - start
         if residual <= tol:
@@ -465,32 +502,39 @@ def solve_penalized(
         )
 
     uv = u.values
-    if float(np.min(uv)) < -10.0 * tol:
+    lowest = float(np.min(uv))
+    if lowest < -10.0 * tol:
         raise SolverError(
-            f"solution lost nonnegativity (min {float(np.min(uv)):.3e}); "
+            f"solution lost nonnegativity (min {lowest:.3e}); "
             "the payoff data may violate the standing assumptions"
         )
     g, _, f2 = problem.stacks
     interior = ~op.dirichlet
     xsq = np.sum(grid.points() ** 2, axis=0)
+    # every whole-stack pass of the report computes in the workspace
+    scratch, zeta = problem.work
 
     k2_grid, k0_grid = problem.theta_bounds
-    obs_penalty = max(0.0, float(np.max(g - uv))) / delta
-    psi = pen.value(op.control_term(uv)[0] - f2)
-    obs_psi = max(0.0, float(np.max(psi[:, interior])))
+    obs_penalty = max(0.0, float(np.max(np.subtract(g, uv, out=scratch)))) / delta
+    op.control_term(uv, out=(zeta, problem.work_grad))
+    zeta -= f2
+    psi = pen.value(zeta, out=zeta)
+    columns = _columns(interior)
+    obs_psi = max(0.0, float(np.max(psi[:, columns])))
 
     # the time-derivative bound concerns the untruncated problem; measure it
     # on the cutoff-inert core and keep the full-domain max as a diagnostic
     # (the lateral boundary layer of the truncated problem is not covered)
     radius = np.sqrt(xsq)
     core = interior & (radius <= data.cutoff.m)
-    dt_fwd = (uv[1:] - uv[:-1]) / grid.ht
-    obs_dt_core = float(np.max(dt_fwd[:, core])) if np.any(core) else 0.0
-    obs_dt_full = float(np.max(dt_fwd[:, interior]))
+    dt_fwd = np.subtract(uv[1:], uv[:-1], out=scratch[:-1])
+    dt_fwd /= grid.ht
+    obs_dt_core = float(np.max(dt_fwd[:, _columns(core)])) if np.any(core) else 0.0
+    obs_dt_full = float(np.max(dt_fwd[:, columns]))
 
-    obs_growth = float(np.max(uv / (1.0 + xsq)[None, :]))
+    obs_growth = float(np.max(np.divide(uv, 1.0 + xsq, out=scratch)))
     report = {
-        "negative_part": (10.0 * tol, max(0.0, -float(np.min(uv)))),
+        "negative_part": (10.0 * tol, max(0.0, -lowest)),
         "quad_growth": (obs_growth if k3_bound is None else k3_bound, obs_growth),
         "obstacle_penalty": (k2_grid + 10.0 * tol / delta, obs_penalty),
         "time_derivative": (k0_grid * (1.0 + grid.T) + k2_grid + TIME_SLACK, obs_dt_core),
@@ -616,8 +660,7 @@ def continuation(
             if k3_bound is None:
                 k3_bound = point.bound_report["quad_growth"][1] * (1.0 + 1e-9)
             if prev_field is not None:
-                mine, theirs = point.field.restrict_common(prev_field)
-                increments.append(float(np.max(np.abs(mine - theirs))))
+                increments.append(problem.sup_distance(*point.field.restrict_common(prev_field)))
             points.append(point)
             prev_field = u0 = point.field
             first += 1

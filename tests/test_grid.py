@@ -271,19 +271,23 @@ h = 0
 
 def _coo_assembly(grid, spec):
     """L - r and M0 = I/ht - (L - r) as the COO triplet assembly built them
-    before the stencil was held as diagonals, kept as the reference."""
+    before the stencil was held as diagonals, kept as the reference; in 2-D
+    with the seven-point cross term of Kushner & Dupuis, whose corners along
+    the sign of a12 take |a12| / (2 hx^2) and whose axes diffuse with
+    a_ii - |a12|."""
     n, hx = grid.n_nodes, grid.hx
     pts = grid.points()
     interior = ~grid.dirichlet_mask()
     bvals, avals = spec.drift(pts), spec.a_matrix(pts)
     rows, cols, vals = [], [], []
     idx = np.arange(n)[interior]
+    abs_a12 = np.abs(avals[0, 1][interior]) if grid.d == 2 else 0.0
 
     def neighbor(i, axis, step):
         return i + step * (1 if grid.d == 1 or axis == 1 else grid.nx)
 
     for axis in range(grid.d):
-        a_diag, b_ax = avals[axis, axis][interior], bvals[axis][interior]
+        a_diag, b_ax = avals[axis, axis][interior] - abs_a12, bvals[axis][interior]
         ip, im = neighbor(idx, axis, +1), neighbor(idx, axis, -1)
         coef = 0.5 * a_diag / hx**2
         rows.extend([idx, idx, idx])
@@ -302,10 +306,11 @@ def _coo_assembly(grid, spec):
         vals.extend([b_ax[pos] / hx, -b_ax[pos] / hx, -b_ax[neg] / hx, b_ax[neg] / hx])
     if grid.d == 2:
         a12 = avals[0, 1][interior]
-        for sx, sy, sign in ((+1, +1, +1), (-1, -1, +1), (+1, -1, -1), (-1, +1, -1)):
-            rows.append(idx)
-            cols.append(neighbor(neighbor(idx, 0, sx), 1, sy))
-            vals.append(sign * a12 / (4.0 * hx**2))
+        for sx, sy in ((+1, +1), (-1, -1), (+1, -1), (-1, +1)):
+            on = a12 * sx * sy > 0  # the corners along the sign of a12
+            rows.extend([idx[on], idx[on]])
+            cols.extend([neighbor(neighbor(idx[on], 0, sx), 1, sy), idx[on]])
+            vals.extend([abs_a12[on] / (2.0 * hx**2), -abs_a12[on] / (2.0 * hx**2)])
     rows.append(idx)
     cols.append(idx)
     vals.append(np.full(idx.shape, -spec.r))
@@ -386,6 +391,33 @@ def test_operator_is_the_coo_assembly(case):
             want = _reference_system(grid, M0, interior, extra_drift=e, extra_diag=dg)(rhs)
             same(_level_solve(op, sl, lin, dg, rhs), want)
         same(op.pinned_solver(pinned)(rhs.copy()), _reference_system(grid, M0, interior, pinned=pinned)(rhs))
+
+
+@pytest.mark.parametrize("rho", [-0.9, 0.5, 1.0])
+def test_correlated_m0_has_no_positive_off_diagonal(rho):
+    """On grids where every a_ii >= |a12| (unit variances with correlation
+    rho, and skewed_2d with its strong drift), the interior rows of M0 have
+    no positive off-diagonal: M0 is an M-matrix, as the maximum principle and
+    the obstacle oracle's Howard loop need."""
+    spec = parse_config_text(f"""
+dim = 2
+horizon = 0.2
+rate = 0.05
+drift[1] = 0
+drift[2] = 0
+sigma[1][1] = 1
+sigma[1][2] = 0
+sigma[2][1] = {rho!r}
+sigma[2][2] = {float(np.sqrt(1.0 - rho**2))!r}
+f = 1
+g = max(0, 1 - 2 * (x1^2 + x2^2))^3
+h = 0
+""")[0]
+    for op in (build_operator(Grid(d=2, m=3.0, nx=61, nt=40, T=0.2), spec), _operator("skewed_2d")):
+        assert np.any(op.spec.a_matrix(op.grid.points())[0, 1] != 0.0)
+        M0 = op.implicit_matrix.tocoo()
+        off = (M0.row != M0.col) & ~op.dirichlet[M0.row]
+        assert np.count_nonzero(M0.data[off] > 0.0) == 0
 
 
 @pytest.mark.parametrize("case", ["bench_ou", "strong_1d", "skewed_2d"])
@@ -478,6 +510,51 @@ def test_sampling_plan_is_the_old_interpolation(case):
         assert got.shape == (grid.d, x.shape[1]) and np.array_equal(got, want)
     one = x[:, 5]  # a single point of shape (d,)
     assert field.sample(0.1, one) == _reference_sample(grid, field.values, 0.1, one)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_sampling_on_a_level_is_the_blend(d):
+    """At a time on a level (w = 0, and w = 1 at t = T) sample and
+    sample_gradient read one level and still equal the two-level blend bit
+    for bit, signs of zero included: at an interior level, at T, at a -0.0
+    node whose other level is positive, and on tables holding an inf (read
+    as the blend, NaN where it is)."""
+    from ctrlstop.grid import _SamplingPlan
+
+    grid = Grid(d=d, m=3.0, nx=25, nt=8, T=1.0)  # ht = 0.125, so k ht is exact
+    rng = np.random.default_rng(5)
+    x = rng.uniform(-3.3, 3.3, size=(d, 150))
+    x[:, 0] = 0.0  # on the centre node
+    centre = grid.n_nodes // 2
+    values = rng.normal(size=(grid.nt + 1, grid.n_nodes))
+    values[rng.random(values.shape) < 0.2] = 0.0
+    # at t = 3 ht the centre and its neighbours read -0.0, above them +1.5
+    cell = [centre + o for o in (0, 1, grid.nx, grid.nx + 1)[: 2**d]]
+    values[3, cell] = -0.0
+    values[4, cell] = 1.5
+    values[8, cell] = -0.0
+    values[7, cell] = -2.0
+    poisoned = np.where(np.arange(grid.n_nodes) == cell[0] + 2, np.inf, values)
+    for table in (values, poisoned):
+        field = GridField(grid=grid, values=table)
+        grads = centered_gradient(grid, table)
+        for t, w in ((3 * grid.ht, 0.0), (grid.T, 1.0), (5 * grid.ht, 0.0), (0.3, None)):
+            plan = _SamplingPlan(grid, t, x)
+            assert w is None or plan.w == w
+            with np.errstate(invalid="ignore"):  # 0.0 * inf in the blend of poisoned
+                pairs = (
+                    (field.sample(t, plan), _reference_sample(grid, table, t, x)),
+                    (field.sample_gradient(t, plan), np.stack([_reference_sample(grid, grads[:, i], t, x) for i in range(d)])),
+                )
+            for got, want in pairs:
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(GridField(grid=grid, values=poisoned).sample(grid.T, x)).any()
+    # the two -0.0 cases: the blend gives +0.0 under +1.5 and -0.0 over -2.0
+    field = GridField(grid=grid, values=values)
+    assert np.signbit(field.sample(3 * grid.ht, x[:, :1])) == [False]
+    assert np.signbit(field.sample(grid.T, x[:, :1])) == [True]
 
 
 def test_field_values_are_read_only():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,43 @@ class ManufacturedData:
         return np.full(np.asarray(x).shape[1:], 100.0)
 
 
+class CorrelatedManufacturedData:
+    """Linear 2-D data with correlated noise, a = [[1, rho], [rho, 1]], and
+    exact solution e^{-t} cos(x1) cos(x2) on the unit ball; the running
+    reward h = 2u - rho e^{-t} sin(x1) sin(x2) balances u_t + L u."""
+
+    RHO = 0.5
+
+    def __init__(self):
+        self.spec = parse_config_text(f"""
+dim = 2
+horizon = 1.0
+rate = 0
+drift[1] = 0
+drift[2] = 0
+sigma[1][1] = 1
+sigma[1][2] = 0
+sigma[2][1] = {self.RHO!r}
+sigma[2][2] = {math.sqrt(1.0 - self.RHO**2)!r}
+f = 10
+g = 1
+h = 0
+""")[0]
+        self.m = 1.0
+        self.time_independent = False
+
+    def g_m(self, t, x):
+        x = np.asarray(x)
+        return np.exp(-t) * np.cos(x[0]) * np.cos(x[1])
+
+    def h_m(self, t, x):
+        x = np.asarray(x)
+        return 2.0 * self.g_m(t, x) - self.RHO * np.exp(-t) * np.sin(x[0]) * np.sin(x[1])
+
+    def f_m_sq(self, t, x):
+        return np.full(np.asarray(x).shape[1:], 100.0)
+
+
 def exact_heat(grid):
     pts = grid.points()
     return np.array([np.exp(-t) * np.cos(pts[0]) for t in grid.times])
@@ -88,6 +126,24 @@ class TestGammaStep:
         for nx, nt in ((26, 25), (51, 100), (101, 400)):
             grid = Grid(d=1, m=1.0, nx=nx, nt=nt, T=1.0)
             exact = exact_heat(grid)
+            frozen = GridField(grid=grid, values=exact.copy())
+            w = gamma_step(TruncatedProblem(grid, data), Penalty(0.5), 1.0, frozen)
+            errs.append(float(np.max(np.abs(w.values - exact))))
+            hxs.append(grid.hx)
+        orders = [
+            math.log(errs[i] / errs[i + 1]) / math.log(hxs[i] / hxs[i + 1])
+            for i in range(len(errs) - 1)
+        ]
+        assert min(orders) >= 1.8
+
+    def test_correlated_manufactured_solution_convergence_order(self):
+        """The seven-point cross term keeps the sweep second order in space
+        in 2-D with correlated noise."""
+        data = CorrelatedManufacturedData()
+        errs, hxs = [], []
+        for nx, nt in ((13, 9), (25, 36), (49, 144)):
+            grid = Grid(d=2, m=1.0, nx=nx, nt=nt, T=1.0)
+            exact = np.array([data.g_m(t, grid.points()) for t in grid.times])
             frozen = GridField(grid=grid, values=exact.copy())
             w = gamma_step(TruncatedProblem(grid, data), Penalty(0.5), 1.0, frozen)
             errs.append(float(np.max(np.abs(w.values - exact))))
@@ -344,6 +400,37 @@ h = 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)^2)^3
         point = solve_penalized(TruncatedProblem(grid, data), Penalty(1 / 16), 1 / 16, tol=tol)
         assert float(np.min(point.field.values)) >= -10.0 * tol
         assert point.bounds_ok()
+
+    @staticmethod
+    def correlated(rho, width):
+        """Zero drift, unit variances with correlation rho, and a bump of the
+        given width as the stopping payoff; f = 100 keeps the gradient
+        penalty idle."""
+        return f"""
+dim = 2
+horizon = 0.2
+rate = 0.05
+drift[1] = 0
+drift[2] = 0
+sigma[1][1] = 1
+sigma[1][2] = 0
+sigma[2][1] = {rho!r}
+sigma[2][2] = {math.sqrt(1.0 - rho**2)!r}
+f = 100
+g = max(0, 1 - 2 * (x1^2 + x2^2) / {width!r}^2)^3
+h = 0
+"""
+
+    @pytest.mark.parametrize("rho", [0.5, 0.9])
+    @pytest.mark.parametrize("width", [1.0, 0.4])
+    def test_correlated_noise_keeps_nonnegativity(self, rho, width):
+        # with the centered four-corner cross term two corners of every
+        # interior row of M0 were positive, and these solves lost
+        # nonnegativity (min -1.1e-4 to -8.1e-3) with the gradient penalty idle
+        spec, _, _ = parse_config_text(self.correlated(rho, width))
+        grid = Grid(d=2, m=3.0, nx=61, nt=40, T=0.2)
+        point = solve_penalized(TruncatedProblem(grid, truncate_data(spec, 3.0)), Penalty(1 / 16), 1 / 16)
+        assert float(np.min(point.field.values)) >= -1e-15
 
 
 # bench_ou with a decaying stopping reward and a growing right running-reward
@@ -975,6 +1062,81 @@ class TestWavefront:
         assert str(error) == f"linear solve produced non-finite values at level {grid.nt - 1}"
         assert all(march.seconds > 0.0 for march in done)
         assert sum(march.seconds for march in done) == readings[-1] - readings[0]
+
+
+class TestWorkspace:
+    """The whole-stack passes of a stage compute in the workspace of their
+    TruncatedProblem: a certified stage allocates no level stack but its
+    sweep field, and no call reads what an earlier one left there."""
+
+    def test_a_certified_stage_allocates_only_its_sweep_field(self):
+        bench = load_bench("bench_ou", coarse=True)
+        grid = bench.grid
+        problem = TruncatedProblem(grid, truncate_data(bench.spec, grid.m))
+        stack = (grid.nt + 1) * grid.n_nodes * np.dtype(float).itemsize
+        for eps, delta, _ in (bench.schedule[0], bench.schedule[-1]):
+            pen = Penalty(eps)
+
+            def marched():
+                (done,), error = solver._nonlinear_march(problem, [(pen, delta)], 1e-8)
+                assert error is None
+                return done
+
+            solve_penalized(problem, pen, delta, marched=marched())  # warm-up
+            first = marched()
+            tracemalloc.start()
+            try:
+                point = solve_penalized(problem, pen, delta, marched=first)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert point.iters == 1
+            assert peak <= 1.5 * stack, f"peak {peak / stack:.2f} level stacks"
+
+    def test_gamma_step_leaks_no_state(self):
+        """Sweeps interleaved over fields, penalties and problems (1-D and
+        2-D, two problems on one grid) equal sweeps on fresh problems."""
+        bench = load_bench("bench_ou", coarse=True)
+        purestop = load_bench("bench_ou_purestop", coarse=True)
+        spec_2d = parse_config_text(TestTwoDimensional.OU_IN_X1)[0]
+        grid_2d = Grid(d=2, m=6.0, nx=41, nt=20, T=0.2)
+        cases = [
+            (bench.grid, truncate_data(bench.spec, bench.grid.m)),
+            (bench.grid, truncate_data(purestop.spec, bench.grid.m)),
+            (grid_2d, truncate_data(spec_2d, grid_2d.m)),
+        ]
+        rng = np.random.default_rng(11)
+        shared = [TruncatedProblem(grid, data) for grid, data in cases]
+        fields = [
+            [GridField(grid=grid, values=rng.uniform(0.0, s, size=(grid.nt + 1, grid.n_nodes))) for s in (0.5, 2.0)]
+            for grid, _ in cases
+        ]
+        penalties = [(Penalty(0.5), 0.5), (Penalty(1 / 64), 1 / 64)]
+        for _ in range(2):
+            for (pen, delta), f in ((p, f) for p in penalties for f in range(2)):
+                for c, (grid, data) in enumerate(cases):
+                    got = gamma_step(shared[c], pen, delta, fields[c][f])
+                    want = gamma_step(TruncatedProblem(grid, data), pen, delta, fields[c][f])
+                    np.testing.assert_array_equal(got.values, want.values)
+                    assert not any(np.shares_memory(got.values, w) for w in shared[c].work)
+
+    def test_continuations_leak_no_state(self):
+        """Two continuation runs over three radii each equal a chain of
+        solves on a fresh problem per stage, increments included."""
+        spec, schedule, policy = TestWavefront._case("three_radii")
+        fresh = []
+        for eps, delta, m in schedule:
+            problem = TruncatedProblem(policy(m), truncate_data(spec, m))
+            u0 = None if not fresh else solver._interp_onto(fresh[-1].field, problem)
+            k3 = None if not fresh else fresh[0].bound_report["quad_growth"][1] * (1.0 + 1e-9)
+            fresh.append(solve_penalized(problem, Penalty(eps), delta, tol=1e-7, u0=u0, k3_bound=k3))
+        increments = [
+            float(np.max(np.abs(np.subtract(*b.field.restrict_common(a.field))))) for a, b in zip(fresh, fresh[1:])
+        ]
+        for _ in range(2):
+            res = continuation(spec, schedule, policy, tol=1e-7)
+            _same_stages(res.points, fresh)
+            assert [x.hex() for x in res.increments] == [x.hex() for x in increments]
 
 
 class TestOneProblemPerRadius:
