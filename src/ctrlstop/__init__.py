@@ -9,7 +9,6 @@ from .kernel import (
     Penalty,
     TruncatedData,
     build_cutoff,
-    hamiltonian,
     truncate_data,
 )
 from .model import AssumptionReport, ProblemSpec, SamplePlan, load_problem, validate_assumptions

@@ -5,19 +5,24 @@ Expressions are written in the variables t, x1, x2, ... and support
 exp, log, sin, cos, sqrt, abs, min, max, tanh.  Evaluation is vectorized:
 variables may be bound to floats or numpy arrays of a common shape.
 
+Each formula is compiled once, when it is parsed, into a tree of closures,
+one per node: a call runs numpy's operations on the bound variables with no
+per-node dispatch, in the order and on the operands of a walk over the
+parsed tree, so its values are the walk's bit for bit.
+
 Domain violations (division by zero, log of a non-positive argument,
 sqrt of a negative argument, a power with a NaN result such as (-1)^0.5)
 raise EvalError instead of producing NaN.  Overflow is not a domain
 violation: every operation saturates to +-inf without a warning.
 
 A large array base of ^ that is mostly exact zeros, with a single-number
-exponent, runs numpy's power kernel only on its nonzero elements; its zeros
-take the kernel's results for +0.0 and -0.0 by sign, so the result is the
-plain np.power bit for bit.
+exponent other than 0, 1 and 2, runs numpy's power kernel only on its
+nonzero elements; its zeros take the kernel's results for +0.0 and -0.0 by
+sign, so the result is the plain np.power bit for bit.
 """
 from __future__ import annotations
 
-import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -180,47 +185,81 @@ class _Parser:
         return node
 
 
-def _eval_node(node, env):
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
+
+def _compile(node):
+    """A closure env -> value of node, with env mapping each variable name to
+    its value.  The walk over the tree happens here, once per expression:
+    each node becomes a closure over its children's closures, with its kind
+    and, for a literal divisor, the zero test decided at compile time.  The
+    closures run the operations of the tree walk they replace in the same
+    order, on the same operands, so each value is the walk's bit for bit."""
     kind = node[0]
     if kind == "num":
-        return node[1]
+        value = node[1]
+        return lambda env: value
     if kind == "var":
-        return env[node[1]]
+        name = node[1]
+        return lambda env: env[name]
     if kind == "neg":
-        return -_eval_node(node[1], env)
+        inner = _compile(node[1])
+        return lambda env: -inner(env)
     if kind == "bin":
         _, op, a, b = node
-        va, vb = _eval_node(a, env), _eval_node(b, env)
-        if op == "+":
-            return va + vb
-        if op == "-":
-            return va - vb
-        if op == "*":
-            return va * vb
+        left = _compile(a)
+        if op == "/" and b[0] == "num":
+            # a literal divisor is one Python float: tested once, here
+            divisor = b[1]
+            if divisor == 0:
+                def divide_by_zero(env):
+                    left(env)
+                    raise EvalError("division by zero")
+                return divide_by_zero
+            return lambda env: left(env) / divisor
+        right = _compile(b)
         if op == "/":
-            # a literal divisor is one Python float: no array scan
-            zero = vb == 0 if b[0] == "num" else np.any(vb == 0)
-            if zero:
-                raise EvalError("division by zero")
-            return va / vb
-        # op == "^": NaN-producing powers are domain errors
-        with np.errstate(invalid="raise", divide="ignore"):
-            try:
-                return _power(va, vb)
-            except FloatingPointError as exc:
-                raise EvalError(f"invalid power: {exc}") from exc
+            def divide(env):
+                va, vb = left(env), right(env)
+                if np.any(vb == 0):
+                    raise EvalError("division by zero")
+                return va / vb
+            return divide
+        if op == "^":
+            def power(env):
+                va, vb = left(env), right(env)
+                # NaN-producing powers are domain errors
+                with np.errstate(invalid="raise", divide="ignore"):
+                    try:
+                        return _power(va, vb)
+                    except FloatingPointError as exc:
+                        raise EvalError(f"invalid power: {exc}") from exc
+            return power
+        fn = _ARITHMETIC[op]
+        return lambda env: fn(left(env), right(env))
     # call
     _, name, args = node
-    vals = [_eval_node(a, env) for a in args]
-    if name == "log":
-        if np.any(np.asarray(vals[0]) <= 0):
-            raise EvalError("log of non-positive argument")
-        return np.log(vals[0])
-    if name == "sqrt":
-        if np.any(np.asarray(vals[0]) < 0):
-            raise EvalError("sqrt of negative argument")
-        return np.sqrt(vals[0])
-    return _FUNCTIONS[name][1](*vals)
+    if name in ("log", "sqrt"):
+        (arg,) = (_compile(a) for a in args)
+        if name == "log":
+            def log(env):
+                v = arg(env)
+                if np.any(np.asarray(v) <= 0):
+                    raise EvalError("log of non-positive argument")
+                return np.log(v)
+            return log
+        def sqrt(env):
+            v = arg(env)
+            if np.any(np.asarray(v) < 0):
+                raise EvalError("sqrt of negative argument")
+            return np.sqrt(v)
+        return sqrt
+    fn = _FUNCTIONS[name][1]
+    if len(args) == 1:
+        arg = _compile(args[0])
+        return lambda env: fn(arg(env))
+    first, second = (_compile(a) for a in args)
+    return lambda env: fn(first(env), second(env))
 
 
 # The zero path of ^ pays off only when numpy's power kernel would spend
@@ -229,12 +268,16 @@ def _eval_node(node, env):
 # as much as the kernel, and with fewer zeros the take/put bookkeeping costs
 # more than the zeros would.
 _ZERO_PATH_MIN_SIZE = 1024
+# Exponents whose power is exact arithmetic (1, x and x * x): numpy computes
+# them by fast loops that are as quick on zero bases, so the zero path would
+# only add its scan.
+_EXACT_EXPONENTS = (0.0, 1.0, 2.0)
 
 
 def _power(va, vb):
     """np.power(va, vb, dtype=float), with the kernel run only on the nonzero
     bases when a large array base is mostly exact zeros and the exponent is
-    one number.
+    one number other than 0, 1 and 2.
 
     numpy's SIMD power kernel is several times slower on a zero base than on
     a positive one, and max(0, .)^k data are zero on most of the line.  The
@@ -243,7 +286,12 @@ def _power(va, vb):
     negative bases are nonzero and go through the kernel.  A scalar base keeps
     the plain call, since numpy's scalar path uses another pow.
     """
-    if isinstance(va, np.ndarray) and va.size >= _ZERO_PATH_MIN_SIZE and isinstance(vb, float):
+    if (
+        isinstance(va, np.ndarray)
+        and va.size >= _ZERO_PATH_MIN_SIZE
+        and isinstance(vb, float)
+        and vb not in _EXACT_EXPONENTS
+    ):
         nonzero = va != 0  # flatnonzero scans a bool mask far faster than floats
         n_nonzero = np.count_nonzero(nonzero)
         if 2 * n_nonzero <= va.size:
@@ -283,14 +331,27 @@ def _to_str(node, parent_prec=0):
 
 
 class Expression:
-    """Immutable parsed formula over t, x1..xd.  Evaluation is deterministic."""
+    """Immutable parsed formula over t, x1..xd.  Evaluation is deterministic.
 
-    __slots__ = ("_root", "_src", "_free")
+    The formula is compiled once, when it is built, into one closure per
+    node (_compile); a call binds the variables and runs the root's
+    closure."""
+
+    __slots__ = ("_root", "_src", "_free", "_eval", "_axes", "_saturate")
 
     def __init__(self, root, src: str):
+        free = frozenset(_collect_vars(root))
+        node = root
+        while node[0] == "neg":  # negation cannot overflow
+            node = node[1]
         object.__setattr__(self, "_root", root)
         object.__setattr__(self, "_src", src)
-        object.__setattr__(self, "_free", frozenset(_collect_vars(root)))
+        object.__setattr__(self, "_free", free)
+        object.__setattr__(self, "_eval", _compile(root))
+        # (name, axis) of each spatial variable the formula reads
+        object.__setattr__(self, "_axes", tuple((v, int(v[1:]) - 1) for v in sorted(free) if v != "t"))
+        # a number or a variable has no operation that can overflow
+        object.__setattr__(self, "_saturate", node[0] not in ("num", "var"))
 
     def __setattr__(self, *a):  # immutability guard
         raise AttributeError("Expression is immutable")
@@ -300,8 +361,7 @@ class Expression:
         return "t" in self._free
 
     def max_space_index(self) -> int:
-        idx = [int(v[1:]) for v in self._free if v != "t"]
-        return max(idx) if idx else 0
+        return max((axis + 1 for _, axis in self._axes), default=0)
 
     def __call__(self, t, x):
         """Evaluate at time t and spatial point(s) x.
@@ -312,19 +372,15 @@ class Expression:
         shape, also when the formula does not use every variable.
         """
         env = {"t": t}
-        for v in self._free:
-            if v != "t":
-                env[v] = x[int(v[1:]) - 1]
-        node = self._root
-        while node[0] == "neg":  # negation cannot overflow
-            node = node[1]
-        if node[0] in ("num", "var"):  # no operation that can overflow
-            val = _eval_node(self._root, env)
-        else:
+        for name, axis in self._axes:
+            env[name] = x[axis]
+        if self._saturate:
             # overflow saturates to inf in every operation (diverging states
             # are the caller's concern)
             with np.errstate(over="ignore"):
-                val = _eval_node(self._root, env)
+                val = self._eval(env)
+        else:
+            val = self._eval(env)
         shape = np.shape(x)[1:]
         if getattr(t, "ndim", 0):
             shape = np.broadcast_shapes(t.shape, shape)

@@ -1,6 +1,6 @@
 """Approximation apparatus for the penalized problems: smooth radial cut-offs,
 truncated payoff data on balls, the C^2 penalty bridge and the control
-Hamiltonian with its maximizer.
+Hamiltonian.
 
 The cut-off profile on (0, 1) is the classical exponential bridge
 xi(z) = e^{1/(z-1)} / (e^{1/(z-1)} + e^{-1/z}); the penalty bridge on
@@ -25,7 +25,6 @@ __all__ = [
     "DataError",
     "build_cutoff",
     "truncate_data",
-    "hamiltonian",
     "hamiltonian_batch",
 ]
 
@@ -70,9 +69,13 @@ def _xi_profile_d1(z):
 
 def _radius(x):
     """|x| over axis 0 of points x (d, n...).  A radius too large for a float
-    reads +inf, which lies outside every ball."""
+    reads +inf, which lies outside every ball.  In 1-D it is sqrt(x1 * x1),
+    which is what np.linalg.norm computes for one coordinate."""
+    x = np.asarray(x, dtype=float)
     with np.errstate(over="ignore"):
-        return np.linalg.norm(np.asarray(x, dtype=float), axis=0)
+        if x.shape[0] == 1:
+            return np.sqrt(x[0] * x[0])
+        return np.linalg.norm(x, axis=0)
 
 
 @dataclass(frozen=True)
@@ -152,19 +155,29 @@ class TruncatedData:
         return self.spec.time_independent
 
     def g_m(self, t, x):
-        return self._g_m(t, np.asarray(x, dtype=float), self.cutoff.value(x))
+        x = np.asarray(x, dtype=float)
+        return self._cut(_radius(x), self.spec.g(t, x))[0]
 
     def h_m(self, t, x):
-        return self._h_m(t, np.asarray(x, dtype=float), self.cutoff.value(x))
+        x = np.asarray(x, dtype=float)
+        return self._cut(_radius(x), self.spec.h(t, x))[0]
 
-    # The private forms take what the caller already has at the points x:
-    # the cut-off values xi = cutoff.value(x), or the radii r = _radius(x).
+    # The private forms take the radii r = _radius(x) that the caller already
+    # has at the points x.  Where every point lies in the cut-off's closed
+    # inner ball |x| <= m - 1, which one max tells (a NaN radius does not),
+    # xi = 1 and xi * v is v: g_m and h_m are g and h, and f_m^2 is f^2, with
+    # no cut-off evaluated.
 
-    def _g_m(self, t, x, xi):
-        return xi * self.spec.g(t, x)
+    def _inner(self, r):
+        return not r.size or r.max() <= self.cutoff.m
 
-    def _h_m(self, t, x, xi):
-        return xi * self.spec.h(t, x)
+    def _cut(self, r, *values):
+        """The values (of g, h) at points of radii r times xi there, with one
+        evaluation of the cut-off for all of them."""
+        if self._inner(r):
+            return values
+        xi = self.cutoff.value_radial(r)
+        return tuple(xi * v for v in values)
 
     def f_m_sq(self, t, x):
         """f_m^2 = f^2 + |g|_sup^2 |grad xi|^2 + 2 g xi <grad xi, grad g>, clamped at 0,
@@ -177,6 +190,8 @@ class TruncatedData:
         with np.errstate(over="ignore"):  # a huge f saturates to f^2 = +inf
             f_sq = self.spec.f(t, x) ** 2
         out = f_sq
+        if self._inner(r):
+            return np.maximum(out, 0.0)
         z = r - self.cutoff.m
         if not np.any((z > 0.0) & (z < 1.0)):
             return np.maximum(out, 0.0)
@@ -229,6 +244,12 @@ def truncate_data(spec: ProblemSpec, m: float) -> TruncatedData:
 # ---------------------------------------------------------------------------
 
 
+def _above(y):
+    """Flat positions of y that are not <= 0 (NaN included): the only ones
+    where a penalty or its slope can be nonzero."""
+    return (~(y <= 0.0)).ravel().nonzero()[0]  # np.flatnonzero, minus its wrapper
+
+
 class _Branches:
     """Where the points y fall among a penalty's branches, computed once and
     read by value, d1 and d2.  One compare and one nonzero pick the
@@ -241,7 +262,7 @@ class _Branches:
     def __init__(self, pen: "Penalty", y):
         y = np.asarray(y, dtype=float)
         self.eps, self.shape = pen.eps, y.shape
-        above = (~(y <= 0.0)).ravel().nonzero()[0]  # np.flatnonzero, minus its wrapper
+        above = _above(y)
         self.linear = self.bridge = above  # both empty unless y has nodes above 0
         if above.size:
             y_above = y.take(above)
@@ -357,23 +378,11 @@ def _solve_radius(pen: Penalty, f_val, q, iters: int = 80):
     return 0.5 * (lo + hi)
 
 
-def hamiltonian(pen: Penalty, f_val: float, y) -> tuple[float, np.ndarray]:
-    """sup_p { <y, p> - psi(|p|^2 - f_val^2) } and its maximizer.
-
-    The maximizer is radial: p* = rho * y/|y| with rho the unique root of
-    the first-order condition; y = 0 returns (0, zero vector).
-    """
-    y = np.asarray(y, dtype=float)
-    q = float(np.linalg.norm(y))
-    if q == 0.0:
-        return 0.0, np.zeros_like(y)
-    rho = float(_solve_radius(pen, np.asarray(f_val, dtype=float), np.asarray(q)))
-    h_val = q * rho - float(pen.value(rho**2 - f_val**2))
-    return h_val, (rho / q) * y
-
-
 def hamiltonian_batch(pen: Penalty, f_vals, q_norms):
-    """Vectorized Hamiltonian value for |y| = q_norms, broadcast with f_vals.
+    """The Hamiltonian sup_p { <y, p> - psi(|p|^2 - f^2) } at |y| = q_norms,
+    broadcast with f = f_vals.  The maximizer is radial, p* = rho y/|y|, with
+    rho the root of the first-order condition 2 psi'(rho^2 - f^2) rho = |y|,
+    so the value is |y| rho - psi(rho^2 - f^2).
 
     The value is +0.0 where q_norms is zero (an idle controller's rate); the
     bisection of _solve_radius runs only on the other entries, NaN included.

@@ -42,6 +42,15 @@ nothing, and an idle controller gives the same estimate at any substep
 count.  The estimate's metadata counts the (path,
 substep) pairs with a nonzero rate.
 
+A step skips the work whose result it knows, bit for bit.  The feedback
+rate and the closed-form Hamiltonian of the truncated payoffs are computed
+only on the active paths, where |grad u|^2 - f^2 is not <= 0 (NaN
+included): elsewhere psi and psi' are 0 and |grad u| is finite, so both are
++0.0 (_feedback_rate, _closed_form_hamiltonian).  Where every state of a
+step lies in the cut-off's inner ball, the truncated data are the data
+(TruncatedData._cut).  A payoff rule takes its exact discount weights,
+which depend only on the step length, once per batch (set_step).
+
 All draws come from a counter-based Philox generator keyed by the seed, so
 runs are bit-reproducible; paths are vectorized and reduced in fixed order.
 """
@@ -53,7 +62,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .grid import GridField, _SamplingPlan
-from .kernel import Penalty, TruncatedData, _Branches, _radius, hamiltonian_batch
+from .kernel import Penalty, TruncatedData, _above, _Branches, _radius, hamiltonian_batch
 from .model import ProblemSpec
 
 __all__ = [
@@ -255,7 +264,7 @@ class FeedbackStrategy:
         direction = np.zeros_like(pts.x)
         direction[0] = 1.0
         np.divide(-grad, norm, out=direction, where=norm > 0)
-        rate = 2.0 * self.pen.d1(norm**2 - f_sq) * norm
+        rate = _feedback_rate(self.pen, norm, f_sq)
         self._perturb(direction, rate)
         return _Controls(direction, rate, gnorm_sq, f_sq)
 
@@ -287,6 +296,33 @@ class FeedbackStrategy:
             u = self.field.sample(t, pts.plan(self.field.grid))
             return u <= self.spec.g(t, x) + self.band
         raise ValueError(f"not a stopper mode: {self.mode}")
+
+
+def _feedback_rate(pen, norm, f_sq):
+    """The optimal feedback's rate 2 psi'(|grad u|^2 - f^2)|grad u| at
+    |grad u| = norm, computed on the active paths only, where |grad u|^2 - f^2
+    is not <= 0 (NaN included).  Elsewhere psi' = 0 and |grad u| is finite,
+    so the rate is +0.0, as the formula gives there."""
+    y = norm**2 - f_sq
+    rate = np.zeros(y.shape)
+    on = _above(y)
+    if on.size:
+        rate[on] = 2.0 * pen.d1(y[on]) * norm[on]
+    return rate
+
+
+def _closed_form_hamiltonian(pen, gnorm_sq, f_sq):
+    """The Hamiltonian 2 psi'(zeta)|grad u|^2 - psi(zeta), zeta = |grad u|^2 -
+    f^2, of the optimal feedback's rate, computed on the active paths only,
+    where zeta is not <= 0 (NaN included).  Elsewhere psi = psi' = 0 and
+    |grad u|^2 is finite, so it is +0.0, as the formula gives there."""
+    zeta = gnorm_sq - f_sq
+    out = np.zeros(zeta.shape)
+    on = _above(zeta)
+    if on.size:
+        branches = _Branches(pen, zeta[on])
+        out[on] = 2.0 * pen.d1(branches) * gnorm_sq[on] - pen.value(branches)
+    return out
 
 
 def _idle_controls(x):
@@ -489,6 +525,7 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
     cfg = runs[0].cfg
     dt = horizon / cfg.n_steps
     sqdt = math.sqrt(dt)
+    payoff.set_step(dt)
     n = cfg.n_paths
     n_all = n * len(runs)
     firsts = np.arange(len(runs) + 1) * n  # run j owns the path numbers firsts[j]:firsts[j + 1]
@@ -597,7 +634,9 @@ class _Payoff:
     extras(final, own, keep): metadata entries of the run whose path numbers
         are the slice own, from the full-size arrays final, which hold each
         path's entries as it left; keep marks its paths that were not
-        rejected (none by default).
+        rejected (none by default);
+    set_step(dt): takes the runs' step length before their first step, so
+        that the rule computes what depends only on it once per batch.
 
     per_path maps the name of each per-path array the rule keeps to its
     initial value (none by default); the engine keeps them with its own.
@@ -609,6 +648,9 @@ class _Payoff:
 
     def extras(self, final, own, keep):
         return {}
+
+    def set_step(self, dt):
+        pass
 
 
 class _OriginalPayoff(_Payoff):
@@ -631,12 +673,14 @@ class _OriginalPayoff(_Payoff):
                 alive["exited"][np.flatnonzero(stop)[out]] = True
         return math.exp(-self.spec.r * elapsed) * self.spec.g(pts.t, pts.x)
 
+    def set_step(self, dt):
+        self.w_step = float(_exp_weight(self.spec.r, dt))  # exact discount integral per step
+
     def accrue(self, pts, elapsed, alive, controls, dt):
-        spec, t = self.spec, pts.t
+        spec, t, w_step = self.spec, pts.t, self.w_step
         if self.box < math.inf:
             alive["exited"] |= pts.radius > self.box
         disc = math.exp(-spec.r * elapsed)
-        w_step = float(_exp_weight(spec.r, dt))  # exact discount integral per step
         h_val = spec.h(t, pts.x)
         cost_rate = np.zeros(pts.x.shape[1])
         for ps, (_, rate), at in controls:
@@ -668,18 +712,16 @@ class _TruncatedPayoff(_Payoff):
         return pts.radius >= self.data.m
 
     def g_m(self, pts):
-        return self.data._g_m(pts.t, pts.x, self.data.cutoff.value_radial(pts.radius))
+        return self.data._cut(pts.radius, self.spec.g(pts.t, pts.x))[0]
 
     def g_m_h_m(self, pts):
         """(g_m, h_m) at pts, with one evaluation of the cut-off."""
-        xi = self.data.cutoff.value_radial(pts.radius)
-        return self.data._g_m(pts.t, pts.x, xi), self.data._h_m(pts.t, pts.x, xi)
+        return self.data._cut(pts.radius, self.spec.g(pts.t, pts.x), self.spec.h(pts.t, pts.x))
 
     def hamiltonian(self, pts, controls):
         ((_, ctl, _),) = controls
         if self.closed_form:
-            zeta = _Branches(self.pen, ctl.gnorm_sq - ctl.f_sq)
-            return 2.0 * self.pen.d1(zeta) * ctl.gnorm_sq - self.pen.value(zeta)
+            return _closed_form_hamiltonian(self.pen, ctl.gnorm_sq, ctl.f_sq)
         if self.own_f_sq and isinstance(ctl, _Controls):
             f_m_sq = ctl.f_sq  # f_m^2 that control sampled at these points
         else:  # a delayed feedback's plain tuple, or f^2 of other data
@@ -690,10 +732,10 @@ class _TruncatedPayoff(_Payoff):
 class _PenalizedPayoff(_TruncatedPayoff):
     """Controlled discount R^w = exp(-int (r + w)); h_m + w g_m accrues.
 
-    Under w_star the rate w is 0 or 1/delta, so each step takes the exact
-    discount weights of r and r + 1/delta once and selects them per path
-    (numpy's expm1 gives the same bits on the two-element array as on every
-    path).  A callable or constant intensity is checked to lie in
+    Under w_star the rate w is 0 or 1/delta, so the run takes the exact
+    discount weights of r and r + 1/delta once and each step selects them
+    per path (numpy's expm1 gives the same bits on the two-element array as
+    on every path).  A callable or constant intensity is checked to lie in
     [0, 1/delta] (NaN does not) and takes the weight per path.  Since
     r + w >= 0, R^w never increases along a path, so its smallest value is
     the smallest R^w the paths leave with."""
@@ -704,6 +746,9 @@ class _PenalizedPayoff(_TruncatedPayoff):
     def __init__(self, spec, data, pen, delta, strategy_ctrl, strategy_w):
         super().__init__(spec, data, pen, delta, strategy_ctrl)
         self.strategy_w = strategy_w
+
+    def set_step(self, dt):
+        self.w_star_weights = _exp_weight(np.array([self.spec.r, self.spec.r + 1.0 / self.delta]), dt)
 
     def terminal(self, pts, elapsed, alive, stop):
         return alive["R"][stop] * self.g_m(pts)
@@ -716,7 +761,7 @@ class _PenalizedPayoff(_TruncatedPayoff):
         if self.strategy_w == "w_star":  # two rates: two weights, selected per path
             stopping = u_val <= g_m_val
             w_val = np.where(stopping, 1.0 / delta, 0.0)
-            lo, hi = _exp_weight(np.array([r, r + 1.0 / delta]), dt)
+            lo, hi = self.w_star_weights
             w_step = np.where(stopping, hi, lo)
         else:
             if callable(self.strategy_w):
@@ -740,6 +785,9 @@ class _RecursivePayoff(_TruncatedPayoff):
     """Killing at rate 1/delta, discount e^{-(r + 1/delta) t};
     h_m + (1/delta) max(g_m, u) accrues."""
 
+    def set_step(self, dt):
+        self.w_step = float(_exp_weight(self.spec.r + 1.0 / self.delta, dt))
+
     def terminal(self, pts, elapsed, alive, stop):
         kappa = self.spec.r + 1.0 / self.delta
         return math.exp(-kappa * elapsed) * self.g_m(pts)
@@ -751,8 +799,7 @@ class _RecursivePayoff(_TruncatedPayoff):
         g_m_val, h_m_val = self.g_m_h_m(pts)
         h_term = self.hamiltonian(pts, controls)
         reward = h_m_val + np.maximum(g_m_val, u_val) / self.delta
-        w_step = float(_exp_weight(kappa, dt))
-        return disc * reward * w_step, disc * h_term * w_step
+        return disc * reward * self.w_step, disc * h_term * self.w_step
 
 
 def simulate_paths(

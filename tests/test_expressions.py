@@ -397,3 +397,170 @@ def _bench_data_digests(name):
 @pytest.mark.parametrize("name", ["const1", "bench_ou", "bench_ou_purestop", "allzero"])
 def test_bench_data_are_golden(name):
     assert _bench_data_digests(name) == BENCH_DATA_GOLDEN[name]
+
+
+def _walk(node, env):
+    """The reference evaluator: a walk over the parsed tree that dispatches on
+    each node's kind at every call, with numpy's plain power for ^."""
+    kind = node[0]
+    if kind == "num":
+        return node[1]
+    if kind == "var":
+        return env[node[1]]
+    if kind == "neg":
+        return -_walk(node[1], env)
+    if kind == "bin":
+        _, op, a, b = node
+        va, vb = _walk(a, env), _walk(b, env)
+        if op == "+":
+            return va + vb
+        if op == "-":
+            return va - vb
+        if op == "*":
+            return va * vb
+        if op == "/":
+            zero = vb == 0 if b[0] == "num" else np.any(vb == 0)
+            if zero:
+                raise EvalError("division by zero")
+            return va / vb
+        with np.errstate(invalid="raise", divide="ignore"):
+            try:
+                return np.power(va, vb, dtype=float)
+            except FloatingPointError as exc:
+                raise EvalError(f"invalid power: {exc}") from exc
+    _, name, args = node
+    vals = [_walk(a, env) for a in args]
+    if name == "log":
+        if np.any(np.asarray(vals[0]) <= 0):
+            raise EvalError("log of non-positive argument")
+        return np.log(vals[0])
+    if name == "sqrt":
+        if np.any(np.asarray(vals[0]) < 0):
+            raise EvalError("sqrt of negative argument")
+        return np.sqrt(vals[0])
+    fn = {"exp": np.exp, "sin": np.sin, "cos": np.cos, "abs": np.abs, "tanh": np.tanh,
+          "min": np.minimum, "max": np.maximum}[name]
+    return fn(*vals)
+
+
+def _walked_call(e, t, x):
+    """What e(t, x) returned when it walked its tree: the root's value with
+    overflow saturating, as a float array of the batch shape."""
+    env = {"t": t, **{f"x{i + 1}": x[i] for i in range(len(x))}}
+    with np.errstate(over="ignore"):
+        val = _walk(e._root, env)
+    shape = np.shape(x)[1:]
+    if getattr(t, "ndim", 0):
+        shape = np.broadcast_shapes(t.shape, shape)
+    if getattr(val, "shape", None) == shape:
+        return np.asarray(val, dtype=float)
+    return np.full(shape, val, dtype=float)
+
+
+def _outcome(fn):
+    """('value', dtype, shape, bytes) of fn's result, or ('error', type, message)."""
+    try:
+        val = fn()
+    except EvalError as exc:
+        return ("error", type(exc), str(exc))
+    return ("value", val.dtype, val.shape, val.tobytes())
+
+
+_LITERALS = (0.0, 0.5, 1.0, 2.0, 3.0, 2.5, 0.7, 4.5, 710.0, 1e200, 4000.0)
+_CALLS = ("exp", "log", "sin", "cos", "sqrt", "abs", "tanh", "min", "max")
+
+
+def _random_tree(rng, depth):
+    """A random parse tree of every node kind: numbers, the variables t, x1
+    and x2, negation, the five binary operators and every function."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.4:
+            return ("num", float(rng.choice(_LITERALS)))
+        return ("var", str(rng.choice(["t", "x1", "x2"])))
+    kind = rng.integers(4)
+    if kind == 0:
+        return ("neg", _random_tree(rng, depth - 1))
+    if kind == 1:
+        op = str(rng.choice(list("+-*/^")))
+        right = _random_tree(rng, depth - 1)
+        if op in "/^" and rng.random() < 0.5:  # a literal divisor or exponent, as in x1/4.5 and (.)^3
+            right = ("num", float(rng.choice(_LITERALS)))
+        return ("bin", op, _random_tree(rng, depth - 1), right)
+    name = str(rng.choice(_CALLS))
+    arity = 2 if name in ("min", "max") else 1
+    return ("call", name, tuple(_random_tree(rng, depth - 1) for _ in range(arity)))
+
+
+def _kinds(node, out):
+    """Add the kind of every node of the tree (operators and functions by name)."""
+    kind = node[0]
+    if kind in ("num", "var"):
+        out.add(kind)
+        return out
+    if kind == "neg":
+        out.add(kind)
+        children = node[1:]
+    else:
+        out.add(node[1])
+        children = node[2:] if kind == "bin" else node[2]
+    for child in children:
+        _kinds(child, out)
+    return out
+
+
+# +-0, inf, NaN, overflow-prone, subnormal and plain values
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1e200, -1e300, 5e-324, 1.5, -2.0, 0.3, 700.0])
+
+
+def test_compiled_evaluator_is_the_tree_walk_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    n = 64
+    inputs = [
+        (0.25, rng.uniform(0.1, 2.0, (2, n))),  # positive: few domain errors
+        (rng.uniform(0.0, 1.0, n), rng.uniform(-3.0, 3.0, (2, n))),  # array t
+        (float(rng.choice(_SPECIAL)), rng.choice(_SPECIAL, (2, n))),  # specials everywhere
+        (rng.choice(_SPECIAL, n), rng.choice(_SPECIAL, (2, n))),
+        (0.5, np.array([1.5, 0.0])),  # one point: scalar coordinates
+        (-0.0, np.array([-0.0, 1e200])),
+        (np.nan, np.array([np.inf, 0.3])),
+    ]
+    seen, values, errors = set(), 0, 0
+    for _ in range(400):
+        tree = _random_tree(rng, 4)
+        e = parse_expression(_render(tree))
+        _kinds(e._root, seen)
+        for t, x in inputs:
+            with np.errstate(invalid="ignore"):  # inf - inf and the like: NaN, silently
+                got = _outcome(lambda: e(t, x))
+                want = _outcome(lambda: _walked_call(e, t, x))
+            assert got == want, (str(e), t, x)
+            values += got[0] == "value"
+            errors += got[0] == "error"
+    assert seen == {"num", "var", "neg", "+", "-", "*", "/", "^", *_CALLS}
+    assert values > 1000 and errors > 200
+
+
+@pytest.mark.parametrize(
+    "src, x, message",
+    [
+        ("x1 / 0", [[1.0, 2.0]], "division by zero"),
+        ("x1 / (0.0)", [[1.0, 2.0]], "division by zero"),
+        ("(x1 + 1) / -0.0", [[1.0, 2.0]], "division by zero"),
+        ("x1 / x2", [[1.0, 2.0], [3.0, 0.0]], "division by zero"),
+        ("x1 / (x2 - 3)", [[1.0], [3.0]], "division by zero"),
+        ("log(x1)", [[1.0, 0.0]], "log of non-positive argument"),
+        ("log(x1 - 2)", [[1.0, 3.0]], "log of non-positive argument"),
+        ("sqrt(x1)", [[1.0, -0.5]], "sqrt of negative argument"),
+        ("sqrt(-x1)", [[1.0]], "sqrt of negative argument"),
+        ("x1 ^ 0.5", [[4.0, -1.0]], "invalid power: invalid value encountered in power"),
+        ("(-1) ^ 0.5", [[1.0]], "invalid power: invalid value encountered in power"),
+        ("max(0, x1)^3 * x1^0.5", [[0.0, 2.0, -1.0]], "invalid power: invalid value encountered in power"),
+        ("x1 ^ x2", [[-2.0, 1.0], [0.5, 2.0]], "invalid power: invalid value encountered in power"),
+    ],
+)
+def test_compiled_evaluator_raises_the_tree_walks_errors(src, x, message):
+    e = parse_expression(src)
+    x = np.array(x)
+    want = _outcome(lambda: _walked_call(e, 0.0, x))
+    assert want == ("error", EvalError, message)
+    assert _outcome(lambda: e(0.0, x)) == want

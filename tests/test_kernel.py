@@ -6,7 +6,6 @@ from ctrlstop.expressions import eval_with_derivatives
 from ctrlstop.kernel import (
     Penalty,
     build_cutoff,
-    hamiltonian,
     hamiltonian_batch,
     truncate_data,
 )
@@ -153,16 +152,15 @@ class TestPenalty:
 class TestHamiltonian:
     def test_zero_input(self):
         pen = Penalty(0.1)
-        h, p = hamiltonian(pen, 1.0, np.zeros(3))
-        assert h == 0.0
-        np.testing.assert_array_equal(p, np.zeros(3))
+        h = hamiltonian_batch(pen, 1.0, np.zeros(3))
+        assert np.array_equal(h, np.zeros(3)) and not np.signbit(h).any()
 
     def test_frozen_grid_search_value(self):
         # dense grid search over p in [-5,5]^2 with step 1e-3 gave this value
+        # for y = (2, 0)
         pen = Penalty(0.1)
-        h, p_star = hamiltonian(pen, 1.0, np.array([2.0, 0.0]))
-        assert h == pytest.approx(2.025240753238295, abs=1e-4)
-        assert p_star[0] > 1.0 and abs(p_star[1]) == 0.0
+        h = hamiltonian_batch(pen, 1.0, 2.0)
+        assert float(h) == pytest.approx(2.025240753238295, abs=1e-4)
 
     def test_quadratic_lower_bound(self):
         rng = np.random.default_rng(3)
@@ -179,7 +177,7 @@ class TestHamiltonian:
         for _ in range(200):
             f_val = rng.uniform(0, 2)
             y = rng.uniform(-3, 3, 2)
-            h, _ = hamiltonian(pen, f_val, y)
+            h = hamiltonian_batch(pen, f_val, np.linalg.norm(y))
             ps = rng.uniform(-5, 5, (2, 50))
             trial = y @ ps - pen.value(np.sum(ps**2, axis=0) - f_val**2)
             assert np.all(trial <= h + 1e-10)
@@ -190,7 +188,7 @@ class TestHamiltonian:
         for _ in range(200):
             f_val = rng.uniform(0, 2)
             y = rng.uniform(-3, 3, 2)
-            h, _ = hamiltonian(pen, f_val, y)
+            h = hamiltonian_batch(pen, f_val, np.linalg.norm(y))
             q = rng.normal(size=2)
             q *= rng.uniform(0, 1) * f_val / max(np.linalg.norm(q), 1e-12)
             assert h >= -(y @ q) - 1e-10
@@ -209,20 +207,16 @@ class TestHamiltonian:
         )
 
     def test_first_order_condition_at_maximizer(self):
-        pen = Penalty(0.08)
-        f_val, y = 0.7, np.array([1.3, -0.4])
-        _, p_star = hamiltonian(pen, f_val, y)
-        recon = 2 * pen.d1(float(np.sum(p_star**2)) - f_val**2) * p_star
-        np.testing.assert_allclose(recon, y, rtol=1e-9, atol=1e-11)
+        # the maximizer's radius rho solves 2 psi'(rho^2 - f^2) rho = |y|, and
+        # the value is |y| rho - psi(rho^2 - f^2)
+        from ctrlstop.kernel import _solve_radius
 
-    def test_batch_matches_scalar(self):
-        pen = Penalty(0.12)
-        f_vals = np.array([0.0, 0.5, 2.0])
-        qs = np.array([0.7, 0.0, 3.3])
-        batch = hamiltonian_batch(pen, f_vals, qs)
-        for i in range(3):
-            h, _ = hamiltonian(pen, float(f_vals[i]), np.array([qs[i]]))
-            assert batch[i] == pytest.approx(h, abs=1e-12)
+        pen = Penalty(0.08)
+        f_val, q = 0.7, float(np.hypot(1.3, -0.4))
+        rho = float(_solve_radius(pen, np.asarray(f_val), np.asarray(q)))
+        assert 2 * float(pen.d1(rho**2 - f_val**2)) * rho == pytest.approx(q, rel=1e-9)
+        value = q * rho - float(pen.value(rho**2 - f_val**2))
+        assert float(hamiltonian_batch(pen, f_val, q)) == pytest.approx(value, rel=1e-12)
 
 
 class TestTruncation:
@@ -372,3 +366,83 @@ def test_bisection_never_receives_a_zero_rate(monkeypatch):
     hamiltonian_batch(pen, np.full(6, 0.3), np.zeros(6))
     assert seen and all(np.count_nonzero(s == 0.0) == 0 for s in seen)
     assert sum(s.size for s in seen) == 3  # 1.5, NaN and 2.0
+
+
+def _bits(a):
+    """The bytes of a float result, its shape and dtype: equal only bit for bit."""
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+def test_radius_in_one_dimension_is_the_norm_bit_for_bit():
+    # sqrt(x1 * x1) against np.linalg.norm: +-0, inf, NaN, a square that
+    # overflows, subnormals and squares that underflow, plain values
+    from ctrlstop.kernel import _radius
+
+    x = np.array([[0.0, -0.0, 1.5, -2.0, np.inf, -np.inf, np.nan, 1e200, -1e300, 5e-324, -1e-170, 3.1]])
+    for pts in (x, x[:, ::-3], x.reshape(1, 3, 4), x[:, 2], x[:, 7]):
+        with np.errstate(over="ignore"):
+            want = np.linalg.norm(pts, axis=0)
+        assert _bits(_radius(pts)) == _bits(want)
+
+
+# g and h do not vanish on the cut-off's bridge, so that a cut-off skipped
+# there shows in g_m and h_m
+BRIDGE_DATA = {
+    1: """
+dim = 1
+horizon = 0.5
+rate = 0.05
+drift[1] = -x1
+sigma[1][1] = 1
+f = 0.3 + 0.01*x1^2
+g = 1 + 0.1*x1
+h = 0.5 - 0.2*x1
+""",
+    2: SKEW_2D.replace("h = 0", "h = 0.5 - 0.2*x2"),
+}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_inner_ball_shortcut_is_the_cut_off_formula(d, monkeypatch):
+    """Where every point lies in the cut-off's inner ball, g_m, h_m and f_m^2
+    skip the cut-off; they are xi g, xi h and the full f_m^2 bit for bit on
+    points all inside (one on the inner sphere), with one on the bridge, one
+    beyond it, and one with a NaN or an infinite radius."""
+    from ctrlstop.kernel import Cutoff, _radius
+
+    spec, _, _ = parse_config_text(BRIDGE_DATA[d])
+    data = truncate_data(spec, 4.0)
+    mc = data.cutoff.m
+    rng = np.random.default_rng(9)
+    direction = rng.normal(size=(d, 60))
+    direction /= np.linalg.norm(direction, axis=0)
+    inside = direction * rng.uniform(0.0, mc, 60)
+    inside[:, 0] = direction[:, 0] * mc  # |x| = m - 1 up to rounding
+    inside[:, 1] = 0.0
+    inside[0, 2] = mc  # on the inner sphere exactly
+    inside[1:, 2] = 0.0
+    cases = {"inside": inside}
+    for name, extra in (("bridge", mc + 0.5), ("beyond", mc + 1.5), ("nan", np.nan), ("inf", np.inf)):
+        x = inside.copy()
+        x[:, 7] = direction[:, 7] * extra
+        cases[name] = x
+    calls = []
+    plain = Cutoff.value_radial
+    monkeypatch.setattr(Cutoff, "value_radial", lambda self, r: calls.append(1) or plain(self, r))
+    for name, x in cases.items():
+        r = _radius(x)
+        for t in (0.0, 0.3):
+            # at the infinite point: sin(inf) and 0 * inf are NaN, silently
+            with np.errstate(invalid="ignore"):
+                g, h = spec.g(t, x), spec.h(t, x)
+                xi = plain(data.cutoff, r)
+                calls.clear()
+                got = data._cut(r, g, h)
+                assert len(calls) == (name != "inside"), name  # the shortcut, and only inside
+                assert [_bits(v) for v in got] == [_bits(xi * g), _bits(xi * h)], name
+                assert _bits(data.g_m(t, x)) == _bits(data.cutoff.value(x) * g), name
+                assert _bits(data.h_m(t, x)) == _bits(data.cutoff.value(x) * h), name
+            if name != "inf":  # the full formula's radicand check needs finite points
+                assert _bits(data.f_m_sq(t, x)) == _bits(_reference_f_m_sq(data, t, x)), name
+    assert data._inner(_radius(cases["inside"])) and not data._inner(_radius(cases["bridge"]))

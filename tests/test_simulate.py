@@ -1308,3 +1308,53 @@ def test_closed_form_hamiltonian_needs_the_payoff_penalty(ou_solved):
     )
     assert closed.mean == pytest.approx(bisected.mean, abs=1e-9)
     assert closed.breakdown["control_cost"] == pytest.approx(bisected.breakdown["control_cost"], abs=1e-9)
+
+
+def _bits(a):
+    a = np.asarray(a)
+    return a.dtype, a.shape, a.tobytes()
+
+
+@pytest.mark.parametrize("case", ["none_active", "some_active", "all_active", "nan_gradient", "infinite_cost"])
+def test_active_set_rate_and_hamiltonian_are_the_dense_formulas(case, monkeypatch):
+    """The feedback rate and the closed-form Hamiltonian, computed on the
+    active paths only, are 2 psi'(|grad u|^2 - f^2)|grad u| and
+    2 psi'(zeta)|grad u|^2 - psi(zeta) on every path bit for bit; with no
+    active path the penalty is not called."""
+    from ctrlstop.kernel import Penalty as PenaltyClass
+    from ctrlstop.simulate import _closed_form_hamiltonian, _feedback_rate
+
+    pen = Penalty(1 / 16)
+    rng = np.random.default_rng(17)
+    f = np.full(200, 0.3)
+    grad = rng.uniform(-0.2, 0.2, (2, 200))  # |grad u| < 0.3 = f: inactive
+    if case == "some_active":
+        grad[0, ::9] = rng.uniform(0.3, 0.8, grad[0, ::9].shape)  # bridge and linear branch
+        grad[:, 5] = [0.3, 0.0]  # |grad u| = f: on the kink
+    elif case == "all_active":
+        grad[0] = rng.uniform(0.31, 0.8, 200) * rng.choice([-1.0, 1.0], 200)
+    elif case == "nan_gradient":
+        grad[:, 3] = [np.nan, 0.1]
+        grad[0, 4] = np.inf
+    elif case == "infinite_cost":
+        f[::4] = np.inf
+        grad[0, 8] = np.inf  # inf - inf: NaN
+        grad[0, 1::4] = 0.6
+    gnorm_sq = np.sum(grad**2, axis=0)
+    norm = np.sqrt(gnorm_sq)
+    f_sq = f**2
+    with np.errstate(invalid="ignore"):  # inf - inf and 0 * inf: NaN, as in the dense formulas
+        want_rate = 2.0 * pen.d1(norm**2 - f_sq) * norm
+        zeta = gnorm_sq - f_sq
+        want_h = 2.0 * pen.d1(zeta) * gnorm_sq - pen.value(zeta)
+        calls = []
+        for name in ("d1", "value"):
+            plain = getattr(PenaltyClass, name)
+            monkeypatch.setattr(PenaltyClass, name, lambda self, y, *a, plain=plain: calls.append(1) or plain(self, y, *a))
+        rate = _feedback_rate(pen, norm, f_sq)
+        h = _closed_form_hamiltonian(pen, gnorm_sq, f_sq)
+        active = np.count_nonzero(~(norm**2 - f_sq <= 0))
+    assert _bits(rate) == _bits(want_rate)
+    assert _bits(h) == _bits(want_h)
+    assert (active == 0) == (case == "none_active") and (active == 200) == (case == "all_active")
+    assert (len(calls) == 0) == (case == "none_active")

@@ -432,6 +432,21 @@ h = 0
         point = solve_penalized(TruncatedProblem(grid, truncate_data(spec, 3.0)), Penalty(1 / 16), 1 / 16)
         assert float(np.min(point.field.values)) >= -1e-15
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=SolverError,
+        reason="ROADMAP item 1: with the gradient penalty binding (f = 1) the centered "
+        "control term stalls the Newton march at time level 38",
+    )
+    def test_correlated_noise_with_a_binding_gradient_penalty_solves(self):
+        # the narrow rho = 0.9 bump of test_correlated_noise_keeps_nonnegativity
+        # with f = 1, so that the gradient penalty binds on its flanks
+        spec, _, _ = parse_config_text(self.correlated(0.9, 0.4).replace("f = 100", "f = 1"))
+        grid = Grid(d=2, m=3.0, nx=61, nt=40, T=0.2)
+        tol = 1e-7
+        point = solve_penalized(TruncatedProblem(grid, truncate_data(spec, 3.0)), Penalty(1 / 16), 1 / 16, tol=tol)
+        assert float(np.min(point.field.values)) >= -10.0 * tol
+
 
 # bench_ou with a decaying stopping reward and a growing right running-reward
 # hill: time-dependent g_m, h_m on every level
