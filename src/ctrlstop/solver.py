@@ -27,6 +27,13 @@ evaluates time-independent data once) and the Theta_m bounds depend only
 on the grid and the truncated data, not on the penalty: a TruncatedProblem
 derives them once per radius, and every stage of that radius reads them
 from it.
+
+Where the gradient penalty is idle, as in the pure-stopping limit of a
+large control cost, psi(|grad u|^2 - f_m^2) and its slope are +0.0 at every
+node.  A bound on the field's oscillation (_control_bound) proves that
+without computing the gradient: the level residuals of the march, the
+frozen source and the bound report then skip the control term and the
+penalty, and every result stays bit for bit what the dense formulas give.
 """
 from __future__ import annotations
 
@@ -87,7 +94,12 @@ class TruncatedProblem:
     Without it each stage would allocate and free about ten level stacks,
     whose pages the allocator hands back to the system and faults in again.
     A pass reads back only what it wrote itself, so no state passes
-    from one call to the next."""
+    from one call to the next.
+
+    f2_floor holds min f_m^2 over all nodes of each level, box edge
+    included, or NaN where a level holds a non-finite f_m^2: the level's
+    threshold for _penalty_idle.  boundary indexes the Dirichlet nodes and
+    interior selects the others (a slice on a line)."""
 
     def __init__(self, grid: Grid, data: TruncatedData):
         self.grid = grid
@@ -100,6 +112,11 @@ class TruncatedProblem:
         )
         for stack in self.stacks:
             stack.flags.writeable = False
+        f2 = self.stacks[2]
+        lowest, highest = np.min(f2, axis=1), np.max(f2, axis=1)
+        self.f2_floor = np.where(np.isfinite(lowest) & np.isfinite(highest), lowest, np.nan)
+        self.boundary = np.flatnonzero(self.op.dirichlet)
+        self.interior = _columns(~self.op.dirichlet)
         levels, n = grid.nt + 1, grid.n_nodes
         self.work = (np.empty((levels, n)), np.empty((levels, n)))
         self.work_grad = np.empty((levels, grid.d, n))
@@ -110,6 +127,34 @@ class TruncatedProblem:
         nodes, computed in the workspace."""
         diff = np.subtract(a, b, out=self.work[0][: a.shape[0], : a.shape[1]])
         return float(np.max(np.abs(diff, out=diff)))
+
+    def _penalty_idle(self, values: np.ndarray, levels) -> bool:
+        """Whether psi(Q(v) - f_m^2) and its slope psi' are +0.0 at every
+        node of every row of values (rows, n_nodes), row r lying on level
+        levels[r] (an index of f2_floor), proven from _control_bound without
+        computing Q = op.control_term(v)[0].  False on a row or a level
+        with a non-finite value, and wherever the bound cannot tell."""
+        return bool(np.all(_control_bound(self.grid, values) <= self.f2_floor[levels]))
+
+
+def _control_bound(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """d fl((max v - min v) / hx)^2 per row of nodal values (..., n_nodes):
+    a bound of the computed control term Q = op.control_term(v)[0] at every
+    node of the row, the box edge included.
+
+    Rounding is monotone, so each computed difference v[j] - v[i] is at
+    most fl(max v - min v) in magnitude, and each difference quotient, the
+    centered one over 2 hx inside the box and the one-sided one over hx on
+    its edge, at most B = fl((max v - min v) / hx).  Squaring and summing d
+    such quotients is monotone too, so Q <= fl(d fl(B B)) at every node,
+    which is what this returns.  Where it is <= min f_m^2, every
+    Q - f_m^2 <= 0, so the penalty and its slope are +0.0 everywhere.  A
+    one-sided (upwind) control term, built from (v[j] - v[j-1]) / hx or its
+    positive or negative part, keeps the bound.  A NaN in v gives NaN, and
+    an inf gives inf or NaN, which no finite min f_m^2 passes."""
+    bound = np.max(values, axis=-1) - np.min(values, axis=-1)
+    bound /= grid.hx
+    return grid.d * (bound * bound)
 
 
 def _columns(mask: np.ndarray):
@@ -127,7 +172,9 @@ def gamma_step(problem: TruncatedProblem, pen: Penalty, delta: float, frozen: Gr
     with the obstacle and gradient penalties evaluated at the frozen field.
     The frozen source h_m + (1/delta)(g_m - phi)^+ - psi(Q(phi) - f_m^2) is
     summed left to right in the problem's workspace; the swept field is a
-    new array."""
+    new array.  Where the problem proves the penalty idle on the frozen
+    levels 0..nt-1, psi is +0.0 at every node and subtracting it changes no
+    bit, so the control term and the penalty are skipped."""
     grid, op = problem.grid, problem.op
     if frozen.grid != grid:
         raise ValueError("frozen field lives on a different grid")
@@ -139,16 +186,17 @@ def gamma_step(problem: TruncatedProblem, pen: Penalty, delta: float, frozen: Gr
     np.maximum(source, 0.0, out=source)
     source *= 1.0 / delta
     np.add(h[:nt], source, out=source)
-    op.control_term(phi, out=(zeta, problem.work_grad[:nt]))
-    zeta -= f2[:nt]
-    source -= pen.value(zeta, out=zeta)
+    if not problem._penalty_idle(phi, slice(None, nt)):
+        op.control_term(phi, out=(zeta, problem.work_grad[:nt]))
+        zeta -= f2[:nt]
+        source -= pen.value(zeta, out=zeta)
     bad = ~np.all(np.isfinite(source), axis=1)
     if np.any(bad):
         # the backward sweep meets the highest bad level first
         raise SolverError(f"non-finite source at time level {np.flatnonzero(bad)[-1]}")
     out = np.empty((nt + 1, grid.n_nodes))
     out[nt] = g[nt]
-    dirichlet = np.flatnonzero(op.dirichlet)
+    dirichlet = problem.boundary
     ht = grid.ht
     for k in range(nt - 1, -1, -1):
         rhs = out[k + 1] / ht + source[k]
@@ -179,6 +227,76 @@ class _Marched(NamedTuple):
     seconds: float
 
 
+class _Wave(NamedTuple):
+    """What the level residuals of one wave of _nonlinear_march read, one
+    row per stage the wave advances: the g_m, h_m and f_m^2 rows of the
+    stage's level, its next level over ht, 1/delta as a column and the
+    penalty with one eps per row."""
+
+    g: np.ndarray
+    h: np.ndarray
+    f2: np.ndarray
+    knext_ht: np.ndarray
+    inv_delta: np.ndarray
+    pen: Penalty
+
+
+def _level_residual(problem: TruncatedProblem, wave: _Wave, at, cand: np.ndarray, idle: bool) -> list:
+    """What a Newton step from cand reads, for the wave rows at (a slice of
+    all of them, or their positions) with cand one row each: the merit
+    (interior norm of the level residual), lin of the control term
+    (Q, lin) = op.control_term(cand), the slope psi'(zeta) at
+    zeta = Q - f_m^2, the obstacle's extra diagonal (1/delta) 1{g_m > cand},
+    and the right-hand side of the Newton system with a flag that its
+    source is finite.  The residual
+    v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+ + psi is summed
+    left to right in place, and each row's merit is np.linalg.norm's
+    sqrt(dot) of its interior entries.  psi and psi' read one
+    classification of zeta, and each wave stack is gathered once.
+
+    idle, which only problem._penalty_idle(cand, ...) may grant, says that
+    psi = psi' = +0.0 at every node.  Then the control term and the
+    penalty are skipped and each result is still the dense one bit for bit:
+    slope is zeros, so level_systems adds no drift and never reads lin,
+    which is left unset; "+ psi" in the residual flips only the sign of a
+    zero, which the merit squares away; "- psi" in the source changes no
+    bit; and "+ 2 slope Q" is "+ 0.0", which is kept since it turns a -0.0
+    source into +0.0."""
+    op, ht = problem.op, problem.grid.ht
+    g, h, knext, inv_delta = wave.g[at], wave.h[at], wave.knext_ht[at], wave.inv_delta[at]
+    res = cand / ht
+    res -= op.apply_generator(cand)
+    res -= knext
+    res -= h
+    obstacle = np.subtract(g, cand)
+    extra_diag = inv_delta * (obstacle > 0.0)
+    np.maximum(obstacle, 0.0, out=obstacle)
+    obstacle *= inv_delta
+    res -= obstacle
+    # h_m + extra_diag g_m - psi + slope Q'(v) v, left to right, where
+    # Q'(v) v = 2 Q since Q is quadratic
+    const_src = np.multiply(extra_diag, g)
+    np.add(h, const_src, out=const_src)
+    if idle:
+        lin = np.empty(cand.shape[:-1] + (problem.grid.d, cand.shape[-1]))
+        slope = np.zeros(cand.shape)
+        const_src += 0.0
+    else:
+        pen = wave.pen if isinstance(at, slice) else Penalty(wave.pen.eps[at])
+        Q, lin = op.control_term(cand)
+        branches = _Branches(pen, Q - wave.f2[at])
+        psi = pen.value(branches)
+        res += psi
+        slope = pen.d1(branches)
+        const_src -= psi
+        const_src += 2.0 * slope * Q
+    merits = np.array([math.sqrt(np.dot(r, r)) for r in res[:, problem.interior]])
+    finite = np.isfinite(const_src).all(axis=1)
+    rhs = np.add(knext, const_src, out=const_src)
+    rhs[:, problem.boundary] = g[:, problem.boundary]
+    return [merits, lin, slope, extra_diag, rhs, finite]
+
+
 def _nonlinear_march(
     problem: TruncatedProblem,
     stages: list[tuple[Penalty, float]],
@@ -199,16 +317,22 @@ def _nonlinear_march(
     from level k of stage i-1, so a stage needs only its own level k+1 and
     level k of the stage before.  The marched field is the fixed point of
     the frozen-source operator up to the inner tolerance.  The level
-    residual, evaluated at the start and at each line-search trial point,
-    also returns all that a Newton step from that point reads (lin, psi',
-    the obstacle's extra diagonal and the right-hand side), with psi and
-    psi' from one classification of zeta; the accepted trial's feeds the
-    next Newton step.
+    residual (_level_residual), evaluated at the start and at each
+    line-search trial point, also returns all that a Newton step from that
+    point reads (lin, psi', the obstacle's extra diagonal and the
+    right-hand side), with psi and psi' from one classification of zeta;
+    the accepted trial's feeds the next Newton step.
+
+    Before each level residual the march tests whether the problem proves
+    the gradient penalty idle on the candidate (_penalty_idle, one max and
+    one min per row); if so, the residual skips the control term and the
+    penalty, bit for bit.  The first failed test ends the testing for the
+    rest of the march, so a march where the penalty binds tests once.
 
     The stages march as a wavefront: at wave j, stage i solves level
     k = nt-1-j+i, one level behind the stage before.  The wave's rows (one
-    per stage) sit on a leading axis, so a level residual (control term,
-    penalty branches, apply_generator, Newton right-hand side) is evaluated
+    per stage) sit on a leading axis, so a level residual (apply_generator,
+    control term, penalty branches, Newton right-hand side) is evaluated
     once for all the rows that need it, each row with its own eps and
     delta, and a Newton iteration assembles the level systems of all its
     rows in one op.level_systems call.  Each row keeps its own Newton
@@ -233,9 +357,6 @@ def _nonlinear_march(
     grid, op = problem.grid, problem.op
     g, h, f2 = problem.stacks
     nt, ht, n = grid.nt, grid.ht, grid.n_nodes
-    dirichlet = np.flatnonzero(op.dirichlet)
-    # the interior nodes; on a line, all but its two ends
-    interior = slice(1, -1) if grid.d == 1 else np.flatnonzero(~op.dirichlet)
     eps = np.array([[pen.eps] for pen, _ in stages])
     inv_delta = np.array([[1.0 / delta] for _, delta in stages])
     outs = []
@@ -246,65 +367,34 @@ def _nonlinear_march(
     work = np.zeros((3, len(stages)), dtype=int)  # levels, Newton iterations, trials
     seconds = np.zeros(len(stages))
     alive, error = len(stages), None  # stages from alive on start from a failed one
+    # the idle test is tried until it first fails: a march where the penalty
+    # binds pays for one test, and a failed test forgoes only the shortcut
+    try_idle = True
     for j in range(nt + len(stages) - 1):
         rank = np.arange(max(0, j - nt + 1), min(alive, j + 1))  # the wave's stages
         if not rank.size:
             break
         ks = nt - 1 - j + rank
-        g_k, h_k, f2_k = g[ks], h[ks], f2[ks]
-        inv_delta_k, pen_k = inv_delta[rank], Penalty(eps[rank])
         knext_ht = np.empty((rank.size, n))
         v = np.empty((rank.size, n))
         for row, (i, k) in enumerate(zip(rank.tolist(), ks.tolist())):
             knext_ht[row] = outs[i][k + 1]
             v[row] = outs[i - 1][k] if i else outs[i][k + 1] if guess is None else guess.values[k]
         knext_ht /= ht
-        v[:, dirichlet] = g_k[:, dirichlet]
+        wave = _Wave(g[ks], h[ks], f2[ks], knext_ht, inv_delta[rank], Penalty(eps[rank]))
+        v[:, problem.boundary] = wave.g[:, problem.boundary]
 
         def index(rows):
             """The wave rows as an index: a view of all of them, or a gather."""
             return slice(None) if rows.size == rank.size else rows
 
         def level_residual(rows, cand):
-            """What a Newton step from cand reads, for each of the rows: the
-            merit (interior norm of the level residual), lin of the control
-            term (Q, lin) = op.control_term(cand), the slope psi'(zeta) at
-            zeta = Q - f_m^2, the obstacle's extra diagonal
-            (1/delta) 1{g_m > cand}, and the right-hand side of the Newton
-            system with a flag that its source is finite.  The residual
-            v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+ + psi
-            is summed left to right in place, and each row's merit is
-            np.linalg.norm's sqrt(dot) of its interior entries.  psi and psi'
-            read one classification of zeta, and each wave stack is gathered
-            once."""
+            """_level_residual of cand on the wave rows, idle while the
+            problem proves the gradient penalty idle on every candidate."""
+            nonlocal try_idle
             at = index(rows)
-            pen = pen_k if isinstance(at, slice) else Penalty(pen_k.eps[at])
-            g_a, h_a, knext_a, inv_delta_a = g_k[at], h_k[at], knext_ht[at], inv_delta_k[at]
-            Q, lin = op.control_term(cand)
-            branches = _Branches(pen, Q - f2_k[at])
-            psi = pen.value(branches)
-            res = cand / ht
-            res -= op.apply_generator(cand)
-            res -= knext_a
-            res -= h_a
-            obstacle = np.subtract(g_a, cand)
-            extra_diag = inv_delta_a * (obstacle > 0.0)
-            np.maximum(obstacle, 0.0, out=obstacle)
-            obstacle *= inv_delta_a
-            res -= obstacle
-            res += psi
-            merits = np.array([math.sqrt(np.dot(r, r)) for r in res[:, interior]])
-            slope = pen.d1(branches)
-            # h_m + extra_diag g_m - psi + slope Q'(v) v, left to right, where
-            # Q'(v) v = 2 Q since Q is quadratic
-            const_src = np.multiply(extra_diag, g_a)
-            np.add(h_a, const_src, out=const_src)
-            const_src -= psi
-            const_src += 2.0 * slope * Q
-            finite = np.isfinite(const_src).all(axis=1)
-            rhs = np.add(knext_a, const_src, out=const_src)
-            rhs[:, dirichlet] = g_a[:, dirichlet]
-            return [merits, lin, slope, extra_diag, rhs, finite]
+            try_idle = try_idle and problem._penalty_idle(cand, ks[at])
+            return _level_residual(problem, wave, at, cand, try_idle)
 
         def fail(active, p, message):
             """Record the error of active row p, end its stage and every later
@@ -467,7 +557,7 @@ def solve_penalized(
 
     K2 and K0 are the problem's Theta_m bounds.
     """
-    grid, op, data = problem.grid, problem.op, problem.data
+    grid, data = problem.grid, problem.data
     tol = check_tol(tol)
     if u0 is not None and u0.grid != grid:
         raise ValueError("warm start lives on a different grid")
@@ -501,46 +591,13 @@ def solve_penalized(
             f"marched solution failed certification (residual {residual:.3e} > {tol:g})"
         )
 
-    uv = u.values
-    lowest = float(np.min(uv))
+    lowest = float(np.min(u.values))
     if lowest < -10.0 * tol:
         raise SolverError(
             f"solution lost nonnegativity (min {lowest:.3e}); "
             "the payoff data may violate the standing assumptions"
         )
-    g, _, f2 = problem.stacks
-    interior = ~op.dirichlet
-    xsq = np.sum(grid.points() ** 2, axis=0)
-    # every whole-stack pass of the report computes in the workspace
-    scratch, zeta = problem.work
-
-    k2_grid, k0_grid = problem.theta_bounds
-    obs_penalty = max(0.0, float(np.max(np.subtract(g, uv, out=scratch)))) / delta
-    op.control_term(uv, out=(zeta, problem.work_grad))
-    zeta -= f2
-    psi = pen.value(zeta, out=zeta)
-    columns = _columns(interior)
-    obs_psi = max(0.0, float(np.max(psi[:, columns])))
-
-    # the time-derivative bound concerns the untruncated problem; measure it
-    # on the cutoff-inert core and keep the full-domain max as a diagnostic
-    # (the lateral boundary layer of the truncated problem is not covered)
-    radius = np.sqrt(xsq)
-    core = interior & (radius <= data.cutoff.m)
-    dt_fwd = np.subtract(uv[1:], uv[:-1], out=scratch[:-1])
-    dt_fwd /= grid.ht
-    obs_dt_core = float(np.max(dt_fwd[:, _columns(core)])) if np.any(core) else 0.0
-    obs_dt_full = float(np.max(dt_fwd[:, columns]))
-
-    obs_growth = float(np.max(np.divide(uv, 1.0 + xsq, out=scratch)))
-    report = {
-        "negative_part": (10.0 * tol, max(0.0, -lowest)),
-        "quad_growth": (obs_growth if k3_bound is None else k3_bound, obs_growth),
-        "obstacle_penalty": (k2_grid + 10.0 * tol / delta, obs_penalty),
-        "time_derivative": (k0_grid * (1.0 + grid.T) + k2_grid + TIME_SLACK, obs_dt_core),
-        "time_derivative_full": (math.inf, obs_dt_full),
-        "gradient_penalty": (math.inf, obs_psi),
-    }
+    report = _bound_report(problem, pen, delta, tol, u.values, lowest, k3_bound)
     seconds["report"] = time.perf_counter() - certified
     return PenaltyPoint(
         eps=pen.eps,
@@ -553,6 +610,58 @@ def solve_penalized(
         march=counts,
         seconds=seconds,
     )
+
+
+def _bound_report(
+    problem: TruncatedProblem,
+    pen: Penalty,
+    delta: float,
+    tol: float,
+    uv: np.ndarray,
+    lowest: float,
+    k3_bound: float | None,
+) -> dict[str, tuple[float, float]]:
+    """solve_penalized's bound report of the level stack uv, whose minimum
+    is lowest.  Every whole-stack pass computes in the problem's workspace.
+    Where the problem proves the gradient penalty idle on uv, its
+    observation max(0, max psi) over the interior is 0.0 without
+    recomputing grad u."""
+    grid, op = problem.grid, problem.op
+    g, _, f2 = problem.stacks
+    interior = ~op.dirichlet
+    xsq = np.sum(grid.points() ** 2, axis=0)
+    scratch, zeta = problem.work
+
+    k2_grid, k0_grid = problem.theta_bounds
+    obs_penalty = max(0.0, float(np.max(np.subtract(g, uv, out=scratch)))) / delta
+    columns = problem.interior
+    if problem._penalty_idle(uv, slice(None)):
+        obs_psi = 0.0
+    else:
+        op.control_term(uv, out=(zeta, problem.work_grad))
+        zeta -= f2
+        psi = pen.value(zeta, out=zeta)
+        obs_psi = max(0.0, float(np.max(psi[:, columns])))
+
+    # the time-derivative bound concerns the untruncated problem; measure it
+    # on the cutoff-inert core and keep the full-domain max as a diagnostic
+    # (the lateral boundary layer of the truncated problem is not covered)
+    radius = np.sqrt(xsq)
+    core = interior & (radius <= problem.data.cutoff.m)
+    dt_fwd = np.subtract(uv[1:], uv[:-1], out=scratch[:-1])
+    dt_fwd /= grid.ht
+    obs_dt_core = float(np.max(dt_fwd[:, _columns(core)])) if np.any(core) else 0.0
+    obs_dt_full = float(np.max(dt_fwd[:, columns]))
+
+    obs_growth = float(np.max(np.divide(uv, 1.0 + xsq, out=scratch)))
+    return {
+        "negative_part": (10.0 * tol, max(0.0, -lowest)),
+        "quad_growth": (obs_growth if k3_bound is None else k3_bound, obs_growth),
+        "obstacle_penalty": (k2_grid + 10.0 * tol / delta, obs_penalty),
+        "time_derivative": (k0_grid * (1.0 + grid.T) + k2_grid + TIME_SLACK, obs_dt_core),
+        "time_derivative_full": (math.inf, obs_dt_full),
+        "gradient_penalty": (math.inf, obs_psi),
+    }
 
 
 def default_schedule(K: int, eps0: float = 0.5, delta0: float = 0.5, m: float = 4.0):

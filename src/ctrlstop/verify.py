@@ -10,9 +10,11 @@ import numpy as np
 
 from .benches import load_bench
 from .expressions import eval_with_derivatives, parse_expression
+from .grid import Grid, build_operator
 from .kernel import Penalty, build_cutoff, hamiltonian_batch, truncate_data
-from .model import _level_stacks
+from .model import _level_stacks, parse_config_text
 from .oracles import LatticeGame, ObstacleProblem, solve_lattice_game, solve_obstacle
+from .solver import _control_bound
 
 __all__ = ["run_invariant_suite"]
 
@@ -127,6 +129,52 @@ def _check_obstacle(rng):
     )
 
 
+PLANE = """
+dim = 2
+horizon = 1.0
+rate = 0
+drift[1] = 0
+drift[2] = 0
+sigma[1][1] = 1
+sigma[1][2] = 0
+sigma[2][1] = 0
+sigma[2][2] = 1
+f = 1
+g = 0
+h = 0
+"""
+
+
+def _check_control_bound(n_cases, rng):
+    """The premise of the solver's idle-penalty test: on random fields in
+    1-D and 2-D, with magnitudes from 1e-300 to 1e300, the computed control
+    term Q never exceeds d fl((max - min) / hx)^2 (the fields that jump at
+    a box corner attain it), and a field with a NaN or an inf passes the
+    test against no finite min f_m^2."""
+    fails = 0
+    rows = max(8, min(n_cases, 2_000))
+    operators = [
+        build_operator(Grid(d=1, m=2.0, nx=41, nt=1, T=1.0), load_bench("bench_ou", coarse=True).spec),
+        build_operator(Grid(d=2, m=2.0, nx=9, nt=1, T=1.0), parse_config_text(PLANE)[0]),
+    ]
+    for op in operators:
+        n = op.grid.n_nodes
+        scale = 10.0 ** rng.uniform(-300.0, 300.0, (rows, 1))
+        fields = scale * rng.uniform(-1.0, 1.0, (rows, n))
+        # a quarter with node magnitudes spread over the whole range, a
+        # quarter jumping at the box corner only
+        spread = rows // 4
+        fields[:spread] = rng.choice([-1.0, 1.0], (spread, n)) * 10.0 ** rng.uniform(-300.0, 300.0, (spread, n))
+        fields[spread : 2 * spread] = scale[spread : 2 * spread]
+        fields[spread : 2 * spread, 0] = 0.0
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            fails += int(np.count_nonzero(op.control_term(fields)[0] > _control_bound(op.grid, fields)[:, None]))
+            bad = fields[: rows // 2].copy()
+            bad[np.arange(bad.shape[0]), rng.integers(0, n, bad.shape[0])] = rng.choice([np.nan, np.inf, -np.inf], bad.shape[0])
+            fails += int(np.count_nonzero(_control_bound(op.grid, bad) <= np.finfo(float).max))
+    return fails == 0, f"{fails} bound failures over {2 * rows} fields and {rows} non-finite ones"
+
+
 def _check_roundtrip(n_cases, rng):
     sources = [
         "x1^2 + 1",
@@ -159,5 +207,6 @@ def run_invariant_suite(pen_factory=Penalty, n_cases: int = 100_000, rng_seed: i
         ("lattice weak duality", _check_lattice(rng)),
         ("obstacle solver complementarity", _check_obstacle(rng)),
         ("expression round-trip", _check_roundtrip(1_000, rng)),
+        ("control-term bound of the idle penalty", _check_control_bound(n_cases, rng)),
     ]
     return [(name, ok, detail) for name, (ok, detail) in checks]

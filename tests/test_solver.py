@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -1224,3 +1225,223 @@ class TestOneProblemPerRadius:
         assert [p.data.m for p in problems] == [4.0, 6.0, 8.0]
         assert evaluations == {"g_m": 3, "h_m": 3, "f_m_sq": 3}
         assert [p.m for p in res.points] == [m for *_, m in schedule]
+
+
+class ChosenData:
+    """Truncated data with chosen nodal rows g_m, h_m and f_m^2, the same on
+    every level, on the operator of spec."""
+
+    def __init__(self, spec, grid, g, h, f2):
+        self.spec, self.m = spec, grid.m
+        self.time_independent = True
+        self.cutoff = SimpleNamespace(m=grid.m)
+        self._rows = g, h, f2
+
+    def g_m(self, t, x):
+        return self._rows[0]
+
+    def h_m(self, t, x):
+        return self._rows[1]
+
+    def f_m_sq(self, t, x):
+        return self._rows[2]
+
+
+def _bits(values):
+    """The float64 bits of values, so that signed zeros and NaN payloads count."""
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+def _dense(monkeypatch):
+    """Make every idle test fail, so the solver takes the dense formulas."""
+    monkeypatch.setattr(TruncatedProblem, "_penalty_idle", lambda self, values, levels: False)
+
+
+class TestIdlePenalty:
+    """Where the problem proves the gradient penalty idle, the level residual,
+    gamma_step and the bound report skip the control term and the penalty,
+    and each result is still the dense formulas' bit for bit.  Each case
+    pins the test's verdict and compares the shortcut with the dense path on
+    the same inputs.
+
+    The bound d fl(s / hx)^2 of a field that jumps by s at node 0, a corner
+    of the box, is attained there: one-sided quotients s / hx along every
+    axis.  On "equal" it is min f_m^2, and the penalty is idle; on
+    "ulp_over" min f_m^2 is one ulp below it, and on "edge_floor" only
+    node 0 (a Dirichlet node) has that f_m^2, so psi' > 0 at node 0 alone.
+    A NaN or inf in the field or in f_m^2 fails the test.  On
+    "negative_zero" the Newton source h_m + extra_diag g_m is -0.0, which
+    the dense "+ 2 psi' Q" turns into +0.0."""
+
+    SPEC = {1: HEAT, 2: TestTwoDimensional.CFG}
+    CASES = ["equal", "ulp_over", "edge_floor", "nan_field", "inf_field", "inf_f2", "negative_zero"]
+    IDLE = {"equal", "negative_zero"}
+    JUMP = 0.3
+
+    @classmethod
+    def _case(cls, d, case):
+        """The problem of the case, its field (one row) and the wave's next
+        level over ht."""
+        grid = Grid(d=d, m=1.0, nx=11 if d == 1 else 7, nt=4, T=1.0)
+        n = grid.n_nodes
+        field = np.full(n, cls.JUMP)
+        field[0] = 0.0
+        quotient = cls.JUMP / grid.hx
+        bound = d * (quotient * quotient)
+        f2 = np.full(n, bound)
+        g, h, knext = 0.5 * field, np.full(n, 0.1), field / grid.ht
+        if case == "ulp_over":
+            f2[:] = np.nextafter(bound, -np.inf)
+        elif case == "edge_floor":
+            f2[:] = 4.0 * bound
+            f2[0] = np.nextafter(bound, -np.inf)
+        elif case in ("nan_field", "inf_field"):
+            field[n // 2] = np.nan if case == "nan_field" else np.inf
+            f2[:] = 1e300
+        elif case == "inf_f2":
+            f2[:] = 4.0 * bound
+            f2[n // 2] = np.inf
+        elif case == "negative_zero":
+            field[:] = 0.0
+            g, h, knext = np.full(n, -1.0), np.full(n, -0.0), np.full(n, -0.0)
+        spec = parse_config_text(cls.SPEC[d])[0]
+        return TruncatedProblem(grid, ChosenData(spec, grid, g, h, f2)), field, knext
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_level_residual_is_the_dense_one(self, d, case):
+        problem, field, knext = self._case(d, case)
+        g, h, f2 = problem.stacks
+        ks = np.array([3, 2])
+        cand = np.stack([field, field])
+        wave = solver._Wave(
+            g[ks], h[ks], f2[ks], np.stack([knext, knext]), np.array([[4.0], [8.0]]), Penalty(np.array([[0.25], [0.125]]))
+        )
+        for at in (slice(None), np.array([1])):
+            rows = cand[at]
+            idle = problem._penalty_idle(rows, ks[at])
+            got = solver._level_residual(problem, wave, at, rows.copy(), idle)
+            want = solver._level_residual(problem, wave, at, rows.copy(), False)
+            merits, _, slope, extra_diag, rhs, finite = got
+            for a, b in zip([merits, slope, extra_diag, rhs], [want[0], *want[2:5]]):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+            np.testing.assert_array_equal(finite, want[5])
+            assert idle == (case in self.IDLE)
+        if case == "ulp_over":
+            assert np.count_nonzero(want[2]) == 1 and want[2][0, 0] > 0.0
+        if case == "negative_zero":
+            assert not np.signbit(rhs[:, problem.interior]).any()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_gamma_step_and_bound_report_are_the_dense_ones(self, d, case, monkeypatch):
+        problem, field, _ = self._case(d, case)
+        nt = problem.grid.nt
+        stack = np.tile(field, (nt + 1, 1))
+        frozen = GridField(grid=problem.grid, values=stack)
+        pen, delta = Penalty(0.25), 0.25
+
+        def outcomes():
+            try:
+                swept = _bits(gamma_step(problem, pen, delta, frozen).values).tolist()
+            except SolverError as exc:
+                swept = str(exc)
+            report = solver._bound_report(problem, pen, delta, 1e-7, stack, float(np.min(stack)), None)
+            return swept, {k: (b.hex(), o.hex()) for k, (b, o) in report.items()}
+
+        got = outcomes()
+        idle = problem._penalty_idle(stack, slice(None))
+        _dense(monkeypatch)
+        assert got == outcomes()
+        assert idle == (case in self.IDLE)
+
+    @pytest.mark.parametrize("case", ["bench_ou_purestop", "two_d"])
+    def test_an_idle_continuation_is_the_dense_one(self, case, monkeypatch):
+        """A whole continuation with the penalty idle, in 1-D and in 2-D,
+        equals the one that evaluates every control term, increments
+        included."""
+        if case == "two_d":
+            spec = parse_config_text(TestTwoDimensional.CFG.replace("f = 1.5", "f = 100"))[0]
+            grid = Grid(d=2, m=3.0, nx=21, nt=10, T=0.2)
+            schedule, policy = [(0.25, 0.25, 3.0), (0.125, 0.125, 3.0)], lambda m: grid
+        else:
+            bench = load_bench(case, coarse=True)
+            spec, schedule, policy = bench.spec, bench.schedule, bench.grid_policy
+        verdicts = []
+        real = TruncatedProblem._penalty_idle
+
+        def recorded(self, values, levels):
+            verdicts.append(real(self, values, levels))
+            return verdicts[-1]
+
+        monkeypatch.setattr(TruncatedProblem, "_penalty_idle", recorded)
+        got = continuation(spec, schedule, policy, tol=1e-7)
+        assert verdicts and all(verdicts)
+        _dense(monkeypatch)
+        want = continuation(spec, schedule, policy, tol=1e-7)
+        _same_stages(got.points, want.points)
+        assert [x.hex() for x in got.increments] == [x.hex() for x in want.increments]
+
+
+def test_verify_checks_the_control_bound(monkeypatch):
+    """ctrlstop verify's control-bound check passes on the solver's bound,
+    and fails on a bound taken with 2 hx and on one blind to NaN."""
+    from ctrlstop import verify
+
+    def check():
+        return verify._check_control_bound(400, np.random.default_rng(0))[0]
+
+    real = verify._control_bound
+    assert check()
+    monkeypatch.setattr(verify, "_control_bound", lambda grid, v: real(grid, v) / 4.0)
+    assert not check()
+    monkeypatch.setattr(verify, "_control_bound", lambda grid, v: np.nan_to_num(real(grid, v), nan=0.0, posinf=np.inf))
+    assert not check()
+
+
+class TestIdleCallPattern:
+    """The calls of the control term and the penalty in a coarse
+    continuation: none where the penalty is idle, the dense path's where it
+    binds, with the idle test tried once per march, certification and
+    report."""
+
+    @staticmethod
+    def _run(monkeypatch, bench_name, dense=False):
+        calls = dict.fromkeys(["control_term", "value", "d1", "_penalty_idle", "march"], 0)
+
+        def counted(owner, name, key=None):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key or name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(Operator, "control_term")
+        counted(Penalty, "value")
+        counted(Penalty, "d1")
+        counted(solver, "_nonlinear_march", key="march")
+        if dense:
+            _dense(monkeypatch)
+        else:
+            counted(TruncatedProblem, "_penalty_idle")
+        bench = load_bench(bench_name, coarse=True)
+        res = continuation(bench.spec, bench.schedule, bench.grid_policy, tol=1e-7)
+        monkeypatch.undo()
+        return calls, res
+
+    def test_an_idle_continuation_calls_no_control_term(self, monkeypatch):
+        calls, res = self._run(monkeypatch, "bench_ou_purestop")
+        assert calls["control_term"] == calls["value"] == calls["d1"] == 0
+        assert calls["_penalty_idle"] > calls["march"] + 2 * len(res.points)
+
+    def test_a_binding_continuation_makes_the_dense_calls(self, monkeypatch):
+        calls, res = self._run(monkeypatch, "bench_ou")
+        dense, _ = self._run(monkeypatch, "bench_ou", dense=True)
+        assert all(point.iters == 1 for point in res.points)
+        tries = calls.pop("_penalty_idle")
+        assert tries == calls["march"] + sum(p.iters for p in res.points) + len(res.points)
+        assert calls == {k: dense[k] for k in calls} and calls["control_term"] > 0
