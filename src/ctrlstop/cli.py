@@ -266,7 +266,7 @@ def cmd_simulate(args) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         estimate = simulate_paths(spec, start, controller, stopper, cfg)
         probes = saddle_probe(
@@ -275,7 +275,7 @@ def cmd_simulate(args) -> int:
     except SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return EXIT_ASSERT
-    wall = time.time() - t0
+    wall = time.perf_counter() - t0
 
     reference = float(field.sample(start[0], np.asarray(start[1], dtype=float).reshape(-1, 1))[0])
     gap = abs(estimate.mean - reference)

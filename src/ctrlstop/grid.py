@@ -9,7 +9,9 @@ Kushner & Dupuis, and -r).  At |b| hx / a <= 1 the centered off-diagonals
 of Wang & Forsyth 2008), where in 2-D a is a_ii - |a12|, the diffusion the
 cross term leaves to the axis; the cross term's corners are nonnegative.
 It holds the stencil as diagonals, one coefficient array per offset, and
-everything derives from them: L_matrix, the implicit matrix
+everything derives from them: L_matrix, whose product with the fields as
+columns applies L - r to one field or a level stack on every grid (the
+stack comes back in Fortran order), the implicit matrix
 M0 = I/ht - (L - r), the Newton level systems
 M0 + diag(extra_diag) + slope Q'(v) (interior rows), assembled for a stack
 of rows in one pass and solved row by row, and the obstacle oracle's pinned
@@ -308,10 +310,11 @@ class Operator:
 
     L_matrix is (L - r) on interior rows (Dirichlet rows are zero) and
     implicit_matrix is M0, both sp.diags of the same diagonals;
-    apply_generator applies (L - r) from L_matrix's three bands in 1-D and
-    by L_matrix in 2-D.  M0 is factored once, when the operator is built
-    (LAPACK gttrf in 1-D, SuperLU in 2-D), and implicit_solve applies that
-    factorization (gttrs in 1-D, the same elimination arithmetic as gtsv).
+    apply_generator is the product with L_matrix on every grid, a stack of
+    fields returned in Fortran order.  M0 is factored once, when the
+    operator is built (LAPACK gttrf in 1-D, SuperLU in 2-D), and
+    implicit_solve applies that factorization (gttrs in 1-D, the same
+    elimination arithmetic as gtsv).
     The other solve paths edit copies of M0's diagonals and hand them to
     _system.  The Newton level systems
 
@@ -342,10 +345,6 @@ class Operator:
         # M0's factors: gttrf's (dl, d, du, du2, ipiv, info) in 1-D, SuperLU in 2-D
         if self.grid.d == 1:
             self._lu = _GTTRF(self._diagonals[-1], self._diagonals[0], self._diagonals[1])
-            # L - r on the interior rows 1..n-2 (the Dirichlet nodes of a
-            # line are its two ends): the coefficients of u[i-1], u[i], u[i+1]
-            L = self.L_matrix
-            self._bands = (L.diagonal(-1)[:-1], L.diagonal(0)[1:-1], L.diagonal(1)[1:])
         else:
             self._lu = sp.linalg.splu(self.implicit_matrix)
 
@@ -395,25 +394,13 @@ class Operator:
         u holds there), for nodal values u of shape (..., n_nodes), one field
         or a stack of them on leading axes, as control_term takes them.
 
-        In 1-D the three bands act on the interior rows, each row summed
-        from +0.0 in CSR's column order, so the result is L_matrix @ u bit
-        for bit, except where an interior row has a zero coefficient (which
-        CSR does not store) on a non-finite value.  In 2-D L_matrix applies
-        it: its rows skip the zero cross-term corners, which a band sum
-        would multiply by the values of Dirichlet nodes."""
+        L_matrix applies it to the fields as columns, on every grid.  Its
+        rows hold only nonzero coefficients (none on Dirichlet rows, no zero
+        cross-term corner in 2-D), so a value on a Dirichlet node, even inf
+        or NaN, reaches only the rows that read it.  A stack comes back in
+        Fortran order, the transpose of the product's C-order columns."""
         u = flat_values
-        if self.grid.d == 2:
-            if u.ndim == 1:
-                return self.L_matrix @ u
-            stack = u.reshape(-1, u.shape[-1])
-            return (self.L_matrix @ stack.T).T.reshape(u.shape)
-        lower, diag, upper = self._bands
-        out = np.zeros(u.shape)
-        rows = out[..., 1:-1]
-        rows += lower * u[..., :-2]
-        rows += diag * u[..., 1:-1]
-        rows += upper * u[..., 2:]
-        return out
+        return (self.L_matrix @ u.reshape(-1, u.shape[-1]).T).T.reshape(u.shape)
 
     def control_term(
         self, values: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None

@@ -42,11 +42,8 @@ def _xi_profile(z):
     """1 for z<=0, 0 for z>=1, exponential bridge in between. Vectorized."""
     z = np.asarray(z, dtype=float)
     out = np.ones_like(z)
-    beyond = z > 0.0
-    if not beyond.any():  # all inside the inner ball, as most path states are
-        return out
     out[z >= 1.0] = 0.0
-    mid = beyond & (z < 1.0)
+    mid = (z > 0.0) & (z < 1.0)
     zm = z[mid]
     with np.errstate(under="ignore"):
         a = np.exp(1.0 / (zm - 1.0))
@@ -192,12 +189,9 @@ class TruncatedData:
         out = f_sq
         if self._inner(r):
             return np.maximum(out, 0.0)
-        z = r - self.cutoff.m
-        if not np.any((z > 0.0) & (z < 1.0)):
-            return np.maximum(out, 0.0)
-        xi = self.cutoff.value_radial(r)
         bridge = (self.cutoff.grad_norm_sq_radial(r) > 0)
         if np.any(bridge):
+            xi = self.cutoff.value_radial(r)
             gx = self.cutoff._grad(x, r)
             gv, gg, _ = eval_with_derivatives(self.spec.g, (t, x), order=1, fd_step=self.spec.fd_step)
             cross = 2.0 * gv * xi * np.sum(gx * gg, axis=0)

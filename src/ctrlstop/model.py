@@ -162,6 +162,8 @@ class SamplePlan:
     rng_seed: int = 0
 
     def __post_init__(self):
+        if not self.radii:
+            raise ValueError("sample plan needs at least one radius")
         if len(self.radii) != len(self.counts):
             raise ValueError("radii and counts must have equal length")
         if not all(math.isfinite(r) and r > 0 for r in self.radii) or any(c < 8 for c in self.counts):

@@ -44,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import Grid, GridField, Operator, build_operator
+from .grid import Grid, GridField, build_operator
 from .kernel import Penalty, TruncatedData, _Branches, truncate_data
 from .model import _level_stacks
 
@@ -82,15 +82,16 @@ class ContinuationError(SolverError):
 class TruncatedProblem:
     """The truncated problem on the ball of radius data.m, discretized on
     grid: the operator of L - r, the (g_m, h_m, f_m^2) level stacks and the
-    Theta_m bounds (K2, K0) = _theta_truncated(op, g_m, h_m).  None of them
+    Theta_m bounds (K2, K0) = _theta_truncated(self).  None of them
     depends on the penalty or on a field, so they are derived once, here, and
     every stage of the radius reads them.  The stacks are read-only.
 
     The problem also holds the workspace of the passes over whole level
-    stacks that certify and report a stage (gamma_step's frozen source, the
-    certification residual, the bound report, the Cauchy increment) and of
-    _theta_truncated: two (nt+1, n_nodes) level stacks, work, and one
-    (nt+1, d, n_nodes) gradient stack, work_grad, allocated once per radius.
+    stacks that certify and report a stage (gamma_step's frozen source and
+    the bound report, whose penalty pass is _psi, the certification
+    residual, the Cauchy increment) and of _theta_truncated: two
+    (nt+1, n_nodes) level stacks, work, and one (nt+1, d, n_nodes) gradient
+    stack, work_grad, allocated once per radius.
     Without it each stage would allocate and free about ten level stacks,
     whose pages the allocator hands back to the system and faults in again.
     A pass reads back only what it wrote itself, so no state passes
@@ -120,7 +121,7 @@ class TruncatedProblem:
         levels, n = grid.nt + 1, grid.n_nodes
         self.work = (np.empty((levels, n)), np.empty((levels, n)))
         self.work_grad = np.empty((levels, grid.d, n))
-        self.theta_bounds = _theta_truncated(self.op, *self.stacks[:2], self.work)
+        self.theta_bounds = _theta_truncated(self)
 
     def sup_distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """max |a - b| of two level stacks with at most the grid's levels and
@@ -135,6 +136,19 @@ class TruncatedProblem:
         computing Q = op.control_term(v)[0].  False on a row or a level
         with a non-finite value, and wherever the bound cannot tell."""
         return bool(np.all(_control_bound(self.grid, values) <= self.f2_floor[levels]))
+
+    def _psi(self, pen: Penalty, values: np.ndarray, levels: slice) -> np.ndarray | None:
+        """psi(Q(v) - f_m^2) of a level stack values on the leading levels
+        `levels` of the grid, computed in the workspace (second level stack
+        and gradient stack), or None where _penalty_idle proves it +0.0 at
+        every node, with no control term computed."""
+        if self._penalty_idle(values, levels):
+            return None
+        rows = values.shape[0]
+        zeta = self.work[1][:rows]
+        self.op.control_term(values, out=(zeta, self.work_grad[:rows]))
+        zeta -= self.stacks[2][levels]
+        return pen.value(zeta, out=zeta)
 
 
 def _control_bound(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -173,23 +187,22 @@ def gamma_step(problem: TruncatedProblem, pen: Penalty, delta: float, frozen: Gr
     The frozen source h_m + (1/delta)(g_m - phi)^+ - psi(Q(phi) - f_m^2) is
     summed left to right in the problem's workspace; the swept field is a
     new array.  Where the problem proves the penalty idle on the frozen
-    levels 0..nt-1, psi is +0.0 at every node and subtracting it changes no
-    bit, so the control term and the penalty are skipped."""
+    levels 0..nt-1 (problem._psi is None), psi is +0.0 at every node and
+    subtracting it changes no bit, so it is skipped."""
     grid, op = problem.grid, problem.op
     if frozen.grid != grid:
         raise ValueError("frozen field lives on a different grid")
-    g, h, f2 = problem.stacks
+    g, h = problem.stacks[:2]
     nt = grid.nt
     phi = frozen.values[:nt]
-    source, zeta = (stack[:nt] for stack in problem.work)
+    source = problem.work[0][:nt]
     np.subtract(g[:nt], phi, out=source)
     np.maximum(source, 0.0, out=source)
     source *= 1.0 / delta
     np.add(h[:nt], source, out=source)
-    if not problem._penalty_idle(phi, slice(None, nt)):
-        op.control_term(phi, out=(zeta, problem.work_grad[:nt]))
-        zeta -= f2[:nt]
-        source -= pen.value(zeta, out=zeta)
+    psi = problem._psi(pen, phi, slice(None, nt))
+    if psi is not None:
+        source -= psi
     bad = ~np.all(np.isfinite(source), axis=1)
     if np.any(bad):
         # the backward sweep meets the highest bad level first
@@ -476,13 +489,14 @@ def _nonlinear_march(
     ], error
 
 
-def _theta_truncated(op: Operator, g: np.ndarray, h: np.ndarray, work):
+def _theta_truncated(problem: TruncatedProblem):
     """Discrete Theta_m = h_m + dt g_m + (L - r) g_m on interior nodes of the
-    levels 0..nt-1 (forward time differences), as (K2, K0): the worst
-    negative part of Theta_m and the largest forward dt g_m or dt h_m.
-    work is a pair of level stacks to compute in."""
-    interior = _columns(~op.dirichlet)
-    dt_g, theta = (stack[:-1] for stack in work)
+    levels 0..nt-1 (forward time differences) of the problem's g_m and h_m
+    stacks, as (K2, K0): the worst negative part of Theta_m and the largest
+    forward dt g_m or dt h_m, computed in the problem's workspace."""
+    op, interior = problem.op, problem.interior
+    g, h = problem.stacks[:2]
+    dt_g, theta = (stack[:-1] for stack in problem.work)
     np.subtract(g[1:], g[:-1], out=dt_g)
     dt_g /= op.grid.ht
     dt_h = np.subtract(h[1:], h[:-1], out=theta)
@@ -626,22 +640,17 @@ def _bound_report(
     Where the problem proves the gradient penalty idle on uv, its
     observation max(0, max psi) over the interior is 0.0 without
     recomputing grad u."""
-    grid, op = problem.grid, problem.op
-    g, _, f2 = problem.stacks
-    interior = ~op.dirichlet
+    grid = problem.grid
+    g = problem.stacks[0]
+    interior = ~problem.op.dirichlet
     xsq = np.sum(grid.points() ** 2, axis=0)
-    scratch, zeta = problem.work
+    scratch = problem.work[0]
 
     k2_grid, k0_grid = problem.theta_bounds
     obs_penalty = max(0.0, float(np.max(np.subtract(g, uv, out=scratch)))) / delta
     columns = problem.interior
-    if problem._penalty_idle(uv, slice(None)):
-        obs_psi = 0.0
-    else:
-        op.control_term(uv, out=(zeta, problem.work_grad))
-        zeta -= f2
-        psi = pen.value(zeta, out=zeta)
-        obs_psi = max(0.0, float(np.max(psi[:, columns])))
+    psi = problem._psi(pen, uv, slice(None))
+    obs_psi = 0.0 if psi is None else max(0.0, float(np.max(psi[:, columns])))
 
     # the time-derivative bound concerns the untruncated problem; measure it
     # on the cutoff-inert core and keep the full-domain max as a diagnostic

@@ -88,6 +88,7 @@ class TestValidate:
             ("radii = 2, 4", "radii = nan, 4"),
             ("radii = 2, 4", "radii = 2, inf"),
             ("rng_seed = 7", "rng_seed = -1"),
+            ("radii = 2, 4\nsample_plan.counts = 257, 257", "radii = ,"),
         ],
         ids=[
             "unknown-key",
@@ -101,6 +102,7 @@ class TestValidate:
             "nan-radius",
             "inf-radius",
             "negative-seed",
+            "empty-sample-plan",
         ],
     )
     def test_unknown_key_exits_three(self, edit, tmp_path, capsys):

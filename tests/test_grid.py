@@ -424,9 +424,12 @@ h = 0
 def test_apply_generator_is_the_csr_product(case):
     """apply_generator(u) is L_matrix @ u bit for bit, signs of zero
     included, for a vector, and for stacks (k, n) and (j, k, n) of fields on
-    leading axes, in C and in F order, L_matrix times the fields as columns;
-    its Dirichlet rows are +0.0 also where u is inf or NaN on Dirichlet
-    nodes."""
+    leading axes, in C and in F order and as a read-only broadcast of one
+    level over 251 levels (the stacks of time-independent data): each field
+    of a stack is L_matrix @ u[i], scipy's product with one vector; its
+    Dirichlet rows are +0.0 also where u is inf or NaN on Dirichlet nodes.
+    A NaN's sign bit is not compared: where a sum meets two NaNs, it is
+    the sign of whichever the addition's operand order keeps."""
     if case == "strong_1d":
         spec, _, _ = parse_config_text(STRONG_1D)
         op = build_operator(Grid(d=1, m=4.0, nx=161, nt=20, T=0.2), spec)
@@ -437,14 +440,15 @@ def test_apply_generator_is_the_csr_product(case):
 
     def check(u):
         got = op.apply_generator(u)
-        want = (op.L_matrix @ u.reshape(-1, n).T).T.reshape(u.shape)
+        want = np.array([op.L_matrix @ row for row in u.reshape(-1, n)]).reshape(u.shape)
         assert got.shape == u.shape
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+        number = ~np.isnan(want)
+        np.testing.assert_array_equal(np.signbit(got[number]), np.signbit(want[number]))
         np.testing.assert_array_equal(got[..., boundary], 0.0)
         assert not np.signbit(got[..., boundary]).any()
 
-    for shape in ((n,), (7, n), (2, 3, n)):
+    for shape in ((n,), (7, n), (251, n), (2, 3, n)):
         # exact zeros of both signs, so that some rows sum to zero
         u = rng.normal(size=shape) * (rng.random(shape) < 0.5)
         u[rng.random(shape) < 0.3] *= -1.0
@@ -454,6 +458,9 @@ def test_apply_generator_is_the_csr_product(case):
         u[..., boundary] = rng.choice([np.inf, -np.inf, np.nan], size=shape[:-1] + (boundary.size,))
         check(u)
     check(np.asfortranarray(rng.normal(size=(5, n))))
+    level = rng.normal(size=n)
+    level[boundary] = np.nan
+    check(np.broadcast_to(level, (251, n)))
 
 
 def _reference_sample(grid, table, t, x):

@@ -141,6 +141,16 @@ def test_sample_plan_validation():
         SamplePlan(radii=(-1.0,), counts=(64,))
 
 
+def test_empty_sample_plan_rejected():
+    """A plan without radii would let validate check nothing and report
+    the data valid, whatever they are."""
+    with pytest.raises(ValueError, match="at least one radius"):
+        SamplePlan(radii=(), counts=())
+    bad = CONST1.replace("g = 1", "g = 5 * x1^2").replace("radii = 2, 4", "radii = ,")
+    with pytest.raises(ConfigError, match="at least one radius"):
+        parse_config_text(bad.replace("sample_plan.counts = 257, 257\n", ""))
+
+
 def test_bundled_benches_valid():
     for name in ("const1", "bench_ou", "bench_ou_purestop", "allzero"):
         bench = load_bench(name, coarse=True)
