@@ -13,10 +13,17 @@ a per-level semi-smooth Newton march (robust for small penalty parameters)
 and certifies convergence by the frozen-source residual |Gamma[u] - u|.
 
 Only the march and the backward solves of gamma_step go level by level,
-since each level needs the next.  Everything else (the frozen source, the
-bound report, Theta_m and vi_report) runs on the whole (nt+1, n_nodes) level
-stack.  Level k of a continuation stage needs only its own level k+1 and
-level k of the stage before (its Newton start), so continuation marches
+since each level needs the next.  The other passes of a stage (the frozen
+source, the certification residual, the Cauchy increment, the bound report
+and Theta_m) run over blocks of at most BLOCK_LEVELS time levels in the
+workspace of a TruncatedProblem, and reduce block by block: a max or min
+is taken over the array of the block maxima or minima, which is the
+whole-stack one bit for bit, NaN included.  So a radius's scratch memory
+does not grow with the horizon.  vi_report runs on the whole
+(nt+1, n_nodes) level stack.
+
+Level k of a continuation stage needs only its own level k+1 and level k
+of the stage before (its Newton start), so continuation marches
 the stages of a radius as a wavefront, each one level behind the stage
 before, with the rows of a wave on a leading axis: a Newton iteration
 assembles the level systems of all its rows in one pass and then solves
@@ -37,6 +44,7 @@ penalty, and every result stays bit for bit what the dense formulas give.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -66,6 +74,7 @@ __all__ = [
 ]
 
 TIME_SLACK = 0.05  # additive slack on the time-derivative bound
+BLOCK_LEVELS = 32  # time levels per block of a stage's whole-stack passes
 MAX_INNER = 60  # Newton iterations per time level before the march stalls
 
 
@@ -86,21 +95,23 @@ class TruncatedProblem:
     depends on the penalty or on a field, so they are derived once, here, and
     every stage of the radius reads them.  The stacks are read-only.
 
-    The problem also holds the workspace of the passes over whole level
-    stacks that certify and report a stage (gamma_step's frozen source and
-    the bound report, whose penalty pass is _psi, the certification
-    residual, the Cauchy increment) and of _theta_truncated: two
-    (nt+1, n_nodes) level stacks, work, and one (nt+1, d, n_nodes) gradient
-    stack, work_grad, allocated once per radius.
-    Without it each stage would allocate and free about ten level stacks,
-    whose pages the allocator hands back to the system and faults in again.
-    A pass reads back only what it wrote itself, so no state passes
-    from one call to the next.
+    The problem also holds the workspace of the passes that certify and
+    report a stage (gamma_step's frozen source and the bound report, whose
+    penalty pass is _psi, the certification residual, the Cauchy increment)
+    and of _theta_truncated.  Each pass runs over the level blocks of
+    blocks(), one block at a time, so the workspace holds one block: two
+    (levels, n_nodes) stacks, work, and one (levels, d, n_nodes) gradient
+    stack, work_grad, with levels = min(nt+1, BLOCK_LEVELS), allocated
+    once per radius.  Its size does not depend on the horizon, and a
+    radius's memory grows with the horizon only by the fields it returns.
+    A pass reads back only what it wrote itself in the same block, so no
+    state passes from one block or call to the next.
 
     f2_floor holds min f_m^2 over all nodes of each level, box edge
     included, or NaN where a level holds a non-finite f_m^2: the level's
     threshold for _penalty_idle.  boundary indexes the Dirichlet nodes and
-    interior selects the others (a slice on a line)."""
+    interior selects the others (a slice on a line).  The bound report's
+    node data (report_nodes) are derived at its first call."""
 
     def __init__(self, grid: Grid, data: TruncatedData):
         self.grid = grid
@@ -118,16 +129,35 @@ class TruncatedProblem:
         self.f2_floor = np.where(np.isfinite(lowest) & np.isfinite(highest), lowest, np.nan)
         self.boundary = np.flatnonzero(self.op.dirichlet)
         self.interior = _columns(~self.op.dirichlet)
-        levels, n = grid.nt + 1, grid.n_nodes
+        levels, n = min(grid.nt + 1, BLOCK_LEVELS), grid.n_nodes
         self.work = (np.empty((levels, n)), np.empty((levels, n)))
         self.work_grad = np.empty((levels, grid.d, n))
         self.theta_bounds = _theta_truncated(self)
 
+    @functools.cached_property
+    def report_nodes(self) -> tuple[np.ndarray, slice | np.ndarray | None]:
+        """What _bound_report reads of the nodes: 1 + |x|^2 per node, and
+        the columns of the cutoff-inert core (interior nodes with
+        |x| <= data.cutoff.m), or None where it has none."""
+        xsq = np.sum(self.grid.points() ** 2, axis=0)
+        core = ~self.op.dirichlet & (np.sqrt(xsq) <= self.data.cutoff.m)
+        return 1.0 + xsq, _columns(core) if np.any(core) else None
+
+    def blocks(self, stop: int) -> list[slice]:
+        """The levels 0..stop-1 as consecutive blocks of at most the
+        workspace's levels, in increasing order."""
+        step = self.work[0].shape[0]
+        return [slice(lo, min(lo + step, stop)) for lo in range(0, stop, step)]
+
     def sup_distance(self, a: np.ndarray, b: np.ndarray) -> float:
         """max |a - b| of two level stacks with at most the grid's levels and
-        nodes, computed in the workspace."""
-        diff = np.subtract(a, b, out=self.work[0][: a.shape[0], : a.shape[1]])
-        return float(np.max(np.abs(diff, out=diff)))
+        nodes, computed block by block in the workspace."""
+        maxima = []
+        for levels in self.blocks(a.shape[0]):
+            u = a[levels]
+            diff = np.subtract(u, b[levels], out=self.work[0][: u.shape[0], : u.shape[1]])
+            maxima.append(np.max(np.abs(diff, out=diff)))
+        return float(np.max(maxima))
 
     def _penalty_idle(self, values: np.ndarray, levels) -> bool:
         """Whether psi(Q(v) - f_m^2) and its slope psi' are +0.0 at every
@@ -138,10 +168,10 @@ class TruncatedProblem:
         return bool(np.all(_control_bound(self.grid, values) <= self.f2_floor[levels]))
 
     def _psi(self, pen: Penalty, values: np.ndarray, levels: slice) -> np.ndarray | None:
-        """psi(Q(v) - f_m^2) of a level stack values on the leading levels
-        `levels` of the grid, computed in the workspace (second level stack
-        and gradient stack), or None where _penalty_idle proves it +0.0 at
-        every node, with no control term computed."""
+        """psi(Q(v) - f_m^2) of a block of levels values, which lies on the
+        levels `levels` of the grid, computed in the workspace (second level
+        stack and gradient stack), or None where _penalty_idle proves it
+        +0.0 at every node of the block, with no control term computed."""
         if self._penalty_idle(values, levels):
             return None
         rows = values.shape[0]
@@ -184,40 +214,46 @@ def _columns(mask: np.ndarray):
 def gamma_step(problem: TruncatedProblem, pen: Penalty, delta: float, frozen: GridField) -> GridField:
     """One sweep of the fixed-point operator: solve the linear backward problem
     with the obstacle and gradient penalties evaluated at the frozen field.
-    The frozen source h_m + (1/delta)(g_m - phi)^+ - psi(Q(phi) - f_m^2) is
-    summed left to right in the problem's workspace; the swept field is a
-    new array.  Where the problem proves the penalty idle on the frozen
-    levels 0..nt-1 (problem._psi is None), psi is +0.0 at every node and
-    subtracting it changes no bit, so it is skipped."""
+    The sweep goes down the level blocks of the frozen levels 0..nt-1
+    (problem.blocks), highest first.  Each block's frozen source
+    h_m + (1/delta)(g_m - phi)^+ - psi(Q(phi) - f_m^2) is summed left to
+    right in the problem's workspace just before the block's backward
+    solves; the swept field is a new array.  Where the problem proves the
+    penalty idle on a block (problem._psi is None), psi is +0.0 at every
+    node and subtracting it changes no bit, so it is skipped.  The first
+    failure met going down raises SolverError: a block's source that is
+    not finite names its highest bad level, and a solve that is not
+    finite names its level."""
     grid, op = problem.grid, problem.op
     if frozen.grid != grid:
         raise ValueError("frozen field lives on a different grid")
     g, h = problem.stacks[:2]
     nt = grid.nt
-    phi = frozen.values[:nt]
-    source = problem.work[0][:nt]
-    np.subtract(g[:nt], phi, out=source)
-    np.maximum(source, 0.0, out=source)
-    source *= 1.0 / delta
-    np.add(h[:nt], source, out=source)
-    psi = problem._psi(pen, phi, slice(None, nt))
-    if psi is not None:
-        source -= psi
-    bad = ~np.all(np.isfinite(source), axis=1)
-    if np.any(bad):
-        # the backward sweep meets the highest bad level first
-        raise SolverError(f"non-finite source at time level {np.flatnonzero(bad)[-1]}")
     out = np.empty((nt + 1, grid.n_nodes))
     out[nt] = g[nt]
     dirichlet = problem.boundary
     ht = grid.ht
-    for k in range(nt - 1, -1, -1):
-        rhs = out[k + 1] / ht + source[k]
-        rhs[dirichlet] = g[k, dirichlet]
-        sol = op.implicit_solve(rhs)
-        if not np.isfinite(sol).all():
-            raise SolverError(f"linear solve produced non-finite values at level {k}")
-        out[k] = sol
+    for levels in reversed(problem.blocks(nt)):
+        phi = frozen.values[levels]
+        source = problem.work[0][: phi.shape[0]]
+        np.subtract(g[levels], phi, out=source)
+        np.maximum(source, 0.0, out=source)
+        source *= 1.0 / delta
+        np.add(h[levels], source, out=source)
+        psi = problem._psi(pen, phi, levels)
+        if psi is not None:
+            source -= psi
+        bad = ~np.all(np.isfinite(source), axis=1)
+        if np.any(bad):
+            # the backward sweep meets the highest bad level first
+            raise SolverError(f"non-finite source at time level {levels.start + np.flatnonzero(bad)[-1]}")
+        for k in range(levels.stop - 1, levels.start - 1, -1):
+            rhs = out[k + 1] / ht + source[k - levels.start]
+            rhs[dirichlet] = g[k, dirichlet]
+            sol = op.implicit_solve(rhs)
+            if not np.isfinite(sol).all():
+                raise SolverError(f"linear solve produced non-finite values at level {k}")
+            out[k] = sol
     return GridField(grid=grid, values=out)
 
 
@@ -493,18 +529,25 @@ def _theta_truncated(problem: TruncatedProblem):
     """Discrete Theta_m = h_m + dt g_m + (L - r) g_m on interior nodes of the
     levels 0..nt-1 (forward time differences) of the problem's g_m and h_m
     stacks, as (K2, K0): the worst negative part of Theta_m and the largest
-    forward dt g_m or dt h_m, computed in the problem's workspace."""
-    op, interior = problem.op, problem.interior
+    forward dt g_m or dt h_m, computed block by block in the problem's
+    workspace."""
+    op, interior, ht = problem.op, problem.interior, problem.grid.ht
     g, h = problem.stacks[:2]
-    dt_g, theta = (stack[:-1] for stack in problem.work)
-    np.subtract(g[1:], g[:-1], out=dt_g)
-    dt_g /= op.grid.ht
-    dt_h = np.subtract(h[1:], h[:-1], out=theta)
-    dt_h /= op.grid.ht
-    k0 = max(0.0, float(np.max(dt_g[:, interior])), float(np.max(dt_h[:, interior])))
-    np.add(h[:-1], dt_g, out=theta)
-    theta += op.apply_generator(g[:-1])
-    worst = float(np.min(theta[:, interior]))
+    extremes = []  # per block: max dt g_m, max dt h_m, min Theta_m
+    for levels in problem.blocks(problem.grid.nt):
+        ahead = slice(levels.start + 1, levels.stop + 1)
+        dt_g, theta = (stack[: levels.stop - levels.start] for stack in problem.work)
+        np.subtract(g[ahead], g[levels], out=dt_g)
+        dt_g /= ht
+        dt_h = np.subtract(h[ahead], h[levels], out=theta)
+        dt_h /= ht
+        block = [np.max(dt_g[:, interior]), np.max(dt_h[:, interior])]
+        np.add(h[levels], dt_g, out=theta)
+        theta += op.apply_generator(g[levels])
+        extremes.append(block + [np.min(theta[:, interior])])
+    max_dt_g, max_dt_h, min_theta = np.array(extremes).T
+    k0 = max(0.0, float(np.max(max_dt_g)), float(np.max(max_dt_h)))
+    worst = float(np.min(min_theta))
     return max(0.0, -worst), k0
 
 
@@ -636,33 +679,40 @@ def _bound_report(
     k3_bound: float | None,
 ) -> dict[str, tuple[float, float]]:
     """solve_penalized's bound report of the level stack uv, whose minimum
-    is lowest.  Every whole-stack pass computes in the problem's workspace.
-    Where the problem proves the gradient penalty idle on uv, its
-    observation max(0, max psi) over the interior is 0.0 without
-    recomputing grad u."""
+    is lowest.  Its passes run block by block in the problem's workspace,
+    each block's maxima kept in order and reduced at the end.  Where the
+    problem proves the gradient penalty idle on a block, psi is +0.0 there
+    and the block's max psi is 0.0, without recomputing grad u."""
     grid = problem.grid
     g = problem.stacks[0]
-    interior = ~problem.op.dirichlet
-    xsq = np.sum(grid.points() ** 2, axis=0)
-    scratch = problem.work[0]
-
+    nt, columns = grid.nt, problem.interior
+    growth, core = problem.report_nodes
     k2_grid, k0_grid = problem.theta_bounds
-    obs_penalty = max(0.0, float(np.max(np.subtract(g, uv, out=scratch)))) / delta
-    columns = problem.interior
-    psi = problem._psi(pen, uv, slice(None))
-    obs_psi = 0.0 if psi is None else max(0.0, float(np.max(psi[:, columns])))
-
+    maxima = []  # per block: obstacle, psi, growth
+    for levels in problem.blocks(nt + 1):
+        u = uv[levels]
+        scratch = problem.work[0][: u.shape[0]]
+        block = [np.max(np.subtract(g[levels], u, out=scratch))]
+        psi = problem._psi(pen, u, levels)
+        block.append(0.0 if psi is None else np.max(psi[:, columns]))
+        block.append(np.max(np.divide(u, growth, out=scratch)))
+        maxima.append(block)
     # the time-derivative bound concerns the untruncated problem; measure it
     # on the cutoff-inert core and keep the full-domain max as a diagnostic
     # (the lateral boundary layer of the truncated problem is not covered)
-    radius = np.sqrt(xsq)
-    core = interior & (radius <= problem.data.cutoff.m)
-    dt_fwd = np.subtract(uv[1:], uv[:-1], out=scratch[:-1])
-    dt_fwd /= grid.ht
-    obs_dt_core = float(np.max(dt_fwd[:, _columns(core)])) if np.any(core) else 0.0
-    obs_dt_full = float(np.max(dt_fwd[:, columns]))
-
-    obs_growth = float(np.max(np.divide(uv, 1.0 + xsq, out=scratch)))
+    dt_maxima = []  # per block: forward du/dt on the core and on the interior
+    for levels in problem.blocks(nt):
+        ahead = slice(levels.start + 1, levels.stop + 1)
+        dt_fwd = np.subtract(uv[ahead], uv[levels], out=problem.work[0][: levels.stop - levels.start])
+        dt_fwd /= grid.ht
+        dt_maxima.append([0.0 if core is None else np.max(dt_fwd[:, core]), np.max(dt_fwd[:, columns])])
+    max_obstacle, max_psi, max_growth = np.array(maxima).T
+    max_dt_core, max_dt_full = np.array(dt_maxima).T
+    obs_penalty = max(0.0, float(np.max(max_obstacle))) / delta
+    obs_psi = max(0.0, float(np.max(max_psi)))
+    obs_dt_core = float(np.max(max_dt_core))
+    obs_dt_full = float(np.max(max_dt_full))
+    obs_growth = float(np.max(max_growth))
     return {
         "negative_part": (10.0 * tol, max(0.0, -lowest)),
         "quad_growth": (obs_growth if k3_bound is None else k3_bound, obs_growth),

@@ -950,9 +950,10 @@ def test_layer_counters_match_the_march(monkeypatch):
     call and one level_systems row per Newton iteration; one
     apply_generator row, one Penalty.value row and one Penalty.d1 row per
     level residual (one per level, one per line-search trial), plus one
-    Penalty.value call each in gamma_step and the bound report of every
-    stage, and one apply_generator call on the nt-level data stack for the
-    Theta_m of the one radius."""
+    Penalty.value call per level block of gamma_step (levels 0..nt-1) and
+    of the bound report (levels 0..nt) of every stage, and for the Theta_m
+    of the one radius one apply_generator call per level block of the
+    nt-level data stack."""
     rows = {name: [] for name in ("level_systems", "level_solver", "apply_generator", "value", "d1")}
 
     def counted(cls, name, rows_of):
@@ -964,9 +965,19 @@ def test_layer_counters_match_the_march(monkeypatch):
 
         monkeypatch.setattr(cls, name, wrapper)
 
+    in_theta, real_theta = [], solver._theta_truncated
+
+    def theta_truncated(problem):
+        in_theta.append(1)
+        try:
+            return real_theta(problem)
+        finally:
+            in_theta.pop()
+
+    monkeypatch.setattr(solver, "_theta_truncated", theta_truncated)
     counted(Operator, "level_systems", lambda op, slope, lin, extra_diag: len(slope))
     counted(Operator, "level_solver", lambda op, *args: 1)
-    counted(Operator, "apply_generator", lambda op, u: u.shape[:-1])
+    counted(Operator, "apply_generator", lambda op, u: (bool(in_theta), len(u)))
     counted(Penalty, "value", lambda pen, y: np.size(pen.eps))
     counted(Penalty, "d1", lambda pen, y: np.size(pen.eps))
     bench = load_bench("bench_ou", coarse=True)
@@ -975,12 +986,14 @@ def test_layer_counters_match_the_march(monkeypatch):
     assert all(point.iters == 1 for point in res.points)
     newton = sum(point.march.newton_iters for point in res.points)
     residuals = sum(point.march.levels + point.march.line_search_trials for point in res.points)
-    theta = [shape for shape in rows["apply_generator"] if shape == (bench.grid.nt,)]
-    waves = [shape for shape in rows["apply_generator"] if shape != (bench.grid.nt,)]
+    nt, per = bench.grid.nt, solver.BLOCK_LEVELS
+    theta = [n for tagged, n in rows["apply_generator"] if tagged]
+    waves = [n for tagged, n in rows["apply_generator"] if not tagged]
     assert sum(rows["level_solver"]) == sum(rows["level_systems"]) == newton
-    assert len(theta) == 1 and sum(n for (n,) in waves) == residuals
+    assert theta == [min(per, nt - lo) for lo in range(0, nt, per)] and sum(waves) == residuals
     assert sum(rows["d1"]) == residuals and len(rows["d1"]) == len(waves)
-    assert sum(rows["value"]) == residuals + 2 * len(res.points)
+    blocks = math.ceil(nt / per) + math.ceil((nt + 1) / per)
+    assert sum(rows["value"]) == residuals + blocks * len(res.points)
     # the wavefront evaluates and assembles several stages per call
     assert len(waves) < residuals and len(rows["level_systems"]) < newton
 
@@ -1194,15 +1207,34 @@ class TestWavefront:
 
 
 class TestWorkspace:
-    """The whole-stack passes of a stage compute in the workspace of their
-    TruncatedProblem: a certified stage allocates no level stack but its
-    sweep field, and no call reads what an earlier one left there."""
+    """The whole-stack passes of a stage run over level blocks in the
+    workspace of their TruncatedProblem: the workspace holds one block
+    whatever the horizon, a certified stage allocates no level stack but
+    its sweep field, and no call reads what an earlier one left there."""
+
+    def test_the_workspace_does_not_grow_with_the_horizon(self):
+        bench = load_bench("bench_ou", coarse=True)
+        data = truncate_data(bench.spec, bench.grid.m)
+
+        def workspace(nt):
+            grid = Grid(d=1, m=bench.grid.m, nx=bench.grid.nx, nt=nt, T=bench.spec.T)
+            problem = TruncatedProblem(grid, data)
+            return sum(w.nbytes for w in problem.work) + problem.work_grad.nbytes
+
+        assert workspace(50) == workspace(2000) > 0
 
     def test_a_certified_stage_allocates_only_its_sweep_field(self):
+        """Beyond the sweep field, the temporaries of one level block: the
+        largest, the penalty's classification of a block's nodes, takes
+        about three block stacks where the penalty binds on most of them.
+        On twice the coarse bench's levels, four block stacks are a quarter
+        of the sweep field."""
         bench = load_bench("bench_ou", coarse=True)
-        grid = bench.grid
+        grid = Grid(d=1, m=bench.grid.m, nx=bench.grid.nx, nt=2 * bench.grid.nt, T=bench.spec.T)
         problem = TruncatedProblem(grid, truncate_data(bench.spec, grid.m))
         stack = (grid.nt + 1) * grid.n_nodes * np.dtype(float).itemsize
+        block = problem.work[0].nbytes
+        assert 4 * block < 0.26 * stack
         for eps, delta, _ in (bench.schedule[0], bench.schedule[-1]):
             pen = Penalty(eps)
 
@@ -1220,7 +1252,7 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
             assert point.iters == 1
-            assert peak <= 1.5 * stack, f"peak {peak / stack:.2f} level stacks"
+            assert peak <= stack + 4 * block, f"peak {(peak - stack) / block:.2f} blocks over the sweep field"
 
     def test_gamma_step_leaks_no_state(self):
         """Sweeps interleaved over fields, penalties and problems (1-D and
@@ -1517,8 +1549,8 @@ def test_verify_checks_the_control_bound(monkeypatch):
 class TestIdleCallPattern:
     """The calls of the control term and the penalty in a coarse
     continuation: none where the penalty is idle, the dense path's where it
-    binds, with the idle test tried once per march, certification and
-    report."""
+    binds, with the idle test tried once per march and once per level block
+    of each certification (levels 0..nt-1) and report (levels 0..nt)."""
 
     @staticmethod
     def _run(monkeypatch, bench_name, dense=False):
@@ -1556,5 +1588,7 @@ class TestIdleCallPattern:
         dense, _ = self._run(monkeypatch, "bench_ou", dense=True)
         assert all(point.iters == 1 for point in res.points)
         tries = calls.pop("_penalty_idle")
-        assert tries == calls["march"] + sum(p.iters for p in res.points) + len(res.points)
+        nt, per = res.points[0].field.grid.nt, solver.BLOCK_LEVELS
+        sweeps = math.ceil(nt / per) * sum(p.iters for p in res.points)
+        assert tries == calls["march"] + sweeps + math.ceil((nt + 1) / per) * len(res.points)
         assert calls == {k: dense[k] for k in calls} and calls["control_term"] > 0
