@@ -179,6 +179,7 @@ def cmd_solve(args) -> int:
             "delta": point.delta,
             "iters": point.iters,
             "residual": point.residual,
+            "E": point.E,
             "march": dataclasses.asdict(point.march),
             "seconds": point.seconds,
             "bounds": {

@@ -18,14 +18,20 @@ of rows in one pass and solved row by row, and the obstacle oracle's pinned
 systems, so the penalized solver and the oracle are free of stencil
 mismatch.
 
-The operator also owns the discrete control term Q(u) = |grad u|^2 of the
+The operator also owns the discrete control term Q(u) of |grad u|^2 in the
 gradient penalty psi(|grad u|^2 - f^2) (Operator.control_term) and its
 linearization Q'(v) in the level systems, so that the solver never forms
-either.  Q is built on centered_gradient, the one nodal gradient D_i u:
-along the axis of flat-index stride s, (u[j+s] - u[j-s]) / (2 hx) inside the
-box, and one-sided (u[j+s] - u[j]) / hx on its low edge and
-(u[j] - u[j-s]) / hx on its high edge, which is np.gradient(u, hx) bit for
-bit.  The Monte Carlo feedback reads the same gradient off GridField.
+either.  Q is the monotone upwind term of Rouy & Tourin (1992):
+Q = sum_i max(max(D_i^- u, 0), -min(D_i^+ u, 0))^2 with the one-sided
+quotients along each axis.  It is nondecreasing in u[j] and nonincreasing
+in its neighbours, so with psi' >= 0 the level systems keep M0's M-matrix
+signs at any penalty parameter; the centered |grad u|^2 lost them once the
+cell number (2 / eps) f hx / a of its control drift passed about 2.  The
+nodal gradient D_i u of centered_gradient (along the axis of flat-index
+stride s, (u[j+s] - u[j-s]) / (2 hx) inside the box, and one-sided
+(u[j+s] - u[j]) / hx on its low edge and (u[j] - u[j-s]) / hx on its high
+edge, which is np.gradient(u, hx) bit for bit) is what the Monte Carlo
+feedback reads off GridField and the field dumps write.
 """
 from __future__ import annotations
 
@@ -320,9 +326,10 @@ class Operator:
 
         M0 + I_int (diag(extra_diag) + diag(slope) Q'(v))
 
-    where Q'(v) w = 2 sum_i (D_i v)(D_i w) is the derivative of the control
-    term Q = control_term at v, D_i is the centered first difference along
-    axis i and I_int keeps interior rows only, are assembled for a whole
+    where Q'(v) w = 2 sum_i lin_i (D_i w) is the derivative of the control
+    term Q = control_term at v, lin_i the signed one-sided slope of v and
+    D_i the one-sided difference along axis i that its sign selects, and
+    I_int keeps interior rows only, are assembled for a whole
     stack of rows at once (level_systems) and solved one row at a time
     (level_solver); pinned_solver solves M0 with chosen rows made identity
     rows.  Their 1-D solvers are single-use: gtsv overwrites the bands they
@@ -339,7 +346,7 @@ class Operator:
     def __post_init__(self):
         n = self.grid.n_nodes
         self._boundary = np.flatnonzero(self.dirichlet)
-        self._minus_hx = -self.grid.hx
+        self._two_over_hx = 2.0 / self.grid.hx
         self._strides = _strides(self.grid)
         self._rows = {o: slice(max(-o, 0), n - max(o, 0)) for o in self._diagonals}
         # M0's factors: gttrf's (dl, d, du, du2, ipiv, info) in 1-D, SuperLU in 2-D
@@ -406,16 +413,52 @@ class Operator:
         self, values: np.ndarray, out: tuple[np.ndarray, np.ndarray] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """(Q, lin) of nodal values (..., n_nodes), one level or a stack:
-        Q = |grad u|^2 of the gradient penalty, shape (..., n_nodes), and lin,
-        what level_systems' linearization Q'(v) reads at v = values, here the
-        centered gradient (..., d, n_nodes) that Q squares.  out, a pair of
-        arrays of those shapes (lin's C-contiguous), receives (Q, lin)."""
+        the monotone control term Q of the gradient penalty, shape
+        (..., n_nodes), and lin (..., d, n_nodes), the signed one-sided
+        slopes that Q squares and level_systems' linearization Q'(v) reads
+        at v = values.  out, a pair of arrays of those shapes (lin's
+        C-contiguous), receives (Q, lin); Q's array is the scratch of the
+        pass, so nothing of lin's size is allocated.
+
+        Along the axis of flat-index stride s, with the backward and forward
+        quotients D^- u = (u[j] - u[j-s]) / hx and D^+ u = (u[j+s] - u[j]) / hx,
+        a = max(D^- u, 0) and b = max(-D^+ u, 0), lin_i is a where a >= b
+        and -b otherwise: positive means D^-, negative means D^+, and
+        Q = sum_i lin_i^2 = sum_i max(a, b)^2 (Rouy & Tourin 1992).  On the
+        box edge the quotient that would leave the box counts as 0.  Q is
+        nondecreasing in u[j] and nonincreasing in its neighbours, and each
+        one-sided quotient is at most (max u - min u) / hx in magnitude."""
         Q, lin = (None, None) if out is None else out
-        lin = centered_gradient(self.grid, values, out=lin)
+        lead, grid = values.shape[:-1], self.grid
+        if lin is None:
+            lin = np.empty(lead + (grid.d, grid.n_nodes))
+        if Q is None:
+            Q = np.empty(lead + (grid.n_nodes,))
+        u = values.reshape(lead + grid.shape)
+        scratch = Q.reshape(lead + grid.shape, copy=False)
+        pre = (slice(None),) * len(lead)
+        for axis in range(grid.d):
+            slopes = lin[..., axis, :].reshape(lead + grid.shape, copy=False)
+
+            def at(sel):
+                space = [slice(None)] * grid.d
+                space[axis] = sel
+                return pre + tuple(space)
+
+            # slopes: D^- u, 0 on the low edge; scratch: b = max(-D^+ u, 0),
+            # 0 on the high edge
+            np.subtract(u[at(slice(1, None))], u[at(slice(None, -1))], out=slopes[at(slice(1, None))])
+            slopes[at(0)] = 0.0
+            slopes /= grid.hx
+            np.negative(slopes[at(slice(1, None))], out=scratch[at(slice(None, -1))])
+            scratch[at(-1)] = 0.0
+            np.maximum(scratch, 0.0, out=scratch)
+            np.maximum(slopes, 0.0, out=slopes)
+            np.negative(scratch, out=slopes, where=scratch > slopes)
         # squared axis by axis, so that a level stack makes no temporary of
         # lin's size; the sum of d squares rounds as np.sum's
         Q = np.square(lin[..., 0, :], out=Q)
-        for axis in range(1, self.grid.d):
+        for axis in range(1, grid.d):
             Q += np.square(lin[..., axis, :])
         return Q, lin
 
@@ -429,13 +472,16 @@ class Operator:
         psi(Q(v) - f^2), at slope = psi'.  They are laid out as M0's
         diagonals, one (rows, length) stack per offset, for level_solver.
 
-        Q'(v) w = 2 sum_i lin_i D_i w with the same centered differences as
-        Q, so the linear model is the exact derivative of the residual:
-        slope lin_i / hx joins the +s diagonal and leaves the -s one; a row
-        whose slope is zero everywhere (an idle gradient penalty) keeps M0's
-        off-diagonals bit for bit.  Both terms are added on every row, then
-        the Dirichlet rows are put back: 1 on the main diagonal and nothing
-        off it, so they stay exact identity rows.
+        Q'(v) w = 2 sum_i lin_i D_i w with D_i the one-sided difference that
+        lin_i's sign selects, so the linear model is the exact derivative of
+        the residual.  With c = 2 slope lin_i / hx the diagonal gains |c|; a
+        positive c joins the -s diagonal as -c and a negative c the +s
+        diagonal as c.  So with slope >= 0 every off-diagonal added is <= 0
+        and the row margin of M0 stays: the systems are M-matrices where M0
+        is one.  A row whose slope is zero everywhere (an idle gradient
+        penalty) keeps M0's off-diagonals bit for bit.  The terms are zeroed
+        on the Dirichlet rows, whose main diagonal is put back to 1, so they
+        stay exact identity rows.
         """
         systems = {}
         for o, v in self._diagonals.items():
@@ -443,18 +489,20 @@ class Operator:
             systems[o][...] = v
         diag = systems[0]
         diag += extra_diag
-        diag[:, self._boundary] = 1.0
         moving = slope.any(axis=1)
         if moving.any():
             at = slice(None) if moving.all() else moving
             for axis, s in enumerate(self._strides):
-                # -slope lin_i / hx; dividing by -hx rounds as
-                # -(2 slope lin_i) / (2 hx) does, signed zeros included
-                half = lin[at, axis] * slope[at]
-                half /= self._minus_hx
-                half[:, self._boundary] = 0.0
-                systems[s][at] -= half[:, :-s]
-                systems[-s][at] += half[:, s:]
+                c = lin[at, axis] * slope[at]
+                c *= self._two_over_hx
+                c[:, self._boundary] = 0.0
+                part = np.maximum(c, 0.0)
+                diag[at] += part
+                systems[-s][at] -= part[:, s:]
+                np.minimum(c, 0.0, out=part)
+                diag[at] -= part
+                systems[s][at] += part[:, :-s]
+        diag[:, self._boundary] = 1.0
         return systems
 
     def level_solver(self, systems: dict[int, np.ndarray], row: int):

@@ -264,7 +264,7 @@ class FeedbackStrategy:
         direction = np.zeros_like(pts.x)
         direction[0] = 1.0
         np.divide(-grad, norm, out=direction, where=norm > 0)
-        rate = _feedback_rate(self.pen, norm, f_sq)
+        rate = _feedback_rate(self.pen, norm, gnorm_sq, f_sq)
         self._perturb(direction, rate)
         return _Controls(direction, rate, gnorm_sq, f_sq)
 
@@ -298,12 +298,15 @@ class FeedbackStrategy:
         raise ValueError(f"not a stopper mode: {self.mode}")
 
 
-def _feedback_rate(pen, norm, f_sq):
+def _feedback_rate(pen, norm, gnorm_sq, f_sq):
     """The optimal feedback's rate 2 psi'(|grad u|^2 - f^2)|grad u| at
-    |grad u| = norm, computed on the active paths only, where |grad u|^2 - f^2
-    is not <= 0 (NaN included).  Elsewhere psi' = 0 and |grad u| is finite,
-    so the rate is +0.0, as the formula gives there."""
-    y = norm**2 - f_sq
+    |grad u|^2 = gnorm_sq and |grad u| = norm = sqrt(gnorm_sq), computed on
+    the active paths only, where |grad u|^2 - f^2 is not <= 0 (NaN
+    included).  Elsewhere psi' = 0 and |grad u| is finite, so the rate is
+    +0.0, as the formula gives there.  psi' reads the argument
+    gnorm_sq - f_sq of _closed_form_hamiltonian; in 1-D that is
+    norm**2 - f_sq bit for bit, since sqrt(fl(g g))^2 rounds to fl(g g)."""
+    y = gnorm_sq - f_sq
     rate = np.zeros(y.shape)
     on = _above(y)
     if on.size:
@@ -332,30 +335,11 @@ def _idle_controls(x):
     return direction, np.zeros(x.shape[1])
 
 
-_PHILOX_BLOCK = 4  # 64-bit outputs per Philox counter step
-
-
-def _skip_raw(bits, count):
-    """Move the Philox bit generator past count 64-bit outputs, as drawing
-    count uniforms would: the rest of its buffer, whole counter blocks by
-    advance (which empties the buffer), then the remainder."""
-    buffered = min(count, _PHILOX_BLOCK - bits.state["buffer_pos"])
-    bits.random_raw(buffered)
-    blocks, rest = divmod(count - buffered, _PHILOX_BLOCK)
-    if blocks:
-        bits.advance(blocks)
-    bits.random_raw(rest)
-
-
 def _draws(cfg: PathConfig, d_noise: int):
     """Per-step generator of normals (d', n) from Philox."""
     gen = np.random.Generator(np.random.Philox(key=cfg.rng_seed))
     while True:
-        z = gen.standard_normal((d_noise, cfg.n_paths))
-        # skip the uniforms the step once drew and never read, so that every
-        # fixed-seed estimate keeps its bits
-        _skip_raw(gen.bit_generator, cfg.n_paths)
-        yield z
+        yield gen.standard_normal((d_noise, cfg.n_paths))
 
 
 def _exp_weight(kappa, dt):

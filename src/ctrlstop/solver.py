@@ -12,6 +12,15 @@ discrete penalized solution.  solve_penalized reaches that fixed point by
 a per-level semi-smooth Newton march (robust for small penalty parameters)
 and certifies convergence by the frozen-source residual |Gamma[u] - u|.
 
+The control term |grad phi|^2 is the operator's monotone Rouy-Tourin Q
+(grid.Operator.control_term), so every Newton level system is an M-matrix
+with row margin at least 1/ht, at any eps.  The march stops each level on
+its own residual F_k, once ht max|F_k| <= inner_tol / nt, and starts it
+from a predictor taken off the stage before; by the discrete comparison
+principle the marched field lies within E = sum_k ht max|F_k(u_k)| <=
+inner_tol = 0.1 tol of the stage's exact discrete solution, and E bounds
+|Gamma[u] - u| too (_nonlinear_march; PenaltyPoint.E).
+
 Only the march and the backward solves of gamma_step go level by level,
 since each level needs the next.  The other passes of a stage (the frozen
 source, the certification residual, the Cauchy increment, the bound report
@@ -269,11 +278,14 @@ class MarchCounts:
 
 
 class _Marched(NamedTuple):
-    """One stage's marched field with the work and the wall time of its march."""
+    """One stage's marched field with the work and the wall time of its
+    march, and E = sum_k ht max|F_k(u_k)|, its bound on the distance to the
+    stage's exact discrete solution (_nonlinear_march)."""
 
     field: GridField
     counts: MarchCounts
     seconds: float
+    bound: float
 
 
 class _Wave(NamedTuple):
@@ -293,13 +305,14 @@ class _Wave(NamedTuple):
 def _level_residual(problem: TruncatedProblem, wave: _Wave, at, cand: np.ndarray, idle: bool) -> list:
     """What a Newton step from cand reads, for the wave rows at (a slice of
     all of them, or their positions) with cand one row each: the merit
-    (interior norm of the level residual), lin of the control term
+    (interior 2-norm of the level residual F), the interior max|F| that the
+    march's stop rule reads, lin of the control term
     (Q, lin) = op.control_term(cand), the slope psi'(zeta) at
     zeta = Q - f_m^2, the obstacle's extra diagonal (1/delta) 1{g_m > cand},
     and the right-hand side of the Newton system with a flag that its
     source is finite.  The residual
-    v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+ + psi is summed
-    left to right in place, and each row's merit is np.linalg.norm's
+    F = v/ht - (L - r) v - knext/ht - h_m - (1/delta)(g_m - v)^+ + psi is
+    summed left to right in place, and each row's merit is np.linalg.norm's
     sqrt(dot) of its interior entries.  psi and psi' read one
     classification of zeta, and each wave stack is gathered once.
 
@@ -308,9 +321,9 @@ def _level_residual(problem: TruncatedProblem, wave: _Wave, at, cand: np.ndarray
     penalty are skipped and each result is still the dense one bit for bit:
     slope is zeros, so level_systems adds no drift and never reads lin,
     which is left unset; "+ psi" in the residual flips only the sign of a
-    zero, which the merit squares away; "- psi" in the source changes no
-    bit; and "+ 2 slope Q" is "+ 0.0", which is kept since it turns a -0.0
-    source into +0.0."""
+    zero, which the merit squares away and max|F| takes the magnitude of;
+    "- psi" in the source changes no bit; and "+ 2 slope Q" is "+ 0.0",
+    which is kept since it turns a -0.0 source into +0.0."""
     op, ht = problem.op, problem.grid.ht
     g, h, knext, inv_delta = wave.g[at], wave.h[at], wave.knext_ht[at], wave.inv_delta[at]
     res = cand / ht
@@ -323,7 +336,7 @@ def _level_residual(problem: TruncatedProblem, wave: _Wave, at, cand: np.ndarray
     obstacle *= inv_delta
     res -= obstacle
     # h_m + extra_diag g_m - psi + slope Q'(v) v, left to right, where
-    # Q'(v) v = 2 Q since Q is quadratic
+    # Q'(v) v = 2 Q since Q is homogeneous of degree 2
     const_src = np.multiply(extra_diag, g)
     np.add(h, const_src, out=const_src)
     if idle:
@@ -339,11 +352,13 @@ def _level_residual(problem: TruncatedProblem, wave: _Wave, at, cand: np.ndarray
         slope = pen.d1(branches)
         const_src -= psi
         const_src += 2.0 * slope * Q
-    merits = np.array([math.sqrt(np.dot(r, r)) for r in res[:, problem.interior]])
+    inner = res[:, problem.interior]
+    merits = np.array([math.sqrt(np.dot(r, r)) for r in inner])
+    largest = np.max(np.abs(inner), axis=1)
     finite = np.isfinite(const_src).all(axis=1)
     rhs = np.add(knext, const_src, out=const_src)
     rhs[:, problem.boundary] = g[:, problem.boundary]
-    return [merits, lin, slope, extra_diag, rhs, finite]
+    return [merits, largest, lin, slope, extra_diag, rhs, finite]
 
 
 def _nonlinear_march(
@@ -354,23 +369,38 @@ def _nonlinear_march(
 ) -> tuple[list[_Marched], SolverError | None]:
     """Backward march solving each implicit time level to nonlinear
     tolerance, for a list of (penalty, delta) stages at once, each stage
-    starting its Newton iterations from the field of the stage before.
+    starting its Newton iterations from the fields of the stage before.
 
     Per level, the obstacle and gradient penalties are handled by semi-smooth
     Newton: freeze the active set {g_m > v} and the slope psi'(Q(v) - f_m^2)
-    of the gradient penalty at the running inner iterate v, with
-    Q = |grad v|^2 the operator's control term (both are supporting planes
-    of convex terms), solve the linear system that op.level_systems
-    assembles, repeat.  Stage 0 starts v from level k of guess, or without
-    one from its own level k+1, which keeps steps O(ht); stage i starts it
-    from level k of stage i-1, so a stage needs only its own level k+1 and
-    level k of the stage before.  The marched field is the fixed point of
-    the frozen-source operator up to the inner tolerance.  The level
-    residual (_level_residual), evaluated at the start and at each
-    line-search trial point, also returns all that a Newton step from that
-    point reads (lin, psi', the obstacle's extra diagonal and the
-    right-hand side), with psi and psi' from one classification of zeta;
-    the accepted trial's feeds the next Newton step.
+    of the gradient penalty at the running inner iterate v, with Q the
+    operator's monotone (Rouy-Tourin) control term and lin its one-sided
+    slopes (both are supporting planes of convex terms), solve the linear
+    system that op.level_systems assembles, repeat.  The level residual
+    (_level_residual), evaluated at the start and at each line-search trial
+    point, also returns all that a Newton step from that point reads (lin,
+    psi', the obstacle's extra diagonal and the right-hand side), with psi
+    and psi' from one classification of zeta; the accepted trial's feeds the
+    next Newton step.
+
+    Stop rule: a level accepts its iterate v as soon as
+    ht max|F_k(v)| <= inner_tol / nt on the interior, tested on every
+    evaluated residual before any assembly or solve, so a start that
+    already passes costs no solve.  Every level system is an M-matrix whose
+    row margin is at least M0's, 1/ht, so by the discrete comparison
+    principle the marched field lies within E = sum_k ht max|F_k(u_k)|
+    <= inner_tol of the exact discrete solution of its stage, and
+    gamma_step's residual |Gamma[u] - u| is at most E too: e_k = Gamma[u]_k
+    - u_k solves M0 e_k = e_{k+1}/ht - F_k(u_k), so
+    |e_k| <= |e_{k+1}| + ht |F_k(u_k)|.  E is returned with each stage, its
+    terms summed from level nt-1 down.
+
+    Predictor: stage i starts level k from u_{i-1,k} + (u_{i,k+1} -
+    u_{i-1,k+1}), the stage before at level k moved by the increment of
+    this stage over it one level up; stage 0 does the same with guess as
+    the stage before, or without one starts from its own level k+1, which
+    keeps steps O(ht).  So a stage needs only its own level k+1 and levels
+    k and k+1 of the stage before.  The Dirichlet nodes start at g_m.
 
     Before each level residual the march tests whether the problem proves
     the gradient penalty idle on the candidate (_penalty_idle, one max and
@@ -385,27 +415,28 @@ def _nonlinear_march(
     once for all the rows that need it, each row with its own eps and
     delta, and a Newton iteration assembles the level systems of all its
     rows in one op.level_systems call.  Each row keeps its own Newton
-    iterations, convergence test, MAX_INNER stall, error, level solver and
+    iterations, stop test, MAX_INNER stall, error, level solver and
     linear solve (the per-row loop calls op.level_solver and its solve
     only), and rows that start a line search together share its trial
     steps 0.5**trial.  Each row's arithmetic is that of a march of its
     stage alone, bit for bit.
 
     One rule ends a stage early: when a row's source is not finite, its
-    linear solve is not finite, or its level stalls after MAX_INNER Newton
-    iterations, fail records that error and ends the row's stage and every
-    later one (they start from it), while the earlier stages march on.
-    Since the rows of a wave are in stage order, the rows still iterating
-    are then those before the failing one.  Returns the marches of the
-    stages that finished, in order, and the SolverError of the stage after
-    them, or None.  Each wave's wall time is split evenly among the stages
-    it advanced (not those that failed in it), so the seconds of the
-    returned stages sum to the march's.
+    linear solve is not finite, or its level fails the stop rule after
+    MAX_INNER Newton iterations, fail records that error and ends the row's
+    stage and every later one (they start from it), while the earlier
+    stages march on.  Since the rows of a wave are in stage order, the rows
+    still iterating are then those before the failing one.  Returns the
+    marches of the stages that finished, in order, and the SolverError of
+    the stage after them, or None.  Each wave's wall time is split evenly
+    among the stages it advanced (not those that failed in it), so the
+    seconds of the returned stages sum to the march's.
     """
     clock = time.perf_counter()
     grid, op = problem.grid, problem.op
     g, h, f2 = problem.stacks
     nt, ht, n = grid.nt, grid.ht, grid.n_nodes
+    level_tol = inner_tol / nt  # on ht max|F_k(v)|
     eps = np.array([[pen.eps] for pen, _ in stages])
     inv_delta = np.array([[1.0 / delta] for _, delta in stages])
     outs = []
@@ -415,6 +446,7 @@ def _nonlinear_march(
         outs.append(out)
     work = np.zeros((3, len(stages)), dtype=int)  # levels, Newton iterations, trials
     seconds = np.zeros(len(stages))
+    bounds = np.zeros(len(stages))  # E of each stage
     alive, error = len(stages), None  # stages from alive on start from a failed one
     # the idle test is tried until it first fails: a march where the penalty
     # binds pays for one test, and a failed test forgoes only the shortcut
@@ -428,7 +460,12 @@ def _nonlinear_march(
         v = np.empty((rank.size, n))
         for row, (i, k) in enumerate(zip(rank.tolist(), ks.tolist())):
             knext_ht[row] = outs[i][k + 1]
-            v[row] = outs[i - 1][k] if i else outs[i][k + 1] if guess is None else guess.values[k]
+            if i == 0 and guess is None:
+                v[row] = outs[i][k + 1]
+            else:
+                before = outs[i - 1] if i else guess.values
+                np.subtract(outs[i][k + 1], before[k + 1], out=v[row])
+                v[row] += before[k]
         knext_ht /= ht
         wave = _Wave(g[ks], h[ks], f2[ks], knext_ht, inv_delta[rank], Penalty(eps[rank]))
         v[:, problem.boundary] = wave.g[:, problem.boundary]
@@ -454,10 +491,20 @@ def _nonlinear_march(
             return active[:p]
 
         active = np.arange(rank.size)  # the rows iterating, in stage order
-        state = level_residual(active, v)  # merit, lin, slope, extra_diag, rhs, finite per row
-        for _ in range(MAX_INNER):
+        # merit, max|F|, lin, slope, extra_diag, rhs, finite per row
+        state = level_residual(active, v)
+        level_error = np.empty(rank.size)  # ht max|F_k| of the accepted iterates
+        for newton in range(MAX_INNER + 1):
+            level_error[active] = ht * state[1][active]
+            active = active[~(level_error[active] <= level_tol)]
+            if not active.size:
+                break
+            if newton == MAX_INNER:
+                row = active[0]
+                fail(active, 0, f"inner iteration stalled at time level {ks[row]} (merit {state[0][row]:.3e})")
+                break
             work[1, rank[active]] += 1
-            merit, lin, slope, extra_diag, rhs, finite = state
+            merit, _, lin, slope, extra_diag, rhs, finite = state
             at = index(active)
             v_a = v[at]
             systems = op.level_systems(slope[at], lin[at], extra_diag[at])
@@ -477,15 +524,11 @@ def _nonlinear_march(
                 if not np.isfinite(w[p]).all():
                     active = fail(active, p, f"linear solve produced non-finite values at level {ks[active[p]]}")
                     break
-            converged = step[: active.size] <= inner_tol
-            v[active[converged]] = w[: active.size][converged]
-            searching = np.flatnonzero(~converged)
-            active = active[searching]
             if not active.size:
                 break
             # backtracking line search on the nonlinear level residual, one
-            # step 0.5**trial for every row that starts it here
-            v_s, d_s = v_a[searching], direction[searching]
+            # step 0.5**trial for every row still iterating
+            v_s, d_s = v_a[: active.size], direction[: active.size]
             base = merit[active]
             best = base.copy()
             left = np.arange(active.size)  # rows still searching, as positions
@@ -508,19 +551,22 @@ def _nonlinear_march(
                 left = left[~(better & (found[0] <= 0.9 * base[left]))]
                 if not left.size:
                     break
-        else:
-            row = active[0]
-            fail(active, 0, f"inner iteration stalled at time level {ks[row]} (merit {state[0][row]:.3e})")
         done = np.flatnonzero(rank < alive)
         for row in done.tolist():
             outs[rank[row]][ks[row]] = v[row]
         work[0, rank[done]] += 1
+        bounds[rank[done]] += level_error[done]
         now = time.perf_counter()
         if done.size:
             seconds[rank[done]] += (now - clock) / done.size
         clock = now
     return [
-        _Marched(GridField(grid=grid, values=outs[i]), MarchCounts(*(int(c) for c in work[:, i])), float(seconds[i]))
+        _Marched(
+            GridField(grid=grid, values=outs[i]),
+            MarchCounts(*(int(c) for c in work[:, i])),
+            float(seconds[i]),
+            float(bounds[i]),
+        )
         for i in range(alive)
     ], error
 
@@ -556,10 +602,14 @@ class PenaltyPoint:
     """One (eps, delta, m) stage of the continuation with its solved field.
 
     iters counts certification attempts: marches checked by a frozen-source
-    sweep (1 unless a certification failed).  march counts the work of the
-    stage's marches.  seconds splits the stage's wall time: "march" (every
-    march), "certify" (every frozen-source sweep with its residual) and
-    "report" (the nonnegativity check and the bound report).  Where the
+    sweep (1 unless a certification failed); residual is the certified
+    sweep's |Gamma[u] - u|, and E = sum_k ht max|F_k(u_k)| the certified
+    march's bound on the distance of field to the stage's exact discrete
+    solution, which also bounds residual (_nonlinear_march).  march counts
+    the work of the stage's marches.  seconds splits the stage's wall
+    time: "march" (every march), "certify" (every frozen-source sweep with
+    its residual) and "report" (the nonnegativity check and the bound
+    report).  Where the
     stage was marched in a wavefront with others (continuation), its
     "march" time holds an even share of each wave that advanced it, so the
     march times of the stages continuation returns sum to the measured
@@ -572,6 +622,7 @@ class PenaltyPoint:
     field: GridField
     iters: int
     residual: float
+    E: float
     bound_report: dict[str, tuple[float, float]]
     march: MarchCounts
     seconds: dict[str, float]
@@ -595,10 +646,12 @@ def solve_penalized(
     Marches backward once, solving each implicit level by semi-smooth Newton
     (a one-stage _nonlinear_march), and certifies convergence with the plain
     frozen-source residual |Gamma[u] - u| <= tol (same fixed point; the
-    march IS Gamma restarted on its own output).  A failed certification
-    re-marches from the last field with tighter level solves, up to 4
-    attempts in all; then SolverError.  continuation passes the first march
-    as marched, the stage's part of a wavefront march from u0 at the
+    march IS Gamma restarted on its own output).  The march's stop rule
+    keeps that residual below its E <= 0.1 tol, so a stage certifies at its
+    first attempt up to roundoff.  A failed certification re-marches from
+    the last field (the re-march's predictor) with tighter level solves, up
+    to 4 attempts in all; then SolverError.  continuation passes the first
+    march as marched, the stage's part of a wavefront march from u0 at the
     tolerance of a first march; it is certified, and counted and timed, as
     if it had been marched here.
 
@@ -629,7 +682,7 @@ def solve_penalized(
             if error is not None:
                 raise error
             (marched,) = done
-        u = marched.field
+        u, marched_bound = marched.field, marched.bound
         counts.levels += marched.counts.levels
         counts.newton_iters += marched.counts.newton_iters
         counts.line_search_trials += marched.counts.line_search_trials
@@ -663,6 +716,7 @@ def solve_penalized(
         field=u,
         iters=iters,
         residual=residual,
+        E=marched_bound,
         bound_report=report,
         march=counts,
         seconds=seconds,

@@ -144,8 +144,9 @@ class TestSolve:
         assert manifest["vi"]["sup_minmax"] == 0.0
         for point in manifest["points"]:
             assert point["iters"] == 1
+            # on zero data every level's start passes the march's stop rule
             assert point["march"]["levels"] == 50
-            assert point["march"]["newton_iters"] >= 50
+            assert point["E"] == 0.0
             assert set(point["seconds"]) == {"march", "certify", "report"}
             assert min(point["seconds"].values()) >= 0.0
         staged = sum(sum(p["seconds"].values()) for p in manifest["points"])

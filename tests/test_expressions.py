@@ -256,15 +256,24 @@ def test_literal_zero_divisor_raises():
 
 
 _BASES = (0.0, -0.0, 0.75, 2.5, -0.75, -3.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324)
-_EXPONENTS = (3.0, 2.0, 0.5, 1.0, 2.5, 4000.0, -1.0)
+_EXPONENTS = (3.0, 4.0, 2.0, 0.5, 1.0, 2.5, 4000.0, -1.0)
+
+
+def _power_rule(va, vb):
+    """The evaluator's ^, written out: x^3 = x*x*x and x^4 = x*x*x*x, each
+    product rounded left to right, and np.power for every other exponent."""
+    if isinstance(vb, float) and vb in (3.0, 4.0):
+        base = np.asarray(va, dtype=float)
+        return base * base * base if vb == 3.0 else base * base * base * base
+    return np.power(va, vb, dtype=float)
 
 
 def _reference_power(base, exponent):
-    """np.power on the whole array, as the evaluator's ^ with its error state;
-    None where that call finds an invalid power."""
+    """_power_rule on the whole array, as the evaluator's ^ with its error
+    state; None where that call finds an invalid power."""
     with np.errstate(invalid="raise", divide="ignore", over="ignore"):
         try:
-            return np.power(base, exponent, dtype=float)
+            return _power_rule(base, exponent)
         except FloatingPointError:
             return None
 
@@ -284,8 +293,8 @@ def _assert_power_rule(base, exponent):
 
 
 def _among_zeros(values, rng, size=2048):
-    """values at random places of an array of size +-0.0 bases, so that the
-    ^ of the evaluator takes its zero path (a large, mostly zero base)."""
+    """values at random places of an array of size +-0.0 bases: a large,
+    mostly zero base, as max(0, .)^k data make on most of a line."""
     base = np.where(rng.random(size) < 0.3, -0.0, 0.0)
     values = np.asarray(values, dtype=float)
     base[rng.choice(size, values.size, replace=False)] = values
@@ -293,7 +302,7 @@ def _among_zeros(values, rng, size=2048):
 
 
 @pytest.mark.parametrize("exponent", _EXPONENTS)
-def test_power_of_every_base_kind_is_numpys(exponent):
+def test_power_of_every_base_kind_follows_the_rule(exponent):
     # each kind alone, each kind among zeros, and all of them at once
     rng = np.random.default_rng(7)
     for b in _BASES:
@@ -324,12 +333,12 @@ def test_power_of_every_base_kind_is_numpys(exponent):
     st.sampled_from(_EXPONENTS),
     st.integers(0, 2**31 - 1),
 )
-def test_power_rule_is_numpys_power(bases, exponent, seed):
+def test_power_follows_the_rule_on_any_floats(bases, exponent, seed):
     _assert_power_rule(np.array(bases, dtype=float), exponent)
     _assert_power_rule(_among_zeros(bases, np.random.default_rng(seed)), exponent)
 
 
-def test_power_with_many_zero_bases_is_numpys():
+def test_power_with_many_zero_bases_follows_the_rule():
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 64, 1000, 1023, 1024, 1025, 20000):
         for zero_share in (0.3, 0.5, 0.6, 0.99):
@@ -339,6 +348,24 @@ def test_power_with_many_zero_bases_is_numpys():
             for exponent in _EXPONENTS:
                 _assert_power_rule(base, exponent)
                 _assert_power_rule(rng.permutation(base), exponent)
+
+
+def test_small_integer_powers_are_within_their_roundings_of_numpys():
+    """x^3 and x^4 are the products x*x*x and x*x*x*x: within 2 and 3 ulp of
+    np.power's nearly exact power, respectively, on bases away from overflow
+    and underflow, and np.power's value bit for bit on signed zeros,
+    infinities, NaN, subnormals and overflowing bases."""
+    x = np.random.default_rng(3).uniform(-1e3, 1e3, 10_000)
+    special = np.array(_BASES + (1e200, -1e200, 1e-200, -1e-200))
+    for exponent, ulps in ((3.0, 2.0), (4.0, 3.0)):
+        e = parse_expression(f"x1 ^ {exponent!r}")
+        got, want = e(0.0, x[None]), np.power(x, exponent)
+        assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
+        assert np.any(got != want)
+        with np.errstate(over="ignore", under="ignore"):
+            got, want = e(0.0, special[None]), np.power(special, exponent)
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 # sha256 of g, h and f of every bundled bench at t = 0 on _bench_batch, as a
@@ -351,13 +378,13 @@ BENCH_DATA_GOLDEN = {
         "f": "09adb0e26af9503a59cbac4148ebb38901dceefa9e85097c7e01e8d426062f5f",
     },
     "bench_ou": {
-        "g": "fbe95d0372edf9976257e734f57d2ba52f4fe0b2d7033e397ce69d77b0ff8d99",
-        "h": "b59b4fc41debd0da745e05ffae208e3e0f6561a1f014be28913f16e1bb6a603c",
+        "g": "2d328bd120998af643c3cd2732fb1d9eef681484d0ffc47017c67a59d5762227",
+        "h": "fb27be58a64b31963ce7b056e2af55fdd6c64722ea14439c72a24b6574b60c72",
         "f": "b7e100335e6d31fbcc313bd06b41b756af497e1fc745bb9bad475052078a68a8",
     },
     "bench_ou_purestop": {
-        "g": "fbe95d0372edf9976257e734f57d2ba52f4fe0b2d7033e397ce69d77b0ff8d99",
-        "h": "b59b4fc41debd0da745e05ffae208e3e0f6561a1f014be28913f16e1bb6a603c",
+        "g": "2d328bd120998af643c3cd2732fb1d9eef681484d0ffc47017c67a59d5762227",
+        "h": "fb27be58a64b31963ce7b056e2af55fdd6c64722ea14439c72a24b6574b60c72",
         "f": "9f7dc0c691b9defa71b8092163a4b26635885bde9df5465cade8100da07b223e",
     },
     "allzero": {
@@ -401,7 +428,7 @@ def test_bench_data_are_golden(name):
 
 def _walk(node, env):
     """The reference evaluator: a walk over the parsed tree that dispatches on
-    each node's kind at every call, with numpy's plain power for ^."""
+    each node's kind at every call, with _power_rule for ^."""
     kind = node[0]
     if kind == "num":
         return node[1]
@@ -425,7 +452,7 @@ def _walk(node, env):
             return va / vb
         with np.errstate(invalid="raise", divide="ignore"):
             try:
-                return np.power(va, vb, dtype=float)
+                return _power_rule(va, vb)
             except FloatingPointError as exc:
                 raise EvalError(f"invalid power: {exc}") from exc
     _, name, args = node

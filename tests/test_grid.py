@@ -86,18 +86,65 @@ def test_level_system_is_the_generator_stencil(case):
     assert np.max(np.abs(plain - implicit)) <= 1e-10 * np.max(np.abs(implicit))
 
 
-def test_control_term_is_the_squared_centered_gradient():
-    """control_term gives |grad u|^2 of centered_gradient and the gradient
-    itself, bit for bit, for one level and for a stack of levels."""
+def _one_sided_slopes(grid, values):
+    """The Rouy-Tourin slopes of nodal values (..., n_nodes), (..., d, n_nodes):
+    along each axis a = max(D^- u, 0) and b = max(-D^+ u, 0) from np.diff
+    quotients, 0 where the quotient would leave the box, and a where a >= b,
+    else -b."""
+    lead = values.shape[:-1]
+    u = values.reshape(lead + grid.shape)
+    slopes = []
+    for axis in range(grid.d):
+        quotients = np.diff(u, axis=len(lead) + axis) / grid.hx
+        pad = [(0, 0)] * u.ndim
+        pad[len(lead) + axis] = (1, 0)
+        backward = np.pad(quotients, pad)
+        pad[len(lead) + axis] = (0, 1)
+        forward = np.pad(quotients, pad)
+        a, b = np.maximum(backward, 0.0), np.maximum(-forward, 0.0)
+        slopes.append(np.where(a >= b, a, -b).reshape(lead + (grid.n_nodes,)))
+    return np.stack(slopes, axis=len(lead))
+
+
+def test_control_term_is_the_rouy_tourin_term():
+    """control_term gives the one-sided slopes and Q = sum of their squares,
+    bit for bit, for one level and for a stack of levels, and writes them
+    into a given pair of arrays."""
     for case in ("bench_ou", "skewed_2d"):
         op = _operator(case)
         grid = op.grid
         values = np.random.default_rng(7).normal(size=(3, grid.n_nodes))
+        values[1, :40] = 0.5  # a flat stretch: a = b = 0
         for u in (values[0], values):
             Q, lin = op.control_term(u)
-            grad = centered_gradient(grid, u)
-            np.testing.assert_array_equal(lin, grad)
-            np.testing.assert_array_equal(Q, np.sum(grad**2, axis=-2))
+            slopes = _one_sided_slopes(grid, u)
+            np.testing.assert_array_equal(lin, slopes)
+            np.testing.assert_array_equal(Q, np.sum(slopes**2, axis=-2))
+            out = (np.empty_like(Q), np.empty_like(lin))
+            got = op.control_term(u, out=out)
+            assert got[0] is out[0] and got[1] is out[1]
+            np.testing.assert_array_equal(out[0], Q)
+            np.testing.assert_array_equal(out[1], lin)
+
+
+@pytest.mark.parametrize("case", ["bench_ou", "skewed_2d"])
+def test_control_term_is_monotone(case):
+    """Raising u at one interior node does not lower Q there and does not
+    raise it at the node's neighbours: the Rouy-Tourin Q is a monotone
+    function of the nodal values."""
+    op = _operator(case)
+    grid = op.grid
+    rng = np.random.default_rng(13)
+    interior = np.flatnonzero(~op.dirichlet)
+    for _ in range(50):
+        v = rng.normal(size=grid.n_nodes)
+        j = rng.choice(interior)
+        raised = v.copy()
+        raised[j] += rng.uniform(0.0, 1.0)
+        before, after = op.control_term(v)[0], op.control_term(raised)[0]
+        assert after[j] >= before[j]
+        for s in (1, grid.nx)[: grid.d]:
+            assert after[j - s] <= before[j - s] and after[j + s] <= before[j + s]
 
 
 def _np_gradient(grid, values):
@@ -174,10 +221,14 @@ def test_level_solver_gtsv_is_solve_banded():
         ab[0, 1:] = M0.diagonal(1)
         ab[1] = M0.diagonal() + np.where(interior, extra_diag[p], 0.0)
         ab[2, :-1] = M0.diagonal(-1)
-        # slope Q'(v) w = 2 slope lin D w: the drift -2 slope lin
-        half = np.where(interior, (-2.0 * slope[p] * lin[p, 0]) / (2.0 * op.grid.hx), 0.0)
-        ab[0, 1:] -= half[:-1]
-        ab[2, :-1] += half[1:]
+        # slope Q'(v) w = 2 slope lin D w, D = D^- where lin > 0 and D^+
+        # where lin < 0: c = 2 slope lin / hx on the diagonal as |c|, below
+        # it as -c where c > 0 and above it as c where c < 0
+        c = np.where(interior, lin[p, 0] * slope[p] * (2.0 / op.grid.hx), 0.0)
+        ab[1] += np.maximum(c, 0.0)
+        ab[1] -= np.minimum(c, 0.0)
+        ab[0, 1:] += np.minimum(c, 0.0)[:-1]
+        ab[2, :-1] -= np.maximum(c, 0.0)[1:]
         ref = solve_banded((1, 1), ab, rhs[p])
         b = rhs[p].copy()
         x = op.level_solver(systems, p)(b)
@@ -318,10 +369,12 @@ def _coo_assembly(grid, spec):
     return L, sp.csc_matrix(sp.diags(np.where(interior, 1.0 / grid.ht, 1.0)) - L)
 
 
-def _reference_system(grid, M0, interior, extra_drift=None, extra_diag=None, pinned=None):
-    """Solver of a level (extra_drift, extra_diag) or pinned system by the
-    former formulas: gtsv on M0's edited bands in 1-D, SuperLU of the sparse
-    product form in 2-D."""
+def _reference_system(grid, M0, interior, slope_lin=None, extra_diag=None, pinned=None):
+    """Solver of a level system (slope and lin of slope_lin, extra_diag) or a
+    pinned system by separate formulas: gtsv on M0's edited bands in 1-D,
+    SuperLU of the sparse product form in 2-D, where the linearization
+    2 slope lin_i D_i takes D_i = D^- where lin_i > 0 and D^+ where
+    lin_i < 0 as Kronecker products of one-sided differences."""
     if grid.d == 1:
         lower, diag, upper = M0.diagonal(-1), M0.diagonal(), M0.diagonal(1)
         if pinned is not None:
@@ -330,21 +383,27 @@ def _reference_system(grid, M0, interior, extra_drift=None, extra_diag=None, pin
             upper = np.where(pinned[:-1], 0.0, upper)
         if extra_diag is not None:
             diag = diag + np.where(interior, extra_diag, 0.0)
-        if extra_drift is not None:
-            half = np.where(interior, extra_drift[0] / (2.0 * grid.hx), 0.0)
-            upper = upper - half[:-1]
-            lower = lower + half[1:]
+        if slope_lin is not None:
+            slope, lin = slope_lin
+            c = np.where(interior, lin[0] * slope * (2.0 / grid.hx), 0.0)
+            diag = diag + np.maximum(c, 0.0) - np.minimum(c, 0.0)
+            upper = upper + np.minimum(c, 0.0)[:-1]
+            lower = lower - np.maximum(c, 0.0)[1:]
         return lambda rhs: dgtsv(lower, diag, upper, rhs)[3]
     M = M0
     if pinned is not None:
         M = sp.diags((~pinned).astype(float)) @ M0 + sp.diags(pinned.astype(float))
     if extra_diag is not None:
         M = M + sp.diags(np.where(interior, extra_diag, 0.0))
-    if extra_drift is not None:
-        d1 = sp.diags([-0.5 / grid.hx, 0.5 / grid.hx], [-1, 1], shape=(grid.nx, grid.nx))
+    if slope_lin is not None:
+        slope, lin = slope_lin
+        back = sp.diags([1.0 / grid.hx, -1.0 / grid.hx], [0, -1], shape=(grid.nx, grid.nx))
+        ahead = sp.diags([-1.0 / grid.hx, 1.0 / grid.hx], [0, 1], shape=(grid.nx, grid.nx))
         eye, keep = sp.identity(grid.nx), sp.diags(interior.astype(float))
-        for e_ax, D in zip(extra_drift, (sp.kron(d1, eye), sp.kron(eye, d1))):
-            M = M - sp.diags(e_ax) @ keep @ D
+        for lin_ax, axis in zip(lin, range(grid.d)):
+            minus, plus = (sp.kron(back, eye), sp.kron(ahead, eye)) if axis == 0 else (sp.kron(eye, back), sp.kron(eye, ahead))
+            M = M + keep @ (sp.diags(2.0 * slope * np.maximum(lin_ax, 0.0)) @ minus)
+            M = M + keep @ (sp.diags(2.0 * slope * np.minimum(lin_ax, 0.0)) @ plus)
     return sp.linalg.splu(sp.csc_matrix(M)).solve
 
 
@@ -385,10 +444,9 @@ def test_operator_is_the_coo_assembly(case):
         lin = rng.normal(size=(grid.d, grid.n_nodes))
         diag = rng.uniform(0.0, 50.0, size=grid.n_nodes)
         pinned = op.dirichlet | (rng.uniform(size=grid.n_nodes) < 0.3)
-        # slope Q'(v) w = 2 slope <lin, D w>: the drift -2 slope lin
-        drift = -2.0 * slope * lin
-        for sl, e, dg in ((slope, drift, diag), (slope, drift, zeros), (zeros, None, diag), (zeros, None, zeros)):
-            want = _reference_system(grid, M0, interior, extra_drift=e, extra_diag=dg)(rhs)
+        # slope Q'(v) w = 2 slope <lin, D w> with one-sided D
+        for sl, e, dg in ((slope, (slope, lin), diag), (slope, (slope, lin), zeros), (zeros, None, diag), (zeros, None, zeros)):
+            want = _reference_system(grid, M0, interior, slope_lin=e, extra_diag=dg)(rhs)
             same(_level_solve(op, sl, lin, dg, rhs), want)
         same(op.pinned_solver(pinned)(rhs.copy()), _reference_system(grid, M0, interior, pinned=pinned)(rhs))
 

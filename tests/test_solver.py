@@ -265,7 +265,7 @@ class TestContinuation:
             work = point.march
             assert point.iters == 1  # certified at the first attempt
             assert work.levels == bench.grid.nt
-            assert work.newton_iters >= work.levels  # one linear solve at least per level
+            assert work.newton_iters >= work.levels  # no level's start passes the stop rule here
             assert work.line_search_trials <= 9 * work.newton_iters
 
     def test_single_point_reproduces_solve(self):
@@ -470,20 +470,177 @@ h = 0
         point = solve_penalized(TruncatedProblem(grid, truncate_data(spec, 3.0)), Penalty(1 / 16), 1 / 16)
         assert float(np.min(point.field.values)) >= -1e-15
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=SolverError,
-        reason="ROADMAP item 1: with the gradient penalty binding (f = 1) the centered "
-        "control term stalls the Newton march at time level 38",
-    )
     def test_correlated_noise_with_a_binding_gradient_penalty_solves(self):
         # the narrow rho = 0.9 bump of test_correlated_noise_keeps_nonnegativity
-        # with f = 1, so that the gradient penalty binds on its flanks
+        # with f = 1, so that the gradient penalty binds on its flanks; the
+        # centered control term stalled the Newton march at time level 38
         spec, _, _ = parse_config_text(self.correlated(0.9, 0.4).replace("f = 100", "f = 1"))
         grid = Grid(d=2, m=3.0, nx=61, nt=40, T=0.2)
         tol = 1e-7
         point = solve_penalized(TruncatedProblem(grid, truncate_data(spec, 3.0)), Penalty(1 / 16), 1 / 16, tol=tol)
         assert float(np.min(point.field.values)) >= -10.0 * tol
+
+
+# Inputs that the centered control term got wrong (ROADMAP item 1): its
+# control drift 2 psi' grad u has a cell number of about (2 / eps) f hx / a,
+# and above about 2 the level systems lost their M-matrix signs.  Two inputs
+# of a random sweep over OU-type data at eps = 2^-7 stalled the Newton march
+# (at time levels 13 and 16); the growing data of GROWING_DATA lost
+# nonnegativity on radius 10 (min -6.818e-03 at eps = 1/32).
+SWEEP_STALL_1D = """
+dim = 1
+horizon = 0.3
+rate = 0.05
+drift[1] = -x1
+sigma[1][1] = 0.52
+f = 1.09
+g = max(0, 1 - (x1/1.83)^2)^3
+h = 2.4 * max(0, 1 - ((x1 + 1.03)/0.56)^2)^3
+"""
+SWEEP_STALL_2D = """
+dim = 2
+horizon = 0.3
+rate = 0.05
+drift[1] = -0.8538619125324377 * x1
+drift[2] = -0.8538619125324377 * x2
+sigma[1][1] = 0.3201384627893409
+sigma[1][2] = 0
+sigma[2][1] = 0.0
+sigma[2][2] = 0.46078455815925484
+f = 0.40403017785732254
+g = 0.22060105728690937 * max(0, 1 - ((x1 - -0.21337857982735153)^2 + x2^2)/1.0920028719479042^2)^3
+h = 2.018326668928687 * max(0, 1 - ((x1 - 0.35018383322100277)^2 + x2^2)/0.897493181709861^2)^3
+"""
+GROWING_DATA = """
+dim = 1
+horizon = 0.5
+rate = 0.05
+drift[1] = -x1
+sigma[1][1] = 1
+f = sqrt(0.09 + 0.05 * x1^2)
+g = 0.1 * x1^2
+h = 1.5 * max(0, 1 - ((x1-1.5)/0.6)^2)^3 + 1.5 * max(0, 1 - ((x1+1.5)/0.6)^2)^3
+"""
+
+
+class TestMonotoneControlTerm:
+    """Inputs on which the centered control term stalled the Newton march or
+    lost nonnegativity solve with the monotone one, with min u >= -10 tol."""
+
+    TOL = 1e-7
+
+    def _solve(self, cfg, grid, eps, delta):
+        spec = parse_config_text(cfg)[0]
+        point = solve_penalized(
+            TruncatedProblem(grid, truncate_data(spec, grid.m)), Penalty(eps), delta, tol=self.TOL
+        )
+        assert float(np.min(point.field.values)) >= -10.0 * self.TOL
+        return point
+
+    @pytest.mark.parametrize("delta", [1 / 16, 1 / 64])
+    def test_two_d_ou_at_a_small_eps_keeps_nonnegativity(self, delta):
+        """OU_IN_X1 at eps = 1/64 lost nonnegativity (min -1.353e-01 at
+        delta = 1/16 and -7.070e-02 at delta = 1/64)."""
+        self._solve(TestTwoDimensional.OU_IN_X1, Grid(d=2, m=6.0, nx=61, nt=50, T=0.2), 1 / 64, delta)
+
+    @pytest.mark.parametrize("case", ["1d", "2d"])
+    def test_sweep_stalls_solve(self, case):
+        """In 1-D the line search still backtracks (trials exceed Newton
+        iterations), which no bench does."""
+        if case == "1d":
+            point = self._solve(SWEEP_STALL_1D, Grid(d=1, m=4.0, nx=161, nt=20, T=0.3), 2.0**-7, 0.25)
+            assert point.march.line_search_trials > point.march.newton_iters
+        else:
+            point = self._solve(SWEEP_STALL_2D, Grid(d=2, m=4.0, nx=25, nt=50, T=0.3), 2.0**-7, 0.25)
+        assert point.bounds_ok() and point.bound_report["gradient_penalty"][1] > 0.0
+
+    def test_growing_data_solve_on_radius_ten(self):
+        spec = parse_config_text(GROWING_DATA)[0]
+        res = continuation(
+            spec, default_schedule(7, m=10.0), lambda m: Grid(d=1, m=m, nx=501, nt=500, T=spec.T), tol=self.TOL
+        )
+        assert len(res.points) == 7 and all(point.bounds_ok() for point in res.points)
+        assert float(np.min(res.limit.values)) >= -10.0 * self.TOL
+
+
+@pytest.mark.parametrize("case", ["bench_ou", "bench_ou_purestop", "const1", "allzero", "two_d"])
+def test_level_systems_are_m_matrices_on_every_stage(case, monkeypatch):
+    """Every Newton level system of a coarse bench continuation, or of a 2-D
+    OU_IN_X1 one, has no positive off-diagonal on an interior row (ROADMAP
+    item 16's count is 0), and every interior row keeps a margin
+    diag - sum |off| of at least 1/ht, up to roundoff: the hypotheses of the
+    march's bound E."""
+    if case == "two_d":
+        grid = Grid(d=2, m=6.0, nx=31, nt=20, T=0.2)
+        spec = parse_config_text(TestTwoDimensional.OU_IN_X1)[0]
+        schedule, policy = default_schedule(4, m=6.0), lambda m: grid
+    else:
+        bench = load_bench(case, coarse=True)
+        spec, schedule, policy = bench.spec, bench.schedule, bench.grid_policy
+    real, seen = Operator.level_systems, {"systems": 0, "moving": 0, "positive": 0, "short": 0}
+
+    def checked(op, slope, lin, extra_diag):
+        systems = real(op, slope, lin, extra_diag)
+        interior = ~op.dirichlet
+        margin = np.array(systems[0])
+        for o, stack in systems.items():
+            if o == 0:
+                continue
+            rows = op._rows[o]
+            seen["positive"] += int(np.count_nonzero(stack[:, interior[rows]] > 0.0))
+            margin[:, rows] -= np.abs(stack)
+        seen["short"] += int(np.count_nonzero(margin[:, interior] < (1.0 - 1e-9) / op.grid.ht))
+        seen["systems"] += len(slope)
+        seen["moving"] += int(np.count_nonzero(slope.any(axis=1)))
+        return systems
+
+    monkeypatch.setattr(Operator, "level_systems", checked)
+    res = continuation(spec, schedule, policy, tol=1e-7)
+    assert len(res.points) == len(schedule)
+    assert seen["positive"] == seen["short"] == 0
+    assert seen["systems"] > 0 or case == "allzero"
+    assert (seen["moving"] > 0) == (case in ("bench_ou", "const1", "two_d"))
+
+
+def _level_errors(problem, pen, delta, values):
+    """ht max|F_k(u_k)| on interior nodes for k = nt-1 down to 0, with the
+    level residual F_k of _level_residual evaluated level by level from the
+    problem's operator and data stacks, in its order of operations."""
+    op, ht = problem.op, problem.grid.ht
+    g, h, f2 = problem.stacks
+    errors = []
+    for k in range(problem.grid.nt - 1, -1, -1):
+        v = values[k : k + 1]
+        res = v / ht
+        res -= op.apply_generator(v)
+        res -= values[k + 1 : k + 2] / ht
+        res -= h[k]
+        obstacle = np.maximum(g[k] - v, 0.0)
+        obstacle *= 1.0 / delta
+        res -= obstacle
+        res += pen.value(op.control_term(v)[0] - f2[k])
+        errors.append(ht * np.max(np.abs(res[:, problem.interior])))
+    return errors
+
+
+@pytest.mark.parametrize("name", ["bench_ou", "bench_ou_purestop", "const1"])
+def test_every_stage_certifies_within_its_bound(name):
+    """Each stage's E is sum_k ht max|F_k(u_k)| over its levels, summed from
+    level nt-1 down, bit for bit; each level met the stop rule
+    ht max|F_k| <= inner_tol / nt; and gamma_step's residual <= E <=
+    inner_tol = 0.1 tol, so each stage certified at its first attempt."""
+    bench = load_bench(name, coarse=True)
+    tol = 1e-7
+    res = continuation(bench.spec, bench.schedule, bench.grid_policy, tol=tol)
+    problem = TruncatedProblem(bench.grid, truncate_data(bench.spec, bench.grid.m))
+    for point in res.points:
+        errors = _level_errors(problem, Penalty(point.eps), point.delta, point.field.values)
+        total = 0.0
+        for e in errors:
+            total += e
+        assert point.E == total
+        assert max(errors) <= 0.1 * tol / bench.grid.nt
+        assert point.iters == 1 and point.residual <= point.E <= 0.1 * tol
 
 
 # bench_ou with a decaying stopping reward and a growing right running-reward
@@ -505,8 +662,9 @@ def _sha(array) -> str:
 
 
 def _stage_reports(case):
-    """Every stage's field digest, certification residual, bound report and
-    march counts, and the vi_report of the limit, in a comparable form."""
+    """Every stage's field digest, certification residual, bound E, bound
+    report and march counts, and the vi_report of the limit, in a comparable
+    form."""
     if case in ("static", "purestop", "const1"):
         bench = load_bench({"static": "bench_ou", "purestop": "bench_ou_purestop"}.get(case, case), coarse=True)
         spec, schedule, policy = bench.spec, bench.schedule, bench.grid_policy
@@ -519,6 +677,7 @@ def _stage_reports(case):
         {
             "values": _sha(p.field.values),
             "residual": p.residual.hex(),
+            "E": p.E.hex(),
             "march": (p.march.levels, p.march.newton_iters, p.march.line_search_trials),
             "bounds": {k: (b.hex(), o.hex()) for k, (b, o) in sorted(p.bound_report.items())},
         }
@@ -539,65 +698,70 @@ STAGE_GOLDEN = {
     "static": {
         "stages": [
             {
-                "values": "878a3bed5beb870d",
-                "residual": "0x1.7800000000000p-48",
-                "march": (250, 505, 255),
+                "values": "ea7fb551c8f8d881",
+                "residual": "0x1.751fccb04e7cep-48",
+                "E": "0x1.2efc7373e0167p-44",
+                "march": (250, 489, 489),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.9806602029a66p-10"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.757ed534223cbp-49"),
-                    "obstacle_penalty": ("0x1.e6dcad891c56cp-4", "0x1.6a10fa94c87c0p-5"),
+                    "gradient_penalty": ("inf", "0x1.a54479ae7beabp-10"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.75ee83c092123p-49"),
+                    "obstacle_penalty": ("0x1.e6dcad891c56cp-4", "0x1.6a1105e5e1a60p-5"),
                     "quad_growth": ("0x1.3333333333333p-1", "0x1.3333333333333p-1"),
                     "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.e32e86d235040p-4"),
                     "time_derivative_full": ("inf", "0x1.e32e86d235040p-4"),
                 },
             },
             {
-                "values": "25351ddbda1a96b1",
-                "residual": "0x1.2800000000000p-48",
-                "march": (250, 574, 324),
+                "values": "a91dbfa7c1f43c35",
+                "residual": "0x1.9355e00000000p-34",
+                "E": "0x1.21460e29be830p-31",
+                "march": (250, 250, 250),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.888802aa9c4fap-7"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.aa68447962d21p-49"),
-                    "obstacle_penalty": ("0x1.e6dec668106d8p-4", "0x1.0f0edf4367a40p-4"),
+                    "gradient_penalty": ("inf", "0x1.92862c341c1c5p-7"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.0babf6a9a111ep-49"),
+                    "obstacle_penalty": ("0x1.e6dec668106d8p-4", "0x1.0f0ef91687e20p-4"),
                     "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
                     "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.e1456b5f4e460p-4"),
                     "time_derivative_full": ("inf", "0x1.e1456b5f4e460p-4"),
                 },
             },
             {
-                "values": "7119aff5565a764c",
-                "residual": "0x1.c800000000000p-48",
-                "march": (250, 715, 465),
+                "values": "2addffa3af6a0b6c",
+                "residual": "0x1.73ccb00000000p-34",
+                "E": "0x1.24ed78458462ep-33",
+                "march": (250, 471, 471),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.7472b863cd147p-4"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.181f1fe719ad8p-49"),
-                    "obstacle_penalty": ("0x1.e6e2f825f89afp-4", "0x1.66f98783aac00p-4"),
+                    "gradient_penalty": ("inf", "0x1.6c7f8d5697b5dp-4"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.ec92a26d2ed82p-50"),
+                    "obstacle_penalty": ("0x1.e6e2f825f89afp-4", "0x1.66f9be63edfc0p-4"),
                     "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
                     "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.dd7eb7d066ae0p-4"),
                     "time_derivative_full": ("inf", "0x1.dd7eb7d066ae0p-4"),
                 },
             },
             {
-                "values": "ad1cbc05656f7cb4",
-                "residual": "0x1.3000000000000p-48",
-                "march": (250, 906, 656),
+                "values": "ec945e6c78559988",
+                "residual": "0x1.6833e00000000p-35",
+                "E": "0x1.fae95d1430e4ep-35",
+                "march": (250, 482, 482),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.1154b27c20824p-1"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.025597bb869d3p-49"),
-                    "obstacle_penalty": ("0x1.e6eb5ba1c8f5fp-4", "0x1.a719c044b7380p-4"),
+                    "gradient_penalty": ("inf", "0x1.95b161791c833p-2"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.a26f9b1c58098p-50"),
+                    "obstacle_penalty": ("0x1.e6eb5ba1c8f5fp-4", "0x1.a719f148fe400p-4"),
                     "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
                     "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.d61e1f4bca2a0p-4"),
                     "time_derivative_full": ("inf", "0x1.d61e1f4bca2a0p-4"),
                 },
             },
             {
-                "values": "f07e72652c1f1407",
-                "residual": "0x1.1800000000000p-48",
-                "march": (250, 953, 703),
+                "values": "58e8fc38313544ef",
+                "residual": "0x1.915b400000000p-34",
+                "E": "0x1.613f3e6cfed8ep-31",
+                "march": (250, 490, 490),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.298c132f64a9cp+0"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.d5fb54d088f2cp-50"),
-                    "obstacle_penalty": ("0x1.e6fc229969abep-4", "0x1.c9d41e0042500p-4"),
+                    "gradient_penalty": ("inf", "0x1.936ffdfcecd9cp-1"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.9e3561aa00ffdp-50"),
+                    "obstacle_penalty": ("0x1.e6fc229969abep-4", "0x1.c9d427bde6100p-4"),
                     "quad_growth": ("0x1.333333385a9d3p-1", "0x1.3333333333333p-1"),
                     "time_derivative": ("0x1.59d3b0bb7a866p-3", "0x1.c806c1e5d7920p-4"),
                     "time_derivative_full": ("inf", "0x1.c806c1e5d7920p-4"),
@@ -605,18 +769,19 @@ STAGE_GOLDEN = {
             },
         ],
         "vi": {
-            "regions": ["f2d32f898b78a960", "1f13ffcd7b9f9e39", "3fec38ea8b724e24"],
-            "sups": ["0x1.8d1e93e7c3370p-4", "0x1.8d1e93e7c3370p-4", "0x0.0p+0"],
-            "overlap": 314,
+            "regions": ["f2d32f898b78a960", "64110f43601baa83", "b423c151236122f8"],
+            "sups": ["0x1.4f366d6af0e84p-4", "0x1.4f366d6af0e84p-4", "0x1.68b316baa62b0p-5"],
+            "overlap": 336,
             "terminal_error": "0x0.0p+0",
         },
     },
     "purestop": {
         "stages": [
             {
-                "values": "6feac40356816f45",
+                "values": "3f906aa02ec3d4bc",
                 "residual": "0x1.6800000000000p-48",
-                "march": (250, 505, 255),
+                "E": "0x1.3205fdf3b6461p-44",
+                "march": (250, 255, 255),
                 "bounds": {
                     "gradient_penalty": ("inf", "0x0.0p+0"),
                     "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.025597bb869d3p-49"),
@@ -627,9 +792,10 @@ STAGE_GOLDEN = {
                 },
             },
             {
-                "values": "c3d0b0b1a39db1b9",
+                "values": "954e0a274eb88351",
                 "residual": "0x1.c000000000000p-49",
-                "march": (250, 573, 323),
+                "E": "0x1.3336c189374c1p-44",
+                "march": (250, 250, 250),
                 "bounds": {
                     "gradient_penalty": ("inf", "0x0.0p+0"),
                     "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.27af1373f0701p-49"),
@@ -640,9 +806,10 @@ STAGE_GOLDEN = {
                 },
             },
             {
-                "values": "2c1d7c2da5520ac9",
+                "values": "6774f4c6d19fb3ab",
                 "residual": "0x1.b800000000000p-48",
-                "march": (250, 592, 342),
+                "E": "0x1.2d5e54fdf3b66p-44",
+                "march": (250, 250, 250),
                 "bounds": {
                     "gradient_penalty": ("inf", "0x0.0p+0"),
                     "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.f8380639949ecp-50"),
@@ -653,9 +820,10 @@ STAGE_GOLDEN = {
                 },
             },
             {
-                "values": "c85c36a6b46f259a",
+                "values": "90ba8bc67978bfdb",
                 "residual": "0x1.b000000000000p-49",
-                "march": (250, 613, 363),
+                "E": "0x1.3a21178d4fdf9p-44",
+                "march": (250, 250, 250),
                 "bounds": {
                     "gradient_penalty": ("inf", "0x0.0p+0"),
                     "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.4d088f2c5a42fp-49"),
@@ -666,9 +834,10 @@ STAGE_GOLDEN = {
                 },
             },
             {
-                "values": "53207683ab619b52",
-                "residual": "0x1.2000000000000p-49",
-                "march": (250, 623, 373),
+                "values": "d4a7384bd74c343f",
+                "residual": "0x1.e000000000000p-50",
+                "E": "0x1.324fe39581067p-44",
+                "march": (250, 251, 251),
                 "bounds": {
                     "gradient_penalty": ("inf", "0x0.0p+0"),
                     "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.757ed534223cbp-49"),
@@ -689,61 +858,65 @@ STAGE_GOLDEN = {
     "time_dependent": {
         "stages": [
             {
-                "values": "ff02a86097071570",
-                "residual": "0x1.a000000000000p-50",
-                "march": (50, 150, 100),
+                "values": "c0b5370a8133537d",
+                "residual": "0x1.eec0000000000p-43",
+                "E": "0x1.a60b305f33332p-41",
+                "march": (50, 100, 100),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.e3d3db2f7461dp-8"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.063e7063e7066p-50"),
-                    "obstacle_penalty": ("0x1.e9289dba96dc6p-3", "0x1.ebdd38b6d40e0p-4"),
-                    "quad_growth": ("0x1.14c21e861b750p-1", "0x1.14c21e861b750p-1"),
+                    "gradient_penalty": ("inf", "0x1.0513e8d2dbf2ep-7"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.a895da895da8cp-51"),
+                    "obstacle_penalty": ("0x1.e9289dba96dc6p-3", "0x1.ebdd52dc4ee30p-4"),
+                    "quad_growth": ("0x1.14c21bffd48b6p-1", "0x1.14c21bffd48b6p-1"),
                     "time_derivative": ("0x1.44f8df7b183f7p+1", "0x1.9c7f947320c40p-4"),
                     "time_derivative_full": ("inf", "0x1.9c7f947320c40p-4"),
                 },
             },
             {
-                "values": "955f8dd0ad81c4e6",
-                "residual": "0x1.0000000000000p-49",
-                "march": (50, 142, 92),
+                "values": "bc3e0efb649df4da",
+                "residual": "0x1.ada4300000000p-34",
+                "E": "0x1.4abf008f6ccccp-33",
+                "march": (50, 95, 95),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.cd5abf3548c0cp-5"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.44aed44aed44dp-51"),
-                    "obstacle_penalty": ("0x1.e929aa2a10e7cp-3", "0x1.5baf7355bc4d0p-3"),
-                    "quad_growth": ("0x1.14c21e8ac0200p-1", "0x1.1da8e5e803ab3p-1"),
+                    "gradient_penalty": ("inf", "0x1.c68828de20dcfp-5"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.eefc943c97d04p-51"),
+                    "obstacle_penalty": ("0x1.e929aa2a10e7cp-3", "0x1.5baffc9dc7c60p-3"),
+                    "quad_growth": ("0x1.14c21c0479365p-1", "0x1.1da8d8415dc29p-1"),
                     "time_derivative": ("0x1.44f8df7b183f7p+1", "0x1.8b445e7ffc400p-4"),
                     "time_derivative_full": ("inf", "0x1.8b445e7ffc400p-4"),
                 },
             },
             {
-                "values": "a69cfd578fd4a6f9",
-                "residual": "0x1.6000000000000p-50",
-                "march": (50, 175, 125),
+                "values": "1efee7ffdc1fdfe7",
+                "residual": "0x1.3b0e000000000p-35",
+                "E": "0x1.97ee5f09e1478p-33",
+                "march": (50, 97, 97),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.8b70855112382p-2"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.a895da895da8cp-51"),
-                    "obstacle_penalty": ("0x1.e92bc30904fe8p-3", "0x1.a0f567a81b1a0p-3"),
-                    "quad_growth": ("0x1.14c21e8ac0200p-1", "0x1.2641658c54289p-1"),
+                    "gradient_penalty": ("inf", "0x1.580f4eb49a590p-2"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.5da895da895ddp-51"),
+                    "obstacle_penalty": ("0x1.e92bc30904fe8p-3", "0x1.a0f82faba4da0p-3"),
+                    "quad_growth": ("0x1.14c21c0479365p-1", "0x1.2641421c2d448p-1"),
                     "time_derivative": ("0x1.44f8df7b183f7p+1", "0x1.6ab3f6b347940p-4"),
                     "time_derivative_full": ("inf", "0x1.6ab3f6b347940p-4"),
                 },
             },
         ],
         "vi": {
-            "regions": ["31795c643b15c6c2", "8f90f5229005eb0d", "6903b20b81007fef"],
-            "sups": ["0x1.a41c2e321091ap-3", "0x1.a41c2e321091ap-3", "0x1.6adb54743e638p-5"],
-            "overlap": 18,
+            "regions": ["31795c643b15c6c2", "7dae2b0f6b922891", "a384f548a6ac2bde"],
+            "sups": ["0x1.92014e9530962p-3", "0x1.92014e9530962p-3", "0x1.017f0042e3100p-5"],
+            "overlap": 28,
             "terminal_error": "0x0.0p+0",
         },
     },
     "const1": {
         "stages": [
             {
-                "values": "6e19360b84d2fa4f",
-                "residual": "0x1.74bd355fa9d2ep-47",
-                "march": (150, 368, 218),
+                "values": "4396be33a8dedbab",
+                "residual": "0x1.32f0180000000p-33",
+                "E": "0x1.07524df5c28f7p-31",
+                "march": (150, 253, 253),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.6190746caf90bp+5"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.eb7672af73663p-48"),
+                    "gradient_penalty": ("inf", "0x1.2744600ea4d42p+5"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.e7f5b155eb981p-46"),
                     "obstacle_penalty": ("0x1.7952692e9a85bp-2", "0x1.1f62d6a288a00p-9"),
                     "quad_growth": ("0x1.0000000000000p+0", "0x1.0000000000000p+0"),
                     "time_derivative": ("0x1.ac85162a10b33p-2", "0x1.e54429bbd8800p-10"),
@@ -751,12 +924,13 @@ STAGE_GOLDEN = {
                 },
             },
             {
-                "values": "46d19101ae7db8ec",
-                "residual": "0x1.5063fd1da48fbp-46",
-                "march": (150, 580, 430),
+                "values": "778ad9d5c59bbfb6",
+                "residual": "0x1.31472c0000000p-33",
+                "E": "0x1.130666e0624dbp-31",
+                "march": (150, 255, 255),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.f90059e50c036p+4"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.4873dd5d258dbp-46"),
+                    "gradient_penalty": ("inf", "0x1.ca301169a9592p+4"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.dcd807b380890p-45"),
                     "obstacle_penalty": ("0x1.7952ef66578b6p-2", "0x1.1cbab90ef8400p-8"),
                     "quad_growth": ("0x1.000000044b830p+0", "0x1.0000000000000p+0"),
                     "time_derivative": ("0x1.ac85162a10b33p-2", "0x1.daab9c8909800p-10"),
@@ -764,49 +938,52 @@ STAGE_GOLDEN = {
                 },
             },
             {
-                "values": "c4d437ef033fe02e",
-                "residual": "0x1.1821af877cc90p-44",
-                "march": (150, 716, 566),
+                "values": "ce9b54fb101edb0f",
+                "residual": "0x1.3b6b880000000p-33",
+                "E": "0x1.19e6cfa872b03p-31",
+                "march": (150, 244, 244),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.3dc78631960c0p+5"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.1821af877cc90p-44"),
+                    "gradient_penalty": ("inf", "0x1.97792061a10bfp+4"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.1e0fc86540fb6p-46"),
                     "obstacle_penalty": ("0x1.7953fbd5d196cp-2", "0x1.17881cfea8e00p-7"),
                     "quad_growth": ("0x1.000000044b830p+0", "0x1.0000000000000p+0"),
                     "time_derivative": ("0x1.ac85162a10b33p-2", "0x1.c64160f1ec800p-10"),
-                    "time_derivative_full": ("inf", "0x1.5ba0fd51863e8p+0"),
+                    "time_derivative_full": ("inf", "0x1.f056538e38930p-3"),
                 },
             },
             {
-                "values": "1fc433adfac4b1e8",
-                "residual": "0x1.121d5bd829467p-45",
-                "march": (150, 617, 467),
+                "values": "4aab6fae35424594",
+                "residual": "0x1.b6ad600000000p-34",
+                "E": "0x1.ccad44147ae0ep-32",
+                "march": (150, 246, 246),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.237bc9c63bc38p+5"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.a919a37270882p-47"),
-                    "obstacle_penalty": ("0x1.795614b4c5ad8p-2", "0x1.0d9441935a200p-6"),
+                    "gradient_penalty": ("inf", "0x1.816cd0ee60008p+4"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.2d7d7caf60d8dp-43"),
+                    "obstacle_penalty": ("0x1.795614b4c5ad8p-2", "0x1.0d9441935a000p-6"),
                     "quad_growth": ("0x1.000000044b830p+0", "0x1.0000000000000p+0"),
                     "time_derivative": ("0x1.ac85162a10b33p-2", "0x1.a0d92dd55e000p-10"),
-                    "time_derivative_full": ("inf", "0x1.8047859403989p+1"),
+                    "time_derivative_full": ("inf", "0x1.ea403a9f26d30p-3"),
                 },
             },
             {
-                "values": "93f0d3459797eea4",
-                "residual": "0x1.74abc5940a743p-44",
-                "march": (150, 728, 579),
+                "values": "585a5c2b9e9a4f3a",
+                "residual": "0x1.64b6000000000p-34",
+                "E": "0x1.22198de926e96p-32",
+                "march": (150, 227, 227),
                 "bounds": {
-                    "gradient_penalty": ("inf", "0x1.584f524b477b4p+5"),
-                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.72afbda3eab3bp-44"),
-                    "obstacle_penalty": ("0x1.795a4672addafp-2", "0x1.f698a72ec1800p-6"),
+                    "gradient_penalty": ("inf", "0x1.6c05607df7280p+4"),
+                    "negative_part": ("0x1.0c6f7a0b5ed8dp-20", "0x1.7bd3bf34cee25p-44"),
+                    "obstacle_penalty": ("0x1.795a4672addafp-2", "0x1.f698a72ebf400p-6"),
                     "quad_growth": ("0x1.000000044b830p+0", "0x1.0000000000000p+0"),
                     "time_derivative": ("0x1.ac85162a10b33p-2", "0x1.6a339ad3d1800p-10"),
-                    "time_derivative_full": ("inf", "0x1.4575eda7f4d6dp+2"),
+                    "time_derivative_full": ("inf", "0x1.de8499d0053b0p-3"),
                 },
             },
         ],
         "vi": {
-            "regions": ["dac9a288668e58a9", "5c9ef1a21ae36ade", "72d06a049252a1a9"],
-            "sups": ["0x1.739dd0f952cdcp+0", "0x1.fd816308582adp-1", "0x1.deca31e9ef238p+0"],
-            "overlap": 2076,
+            "regions": ["dac9a288668e58a9", "2d2fb4d90892679b", "b30882224e938ac1"],
+            "sups": ["0x1.53589f8de8dd2p+0", "0x1.fd816308582adp-1", "0x1.a2ffb38352cc0p+0"],
+            "overlap": 2104,
             "terminal_error": "0x1.0000000000000p+0",
         },
     },
@@ -815,11 +992,11 @@ STAGE_GOLDEN = {
 
 @pytest.mark.parametrize("case", ["static", "purestop", "time_dependent", "const1"])
 def test_stage_reports_are_golden(case):
-    """Stage fields, certification residuals, bound reports, march counts and
-    the VI report stay bit for bit, on static and on time-dependent data, and
-    in the pure-stopping case, where the gradient penalty is idle at every
-    node.  On const1 the last stage's line search backtracks (trials exceed
-    Newton iterations minus levels), which no other case does."""
+    """Stage fields, certification residuals, bounds E, bound reports, march
+    counts and the VI report stay bit for bit, on static and on
+    time-dependent data, in the pure-stopping case, where the gradient
+    penalty is idle at every node, and on const1, whose penalty binds in
+    the truncation layer."""
     assert _stage_reports(case) == STAGE_GOLDEN[case]
 
 
@@ -903,6 +1080,27 @@ class PoisonedSource:
         return np.ones(np.asarray(x).shape[1:])
 
 
+class RunningReward:
+    """A running reward of 1 on a zero obstacle, with f_m^2 = 100: the
+    gradient penalty stays idle and the obstacle inactive, so each level of
+    the march is a linear system that one Newton iteration solves."""
+
+    def __init__(self, grid):
+        self.spec = load_bench("allzero", coarse=True).spec
+        self.m = grid.m
+        self.time_independent = True
+        self.cutoff = SimpleNamespace(m=grid.m)
+
+    def g_m(self, t, x):
+        return np.zeros(np.asarray(x).shape[1:])
+
+    def h_m(self, t, x):
+        return np.ones(np.asarray(x).shape[1:])
+
+    def f_m_sq(self, t, x):
+        return np.full(np.asarray(x).shape[1:], 100.0)
+
+
 class TestMarchErrors:
     def test_non_finite_source_names_its_level(self):
         bench = load_bench("allzero", coarse=True)
@@ -913,8 +1111,8 @@ class TestMarchErrors:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
     def test_non_finite_solve_names_its_level(self, bad, monkeypatch):
-        """On zero data every level converges in one Newton iteration, so the
-        fourth level solve is the one of level nt - 4."""
+        """On RunningReward every level converges in one Newton iteration, so
+        the fourth level solve is the one of level nt - 4."""
         real = Operator.level_solver
         calls = []
 
@@ -931,15 +1129,16 @@ class TestMarchErrors:
 
             return bad_solve
 
+        grid = load_bench("allzero", coarse=True).grid
+        problem = TruncatedProblem(grid, RunningReward(grid))
+        point = solve_penalized(problem, Penalty(0.5), 0.5)
+        assert point.march.newton_iters == point.march.levels == grid.nt
         monkeypatch.setattr(Operator, "level_solver", poisoned)
-        bench = load_bench("allzero", coarse=True)
-        grid = bench.grid
-        data = truncate_data(bench.spec, grid.m)
         level = grid.nt - 4
         with pytest.raises(
             SolverError, match=rf"^linear solve produced non-finite values at level {level}$"
         ):
-            solve_penalized(TruncatedProblem(grid, data), Penalty(0.5), 0.5)
+            solve_penalized(problem, Penalty(0.5), 0.5)
 
 
 def test_layer_counters_match_the_march(monkeypatch):
@@ -1409,19 +1608,27 @@ class TestIdlePenalty:
     pins the test's verdict and compares the shortcut with the dense path on
     the same inputs.
 
-    The bound d fl(s / hx)^2 of a field that jumps by s at node 0, a corner
-    of the box, is attained there: one-sided quotients s / hx along every
-    axis.  On "equal" it is min f_m^2, and the penalty is idle; on
-    "ulp_over" min f_m^2 is one ulp below it, and on "edge_floor" only
-    node 0 (a Dirichlet node) has that f_m^2, so psi' > 0 at node 0 alone.
-    A NaN or inf in the field or in f_m^2 fails the test.  On
-    "negative_zero" the Newton source h_m + extra_diag g_m is -0.0, which
-    the dense "+ 2 psi' Q" turns into +0.0."""
+    The field is s on every node but those of the box's low edges, where it
+    is 0.  Its bound d fl(s / hx)^2 is attained at the first interior node
+    of the diagonal (node 1 in 1-D), whose backward quotients are s / hx
+    along every axis, and nowhere else.  On "equal" it is min f_m^2, and the
+    penalty is idle; on "ulp_over" min f_m^2 is one ulp below it, so
+    psi' > 0 at that node alone.  On "edge_floor" only node 0, a Dirichlet
+    node where Q = 0, has that f_m^2: its f_m^2 counts in the floor, so the
+    test fails although psi' = 0 everywhere.  A NaN or inf in the field or
+    in f_m^2 fails the test.  On "negative_zero" the Newton source
+    h_m + extra_diag g_m is -0.0, which the dense "+ 2 psi' Q" turns into
+    +0.0."""
 
     SPEC = {1: HEAT, 2: TestTwoDimensional.CFG}
     CASES = ["equal", "ulp_over", "edge_floor", "nan_field", "inf_field", "inf_f2", "negative_zero"]
     IDLE = {"equal", "negative_zero"}
     JUMP = 0.3
+
+    @staticmethod
+    def _corner(grid):
+        """The first interior node of the diagonal, flat index."""
+        return 1 if grid.d == 1 else grid.nx + 1
 
     @classmethod
     def _case(cls, d, case):
@@ -1430,7 +1637,8 @@ class TestIdlePenalty:
         grid = Grid(d=d, m=1.0, nx=11 if d == 1 else 7, nt=4, T=1.0)
         n = grid.n_nodes
         field = np.full(n, cls.JUMP)
-        field[0] = 0.0
+        node = np.arange(n)
+        field[(node == 0) if d == 1 else (node // grid.nx == 0) | (node % grid.nx == 0)] = 0.0
         quotient = cls.JUMP / grid.hx
         bound = d * (quotient * quotient)
         f2 = np.full(n, bound)
@@ -1468,13 +1676,13 @@ class TestIdlePenalty:
             idle = problem._penalty_idle(rows, ks[at])
             got = solver._level_residual(problem, wave, at, rows.copy(), idle)
             want = solver._level_residual(problem, wave, at, rows.copy(), False)
-            merits, _, slope, extra_diag, rhs, finite = got
-            for a, b in zip([merits, slope, extra_diag, rhs], [want[0], *want[2:5]]):
+            merits, largest, _, slope, extra_diag, rhs, finite = got
+            for a, b in zip([merits, largest, slope, extra_diag, rhs], [*want[0:2], *want[3:6]]):
                 np.testing.assert_array_equal(_bits(a), _bits(b))
-            np.testing.assert_array_equal(finite, want[5])
+            np.testing.assert_array_equal(finite, want[6])
             assert idle == (case in self.IDLE)
         if case == "ulp_over":
-            assert np.count_nonzero(want[2]) == 1 and want[2][0, 0] > 0.0
+            assert np.count_nonzero(want[3]) == 1 and want[3][0, self._corner(problem.grid)] > 0.0
         if case == "negative_zero":
             assert not np.signbit(rhs[:, problem.interior]).any()
 
