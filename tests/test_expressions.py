@@ -260,8 +260,9 @@ _EXPONENTS = (3.0, 4.0, 2.0, 0.5, 1.0, 2.5, 4000.0, -1.0)
 
 
 def _power_rule(va, vb):
-    """The evaluator's ^, written out: x^3 = x*x*x and x^4 = x*x*x*x, each
-    product rounded left to right, and np.power for every other exponent."""
+    """The evaluator's ^, written out in numpy: x^3 = x*x*x and
+    x^4 = x*x*x*x, each product rounded left to right, and np.power for every
+    other exponent.  The *_is_numpys power tests check ^ against this rule."""
     if isinstance(vb, float) and vb in (3.0, 4.0):
         base = np.asarray(va, dtype=float)
         return base * base * base if vb == 3.0 else base * base * base * base
@@ -302,7 +303,7 @@ def _among_zeros(values, rng, size=2048):
 
 
 @pytest.mark.parametrize("exponent", _EXPONENTS)
-def test_power_of_every_base_kind_follows_the_rule(exponent):
+def test_power_of_every_base_kind_is_numpys(exponent):
     # each kind alone, each kind among zeros, and all of them at once
     rng = np.random.default_rng(7)
     for b in _BASES:
@@ -333,12 +334,12 @@ def test_power_of_every_base_kind_follows_the_rule(exponent):
     st.sampled_from(_EXPONENTS),
     st.integers(0, 2**31 - 1),
 )
-def test_power_follows_the_rule_on_any_floats(bases, exponent, seed):
+def test_power_rule_is_numpys_power(bases, exponent, seed):
     _assert_power_rule(np.array(bases, dtype=float), exponent)
     _assert_power_rule(_among_zeros(bases, np.random.default_rng(seed)), exponent)
 
 
-def test_power_with_many_zero_bases_follows_the_rule():
+def test_power_with_many_zero_bases_is_numpys():
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 64, 1000, 1023, 1024, 1025, 20000):
         for zero_share in (0.3, 0.5, 0.6, 0.99):

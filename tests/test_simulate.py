@@ -869,10 +869,12 @@ def test_final_records_every_path_once_as_it_leaves(ou_solved):
 
 @pytest.mark.parametrize("n_paths", [3, 7, 2001, 10, 2002])
 @pytest.mark.parametrize("d_noise", [1, 2])
-def test_draws_are_one_standard_normal_call_per_step(n_paths, d_noise):
-    """_draws yields, step after step, the normals of one
+def test_draws_skip_the_unread_uniforms(n_paths, d_noise):
+    """_draws no longer draws the uniforms a step once drew and never read:
+    it yields, step after step, the normals of one
     standard_normal((d_noise, n_paths)) call of a Philox generator keyed by
-    the seed, and draws nothing else."""
+    the seed, and draws nothing else, over step sizes that leave the 4-value
+    buffer at every position."""
     from ctrlstop.simulate import _draws
 
     cfg = PathConfig(n_paths=n_paths, n_steps=1, rng_seed=31)
