@@ -319,8 +319,8 @@ class Operator:
     apply_generator is the product with L_matrix on every grid, a stack of
     fields returned in Fortran order.  M0 is factored once, when the
     operator is built (LAPACK gttrf in 1-D, SuperLU in 2-D), and
-    implicit_solve applies that factorization (gttrs in 1-D, the same
-    elimination arithmetic as gtsv).
+    implicit_solve applies that factorization in place (gttrs over the
+    right-hand side in 1-D, the same elimination arithmetic as gtsv).
     The other solve paths edit copies of M0's diagonals and hand them to
     _system.  The Newton level systems
 
@@ -379,13 +379,19 @@ class Operator:
         return sp.linalg.splu(M).solve
 
     def implicit_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """M0^{-1} rhs from the factorization of M0 kept since construction."""
+        """M0^{-1} rhs from the factorization of M0 kept since construction,
+        solved in place: rhs, a contiguous float64 vector, is overwritten
+        with the solution, which is returned.  In 1-D gttrs writes it over
+        rhs (overwrite_b), as level_solver's gtsv does; in 2-D SuperLU's
+        solution is copied back into rhs.  A caller that still needs its
+        right-hand side passes a copy."""
         if self.grid.d == 2:
-            return self._lu.solve(rhs)
+            rhs[...] = self._lu.solve(rhs)
+            return rhs
         *factors, info = self._lu
         if info != 0:
             raise np.linalg.LinAlgError(f"tridiagonal system: gttrf info {info}")
-        return _GTTRS(*factors, rhs)[0]
+        return _GTTRS(*factors, rhs, overwrite_b=True)[0]
 
     def pinned_solver(self, rows: np.ndarray):
         """Solver for M0 with the rows in the boolean mask `rows` replaced by

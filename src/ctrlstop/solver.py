@@ -28,8 +28,13 @@ and Theta_m) run over blocks of at most BLOCK_LEVELS time levels in the
 workspace of a TruncatedProblem, and reduce block by block: a max or min
 is taken over the array of the block maxima or minima, which is the
 whole-stack one bit for bit, NaN included.  So a radius's scratch memory
-does not grow with the horizon.  vi_report runs on the whole
-(nt+1, n_nodes) level stack.
+does not grow with the horizon.  The bound report's max psi over levels
+0..nt-1 is not a pass of its own: the march evaluated psi at the accepted
+iterates of those levels and keeps their max (_Marched.psi_max), and the
+report evaluates psi on level nt alone.  gamma_step builds each level's
+right-hand side in its row of the swept field, which the operator's
+factored solve (Operator.implicit_solve) overwrites in place.
+vi_report runs on the whole (nt+1, n_nodes) level stack.
 
 Level k of a continuation stage needs only its own level k+1 and level k
 of the stage before (its Newton start), so continuation marches
@@ -227,7 +232,9 @@ def gamma_step(problem: TruncatedProblem, pen: Penalty, delta: float, frozen: Gr
     (problem.blocks), highest first.  Each block's frozen source
     h_m + (1/delta)(g_m - phi)^+ - psi(Q(phi) - f_m^2) is summed left to
     right in the problem's workspace just before the block's backward
-    solves; the swept field is a new array.  Where the problem proves the
+    solves.  The swept field is a new array, and each level's right-hand
+    side is built in its own row of it, which op.implicit_solve then
+    overwrites with the level's solution.  Where the problem proves the
     penalty idle on a block (problem._psi is None), psi is +0.0 at every
     node and subtracting it changes no bit, so it is skipped.  The first
     failure met going down raises SolverError: a block's source that is
@@ -257,12 +264,11 @@ def gamma_step(problem: TruncatedProblem, pen: Penalty, delta: float, frozen: Gr
             # the backward sweep meets the highest bad level first
             raise SolverError(f"non-finite source at time level {levels.start + np.flatnonzero(bad)[-1]}")
         for k in range(levels.stop - 1, levels.start - 1, -1):
-            rhs = out[k + 1] / ht + source[k - levels.start]
+            rhs = np.divide(out[k + 1], ht, out=out[k])
+            rhs += source[k - levels.start]
             rhs[dirichlet] = g[k, dirichlet]
-            sol = op.implicit_solve(rhs)
-            if not np.isfinite(sol).all():
+            if not np.isfinite(op.implicit_solve(rhs)).all():
                 raise SolverError(f"linear solve produced non-finite values at level {k}")
-            out[k] = sol
     return GridField(grid=grid, values=out)
 
 
@@ -279,13 +285,16 @@ class MarchCounts:
 
 class _Marched(NamedTuple):
     """One stage's marched field with the work and the wall time of its
-    march, and E = sum_k ht max|F_k(u_k)|, its bound on the distance to the
-    stage's exact discrete solution (_nonlinear_march)."""
+    march, E = sum_k ht max|F_k(u_k)|, its bound on the distance to the
+    stage's exact discrete solution, and psi_max, the max of
+    psi(Q(u_k) - f_m^2) over the interior nodes of its levels 0..nt-1
+    (_nonlinear_march)."""
 
     field: GridField
     counts: MarchCounts
     seconds: float
     bound: float
+    psi_max: float
 
 
 class _Wave(NamedTuple):
@@ -306,7 +315,8 @@ def _level_residual(problem: TruncatedProblem, wave: _Wave, at, cand: np.ndarray
     """What a Newton step from cand reads, for the wave rows at (a slice of
     all of them, or their positions) with cand one row each: the merit
     (interior 2-norm of the level residual F), the interior max|F| that the
-    march's stop rule reads, lin of the control term
+    march's stop rule reads, the interior max psi(zeta) that the bound
+    report reads, lin of the control term
     (Q, lin) = op.control_term(cand), the slope psi'(zeta) at
     zeta = Q - f_m^2, the obstacle's extra diagonal (1/delta) 1{g_m > cand},
     and the right-hand side of the Newton system with a flag that its
@@ -322,6 +332,7 @@ def _level_residual(problem: TruncatedProblem, wave: _Wave, at, cand: np.ndarray
     slope is zeros, so level_systems adds no drift and never reads lin,
     which is left unset; "+ psi" in the residual flips only the sign of a
     zero, which the merit squares away and max|F| takes the magnitude of;
+    max psi is +0.0, the max of the dense +0.0 values;
     "- psi" in the source changes no bit; and "+ 2 slope Q" is "+ 0.0",
     which is kept since it turns a -0.0 source into +0.0."""
     op, ht = problem.op, problem.grid.ht
@@ -342,12 +353,14 @@ def _level_residual(problem: TruncatedProblem, wave: _Wave, at, cand: np.ndarray
     if idle:
         lin = np.empty(cand.shape[:-1] + (problem.grid.d, cand.shape[-1]))
         slope = np.zeros(cand.shape)
+        psi_max = np.zeros(len(cand))
         const_src += 0.0
     else:
         pen = wave.pen if isinstance(at, slice) else Penalty(wave.pen.eps[at])
         Q, lin = op.control_term(cand)
         branches = _Branches(pen, Q - wave.f2[at])
         psi = pen.value(branches)
+        psi_max = np.max(psi[:, problem.interior], axis=1)
         res += psi
         slope = pen.d1(branches)
         const_src -= psi
@@ -358,7 +371,7 @@ def _level_residual(problem: TruncatedProblem, wave: _Wave, at, cand: np.ndarray
     finite = np.isfinite(const_src).all(axis=1)
     rhs = np.add(knext, const_src, out=const_src)
     rhs[:, problem.boundary] = g[:, problem.boundary]
-    return [merits, largest, lin, slope, extra_diag, rhs, finite]
+    return [merits, largest, psi_max, lin, slope, extra_diag, rhs, finite]
 
 
 def _nonlinear_march(
@@ -447,6 +460,7 @@ def _nonlinear_march(
     work = np.zeros((3, len(stages)), dtype=int)  # levels, Newton iterations, trials
     seconds = np.zeros(len(stages))
     bounds = np.zeros(len(stages))  # E of each stage
+    psi_max = np.zeros(len(stages))  # max psi over each stage's accepted levels
     alive, error = len(stages), None  # stages from alive on start from a failed one
     # the idle test is tried until it first fails: a march where the penalty
     # binds pays for one test, and a failed test forgoes only the shortcut
@@ -491,7 +505,7 @@ def _nonlinear_march(
             return active[:p]
 
         active = np.arange(rank.size)  # the rows iterating, in stage order
-        # merit, max|F|, lin, slope, extra_diag, rhs, finite per row
+        # merit, max|F|, max psi, lin, slope, extra_diag, rhs, finite per row
         state = level_residual(active, v)
         level_error = np.empty(rank.size)  # ht max|F_k| of the accepted iterates
         for newton in range(MAX_INNER + 1):
@@ -504,7 +518,7 @@ def _nonlinear_march(
                 fail(active, 0, f"inner iteration stalled at time level {ks[row]} (merit {state[0][row]:.3e})")
                 break
             work[1, rank[active]] += 1
-            merit, _, lin, slope, extra_diag, rhs, finite = state
+            merit, _, _, lin, slope, extra_diag, rhs, finite = state
             at = index(active)
             v_a = v[at]
             systems = op.level_systems(slope[at], lin[at], extra_diag[at])
@@ -556,6 +570,7 @@ def _nonlinear_march(
             outs[rank[row]][ks[row]] = v[row]
         work[0, rank[done]] += 1
         bounds[rank[done]] += level_error[done]
+        psi_max[rank[done]] = np.maximum(psi_max[rank[done]], state[2][done])
         now = time.perf_counter()
         if done.size:
             seconds[rank[done]] += (now - clock) / done.size
@@ -566,6 +581,7 @@ def _nonlinear_march(
             MarchCounts(*(int(c) for c in work[:, i])),
             float(seconds[i]),
             float(bounds[i]),
+            float(psi_max[i]),
         )
         for i in range(alive)
     ], error
@@ -609,7 +625,10 @@ class PenaltyPoint:
     the work of the stage's marches.  seconds splits the stage's wall
     time: "march" (every march), "certify" (every frozen-source sweep with
     its residual) and "report" (the nonnegativity check and the bound
-    report).  Where the
+    report).  The report's gradient_penalty entry, max psi over the
+    interior nodes of levels 0..nt, takes levels 0..nt-1 from the certified
+    march, which evaluated psi at exactly those iterates, and evaluates
+    level nt itself.  Where the
     stage was marched in a wavefront with others (continuation), its
     "march" time holds an even share of each wave that advanced it, so the
     march times of the stages continuation returns sum to the measured
@@ -682,7 +701,7 @@ def solve_penalized(
             if error is not None:
                 raise error
             (marched,) = done
-        u, marched_bound = marched.field, marched.bound
+        u, marched_bound, marched_psi = marched.field, marched.bound, marched.psi_max
         counts.levels += marched.counts.levels
         counts.newton_iters += marched.counts.newton_iters
         counts.line_search_trials += marched.counts.line_search_trials
@@ -707,7 +726,7 @@ def solve_penalized(
             f"solution lost nonnegativity (min {lowest:.3e}); "
             "the payoff data may violate the standing assumptions"
         )
-    report = _bound_report(problem, pen, delta, tol, u.values, lowest, k3_bound)
+    report = _bound_report(problem, pen, delta, tol, u.values, lowest, k3_bound, marched_psi)
     seconds["report"] = time.perf_counter() - certified
     return PenaltyPoint(
         eps=pen.eps,
@@ -731,26 +750,33 @@ def _bound_report(
     uv: np.ndarray,
     lowest: float,
     k3_bound: float | None,
+    psi_max: float,
 ) -> dict[str, tuple[float, float]]:
     """solve_penalized's bound report of the level stack uv, whose minimum
     is lowest.  Its passes run block by block in the problem's workspace,
-    each block's maxima kept in order and reduced at the end.  Where the
-    problem proves the gradient penalty idle on a block, psi is +0.0 there
-    and the block's max psi is 0.0, without recomputing grad u."""
+    each block's maxima kept in order and reduced at the end.
+
+    The march already evaluated psi(Q(u) - f_m^2) at the accepted iterates
+    of levels 0..nt-1, so their interior max comes in as psi_max (the
+    stage's _Marched.psi_max), and only level nt, the terminal data, is
+    evaluated here, by one problem._psi call.  Max is exact, so this is
+    the whole-stack pass over levels 0..nt bit for bit.  Where the problem
+    proves the gradient penalty idle on level nt, its max psi is 0.0,
+    without computing the control term."""
     grid = problem.grid
     g = problem.stacks[0]
     nt, columns = grid.nt, problem.interior
     growth, core = problem.report_nodes
     k2_grid, k0_grid = problem.theta_bounds
-    maxima = []  # per block: obstacle, psi, growth
+    maxima = []  # per block: obstacle, growth
     for levels in problem.blocks(nt + 1):
         u = uv[levels]
         scratch = problem.work[0][: u.shape[0]]
         block = [np.max(np.subtract(g[levels], u, out=scratch))]
-        psi = problem._psi(pen, u, levels)
-        block.append(0.0 if psi is None else np.max(psi[:, columns]))
         block.append(np.max(np.divide(u, growth, out=scratch)))
         maxima.append(block)
+    psi = problem._psi(pen, uv[nt:], slice(nt, nt + 1))
+    psi_maxima = [psi_max, 0.0 if psi is None else np.max(psi[:, columns])]
     # the time-derivative bound concerns the untruncated problem; measure it
     # on the cutoff-inert core and keep the full-domain max as a diagnostic
     # (the lateral boundary layer of the truncated problem is not covered)
@@ -760,10 +786,10 @@ def _bound_report(
         dt_fwd = np.subtract(uv[ahead], uv[levels], out=problem.work[0][: levels.stop - levels.start])
         dt_fwd /= grid.ht
         dt_maxima.append([0.0 if core is None else np.max(dt_fwd[:, core]), np.max(dt_fwd[:, columns])])
-    max_obstacle, max_psi, max_growth = np.array(maxima).T
+    max_obstacle, max_growth = np.array(maxima).T
     max_dt_core, max_dt_full = np.array(dt_maxima).T
     obs_penalty = max(0.0, float(np.max(max_obstacle))) / delta
-    obs_psi = max(0.0, float(np.max(max_psi)))
+    obs_psi = max(0.0, float(np.max(psi_maxima)))
     obs_dt_core = float(np.max(max_dt_core))
     obs_dt_full = float(np.max(max_dt_full))
     obs_growth = float(np.max(max_growth))

@@ -543,6 +543,17 @@ class TestMonotoneControlTerm:
         delta = 1/16 and -7.070e-02 at delta = 1/64)."""
         self._solve(TestTwoDimensional.OU_IN_X1, Grid(d=2, m=6.0, nx=61, nt=50, T=0.2), 1 / 64, delta)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the obstacle-penalty bound K2 + 10 tol / delta (1.72) does not cover a cold 2-D start: "
+        "(1/delta) max (g_m - u)^+ reads 2.62 although the solve certifies and stays nonnegative",
+    )
+    def test_a_cold_two_d_solve_meets_its_bounds(self):
+        """OU_IN_X1 from a cold start at eps = delta = 1/64: every bound of
+        the report should hold, as it does at delta = 1/16."""
+        point = self._solve(TestTwoDimensional.OU_IN_X1, Grid(d=2, m=6.0, nx=61, nt=50, T=0.2), 1 / 64, 1 / 64)
+        assert point.bounds_ok()
+
     @pytest.mark.parametrize("case", ["1d", "2d"])
     def test_sweep_stalls_solve(self, case):
         """In 1-D the line search still backtracks (trials exceed Newton
@@ -641,6 +652,52 @@ def test_every_stage_certifies_within_its_bound(name):
         assert point.E == total
         assert max(errors) <= 0.1 * tol / bench.grid.nt
         assert point.iters == 1 and point.residual <= point.E <= 0.1 * tol
+
+
+def _psi_per_level(problem, pen, values):
+    """The interior max psi(Q(u) - f_m^2) of each level 0..nt, from a pass
+    of problem._psi over the level blocks, the bound report's whole-stack
+    pass before the march supplied levels 0..nt-1."""
+    maxima = []
+    for levels in problem.blocks(problem.grid.nt + 1):
+        psi = problem._psi(pen, values[levels], levels)
+        maxima.append(np.zeros(levels.stop - levels.start) if psi is None else np.max(psi[:, problem.interior], axis=1))
+    return np.concatenate(maxima)
+
+
+@pytest.mark.parametrize("case", ["bench_ou", "const1", "bench_ou_purestop", "two_d", "re_marched"])
+def test_the_report_psi_is_the_whole_stack_one(case, monkeypatch):
+    """Each stage's reported max psi, whose levels 0..nt-1 come from the
+    march, equals the whole-stack pass over levels 0..nt of its field, bit
+    for bit, and a report given a march max of 0.0 reads level nt's.  On
+    bench_ou levels 0..nt-1 hold the max on every stage, so a report that
+    drops the march's max fails."""
+    if case == "two_d":
+        grid = Grid(d=2, m=6.0, nx=31, nt=20, T=0.2)
+        spec = parse_config_text(TestTwoDimensional.OU_IN_X1)[0]
+        schedule, policy = default_schedule(4, m=6.0), lambda m: grid
+    elif case == "re_marched":
+        TestCertificationRetry._perturbed_sweeps(monkeypatch, lambda n: n == 2)
+        spec = load_bench("bench_ou", coarse=True).spec
+        grid = TestCertificationRetry._problem()[0]
+        schedule, policy = default_schedule(3, m=grid.m), lambda m: grid
+    else:
+        bench = load_bench(case, coarse=True)
+        spec, schedule, policy = bench.spec, bench.schedule, bench.grid_policy
+    tol = 1e-7
+    res = continuation(spec, schedule, policy, tol=tol)
+    assert len(res.points) == len(schedule)
+    problem = TruncatedProblem(res.points[0].field.grid, truncate_data(spec, schedule[0][2]))
+    for point in res.points:
+        pen, values = Penalty(point.eps), point.field.values
+        rows = _psi_per_level(problem, pen, values)
+        assert point.bound_report["gradient_penalty"][1].hex() == max(0.0, float(np.max(rows))).hex()
+        terminal = solver._bound_report(problem, pen, point.delta, tol, values, float(np.min(values)), None, 0.0)
+        assert terminal["gradient_penalty"][1].hex() == max(0.0, float(rows[-1])).hex()
+        if case == "bench_ou":
+            assert np.max(rows[:-1]) > rows[-1]
+    if case == "re_marched":
+        assert [point.iters for point in res.points] == [1, 2, 1]
 
 
 # bench_ou with a decaying stopping reward and a growing right running-reward
@@ -1150,9 +1207,9 @@ def test_layer_counters_match_the_march(monkeypatch):
     apply_generator row, one Penalty.value row and one Penalty.d1 row per
     level residual (one per level, one per line-search trial), plus one
     Penalty.value call per level block of gamma_step (levels 0..nt-1) and
-    of the bound report (levels 0..nt) of every stage, and for the Theta_m
-    of the one radius one apply_generator call per level block of the
-    nt-level data stack."""
+    one for level nt in the bound report of every stage, and for the
+    Theta_m of the one radius one apply_generator call per level block of
+    the nt-level data stack."""
     rows = {name: [] for name in ("level_systems", "level_solver", "apply_generator", "value", "d1")}
 
     def counted(cls, name, rows_of):
@@ -1191,7 +1248,7 @@ def test_layer_counters_match_the_march(monkeypatch):
     assert sum(rows["level_solver"]) == sum(rows["level_systems"]) == newton
     assert theta == [min(per, nt - lo) for lo in range(0, nt, per)] and sum(waves) == residuals
     assert sum(rows["d1"]) == residuals and len(rows["d1"]) == len(waves)
-    blocks = math.ceil(nt / per) + math.ceil((nt + 1) / per)
+    blocks = math.ceil(nt / per) + 1
     assert sum(rows["value"]) == residuals + blocks * len(res.points)
     # the wavefront evaluates and assembles several stages per call
     assert len(waves) < residuals and len(rows["level_systems"]) < newton
@@ -1676,13 +1733,13 @@ class TestIdlePenalty:
             idle = problem._penalty_idle(rows, ks[at])
             got = solver._level_residual(problem, wave, at, rows.copy(), idle)
             want = solver._level_residual(problem, wave, at, rows.copy(), False)
-            merits, largest, _, slope, extra_diag, rhs, finite = got
-            for a, b in zip([merits, largest, slope, extra_diag, rhs], [*want[0:2], *want[3:6]]):
+            merits, largest, psi_max, _, slope, extra_diag, rhs, finite = got
+            for a, b in zip([merits, largest, psi_max, slope, extra_diag, rhs], [*want[0:3], *want[4:7]]):
                 np.testing.assert_array_equal(_bits(a), _bits(b))
-            np.testing.assert_array_equal(finite, want[6])
+            np.testing.assert_array_equal(finite, want[7])
             assert idle == (case in self.IDLE)
         if case == "ulp_over":
-            assert np.count_nonzero(want[3]) == 1 and want[3][0, self._corner(problem.grid)] > 0.0
+            assert np.count_nonzero(want[4]) == 1 and want[4][0, self._corner(problem.grid)] > 0.0
         if case == "negative_zero":
             assert not np.signbit(rhs[:, problem.interior]).any()
 
@@ -1701,7 +1758,8 @@ class TestIdlePenalty:
                 swept = _bits(gamma_step(problem, pen, delta, frozen).values).tolist()
             except SolverError as exc:
                 swept = str(exc)
-            report = solver._bound_report(problem, pen, delta, 1e-7, stack, float(np.min(stack)), None)
+            # the march's max psi comes in as 0.0: test_level_residual_is_the_dense_one covers it
+            report = solver._bound_report(problem, pen, delta, 1e-7, stack, float(np.min(stack)), None, 0.0)
             return swept, {k: (b.hex(), o.hex()) for k, (b, o) in report.items()}
 
         got = outcomes()
@@ -1757,8 +1815,9 @@ def test_verify_checks_the_control_bound(monkeypatch):
 class TestIdleCallPattern:
     """The calls of the control term and the penalty in a coarse
     continuation: none where the penalty is idle, the dense path's where it
-    binds, with the idle test tried once per march and once per level block
-    of each certification (levels 0..nt-1) and report (levels 0..nt)."""
+    binds, with the idle test tried once per march, once per level block
+    of each certification (levels 0..nt-1) and once per report (level
+    nt)."""
 
     @staticmethod
     def _run(monkeypatch, bench_name, dense=False):
@@ -1798,5 +1857,5 @@ class TestIdleCallPattern:
         tries = calls.pop("_penalty_idle")
         nt, per = res.points[0].field.grid.nt, solver.BLOCK_LEVELS
         sweeps = math.ceil(nt / per) * sum(p.iters for p in res.points)
-        assert tries == calls["march"] + sweeps + math.ceil((nt + 1) / per) * len(res.points)
+        assert tries == calls["march"] + sweeps + len(res.points)
         assert calls == {k: dense[k] for k in calls} and calls["control_term"] > 0
