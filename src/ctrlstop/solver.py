@@ -16,7 +16,8 @@ The control term |grad phi|^2 is the operator's monotone Rouy-Tourin Q
 (grid.Operator.control_term), so every Newton level system is an M-matrix
 with row margin at least 1/ht, at any eps.  The march stops each level on
 its own residual F_k, once ht max|F_k| <= inner_tol / nt, and starts it
-from a predictor taken off the stage before; by the discrete comparison
+from a predictor that extrapolates the increment over the stage before
+linearly in time; by the discrete comparison
 principle the marched field lies within E = sum_k ht max|F_k(u_k)| <=
 inner_tol = 0.1 tol of the stage's exact discrete solution, and E bounds
 |Gamma[u] - u| too (_nonlinear_march; PenaltyPoint.E).
@@ -36,10 +37,11 @@ right-hand side in its row of the swept field, which the operator's
 factored solve (Operator.implicit_solve) overwrites in place.
 vi_report runs on the whole (nt+1, n_nodes) level stack.
 
-Level k of a continuation stage needs only its own level k+1 and level k
-of the stage before (its Newton start), so continuation marches
-the stages of a radius as a wavefront, each one level behind the stage
-before, with the rows of a wave on a leading axis: a Newton iteration
+Level k of a continuation stage needs only its own levels k+1 and k+2
+and levels k to k+2 of the stage before (its Newton start), so
+continuation marches the stages of a radius as a wavefront, each one level
+behind the stage before, with the rows of a wave on a leading axis: a
+Newton iteration
 assembles the level systems of all its rows in one pass and then solves
 them row by row.  continuation then certifies and reports stage by stage,
 with the same results as solving the stages one after the other.  The
@@ -408,12 +410,16 @@ def _nonlinear_march(
     |e_k| <= |e_{k+1}| + ht |F_k(u_k)|.  E is returned with each stage, its
     terms summed from level nt-1 down.
 
-    Predictor: stage i starts level k from u_{i-1,k} + (u_{i,k+1} -
-    u_{i-1,k+1}), the stage before at level k moved by the increment of
-    this stage over it one level up; stage 0 does the same with guess as
-    the stage before, or without one starts from its own level k+1, which
-    keeps steps O(ht).  So a stage needs only its own level k+1 and levels
-    k and k+1 of the stage before.  The Dirichlet nodes start at g_m.
+    Predictor: with d = u_i - u_{i-1} the increment of stage i over the
+    stage before, stage i starts level k from u_{i-1,k} + 2 d_{k+1} -
+    d_{k+2}, the increment extrapolated linearly in time from the two
+    levels above (the predictor of a predictor-corrector continuation,
+    Allgower & Georg 2003), summed as (2 d_{k+1} - d_{k+2}) + u_{i-1,k};
+    level nt-1, which has one level above, starts from u_{i-1,k} + d_{k+1}.
+    Stage 0 does the same with guess as the stage before, or without one
+    starts from its own level k+1, which keeps steps O(ht).  So a stage
+    needs only its own levels k+1 and k+2 and levels k to k+2 of the stage
+    before.  The Dirichlet nodes start at g_m.
 
     Before each level residual the march tests whether the problem proves
     the gradient penalty idle on the candidate (_penalty_idle, one max and
@@ -460,6 +466,7 @@ def _nonlinear_march(
     work = np.zeros((3, len(stages)), dtype=int)  # levels, Newton iterations, trials
     seconds = np.zeros(len(stages))
     bounds = np.zeros(len(stages))  # E of each stage
+    ahead = np.empty(n)  # a predictor's stage increment two levels up
     psi_max = np.zeros(len(stages))  # max psi over each stage's accepted levels
     alive, error = len(stages), None  # stages from alive on start from a failed one
     # the idle test is tried until it first fails: a march where the penalty
@@ -476,10 +483,13 @@ def _nonlinear_march(
             knext_ht[row] = outs[i][k + 1]
             if i == 0 and guess is None:
                 v[row] = outs[i][k + 1]
-            else:
-                before = outs[i - 1] if i else guess.values
-                np.subtract(outs[i][k + 1], before[k + 1], out=v[row])
-                v[row] += before[k]
+                continue
+            before = outs[i - 1] if i else guess.values
+            start = np.subtract(outs[i][k + 1], before[k + 1], out=v[row])
+            if k < nt - 1:
+                start *= 2.0
+                start -= np.subtract(outs[i][k + 2], before[k + 2], out=ahead)
+            start += before[k]
         knext_ht /= ht
         wave = _Wave(g[ks], h[ks], f2[ks], knext_ht, inv_delta[rank], Penalty(eps[rank]))
         v[:, problem.boundary] = wave.g[:, problem.boundary]
