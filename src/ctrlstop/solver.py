@@ -17,10 +17,10 @@ The control term |grad phi|^2 is the operator's monotone Rouy-Tourin Q
 with row margin at least 1/ht, at any eps.  The march stops each level on
 its own residual F_k, once ht max|F_k| <= inner_tol / nt, and starts it
 from a predictor that extrapolates the increment over the stage before
-linearly in time; by the discrete comparison
-principle the marched field lies within E = sum_k ht max|F_k(u_k)| <=
-inner_tol = 0.1 tol of the stage's exact discrete solution, and E bounds
-|Gamma[u] - u| too (_nonlinear_march; PenaltyPoint.E).
+linearly in time; by the discrete comparison principle the marched field
+lies within E = sum_k ht max|F_k(u_k)| <= inner_tol = 0.1 tol of the
+stage's exact discrete solution, and E bounds |Gamma[u] - u| too
+(_nonlinear_march; PenaltyPoint.E).
 
 Only the march and the backward solves of gamma_step go level by level,
 since each level needs the next.  The other passes of a stage (the frozen
@@ -41,15 +41,14 @@ Level k of a continuation stage needs only its own levels k+1 and k+2
 and levels k to k+2 of the stage before (its Newton start), so
 continuation marches the stages of a radius as a wavefront, each one level
 behind the stage before, with the rows of a wave on a leading axis: a
-Newton iteration
-assembles the level systems of all its rows in one pass and then solves
-them row by row.  continuation then certifies and reports stage by stage,
-with the same results as solving the stages one after the other.  The
-operator, the g_m, h_m, f_m^2 level stacks (from model._level_stacks, which
-evaluates time-independent data once) and the Theta_m bounds depend only
-on the grid and the truncated data, not on the penalty: a TruncatedProblem
-derives them once per radius, and every stage of that radius reads them
-from it.
+Newton iteration assembles the level systems of all its rows in one pass
+and then solves them row by row.  continuation then certifies and reports
+stage by stage, with the same results as solving the stages one after the
+other.  The operator, the g_m, h_m, f_m^2 level stacks (from
+model._level_stacks, which evaluates time-independent data once) and the
+Theta_m bounds depend only on the grid and the truncated data, not on the
+penalty: a TruncatedProblem derives them once per radius, and every stage
+of that radius reads them from it.
 
 Where the gradient penalty is idle, as in the pure-stopping limit of a
 large control cost, psi(|grad u|^2 - f_m^2) and its slope are +0.0 at every
