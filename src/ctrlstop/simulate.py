@@ -51,12 +51,21 @@ step lies in the cut-off's inner ball, the truncated data are the data
 (TruncatedData._cut).  A payoff rule takes its exact discount weights,
 which depend only on the step length, once per batch (set_step).
 
-All draws come from a counter-based Philox generator keyed by the seed, so
-runs are bit-reproducible; paths are vectorized and reduced in fixed order.
+Each run draws from its own counter-based Philox generator keyed by its
+seed, so runs are bit-reproducible; paths are vectorized and reduced in
+fixed order.  The draws do not depend on the paths, so a batch makes them
+ahead of the steps that read them (_Draws): the main thread draws step 0,
+then one worker thread per batch fills the next chunk of 1, 2, 4, ...
+steps (at most DRAW_BUFFER_BYTES of normals) in place, run after run,
+while the engine steps through the chunk before.  A run still reads its
+stream in step order, one (d', n) block per step, and one call that fills
+several steps reads it in the order of one call per step, so every draw
+and estimate is bit for bit that of drawing each step on the main thread.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
@@ -96,6 +105,10 @@ class PathConfig:
     def __post_init__(self):
         if not (isinstance(self.rng_seed, (int, np.integer)) and 0 <= self.rng_seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.rng_seed!r}")
+        for name in ("n_paths", "n_steps", "feedback_substeps"):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n_paths < 2:
             raise ValueError("need at least 2 paths for standard errors")
         if self.n_steps < 1:
@@ -335,13 +348,6 @@ def _idle_controls(x):
     return direction, np.zeros(x.shape[1])
 
 
-def _draws(cfg: PathConfig, d_noise: int):
-    """Per-step generator of normals (d', n) from Philox."""
-    gen = np.random.Generator(np.random.Philox(key=cfg.rng_seed))
-    while True:
-        yield gen.standard_normal((d_noise, cfg.n_paths))
-
-
 def _exp_weight(kappa, dt):
     """Exact integral of e^{-kappa s} over one step of length dt (elementwise);
     removes the O(dt * kappa) left-endpoint quadrature bias for large rates."""
@@ -472,15 +478,88 @@ def _leave(idx, alive, final, gone):
     return idx[keep], {key: values[keep] for key, values in alive.items()}
 
 
+DRAW_BUFFER_BYTES = 2**20  # each of a batch's two draw buffers holds at most this many bytes
+
+
+def _chunks(n_steps, cap):
+    """(first step, steps) of each chunk of draws: 1, 2, 4, ... steps, at
+    most cap each, ending at n_steps."""
+    chunks, k, size = [], 0, 1
+    while k < n_steps:
+        steps = min(size, cap, n_steps - k)
+        chunks.append((k, steps))
+        k, size = k + steps, 2 * size
+    return chunks
+
+
+class _Draws:
+    """The normals of a batch's runs, drawn a chunk of steps ahead on the
+    worker thread of pool.
+
+    Run j reads the normals of each step, (d', n), from its own Philox
+    stream keyed by its seed, in step order: bit for bit those of the
+    step's standard_normal((d', n)) call in the run alone, since one call
+    that fills a chunk of steps reads the stream in the same order.  The
+    steps go in chunks (_chunks) that alternate between two buffers
+    (runs, cap, d', n) of at most DRAW_BUFFER_BYTES each, allocated here.
+    The main thread draws the one-step chunk 0 itself; from then on, the
+    first step of chunk c waits for the worker to finish it and hands the
+    worker chunk c + 1, to fill in place in the buffer of chunk c - 1, which
+    no step reads any more.  So the worker allocates nothing, draws each
+    chunk while the engine steps through the one before, and no stream is
+    read by two threads at once.  A chunk is drawn only for the runs that
+    have alive paths when it is handed out, so a run that empties leaves
+    at most one chunk unread, which changes no other run's draws."""
+
+    def __init__(self, runs, d_noise, n_steps, pool):
+        self.n = runs[0].cfg.n_paths
+        self.gens = [np.random.Generator(np.random.Philox(key=run.cfg.rng_seed)) for run in runs]
+        cap = max(1, min(n_steps, DRAW_BUFFER_BYTES // (8 * len(runs) * d_noise * self.n)))
+        self.buffers = [np.empty((len(runs), cap, d_noise, self.n)) for _ in range(2)]
+        self.chunks = _chunks(n_steps, cap)
+        self.pool, self.chunk, self.pending = pool, -1, None
+
+    def _fill(self, c, live):
+        """Draw chunk c of the runs live into its buffer."""
+        buf, steps = self.buffers[c % 2], self.chunks[c][1]
+        for j in live:
+            self.gens[j].standard_normal(out=buf[j, :steps])
+
+    def normals(self, k, spans, idx):
+        """The normals (d', alive) of step k, called for k = 0, 1, ... in
+        turn, at the alive path numbers idx, whose runs have the spans of
+        _spans.  Where one run has all its paths alive they are a view into
+        a buffer, valid until the next call."""
+        c = self.chunk
+        if c < 0 or k == sum(self.chunks[c]):  # the first step of the next chunk
+            live = [j for j, _, _ in spans]
+            if c < 0:
+                self._fill(0, live)
+            else:
+                self.pending.result()
+            c = self.chunk = c + 1
+            if c + 1 < len(self.chunks):
+                self.pending = self.pool.submit(self._fill, c + 1, live)
+        z = self.buffers[c % 2][:, k - self.chunks[c][0]]
+        pieces = [z[j] if b - a == self.n else z[j][:, idx[a:b] - j * self.n] for j, a, b in spans]
+        return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
+
+    def finish(self):
+        """Wait for the chunk in flight, if any, raising the worker's error."""
+        if self.pending is not None:
+            self.pending.result()
+
+
 def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
     """The Euler-Maruyama path engine behind the three simulators: one batch
     of runs that share the start, n_paths and n_steps; one estimate per
     run.
 
-    Each step k < n_steps, each run with alive paths draws one batch of
-    normals from its own Philox stream.  Each run's stop rule picks its
-    alive paths that stop (at the horizon all do), and the payoff rule what
-    they are paid.  The controllers steer the rest over the payoff rule's
+    Each step k < n_steps, each run with alive paths reads one batch of
+    normals from its own Philox stream, drawn ahead on the batch's worker
+    thread (_Draws).  Each run's stop rule picks its alive paths that stop
+    (at the horizon all do), and the payoff rule what they are paid.  The
+    controllers steer the rest over the payoff rule's
     nsub substeps, the payoff rule books what they accrue, and they move
     X += b dt + sigma sqrt(dt) Z + n dnu.  Substep 0 evaluates the feedback
     on every alive path, a substep s >= 1 only on the paths pushed (rate
@@ -521,68 +600,66 @@ def _run_paths(spec, start, runs, payoff) -> list[PayoffEstimate]:
     final = {key: np.zeros_like(values) for key, values in alive.items()}
     final.update(terminal=np.zeros(n_all), stopped=np.zeros(n_all, dtype=bool))
     pushed = np.zeros(len(runs), dtype=int)  # (path, substep) pairs with a nonzero rate
-    draws = [_draws(run.cfg, spec.d_noise) for run in runs]
     bases = _feedback_bases([run.ctrl for run in runs])
 
-    for k in range(cfg.n_steps + 1):
-        elapsed = k * dt
-        t = t0 + elapsed
-        pts = _Points(t, xa)
-        spans = _spans(idx, firsts)
-        stop = np.ones(idx.size, dtype=bool) if k == cfg.n_steps else _batch_stop(runs, spans, pts, elapsed)
-        if np.any(stop):
-            ids = idx[stop]
-            final["terminal"][ids] += payoff.terminal(pts.subset(stop), elapsed, alive, stop)
-            final["stopped"][ids] = k < cfg.n_steps
-            idx, alive = _leave(idx, alive, final, stop)
-            pts = pts.subset(~stop)
-            xa = pts.x
+    # one worker thread per batch draws the normals ahead; the with block
+    # joins it however the batch ends
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        draws = _Draws(runs, spec.d_noise, cfg.n_steps, pool)
+        for k in range(cfg.n_steps + 1):
+            elapsed = k * dt
+            t = t0 + elapsed
+            pts = _Points(t, xa)
             spans = _spans(idx, firsts)
-        if idx.size == 0 or k == cfg.n_steps:
-            break
-
-        pieces = []  # each run's normals at its alive paths
-        for j, a, b in spans:
-            z = next(draws[j])
-            pieces.append(z if b - a == n else z[:, idx[a:b] - firsts[j]])
-        z = pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=1)
-
-        keys = [base if elapsed >= run.ctrl.delay else None for base, run in zip(bases, runs)]
-        drift_ctrl = np.zeros_like(xa)
-        controls = []  # (points, controls, positions) of each substep
-        at, ps, at_spans = np.arange(idx.size), pts, spans  # substep 0: every alive path
-        for s in range(payoff.nsub):
-            if s:  # the paths pushed at s - 1, moved by their push (the move rejects a non-finite one)
-                moved = xa[:, at] + drift_ctrl[:, at]
-                finite = np.isfinite(moved).all(axis=0)
-                at = at[finite]
-                if at.size == 0:
-                    break
-                ps, at_spans = _Points(t, moved[:, finite]), _spans(idx[at], firsts)
-            ctl = _batch_control(runs, at_spans, keys, ps, elapsed)
-            controls.append((ps, ctl, at))
-            nonzero = ctl[1] != 0  # the paths this substep pushes (a NaN rate counts)
-            for j, a, b in at_spans:
-                pushed[j] += np.count_nonzero(nonzero[a:b])
-            hit = np.flatnonzero(nonzero)
-            if hit.size == 0:
+            stop = np.ones(idx.size, dtype=bool) if k == cfg.n_steps else _batch_stop(runs, spans, pts, elapsed)
+            if np.any(stop):
+                ids = idx[stop]
+                final["terminal"][ids] += payoff.terminal(pts.subset(stop), elapsed, alive, stop)
+                final["stopped"][ids] = k < cfg.n_steps
+                idx, alive = _leave(idx, alive, final, stop)
+                pts = pts.subset(~stop)
+                xa = pts.x
+                spans = _spans(idx, firsts)
+            if idx.size == 0 or k == cfg.n_steps:
                 break
-            at = at[hit]
-            drift_ctrl[:, at] += ctl[0][:, hit] * (ctl[1][hit] * dt / payoff.nsub)[None, :]
-        step_running, step_cost = payoff.accrue(pts, elapsed, alive, controls, dt)
-        alive["running"] += step_running
-        alive["control_cost"] += step_cost
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            bv = spec.drift(xa)
-            sv = spec.diffusion(xa)
-            noise = np.einsum("ijk,jk->ik", sv, z)
-            xa = xa + bv * dt + noise * sqdt + drift_ctrl
-        bad = ~np.all(np.isfinite(xa), axis=0)
-        if np.any(bad):
-            rejected[idx[bad]] = True
-            idx, alive = _leave(idx, alive, final, bad)
-            xa = xa[:, ~bad]
+            keys = [base if elapsed >= run.ctrl.delay else None for base, run in zip(bases, runs)]
+            drift_ctrl = np.zeros_like(xa)
+            controls = []  # (points, controls, positions) of each substep
+            at, ps, at_spans = np.arange(idx.size), pts, spans  # substep 0: every alive path
+            for s in range(payoff.nsub):
+                if s:  # the paths pushed at s - 1, moved by their push (the move rejects a non-finite one)
+                    moved = xa[:, at] + drift_ctrl[:, at]
+                    finite = np.isfinite(moved).all(axis=0)
+                    at = at[finite]
+                    if at.size == 0:
+                        break
+                    ps, at_spans = _Points(t, moved[:, finite]), _spans(idx[at], firsts)
+                ctl = _batch_control(runs, at_spans, keys, ps, elapsed)
+                controls.append((ps, ctl, at))
+                nonzero = ctl[1] != 0  # the paths this substep pushes (a NaN rate counts)
+                for j, a, b in at_spans:
+                    pushed[j] += np.count_nonzero(nonzero[a:b])
+                hit = np.flatnonzero(nonzero)
+                if hit.size == 0:
+                    break
+                at = at[hit]
+                drift_ctrl[:, at] += ctl[0][:, hit] * (ctl[1][hit] * dt / payoff.nsub)[None, :]
+            step_running, step_cost = payoff.accrue(pts, elapsed, alive, controls, dt)
+            alive["running"] += step_running
+            alive["control_cost"] += step_cost
+
+            with np.errstate(over="ignore", invalid="ignore"):
+                bv = spec.drift(xa)
+                sv = spec.diffusion(xa)
+                noise = np.einsum("ijk,jk->ik", sv, draws.normals(k, spans, idx))
+                xa = xa + bv * dt + noise * sqdt + drift_ctrl
+            bad = ~np.all(np.isfinite(xa), axis=0)
+            if np.any(bad):
+                rejected[idx[bad]] = True
+                idx, alive = _leave(idx, alive, final, bad)
+                xa = xa[:, ~bad]
+        draws.finish()
 
     estimates = []
     for j, run in enumerate(runs):

@@ -158,6 +158,26 @@ class TruncatedProblem:
         core = ~self.op.dirichlet & (np.sqrt(xsq) <= self.data.cutoff.m)
         return 1.0 + xsq, _columns(core) if np.any(core) else None
 
+    def check_tol(self, tol) -> float:
+        """The solver tolerance, checked by check_tol and against the
+        rounding floor of the march's level stop ht max|F_k| <= 0.1 tol / nt.
+        A level residual F_k sums terms as large as the field over ht (v/ht
+        and the next level's knext/ht among them), so the rounding of
+        ht max|F_k| is a few ulps of the field, which reaches max|g_m|: a
+        stop below 8 eps max|g_m| (eps = 2**-52, the max over the grid's
+        g_m level stack) can stall on roundoff.  So tol must be at least
+        80 nt eps max|g_m|, nt the grid's time steps; else ValueError
+        (1e-12 is too small on coarse bench_ou, 1e-11 is not)."""
+        tol = check_tol(tol)
+        g = self.stacks[0]
+        floor = 80.0 * self.grid.nt * np.finfo(float).eps * max(float(np.max(g)), -float(np.min(g)))
+        if tol < floor:
+            raise ValueError(
+                f"solver tolerance {tol!r} is below the rounding floor {floor:.3g} of this grid's "
+                "level solves (80 nt eps max|g_m|)"
+            )
+        return tol
+
     def blocks(self, stop: int) -> list[slice]:
         """The levels 0..stop-1 as consecutive blocks of at most the
         workspace's levels, in increasing order."""
@@ -693,10 +713,13 @@ def solve_penalized(
                            the truncation boundary layer is not covered)
       gradient_penalty     max psi(|grad u|^2 - f_m^2) (recorded)
 
-    K2 and K0 are the problem's Theta_m bounds.
+    K2 and K0 are the problem's Theta_m bounds.  tol must lie above the
+    rounding floor of the level solves, 80 nt eps max|g_m|
+    (TruncatedProblem.check_tol); a smaller one raises ValueError before
+    any march.
     """
     grid, data = problem.grid, problem.data
-    tol = check_tol(tol)
+    tol = problem.check_tol(tol)
     if u0 is not None and u0.grid != grid:
         raise ValueError("warm start lives on a different grid")
 
@@ -883,7 +906,9 @@ def continuation(
     one, so the stages after it start a new wavefront from its certified
     field.  A march error of a stage is raised once every stage before it
     is certified.  So every stage is solved as if from the certified field
-    of the stage before, bit for bit.
+    of the stage before, bit for bit.  A tol below a radius's rounding
+    floor (TruncatedProblem.check_tol) fails the radius's first stage
+    before its march.
     """
     schedule = check_schedule(schedule)
     tol = check_tol(tol)
@@ -905,6 +930,10 @@ def continuation(
         if m_k != problem.data.m:
             problem = TruncatedProblem(grid_policy(m_k), truncate_data(spec, m_k))
         wave = [(Penalty(eps_k), delta_k) for eps_k, delta_k, m in schedule[first:] if m == m_k]
+        try:
+            problem.check_tol(tol)
+        except ValueError as exc:
+            raise failed(first, exc) from exc
         u0 = None if prev_field is None else _interp_onto(prev_field, problem)
         done, error = _nonlinear_march(problem, wave, 0.1 * tol, guess=u0)
         for (pen, delta_k), marched in zip(wave, done):

@@ -218,7 +218,8 @@ class TestSolve:
         assert manifest["status"] == "ok" and manifest["bounds_ok"] is False
 
     def test_convergence_failure_exits_two_with_manifest(self, tmp_path):
-        # no level solve reaches a tolerance of 1e-300: the first stage stalls
+        # no level solve reaches a tolerance of 1e-300: the first stage fails
+        # on the grid's rounding floor before its march
         p = tmp_path / "bench_ou.cfg"
         p.write_text(resources.files("ctrlstop.configs").joinpath("bench_ou.cfg").read_text())
         out = tmp_path / "runs"

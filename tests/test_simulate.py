@@ -1,3 +1,6 @@
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from importlib import resources
 
@@ -314,6 +317,18 @@ def test_path_config_needs_a_philox_seed(seed):
     with pytest.raises(ValueError, match="seed must be an integer"):
         PathConfig(n_paths=8, n_steps=4, rng_seed=seed)
     assert PathConfig(n_paths=8, n_steps=4, rng_seed=2**64 - 1).rng_seed == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "name, value", [("n_paths", 100.5), ("n_steps", 2.5), ("n_steps", 3.0), ("feedback_substeps", 1.5)]
+)
+def test_path_config_needs_integer_counts(name, value):
+    # a fractional count used to construct and end in a TypeError deep in
+    # the engine ("'float' object cannot be interpreted as an integer")
+    counts = {"n_paths": 100, "n_steps": 4, name: value}
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        PathConfig(**counts)
+    assert PathConfig(n_paths=np.int64(100), n_steps=np.int32(4), feedback_substeps=np.uint8(2)).n_paths == 100
 
 
 def test_unknown_mode_fails_at_construction(const1):
@@ -867,21 +882,149 @@ def test_final_records_every_path_once_as_it_leaves(ou_solved):
         assert (est.mean, est.std_error, est.metadata) == (ref.mean, ref.std_error, ref.metadata)
 
 
+def _check_draws(seeds, n_paths, n_steps, d_noise, leave=lambda k, idx, firsts: idx):
+    """Drive _Draws over a batch of runs with the given seeds, step by step,
+    and check that each run with alive paths gets, at its alive paths, the
+    normals of one standard_normal((d_noise, n_paths)) call of a Philox
+    generator keyed by its seed.  leave(k, idx, firsts) gives the alive path
+    numbers of step k from those of the step before.  Returns the drawer's
+    chunks."""
+    from ctrlstop.simulate import _Draws, _Run, _spans
+
+    runs = [_Run(PathConfig(n_paths=n_paths, n_steps=n_steps, rng_seed=seed), None, None) for seed in seeds]
+    gens = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
+    firsts = np.arange(len(runs) + 1) * n_paths
+    idx = np.arange(len(runs) * n_paths)
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        draws = _Draws(runs, d_noise, n_steps, pool)
+        for k in range(n_steps):
+            idx = leave(k, idx, firsts)
+            spans = _spans(idx, firsts)
+            got = draws.normals(k, spans, idx)
+            want = [gens[j].standard_normal((d_noise, n_paths))[:, idx[a:b] - firsts[j]] for j, a, b in spans]
+            assert np.array_equal(got, np.concatenate(want, axis=1)), k
+    return draws.chunks
+
+
 @pytest.mark.parametrize("n_paths", [3, 7, 2001, 10, 2002])
 @pytest.mark.parametrize("d_noise", [1, 2])
 def test_draws_skip_the_unread_uniforms(n_paths, d_noise):
-    """_draws no longer draws the uniforms a step once drew and never read:
-    it yields, step after step, the normals of one
+    """The batch drawer reads no uniform a step once drew and never read:
+    step after step, a run gets the normals of one
     standard_normal((d_noise, n_paths)) call of a Philox generator keyed by
-    the seed, and draws nothing else, over step sizes that leave the 4-value
-    buffer at every position."""
-    from ctrlstop.simulate import _draws
+    its seed, and nothing else is drawn, over step sizes that leave the
+    4-value buffer at every position."""
+    _check_draws([31], n_paths, 30, d_noise)
 
-    cfg = PathConfig(n_paths=n_paths, n_steps=1, rng_seed=31)
-    gen = np.random.Generator(np.random.Philox(key=31))
-    draws = _draws(cfg, d_noise)
-    for _ in range(30):
-        assert np.array_equal(next(draws), gen.standard_normal((d_noise, n_paths)))
+
+@pytest.mark.parametrize(
+    "seeds, n_paths, n_steps, chunks",
+    [
+        ([31], 10_000, 1, [(0, 1)]),  # one step: no chunk for the worker
+        # 13 steps of 10,000 paths fit a buffer; 50 is no multiple of 13
+        ([31], 10_000, 50, [(0, 1), (1, 2), (3, 4), (7, 8), (15, 13), (28, 13), (41, 9)]),
+        ([31], 2**17 + 1, 4, [(0, 1), (1, 1), (2, 1), (3, 1)]),  # a step overfills a buffer
+        ([3, 4, 5], 2_000, 40, [(0, 1), (1, 2), (3, 4), (7, 8), (15, 16), (31, 9)]),
+    ],
+)
+def test_draws_cross_chunk_boundaries(seeds, n_paths, n_steps, chunks):
+    """Chunks grow 1, 2, 4, ... steps up to what one buffer of
+    DRAW_BUFFER_BYTES holds and end at n_steps; across their boundaries each
+    run reads its own stream in step order."""
+    assert _check_draws(seeds, n_paths, n_steps, 1) == chunks
+
+
+def test_draws_hold_under_thread_switches(monkeypatch):
+    """Four batches drawn at once, each with its worker (nine threads on
+    fewer cores), with the interpreter switching threads every microsecond
+    and a buffer of 3 steps: every run still reads its own stream in step
+    order."""
+    import ctrlstop.simulate as simulate_mod
+
+    monkeypatch.setattr(simulate_mod, "DRAW_BUFFER_BYTES", 3 * 2 * 500 * 8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(_check_draws, [seed, seed + 10], 500, 60, 1) for seed in range(4)]
+            chunks = [future.result(timeout=60) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(len(c) == 21 for c in chunks)
+
+
+def test_draws_skip_the_runs_that_emptied():
+    """Paths that leave take their normals with them, and a run whose paths
+    have all left draws nothing more from its stream: the runs beside it
+    read theirs as before."""
+
+    def leave(k, idx, firsts):
+        if k == 2:  # run 0 keeps its odd paths; run 1 empties
+            return idx[((idx < firsts[1]) & (idx % 2 == 1)) | (idx >= firsts[2])]
+        if k == 9:  # run 2 empties too
+            return idx[idx < firsts[2]]
+        return idx
+
+    _check_draws([7, 8, 9], 300, 20, 2, leave)
+
+
+def test_saddle_probe_batch_is_its_runs_alone(ou_solved, monkeypatch):
+    """A saddle_probe batch holds the immediate stopper's run, which empties
+    at step 0 and so never draws, and the other probes draw across many
+    chunk boundaries (one buffer holds 3 of the batch's steps): every
+    probe's estimate is that of its run alone, bit for bit."""
+    import ctrlstop.simulate as simulate_mod
+
+    spec, data, pen, field = ou_solved
+    cfg = PathConfig(n_paths=300, n_steps=37, rng_seed=11, feedback_substeps=4)
+    probes = _probe_strategies(spec, field, pen, data, 0.01, spec.T)
+    alone = [
+        simulate_paths(spec, (0.0, [1.0]), ctrl, stop, replace(cfg, rng_seed=11 + offset))
+        for _, _, offset, ctrl, stop in probes
+    ]
+    monkeypatch.setattr(simulate_mod, "DRAW_BUFFER_BYTES", 3 * 12 * 300 * 8)
+    results = saddle_probe(spec, field, pen, (0.0, [1.0]), cfg, band=0.01, data=data)
+    assert [r.name for r in results][1] == "immediate" and results[1].metadata["stopped_paths"] == 300
+    for r, est in zip(results, alone):
+        assert (r.payoff.hex(), r.std_error.hex()) == (est.mean.hex(), est.std_error.hex()), r.name
+        assert r.metadata == est.metadata, r.name
+
+
+def _intensity(bad_call=None):
+    """A strategy_w callable: 1/(2 delta) = 4 at delta = 1/8, out of
+    [0, 1/delta] on call bad_call; it records the live thread count at
+    each call."""
+    counts = []
+
+    def w(t, x, u):
+        counts.append(threading.active_count())
+        return 100.0 if len(counts) == bad_call else 4.0
+
+    return w, counts
+
+
+@pytest.mark.parametrize("case", ["returns", "over_budget", "bad_intensity"])
+def test_no_simulator_call_leaves_a_thread(ou_solved, case):
+    """The worker thread that draws a batch's normals ahead is joined
+    whether the call returns, raises the rejection-budget SimulationError
+    after its steps, or raises inside accrue mid-batch."""
+    spec, data, pen, field = ou_solved
+    opt = strategies(spec, field, pen, data=data)("controller_opt")
+    cfg = PathConfig(n_paths=400, n_steps=40, rng_seed=5)
+    before = threading.enumerate()
+    if case == "over_budget":
+        _, batch = _explosive_runs(ou_solved, (0.0, [1.2]), [("never", 5)])
+        with pytest.raises(SimulationError, match="paths rejected"):
+            batch()
+    else:
+        w, counts = _intensity(bad_call=6 if case == "bad_intensity" else None)
+        if case == "returns":
+            simulate_penalized(spec, data, pen, 0.125, (0.0, [1.0]), opt, w, cfg)
+        else:
+            with pytest.raises(SimulationError, match="outside"):
+                simulate_penalized(spec, data, pen, 0.125, (0.0, [1.0]), opt, w, cfg)
+        assert max(counts[1:]) == len(before) + 1  # the worker ran from step 1 on
+    assert threading.enumerate() == before
 
 
 def _old_control(strat, t, x):

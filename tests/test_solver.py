@@ -1066,8 +1066,8 @@ def test_the_predictor_keeps_each_stage_within_its_bound(case):
     """A warm-started stage starts level k from u_{i-1,k} + 2 d_{k+1} -
     d_{k+2}, d = u_i - u_{i-1}.  Each stage's field lies within its E of
     the same stage re-solved with level solves at inner_tol = 1e-12 (whose
-    own E adds; at tol = 1e-12, inner_tol 1e-13, static stalls on roundoff
-    at level 81), and the continuation takes no more Newton solves than
+    own E adds; tol = 1e-12 lies below static's rounding floor), and the
+    continuation takes no more Newton solves than
     STAGE_GOLDEN records, so a predictor that adds solves fails."""
     spec, schedule, policy = _stage_case(case)
     res = continuation(spec, schedule, policy, tol=1e-7)
@@ -1080,6 +1080,33 @@ def test_the_predictor_keeps_each_stage_within_its_bound(case):
         before = point.field
     newton = sum(point.march.newton_iters for point in res.points)
     assert newton <= sum(stage["march"][1] for stage in STAGE_GOLDEN[case]["stages"])
+
+
+def test_a_tol_below_the_rounding_floor_is_refused(monkeypatch):
+    """On coarse bench_ou (nt = 250, max|g_m| = 0.6) tol = 1e-12 asks the
+    level stop for ht max|F_k| <= 4e-16, below the rounding of the level
+    residual: the march stalled at level 81 after 60 Newton iterations.
+    solve_penalized now raises ValueError and continuation fails its first
+    stage, both before any march, below 80 nt eps max|g_m| = 2.7e-12;
+    tol = 1e-11 still solves."""
+    bench = load_bench("bench_ou", coarse=True)
+    problem = TruncatedProblem(bench.grid, truncate_data(bench.spec, bench.grid.m))
+    assert np.max(np.abs(problem.stacks[0])) == 0.6 and problem.grid.nt == 250
+    marches = []
+    plain = solver._nonlinear_march
+
+    def counted(*args, **kwargs):
+        marches.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_nonlinear_march", counted)
+    with pytest.raises(ValueError, match="below the rounding floor 2.66e-12"):
+        solve_penalized(problem, Penalty(0.5), 0.5, tol=1e-12)
+    with pytest.raises(solver.ContinuationError, match="m=6[)] failed: solver tolerance 1e-12 is below") as raised:
+        continuation(bench.spec, bench.schedule, bench.grid_policy, tol=1e-12)
+    assert raised.value.partial == [] and marches == []
+    point = solve_penalized(problem, Penalty(0.5), 0.5, tol=1e-11)
+    assert point.residual <= 1e-11 and marches == [1]
 
 
 def test_certification_goes_through_gamma_step(monkeypatch):
